@@ -11,14 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import EnumerationBoundError
 from .lattice import IntVec, ToricRing, pairing, vec_add
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 def ell_vector(ring: ToricRing) -> IntVec:
@@ -79,6 +75,16 @@ def lattice_points_upto(ring: ToricRing, bound: int) -> list[IntVec]:
             pts.append(p)
     pts.sort(key=lambda p: (pairing(p, ell), p))
     return pts
+
+
+def inequality_batch(ineqs):
+    """Membership batch for the lattice points m with <m, a> >= c for every
+    integer pair (a, c), as built by ``polyhedra.lattice_inequalities``."""
+
+    def batch(points):
+        return [all(sum(map(mul, m, a)) >= c for a, c in ineqs) for m in points]
+
+    return batch
 
 
 def minimal_upset_generators(

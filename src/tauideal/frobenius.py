@@ -1,10 +1,14 @@
 """Finite-q Frobenius-side experiments and oracles.
 
-Everything here works at concrete powers q = p^e and reports verdicts that
-carry the examined range: stabilization is evidence, not proof, and the
-verdict names say so.  The socle route grades the injective hull by
--sigma_dual and tests emptiness of an exact lattice-point intersection; the
-root route climbs the ascending chain of Frobenius roots.
+Everything here works at concrete powers q = p^e of a prime p and reports
+verdicts that carry the examined range: stabilization is evidence, not
+proof, and the verdict names say so.  The socle route grades the injective
+hull by -sigma_dual and tests emptiness of an exact lattice-point
+intersection.  On orthant rings the socle oracle needs only the largest q of
+the sweep, which it compiles into integer facet bounds
+(``polyhedra.lattice_inequalities``); on other rings it scans a box of
+lattice points at every q.  The root route climbs the ascending chain of
+Frobenius roots.  All arithmetic is on Python ints and Fractions.
 """
 
 from __future__ import annotations
@@ -14,16 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .enumeration import minimal_upset_generators, upper_degree_seed
+from .enumeration import inequality_batch, minimal_upset_generators, upper_degree_seed
 from .errors import InputError, NotStabilizedError, UnsupportedRingError
-from .ideals import MonomialIdeal, bracket_power, frobenius_root, minimalize, power
-from .lattice import IntVec, ToricRing, pairing, vec_add, vec_scale, vec_sub
-from .polyhedra import NewtonPolyhedron, newton_polyhedron, scale
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .ideals import MonomialIdeal, frobenius_root, minimalize, power, unit_ideal
+from .lattice import IntVec, ToricRing, pairing, vec_add, vec_neg, vec_scale
+from .polyhedra import NewtonPolyhedron, lattice_inequalities, newton_polyhedron, scale
 
 STATUS_STABILIZED = "stabilized"
 STATUS_FAILS = "fails_at_q"
@@ -40,9 +39,36 @@ class Verdict:
     p: int
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the primes up to 37: exact for n < 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise InputError(f"the characteristic p = {p} is not prime")
+
+
 def q_sweep(qmax: int, p: int) -> list[int]:
     if p < 2 or qmax < p:
         raise InputError(f"need qmax >= p >= 2, got qmax={qmax}, p={p}")
+    _check_prime(p)
     qs = []
     q = p
     while q <= qmax:
@@ -52,6 +78,7 @@ def q_sweep(qmax: int, p: int) -> list[int]:
 
 
 def _check_q(q: int, p: int) -> None:
+    _check_prime(p)
     if q < 1:
         raise InputError(f"q must be positive, got {q}")
     r = q
@@ -179,7 +206,6 @@ def in_star_E(
 class SocleOracleResult:
     ideal: MonomialIdeal
     points_checked: int
-    inconclusive: tuple
 
 
 def tau_socle_oracle(
@@ -194,57 +220,39 @@ def tau_socle_oracle(
         raise InputError("socle oracle needs a nonzero ideal")
     tP = _scaled_polyhedron(ring, a, t)
     qs = q_sweep(qmax, p)
-    checked = 0
+    if Fraction(t) == 0:
+        return SocleOracleResult(unit_ideal(ring), 0)
 
-    if _np is not None and ring.is_orthant():
-        facets = [(f, b.numerator, b.denominator) for f, b in tP.inequalities]
-        A = _np.array([f[0] for f in facets], dtype=_np.int64)
-        Sa = A.sum(axis=1)
-        num = _np.array([f[1] for f in facets], dtype=_np.int64)
-        den = _np.array([f[2] for f in facets], dtype=_np.int64)
-
-        def member_batch(points):
-            nonlocal checked
-            checked += len(points)
-            if not points:
-                return []
-            P = _np.array(points, dtype=_np.int64)
-            dots = P @ A.T
-            member = _np.zeros(len(points), dtype=bool)
-            for q in qs:
-                # z* = (q-1)*1 + q*m maximizes every facet value at once
-                vals = den * ((q - 1) * Sa + q * dots)
-                member |= (vals >= q * num).all(axis=1)
-            return [bool(x) for x in member]
-
+    if ring.is_orthant():
+        # At q the witness candidate is z* = (q-1)*1 + q*m (see
+        # _socle_witness_orthant); for a facet <x, a> >= num/den it reads
+        # q*(den*(S_a + <m, a>) - num) >= den*S_a, where S_a = <1, a>.
+        # Orthant normals are >= 0, so this is linear in q with intercept
+        # -den*S_a <= 0: once it holds at some q it holds at every larger q.
+        # So some q <= qmax witnesses m iff the top q does, that is iff
+        # m + (1 - 1/q_top)*w lies in tP (w = 1 on the orthant).
+        shift = tuple((1 - Fraction(1, qs[-1])) * x for x in ring.w)
+        test = inequality_batch(lattice_inequalities(tP, shift))
     else:
 
-        def member_batch(points):
-            nonlocal checked
-            checked += len(points)
-            out = []
-            for m in points:
-                u = tuple(-x for x in m)
-                hit = False
-                for q in qs:
-                    if ring.is_orthant():
-                        wit = _socle_witness_orthant(tP, u, q)
-                    else:
-                        wit = _socle_witness_general(ring, tP, u, q)
-                    if wit is not None:
-                        hit = True
-                        break
-                out.append(hit)
-            return out
+        def test(points):
+            return [
+                any(_socle_witness_general(ring, tP, vec_neg(m), q) is not None
+                    for q in qs)
+                for m in points
+            ]
 
-    if Fraction(t) == 0:
-        from .ideals import unit_ideal
+    checked = 0
 
-        return SocleOracleResult(unit_ideal(ring), 0, ())
+    def member_batch(points):
+        nonlocal checked
+        checked += len(points)
+        return test(points)
+
     gens = minimal_upset_generators(
         ring, member_batch, upper_degree_seed(ring, tP.vertices, shift=ring.w)
     )
-    return SocleOracleResult(minimalize(ring, gens), checked, ())
+    return SocleOracleResult(minimalize(ring, gens), checked)
 
 
 def frobenius_root_tau_oracle(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from .errors import (
     InputError,
@@ -20,11 +21,7 @@ from .errors import (
 )
 from .lattice import IntVec, ToricRing, toric_ring, vec_add, vec_sub
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
+# Above this many vectors, minimal_vectors_orthant compares rows in numpy.
 _NUMPY_CUTOFF = 400
 
 
@@ -43,10 +40,13 @@ def _require_orthant(ring: ToricRing, op: str) -> None:
 def minimal_vectors_orthant(vectors) -> list[IntVec]:
     """Componentwise-minimal subset of a collection of nonnegative vectors."""
     vecs = sorted(set(vectors), key=lambda v: (sum(v), v))
-    if _np is not None and len(vecs) > _NUMPY_CUTOFF:
-        arr = _np.array(vecs, dtype=_np.int64)
+    if len(vecs) > _NUMPY_CUTOFF and max(map(max, vecs)) < 2**63:
+        # numpy only compares here, never adds, so int64 rows are exact.
+        import numpy as np
+
+        arr = np.array(vecs, dtype=np.int64)
         kept_idx: list[int] = []
-        kept = _np.empty((0, arr.shape[1]), dtype=_np.int64)
+        kept = np.empty((0, arr.shape[1]), dtype=np.int64)
         for i in range(len(vecs)):
             if kept_idx and bool((kept <= arr[i]).all(axis=1).any()):
                 continue
@@ -55,7 +55,7 @@ def minimal_vectors_orthant(vectors) -> list[IntVec]:
         return [vecs[i] for i in kept_idx]
     kept_list: list[IntVec] = []
     for v in vecs:
-        if not any(all(g <= x for g, x in zip(k, v)) for k in kept_list):
+        if not any(all(map(le, k, v)) for k in kept_list):
             kept_list.append(v)
     return kept_list
 
@@ -92,9 +92,6 @@ class MonomialIdeal:
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         return power(self, n)
-
-    def max_degree(self) -> int:
-        return max((sum(g) for g in self.gens), default=0)
 
 
 def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
@@ -238,19 +235,17 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Monomials whose exponents lie in the Newton polyhedron of I."""
-    from .enumeration import minimal_upset_generators, upper_degree_seed
-    from .polyhedra import newton_polyhedron
+    from .enumeration import inequality_batch, minimal_upset_generators, upper_degree_seed
+    from .polyhedra import lattice_inequalities, newton_polyhedron
 
     if I.is_zero():
         raise InputError("integral closure of the zero ideal is undefined")
     if I.is_unit():
         return I
     P = newton_polyhedron(I.ring, I.gens)
-
-    def member_batch(points):
-        return [P.contains(p, strict=False) for p in points]
-
     gens = minimal_upset_generators(
-        I.ring, member_batch, upper_degree_seed(I.ring, P.vertices)
+        I.ring,
+        inequality_batch(lattice_inequalities(P)),
+        upper_degree_seed(I.ring, P.vertices),
     )
     return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))

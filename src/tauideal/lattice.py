@@ -57,14 +57,6 @@ def primitivize(v: IntVec) -> IntVec:
     return tuple(x // g for x in v)
 
 
-def rational_to_primitive(v) -> IntVec:
-    """Clear denominators of a rational vector and primitivize."""
-    den = 1
-    for x in v:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    return primitivize(tuple(int(Fraction(x) * den) for x in v))
-
-
 def matrix_rank(rows) -> int:
     """Rank of a list of integer/rational row vectors (exact elimination)."""
     m = [[Fraction(x) for x in r] for r in rows]

@@ -8,6 +8,7 @@ dimension and running double description twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ class NewtonPolyhedron:
     """
 
     dim: int
-    generators_used: tuple[IntVec, ...]
     recession: Cone
     vertices: tuple[RatVec, ...]
     rays: tuple[IntVec, ...]
@@ -53,6 +53,25 @@ class NewtonPolyhedron:
             elif v < b:
                 return False
         return True
+
+
+def lattice_inequalities(
+    P: NewtonPolyhedron, shift=None, strict: bool = False
+) -> tuple[tuple[IntVec, int], ...]:
+    """Integer facets (a, c) cutting out the lattice points m with m + shift
+    in P (in its interior if ``strict``): each pair means <m, a> >= c.
+
+    For integer <m, a>, <m + s, a> > b iff <m, a> >= floor(b - <s, a>) + 1,
+    and <m + s, a> >= b iff <m, a> >= ceil(b - <s, a>).  Facet normals lie in
+    sigma, so every m in sigma_dual meets a bound c <= 0; those are left out.
+    """
+    out = []
+    for a, b in P.inequalities:
+        beta = b - pairing(shift, a) if shift is not None else b
+        c = math.floor(beta) + 1 if strict else math.ceil(beta)
+        if c > 0:
+            out.append((a, c))
+    return tuple(out)
 
 
 def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
@@ -81,7 +100,6 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
         inequalities.append((a, Fraction(-c)))
     return NewtonPolyhedron(
         dim=d,
-        generators_used=tuple(gens),
         recession=ring.sigma_dual,
         vertices=tuple(sorted(vertices)),
         rays=tuple(sorted(rays)),
@@ -107,7 +125,6 @@ def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
         )
         return NewtonPolyhedron(
             dim=P.dim,
-            generators_used=P.generators_used,
             recession=P.recession,
             vertices=(zero,),
             rays=P.rays,
@@ -116,7 +133,6 @@ def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
         )
     return NewtonPolyhedron(
         dim=P.dim,
-        generators_used=P.generators_used,
         recession=P.recession,
         vertices=tuple(sorted(tuple(t * x for x in v) for v in P.vertices)),
         rays=P.rays,

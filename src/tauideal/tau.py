@@ -1,8 +1,11 @@
 """Generalized test ideals of monomial ideals via the interior criterion.
 
 x^m lies in tau(a^t) exactly when m + w is in the interior of t*P(a), where
-P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  Generators are
-found by graded lattice-point enumeration with a saturation certificate.
+P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  That test is
+compiled once into integer facet bounds <m, a> >= c
+(``polyhedra.lattice_inequalities``), so every point costs only Python-int
+dot products; generators are found by graded lattice-point enumeration with
+a saturation certificate.
 """
 
 from __future__ import annotations
@@ -10,16 +13,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .enumeration import minimal_upset_generators, upper_degree_seed
+from .enumeration import inequality_batch, minimal_upset_generators, upper_degree_seed
 from .errors import InputError
 from .ideals import MonomialIdeal, minimalize, unit_ideal
-from .lattice import ToricRing, pairing, toric_ring, vec_add
-from .polyhedra import NewtonPolyhedron, newton_polyhedron, scale
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .lattice import ToricRing, toric_ring
+from .polyhedra import lattice_inequalities, newton_polyhedron, scale
 
 
 def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
@@ -33,41 +31,6 @@ def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
     return t
 
 
-def _interior_member_batch(ring: ToricRing, tP: NewtonPolyhedron):
-    """Batch test of m + w in Int(tP) over lattice points m."""
-    w = ring.w
-    # reduce each facet <m + w, a> > b to an integer comparison
-    facets = []
-    for a_vec, b in tP.inequalities:
-        beta = b - pairing(w, a_vec)
-        facets.append((a_vec, beta.numerator, beta.denominator))
-
-    if _np is not None and ring.is_orthant():
-        A = _np.array([f[0] for f in facets], dtype=_np.int64)
-        num = _np.array([f[1] for f in facets], dtype=_np.int64)
-        den = _np.array([f[2] for f in facets], dtype=_np.int64)
-
-        def batch(points):
-            if not points:
-                return []
-            P = _np.array(points, dtype=_np.int64)
-            dots = P @ A.T
-            ok = (dots * den > num).all(axis=1)
-            return [bool(x) for x in ok]
-
-        return batch
-
-    def batch(points):
-        out = []
-        for m in points:
-            out.append(
-                all(pairing(m, a_vec) * dn > nm for a_vec, nm, dn in facets)
-            )
-        return out
-
-    return batch
-
-
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     """The generalized test ideal tau(a^t) as a monomial ideal."""
     t = _check_request(ring, a, t)
@@ -77,7 +40,7 @@ def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     tP = scale(P, t)
     gens = minimal_upset_generators(
         ring,
-        _interior_member_batch(ring, tP),
+        inequality_batch(lattice_inequalities(tP, ring.w, strict=True)),
         upper_degree_seed(ring, tP.vertices, shift=ring.w),
     )
     return minimalize(ring, gens)
@@ -133,11 +96,3 @@ def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:
     else:
         rec((), r, 0)
     return minimalize(ring, gens)
-
-
-def veronese_exponent_coords(m, r: int):
-    """Adapted coordinates of an exponent vector of the Veronese subring."""
-    total = sum(m)
-    if total % r != 0:
-        raise InputError(f"exponent {m} has degree not divisible by {r}")
-    return (total // r,) + tuple(m[1:])

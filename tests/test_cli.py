@@ -123,6 +123,15 @@ def test_input_error_exit_code(files, capsys):
     assert code == 3
 
 
+def test_composite_prime_is_an_input_error(files, capsys):
+    _, ring, ideal = files
+    code, _ = run(capsys, [
+        "tau", "--ring", ring, "--ideal", ideal, "--t", "1",
+        "--method", "socle", "--prime", "4",
+    ])
+    assert code == 3
+
+
 def test_bad_ring_rank_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"d": 3, "cone_generators": [[1, 0], [0, 1]]}))

@@ -1,6 +1,7 @@
 """Finite-q Frobenius oracles against the polyhedral engine."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -44,6 +45,17 @@ def test_q_sweep():
         q_sweep(1, 2)
 
 
+def test_composite_characteristic_rejected():
+    big_prime = 2**61 - 1
+    assert q_sweep(big_prime, big_prime) == [big_prime]
+    for p in (4, 9, 561, 2**61 + 1, 3215031751):  # 561 is Carmichael
+        with pytest.raises(InputError):
+            q_sweep(p * p, p)
+    for p in (0, 1, 4):
+        with pytest.raises(InputError):
+            socle_piece_vanishes_at_q(R2, I((1, 0)), 1, (0, 0), 4, p)
+
+
 def test_socle_piece_vanishing_detects_tau_membership():
     a = I((2, 0), (0, 3))
     want = tau(R2, a, 1)
@@ -78,6 +90,31 @@ def test_socle_oracle_matches_polyhedral_orthant():
         for p in (2, 3):
             res = tau_socle_oracle(ring, a, t, qmax=128, p=p)
             assert res.ideal == tau(ring, a, t)
+
+
+@pytest.mark.parametrize("qmax", [2**64, 2**80])
+def test_socle_oracle_beyond_int64(qmax):
+    a = I((3, 0), (1, 2), (0, 5))
+    t = Fraction(5, 6)
+    assert tau_socle_oracle(R2, a, t, qmax=qmax).ideal == tau(R2, a, t)
+
+
+def test_socle_oracle_top_q_matches_per_q_sweep():
+    # the orthant oracle tests only the largest q; in_star_E walks every q
+    rng = Random(71)
+    for _ in range(16):
+        d = rng.choice([2, 3])
+        ring = orthant_ring(d)
+        a = minimalize(ring, [tuple(rng.randint(0, 5) for _ in range(d))
+                              for _ in range(rng.randint(1, 4))])
+        t = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        p = rng.choice([2, 3, 5])
+        qmax = rng.choice([p, p**2, 16, 81])
+        got = tau_socle_oracle(ring, a, t, qmax=qmax, p=p).ideal
+        for m in product(range(4), repeat=d):
+            u = tuple(-x for x in m)
+            swept = in_star_E(ring, a, t, u, qmax=qmax, p=p).status == STATUS_FAILS
+            assert got.contains_monomial(m) == swept
 
 
 def test_socle_oracle_veronese_model():

@@ -1,5 +1,8 @@
 """Monomial ideal arithmetic."""
 
+import os
+import subprocess
+import sys
 from itertools import product
 from random import Random
 
@@ -11,6 +14,7 @@ from tauideal.errors import (
     SemigroupMembershipError,
     UnsupportedRingError,
 )
+import tauideal
 from tauideal.ideals import (
     bracket_power,
     colon,
@@ -19,6 +23,7 @@ from tauideal.ideals import (
     integral_closure,
     intersect,
     kill_variable,
+    minimal_vectors_orthant,
     minimalize,
     multiply,
     power,
@@ -42,6 +47,31 @@ def test_minimalize_drops_divisible_generators():
 
 def test_minimalize_keeps_antichain():
     assert I((2, 0), (0, 3), (1, 2)).gens == ((0, 3), (1, 2), (2, 0))
+
+
+def test_minimal_vectors_large_sets_match_pairwise_definition():
+    # above 400 vectors the comparison runs in numpy, unless an entry is too
+    # large for int64
+    rng = Random(47)
+    for offset in (0, 2**63):
+        vecs = [(offset + rng.randint(0, 40), rng.randint(0, 40),
+                 rng.randint(0, 40)) for _ in range(600)]
+        want = sorted(v for v in set(vecs) if not any(
+            k != v and all(a <= b for a, b in zip(k, v)) for k in vecs))
+        assert sorted(minimal_vectors_orthant(vecs)) == want
+
+
+def test_numpy_is_not_loaded_by_small_computations():
+    code = (
+        "import sys, tauideal as T\n"
+        "R = T.orthant_ring(2)\n"
+        "a = T.minimalize(R, [(3, 0), (1, 2), (0, 5)])\n"
+        "T.tau(R, a, 1); T.integral_closure(a); T.tau_socle_oracle(R, a, 1)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(tauideal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_minimalize_veronese_semigroup_divisibility():

@@ -5,10 +5,12 @@ from random import Random
 
 import pytest
 
+from tauideal.enumeration import inequality_batch, lattice_points_upto
 from tauideal.errors import InputError
 from tauideal.ideals import minimalize, multiply, power
-from tauideal.lattice import orthant_ring, pairing
-from tauideal.polyhedra import newton_polyhedron, scale
+from tauideal.lattice import orthant_ring, pairing, toric_ring, vec_add
+from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
+from tauideal.tau import veronese_ring
 
 
 def _facets(P):
@@ -172,3 +174,28 @@ def test_veronese_coordinates_polyhedron():
         shifted = tuple(Fraction(v) + Fraction(x) for v, x in
                         zip(P.vertices[0], r))
         assert P.contains(shifted, strict=False)
+
+
+def test_lattice_inequalities_match_contains():
+    # orthant, Veronese(2,2) and the cone over a square; each ideal is a few
+    # random semigroup points, each shift zero, w or a fraction of w
+    rings = [
+        orthant_ring(2),
+        orthant_ring(3),
+        veronese_ring(2, 2),
+        toric_ring([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]),
+    ]
+    rng = Random(67)
+    for ring in rings:
+        pool = lattice_points_upto(ring, 6)[1:]
+        points = lattice_points_upto(ring, 9)
+        for _ in range(6):
+            a = minimalize(ring, rng.sample(pool, rng.randint(1, 4)))
+            t = Fraction(rng.randint(1, 12), rng.randint(1, 7))
+            tP = scale(newton_polyhedron(ring, a.gens), t)
+            for shift in (None, ring.w, tuple(Fraction(7, 8) * x for x in ring.w)):
+                s = shift if shift is not None else (0,) * ring.d
+                for strict in (False, True):
+                    got = inequality_batch(lattice_inequalities(tP, shift, strict))
+                    want = [tP.contains(vec_add(m, s), strict=strict) for m in points]
+                    assert got(points) == want

@@ -5,9 +5,11 @@ from random import Random
 
 import pytest
 
+from tauideal.enumeration import inequality_batch
 from tauideal.errors import InputError
 from tauideal.ideals import minimalize, multiply, power, unit_ideal
-from tauideal.lattice import orthant_ring
+from tauideal.lattice import orthant_ring, vec_add
+from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import (
     tau,
     tau_is_unit,
@@ -138,3 +140,18 @@ def test_veronese_ring_gorenstein_index():
     assert veronese_ring(2, 2).gorenstein_index == 1
     assert veronese_ring(2, 3).gorenstein_index == 3
     assert veronese_ring(3, 2).gorenstein_index == 2
+
+
+def test_predicate_is_exact_beyond_int64():
+    # facet values here overflow int64; an earlier numpy predicate got 15 of
+    # these 64 points wrong
+    a = I((10**9, 0), (0, 10**9 + 1))
+    t = Fraction(3 * 10**9 + 1, 10**18)
+    tP = scale(newton_polyhedron(R2, a.gens), t)
+    points = [(i, j) for i in range(8) for j in range(8)]
+    want = [tP.contains(vec_add(m, R2.w), strict=True) for m in points]
+    got = inequality_batch(lattice_inequalities(tP, R2.w, strict=True))
+    assert got(points) == want
+    brute = minimalize(R2, [m for m, inside in zip(points, want) if inside])
+    assert max(map(max, brute.gens)) < 7  # the box holds every generator
+    assert tau(R2, a, t) == brute
