@@ -60,6 +60,12 @@ def load_ring(path: str) -> ToricRing:
         raise CliInputError(
             f"{path}: declared rank {data['d']} but generators have rank {ring.d}"
         )
+    if "shape_hint" in data:
+        hint = data["shape_hint"]
+        if hint != "orthant":
+            raise CliInputError(f"{path}: unknown shape_hint {hint!r}")
+        if not ring.is_orthant():
+            raise CliInputError(f"{path}: shape_hint 'orthant' on a non-orthant cone")
     return ring
 
 

@@ -16,6 +16,8 @@ from operator import mul
 from .errors import EnumerationBoundError
 from .lattice import IntVec, ToricRing, pairing, vec_add
 
+MAX_DOUBLINGS = 20  # degree-bound doublings before EnumerationBoundError
+
 
 def ell_vector(ring: ToricRing) -> IntVec:
     """The grading functional as a vector: sum of the sigma generators."""
@@ -88,7 +90,7 @@ def inequality_batch(ineqs):
 
 
 def minimal_upset_generators(
-    ring: ToricRing, member_batch, degree_seed: int, max_doublings: int = 20
+    ring: ToricRing, member_batch, degree_seed: int
 ) -> list[IntVec]:
     """Minimal generators of an up-closed subset of sigma_dual cap M.
 
@@ -102,7 +104,7 @@ def minimal_upset_generators(
     units = [tuple(1 if i == j else 0 for j in range(ring.d))
              for i in range(ring.d)]
     bound = max(degree_seed, gap)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         pts = lattice_points_upto(ring, bound + gap)
         flags = member_batch(pts)
         flag = dict(zip(pts, flags))

@@ -45,5 +45,9 @@ class NotStabilizedError(TauIdealError):
     """A finite-q oracle did not stabilize within the examined range."""
 
 
+class InvariantError(TauIdealError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 class InputError(TauIdealError):
     """Malformed user input (files, flags, parameters)."""

@@ -4,11 +4,13 @@ Everything here works at concrete powers q = p^e of a prime p and reports
 verdicts that carry the examined range: stabilization is evidence, not
 proof, and the verdict names say so.  The socle route grades the injective
 hull by -sigma_dual and tests emptiness of an exact lattice-point
-intersection.  On orthant rings the socle oracle needs only the largest q of
-the sweep, which it compiles into integer facet bounds
-(``polyhedra.lattice_inequalities``); on other rings it scans a box of
-lattice points at every q.  The root route climbs the ascending chain of
-Frobenius roots.  All arithmetic is on Python ints and Fractions.
+intersection.  That intersection is nonempty iff it holds one of the
+finitely many sigma_dual-maximal lattice points ("corners") of
+(q-1)*w - sigma_dual, so each q costs one integer facet test
+(``polyhedra.lattice_inequalities``) per corner, and the socle oracle needs
+only the largest q of the sweep, on every ring.  The root route climbs the
+ascending chain of Frobenius roots.  All arithmetic is on Python ints and
+Fractions.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from fractions import Fraction
 from itertools import product
 
 from .enumeration import inequality_batch, minimal_upset_generators, upper_degree_seed
-from .errors import InputError, NotStabilizedError, UnsupportedRingError
+from .errors import InputError, InvariantError, NotStabilizedError, UnsupportedRingError
 from .ideals import MonomialIdeal, frobenius_root, minimalize, power, unit_ideal
-from .lattice import IntVec, ToricRing, pairing, vec_add, vec_neg, vec_scale
+from .lattice import IntVec, ToricRing, vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import NewtonPolyhedron, lattice_inequalities, newton_polyhedron, scale
 
 STATUS_STABILIZED = "stabilized"
@@ -95,71 +97,45 @@ def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron
     return scale(newton_polyhedron(ring, a.gens), t)
 
 
-def _socle_witness_orthant(tP: NewtonPolyhedron, u: IntVec, q: int):
-    # z = x - q*u; x <= (q-1)*1 gives z <= U; facet normals are nonnegative,
-    # so the componentwise maximum z* = U decides feasibility alone.
-    zstar = tuple(q - 1 - q * ui for ui in u)
-    for a_vec, b in tP.inequalities:
-        if pairing(zstar, a_vec) * b.denominator < q * b.numerator:
-            return None
-    return vec_add(zstar, vec_scale(q, u))
+def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
+    """The sigma_dual-maximal lattice points of (q-1)*w - sigma_dual.
+
+    With r the Gorenstein index and c = -(q-1) mod r, top = q-1+c is the
+    least multiple of r not below q-1, so top*w is a lattice point, and
+    x = top*w - y lies in (q-1)*w - sigma_dual iff <y, n_i> >= c for every
+    ray n_i of sigma.  Those y form an up-closed set, so the corners are
+    top*w minus its minimal generators; for c = 0 (always on Gorenstein
+    rings) the only corner is (q-1)*w itself.
+    """
+    c = (1 - q) % ring.gorenstein_index
+    topw = tuple(int((q - 1 + c) * x) for x in ring.w)
+    if c == 0:
+        return [topw]
+    ys = minimal_upset_generators(
+        ring,
+        inequality_batch([(n, c) for n in ring.sigma.rays]),
+        upper_degree_seed(ring, [vec_scale(c, ring.w)]),
+    )
+    return [vec_sub(topw, y) for y in ys]
 
 
-def _independent_rows(rows, d):
-    from .lattice import matrix_rank
-
-    chosen = []
-    for r in rows:
-        if matrix_rank(chosen + [r]) > len(chosen):
-            chosen.append(r)
-            if len(chosen) == d:
-                return chosen
-    raise UnsupportedRingError("cone generators do not span")  # pragma: no cover
+def _corner_batches(ring: ToricRing, tP: NewtonPolyhedron, q: int):
+    """(corner x, membership batch of the m with m + x/q in tP) per corner."""
+    return [
+        (x, inequality_batch(lattice_inequalities(tP, [Fraction(xi, q) for xi in x])))
+        for x in _socle_corners(ring, q)
+    ]
 
 
-def _invert(rows):
-    d = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(d)]
-           for i, row in enumerate(rows)]
-    for col in range(d):
-        piv = next(i for i in range(col, d) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[d:] for row in aug]
+def _socle_witness(ring: ToricRing, tP: NewtonPolyhedron, u: IntVec, q: int):
+    """A lattice point of (q*u + q*tP) cap ((q-1)*w - sigma_dual), or None.
 
-
-def _socle_witness_general(ring: ToricRing, tP: NewtonPolyhedron, u, q: int):
-    d = ring.d
-    gens_n = list(ring.sigma.rays)
-    # bounds on the pairings <x, n_i>: upper q-1, lower from the vertices
-    lows = {}
-    for n in gens_n:
-        mv = min(pairing(v, n) for v in tP.vertices)
-        lows[n] = q * (pairing(u, n) + mv)
-    base = _independent_rows(gens_n, d)
-    inv = _invert(base)  # columns map pairing values back to coordinates
-    box = []
-    for k in range(d):
-        lo = hi = Fraction(0)
-        for i, n in enumerate(base):
-            coeff = inv[k][i]
-            a, b = coeff * lows[n], coeff * Fraction(q - 1)
-            lo += min(a, b)
-            hi += max(a, b)
-        box.append((math.floor(lo), math.ceil(hi)))
-    qu = vec_scale(q, u)
-    for x in product(*(range(lo, hi + 1) for lo, hi in box)):
-        if any(pairing(x, n) > q - 1 for n in gens_n):
-            continue
-        pt = tuple(Fraction(xi - qi, q) for xi, qi in zip(x, qu))
-        if tP.contains(pt, strict=False):
-            return x
-    return None
+    Under sigma_dual cap M, q*u + q*tP is up-closed and (q-1)*w - sigma_dual
+    down-closed with every lattice point below a corner, so the intersection
+    is nonempty iff it holds a corner.
+    """
+    m = vec_neg(u)
+    return next((x for x, batch in _corner_batches(ring, tP, q) if batch([m])[0]), None)
 
 
 def _validate_socle_point(ring: ToricRing, u) -> IntVec:
@@ -170,15 +146,12 @@ def _validate_socle_point(ring: ToricRing, u) -> IntVec:
 
 
 def socle_piece_vanishes_at_q(
-    ring: ToricRing, a: MonomialIdeal, t, u, q: int, p: int = 2, _tP=None
+    ring: ToricRing, a: MonomialIdeal, t, u, q: int, p: int = 2
 ) -> bool:
     """Emptiness of (q*u + q*t*P(a)) cap ((q-1)*w - sigma_dual) cap M."""
     _check_q(q, p)
     u = _validate_socle_point(ring, u)
-    tP = _tP if _tP is not None else _scaled_polyhedron(ring, a, t)
-    if ring.is_orthant():
-        return _socle_witness_orthant(tP, u, q) is None
-    return _socle_witness_general(ring, tP, u, q) is None
+    return _socle_witness(ring, _scaled_polyhedron(ring, a, t), u, q) is None
 
 
 def in_star_E(
@@ -191,12 +164,8 @@ def in_star_E(
     """
     u = _validate_socle_point(ring, u)
     tP = _scaled_polyhedron(ring, a, t)
-    orthant = ring.is_orthant()
     for q in q_sweep(qmax, p):
-        if orthant:
-            wit = _socle_witness_orthant(tP, u, q)
-        else:
-            wit = _socle_witness_general(ring, tP, u, q)
+        wit = _socle_witness(ring, tP, u, q)
         if wit is not None:
             return Verdict(status=STATUS_FAILS, witness=(q, wit), qmax=qmax, p=p)
     return Verdict(status=STATUS_STABILIZED, witness=None, qmax=qmax, p=p)
@@ -223,31 +192,18 @@ def tau_socle_oracle(
     if Fraction(t) == 0:
         return SocleOracleResult(unit_ideal(ring), 0)
 
-    if ring.is_orthant():
-        # At q the witness candidate is z* = (q-1)*1 + q*m (see
-        # _socle_witness_orthant); for a facet <x, a> >= num/den it reads
-        # q*(den*(S_a + <m, a>) - num) >= den*S_a, where S_a = <1, a>.
-        # Orthant normals are >= 0, so this is linear in q with intercept
-        # -den*S_a <= 0: once it holds at some q it holds at every larger q.
-        # So some q <= qmax witnesses m iff the top q does, that is iff
-        # m + (1 - 1/q_top)*w lies in tP (w = 1 on the orthant).
-        shift = tuple((1 - Fraction(1, qs[-1])) * x for x in ring.w)
-        test = inequality_batch(lattice_inequalities(tP, shift))
-    else:
-
-        def test(points):
-            return [
-                any(_socle_witness_general(ring, tP, vec_neg(m), q) is not None
-                    for q in qs)
-                for m in points
-            ]
-
+    # Dividing the witnesses x at q by q, m is witnessed at q iff some y in
+    # M/q has <y, n_i> <= (q-1)/q for every ray n_i and m + y in tP.  From q
+    # to p*q the lattice M/q only grows and so does the bound (q-1)/q, so
+    # this set only grows: some q <= qmax witnesses m iff the top q does.
+    # There m is witnessed iff m + x/q_top lies in tP for some corner x.
+    batches = [batch for _, batch in _corner_batches(ring, tP, qs[-1])]
     checked = 0
 
     def member_batch(points):
         nonlocal checked
         checked += len(points)
-        return test(points)
+        return [any(flags) for flags in zip(*(batch(points) for batch in batches))]
 
     gens = minimal_upset_generators(
         ring, member_batch, upper_degree_seed(ring, tP.vertices, shift=ring.w)
@@ -278,7 +234,7 @@ def frobenius_root_tau_oracle(
         current = frobenius_root(power(a, n), q)
         if prev is not None:
             if not prev.is_subideal_of(current):
-                raise AssertionError(
+                raise InvariantError(
                     f"root chain not ascending between q={prev_q} and q={q}"
                 )
             if current == prev and q >= 16:

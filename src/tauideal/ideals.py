@@ -15,6 +15,7 @@ from operator import le
 
 from .errors import (
     InputError,
+    InvariantError,
     RingMismatchError,
     SemigroupMembershipError,
     UnsupportedRingError,
@@ -212,7 +213,8 @@ def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     if q < 1:
         raise InputError(f"frobenius root needs q >= 1, got {q}")
     root = minimalize(I.ring, {tuple(x // q for x in g) for g in I.gens})
-    assert I.is_subideal_of(bracket_power(root, q))
+    if not I.is_subideal_of(bracket_power(root, q)):
+        raise InvariantError(f"the q = {q} root of {I.gens} does not cover it")
     return root
 
 

@@ -154,3 +154,15 @@ def test_ring_json_round_trip(files):
     _, ring_path, _ = files
     data = json.loads(open(ring_path).read())
     assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("generators, hint", [
+    ([[1, 0], [1, 2]], "orthant"),  # a Veronese cone declared as the orthant
+    ([[1, 0], [0, 1]], "simplicial"),  # no such hint
+])
+def test_bad_shape_hint_rejected(tmp_path, generators, hint):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"cone_generators": generators, "shape_hint": hint}))
+    ideal = tmp_path / "i.json"
+    ideal.write_text(json.dumps({"generators": [[1, 0]]}))
+    assert main(["tau", "--ring", str(bad), "--ideal", str(ideal)]) == 3

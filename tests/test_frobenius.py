@@ -1,12 +1,16 @@
 """Finite-q Frobenius oracles against the polyhedral engine."""
 
+import math
 from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
 
-from tauideal.errors import InputError, UnsupportedRingError
+import tauideal.frobenius
+from tauideal.cli import main
+from tauideal.enumeration import lattice_points_upto
+from tauideal.errors import InputError, InvariantError, UnsupportedRingError
 from tauideal.frobenius import (
     STATUS_FAILS,
     STATUS_HOLDS,
@@ -20,7 +24,8 @@ from tauideal.frobenius import (
     tight_integral_closure_at_q,
 )
 from tauideal.ideals import minimalize, power
-from tauideal.lattice import orthant_ring, toric_ring
+from tauideal.lattice import ToricRing, orthant_ring, pairing, toric_ring, vec_scale
+from tauideal.polyhedra import NewtonPolyhedron, newton_polyhedron, scale
 from tauideal.tau import tau, veronese_maximal_ideal, veronese_ring
 
 
@@ -36,6 +41,80 @@ def maximal(ring):
     return minimalize(
         ring, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
     )
+
+
+# Gorenstein indices 1, 3 and 5, then two 3-D cones (one not simplicial)
+VERONESE_22 = veronese_ring(2, 2)
+VERONESE_23 = veronese_ring(2, 3)
+INDEX_5 = toric_ring([(0, 1), (5, -2)])
+VERONESE_32 = veronese_ring(3, 2)
+SQUARE_CONE = toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+
+
+def low_points(ring):
+    """The first 12 lattice points of sigma_dual in (degree, lex) order."""
+    return lattice_points_upto(ring, 12)[:12]
+
+
+# -- reference: the box scan the socle oracle used before the corner test ----
+# It enumerates a box of about q^d lattice points around (q-1)*w - sigma_dual
+# and tests each one; kept here only to check the corner test against it.
+
+def _independent_rows(rows, d):
+    from tauideal.lattice import matrix_rank
+
+    chosen = []
+    for r in rows:
+        if matrix_rank(chosen + [r]) > len(chosen):
+            chosen.append(r)
+            if len(chosen) == d:
+                return chosen
+    raise UnsupportedRingError("cone generators do not span")  # pragma: no cover
+
+
+def _invert(rows):
+    d = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(d)]
+           for i, row in enumerate(rows)]
+    for col in range(d):
+        piv = next(i for i in range(col, d) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(d):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[d:] for row in aug]
+
+
+def _socle_witness_general(ring: ToricRing, tP: NewtonPolyhedron, u, q: int):
+    d = ring.d
+    gens_n = list(ring.sigma.rays)
+    # bounds on the pairings <x, n_i>: upper q-1, lower from the vertices
+    lows = {}
+    for n in gens_n:
+        mv = min(pairing(v, n) for v in tP.vertices)
+        lows[n] = q * (pairing(u, n) + mv)
+    base = _independent_rows(gens_n, d)
+    inv = _invert(base)  # columns map pairing values back to coordinates
+    box = []
+    for k in range(d):
+        lo = hi = Fraction(0)
+        for i, n in enumerate(base):
+            coeff = inv[k][i]
+            a, b = coeff * lows[n], coeff * Fraction(q - 1)
+            lo += min(a, b)
+            hi += max(a, b)
+        box.append((math.floor(lo), math.ceil(hi)))
+    qu = vec_scale(q, u)
+    for x in product(*(range(lo, hi + 1) for lo, hi in box)):
+        if any(pairing(x, n) > q - 1 for n in gens_n):
+            continue
+        pt = tuple(Fraction(xi - qi, q) for xi, qi in zip(x, qu))
+        if tP.contains(pt, strict=False):
+            return x
+    return None
 
 
 def test_q_sweep():
@@ -97,6 +176,8 @@ def test_socle_oracle_beyond_int64(qmax):
     a = I((3, 0), (1, 2), (0, 5))
     t = Fraction(5, 6)
     assert tau_socle_oracle(R2, a, t, qmax=qmax).ideal == tau(R2, a, t)
+    m = veronese_maximal_ideal(VERONESE_22, 2, 2)
+    assert tau_socle_oracle(VERONESE_22, m, 1, qmax=qmax).ideal == tau(VERONESE_22, m, 1)
 
 
 def test_socle_oracle_top_q_matches_per_q_sweep():
@@ -115,6 +196,40 @@ def test_socle_oracle_top_q_matches_per_q_sweep():
             u = tuple(-x for x in m)
             swept = in_star_E(ring, a, t, u, qmax=qmax, p=p).status == STATUS_FAILS
             assert got.contains_monomial(m) == swept
+    # on rings of Gorenstein index 3 and 5 the corners change with q mod r
+    for ring in (VERONESE_23, INDEX_5):
+        m_ideal = minimalize(ring, ring.sigma_dual.rays)
+        for a, t, p, qmax in [(m_ideal, Fraction(1, 2), 2, 32),
+                              (power(m_ideal, 2), Fraction(2, 3), 3, 27)]:
+            got = tau_socle_oracle(ring, a, t, qmax=qmax, p=p).ideal
+            for m in low_points(ring):
+                u = tuple(-x for x in m)
+                swept = in_star_E(ring, a, t, u, qmax=qmax, p=p).status == STATUS_FAILS
+                assert got.contains_monomial(m) == swept
+
+
+@pytest.mark.parametrize("ring, qs", [
+    (VERONESE_22, (2, 3, 4, 8, 9, 16, 27, 32)),
+    (VERONESE_23, (2, 3, 4, 8, 9, 16, 27, 32)),
+    (INDEX_5, (2, 3, 4, 8, 9, 16, 27, 32)),
+    (VERONESE_32, (2, 3, 4)),
+    (SQUARE_CONE, (2, 3, 4)),
+])
+def test_corner_witness_matches_box_scan(ring, qs):
+    m_ideal = minimalize(ring, ring.sigma_dual.rays)
+    seen = set()
+    for a in (m_ideal, power(m_ideal, 2)):
+        for t in (Fraction(1, 2), Fraction(1)):
+            tP = scale(newton_polyhedron(ring, a.gens), t)
+            for q in qs:
+                p = 2 if q % 2 == 0 else 3
+                for m in low_points(ring):
+                    u = tuple(-x for x in m)
+                    want = _socle_witness_general(ring, tP, u, q) is not None
+                    got = not socle_piece_vanishes_at_q(ring, a, t, u, q, p)
+                    assert got == want, (a.gens, t, q, m)
+                    seen.add(want)
+    assert seen == {True, False}
 
 
 def test_socle_oracle_veronese_model():
@@ -178,3 +293,18 @@ def test_tight_integral_closure_holds_and_fails():
 def test_verdict_carries_examined_range():
     v = in_star_E(R2, I((1, 1)), 1, (0, 0), qmax=64, p=3)
     assert v.qmax == 64 and v.p == 3
+
+
+def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path):
+    def shrinking(I, q):
+        return minimalize(I.ring, [tuple(q for _ in range(I.ring.d))])
+
+    monkeypatch.setattr(tauideal.frobenius, "frobenius_root", shrinking)
+    with pytest.raises(InvariantError):
+        frobenius_root_tau_oracle(R2, I((2, 0), (0, 3)), 1)
+    ring = tmp_path / "ring.json"
+    ring.write_text('{"cone_generators": [[1, 0], [0, 1]]}')
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text('{"generators": [[2, 0], [0, 3]]}')
+    argv = ["tau", "--ring", str(ring), "--ideal", str(ideal), "--method", "root"]
+    assert main(argv) == 3
