@@ -73,13 +73,6 @@ def random_monomial_ideal(
     return idl.minimalize(ring, gens)
 
 
-def _maximal_ideal(ring: ToricRing) -> MonomialIdeal:
-    d = ring.d
-    return idl.minimalize(
-        ring, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    )
-
-
 def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Independent colon: box enumeration of monomials m with m*J inside I."""
     ring = I.ring
@@ -126,7 +119,7 @@ def campaign_regular_powers(seed: int = 0, count: int | None = None) -> Campaign
     rep = CampaignReport("regular_powers")
     for d in range(1, 6):
         ring = orthant_ring(d)
-        m = _maximal_ideal(ring)
+        m = idl.maximal_ideal(ring)
         for n in range(1, 9):
             got = tau(ring, idl.power(m, n), 1)
             want = idl.power(m, max(n - d + 1, 0))
@@ -213,7 +206,7 @@ def campaign_colon_formula(seed: int = 0, count: int | None = None) -> CampaignR
             cases.append((d, tuple(rng.randint(1, 4) for _ in range(d))))
     for d, ls in cases:
         ring = orthant_ring(d)
-        J = _maximal_ideal(ring)
+        J = idl.maximal_ideal(ring)
         Jl = idl.minimalize(
             ring,
             [tuple(ls[i] if i == j else 0 for j in range(d)) for i in range(d)],
@@ -234,12 +227,12 @@ def campaign_regularity(seed: int = 0, count: int | None = None) -> CampaignRepo
     rep = CampaignReport("regularity")
     for d in range(2, 6):
         ring = orthant_ring(d)
-        m = _maximal_ideal(ring)
+        m = idl.maximal_ideal(ring)
         ok = tau_is_unit(ring, idl.power(m, d - 1), 1)
         rep.record(ok, _replay(d=d))
     ring = orthant_ring(2)
     I = idl.minimalize(ring, [(2, 0), (0, 2)])
-    m = _maximal_ideal(ring)
+    m = idl.maximal_ideal(ring)
     verdict = tight_closure_member_at_q(I, m, 1, (1, 1), qmax=128, cbox=6)
     witnessed = verdict.status != STATUS_HOLDS and all(
         q is not None for _, q in verdict.witness
@@ -296,7 +289,7 @@ def campaign_tic_vs_star(seed: int = 0, count: int | None = None) -> CampaignRep
     """Tight integral closure vs a-tight closure on the d=2, l=2, r=1 instance."""
     rep = CampaignReport("tic_vs_star")
     ring = orthant_ring(2)
-    J = _maximal_ideal(ring)
+    J = idl.maximal_ideal(ring)
     Jl = idl.minimalize(ring, [(2, 0), (0, 2)])
     family = [idl.power(J, 3), idl.minimalize(ring, [(2, 0)]),
               idl.minimalize(ring, [(0, 2)])]
@@ -314,7 +307,7 @@ def campaign_bs_integral(seed: int = 0, count: int | None = None) -> CampaignRep
     """Containment of J^[l] + closure(J^(dl-r)) in the finite-q closure (J^[l])^*J^r."""
     rep = CampaignReport("bs_integral")
     ring = orthant_ring(2)
-    J = _maximal_ideal(ring)
+    J = idl.maximal_ideal(ring)
     d = 2
     for l in (1, 2):
         for r in range(1, d * l):

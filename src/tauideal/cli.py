@@ -53,12 +53,13 @@ def load_ring(path: str) -> ToricRing:
     data = _load_json(path)
     try:
         gens = [tuple(int(x) for x in g) for g in data["cone_generators"]]
+        declared = int(data["d"]) if "d" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad ring file {path}: {exc}") from exc
     ring = toric_ring(gens)
-    if "d" in data and int(data["d"]) != ring.d:
+    if declared is not None and declared != ring.d:
         raise CliInputError(
-            f"{path}: declared rank {data['d']} but generators have rank {ring.d}"
+            f"{path}: declared rank {declared} but generators have rank {ring.d}"
         )
     if "shape_hint" in data:
         hint = data["shape_hint"]

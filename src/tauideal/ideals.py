@@ -130,6 +130,16 @@ def zero_ideal(ring: ToricRing) -> MonomialIdeal:
     return MonomialIdeal(ring=ring, gens=())
 
 
+def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
+    """The ideal generated by the unit vectors (the irrelevant ideal of the
+    orthant; raises SemigroupMembershipError where a unit vector is not an
+    exponent of the ring)."""
+    d = ring.d
+    return minimalize(
+        ring, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
+    )
+
+
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_ring(I, J)
     if I.is_zero() or J.is_zero():

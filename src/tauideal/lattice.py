@@ -3,7 +3,10 @@
 Exponent vectors are plain tuples of Python ints (arbitrary precision);
 rational points are tuples of ``fractions.Fraction``.  Cones are stored with
 both a ray and a halfspace description, converted by the double description
-method with exact integer arithmetic.
+method with exact integer arithmetic.  The double description tracks each
+ray's tight set as an integer bitmask over the inserted halfspaces and tests
+adjacency and extremality on those masks alone, so it needs no rank
+computation; ``matrix_rank`` stays as an independent exact reference.
 """
 
 from __future__ import annotations
@@ -81,8 +84,68 @@ def matrix_rank(rows) -> int:
     return rank
 
 
-def _tight_at(inserted, r):
-    return [h for h in inserted if pairing(r, h) == 0]
+def _insert(lineality, rays, h, bit, dim):
+    """One double description step: cut the cone lineality + cone(rays) by
+    <x, h> >= 0, where ``bit`` is the mask bit of h.
+
+    ``rays`` maps each ray to the bitmask of the inserted halfspaces it is
+    tight on.  Invariant, before and after the step: the keys of ``rays`` are
+    exactly the extreme rays of the cone modulo its lineality space (spanned
+    by ``lineality``), one primitive representative each, and every
+    lineality vector pairs to zero with every inserted halfspace, so a ray's
+    tight set does not depend on the representative.
+    """
+    lin_vals = [pairing(l, h) for l in lineality]
+    k = next((j for j, v in enumerate(lin_vals) if v != 0), None)
+    if k is not None:
+        # h crosses the lineality space: shrink it to h's hyperplane and
+        # project each ray there along l0, which keeps the ray's tight set
+        # (l0 pairs to zero with it) and adds h; l0 itself becomes a ray
+        # tight on everything inserted before h
+        l0, d0 = lineality[k], lin_vals[k]
+        if d0 < 0:
+            l0, d0 = vec_neg(l0), -d0
+        new_lin = [
+            primitivize(vec_sub(vec_scale(d0, l), vec_scale(v, l0)))
+            for j, (l, v) in enumerate(zip(lineality, lin_vals))
+            if j != k
+        ]
+        new_rays: dict[IntVec, int] = {}
+        for r, mask in rays.items():
+            v = pairing(r, h)
+            proj = vec_sub(vec_scale(d0, r), vec_scale(v, l0))
+            if any(proj):
+                new_rays.setdefault(primitivize(proj), mask | bit)
+        new_rays.setdefault(primitivize(l0), bit - 1)
+        return new_lin, new_rays
+
+    pos, neg = [], []
+    new_rays = {}
+    for r, mask in rays.items():
+        v = pairing(r, h)
+        if v > 0:
+            pos.append((r, mask, v))
+            new_rays[r] = mask
+        elif v < 0:
+            neg.append((r, mask, v))
+        else:
+            new_rays[r] = mask | bit
+    # the new rays are the crossings of the edges (2-faces) from a positive
+    # to a negative ray; the smallest face holding r and s is cut out by the
+    # halfspaces tight on both, and its extreme rays are the rays tight on
+    # all of them, so r and s span an edge iff no third ray is
+    target = dim - len(lineality) - 2
+    masks = list(rays.values())
+    for r, mr, rh in pos:
+        for s, ms, sh in neg:
+            common = mr & ms
+            if common.bit_count() < target:
+                continue  # an edge is cut out by at least ``target`` halfspaces
+            if sum(1 for m in masks if m & common == common) > 2:
+                continue
+            combo = vec_add(vec_scale(-sh, r), vec_scale(rh, s))
+            new_rays.setdefault(primitivize(combo), common | bit)
+    return lineality, new_rays
 
 
 def dual_extreme_rays(halfspaces) -> list[IntVec]:
@@ -91,6 +154,14 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     The cone must be pointed and full-dimensional; otherwise
     ConeNotPointedError / ConeNotFullDimensionalError is raised.  Rays are
     primitive integer vectors, sorted lexicographically.
+
+    Double description, one halfspace at a time (``_insert``), starting from
+    the whole space.  Each ray carries the bitmask of the inserted halfspaces
+    it is tight on (bit i for the i-th), updated as halfspaces arrive; two
+    rays on opposite sides of a new halfspace are adjacent iff no third ray
+    is tight on every halfspace both are tight on (the combinatorial test of
+    Fukuda and Prodon, 1996).  After each insertion the rays are exactly the
+    extreme rays of the current cone modulo its lineality space.
     """
     halfspaces = [tuple(h) for h in halfspaces]
     if not halfspaces:
@@ -105,67 +176,26 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     lineality: list[IntVec] = [
         tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
     ]
-    rays: list[IntVec] = []
-    inserted: list[IntVec] = []
-
-    for h in halfspaces:
-        crossing = [(l, pairing(l, h)) for l in lineality if pairing(l, h) != 0]
-        if crossing:
-            l0, d0 = crossing[0]
-            if d0 < 0:
-                l0, d0 = vec_neg(l0), -d0
-            new_lin = []
-            for l in lineality:
-                if l == crossing[0][0]:
-                    continue
-                v = pairing(l, h)
-                proj = vec_sub(vec_scale(d0, l), vec_scale(v, l0))
-                new_lin.append(primitivize(proj))
-            new_rays = []
-            for r in rays:
-                v = pairing(r, h)
-                proj = vec_sub(vec_scale(d0, r), vec_scale(v, l0))
-                if any(x != 0 for x in proj):
-                    new_rays.append(primitivize(proj))
-            new_rays.append(primitivize(l0))
-            lineality = new_lin
-            rays = _dedupe(new_rays)
-        else:
-            pos = [r for r in rays if pairing(r, h) > 0]
-            neg = [r for r in rays if pairing(r, h) < 0]
-            zero = [r for r in rays if pairing(r, h) == 0]
-            if neg:
-                target = dim - len(lineality) - 2
-                new_rays = pos + zero
-                for r in pos:
-                    rh = pairing(r, h)
-                    tight_r = set(_tight_at(inserted, r))
-                    for s in neg:
-                        common = [g for g in tight_r if pairing(s, g) == 0]
-                        if target < 0 or matrix_rank(common) != target:
-                            continue
-                        sh = pairing(s, h)
-                        combo = vec_add(vec_scale(-sh, r), vec_scale(rh, s))
-                        new_rays.append(primitivize(combo))
-                rays = _dedupe(new_rays)
-        inserted.append(h)
+    rays: dict[IntVec, int] = {}
+    for i, h in enumerate(halfspaces):
+        lineality, rays = _insert(lineality, rays, h, 1 << i, dim)
 
     if lineality:
         raise ConeNotPointedError("halfspaces admit a line")
     if not rays:
         raise ConeNotFullDimensionalError("cone is the origin only")
-    total = rays[0]
-    for r in rays[1:]:
-        total = vec_add(total, r)
-    for h in inserted:
-        if pairing(total, h) == 0:
-            raise ConeNotFullDimensionalError(
-                f"halfspace {h} is an implicit equality"
-            )
-    extreme = [
-        r for r in rays if matrix_rank(_tight_at(inserted, r)) == dim - 1
-    ]
-    return sorted(set(extreme))
+    implicit = -1
+    for mask in rays.values():
+        implicit &= mask
+    if implicit:
+        h = halfspaces[(implicit & -implicit).bit_length() - 1]
+        raise ConeNotFullDimensionalError(f"halfspace {h} is an implicit equality")
+    # the rays generate the now pointed cone, so a ray is extreme iff no
+    # other ray is tight on all of its halfspaces
+    masks = list(rays.values())
+    return sorted(
+        r for r, mr in rays.items() if sum(1 for m in masks if m & mr == mr) == 1
+    )
 
 
 def _dedupe(vectors):

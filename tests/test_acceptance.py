@@ -27,6 +27,7 @@ from tauideal.ideals import (
     colon,
     ideal_sum,
     integral_closure,
+    maximal_ideal,
     minimalize,
     multiply,
     power,
@@ -40,13 +41,6 @@ from tauideal.tau import (
     veronese_maximal_ideal,
     veronese_ring,
 )
-
-
-def maximal(ring):
-    d = ring.d
-    return minimalize(
-        ring, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    )
 
 
 class timed:
@@ -73,7 +67,7 @@ def test_criterion_01_regular_powers():
     with timed(1, "regular powers tau(m^n) = m^(n-d+1)", 10):
         for d in range(1, 6):
             ring = orthant_ring(d)
-            m = maximal(ring)
+            m = maximal_ideal(ring)
             for n in range(1, 9):
                 assert tau(ring, power(m, n), 1) == power(m, max(n - d + 1, 0))
 
@@ -136,7 +130,7 @@ def test_criterion_06_colon_formula():
     with timed(6, "colon formula vs brute force, d in {2,3}, l <= 4", 30):
         for d in (2, 3):
             ring = orthant_ring(d)
-            J = maximal(ring)
+            J = maximal_ideal(ring)
             for l in range(1, 5):
                 Jl = minimalize(
                     ring,
@@ -154,10 +148,10 @@ def test_criterion_07_regularity_echo():
     with timed(7, "tau(m^(d-1)) unit; xy outside (x^2,y^2)^*m with witness", 60):
         for d in range(2, 6):
             ring = orthant_ring(d)
-            assert tau_is_unit(ring, power(maximal(ring), d - 1), 1)
+            assert tau_is_unit(ring, power(maximal_ideal(ring), d - 1), 1)
         ring = orthant_ring(2)
         verdict = tight_closure_member_at_q(
-            minimalize(ring, [(2, 0), (0, 2)]), maximal(ring), 1, (1, 1),
+            minimalize(ring, [(2, 0), (0, 2)]), maximal_ideal(ring), 1, (1, 1),
             qmax=128, cbox=6,
         )
         assert verdict.status == STATUS_FAILS
@@ -207,7 +201,7 @@ def test_criterion_09_jumping_thresholds():
 def test_criterion_10_tight_integral_closure():
     with timed(10, "tight integral closure vs star verdicts, degree <= 6", 60):
         ring = orthant_ring(2)
-        J = maximal(ring)
+        J = maximal_ideal(ring)
         Jl = minimalize(ring, [(2, 0), (0, 2)])
         fam = [power(J, 3), minimalize(ring, [(2, 0)]),
                minimalize(ring, [(0, 2)])]

@@ -140,6 +140,15 @@ def test_bad_ring_rank_rejected(tmp_path, capsys):
     assert main(["tau", "--ring", str(bad), "--ideal", str(ideal)]) == 3
 
 
+@pytest.mark.parametrize("rank", ["two", None])
+def test_unparsable_ring_rank_rejected(tmp_path, rank):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"d": rank, "cone_generators": [[1, 0], [0, 1]]}))
+    ideal = tmp_path / "i.json"
+    ideal.write_text(json.dumps({"generators": [[1, 0]]}))
+    assert main(["tau", "--ring", str(bad), "--ideal", str(ideal)]) == 3
+
+
 def test_non_q_gorenstein_ring_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(

@@ -23,7 +23,7 @@ from tauideal.frobenius import (
     tight_closure_member_at_q,
     tight_integral_closure_at_q,
 )
-from tauideal.ideals import minimalize, power
+from tauideal.ideals import maximal_ideal, minimalize, power
 from tauideal.lattice import ToricRing, orthant_ring, pairing, toric_ring, vec_scale
 from tauideal.polyhedra import NewtonPolyhedron, newton_polyhedron, scale
 from tauideal.tau import tau, veronese_maximal_ideal, veronese_ring
@@ -34,13 +34,6 @@ R2 = orthant_ring(2)
 
 def I(*gens, ring=R2):
     return minimalize(ring, list(gens))
-
-
-def maximal(ring):
-    d = ring.d
-    return minimalize(
-        ring, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    )
 
 
 # Gorenstein indices 1, 3 and 5, then two 3-D cones (one not simplicial)
@@ -270,7 +263,7 @@ def test_root_oracle_refuses_general_rings():
 def test_xy_not_in_tight_closure_of_squares():
     # xy is outside (x^2, y^2)^{*m}: every candidate multiplier fails at some q
     verdict = tight_closure_member_at_q(
-        I((2, 0), (0, 2)), maximal(R2), 1, (1, 1), qmax=128, cbox=5
+        I((2, 0), (0, 2)), maximal_ideal(R2), 1, (1, 1), qmax=128, cbox=5
     )
     assert verdict.status == STATUS_FAILS
     assert all(q is not None for _, q in verdict.witness)
@@ -278,13 +271,13 @@ def test_xy_not_in_tight_closure_of_squares():
 
 def test_tight_closure_obvious_member():
     verdict = tight_closure_member_at_q(
-        I((2, 0), (0, 2)), maximal(R2), 1, (2, 0), qmax=128, cbox=2
+        I((2, 0), (0, 2)), maximal_ideal(R2), 1, (2, 0), qmax=128, cbox=2
     )
     assert verdict.status == STATUS_HOLDS
 
 
 def test_tight_integral_closure_holds_and_fails():
-    m = maximal(R2)
+    m = maximal_ideal(R2)
     fam = [power(m, 3), I((2, 0)), I((0, 2))]
     assert tight_integral_closure_at_q(fam, (2, 0)).status == STATUS_HOLDS
     assert tight_integral_closure_at_q(fam, (1, 0)).status == STATUS_FAILS

@@ -1,27 +1,41 @@
 """Cones, dual cones, and Gorenstein vectors."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from tauideal import lattice, polyhedra
 from tauideal.errors import (
     ConeNotFullDimensionalError,
     ConeNotPointedError,
+    DimensionMismatchError,
     NotQGorensteinError,
+    TauIdealError,
     ZeroVectorError,
 )
+from tauideal.ideals import maximal_ideal, power
 from tauideal.lattice import (
+    _dedupe,
     cone_from_rays,
     dual_cone,
+    dual_extreme_rays,
     gorenstein_vector,
     matrix_rank,
     orthant_ring,
     pairing,
     primitivize,
     toric_ring,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    vec_sub,
 )
+from tauideal.polyhedra import newton_polyhedron
+from tauideal.tau import veronese_maximal_ideal, veronese_ring
 
 
 def brute_dual_rays(rays, d, box=6):
@@ -173,3 +187,273 @@ def test_orthant_ring_shape():
     assert ring.gorenstein_index == 1
     assert ring.in_semigroup((0, 2, 5))
     assert not ring.in_semigroup((0, -1, 5))
+
+
+# -- reference: the double description before tight-set bitmasks -------------
+# It recomputes each ray's tight set from scratch and decides adjacency by the
+# exact rank of the common tight set; kept here only to check the bitmask
+# version against it.
+
+def _tight_at(inserted, r):
+    return [h for h in inserted if pairing(r, h) == 0]
+
+
+def reference_dual_extreme_rays(halfspaces):
+    halfspaces = [tuple(h) for h in halfspaces]
+    if not halfspaces:
+        raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
+    dim = len(halfspaces[0])
+    for h in halfspaces:
+        if len(h) != dim:
+            raise DimensionMismatchError("halfspaces of mixed lengths")
+        if all(x == 0 for x in h):
+            raise ZeroVectorError("zero halfspace normal")
+
+    lineality = [
+        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
+    ]
+    rays = []
+    inserted = []
+
+    for h in halfspaces:
+        crossing = [(l, pairing(l, h)) for l in lineality if pairing(l, h) != 0]
+        if crossing:
+            l0, d0 = crossing[0]
+            if d0 < 0:
+                l0, d0 = vec_neg(l0), -d0
+            new_lin = []
+            for l in lineality:
+                if l == crossing[0][0]:
+                    continue
+                v = pairing(l, h)
+                proj = vec_sub(vec_scale(d0, l), vec_scale(v, l0))
+                new_lin.append(primitivize(proj))
+            new_rays = []
+            for r in rays:
+                v = pairing(r, h)
+                proj = vec_sub(vec_scale(d0, r), vec_scale(v, l0))
+                if any(x != 0 for x in proj):
+                    new_rays.append(primitivize(proj))
+            new_rays.append(primitivize(l0))
+            lineality = new_lin
+            rays = _dedupe(new_rays)
+        else:
+            pos = [r for r in rays if pairing(r, h) > 0]
+            neg = [r for r in rays if pairing(r, h) < 0]
+            zero = [r for r in rays if pairing(r, h) == 0]
+            if neg:
+                target = dim - len(lineality) - 2
+                new_rays = pos + zero
+                for r in pos:
+                    rh = pairing(r, h)
+                    tight_r = set(_tight_at(inserted, r))
+                    for s in neg:
+                        common = [g for g in tight_r if pairing(s, g) == 0]
+                        if target < 0 or matrix_rank(common) != target:
+                            continue
+                        sh = pairing(s, h)
+                        combo = vec_add(vec_scale(-sh, r), vec_scale(rh, s))
+                        new_rays.append(primitivize(combo))
+                rays = _dedupe(new_rays)
+        inserted.append(h)
+
+    if lineality:
+        raise ConeNotPointedError("halfspaces admit a line")
+    if not rays:
+        raise ConeNotFullDimensionalError("cone is the origin only")
+    total = rays[0]
+    for r in rays[1:]:
+        total = vec_add(total, r)
+    for h in inserted:
+        if pairing(total, h) == 0:
+            raise ConeNotFullDimensionalError(
+                f"halfspace {h} is an implicit equality"
+            )
+    extreme = [
+        r for r in rays if matrix_rank(_tight_at(inserted, r)) == dim - 1
+    ]
+    return sorted(set(extreme))
+
+
+def _outcome(dd, halfspaces):
+    try:
+        return dd(halfspaces)
+    except TauIdealError as exc:
+        return type(exc)
+
+
+def _random_halfspaces(rng):
+    """Small integer halfspace sets in dimension 1..5, often degenerate."""
+    d = rng.randint(1, 5)
+    k = rng.randint(1, 2 * d + 3)
+    lo = rng.choice([-2, -1, 0])  # lo = 0 tends to give pointed cones
+    hs = []
+    while len(hs) < k:
+        h = tuple(rng.randint(lo, 2) for _ in range(d))
+        if any(h):
+            hs.append(h)
+    kind = rng.randrange(8)
+    if kind == 0:  # an implicit equality
+        hs.append(vec_neg(rng.choice(hs)))
+    elif kind == 1:  # a repeated halfspace
+        hs.insert(rng.randrange(len(hs) + 1), rng.choice(hs))
+    elif kind == 2:  # a zero normal
+        hs.insert(rng.randrange(len(hs) + 1), (0,) * d)
+    elif kind == 3:  # lineality left over: every normal misses one axis
+        axis = rng.randrange(d)
+        hs = [h[:axis] + (0,) + h[axis + 1:] for h in hs]
+    rng.shuffle(hs)
+    return hs
+
+
+def test_dd_matches_rank_reference_on_random_halfspaces():
+    rng = Random(4004)
+    seen = Counter()
+    for _ in range(2400):
+        hs = _random_halfspaces(rng)
+        got = _outcome(dual_extreme_rays, hs)
+        assert got == _outcome(reference_dual_extreme_rays, hs), hs
+        seen[got if isinstance(got, type) else len(hs[0])] += 1
+    # every outcome is exercised: rays in each dimension and each exception
+    for key in (1, 2, 3, 4, 5, ConeNotPointedError, ConeNotFullDimensionalError,
+                ZeroVectorError):
+        assert seen[key] >= 100, seen
+
+
+def test_dd_step_keeps_exactly_the_extreme_rays():
+    # the invariant of lattice._insert, checked after every insertion: each
+    # ray lies in the cone, its mask is its tight set, and it is extreme
+    # modulo the lineality space (tight set of rank n - 1, where n is the
+    # dimension left after dividing out the lineality space); distinct
+    # extreme rays have distinct tight sets
+    rng = Random(4005)
+    checked = 0
+    while checked < 600:
+        hs = _random_halfspaces(rng)
+        if not all(any(h) for h in hs):
+            continue
+        dim = len(hs[0])
+        lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+        rays = {}
+        for i, h in enumerate(hs):
+            lin, rays = lattice._insert(lin, rays, h, 1 << i, dim)
+            inserted = hs[: i + 1]
+            assert all(pairing(l, g) == 0 for l in lin for g in inserted)
+            n = dim - len(lin)
+            for r, mask in rays.items():
+                vals = [pairing(r, g) for g in inserted]
+                assert min(vals) >= 0
+                assert mask == sum(1 << j for j, v in enumerate(vals) if v == 0)
+                tight = [g for g, v in zip(inserted, vals) if v == 0]
+                assert matrix_rank(tight) == n - 1, (hs, i, r)
+            assert len(set(rays.values())) == len(rays)
+        checked += 1
+
+
+SQUARE_SIGMA = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+SQUARE_CONE = toric_ring(SQUARE_SIGMA)
+INDEX_5 = toric_ring([(0, 1), (5, -2)])
+
+
+def _comparison_ideals():
+    rng = Random(606)
+    cases = []
+    for d in range(1, 7):
+        ring = orthant_ring(d)
+        cases.append((ring, power(maximal_ideal(ring), 3 if d < 6 else 2).gens))
+        for _ in range(6):
+            cases.append((ring, [
+                tuple(rng.randint(0, 3) for _ in range(d))
+                for _ in range(rng.randint(1, 4))
+            ]))
+    for d, r in ((2, 2), (3, 2), (4, 2)):
+        ring = veronese_ring(d, r)
+        m = veronese_maximal_ideal(ring, d, r)
+        cases.append((ring, m.gens))
+        cases.append((ring, power(m, 2).gens))
+        for _ in range(4):
+            picked = rng.sample(m.gens, rng.randint(1, len(m.gens)))
+            cases.append((ring, [vec_add(g, rng.choice(m.gens)) for g in picked]))
+    for ring in (SQUARE_CONE, INDEX_5):
+        rays = ring.sigma_dual.rays
+        for _ in range(8):
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                g = rng.choice(rays)
+                for _ in range(rng.randint(0, 2)):
+                    g = vec_add(g, rng.choice(rays))
+                gens.append(g)
+            cases.append((ring, gens))
+    return cases
+
+
+def test_newton_polyhedra_match_rank_reference(monkeypatch):
+    cases = _comparison_ideals()
+    new = [newton_polyhedron(ring, gens) for ring, gens in cases]
+    monkeypatch.setattr(polyhedra, "dual_extreme_rays", reference_dual_extreme_rays)
+    for (ring, gens), P in zip(cases, new):
+        ref = newton_polyhedron(ring, gens)
+        assert (P.vertices, P.rays, P.inequalities) == (
+            ref.vertices, ref.rays, ref.inequalities
+        ), gens
+
+
+def test_dd_never_computes_a_rank(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("double description computed a rank")
+
+    monkeypatch.setattr(lattice, "matrix_rank", refuse)
+    for ring in (orthant_ring(4), veronese_ring(3, 2), toric_ring(SQUARE_SIGMA)):
+        rays = ring.sigma_dual.rays
+        P = newton_polyhedron(ring, [vec_add(a, b) for a in rays for b in rays])
+        assert P.inequalities and P.vertices
+
+
+@st.composite
+def _cone_with_known_rays(draw):
+    """Integer generators of a full-dimensional pointed cone, with its extreme
+    rays known by construction: points (1, x, |x|^2) over distinct x in
+    Z^(d-2) lie on a strictly convex paraboloid, so each spans an extreme ray;
+    positive sums of two or three of them span none.  A unimodular map then
+    hides the shape."""
+    d = draw(st.integers(3, 5))
+    xs = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * (d - 2)),
+        min_size=d, max_size=d + 3, unique=True,
+    ))
+    extreme = [(1,) + x + (sum(c * c for c in x),) for x in xs]
+    assume(matrix_rank(extreme) == d)
+    inner = [
+        tuple(map(sum, zip(*draw(st.lists(st.sampled_from(extreme),
+                                          min_size=2, max_size=3, unique=True)))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    # U = permutation of an upper unitriangular integer matrix
+    shear = [[1 if i == j else (draw(st.integers(-2, 2)) if j > i else 0)
+              for j in range(d)] for i in range(d)]
+    U = draw(st.permutations(shear))
+
+    def image(v):
+        return tuple(pairing(row, v) for row in U)
+
+    gens = draw(st.permutations([image(v) for v in extreme + inner]))
+    return gens, sorted(primitivize(image(v)) for v in extreme)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_cone_with_known_rays())
+def test_double_dual_returns_the_extreme_generators(case):
+    gens, extreme = case
+    cone = cone_from_rays(gens)
+    d = cone.dim
+    # every facet normal holds on every generator and is tight on d - 1
+    # independent ones; likewise every ray of the double dual on the facets
+    for h in cone.halfspaces:
+        assert all(pairing(g, h) >= 0 for g in gens)
+        assert matrix_rank([g for g in gens if pairing(g, h) == 0]) == d - 1
+    dd = dual_cone(dual_cone(cone))
+    assert sorted(dd.rays) == extreme
+    for r in dd.rays:
+        assert all(pairing(r, h) >= 0 for h in cone.halfspaces)
+        tight = [h for h in cone.halfspaces if pairing(r, h) == 0]
+        assert matrix_rank(tight) == d - 1

@@ -7,7 +7,7 @@ import pytest
 
 from tauideal.enumeration import inequality_batch
 from tauideal.errors import InputError
-from tauideal.ideals import minimalize, multiply, power, unit_ideal
+from tauideal.ideals import maximal_ideal, minimalize, multiply, power, unit_ideal
 from tauideal.lattice import orthant_ring, vec_add
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import (
@@ -26,15 +26,8 @@ def I(*gens, ring=R2):
     return minimalize(ring, list(gens))
 
 
-def maximal(ring):
-    d = ring.d
-    return minimalize(
-        ring, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    )
-
-
 def test_tau_of_cube_of_maximal_ideal():
-    m = maximal(R2)
+    m = maximal_ideal(R2)
     assert tau(R2, power(m, 3), 1) == power(m, 2)
 
 
@@ -77,7 +70,7 @@ def test_tau_is_unit_agrees_with_tau():
 def test_regular_powers_formula():
     for d in (1, 2, 3, 4):
         ring = orthant_ring(d)
-        m = maximal(ring)
+        m = maximal_ideal(ring)
         for n in range(1, 7):
             assert tau(ring, power(m, n), 1) == power(m, max(n - d + 1, 0))
 
