@@ -84,7 +84,7 @@ def matrix_rank(rows) -> int:
     return rank
 
 
-def _insert(lineality, rays, h, bit, dim):
+def _insert(lineality, rays, h, bit):
     """One double description step: cut the cone lineality + cone(rays) by
     <x, h> >= 0, where ``bit`` is the mask bit of h.
 
@@ -134,7 +134,7 @@ def _insert(lineality, rays, h, bit, dim):
     # to a negative ray; the smallest face holding r and s is cut out by the
     # halfspaces tight on both, and its extreme rays are the rays tight on
     # all of them, so r and s span an edge iff no third ray is
-    target = dim - len(lineality) - 2
+    target = len(h) - len(lineality) - 2
     masks = list(rays.values())
     for r, mr, rh in pos:
         for s, ms, sh in neg:
@@ -178,7 +178,7 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     ]
     rays: dict[IntVec, int] = {}
     for i, h in enumerate(halfspaces):
-        lineality, rays = _insert(lineality, rays, h, 1 << i, dim)
+        lineality, rays = _insert(lineality, rays, h, 1 << i)
 
     if lineality:
         raise ConeNotPointedError("halfspaces admit a line")

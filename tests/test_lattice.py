@@ -336,7 +336,7 @@ def test_dd_step_keeps_exactly_the_extreme_rays():
         lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
         rays = {}
         for i, h in enumerate(hs):
-            lin, rays = lattice._insert(lin, rays, h, 1 << i, dim)
+            lin, rays = lattice._insert(lin, rays, h, 1 << i)
             inserted = hs[: i + 1]
             assert all(pairing(l, g) == 0 for l in lin for g in inserted)
             n = dim - len(lin)
