@@ -49,11 +49,23 @@ def _load_json(path: str) -> dict:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_int(x) -> int:
+    """A JSON integer as is: floats, bools and strings are rejected, since
+    int() would truncate or reinterpret them."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def _json_vectors(rows) -> list[tuple[int, ...]]:
+    return [tuple(_json_int(x) for x in g) for g in rows]
+
+
 def load_ring(path: str) -> ToricRing:
     data = _load_json(path)
     try:
-        gens = [tuple(int(x) for x in g) for g in data["cone_generators"]]
-        declared = int(data["d"]) if "d" in data else None
+        gens = _json_vectors(data["cone_generators"])
+        declared = _json_int(data["d"]) if "d" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad ring file {path}: {exc}") from exc
     ring = toric_ring(gens)
@@ -73,7 +85,7 @@ def load_ring(path: str) -> ToricRing:
 def load_ideal(path: str, ring: ToricRing) -> MonomialIdeal:
     data = _load_json(path)
     try:
-        gens = [tuple(int(x) for x in g) for g in data["generators"]]
+        gens = _json_vectors(data["generators"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad ideal file {path}: {exc}") from exc
     if not gens:

@@ -37,10 +37,6 @@ class SemigroupMembershipError(TauIdealError):
     """An exponent vector lies outside the coordinate semigroup."""
 
 
-class EnumerationBoundError(TauIdealError):
-    """Lattice-point enumeration failed to saturate within the bound budget."""
-
-
 class NotStabilizedError(TauIdealError):
     """A finite-q oracle did not stabilize within the examined range."""
 

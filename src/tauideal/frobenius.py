@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
-from .enumeration import inequality_batch, minimal_upset_generators, upper_degree_seed
+from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import InputError, InvariantError, NotStabilizedError, UnsupportedRingError
 from .ideals import MonomialIdeal, frobenius_root, minimalize, power, unit_ideal
 from .lattice import IntVec, ToricRing, vec_add, vec_neg, vec_scale, vec_sub
@@ -97,6 +98,17 @@ def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron
     return scale(newton_polyhedron(ring, a.gens), t)
 
 
+@cache
+def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
+    """The minimal generators of {y in sigma_dual cap M : <y, n_i> >= c for
+    every ray n_i of sigma}; they depend only on the ring and c, so they are
+    enumerated once per residue class of q - 1."""
+    ineqs = [(n, c) for n in ring.sigma.rays]
+    return tuple(minimal_upset_generators(
+        ring, inequality_batch(ineqs), degree_bound(ring, ineqs)
+    ))
+
+
 def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
     """The sigma_dual-maximal lattice points of (q-1)*w - sigma_dual.
 
@@ -111,18 +123,13 @@ def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
     topw = tuple(int((q - 1 + c) * x) for x in ring.w)
     if c == 0:
         return [topw]
-    ys = minimal_upset_generators(
-        ring,
-        inequality_batch([(n, c) for n in ring.sigma.rays]),
-        upper_degree_seed(ring, [vec_scale(c, ring.w)]),
-    )
-    return [vec_sub(topw, y) for y in ys]
+    return [vec_sub(topw, y) for y in _corner_offsets(ring, c)]
 
 
-def _corner_batches(ring: ToricRing, tP: NewtonPolyhedron, q: int):
-    """(corner x, membership batch of the m with m + x/q in tP) per corner."""
+def _corner_inequalities(ring: ToricRing, tP: NewtonPolyhedron, q: int):
+    """(corner x, integer facet pairs of the m with m + x/q in tP) per corner."""
     return [
-        (x, inequality_batch(lattice_inequalities(tP, [Fraction(xi, q) for xi in x])))
+        (x, lattice_inequalities(tP, [Fraction(xi, q) for xi in x]))
         for x in _socle_corners(ring, q)
     ]
 
@@ -135,7 +142,11 @@ def _socle_witness(ring: ToricRing, tP: NewtonPolyhedron, u: IntVec, q: int):
     is nonempty iff it holds a corner.
     """
     m = vec_neg(u)
-    return next((x for x, batch in _corner_batches(ring, tP, q) if batch([m])[0]), None)
+    return next(
+        (x for x, ineqs in _corner_inequalities(ring, tP, q)
+         if inequality_batch(ineqs)([m])[0]),
+        None,
+    )
 
 
 def _validate_socle_point(ring: ToricRing, u) -> IntVec:
@@ -197,7 +208,11 @@ def tau_socle_oracle(
     # to p*q the lattice M/q only grows and so does the bound (q-1)/q, so
     # this set only grows: some q <= qmax witnesses m iff the top q does.
     # There m is witnessed iff m + x/q_top lies in tP for some corner x.
-    batches = [batch for _, batch in _corner_batches(ring, tP, qs[-1])]
+    # The witnessed m form the union of one up-set per corner, and a minimal
+    # generator of a union of up-sets is a minimal generator of one of them,
+    # so the largest of the corners' degree bounds bounds them all.
+    corner_ineqs = [ineqs for _, ineqs in _corner_inequalities(ring, tP, qs[-1])]
+    batches = [inequality_batch(ineqs) for ineqs in corner_ineqs]
     checked = 0
 
     def member_batch(points):
@@ -206,7 +221,7 @@ def tau_socle_oracle(
         return [any(flags) for flags in zip(*(batch(points) for batch in batches))]
 
     gens = minimal_upset_generators(
-        ring, member_batch, upper_degree_seed(ring, tP.vertices, shift=ring.w)
+        ring, member_batch, max(degree_bound(ring, ineqs) for ineqs in corner_ineqs)
     )
     return SocleOracleResult(minimalize(ring, gens), checked)
 

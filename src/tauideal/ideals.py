@@ -247,17 +247,15 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Monomials whose exponents lie in the Newton polyhedron of I."""
-    from .enumeration import inequality_batch, minimal_upset_generators, upper_degree_seed
+    from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
     from .polyhedra import lattice_inequalities, newton_polyhedron
 
     if I.is_zero():
         raise InputError("integral closure of the zero ideal is undefined")
     if I.is_unit():
         return I
-    P = newton_polyhedron(I.ring, I.gens)
+    ineqs = lattice_inequalities(newton_polyhedron(I.ring, I.gens))
     gens = minimal_upset_generators(
-        I.ring,
-        inequality_batch(lattice_inequalities(P)),
-        upper_degree_seed(I.ring, P.vertices),
+        I.ring, inequality_batch(ineqs), degree_bound(I.ring, ineqs)
     )
     return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))

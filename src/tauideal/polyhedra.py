@@ -74,6 +74,25 @@ def lattice_inequalities(
     return tuple(out)
 
 
+def inequality_vertices(ring: ToricRing, ineqs) -> list[RatVec]:
+    """Vertices of {x in sigma_dual : <x, a> >= c for every pair (a, c)}.
+
+    The pairs have c > 0 and normals a in sigma, as from
+    ``lattice_inequalities``.  Homogenized as <x, a> - c*s >= 0, <x, n> >= 0
+    for the rays n of sigma and s >= 0, the region is a pointed
+    full-dimensional cone; its extreme rays with s > 0 are the vertices.
+    """
+    d = ring.d
+    halfspaces = [tuple(a) + (-c,) for a, c in ineqs]
+    halfspaces += [n + (0,) for n in ring.sigma.rays]
+    halfspaces.append((0,) * d + (1,))
+    return [
+        tuple(Fraction(x, e[d]) for x in e[:d])
+        for e in dual_extreme_rays(halfspaces)
+        if e[d] > 0
+    ]
+
+
 def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     """Newton polyhedron of the ideal generated by the given exponents."""
     gens = sorted({tuple(g) for g in generators})

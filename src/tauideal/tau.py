@@ -4,8 +4,8 @@ x^m lies in tau(a^t) exactly when m + w is in the interior of t*P(a), where
 P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  That test is
 compiled once into integer facet bounds <m, a> >= c
 (``polyhedra.lattice_inequalities``), so every point costs only Python-int
-dot products; generators are found by graded lattice-point enumeration with
-a saturation certificate.
+dot products; generators are found by one graded lattice-point enumeration
+up to a proven degree bound (``enumeration.degree_bound``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .enumeration import inequality_batch, minimal_upset_generators, upper_degree_seed
+from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import InputError
 from .ideals import MonomialIdeal, minimalize, unit_ideal
 from .lattice import ToricRing, toric_ring
@@ -37,13 +37,11 @@ def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     if t == 0:
         return unit_ideal(ring)
     P = newton_polyhedron(ring, a.gens)
-    tP = scale(P, t)
+    ineqs = lattice_inequalities(scale(P, t), ring.w, strict=True)
     gens = minimal_upset_generators(
-        ring,
-        inequality_batch(lattice_inequalities(tP, ring.w, strict=True)),
-        upper_degree_seed(ring, tP.vertices, shift=ring.w),
+        ring, inequality_batch(ineqs), degree_bound(ring, ineqs)
     )
-    return minimalize(ring, gens)
+    return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
 
 
 def tau_is_unit(ring: ToricRing, a: MonomialIdeal, t) -> bool:

@@ -175,3 +175,29 @@ def test_bad_shape_hint_rejected(tmp_path, generators, hint):
     ideal = tmp_path / "i.json"
     ideal.write_text(json.dumps({"generators": [[1, 0]]}))
     assert main(["tau", "--ring", str(bad), "--ideal", str(ideal)]) == 3
+
+
+@pytest.mark.parametrize("ring_data, ideal_gens", [
+    # int() would read these as rank 2 and the generator (1, 0)
+    ({"d": 2.5, "cone_generators": [[1, 0], [0, 1]]}, [[1, 0]]),
+    ({"cone_generators": [[1, 0], [0, 1]]}, [[1.7, 0]]),
+    ({"cone_generators": [[1.0, 0], [0, 1]]}, [[1, 0]]),
+    # bools are ints to Python but not integers in JSON
+    ({"d": True, "cone_generators": [[1]]}, [[1]]),
+    ({"cone_generators": [[True, False], [False, True]]}, [[1, 0]]),
+    ({"cone_generators": [[1, 0], [0, 1]]}, [[True, False]]),
+    # numeric strings are not numbers
+    ({"d": "2", "cone_generators": [[1, 0], [0, 1]]}, [[1, 0]]),
+    ({"cone_generators": [["1", "0"], [0, 1]]}, [[1, 0]]),
+    ({"cone_generators": [[1, 0], [0, 1]]}, [["1", "0"]]),
+], ids=[
+    "float-rank", "float-ideal", "float-cone",
+    "bool-rank", "bool-cone", "bool-ideal",
+    "string-rank", "string-cone", "string-ideal",
+])
+def test_non_integer_json_numbers_rejected(tmp_path, ring_data, ideal_gens):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(ring_data))
+    ideal = tmp_path / "i.json"
+    ideal.write_text(json.dumps({"generators": ideal_gens}))
+    assert main(["tau", "--ring", str(ring), "--ideal", str(ideal)]) == 3

@@ -15,6 +15,7 @@ from tauideal.frobenius import (
     STATUS_FAILS,
     STATUS_HOLDS,
     STATUS_STABILIZED,
+    _socle_corners,
     frobenius_root_tau_oracle,
     in_star_E,
     q_sweep,
@@ -223,6 +224,32 @@ def test_corner_witness_matches_box_scan(ring, qs):
                     assert got == want, (a.gens, t, q, m)
                     seen.add(want)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("ring", [VERONESE_23, INDEX_5], ids=["veronese23", "index5"])
+def test_corner_cache_changes_no_answer(ring):
+    offsets = tauideal.frobenius._corner_offsets
+    m_ideal = minimalize(ring, ring.sigma_dual.rays)
+    ideals = (m_ideal, power(m_ideal, 2))
+
+    def answers():
+        out = []
+        for q in (2, 3, 4, 8, 9, 16):
+            p = 2 if q % 2 == 0 else 3
+            out.append(_socle_corners(ring, q))
+            out += [tau_socle_oracle(ring, a, t, qmax=q, p=p)
+                    for a in ideals for t in (Fraction(1, 2), Fraction(1))]
+        return out
+
+    offsets.cache_clear()
+    cold = answers()
+    assert offsets.cache_info().misses > 0
+    warm = answers()
+    assert offsets.cache_info().hits > 0
+    assert warm == cold
+    # and the cached offsets are what the uncached function returns
+    for c in range(1, ring.gorenstein_index):
+        assert offsets(ring, c) == offsets.__wrapped__(ring, c)
 
 
 def test_socle_oracle_veronese_model():
