@@ -1,19 +1,20 @@
 """Lattice-point enumeration of up-closed sets in the exponent semigroup.
 
 The enumeration is graded by the strictly positive functional l(x) = sum_i
-<x, n_i> over the cone generators.  Every up-set it serves is cut out of
-sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, and
-``degree_bound`` proves from those pairs that no minimal generator has l
-above a bound, so the lattice points are enumerated once, up to it.
+<x, n_i> over the cone generators.  The points of sigma_dual cap M come from
+one semigroup walk over the Hilbert basis, level by level in l, with the
+levels cached per ring.  Every up-set it serves is cut out of sigma_dual cap
+M by integer facet pairs (a, c), <m, a> >= c, and ``degree_bound`` proves
+from those pairs that no minimal generator has l above a bound, so the
+lattice points are enumerated once, up to it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import mul
+from operator import add, mul
 
 from .lattice import IntVec, ToricRing, pairing, vec_add, vec_sub
 from .polyhedra import inequality_vertices
@@ -34,65 +35,72 @@ def _ray_degree_sum(ring: ToricRing) -> int:
     return sum(degrees[: ring.d])
 
 
-def _graded_points(ring: ToricRing, bound: int) -> list[IntVec]:
-    if ring.is_orthant():
-        pts: list[IntVec] = []
-
-        def rec(prefix, remaining, k):
-            if k == ring.d - 1:
-                for x in range(remaining + 1):
-                    pts.append(prefix + (x,))
-                return
-            for x in range(remaining + 1):
-                rec(prefix + (x,), remaining - x, k + 1)
-
-        rec((), bound, 0)
-        pts.sort(key=lambda p: (sum(p), p))
-        return pts
-
-    ell = ell_vector(ring)
-    lo = [0] * ring.d
-    hi = [0] * ring.d
-    corners = [tuple(Fraction(0) for _ in range(ring.d))]
-    for r in ring.sigma_dual.rays:
-        deg = pairing(r, ell)
-        corners.append(tuple(Fraction(bound * x, deg) for x in r))
-    for k in range(ring.d):
-        vals = [c[k] for c in corners]
-        lo[k] = math.floor(min(vals))
-        hi[k] = math.ceil(max(vals))
-    pts = []
-    for p in product(*(range(lo[k], hi[k] + 1) for k in range(ring.d))):
-        if pairing(p, ell) <= bound and ring.in_semigroup(p):
-            pts.append(p)
-    pts.sort(key=lambda p: (pairing(p, ell), p))
-    return pts
-
-
-def lattice_points_upto(ring: ToricRing, bound: int) -> list[IntVec]:
-    """Points of sigma_dual cap M with l-degree <= bound, sorted by (l, lex)."""
-    return _graded_points(ring, bound)
-
-
 @cache
 def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
     """The irreducible elements of sigma_dual cap M, sorted by (l, lex).
 
-    By Caratheodory each element lies in the cone of d linearly independent
-    extreme rays r_i, as sum lambda_i r_i.  An irreducible one is r_i itself
-    or has every lambda_i < 1 (else subtract r_i), so its l is at most D, the
-    sum of the d largest l(r_i).  A point is reducible iff it is h + s with
-    h an irreducible of lower degree and s in the semigroup.
-
-    Computed once per ring; it calls the enumerator under its private name,
-    so the per-call counts of ``lattice_points_upto`` do not depend on
-    whether this cache is warm.
+    By Caratheodory each element m lies in the cone of d linearly independent
+    extreme rays r_i, as sum lambda_i r_i.  If some lambda_i >= 1, m - r_i is
+    in the semigroup, so an irreducible m is r_i itself or has every
+    lambda_i < 1.  Either way it lies in the zonotope sum_r [0, 1]*r over all
+    extreme rays r, whose coordinate box [sum min(0, r_k), sum max(0, r_k)]
+    in each coordinate k is all that is scanned.  A box point m is reducible
+    iff m = h + s with h irreducible, l(h) < l(m) and s in the semigroup;
+    that h lies in the box too, so one pass in (l, lex) order finds them.
+    Computed once per ring.
     """
+    ell = ell_vector(ring)
+    rays = ring.sigma_dual.rays
+    box = [
+        range(sum(min(0, r[k]) for r in rays), sum(max(0, r[k]) for r in rays) + 1)
+        for k in range(ring.d)
+    ]
+    points = sorted(
+        (p for p in product(*box) if any(p) and ring.in_semigroup(p)),
+        key=lambda p: (pairing(p, ell), p),
+    )
     basis: list[IntVec] = []
-    for m in _graded_points(ring, _ray_degree_sum(ring))[1:]:
+    for m in points:
         if not any(ring.in_semigroup(vec_sub(m, h)) for h in basis):
             basis.append(m)
     return tuple(basis)
+
+
+@cache
+def _levels(ring: ToricRing) -> list[dict[IntVec, int]]:
+    """The degree levels of sigma_dual cap M walked so far.  Level k maps
+    each point of l-degree k, in lex order, to the least i such that the
+    point is a sum of the Hilbert basis elements h_0 .. h_i (0 for the
+    origin).  ``lattice_points_upto`` appends to the list."""
+    return [{(0,) * ring.d: 0}]
+
+
+def lattice_points_upto(ring: ToricRing, bound: int) -> list[IntVec]:
+    """Points of sigma_dual cap M with l-degree <= bound, sorted by (l, lex).
+
+    One walk over the Hilbert basis h_0, h_1, ..., sorted by l, so every
+    l(h_j) >= 1.  Level k is made of the p + h_j with p in level
+    k - l(h_j) and j at least the index i recorded for p.  Every nonzero m
+    of degree k is a sum of basis elements; among such sums take one whose
+    largest index j* is least.  Then m - h_j* is a sum of h_0 .. h_j*, so
+    its index is at most j* and the walk makes m from it; and every p + h_j
+    the walk makes is a sum of h_0 .. h_j.  So level k is exactly the points
+    of degree k, and since j runs upwards the index recorded for m is j*
+    (induction on k).  On a free semigroup each point is made once; on
+    others the dict drops repeats.  The caller gets a fresh list.
+    """
+    levels = _levels(ring)
+    ell = ell_vector(ring)
+    steps = [(j, h, pairing(h, ell)) for j, h in enumerate(hilbert_basis(ring))]
+    for k in range(len(levels), bound + 1):
+        level: dict[IntVec, int] = {}
+        for j, h, e in steps:
+            if e <= k:
+                for p, i in levels[k - e].items():
+                    if i <= j:
+                        level.setdefault(tuple(map(add, p, h)), j)
+        levels.append(dict(sorted(level.items())))
+    return [p for level in levels[: bound + 1] for p in level]
 
 
 def degree_bound(ring: ToricRing, ineqs) -> int:

@@ -23,7 +23,8 @@ from itertools import product
 
 from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import InputError, InvariantError, NotStabilizedError, UnsupportedRingError
-from .ideals import MonomialIdeal, frobenius_root, minimalize, power, unit_ideal
+# minimalize is bound here only for perfbench/layers.py, which wraps frobenius.minimalize
+from .ideals import MonomialIdeal, frobenius_root, minimalize, power, unit_ideal  # noqa: F401
 from .lattice import IntVec, ToricRing, vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import NewtonPolyhedron, lattice_inequalities, newton_polyhedron, scale
 
@@ -223,7 +224,7 @@ def tau_socle_oracle(
     gens = minimal_upset_generators(
         ring, member_batch, max(degree_bound(ring, ineqs) for ineqs in corner_ineqs)
     )
-    return SocleOracleResult(minimalize(ring, gens), checked)
+    return SocleOracleResult(MonomialIdeal(ring=ring, gens=tuple(sorted(gens))), checked)
 
 
 def frobenius_root_tau_oracle(

@@ -1,5 +1,9 @@
-"""The proven degree bound of the up-set enumerator, against brute force."""
+"""The semigroup walk and the proven degree bound of the up-set
+enumerator, against references and brute force."""
 
+import ast
+import inspect
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -14,11 +18,12 @@ from tauideal.enumeration import (
     ell_vector,
     hilbert_basis,
     inequality_batch,
+    lattice_points_upto,
     minimal_upset_generators,
 )
 from tauideal.frobenius import _socle_corners
 from tauideal.ideals import maximal_ideal, minimalize, power
-from tauideal.lattice import orthant_ring, pairing, toric_ring
+from tauideal.lattice import IntVec, ToricRing, orthant_ring, pairing, toric_ring
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import veronese_ring
 
@@ -167,3 +172,107 @@ def test_doubling_loop_and_its_error_are_gone():
         assert not hasattr(enumeration, name), name
     assert not hasattr(tauideal.errors, "EnumerationBoundError")
     assert not hasattr(tauideal, "EnumerationBoundError")
+
+
+def _graded_points(ring: ToricRing, bound: int) -> list[IntVec]:
+    # the enumerator before the semigroup walk, kept as the reference:
+    # a recursion on the orthant, a coordinate box scan elsewhere
+    if ring.is_orthant():
+        pts: list[IntVec] = []
+
+        def rec(prefix, remaining, k):
+            if k == ring.d - 1:
+                for x in range(remaining + 1):
+                    pts.append(prefix + (x,))
+                return
+            for x in range(remaining + 1):
+                rec(prefix + (x,), remaining - x, k + 1)
+
+        rec((), bound, 0)
+        pts.sort(key=lambda p: (sum(p), p))
+        return pts
+
+    ell = ell_vector(ring)
+    lo = [0] * ring.d
+    hi = [0] * ring.d
+    corners = [tuple(Fraction(0) for _ in range(ring.d))]
+    for r in ring.sigma_dual.rays:
+        deg = pairing(r, ell)
+        corners.append(tuple(Fraction(bound * x, deg) for x in r))
+    for k in range(ring.d):
+        vals = [c[k] for c in corners]
+        lo[k] = math.floor(min(vals))
+        hi[k] = math.ceil(max(vals))
+    pts = []
+    for p in product(*(range(lo[k], hi[k] + 1) for k in range(ring.d))):
+        if pairing(p, ell) <= bound and ring.in_semigroup(p):
+            pts.append(p)
+    pts.sort(key=lambda p: (pairing(p, ell), p))
+    return pts
+
+
+WALK_RINGS = {
+    **{f"orthant{d}": orthant_ring(d) for d in range(1, 7)},
+    **{f"veronese{d}{r}": veronese_ring(d, r) for d, r in ((2, 2), (2, 3), (3, 2), (4, 2))},
+    "square": SQUARE_CONE,
+    "index5": RINGS["index5"],
+    "cone_10_12": toric_ring([(1, 0), (1, 2)]),
+}
+
+
+def clear_enumeration_caches():
+    enumeration._levels.cache_clear()
+    hilbert_basis.cache_clear()
+
+
+@pytest.mark.parametrize("ring", WALK_RINGS.values(), ids=WALK_RINGS.keys())
+def test_walk_matches_the_reference_in_any_order(ring):
+    top = 2 * ray_degree_sum(ring)
+    reference = {b: _graded_points(ring, b) for b in range(top + 1)}
+    increasing = list(range(top + 1))
+    shuffled = increasing[:]
+    Random(top).shuffle(shuffled)
+    for order in (increasing, increasing[::-1], shuffled):
+        clear_enumeration_caches()
+        for warm in (False, True):
+            for b in order:
+                assert lattice_points_upto(ring, b) == reference[b], (b, order, warm)
+
+
+@pytest.mark.parametrize("ring", WALK_RINGS.values(), ids=WALK_RINGS.keys())
+def test_hilbert_basis_matches_the_reference_irreducibles(ring):
+    # the former construction: the irreducibility filter over every point
+    # of degree <= D, which holds every irreducible element
+    irreducible = []
+    for m in _graded_points(ring, ray_degree_sum(ring))[1:]:
+        if not any(ring.in_semigroup(tuple(x - y for x, y in zip(m, h))) for h in irreducible):
+            irreducible.append(m)
+    clear_enumeration_caches()
+    assert hilbert_basis(ring) == tuple(irreducible)
+
+
+def test_returned_points_do_not_alias_the_level_cache():
+    ring = veronese_ring(2, 3)
+    expected = _graded_points(ring, 9)
+    first = lattice_points_upto(ring, 9)
+    first[0] = (-1, -1)
+    first.append((99, 99))
+    del first[3:7]
+    assert lattice_points_upto(ring, 9) == expected
+    shorter = lattice_points_upto(ring, 6)
+    shorter.clear()
+    assert lattice_points_upto(ring, 6) == _graded_points(ring, 6)
+
+
+def test_enumeration_has_one_path():
+    # no orthant fork and no rational box scan are left in the enumerator
+    tree = ast.parse(inspect.getsource(enumeration))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "is_orthant" not in attributes
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "Fraction" not in imported and "fractions" not in imported | modules
+    assert not hasattr(enumeration, "_graded_points")
