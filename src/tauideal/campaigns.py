@@ -347,6 +347,8 @@ def run_campaign(name: str, seed: int = 0, count: int | None = None) -> Campaign
         raise InputError(
             f"unknown campaign {name!r}; known: {', '.join(sorted(CAMPAIGNS))}"
         )
+    if count is not None and count < 1:
+        raise InputError(f"campaign {name!r} needs count >= 1, got {count}")
     start = time.monotonic()
     fn = CAMPAIGNS[name]
     rep = fn(seed=seed) if count is None else fn(seed=seed, count=count)

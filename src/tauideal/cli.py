@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import ideals as idl
 from .campaigns import CAMPAIGNS, run_campaign, run_crosscheck
-from .errors import NotStabilizedError, TauIdealError
+from .errors import InputError, NotStabilizedError, TauIdealError
 from .frobenius import frobenius_root_tau_oracle, tau_socle_oracle
 from .ideals import MonomialIdeal
 from .lattice import ToricRing, toric_ring
@@ -28,15 +28,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 
 
-class CliInputError(Exception):
-    pass
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"cannot parse rational {text!r}: {exc}") from exc
+        raise InputError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -44,9 +40,9 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _json_int(x) -> int:
@@ -67,18 +63,18 @@ def load_ring(path: str) -> ToricRing:
         gens = _json_vectors(data["cone_generators"])
         declared = _json_int(data["d"]) if "d" in data else None
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad ring file {path}: {exc}") from exc
+        raise InputError(f"bad ring file {path}: {exc}") from exc
     ring = toric_ring(gens)
     if declared is not None and declared != ring.d:
-        raise CliInputError(
+        raise InputError(
             f"{path}: declared rank {declared} but generators have rank {ring.d}"
         )
     if "shape_hint" in data:
         hint = data["shape_hint"]
         if hint != "orthant":
-            raise CliInputError(f"{path}: unknown shape_hint {hint!r}")
+            raise InputError(f"{path}: unknown shape_hint {hint!r}")
         if not ring.is_orthant():
-            raise CliInputError(f"{path}: shape_hint 'orthant' on a non-orthant cone")
+            raise InputError(f"{path}: shape_hint 'orthant' on a non-orthant cone")
     return ring
 
 
@@ -87,7 +83,7 @@ def load_ideal(path: str, ring: ToricRing) -> MonomialIdeal:
     try:
         gens = _json_vectors(data["generators"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad ideal file {path}: {exc}") from exc
+        raise InputError(f"bad ideal file {path}: {exc}") from exc
     if not gens:
         return idl.zero_ideal(ring)
     return idl.minimalize(ring, gens)
@@ -180,15 +176,15 @@ def cmd_crosscheck(args) -> int:
     ring = load_ring(args.ring)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
-        raise CliInputError(f"{args.corpus} is not a directory")
+        raise InputError(f"{args.corpus} is not a directory")
     named = []
     for path in sorted(corpus.glob("*.json")):
         a = load_ideal(str(path), ring)
         if a.is_zero():
-            raise CliInputError(f"{path}: tau of the zero ideal is undefined")
+            raise InputError(f"{path}: tau of the zero ideal is undefined")
         named.append((path.name, a))
     if not named:
-        raise CliInputError(f"no ideal files (*.json) in {args.corpus}")
+        raise InputError(f"no ideal files (*.json) in {args.corpus}")
     ts = [parse_fraction(s) for s in args.t.split(",")]
     rep = run_crosscheck(ring, named, ts, qmax=args.qmax, primes=(args.prime,))
     emit(rep.to_dict(), args.out)
@@ -282,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliInputError, TauIdealError) as exc:
+    except TauIdealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -136,7 +136,7 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     if all(ra > 0 for _, _, ra in slopes):
         k_star = max((-(-c * deg // ra) for c, deg, ra in slopes), default=0)
         return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
-    top = max(pairing(v, ell) for v in inequality_vertices(ring, ineqs))
+    top = max(pairing(v, ell) for v in inequality_vertices(ring.sigma_dual, ineqs))
     return math.ceil(top) + _ray_degree_sum(ring) - 1
 
 

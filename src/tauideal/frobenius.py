@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from operator import le
 
 from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import InputError, InvariantError, NotStabilizedError, UnsupportedRingError
@@ -261,13 +262,20 @@ def frobenius_root_tau_oracle(
     )
 
 
-def _candidate_box(d: int, cbox: int):
-    cands = sorted(product(range(cbox + 1), repeat=d), key=lambda c: (sum(c), c))
-    return cands
-
-
-def _in_bracket(v, gens, q: int) -> bool:
-    return any(all(q * h_i <= v_i for h_i, v_i in zip(h, v)) for h in gens)
+def _multiplier_search(d: int, cbox: int, qmax: int, p: int, holds) -> Verdict:
+    """Try each multiplier c in [0, cbox]^d, by (degree, lex), at every q of
+    the sweep; ``holds(c, q)`` says whether c works at q.  The first c that
+    works at every q is the witness of holds_up_to_qmax; otherwise the
+    witness of fails_at_q lists every c with the first q at which it failed.
+    """
+    qs = q_sweep(qmax, p)
+    failures = []
+    for c in sorted(product(range(cbox + 1), repeat=d), key=lambda c: (sum(c), c)):
+        failing_q = next((q for q in qs if not holds(c, q)), None)
+        if failing_q is None:
+            return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
+        failures.append((c, failing_q))
+    return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
 
 
 def tight_closure_member_at_q(
@@ -293,24 +301,16 @@ def tight_closure_member_at_q(
     z = tuple(z)
     if cbox < 0:
         raise InputError("empty candidate box")
-    qs = q_sweep(qmax, p)
-    apowers = {q: power(a, math.ceil(t * q)) for q in qs}
-    failures = []
-    for c in _candidate_box(ring.d, cbox):
-        failing_q = None
-        for q in qs:
-            qz = vec_add(c, vec_scale(q, z))
-            ok = all(
-                _in_bracket(vec_add(qz, g), I.gens, q)
-                for g in apowers[q].gens
-            )
-            if not ok:
-                failing_q = q
-                break
-        if failing_q is None:
-            return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
-        failures.append((c, failing_q))
-    return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
+    apowers = {q: power(a, math.ceil(t * q)).gens for q in q_sweep(qmax, p)}
+
+    def holds(c, q):
+        qz = vec_add(c, vec_scale(q, z))
+        return all(
+            any(all(q * h_i <= v_i for h_i, v_i in zip(h, v)) for h in I.gens)
+            for v in (vec_add(qz, g) for g in apowers[q])
+        )
+
+    return _multiplier_search(ring.d, cbox, qmax, p, holds)
 
 
 def tight_integral_closure_at_q(
@@ -324,21 +324,12 @@ def tight_integral_closure_at_q(
     if not ring.is_orthant():
         raise UnsupportedRingError("tight integral closure needs an orthant ring")
     z = tuple(z)
-    qs = q_sweep(qmax, p)
-    qpowers = {q: [power(I, q) for I in ideals] for q in qs}
-    failures = []
-    for c in _candidate_box(ring.d, cbox):
-        failing_q = None
-        for q in qs:
-            v = vec_add(c, vec_scale(q, z))
-            in_sum = any(
-                any(all(g_i <= v_i for g_i, v_i in zip(g, v)) for g in Iq.gens)
-                for Iq in qpowers[q]
-            )
-            if not in_sum:
-                failing_q = q
-                break
-        if failing_q is None:
-            return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
-        failures.append((c, failing_q))
-    return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
+    if cbox < 0:
+        raise InputError("empty candidate box")
+    qpowers = {q: [power(I, q).gens for I in ideals] for q in q_sweep(qmax, p)}
+
+    def holds(c, q):
+        v = vec_add(c, vec_scale(q, z))
+        return any(all(map(le, g, v)) for gens in qpowers[q] for g in gens)
+
+    return _multiplier_search(ring.d, cbox, qmax, p, holds)

@@ -1,7 +1,9 @@
 """Monomial ideals in a toric ring and their arithmetic.
 
 Divisibility is semigroup membership of the difference of exponent vectors,
-not componentwise comparison; that keeps Veronese-type rings correct.  The
+not componentwise comparison of exponents; that keeps Veronese-type rings
+correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
+over the rays n_j of sigma, which ``minimalize`` uses on every ring.  The
 zero ideal has an empty generator tuple, the unit ideal the single zero
 vector.  Operations that only make sense over a polynomial (orthant) ring
 refuse other rings loudly.
@@ -10,27 +12,22 @@ refuse other rings loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import le
+from operator import le, mul
 
 from .errors import (
+    DimensionMismatchError,
     InputError,
     InvariantError,
     RingMismatchError,
     SemigroupMembershipError,
     UnsupportedRingError,
 )
-from .lattice import IntVec, ToricRing, toric_ring, vec_add, vec_sub
+from .lattice import IntVec, ToricRing, orthant_ring, vec_add, vec_sub
+# toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
+from .lattice import toric_ring  # noqa: F401
 
 # Above this many vectors, minimal_vectors_orthant compares rows in numpy.
 _NUMPY_CUTOFF = 400
-
-
-@lru_cache(maxsize=None)
-def _cached_orthant(d: int) -> ToricRing:
-    return toric_ring(
-        tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    )
 
 
 def _require_orthant(ring: ToricRing, op: str) -> None:
@@ -101,24 +98,21 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
 
 
 def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
-    """Divisibility-minimal generating set; the unit ideal normalizes to {0}."""
-    gens = sorted({tuple(g) for g in raw_gens})
-    for g in gens:
-        if not ring.in_semigroup(g):
+    """Divisibility-minimal generating set; the unit ideal normalizes to {0}.
+
+    x^h divides x^g iff <h, n_j> <= <g, n_j> for every ray n_j of sigma, so
+    the minimal generators are those whose ray coordinates are
+    componentwise minimal.  The rays span, so the coordinates determine g.
+    """
+    by_coords: dict[IntVec, IntVec] = {}
+    for g in sorted({tuple(g) for g in raw_gens}):
+        if len(g) != ring.d:
+            raise DimensionMismatchError(f"vector length {len(g)}, ring rank {ring.d}")
+        coords = tuple(sum(map(mul, g, n)) for n in ring.sigma.rays)
+        if min(coords) < 0:
             raise SemigroupMembershipError(f"generator {g} outside the semigroup")
-    zero = tuple(0 for _ in range(ring.d))
-    if zero in gens:
-        return MonomialIdeal(ring=ring, gens=(zero,))
-    if ring.is_orthant():
-        minimal = minimal_vectors_orthant(gens)
-    else:
-        minimal = []
-        for g in gens:
-            dominated = any(
-                h != g and ring.in_semigroup(vec_sub(g, h)) for h in gens
-            )
-            if not dominated:
-                minimal.append(g)
+        by_coords[coords] = g
+    minimal = [by_coords[c] for c in minimal_vectors_orthant(by_coords)]
     return MonomialIdeal(ring=ring, gens=tuple(sorted(minimal)))
 
 
@@ -236,7 +230,7 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
         raise InputError("cannot kill the only variable")
     if not 0 <= axis < d:
         raise InputError(f"axis {axis} out of range for rank {d}")
-    small = _cached_orthant(d - 1)
+    small = orthant_ring(d - 1)
     survivors = [
         g[:axis] + g[axis + 1:] for g in I.gens if g[axis] == 0
     ]

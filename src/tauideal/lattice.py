@@ -3,17 +3,21 @@
 Exponent vectors are plain tuples of Python ints (arbitrary precision);
 rational points are tuples of ``fractions.Fraction``.  Cones are stored with
 both a ray and a halfspace description, converted by the double description
-method with exact integer arithmetic.  The double description tracks each
-ray's tight set as an integer bitmask over the inserted halfspaces and tests
-adjacency and extremality on those masks alone, so it needs no rank
-computation; ``matrix_rank`` stays as an independent exact reference.
+method with exact integer arithmetic; a toric ring costs one double
+description, since the facets of sigma are the rays of sigma_dual.  The
+double description tracks each ray's tight set as an integer bitmask over
+the inserted halfspaces and tests adjacency and extremality on those masks
+alone, so it needs no rank computation.  All other linear algebra is one
+fraction-free (Bareiss) elimination, ``_echelon``, behind ``matrix_rank``
+and ``solve_unit_pairings``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 
 from .errors import (
     ConeNotFullDimensionalError,
@@ -60,28 +64,41 @@ def primitivize(v: IntVec) -> IntVec:
     return tuple(x // g for x in v)
 
 
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of integer/rational row vectors.
+
+    Returns the nonzero echelon rows and their pivot columns.  Each row is
+    first cleared of denominators.  Bareiss elimination ("Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968): after a pivot step every entry below the pivot rows is
+    a minor of the input, so the division by the previous pivot is exact.
+    """
+    m = []
+    for r in rows:
+        r = [Fraction(x) for x in r]
+        den = lcm(*(x.denominator for x in r))
+        m.append([int(x * den) for x in r])
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        p = top[col]
+        for i in range(k + 1, len(m)):
+            f = m[i][col]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
 def matrix_rank(rows) -> int:
     """Rank of a list of integer/rational row vectors (exact elimination)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_echelon(rows)[1])
 
 
 def _insert(lineality, rays, h, bit):
@@ -255,30 +272,17 @@ def solve_unit_pairings(generators) -> RatVec:
     """
     gens = [tuple(g) for g in generators]
     d = len(gens[0])
-    aug = [[Fraction(x) for x in g] + [Fraction(1)] for g in gens]
-    pivots = []
-    rank = 0
-    for col in range(d):
-        piv = next((i for i in range(rank, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [a / pv for a in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][d] != 0:
-            raise NotQGorensteinError("pairing system <w, n_i> = 1 is inconsistent")
-    if rank < d:
+    rows, pivots = _echelon([g + (1,) for g in gens])
+    if pivots[-1] == d:
+        raise NotQGorensteinError("pairing system <w, n_i> = 1 is inconsistent")
+    if len(pivots) < d:
         raise ConeNotFullDimensionalError("generators do not span the lattice")
+    # pivots are 0..d-1, so the rows are upper triangular: back-substitute
     w = [Fraction(0)] * d
-    for i, col in enumerate(pivots):
-        w[col] = aug[i][d]
+    for i in reversed(range(d)):
+        row = rows[i]
+        rest = sum(row[j] * w[j] for j in range(i + 1, d))
+        w[i] = Fraction(row[d] - rest) / row[i]
     return tuple(w)
 
 
@@ -325,10 +329,7 @@ def toric_ring(generators) -> ToricRing:
     by double description, and solves for the Q-Gorenstein vector.
     """
     sigma = cone_from_rays(generators)
-    dual_rays = dual_extreme_rays(sigma.rays)
-    sigma_dual = Cone(
-        dim=sigma.dim, rays=tuple(sorted(dual_rays)), halfspaces=sigma.rays
-    )
+    sigma_dual = Cone(dim=sigma.dim, rays=sigma.halfspaces, halfspaces=sigma.rays)
     w, index = gorenstein_vector(sigma)
     return ToricRing(
         d=sigma.dim,
@@ -339,8 +340,9 @@ def toric_ring(generators) -> ToricRing:
     )
 
 
+@cache
 def orthant_ring(d: int) -> ToricRing:
-    """The polynomial ring k[x_1..x_d] as a toric ring."""
+    """The polynomial ring k[x_1..x_d] as a toric ring (built once per d)."""
     return toric_ring(
         [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
     )

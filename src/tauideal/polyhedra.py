@@ -1,9 +1,11 @@
 """Newton polyhedra of monomial ideals.
 
-A Newton polyhedron is conv(generator exponents) + sigma_dual.  Both the
-V-representation (vertices, recession rays) and the irredundant facet
-H-representation are computed once, by homogenizing to a cone in one more
-dimension and running double description twice.
+A Newton polyhedron is conv(generator exponents) + sigma_dual, stored as its
+irredundant facets: one double description of the cone over the generators,
+homogenized in one more dimension.  Every membership test reads only these
+facets.  The vertices are derived from the facets on first use, by a second
+double description (``inequality_vertices``); the recession rays are those
+of sigma_dual.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatchError, InputError
 from .lattice import (
@@ -20,7 +23,6 @@ from .lattice import (
     ToricRing,
     dual_extreme_rays,
     pairing,
-    primitivize,
 )
 
 
@@ -34,10 +36,18 @@ class NewtonPolyhedron:
 
     dim: int
     recession: Cone
-    vertices: tuple[RatVec, ...]
-    rays: tuple[IntVec, ...]
     inequalities: tuple[tuple[IntVec, Fraction], ...]
     scale: Fraction
+
+    @cached_property
+    def vertices(self) -> tuple[RatVec, ...]:
+        """The vertices, sorted, computed from the facets on first read."""
+        return tuple(sorted(inequality_vertices(self.recession, self.inequalities)))
+
+    @property
+    def rays(self) -> tuple[IntVec, ...]:
+        """The recession rays: the sorted primitive extreme rays of sigma_dual."""
+        return self.recession.rays
 
     def contains(self, p, strict: bool = False) -> bool:
         """Closed (or strict/interior) membership of a rational point."""
@@ -74,17 +84,22 @@ def lattice_inequalities(
     return tuple(out)
 
 
-def inequality_vertices(ring: ToricRing, ineqs) -> list[RatVec]:
-    """Vertices of {x in sigma_dual : <x, a> >= c for every pair (a, c)}.
+def inequality_vertices(recession: Cone, ineqs) -> list[RatVec]:
+    """Vertices of {x in recession : <x, a> >= c for every pair (a, c)}.
 
-    The pairs have c > 0 and normals a in sigma, as from
-    ``lattice_inequalities``.  Homogenized as <x, a> - c*s >= 0, <x, n> >= 0
-    for the rays n of sigma and s >= 0, the region is a pointed
-    full-dimensional cone; its extreme rays with s > 0 are the vertices.
+    The normals a lie in the dual of the recession cone and the c are
+    rational and >= 0, as in ``lattice_inequalities`` and in the facets of a
+    (scaled) Newton polyhedron.  Homogenized as <x, a> - c*s >= 0 (each row
+    cleared of c's denominator), <x, n> >= 0 for the facet normals n of the
+    recession cone and s >= 0, the region is a pointed full-dimensional
+    cone; its extreme rays with s > 0 are the vertices.
     """
-    d = ring.d
-    halfspaces = [tuple(a) + (-c,) for a, c in ineqs]
-    halfspaces += [n + (0,) for n in ring.sigma.rays]
+    d = recession.dim
+    halfspaces = []
+    for a, c in ineqs:
+        c = Fraction(c)
+        halfspaces.append(tuple(c.denominator * x for x in a) + (-c.numerator,))
+    halfspaces += [n + (0,) for n in recession.halfspaces]
     halfspaces.append((0,) * d + (1,))
     return [
         tuple(Fraction(x, e[d]) for x in e[:d])
@@ -100,35 +115,21 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
     d = ring.d
     homog = [g + (1,) for g in gens] + [r + (0,) for r in ring.sigma_dual.rays]
-    facets_h = dual_extreme_rays(homog)
-    extremes = dual_extreme_rays(facets_h)
-
-    vertices = []
-    rays = []
-    for e in extremes:
-        last = e[d]
-        if last > 0:
-            vertices.append(tuple(Fraction(x, last) for x in e[:d]))
-        else:
-            rays.append(primitivize(e[:d]))
-    inequalities = []
-    for f in facets_h:
-        a, c = f[:d], f[d]
-        if all(x == 0 for x in a):
-            continue  # the homogenizing facet, not a facet of P
-        inequalities.append((a, Fraction(-c)))
+    inequalities = [
+        (f[:d], Fraction(-f[d]))
+        for f in dual_extreme_rays(homog)
+        if any(f[:d])  # else the homogenizing facet s >= 0, not a facet of P
+    ]
     return NewtonPolyhedron(
         dim=d,
         recession=ring.sigma_dual,
-        vertices=tuple(sorted(vertices)),
-        rays=tuple(sorted(rays)),
         inequalities=tuple(sorted(inequalities)),
         scale=Fraction(1),
     )
 
 
 def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
-    """The polyhedron t*P: vertices and right-hand sides scaled by t >= 0.
+    """The polyhedron t*P: right-hand sides scaled by t >= 0.
 
     t = 0 degenerates to the recession cone itself.
     """
@@ -138,23 +139,9 @@ def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
     if P.scale != 1:
         raise InputError("only scale-1 polyhedra can be rescaled")
     if t == 0:
-        zero = tuple(Fraction(0) for _ in range(P.dim))
-        ineqs = tuple(
-            sorted((h, Fraction(0)) for h in P.recession.halfspaces)
-        )
-        return NewtonPolyhedron(
-            dim=P.dim,
-            recession=P.recession,
-            vertices=(zero,),
-            rays=P.rays,
-            inequalities=ineqs,
-            scale=t,
-        )
+        ineqs = tuple(sorted((h, Fraction(0)) for h in P.recession.halfspaces))
+    else:
+        ineqs = tuple((a, t * b) for a, b in P.inequalities)
     return NewtonPolyhedron(
-        dim=P.dim,
-        recession=P.recession,
-        vertices=tuple(sorted(tuple(t * x for x in v) for v in P.vertices)),
-        rays=P.rays,
-        inequalities=tuple((a, t * b) for a, b in P.inequalities),
-        scale=t,
+        dim=P.dim, recession=P.recession, inequalities=ineqs, scale=t
     )

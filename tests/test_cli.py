@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from tauideal.cli import main
+from tauideal.cli import load_ideal, load_ring, main, parse_fraction
+from tauideal.errors import TauIdealError
+from tauideal.lattice import orthant_ring
 
 
 @pytest.fixture()
@@ -201,3 +203,32 @@ def test_non_integer_json_numbers_rejected(tmp_path, ring_data, ideal_gens):
     ideal = tmp_path / "i.json"
     ideal.write_text(json.dumps({"generators": ideal_gens}))
     assert main(["tau", "--ring", str(ring), "--ideal", str(ideal)]) == 3
+
+
+def test_input_errors_from_python_are_package_errors(tmp_path):
+    # the same checks the CLI maps to exit 3 must raise TauIdealError when
+    # the loaders are called as library functions
+    with pytest.raises(TauIdealError):
+        parse_fraction("x/y")
+    with pytest.raises(TauIdealError):
+        parse_fraction("1/0")
+    with pytest.raises(TauIdealError):
+        load_ring(str(tmp_path / "missing.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(TauIdealError):
+        load_ring(str(bad))
+    bad.write_text(json.dumps({"d": 3, "cone_generators": [[1, 0], [0, 1]]}))
+    with pytest.raises(TauIdealError):
+        load_ring(str(bad))
+    bad.write_text(json.dumps({"generators": [[1.5, 0]]}))
+    with pytest.raises(TauIdealError):
+        load_ideal(str(bad), orthant_ring(2))
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_rejects_an_empty_campaign(capsys, count):
+    # a campaign of no instances would report "all pass" on nothing
+    code, out = run(capsys, ["check", "briancon_skoda", "--count", count])
+    assert code == 3
+    assert out == ""

@@ -7,7 +7,9 @@ from random import Random
 
 import pytest
 
+import tauideal.campaigns
 import tauideal.frobenius
+from tauideal.campaigns import run_campaign
 from tauideal.cli import main
 from tauideal.enumeration import lattice_points_upto
 from tauideal.errors import InputError, InvariantError, UnsupportedRingError
@@ -15,6 +17,7 @@ from tauideal.frobenius import (
     STATUS_FAILS,
     STATUS_HOLDS,
     STATUS_STABILIZED,
+    Verdict,
     _socle_corners,
     frobenius_root_tau_oracle,
     in_star_E,
@@ -25,7 +28,9 @@ from tauideal.frobenius import (
     tight_integral_closure_at_q,
 )
 from tauideal.ideals import maximal_ideal, minimalize, power
-from tauideal.lattice import ToricRing, orthant_ring, pairing, toric_ring, vec_scale
+from tauideal.lattice import (
+    ToricRing, orthant_ring, pairing, toric_ring, vec_add, vec_scale,
+)
 from tauideal.polyhedra import NewtonPolyhedron, newton_polyhedron, scale
 from tauideal.tau import tau, veronese_maximal_ideal, veronese_ring
 
@@ -308,6 +313,118 @@ def test_tight_integral_closure_holds_and_fails():
     fam = [power(m, 3), I((2, 0)), I((0, 2))]
     assert tight_integral_closure_at_q(fam, (2, 0)).status == STATUS_HOLDS
     assert tight_integral_closure_at_q(fam, (1, 0)).status == STATUS_FAILS
+
+
+def test_negative_candidate_box_is_refused_before_any_power(monkeypatch):
+    # cbox = -1 leaves no candidate, so a fails_at_q verdict would be a
+    # refutation that examined nothing
+    def refuse(I, n):
+        raise AssertionError("a power was built for an empty candidate box")
+
+    monkeypatch.setattr(tauideal.frobenius, "power", refuse)
+    m = maximal_ideal(R2)
+    with pytest.raises(InputError):
+        tight_integral_closure_at_q([m], (1, 1), qmax=4, cbox=-1)
+    with pytest.raises(InputError):
+        tight_closure_member_at_q(I((2, 0), (0, 2)), m, 1, (1, 1), qmax=4, cbox=-1)
+
+
+# -- reference: the two multiplier searches before they shared one loop ------
+
+def _candidate_box(d: int, cbox: int):
+    cands = sorted(product(range(cbox + 1), repeat=d), key=lambda c: (sum(c), c))
+    return cands
+
+
+def _in_bracket(v, gens, q: int) -> bool:
+    return any(all(q * h_i <= v_i for h_i, v_i in zip(h, v)) for h in gens)
+
+
+def reference_tight_closure_member_at_q(
+    I, a, t, z, qmax=128, cbox=8, p=2,
+):
+    ring = I.ring
+    if not ring.is_orthant():
+        raise UnsupportedRingError("tight closure search needs an orthant ring")
+    if a.ring != ring:
+        raise InputError("ideals live in different rings")
+    t = Fraction(t)
+    z = tuple(z)
+    if cbox < 0:
+        raise InputError("empty candidate box")
+    qs = q_sweep(qmax, p)
+    apowers = {q: power(a, math.ceil(t * q)) for q in qs}
+    failures = []
+    for c in _candidate_box(ring.d, cbox):
+        failing_q = None
+        for q in qs:
+            qz = vec_add(c, vec_scale(q, z))
+            ok = all(
+                _in_bracket(vec_add(qz, g), I.gens, q)
+                for g in apowers[q].gens
+            )
+            if not ok:
+                failing_q = q
+                break
+        if failing_q is None:
+            return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
+        failures.append((c, failing_q))
+    return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
+
+
+def reference_tight_integral_closure_at_q(ideals, z, qmax=128, cbox=8, p=2):
+    ideals = list(ideals)
+    if not ideals:
+        raise InputError("empty ideal list")
+    ring = ideals[0].ring
+    if not ring.is_orthant():
+        raise UnsupportedRingError("tight integral closure needs an orthant ring")
+    z = tuple(z)
+    qs = q_sweep(qmax, p)
+    qpowers = {q: [power(I, q) for I in ideals] for q in qs}
+    failures = []
+    for c in _candidate_box(ring.d, cbox):
+        failing_q = None
+        for q in qs:
+            v = vec_add(c, vec_scale(q, z))
+            in_sum = any(
+                any(all(g_i <= v_i for g_i, v_i in zip(g, v)) for g in Iq.gens)
+                for Iq in qpowers[q]
+            )
+            if not in_sum:
+                failing_q = q
+                break
+        if failing_q is None:
+            return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
+        failures.append((c, failing_q))
+    return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
+
+
+def test_multiplier_search_matches_reference_on_campaign_inputs(monkeypatch):
+    # every call the tic_vs_star, bs_integral and regularity campaigns make,
+    # recorded with its verdict, then replayed through the reference
+    calls = []
+
+    def recorder(fn, ref):
+        def wrapped(*args, **kwargs):
+            verdict = fn(*args, **kwargs)
+            calls.append((ref, args, kwargs, verdict))
+            return verdict
+        return wrapped
+
+    for name, ref in (
+        ("tight_closure_member_at_q", reference_tight_closure_member_at_q),
+        ("tight_integral_closure_at_q", reference_tight_integral_closure_at_q),
+    ):
+        monkeypatch.setattr(
+            tauideal.campaigns, name, recorder(getattr(tauideal.frobenius, name), ref)
+        )
+    for campaign in ("tic_vs_star", "bs_integral", "regularity"):
+        run_campaign(campaign)
+    statuses = {verdict.status for *_, verdict in calls}
+    assert len(calls) >= 50 and statuses == {STATUS_HOLDS, STATUS_FAILS}
+    for ref, args, kwargs, verdict in calls:
+        assert ref(*args, **kwargs) == verdict, (args, kwargs)
 
 
 def test_verdict_carries_examined_range():

@@ -3,19 +3,24 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from random import Random
 
 import pytest
 
 from tauideal.errors import (
+    DimensionMismatchError,
     InputError,
+    TauIdealError,
     RingMismatchError,
     SemigroupMembershipError,
     UnsupportedRingError,
 )
 import tauideal
+from tauideal.enumeration import lattice_points_upto
 from tauideal.ideals import (
+    MonomialIdeal,
     bracket_power,
     colon,
     frobenius_root,
@@ -30,7 +35,8 @@ from tauideal.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from tauideal.lattice import orthant_ring, toric_ring
+from tauideal.lattice import orthant_ring, toric_ring, vec_sub
+from tauideal.tau import veronese_ring
 
 
 R2 = orthant_ring(2)
@@ -59,6 +65,73 @@ def test_minimal_vectors_large_sets_match_pairwise_definition():
         want = sorted(v for v in set(vecs) if not any(
             k != v and all(a <= b for a, b in zip(k, v)) for k in vecs))
         assert sorted(minimal_vectors_orthant(vecs)) == want
+
+
+# -- reference: minimalize before ray coordinates ----------------------------
+# An orthant fork plus a pairwise semigroup test on other rings; kept here
+# only to check the ray-coordinate version against it.
+
+def reference_minimalize(ring, raw_gens) -> MonomialIdeal:
+    """Divisibility-minimal generating set; the unit ideal normalizes to {0}."""
+    gens = sorted({tuple(g) for g in raw_gens})
+    for g in gens:
+        if not ring.in_semigroup(g):
+            raise SemigroupMembershipError(f"generator {g} outside the semigroup")
+    zero = tuple(0 for _ in range(ring.d))
+    if zero in gens:
+        return MonomialIdeal(ring=ring, gens=(zero,))
+    if ring.is_orthant():
+        minimal = minimal_vectors_orthant(gens)
+    else:
+        minimal = []
+        for g in gens:
+            dominated = any(
+                h != g and ring.in_semigroup(vec_sub(g, h)) for h in gens
+            )
+            if not dominated:
+                minimal.append(g)
+    return MonomialIdeal(ring=ring, gens=tuple(sorted(minimal)))
+
+
+def _minimalize_outcome(fn, ring, gens):
+    try:
+        return fn(ring, gens)
+    except TauIdealError as exc:
+        return type(exc)
+
+
+def test_minimalize_matches_pairwise_reference():
+    rings = [orthant_ring(d) for d in range(1, 5)] + [
+        veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
+        toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+        toric_ring([(0, 1), (5, -2)]),
+        toric_ring([(1, 0), (1, 2)]),
+    ]
+    rng = Random(808)
+    seen = Counter()
+    for ring in rings:
+        points = lattice_points_upto(ring, 8)
+        for trial in range(60):
+            gens = rng.sample(points, rng.randint(1, min(12, len(points))))
+            kind = trial % 6
+            if kind == 1:  # a generator outside the semigroup
+                gens.append(tuple(rng.randint(-3, 1) for _ in range(ring.d)))
+            elif kind == 2:  # a generator of the wrong length
+                gens.append((1,) * (ring.d + 1))
+            elif kind == 3:  # the unit ideal
+                gens.append((0,) * ring.d)
+            rng.shuffle(gens)
+            got = _minimalize_outcome(minimalize, ring, gens)
+            assert got == _minimalize_outcome(reference_minimalize, ring, gens), gens
+            seen[got if isinstance(got, type) else len(got.gens) > 1] += 1
+        # a set large enough for the numpy comparison, where the ring has one
+        sizes = (8, 16, 24)
+        bound = next((b for b in sizes if len(lattice_points_upto(ring, b)) > 450), 40)
+        pool = lattice_points_upto(ring, bound)[1:]
+        gens = rng.sample(pool, min(450, len(pool)))
+        assert minimalize(ring, gens) == reference_minimalize(ring, gens)
+    for key in (True, SemigroupMembershipError, DimensionMismatchError):
+        assert seen[key] >= 50, seen
 
 
 def test_numpy_is_not_loaded_by_small_computations():

@@ -390,6 +390,8 @@ def _comparison_ideals():
 def test_newton_polyhedra_match_rank_reference(monkeypatch):
     cases = _comparison_ideals()
     new = [newton_polyhedron(ring, gens) for ring, gens in cases]
+    for P in new:
+        P.vertices  # computed on first read: read them before the patch
     monkeypatch.setattr(polyhedra, "dual_extreme_rays", reference_dual_extreme_rays)
     for (ring, gens), P in zip(cases, new):
         ref = newton_polyhedron(ring, gens)
@@ -457,3 +459,122 @@ def test_double_dual_returns_the_extreme_generators(case):
         assert all(pairing(r, h) >= 0 for h in cone.halfspaces)
         tight = [h for h in cone.halfspaces if pairing(r, h) == 0]
         assert matrix_rank(tight) == d - 1
+
+
+def test_one_dd_per_fact(monkeypatch):
+    # a Newton polyhedron is one DD (its facets), its vertices one more on
+    # first read only, and a toric ring one DD (sigma's facets are the rays
+    # of sigma_dual)
+    calls = []
+
+    def counted(halfspaces):
+        calls.append(1)
+        return dual_extreme_rays(halfspaces)
+
+    monkeypatch.setattr(lattice, "dual_extreme_rays", counted)
+    monkeypatch.setattr(polyhedra, "dual_extreme_rays", counted)
+    for ring in (veronese_ring(3, 2), SQUARE_CONE, INDEX_5):
+        rays = ring.sigma_dual.rays
+        calls.clear()
+        P = newton_polyhedron(ring, [vec_add(a, b) for a in rays for b in rays])
+        assert len(calls) == 1
+        assert P.vertices
+        assert len(calls) == 2
+        assert P.vertices and polyhedra.scale(P, Fraction(1, 2)).inequalities
+        assert len(calls) == 2
+        calls.clear()
+        assert toric_ring(ring.sigma.rays) == ring
+        assert len(calls) == 1
+
+
+# -- reference: the two Fraction eliminations before the Bareiss routine -----
+
+def reference_matrix_rank(rows) -> int:
+    """Rank of a list of integer/rational row vectors (exact elimination)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    col = 0
+    while rank < len(m) and col < ncols:
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            if m[i][col] != 0:
+                f = m[i][col] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reference_solve_unit_pairings(generators):
+    gens = [tuple(g) for g in generators]
+    d = len(gens[0])
+    aug = [[Fraction(x) for x in g] + [Fraction(1)] for g in gens]
+    pivots = []
+    rank = 0
+    for col in range(d):
+        piv = next((i for i in range(rank, len(aug)) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        pv = aug[rank][col]
+        aug[rank] = [a / pv for a in aug[rank]]
+        for i in range(len(aug)):
+            if i != rank and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, len(aug)):
+        if aug[i][d] != 0:
+            raise NotQGorensteinError("pairing system <w, n_i> = 1 is inconsistent")
+    if rank < d:
+        raise ConeNotFullDimensionalError("generators do not span the lattice")
+    w = [Fraction(0)] * d
+    for i, col in enumerate(pivots):
+        w[col] = aug[i][d]
+    return tuple(w)
+
+
+def _random_matrix(rng):
+    """Integer rows in dimension 1..5: random, or affine combinations of a
+    few base rows (so <w, n> = 1 stays solvable, with or without full rank)."""
+    d = rng.randint(1, 5)
+    if rng.random() < 0.5:
+        return [
+            tuple(rng.randint(-3, 3) for _ in range(d))
+            for _ in range(rng.randint(1, d + 2))
+        ]
+    base = [
+        tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, d))
+    ]
+    rows = list(base)
+    for _ in range(rng.randint(0, 3)):
+        a, b, c = (rng.choice(base) for _ in range(3))
+        rows.append(vec_sub(vec_add(a, b), c))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_bareiss_matches_the_fraction_eliminations():
+    rng = Random(7007)
+    seen = Counter()
+    for _ in range(2400):
+        rows = _random_matrix(rng)
+        assert matrix_rank(rows) == reference_matrix_rank(rows), rows
+        got = _outcome(lattice.solve_unit_pairings, rows)
+        assert got == _outcome(reference_solve_unit_pairings, rows), rows
+        seen[got if isinstance(got, type) else "solved"] += 1
+        # rational rows: the rank is that of the rows cleared of denominators
+        den = rng.randint(1, 4)
+        frac = [tuple(Fraction(x, den + i) for i, x in enumerate(r)) for r in rows]
+        assert matrix_rank(frac) == reference_matrix_rank(frac), frac
+    for key in ("solved", NotQGorensteinError, ConeNotFullDimensionalError):
+        assert seen[key] >= 100, seen
