@@ -23,9 +23,23 @@ from itertools import product
 from operator import le
 
 from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
-from .errors import InputError, InvariantError, NotStabilizedError, UnsupportedRingError
+from .errors import (
+    DimensionMismatchError,
+    InputError,
+    InvariantError,
+    NotStabilizedError,
+    UnsupportedRingError,
+)
 # minimalize is bound here only for perfbench/layers.py, which wraps frobenius.minimalize
-from .ideals import MonomialIdeal, frobenius_root, minimalize, power, unit_ideal  # noqa: F401
+from .ideals import (  # noqa: F401
+    MonomialIdeal,
+    _check_in_ring,
+    _check_same_ring,
+    frobenius_root,
+    minimalize,
+    power,
+    unit_ideal,
+)
 from .lattice import IntVec, ToricRing, vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import NewtonPolyhedron, lattice_inequalities, newton_polyhedron, scale
 
@@ -94,6 +108,8 @@ def _check_q(q: int, p: int) -> None:
 
 
 def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron:
+    """t*P(a); every socle-side entry point gets a's ring checked here."""
+    _check_in_ring(ring, a)
     t = Fraction(t)
     if t < 0:
         raise InputError(f"negative exponent t = {t}")
@@ -237,6 +253,7 @@ def frobenius_root_tau_oracle(
     ascend, and the value is accepted once two consecutive q (with the larger
     at least 16) agree.  Raises NotStabilizedError otherwise.
     """
+    _check_in_ring(ring, a)
     if not ring.is_orthant():
         raise UnsupportedRingError("root oracle needs an orthant ring")
     if a.is_zero():
@@ -260,6 +277,13 @@ def frobenius_root_tau_oracle(
     raise NotStabilizedError(
         f"Frobenius-root chain did not stabilize up to q = {qmax}"
     )
+
+
+def _check_length(ring: ToricRing, z) -> IntVec:
+    z = tuple(z)
+    if len(z) != ring.d:
+        raise DimensionMismatchError(f"z has length {len(z)}, ring rank {ring.d}")
+    return z
 
 
 def _multiplier_search(d: int, cbox: int, qmax: int, p: int, holds) -> Verdict:
@@ -293,12 +317,11 @@ def tight_closure_member_at_q(
     first failing q for every candidate.
     """
     ring = I.ring
+    _check_same_ring(I, a)
     if not ring.is_orthant():
         raise UnsupportedRingError("tight closure search needs an orthant ring")
-    if a.ring != ring:
-        raise InputError("ideals live in different rings")
     t = Fraction(t)
-    z = tuple(z)
+    z = _check_length(ring, z)
     if cbox < 0:
         raise InputError("empty candidate box")
     apowers = {q: power(a, math.ceil(t * q)).gens for q in q_sweep(qmax, p)}
@@ -320,10 +343,12 @@ def tight_integral_closure_at_q(
     ideals = list(ideals)
     if not ideals:
         raise InputError("empty ideal list")
+    for J in ideals[1:]:
+        _check_same_ring(ideals[0], J)
     ring = ideals[0].ring
     if not ring.is_orthant():
         raise UnsupportedRingError("tight integral closure needs an orthant ring")
-    z = tuple(z)
+    z = _check_length(ring, z)
     if cbox < 0:
         raise InputError("empty candidate box")
     qpowers = {q: [power(I, q).gens for I in ideals] for q in q_sweep(qmax, p)}

@@ -3,7 +3,9 @@
 Divisibility is semigroup membership of the difference of exponent vectors,
 not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
-over the rays n_j of sigma, which ``minimalize`` uses on every ring.  The
+over the rays n_j of sigma, and every divisibility test here (``minimalize``,
+``minimal_vectors_orthant``, ``MonomialIdeal.is_subideal_of``) is one call of
+``_below_masks``, which compares all rows at once with integer bitmasks.  The
 zero ideal has an empty generator tuple, the unit ideal the single zero
 vector.  Operations that only make sense over a polynomial (orthant) ring
 refuse other rings loudly.
@@ -12,7 +14,7 @@ refuse other rings loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le, mul
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
@@ -26,36 +28,59 @@ from .lattice import IntVec, ToricRing, orthant_ring, vec_add, vec_sub
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
-# Above this many vectors, minimal_vectors_orthant compares rows in numpy.
-_NUMPY_CUTOFF = 400
-
 
 def _require_orthant(ring: ToricRing, op: str) -> None:
     if not ring.is_orthant():
         raise UnsupportedRingError(f"{op} is only supported over orthant rings")
 
 
-def minimal_vectors_orthant(vectors) -> list[IntVec]:
-    """Componentwise-minimal subset of a collection of nonnegative vectors."""
-    vecs = sorted(set(vectors), key=lambda v: (sum(v), v))
-    if len(vecs) > _NUMPY_CUTOFF and max(map(max, vecs)) < 2**63:
-        # numpy only compares here, never adds, so int64 rows are exact.
-        import numpy as np
+def _below_masks(rows) -> list[int]:
+    """For each row j, the bitmask (bit k for row k) of the rows k with
+    rows[k] <= rows[j] in every coordinate; bit j is always set.
 
-        arr = np.array(vecs, dtype=np.int64)
-        kept_idx: list[int] = []
-        kept = np.empty((0, arr.shape[1]), dtype=np.int64)
-        for i in range(len(vecs)):
-            if kept_idx and bool((kept <= arr[i]).all(axis=1).any()):
-                continue
-            kept_idx.append(i)
-            kept = arr[kept_idx]
-        return [vecs[i] for i in kept_idx]
-    kept_list: list[IntVec] = []
-    for v in vecs:
-        if not any(all(map(le, k, v)) for k in kept_list):
-            kept_list.append(v)
-    return kept_list
+    One pass per column, visiting the rows from the largest value down:
+    ``above`` holds the rows whose value is larger than the one visited, and
+    clearing those from below[j] in every column leaves the rows that lie
+    nowhere above row j (integer bitmasks as in ``lattice._insert``).
+    """
+    n = len(rows)
+    below = [(1 << n) - 1] * n
+    for column in zip(*rows):
+        above = tied = 0
+        value = None
+        for k in sorted(range(n), key=column.__getitem__, reverse=True):
+            if column[k] != value:
+                above |= tied
+                tied, value = 0, column[k]
+            tied |= 1 << k
+            below[k] &= ~above
+    return below
+
+
+def _ray_coords(ring: ToricRing, gens) -> list[IntVec]:
+    """The ray coordinates (<g, n_j> over the rays n_j of sigma) of each g.
+
+    Raises DimensionMismatchError on a vector of the wrong length and
+    SemigroupMembershipError on one outside sigma_dual.
+    """
+    rays = ring.sigma.rays
+    coords = []
+    for g in gens:
+        if len(g) != ring.d:
+            raise DimensionMismatchError(f"vector length {len(g)}, ring rank {ring.d}")
+        c = tuple(sum(map(mul, g, n)) for n in rays)
+        if min(c) < 0:
+            raise SemigroupMembershipError(f"generator {g} outside the semigroup")
+        coords.append(c)
+    return coords
+
+
+def minimal_vectors_orthant(vectors) -> list[IntVec]:
+    """Componentwise-minimal subset of a collection of integer vectors, in
+    order of first appearance."""
+    vecs = list(dict.fromkeys(vectors))
+    below = _below_masks(vecs)
+    return [v for j, v in enumerate(vecs) if below[j] == 1 << j]
 
 
 @dataclass(frozen=True)
@@ -79,8 +104,18 @@ class MonomialIdeal:
         )
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
+        """True iff every generator of self is divisible by one of other.
+
+        One ``_below_masks`` call on the ray coordinates of other's
+        generators followed by self's.  The generators of both ideals are
+        checked: one of the wrong length raises DimensionMismatchError, one
+        outside the semigroup SemigroupMembershipError.
+        """
         _check_same_ring(self, other)
-        return all(other.contains_monomial(g) for g in self.gens)
+        n = len(other.gens)
+        below = _below_masks(_ray_coords(self.ring, other.gens + self.gens))
+        theirs = (1 << n) - 1
+        return all(mask & theirs for mask in below[n:])
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return multiply(self, other)
@@ -97,23 +132,26 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
         raise RingMismatchError("ideals live in different rings")
 
 
+def _check_in_ring(ring: ToricRing, a: MonomialIdeal) -> None:
+    """Refuse an ideal of another ring than the one an entry point was given."""
+    if a.ring != ring:
+        raise InputError("ideal does not belong to the given ring")
+
+
 def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     """Divisibility-minimal generating set; the unit ideal normalizes to {0}.
 
     x^h divides x^g iff <h, n_j> <= <g, n_j> for every ray n_j of sigma, so
     the minimal generators are those whose ray coordinates are
-    componentwise minimal.  The rays span, so the coordinates determine g.
+    componentwise minimal.  The rays span, so the coordinates determine g,
+    and the zero vector's coordinates lie below every other's.
     """
-    by_coords: dict[IntVec, IntVec] = {}
-    for g in sorted({tuple(g) for g in raw_gens}):
-        if len(g) != ring.d:
-            raise DimensionMismatchError(f"vector length {len(g)}, ring rank {ring.d}")
-        coords = tuple(sum(map(mul, g, n)) for n in ring.sigma.rays)
-        if min(coords) < 0:
-            raise SemigroupMembershipError(f"generator {g} outside the semigroup")
-        by_coords[coords] = g
-    minimal = [by_coords[c] for c in minimal_vectors_orthant(by_coords)]
-    return MonomialIdeal(ring=ring, gens=tuple(sorted(minimal)))
+    gens = sorted({tuple(g) for g in raw_gens})
+    by_coords = dict(zip(_ray_coords(ring, gens), gens))
+    # minimal_vectors_orthant keeps the order of by_coords, which is sorted by g
+    return MonomialIdeal(
+        ring=ring, gens=tuple(by_coords[c] for c in minimal_vectors_orthant(by_coords))
+    )
 
 
 def unit_ideal(ring: ToricRing) -> MonomialIdeal:

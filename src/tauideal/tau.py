@@ -15,14 +15,13 @@ from fractions import Fraction
 
 from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import InputError
-from .ideals import MonomialIdeal, minimalize, unit_ideal
+from .ideals import MonomialIdeal, _check_in_ring, minimalize, unit_ideal
 from .lattice import ToricRing, toric_ring
 from .polyhedra import lattice_inequalities, newton_polyhedron, scale
 
 
 def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
-    if a.ring != ring:
-        raise InputError("ideal does not belong to the given ring")
+    _check_in_ring(ring, a)
     if a.is_zero():
         raise InputError("tau of the zero ideal is undefined")
     t = Fraction(t)

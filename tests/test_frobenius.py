@@ -12,7 +12,13 @@ import tauideal.frobenius
 from tauideal.campaigns import run_campaign
 from tauideal.cli import main
 from tauideal.enumeration import lattice_points_upto
-from tauideal.errors import InputError, InvariantError, UnsupportedRingError
+from tauideal.errors import (
+    DimensionMismatchError,
+    InputError,
+    InvariantError,
+    RingMismatchError,
+    UnsupportedRingError,
+)
 from tauideal.frobenius import (
     STATUS_FAILS,
     STATUS_HOLDS,
@@ -327,6 +333,37 @@ def test_negative_candidate_box_is_refused_before_any_power(monkeypatch):
         tight_integral_closure_at_q([m], (1, 1), qmax=4, cbox=-1)
     with pytest.raises(InputError):
         tight_closure_member_at_q(I((2, 0), (0, 2)), m, 1, (1, 1), qmax=4, cbox=-1)
+
+
+def test_socle_and_root_entry_points_refuse_an_ideal_of_another_ring():
+    # each of these returned an answer for the wrong ring: the unit ideal,
+    # an ideal of the rank-3 ring, and fails_at_q
+    m2 = maximal_ideal(orthant_ring(2))
+    with pytest.raises(InputError):
+        tau_socle_oracle(VERONESE_22, m2, 1, qmax=4)
+    with pytest.raises(InputError):
+        frobenius_root_tau_oracle(R2, maximal_ideal(orthant_ring(3)), 1)
+    with pytest.raises(InputError):
+        in_star_E(VERONESE_22, m2, 1, (0, 0), qmax=4)
+    with pytest.raises(InputError):
+        socle_piece_vanishes_at_q(VERONESE_22, m2, 1, (0, 0), 4)
+
+
+def test_tight_closure_searches_refuse_mixed_rings_and_wrong_z_length():
+    # each of these returned holds_up_to_qmax with witness (0, 0)
+    R3 = orthant_ring(3)
+    with pytest.raises(RingMismatchError):
+        tight_integral_closure_at_q(
+            [I((5, 5)), I((0, 0, 7), ring=R3)], (0, 0), qmax=4, cbox=1
+        )
+    with pytest.raises(RingMismatchError):
+        tight_closure_member_at_q(I((2, 0), (0, 2)), maximal_ideal(R3), 1, (1, 1), qmax=4)
+    a = I((1, 0), (0, 1))
+    with pytest.raises(DimensionMismatchError):
+        tight_closure_member_at_q(a, a, 1, (1, 1, 1), qmax=4, cbox=1)
+    for z in ((1, 1, 1), (1,)):
+        with pytest.raises(DimensionMismatchError):
+            tight_integral_closure_at_q([a], z, qmax=4, cbox=1)
 
 
 # -- reference: the two multiplier searches before they shared one loop ------

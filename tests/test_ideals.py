@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import product
+from operator import le
 from random import Random
 
 import pytest
@@ -35,7 +36,7 @@ from tauideal.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from tauideal.lattice import orthant_ring, toric_ring, vec_sub
+from tauideal.lattice import IntVec, orthant_ring, toric_ring, vec_sub
 from tauideal.tau import veronese_ring
 
 
@@ -55,16 +56,30 @@ def test_minimalize_keeps_antichain():
     assert I((2, 0), (0, 3), (1, 2)).gens == ((0, 3), (1, 2), (2, 0))
 
 
+# -- reference: minimal_vectors_orthant before the bitmask kernel ------------
+# The pure-Python loop over vectors sorted by degree; kept here only to check
+# the kernel against it.
+
+def reference_minimal_vectors(vectors) -> list[IntVec]:
+    vecs = sorted(set(vectors), key=lambda v: (sum(v), v))
+    kept_list: list[IntVec] = []
+    for v in vecs:
+        if not any(all(map(le, k, v)) for k in kept_list):
+            kept_list.append(v)
+    return kept_list
+
+
 def test_minimal_vectors_large_sets_match_pairwise_definition():
-    # above 400 vectors the comparison runs in numpy, unless an entry is too
-    # large for int64
+    # the offsets put the first entry past int64 and past 64 bits, where a
+    # fixed-width comparison would wrap
     rng = Random(47)
-    for offset in (0, 2**63):
+    for offset in (0, 2**63, 2**64 + 3):
         vecs = [(offset + rng.randint(0, 40), rng.randint(0, 40),
                  rng.randint(0, 40)) for _ in range(600)]
         want = sorted(v for v in set(vecs) if not any(
             k != v and all(a <= b for a, b in zip(k, v)) for k in vecs))
-        assert sorted(minimal_vectors_orthant(vecs)) == want
+        got = sorted(minimal_vectors_orthant(vecs))
+        assert got == sorted(reference_minimal_vectors(vecs)) == want
 
 
 # -- reference: minimalize before ray coordinates ----------------------------
@@ -81,7 +96,7 @@ def reference_minimalize(ring, raw_gens) -> MonomialIdeal:
     if zero in gens:
         return MonomialIdeal(ring=ring, gens=(zero,))
     if ring.is_orthant():
-        minimal = minimal_vectors_orthant(gens)
+        minimal = reference_minimal_vectors(gens)
     else:
         minimal = []
         for g in gens:
@@ -124,7 +139,7 @@ def test_minimalize_matches_pairwise_reference():
             got = _minimalize_outcome(minimalize, ring, gens)
             assert got == _minimalize_outcome(reference_minimalize, ring, gens), gens
             seen[got if isinstance(got, type) else len(got.gens) > 1] += 1
-        # a set large enough for the numpy comparison, where the ring has one
+        # a set of about 450 generators, where the ring has one
         sizes = (8, 16, 24)
         bound = next((b for b in sizes if len(lattice_points_upto(ring, b)) > 450), 40)
         pool = lattice_points_upto(ring, bound)[1:]
@@ -145,6 +160,60 @@ def test_numpy_is_not_loaded_by_small_computations():
     src = os.path.dirname(os.path.dirname(tauideal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# -- reference: is_subideal_of before the bitmask kernel --------------------
+
+def reference_is_subideal_of(I, J) -> bool:
+    if I.ring != J.ring:
+        raise RingMismatchError("ideals live in different rings")
+    return all(J.contains_monomial(g) for g in I.gens)
+
+
+REFERENCE_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
+    veronese_ring(2, 2), veronese_ring(2, 3), veronese_ring(3, 2),
+    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    toric_ring([(0, 1), (5, -2)]),
+]
+
+
+def test_is_subideal_of_matches_pairwise_reference():
+    rng = Random(909)
+    seen = Counter()
+    for ring in REFERENCE_RINGS:
+        points = lattice_points_upto(ring, 8)
+
+        def random_ideal():
+            kind = rng.randrange(6)
+            if kind == 0:
+                return zero_ideal(ring)
+            if kind == 1:
+                return unit_ideal(ring)
+            return minimalize(ring, rng.sample(points, rng.randint(1, min(14, len(points)))))
+
+        for _ in range(80):
+            a, b = random_ideal(), random_ideal()
+            if rng.random() < 0.3:  # make containment likely: b = a + c
+                b = ideal_sum(a, b)
+            for x, y in ((a, b), (b, a)):
+                got = x.is_subideal_of(y)
+                assert got == reference_is_subideal_of(x, y), (x.gens, y.gens)
+                seen[got] += 1
+                seen["sizes differ"] += len(x.gens) != len(y.gens)
+    assert seen[True] >= 300 and seen[False] >= 300 and seen["sizes differ"] >= 500, seen
+
+
+@pytest.mark.parametrize("ring", [R2, veronese_ring(2, 2)], ids=["orthant", "veronese"])
+def test_is_subideal_of_checks_the_generators_of_both_ideals(ring):
+    good = minimalize(ring, [(1, 0), (1, 1)])
+    outside = MonomialIdeal(ring=ring, gens=((-1, 0),))
+    too_long = MonomialIdeal(ring=ring, gens=((1, 0, 0),))
+    for bad, error in ((outside, SemigroupMembershipError),
+                       (too_long, DimensionMismatchError)):
+        with pytest.raises(error):
+            bad.is_subideal_of(good)
+        with pytest.raises(error):
+            good.is_subideal_of(bad)
 
 
 def test_minimalize_veronese_semigroup_divisibility():
