@@ -4,19 +4,21 @@ The enumeration is graded by the strictly positive functional l(x) = sum_i
 <x, n_i> over the cone generators.  The points of sigma_dual cap M come from
 one semigroup walk over the Hilbert basis, level by level in l, with the
 levels cached per ring.  Every up-set it serves is cut out of sigma_dual cap
-M by integer facet pairs (a, c), <m, a> >= c, and ``degree_bound`` proves
-from those pairs that no minimal generator has l above a bound, so the
-lattice points are enumerated once, up to it.
+M by integer facet pairs (a, c), <m, a> >= c, tested one pair at a time
+over a whole batch of points (``inequality_batch``, on the columns of
+``lattice.pairing_columns``), and ``degree_bound`` proves from those pairs
+that no minimal generator has l above a bound, so the lattice points are
+enumerated once, up to it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import product
-from operator import add, mul
+from itertools import product, repeat
+from operator import add, and_, ge, mul
 
-from .lattice import IntVec, ToricRing, pairing, vec_add, vec_sub
+from .lattice import IntVec, ToricRing, pairing, pairing_columns, vec_add, vec_sub
 from .polyhedra import inequality_vertices
 
 
@@ -142,10 +144,19 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
 
 def inequality_batch(ineqs):
     """Membership batch for the lattice points m with <m, a> >= c for every
-    integer pair (a, c), as built by ``polyhedra.lattice_inequalities``."""
+    integer pair (a, c), as built by ``polyhedra.lattice_inequalities``.
+
+    The batch takes a list of points and tests one inequality at a time over
+    all of them, on the columns of ``pairing_columns``; a point of the wrong
+    length raises DimensionMismatchError."""
+    normals = [a for a, _ in ineqs]
+    bounds = [c for _, c in ineqs]
 
     def batch(points):
-        return [all(sum(map(mul, m, a)) >= c for a, c in ineqs) for m in points]
+        flags = [True] * len(points)
+        for column, c in zip(pairing_columns(points, normals), bounds):
+            flags = list(map(and_, flags, map(ge, column, repeat(c))))
+        return flags
 
     return batch
 

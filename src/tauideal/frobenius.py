@@ -9,8 +9,9 @@ finitely many sigma_dual-maximal lattice points ("corners") of
 (q-1)*w - sigma_dual, so each q costs one integer facet test
 (``polyhedra.lattice_inequalities``) per corner, and the socle oracle needs
 only the largest q of the sweep, on every ring.  The root route climbs the
-ascending chain of Frobenius roots.  All arithmetic is on Python ints and
-Fractions.
+ascending chain of Frobenius roots, and it and the tight-closure searches
+take their powers over the q-sweep from one lazy ``ideals.powers`` chain.
+All arithmetic is on Python ints and Fractions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .errors import (
     NotStabilizedError,
     UnsupportedRingError,
 )
-# minimalize is bound here only for perfbench/layers.py, which wraps frobenius.minimalize
+# power and minimalize are bound here only for perfbench/layers.py, which
+# wraps frobenius.power and frobenius.minimalize
 from .ideals import (  # noqa: F401
     MonomialIdeal,
     _check_in_ring,
@@ -38,6 +40,7 @@ from .ideals import (  # noqa: F401
     frobenius_root,
     minimalize,
     power,
+    powers,
     unit_ideal,
 )
 from .lattice import IntVec, ToricRing, vec_add, vec_neg, vec_scale, vec_sub
@@ -251,7 +254,9 @@ def frobenius_root_tau_oracle(
 
     Climbs frobenius_root(a^ceil(t*q), q) for q = p, p^2, ...; the chain must
     ascend, and the value is accepted once two consecutive q (with the larger
-    at least 16) agree.  Raises NotStabilizedError otherwise.
+    at least 16) agree.  Raises NotStabilizedError otherwise.  The powers
+    come from one ``powers`` chain, so each is built from the one before
+    and none past the accepted q is built.
     """
     _check_in_ring(ring, a)
     if not ring.is_orthant():
@@ -261,11 +266,11 @@ def frobenius_root_tau_oracle(
     t = Fraction(t)
     if t < 0:
         raise InputError(f"negative exponent t = {t}")
+    qs = q_sweep(qmax, p)
     prev = None
     prev_q = None
-    for q in q_sweep(qmax, p):
-        n = math.ceil(t * q)
-        current = frobenius_root(power(a, n), q)
+    for q, an in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
+        current = frobenius_root(an, q)
         if prev is not None:
             if not prev.is_subideal_of(current):
                 raise InvariantError(
@@ -324,7 +329,10 @@ def tight_closure_member_at_q(
     z = _check_length(ring, z)
     if cbox < 0:
         raise InputError("empty candidate box")
-    apowers = {q: power(a, math.ceil(t * q)).gens for q in q_sweep(qmax, p)}
+    qs = q_sweep(qmax, p)
+    apowers = {
+        q: aq.gens for q, aq in zip(qs, powers(a, [math.ceil(t * q) for q in qs]))
+    }
 
     def holds(c, q):
         qz = vec_add(c, vec_scale(q, z))
@@ -351,7 +359,9 @@ def tight_integral_closure_at_q(
     z = _check_length(ring, z)
     if cbox < 0:
         raise InputError("empty candidate box")
-    qpowers = {q: [power(I, q).gens for I in ideals] for q in q_sweep(qmax, p)}
+    qs = q_sweep(qmax, p)
+    chains = zip(*(powers(I, qs) for I in ideals))
+    qpowers = {q: [Iq.gens for Iq in row] for q, row in zip(qs, chains)}
 
     def holds(c, q):
         v = vec_add(c, vec_scale(q, z))

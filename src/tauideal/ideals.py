@@ -3,10 +3,14 @@
 Divisibility is semigroup membership of the difference of exponent vectors,
 not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
-over the rays n_j of sigma, and every divisibility test here (``minimalize``,
-``minimal_vectors_orthant``, ``MonomialIdeal.is_subideal_of``) is one call of
-``_below_masks``, which compares all rows at once with integer bitmasks.  The
-zero ideal has an empty generator tuple, the unit ideal the single zero
+over the rays n_j of sigma, computed for all generators at once by
+``lattice.pairing_columns``, and every divisibility test here
+(``minimalize``, ``minimal_vectors_orthant``,
+``MonomialIdeal.is_subideal_of``) is one call of ``_below_masks``, which
+compares all rows at once with integer bitmasks.  Powers square by adding
+each unordered pair of generators once (``_square``), and ``powers`` yields
+a nondecreasing sequence of powers lazily, each built from the one before.
+The zero ideal has an empty generator tuple, the unit ideal the single zero
 vector.  Operations that only make sense over a polynomial (orthant) ring
 refuse other rings loudly.
 """
@@ -14,17 +18,16 @@ refuse other rings loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add
 
 from .errors import (
-    DimensionMismatchError,
     InputError,
     InvariantError,
     RingMismatchError,
     SemigroupMembershipError,
     UnsupportedRingError,
 )
-from .lattice import IntVec, ToricRing, orthant_ring, vec_add, vec_sub
+from .lattice import IntVec, ToricRing, orthant_ring, pairing_columns, vec_scale, vec_sub
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -63,15 +66,12 @@ def _ray_coords(ring: ToricRing, gens) -> list[IntVec]:
     Raises DimensionMismatchError on a vector of the wrong length and
     SemigroupMembershipError on one outside sigma_dual.
     """
-    rays = ring.sigma.rays
-    coords = []
-    for g in gens:
-        if len(g) != ring.d:
-            raise DimensionMismatchError(f"vector length {len(g)}, ring rank {ring.d}")
-        c = tuple(sum(map(mul, g, n)) for n in rays)
-        if min(c) < 0:
-            raise SemigroupMembershipError(f"generator {g} outside the semigroup")
-        coords.append(c)
+    gens = list(gens)
+    columns = pairing_columns(gens, ring.sigma.rays)
+    coords = list(zip(*columns))
+    if gens and min(map(min, columns)) < 0:
+        g = next(g for g, c in zip(gens, coords) if min(c) < 0)
+        raise SemigroupMembershipError(f"generator {g} outside the semigroup")
     return coords
 
 
@@ -177,7 +177,18 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if I.is_zero() or J.is_zero():
         return zero_ideal(I.ring)
     return minimalize(
-        I.ring, {vec_add(g, h) for g in I.gens for h in J.gens}
+        I.ring, {tuple(map(add, g, h)) for g in I.gens for h in J.gens}
+    )
+
+
+def _square(I: MonomialIdeal) -> MonomialIdeal:
+    """I*I, adding each unordered pair of generators once; the square of one
+    generator g is 2*g, with nothing to minimalize."""
+    gens = I.gens
+    if len(gens) == 1:
+        return MonomialIdeal(ring=I.ring, gens=(vec_scale(2, gens[0]),))
+    return minimalize(
+        I.ring, {tuple(map(add, g, h)) for i, g in enumerate(gens) for h in gens[i:]}
     )
 
 
@@ -187,10 +198,14 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
+    """I**n by repeated squaring; the n-th power of one generator g is the
+    single generator n*g."""
     if n < 0:
         raise InputError(f"negative power {n}")
     if n == 0:
         return unit_ideal(I.ring)
+    if len(I.gens) == 1:
+        return MonomialIdeal(ring=I.ring, gens=(vec_scale(n, I.gens[0]),))
     result = None
     base = I
     k = n
@@ -199,8 +214,31 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
             result = base if result is None else multiply(result, base)
         k >>= 1
         if k:
-            base = multiply(base, base)
+            base = _square(base)
     return result
+
+
+def powers(I: MonomialIdeal, exponents):
+    """Lazily yield I**n for each n of the nondecreasing sequence
+    ``exponents``.
+
+    Each value after the first is built from the one before: a repeat is
+    the same ideal, a doubled exponent a squaring, and any other step from
+    m to n is I**m * I**(n - m) (from m = 0, just I**n).  Nothing past the
+    last value taken is computed.
+    """
+    prev_n = prev = None
+    for n in exponents:
+        if prev_n is not None and n < prev_n:
+            raise InputError(f"exponents must not decrease, got {prev_n} then {n}")
+        if not prev_n:
+            prev = power(I, n)
+        elif n == 2 * prev_n:
+            prev = _square(prev)
+        elif n != prev_n:
+            prev = multiply(prev, power(I, n - prev_n))
+        prev_n = n
+        yield prev
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

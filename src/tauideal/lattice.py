@@ -9,7 +9,9 @@ double description tracks each ray's tight set as an integer bitmask over
 the inserted halfspaces and tests adjacency and extremality on those masks
 alone, so it needs no rank computation.  All other linear algebra is one
 fraction-free (Bareiss) elimination, ``_echelon``, behind ``matrix_rank``
-and ``solve_unit_pairings``.
+and ``solve_unit_pairings``.  The pairings of many vectors with a few
+normals (ray coordinates, facet tests) are ``pairing_columns``, computed a
+coordinate column at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import (
     ConeNotFullDimensionalError,
@@ -38,12 +42,37 @@ def pairing(m, n):
     return sum(a * b for a, b in zip(m, n))
 
 
+def pairing_columns(vectors, normals) -> list[list[int]]:
+    """The pairings <v, n> of every vector v of the sequence ``vectors``
+    with each normal n: one list per normal, in the order of ``vectors``.
+
+    The list of n is the sum, over the coordinates i with n_i != 0, of n_i
+    times the column of the i-th coordinates of the vectors; a unit n_i adds
+    that column as it is, so on the orthant each list is a coordinate column.
+    Raises DimensionMismatchError unless every vector and normal has the
+    same length.
+    """
+    lengths = {*map(len, vectors), *map(len, normals)}
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"vectors and normals of lengths {sorted(lengths)}")
+    columns = list(zip(*vectors))
+    out = []
+    for n in normals:
+        total = None
+        for x, column in zip(n, columns):
+            if x:
+                term = column if x == 1 else map(mul, column, repeat(x))
+                total = term if total is None else map(add, total, term)
+        out.append([0] * len(vectors) if total is None else list(total))
+    return out
+
+
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_scale(c, v):

@@ -7,6 +7,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from random import Random
 
 import pytest
@@ -21,6 +22,7 @@ from tauideal.enumeration import (
     lattice_points_upto,
     minimal_upset_generators,
 )
+from tauideal.errors import DimensionMismatchError
 from tauideal.frobenius import _socle_corners
 from tauideal.ideals import maximal_ideal, minimalize, power
 from tauideal.lattice import IntVec, ToricRing, orthant_ring, pairing, toric_ring
@@ -276,3 +278,53 @@ def test_enumeration_has_one_path():
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "Fraction" not in imported and "fractions" not in imported | modules
     assert not hasattr(enumeration, "_graded_points")
+
+
+# -- reference: inequality_batch before pairing_columns ----------------------
+# The per-point test, kept here only to check the column-wise batch against.
+
+def reference_inequality_batch(ineqs):
+    def batch(points):
+        return [all(sum(map(mul, m, a)) >= c for a, c in ineqs) for m in points]
+
+    return batch
+
+
+TEN_RINGS = {
+    name: WALK_RINGS[name]
+    for name in ("orthant1", "orthant2", "orthant3", "orthant4", "veronese22",
+                 "veronese23", "veronese32", "square", "index5", "cone_10_12")
+}
+
+
+@pytest.mark.parametrize("ring", TEN_RINGS.values(), ids=TEN_RINGS.keys())
+def test_inequality_batch_matches_the_per_point_reference(ring):
+    rng = Random(3131)
+    big = 2**64 + 7  # past 64 bits, where a fixed-width pairing would wrap
+    points = lattice_points_upto(ring, 8)
+    seen = Counter()
+    for _ in range(15):
+        gens = rng.sample(points[1:], rng.randint(1, min(4, len(points) - 1)))
+        tP = scale(newton_polyhedron(ring, gens), rng.choice((Fraction(1, 2), 1, Fraction(3, 2))))
+        facets = list(lattice_inequalities(tP))
+        systems = (
+            facets,
+            [(a, c + big) for a, c in facets],
+            [(n, rng.randint(1, 3)) for n in ring.sigma.rays],
+            [],
+        )
+        sample = rng.sample(points, rng.randint(1, len(points)))
+        lifted = [
+            tuple(x + big * y for x, y in zip(p, rng.choice(ring.sigma_dual.rays)))
+            for p in sample
+        ]
+        for ineqs in systems:
+            for pts in (sample, lifted, []):
+                got = inequality_batch(ineqs)(pts)
+                assert got == reference_inequality_batch(ineqs)(pts), (ineqs, pts)
+                seen.update(got)
+        # the reference's zip drops the extra entry or the missing one
+        for bad in ((1,) * (ring.d + 1), (0,) * (ring.d - 1)):
+            with pytest.raises(DimensionMismatchError):
+                inequality_batch(facets)(sample + [bad])
+    assert seen[True] >= 100 and seen[False] >= 100, seen

@@ -328,6 +328,7 @@ def test_negative_candidate_box_is_refused_before_any_power(monkeypatch):
         raise AssertionError("a power was built for an empty candidate box")
 
     monkeypatch.setattr(tauideal.frobenius, "power", refuse)
+    monkeypatch.setattr(tauideal.frobenius, "powers", refuse)
     m = maximal_ideal(R2)
     with pytest.raises(InputError):
         tight_integral_closure_at_q([m], (1, 1), qmax=4, cbox=-1)

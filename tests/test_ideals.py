@@ -5,7 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import product
-from operator import le
+from operator import le, mul
 from random import Random
 
 import pytest
@@ -20,8 +20,11 @@ from tauideal.errors import (
 )
 import tauideal
 from tauideal.enumeration import lattice_points_upto
+import tauideal.ideals as ideals_module
 from tauideal.ideals import (
     MonomialIdeal,
+    _check_same_ring,
+    _ray_coords,
     bracket_power,
     colon,
     frobenius_root,
@@ -33,10 +36,13 @@ from tauideal.ideals import (
     minimalize,
     multiply,
     power,
+    powers,
     unit_ideal,
     zero_ideal,
 )
-from tauideal.lattice import IntVec, orthant_ring, toric_ring, vec_sub
+from tauideal.lattice import (
+    IntVec, orthant_ring, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
+)
 from tauideal.tau import veronese_ring
 
 
@@ -115,16 +121,20 @@ def _minimalize_outcome(fn, ring, gens):
         return type(exc)
 
 
+# orthant d = 1..4, Veronese (2,2) (3,2) (2,3), the square cone, the index-5
+# ring and the cone (1,0),(1,2)
+TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
+    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
+    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    toric_ring([(0, 1), (5, -2)]),
+    toric_ring([(1, 0), (1, 2)]),
+]
+
+
 def test_minimalize_matches_pairwise_reference():
-    rings = [orthant_ring(d) for d in range(1, 5)] + [
-        veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
-        toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
-        toric_ring([(0, 1), (5, -2)]),
-        toric_ring([(1, 0), (1, 2)]),
-    ]
     rng = Random(808)
     seen = Counter()
-    for ring in rings:
+    for ring in TEST_RINGS:
         points = lattice_points_upto(ring, 8)
         for trial in range(60):
             gens = rng.sample(points, rng.randint(1, min(12, len(points))))
@@ -249,6 +259,192 @@ def test_multiply_and_power():
     assert power(m, 0).is_unit()
     with pytest.raises(InputError):
         power(m, -1)
+
+
+# -- reference: _ray_coords, multiply and power before pairing_columns ------
+# The per-point loops and the squaring through multiply, as they were before
+# the column-wise pairing kernel and the power chain; kept here only to check
+# the library against them.
+
+def reference_vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def reference_ray_coords(ring, gens) -> list[IntVec]:
+    rays = ring.sigma.rays
+    coords = []
+    for g in gens:
+        if len(g) != ring.d:
+            raise DimensionMismatchError(f"vector length {len(g)}, ring rank {ring.d}")
+        c = tuple(sum(map(mul, g, n)) for n in rays)
+        if min(c) < 0:
+            raise SemigroupMembershipError(f"generator {g} outside the semigroup")
+        coords.append(c)
+    return coords
+
+
+def reference_multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    _check_same_ring(I, J)
+    if I.is_zero() or J.is_zero():
+        return zero_ideal(I.ring)
+    return minimalize(
+        I.ring, {reference_vec_add(g, h) for g in I.gens for h in J.gens}
+    )
+
+
+def reference_power(I: MonomialIdeal, n: int) -> MonomialIdeal:
+    if n < 0:
+        raise InputError(f"negative power {n}")
+    if n == 0:
+        return unit_ideal(I.ring)
+    result = None
+    base = I
+    k = n
+    while k:
+        if k & 1:
+            result = base if result is None else reference_multiply(result, base)
+        k >>= 1
+        if k:
+            base = reference_multiply(base, base)
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TauIdealError as exc:
+        return type(exc)
+
+
+# past 64 bits, where a fixed-width pairing would wrap
+BIG = 2**64 + 7
+
+
+def _lift(ring, rng, gens):
+    """The gens shifted by BIG times extreme rays of sigma_dual: still in the
+    semigroup, with entries of at least 2**64 in absolute value."""
+    return [vec_add(g, vec_scale(BIG, rng.choice(ring.sigma_dual.rays))) for g in gens]
+
+
+def test_ray_coords_match_the_per_point_reference():
+    rng = Random(1717)
+    seen = Counter()
+    for ring in TEST_RINGS:
+        assert _ray_coords(ring, []) == reference_ray_coords(ring, []) == []
+        points = lattice_points_upto(ring, 8)
+        for trial in range(50):
+            kind = trial % 5
+            gens = rng.sample(points, rng.randint(1, min(12, len(points))))
+            if kind == 1:  # outside the semigroup, anywhere in the list
+                gens.insert(rng.randint(0, len(gens)), vec_neg(rng.choice(ring.sigma_dual.rays)))
+            elif kind == 2:  # one entry too many, after valid vectors
+                gens.append((1,) * (ring.d + 1))
+            elif kind == 3:  # one entry too few, after valid vectors
+                gens.append((0,) * (ring.d - 1))
+            elif kind == 4:
+                gens = _lift(ring, rng, gens)
+            got = _outcome(_ray_coords, ring, gens)
+            assert got == _outcome(reference_ray_coords, ring, gens), gens
+            seen[got if isinstance(got, type) else kind] += 1
+    assert seen[SemigroupMembershipError] == seen[0] == seen[4] == 100, seen
+    assert seen[DimensionMismatchError] == 200, seen
+
+
+def test_multiply_and_power_match_the_reference():
+    rng = Random(2121)
+    seen = Counter()
+    for ring in TEST_RINGS:
+        points = lattice_points_upto(ring, 6)
+
+        def random_ideal():
+            kind = rng.randrange(6)
+            seen[kind] += 1
+            if kind == 0:
+                return zero_ideal(ring)
+            if kind == 1:
+                return unit_ideal(ring)
+            gens = rng.sample(points, rng.randint(1, min(5, len(points))))
+            return minimalize(ring, _lift(ring, rng, gens) if kind == 2 else gens)
+
+        for _ in range(20):
+            a, b = random_ideal(), random_ideal()
+            assert multiply(a, b) == reference_multiply(a, b), (a.gens, b.gens)
+            for n in range(6):
+                assert power(a, n) == reference_power(a, n), (a.gens, n)
+    assert min(seen.values()) >= 40, seen
+
+
+def _count_calls(monkeypatch, calls: Counter, names) -> None:
+    """Replace each named function of tauideal.ideals by one that counts its
+    calls in ``calls``; the monkeypatch context puts them back."""
+    for name in names:
+        def wrapped(*args, _name=name, _real=getattr(ideals_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(ideals_module, name, wrapped)
+
+
+def test_power_of_one_generator_is_that_generator_times_n(monkeypatch):
+    rng = Random(2323)
+    calls = Counter()
+    for ring in TEST_RINGS:
+        points = lattice_points_upto(ring, 6)
+        for g in [(0,) * ring.d, *rng.sample(points[1:], 3), *_lift(ring, rng, points[:1])]:
+            a = minimalize(ring, [g])
+            expected = [unit_ideal(ring)]
+            for _ in range(7):
+                expected.append(multiply(expected[-1], a))
+            with monkeypatch.context() as m:
+                _count_calls(m, calls, ("multiply", "minimalize"))
+                got = [power(a, n) for n in range(8)]
+            assert got == expected, g
+    assert not calls, calls
+
+
+def test_powers_match_power_on_every_step_kind():
+    rng = Random(2525)
+    sequences = (
+        [],
+        [0, 0, 1, 2, 2, 3, 6, 7],  # a leading 0 and repeats
+        [1, 2, 4, 8, 16],  # doublings only
+        [3, 6, 12, 24],
+        [2, 3, 5, 9, 9, 10],  # no doubling
+        [0, 4, 5, 10],
+    )
+    for ring in TEST_RINGS:
+        points = lattice_points_upto(ring, 4)[1:]
+        several = minimalize(ring, rng.sample(points, min(3, len(points))))
+        for a in (zero_ideal(ring), unit_ideal(ring), minimalize(ring, points[:1]), several):
+            for ns in sequences:
+                assert list(powers(a, ns)) == [power(a, n) for n in ns], (a.gens, ns)
+    with pytest.raises(InputError):
+        list(powers(I((1, 0)), [2, 3, 1]))
+
+
+def _products_for_first_value(monkeypatch, chain, a, exponents):
+    """The first value of chain(a, exponents) and the multiply and _square
+    calls made while taking it."""
+    calls = Counter()
+    with monkeypatch.context() as m:
+        _count_calls(m, calls, ("multiply", "_square"))
+        first = next(iter(chain(a, exponents)))
+    return first, calls
+
+
+def test_powers_builds_nothing_past_the_value_taken(monkeypatch):
+    a = I((2, 0), (1, 3), (0, 5))
+    ns = [3, 5, 9, 17, 33, 65, 192]
+    want, by_power = _products_for_first_value(
+        monkeypatch, lambda a, ns: [power(a, ns[0])], a, ns
+    )
+    got, by_chain = _products_for_first_value(monkeypatch, powers, a, ns)
+    assert got == want and by_chain == by_power and by_power["multiply"] == 1
+    # the same count catches a chain that builds every value up front
+    _, by_eager = _products_for_first_value(
+        monkeypatch, lambda a, ns: list(powers(a, ns)), a, ns
+    )
+    assert by_eager["multiply"] > by_power["multiply"]
 
 
 def test_sum():
