@@ -24,7 +24,7 @@ from .frobenius import (
 )
 from .ideals import MonomialIdeal
 from .lattice import ToricRing, orthant_ring
-from .polyhedra import newton_polyhedron
+from .polyhedra import exponent, newton_polyhedron
 from .tau import tau, tau_is_unit, tau_veronese, veronese_maximal_ideal, veronese_ring
 
 
@@ -97,9 +97,9 @@ def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
     """Subideal generated by the vertex generators; same Newton polyhedron."""
     P = newton_polyhedron(ring, a.gens)
-    vertex_gens = [
-        g for g in a.gens if tuple(Fraction(x) for x in g) in set(P.vertices)
-    ]
+    # integer tuples hash and compare equal to their Fraction vertices
+    vertices = set(P.vertices)
+    vertex_gens = [g for g in a.gens if g in vertices]
     return idl.minimalize(ring, vertex_gens)
 
 
@@ -369,7 +369,7 @@ def run_crosscheck(
     orthant = ring.is_orthant()
     for name, a in named_ideals:
         for t in ts:
-            t = Fraction(t)
+            t = exponent(t)
             poly = tau(ring, a, t)
             results = {"polyhedral": poly}
             for p in primes:

@@ -13,13 +13,12 @@ enumerated once, up to it.
 
 from __future__ import annotations
 
-import math
 from functools import cache
 from itertools import product, repeat
 from operator import add, and_, ge, mul
 
 from .lattice import IntVec, ToricRing, pairing, pairing_columns, vec_add, vec_sub
-from .polyhedra import inequality_vertices
+from .polyhedra import _vertex_rays
 
 
 def ell_vector(ring: ToricRing) -> IntVec:
@@ -127,7 +126,10 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     lambda_i r_i with v in conv(V) and at most d extreme rays r_i.  If some
     lambda_i >= 1, m - r_i is a lattice point of Q, so m is not minimal.
     Hence a minimal m has l(m) < max l(V) + D, D the sum of the d largest
-    l(r), and l(m) <= ceil(max l(V)) + D - 1 as l(m) is an integer.
+    l(r), and l(m) <= ceil(max l(V)) + D - 1 as l(m) is an integer.  The
+    vertices are x/s for the integer rays (x, s) of the homogenized region
+    (``polyhedra._vertex_rays``), so ceil(max l(V)) is the largest integer
+    quotient ceil(<x, l>/s).
     """
     ell = ell_vector(ring)
     slopes = [
@@ -138,8 +140,11 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     if all(ra > 0 for _, _, ra in slopes):
         k_star = max((-(-c * deg // ra) for c, deg, ra in slopes), default=0)
         return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
-    top = max(pairing(v, ell) for v in inequality_vertices(ring.sigma_dual, ineqs))
-    return math.ceil(top) + _ray_degree_sum(ring) - 1
+    # map stops at ell's end, so <x, l> skips the last coordinate s of (x, s)
+    top = max(
+        -(-sum(map(mul, e, ell)) // e[-1]) for e in _vertex_rays(ring.sigma_dual, ineqs)
+    )
+    return top + _ray_degree_sum(ring) - 1
 
 
 def inequality_batch(ineqs):

@@ -44,7 +44,13 @@ from .ideals import (  # noqa: F401
     unit_ideal,
 )
 from .lattice import IntVec, ToricRing, vec_add, vec_neg, vec_scale, vec_sub
-from .polyhedra import NewtonPolyhedron, lattice_inequalities, newton_polyhedron, scale
+from .polyhedra import (
+    NewtonPolyhedron,
+    exponent,
+    lattice_inequalities,
+    newton_polyhedron,
+    scale,
+)
 
 STATUS_STABILIZED = "stabilized"
 STATUS_FAILS = "fails_at_q"
@@ -113,9 +119,7 @@ def _check_q(q: int, p: int) -> None:
 def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron:
     """t*P(a); every socle-side entry point gets a's ring checked here."""
     _check_in_ring(ring, a)
-    t = Fraction(t)
-    if t < 0:
-        raise InputError(f"negative exponent t = {t}")
+    t = exponent(t)
     return scale(newton_polyhedron(ring, a.gens), t)
 
 
@@ -221,7 +225,7 @@ def tau_socle_oracle(
         raise InputError("socle oracle needs a nonzero ideal")
     tP = _scaled_polyhedron(ring, a, t)
     qs = q_sweep(qmax, p)
-    if Fraction(t) == 0:
+    if tP.scale == 0:
         return SocleOracleResult(unit_ideal(ring), 0)
 
     # Dividing the witnesses x at q by q, m is witnessed at q iff some y in
@@ -263,9 +267,7 @@ def frobenius_root_tau_oracle(
         raise UnsupportedRingError("root oracle needs an orthant ring")
     if a.is_zero():
         raise InputError("root oracle needs a nonzero ideal")
-    t = Fraction(t)
-    if t < 0:
-        raise InputError(f"negative exponent t = {t}")
+    t = exponent(t)
     qs = q_sweep(qmax, p)
     prev = None
     prev_q = None
@@ -325,7 +327,7 @@ def tight_closure_member_at_q(
     _check_same_ring(I, a)
     if not ring.is_orthant():
         raise UnsupportedRingError("tight closure search needs an orthant ring")
-    t = Fraction(t)
+    t = exponent(t)
     z = _check_length(ring, z)
     if cbox < 0:
         raise InputError("empty candidate box")

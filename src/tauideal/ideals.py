@@ -3,8 +3,8 @@
 Divisibility is semigroup membership of the difference of exponent vectors,
 not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
-over the rays n_j of sigma, computed for all generators at once by
-``lattice.pairing_columns``, and every divisibility test here
+over the rays n_j of sigma, computed and checked for all generators at
+once by ``lattice.semigroup_columns``, and every divisibility test here
 (``minimalize``, ``minimal_vectors_orthant``,
 ``MonomialIdeal.is_subideal_of``) is one call of ``_below_masks``, which
 compares all rows at once with integer bitmasks.  Powers square by adding
@@ -27,7 +27,7 @@ from .errors import (
     SemigroupMembershipError,
     UnsupportedRingError,
 )
-from .lattice import IntVec, ToricRing, orthant_ring, pairing_columns, vec_scale, vec_sub
+from .lattice import IntVec, ToricRing, orthant_ring, semigroup_columns, vec_scale, vec_sub
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -66,13 +66,7 @@ def _ray_coords(ring: ToricRing, gens) -> list[IntVec]:
     Raises DimensionMismatchError on a vector of the wrong length and
     SemigroupMembershipError on one outside sigma_dual.
     """
-    gens = list(gens)
-    columns = pairing_columns(gens, ring.sigma.rays)
-    coords = list(zip(*columns))
-    if gens and min(map(min, columns)) < 0:
-        g = next(g for g, c in zip(gens, coords) if min(c) < 0)
-        raise SemigroupMembershipError(f"generator {g} outside the semigroup")
-    return coords
+    return list(zip(*semigroup_columns(ring, list(gens))))
 
 
 def minimal_vectors_orthant(vectors) -> list[IntVec]:

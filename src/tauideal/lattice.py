@@ -7,11 +7,15 @@ method with exact integer arithmetic; a toric ring costs one double
 description, since the facets of sigma are the rays of sigma_dual.  The
 double description tracks each ray's tight set as an integer bitmask over
 the inserted halfspaces and tests adjacency and extremality on those masks
-alone, so it needs no rank computation.  All other linear algebra is one
-fraction-free (Bareiss) elimination, ``_echelon``, behind ``matrix_rank``
-and ``solve_unit_pairings``.  The pairings of many vectors with a few
-normals (ray coordinates, facet tests) are ``pairing_columns``, computed a
-coordinate column at a time.
+alone, so it needs no rank computation.  Its integer kernels are single
+passes: each pairing is ``sum(map(mul, ...))``, ``primitivize`` one gcd
+call that leaves a primitive vector as it is, and every new ray or
+lineality vector one fused a*u - b*v (``_combine``).  All other linear
+algebra is one fraction-free (Bareiss) elimination, ``_echelon``, behind
+``matrix_rank`` and ``solve_unit_pairings``.  The pairings of many vectors
+with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
+computed a coordinate column at a time; ``semigroup_columns`` pairs with
+the rays of sigma and checks every vector on the way.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
     ConeNotPointedError,
     DimensionMismatchError,
     NotQGorensteinError,
+    SemigroupMembershipError,
     ZeroVectorError,
 )
 
@@ -39,7 +44,7 @@ def pairing(m, n):
     """Duality pairing (exact dot product) of two equal-length vectors."""
     if len(m) != len(n):
         raise DimensionMismatchError(f"length {len(m)} vs {len(n)}")
-    return sum(a * b for a, b in zip(m, n))
+    return sum(map(mul, m, n))
 
 
 def pairing_columns(vectors, normals) -> list[list[int]]:
@@ -76,7 +81,7 @@ def vec_sub(a, b):
 
 
 def vec_scale(c, v):
-    return tuple(c * x for x in v)
+    return tuple(map(mul, repeat(c), v))
 
 
 def vec_neg(v):
@@ -84,13 +89,19 @@ def vec_neg(v):
 
 
 def primitivize(v: IntVec) -> IntVec:
-    """Divide an integer vector by the (positive) gcd of its coordinates."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    """Divide an integer vector by the (positive) gcd of its coordinates;
+    a vector that is already primitive is returned as it is."""
+    g = gcd(*v)
+    if g == 1:
+        return v
     if g == 0:
         raise ZeroVectorError("cannot primitivize the zero vector")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
+
+
+def _combine(a, u, b, v) -> IntVec:
+    """The integer vector a*u - b*v, in one pass over the coordinates."""
+    return tuple([a * x - b * y for x, y in zip(u, v)])
 
 
 def _echelon(rows) -> tuple[list[list[int]], list[int]]:
@@ -141,7 +152,7 @@ def _insert(lineality, rays, h, bit):
     lineality vector pairs to zero with every inserted halfspace, so a ray's
     tight set does not depend on the representative.
     """
-    lin_vals = [pairing(l, h) for l in lineality]
+    lin_vals = [sum(map(mul, l, h)) for l in lineality]
     k = next((j for j, v in enumerate(lin_vals) if v != 0), None)
     if k is not None:
         # h crosses the lineality space: shrink it to h's hyperplane and
@@ -152,14 +163,13 @@ def _insert(lineality, rays, h, bit):
         if d0 < 0:
             l0, d0 = vec_neg(l0), -d0
         new_lin = [
-            primitivize(vec_sub(vec_scale(d0, l), vec_scale(v, l0)))
+            primitivize(_combine(d0, l, v, l0))
             for j, (l, v) in enumerate(zip(lineality, lin_vals))
             if j != k
         ]
         new_rays: dict[IntVec, int] = {}
         for r, mask in rays.items():
-            v = pairing(r, h)
-            proj = vec_sub(vec_scale(d0, r), vec_scale(v, l0))
+            proj = _combine(d0, r, sum(map(mul, r, h)), l0)
             if any(proj):
                 new_rays.setdefault(primitivize(proj), mask | bit)
         new_rays.setdefault(primitivize(l0), bit - 1)
@@ -168,7 +178,7 @@ def _insert(lineality, rays, h, bit):
     pos, neg = [], []
     new_rays = {}
     for r, mask in rays.items():
-        v = pairing(r, h)
+        v = sum(map(mul, r, h))
         if v > 0:
             pos.append((r, mask, v))
             new_rays[r] = mask
@@ -189,8 +199,7 @@ def _insert(lineality, rays, h, bit):
                 continue  # an edge is cut out by at least ``target`` halfspaces
             if sum(1 for m in masks if m & common == common) > 2:
                 continue
-            combo = vec_add(vec_scale(-sh, r), vec_scale(rh, s))
-            new_rays.setdefault(primitivize(combo), common | bit)
+            new_rays.setdefault(primitivize(_combine(rh, s, sh, r)), common | bit)
     return lineality, new_rays
 
 
@@ -216,7 +225,7 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     for h in halfspaces:
         if len(h) != dim:
             raise DimensionMismatchError("halfspaces of mixed lengths")
-        if all(x == 0 for x in h):
+        if not any(h):
             raise ZeroVectorError("zero halfspace normal")
 
     lineality: list[IntVec] = [
@@ -340,6 +349,24 @@ class ToricRing:
         if len(m) != self.d:
             raise DimensionMismatchError(f"vector length {len(m)}, ring rank {self.d}")
         return all(pairing(m, h) >= 0 for h in self.sigma_dual.halfspaces)
+
+
+def semigroup_columns(ring: ToricRing, vectors) -> list[list[int]]:
+    """``pairing_columns`` of the sequence ``vectors`` with the rays of
+    sigma, after checking the vectors: one of the wrong length raises
+    DimensionMismatchError and one outside sigma_dual
+    SemigroupMembershipError, each naming the vector."""
+    try:
+        columns = pairing_columns(vectors, ring.sigma.rays)
+    except DimensionMismatchError:
+        bad = next(v for v in vectors if len(v) != ring.d)
+        raise DimensionMismatchError(
+            f"generator {bad} has length {len(bad)}, ring rank {ring.d}"
+        ) from None
+    if vectors and min(map(min, columns)) < 0:
+        bad = next(v for v in vectors if not ring.in_semigroup(v))
+        raise SemigroupMembershipError(f"generator {bad} outside the semigroup")
+    return columns
 
 
 def gorenstein_vector(sigma: Cone):

@@ -1,19 +1,25 @@
 """Newton polyhedra of monomial ideals.
 
 A Newton polyhedron is conv(generator exponents) + sigma_dual, stored as its
-irredundant facets: one double description of the cone over the generators,
-homogenized in one more dimension.  Every membership test reads only these
-facets.  The vertices are derived from the facets on first use, by a second
-double description (``inequality_vertices``); the recession rays are those
-of sigma_dual.
+irredundant facets: one double description of the cone over the generators
+(checked to lie in sigma_dual), homogenized in one more dimension.  Every
+membership test reads only these facets, compiled by
+``lattice_inequalities`` into integer bounds with one lcm per call and an
+integer floor or ceiling division per facet.  The vertices come from a
+second double description, as homogeneous integer rays (``_vertex_rays``,
+which the degree bound reads directly); only ``NewtonPolyhedron.vertices``
+turns them into Fractions.  The recession rays are those of sigma_dual.
+Every exponent t enters through ``exponent``, which refuses anything but a
+finite rational t >= 0 with InputError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatchError, InputError
 from .lattice import (
@@ -23,6 +29,7 @@ from .lattice import (
     ToricRing,
     dual_extreme_rays,
     pairing,
+    semigroup_columns,
 )
 
 
@@ -65,6 +72,19 @@ class NewtonPolyhedron:
         return True
 
 
+def exponent(t) -> Fraction:
+    """The exponent t as an exact rational; InputError unless t is a
+    finite rational >= 0 (an int, a Fraction, a float or a string such as
+    "3/2")."""
+    try:
+        t = Fraction(t)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"cannot read the exponent {t!r}: {exc}") from exc
+    if t < 0:
+        raise InputError(f"negative exponent t = {t}")
+    return t
+
+
 def lattice_inequalities(
     P: NewtonPolyhedron, shift=None, strict: bool = False
 ) -> tuple[tuple[IntVec, int], ...]:
@@ -72,16 +92,37 @@ def lattice_inequalities(
     in P (in its interior if ``strict``): each pair means <m, a> >= c.
 
     For integer <m, a>, <m + s, a> > b iff <m, a> >= floor(b - <s, a>) + 1,
-    and <m + s, a> >= b iff <m, a> >= ceil(b - <s, a>).  Facet normals lie in
-    sigma, so every m in sigma_dual meets a bound c <= 0; those are left out.
+    and <m + s, a> >= b iff <m, a> >= ceil(b - <s, a>).  Every right-hand
+    side b is an integer times P's scale, so with L the lcm of the scale's
+    and the shift's denominators, L*b and L*s are integer, and c is the
+    floor or ceiling of the integer quotient (L*b - <L*s, a>) / L.  Facet
+    normals lie in sigma, so every m in sigma_dual meets a bound c <= 0;
+    those are left out.
     """
+    shift = (0,) * P.dim if shift is None else tuple(shift)
+    if len(shift) != P.dim:
+        raise DimensionMismatchError(f"length {len(shift)} vs {P.dim}")
+    den = lcm(P.scale.denominator, *(x.denominator for x in shift))
+    lifted = [x.numerator * (den // x.denominator) for x in shift]
     out = []
     for a, b in P.inequalities:
-        beta = b - pairing(shift, a) if shift is not None else b
-        c = math.floor(beta) + 1 if strict else math.ceil(beta)
+        num = b.numerator * (den // b.denominator) - sum(map(mul, lifted, a))
+        c = num // den + 1 if strict else -(-num // den)
         if c > 0:
             out.append((a, c))
     return tuple(out)
+
+
+def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:
+    """The extreme rays (x, s) with s > 0 of the homogenized region of
+    ``inequality_vertices``: its vertices are the points x/s."""
+    d = recession.dim
+    halfspaces = [
+        tuple(c.denominator * x for x in a) + (-c.numerator,) for a, c in ineqs
+    ]
+    halfspaces += [n + (0,) for n in recession.halfspaces]
+    halfspaces.append((0,) * d + (1,))
+    return [e for e in dual_extreme_rays(halfspaces) if e[d] > 0]
 
 
 def inequality_vertices(recession: Cone, ineqs) -> list[RatVec]:
@@ -92,27 +133,25 @@ def inequality_vertices(recession: Cone, ineqs) -> list[RatVec]:
     (scaled) Newton polyhedron.  Homogenized as <x, a> - c*s >= 0 (each row
     cleared of c's denominator), <x, n> >= 0 for the facet normals n of the
     recession cone and s >= 0, the region is a pointed full-dimensional
-    cone; its extreme rays with s > 0 are the vertices.
+    cone; its extreme rays (x, s) with s > 0 (``_vertex_rays``) give the
+    vertices x/s.
     """
     d = recession.dim
-    halfspaces = []
-    for a, c in ineqs:
-        c = Fraction(c)
-        halfspaces.append(tuple(c.denominator * x for x in a) + (-c.numerator,))
-    halfspaces += [n + (0,) for n in recession.halfspaces]
-    halfspaces.append((0,) * d + (1,))
     return [
-        tuple(Fraction(x, e[d]) for x in e[:d])
-        for e in dual_extreme_rays(halfspaces)
-        if e[d] > 0
+        tuple(Fraction(x, e[d]) for x in e[:d]) for e in _vertex_rays(recession, ineqs)
     ]
 
 
 def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
-    """Newton polyhedron of the ideal generated by the given exponents."""
+    """Newton polyhedron of the ideal generated by the given exponents.
+
+    A generator of the wrong length raises DimensionMismatchError, one
+    outside sigma_dual SemigroupMembershipError.
+    """
     gens = sorted({tuple(g) for g in generators})
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
+    semigroup_columns(ring, gens)
     d = ring.d
     homog = [g + (1,) for g in gens] + [r + (0,) for r in ring.sigma_dual.rays]
     inequalities = [
@@ -129,13 +168,12 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
 
 
 def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
-    """The polyhedron t*P: right-hand sides scaled by t >= 0.
+    """The polyhedron t*P: right-hand sides scaled by t >= 0 (read by
+    ``exponent``).
 
     t = 0 degenerates to the recession cone itself.
     """
-    t = Fraction(t)
-    if t < 0:
-        raise InputError(f"negative scale {t}")
+    t = exponent(t)
     if P.scale != 1:
         raise InputError("only scale-1 polyhedra can be rescaled")
     if t == 0:

@@ -17,17 +17,14 @@ from .enumeration import degree_bound, inequality_batch, minimal_upset_generator
 from .errors import InputError
 from .ideals import MonomialIdeal, _check_in_ring, minimalize, unit_ideal
 from .lattice import ToricRing, toric_ring
-from .polyhedra import lattice_inequalities, newton_polyhedron, scale
+from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
 
 def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
     _check_in_ring(ring, a)
     if a.is_zero():
         raise InputError("tau of the zero ideal is undefined")
-    t = Fraction(t)
-    if t < 0:
-        raise InputError(f"negative exponent t = {t}")
-    return t
+    return exponent(t)
 
 
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:

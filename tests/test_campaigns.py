@@ -80,6 +80,16 @@ def test_vertex_reduction_is_subideal():
         assert b.is_subideal_of(a)
 
 
+def test_vertex_reduction_keeps_exactly_the_vertex_generators():
+    # (1, 1) lies on the segment from (2, 0) to (0, 2), so it is no vertex;
+    # (1, 2) lies below the segment from (4, 0) to (0, 5), so it is one
+    ring = orthant_ring(2)
+    a = minimalize(ring, [(2, 0), (1, 1), (0, 2), (3, 0)])
+    assert vertex_reduction(ring, a).gens == ((0, 2), (2, 0))
+    b = minimalize(ring, [(4, 0), (1, 2), (0, 5)])
+    assert vertex_reduction(ring, b) == b
+
+
 def test_crosscheck_skips_root_on_general_rings():
     ring = toric_ring([(1, 0), (1, 2)])
     m = minimalize(ring, [(1, 0), (1, 1), (1, 2)])

@@ -14,6 +14,7 @@ import pytest
 
 import tauideal.enumeration as enumeration
 import tauideal.errors
+import tauideal.polyhedra as polyhedra
 from tauideal.enumeration import (
     degree_bound,
     ell_vector,
@@ -25,7 +26,14 @@ from tauideal.enumeration import (
 from tauideal.errors import DimensionMismatchError
 from tauideal.frobenius import _socle_corners
 from tauideal.ideals import maximal_ideal, minimalize, power
-from tauideal.lattice import IntVec, ToricRing, orthant_ring, pairing, toric_ring
+from tauideal.lattice import (
+    IntVec,
+    ToricRing,
+    dual_extreme_rays,
+    orthant_ring,
+    pairing,
+    toric_ring,
+)
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import veronese_ring
 
@@ -328,3 +336,65 @@ def test_inequality_batch_matches_the_per_point_reference(ring):
             with pytest.raises(DimensionMismatchError):
                 inequality_batch(facets)(sample + [bad])
     assert seen[True] >= 100 and seen[False] >= 100, seen
+
+
+# -- reference: degree_bound on Fraction vertices --------------------------------
+# degree_bound and inequality_vertices as they were before the Caratheodory
+# branch read the homogeneous integer rays of its vertex DD, kept here only to
+# check the integer version against.
+
+def reference_inequality_vertices(recession, ineqs):
+    d = recession.dim
+    halfspaces = []
+    for a, c in ineqs:
+        c = Fraction(c)
+        halfspaces.append(tuple(c.denominator * x for x in a) + (-c.numerator,))
+    halfspaces += [n + (0,) for n in recession.halfspaces]
+    halfspaces.append((0,) * d + (1,))
+    return [
+        tuple(Fraction(x, e[d]) for x in e[:d])
+        for e in dual_extreme_rays(halfspaces)
+        if e[d] > 0
+    ]
+
+
+def reference_degree_bound(ring, ineqs):
+    ell = ell_vector(ring)
+    slopes = [
+        (c, pairing(r, ell), sum(map(mul, r, a)))
+        for a, c in ineqs
+        for r in ring.sigma_dual.rays
+    ]
+    if all(ra > 0 for _, _, ra in slopes):
+        k_star = max((-(-c * deg // ra) for c, deg, ra in slopes), default=0)
+        return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
+    top = max(pairing(v, ell) for v in reference_inequality_vertices(ring.sigma_dual, ineqs))
+    return math.ceil(top) + enumeration._ray_degree_sum(ring) - 1
+
+
+def test_degree_bound_matches_the_fraction_reference():
+    branches = Counter()
+    for label, ring, ineqs in UPSETS:
+        bound = degree_bound(ring, ineqs)
+        assert bound == reference_degree_bound(ring, ineqs), label
+        assert type(bound) is int, label
+        branches["slice" if slice_applies(ring, ineqs) else "caratheodory"] += 1
+    assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
+
+
+def test_vertex_rays_give_the_vertices():
+    # the integer pairs of the up-sets, and the rational facets of scaled
+    # Newton polyhedra, where each row is cleared of c's denominator
+    rng = Random(2727)
+    cases = [(label, ring, ineqs) for label, ring, ineqs in UPSETS]
+    for name, ring in RINGS.items():
+        pool = lattice_points_upto(ring, 6)[1:]
+        for t in (Fraction(5, 3), Fraction(10**18 + 1, 7), Fraction(1, 10**18)):
+            P = scale(newton_polyhedron(ring, rng.sample(pool, min(3, len(pool)))), t)
+            cases.append((f"{name} t={t}", ring, P.inequalities))
+    for label, ring, ineqs in cases:
+        rays = polyhedra._vertex_rays(ring.sigma_dual, ineqs)
+        assert all(type(x) is int and e[-1] > 0 for e in rays for x in e), label
+        assert sorted(polyhedra.inequality_vertices(ring.sigma_dual, ineqs)) == sorted(
+            reference_inequality_vertices(ring.sigma_dual, ineqs)
+        ), label

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from random import Random
 
 import pytest
@@ -578,3 +579,133 @@ def test_bareiss_matches_the_fraction_eliminations():
         assert matrix_rank(frac) == reference_matrix_rank(frac), frac
     for key in ("solved", NotQGorensteinError, ConeNotFullDimensionalError):
         assert seen[key] >= 100, seen
+
+
+# -- reference: the integer kernels before fused helpers ----------------------
+# pairing, primitivize, vec_scale and _insert as they were before pairings
+# became sum(map(mul, ...)), primitivize a single gcd call and every a*u - b*v
+# one fused pass; kept here only to check the kernels against.
+
+def reference_pairing(m, n):
+    """Duality pairing (exact dot product) of two equal-length vectors."""
+    if len(m) != len(n):
+        raise DimensionMismatchError(f"length {len(m)} vs {len(n)}")
+    return sum(a * b for a, b in zip(m, n))
+
+
+def reference_vec_scale(c, v):
+    return tuple(c * x for x in v)
+
+
+def reference_primitivize(v):
+    """Divide an integer vector by the (positive) gcd of its coordinates."""
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
+    if g == 0:
+        raise ZeroVectorError("cannot primitivize the zero vector")
+    return tuple(x // g for x in v)
+
+
+def reference_insert(lineality, rays, h, bit):
+    lin_vals = [reference_pairing(l, h) for l in lineality]
+    k = next((j for j, v in enumerate(lin_vals) if v != 0), None)
+    if k is not None:
+        l0, d0 = lineality[k], lin_vals[k]
+        if d0 < 0:
+            l0, d0 = vec_neg(l0), -d0
+        new_lin = [
+            reference_primitivize(
+                vec_sub(reference_vec_scale(d0, l), reference_vec_scale(v, l0))
+            )
+            for j, (l, v) in enumerate(zip(lineality, lin_vals))
+            if j != k
+        ]
+        new_rays = {}
+        for r, mask in rays.items():
+            v = reference_pairing(r, h)
+            proj = vec_sub(reference_vec_scale(d0, r), reference_vec_scale(v, l0))
+            if any(proj):
+                new_rays.setdefault(reference_primitivize(proj), mask | bit)
+        new_rays.setdefault(reference_primitivize(l0), bit - 1)
+        return new_lin, new_rays
+
+    pos, neg = [], []
+    new_rays = {}
+    for r, mask in rays.items():
+        v = reference_pairing(r, h)
+        if v > 0:
+            pos.append((r, mask, v))
+            new_rays[r] = mask
+        elif v < 0:
+            neg.append((r, mask, v))
+        else:
+            new_rays[r] = mask | bit
+    target = len(h) - len(lineality) - 2
+    masks = list(rays.values())
+    for r, mr, rh in pos:
+        for s, ms, sh in neg:
+            common = mr & ms
+            if common.bit_count() < target:
+                continue
+            if sum(1 for m in masks if m & common == common) > 2:
+                continue
+            combo = vec_add(reference_vec_scale(-sh, r), reference_vec_scale(rh, s))
+            new_rays.setdefault(reference_primitivize(combo), common | bit)
+    return lineality, new_rays
+
+
+def _random_vector(rng, d):
+    big = rng.choice((1, 1, 2**64 + 3, 3**50))  # past 64 bits as well
+    return tuple(big * rng.randint(-4, 4) for _ in range(d))
+
+
+def test_pairing_primitivize_and_scale_match_the_reference():
+    rng = Random(5151)
+    seen = Counter()
+    for _ in range(3000):
+        d = rng.randint(0, 6)
+        u, v = _random_vector(rng, d), _random_vector(rng, d)
+        assert pairing(u, v) == reference_pairing(u, v)
+        c = rng.choice((0, -1, 7, -(2**70)))
+        assert vec_scale(c, u) == reference_vec_scale(c, u)
+        got = _outcome(primitivize, u)
+        assert got == _outcome(reference_primitivize, u), u
+        seen[got if isinstance(got, type) else "gcd 1" if got == u else "divided"] += 1
+        if got == u:
+            assert got is u  # a primitive vector comes back as it is
+        w = _random_vector(rng, d + rng.choice((1, -1)) if d else 1)
+        for f in (pairing, reference_pairing):
+            with pytest.raises(DimensionMismatchError):
+                f(u, w)
+    assert min(seen.values()) >= 200 and len(seen) == 3, seen
+
+
+def _scaled_halfspaces(rng):
+    """``_random_halfspaces`` without zero normals, at times scaled past 64 bits."""
+    hs = [h for h in _random_halfspaces(rng) if any(h)]
+    if rng.random() < 0.3:
+        hs = [vec_scale(rng.choice((1, 2**70 + 1, -(3**45))), h) for h in hs]
+    return hs
+
+
+def test_insert_matches_the_reference_at_every_step():
+    # the lineality list and the ray dict, masks and order included, agree
+    # after every insertion of a sequence
+    rng = Random(5252)
+    steps = Counter()
+    for _ in range(1500):
+        hs = _scaled_halfspaces(rng)
+        if not hs:
+            continue
+        dim = len(hs[0])
+        lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+        got, want = (lin, {}), (lin, {})
+        for i, h in enumerate(hs):
+            got = lattice._insert(*got, h, 1 << i)
+            want = reference_insert(*want, h, 1 << i)
+            assert got[0] == want[0], (hs, i)
+            assert list(got[1].items()) == list(want[1].items()), (hs, i)
+            steps["crossing" if len(got[0]) < len(lin) else "cut"] += 1
+            lin = got[0]
+    assert steps["crossing"] >= 1000 and steps["cut"] >= 1000, steps

@@ -1,16 +1,26 @@
 """Newton polyhedra: construction, scaling, membership."""
 
+import math
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from tauideal.campaigns import run_crosscheck
 from tauideal.enumeration import inequality_batch, lattice_points_upto
-from tauideal.errors import InputError
+from tauideal.errors import DimensionMismatchError, InputError, SemigroupMembershipError
+from tauideal.frobenius import (
+    frobenius_root_tau_oracle,
+    in_star_E,
+    socle_piece_vanishes_at_q,
+    tau_socle_oracle,
+    tight_closure_member_at_q,
+)
 from tauideal.ideals import minimalize, multiply, power
 from tauideal.lattice import orthant_ring, pairing, toric_ring, vec_add
-from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
-from tauideal.tau import veronese_ring
+from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
+from tauideal.tau import tau, tau_is_unit, veronese_ring
 
 
 def _facets(P):
@@ -199,3 +209,116 @@ def test_lattice_inequalities_match_contains():
                     got = inequality_batch(lattice_inequalities(tP, shift, strict))
                     want = [tP.contains(vec_add(m, s), strict=strict) for m in points]
                     assert got(points) == want
+
+
+# -- reference: lattice_inequalities before integer division -------------------
+# The version that built one Fraction per facet, kept here only to check the
+# integer floor and ceiling divisions against.
+
+def reference_lattice_inequalities(P, shift=None, strict=False):
+    out = []
+    for a, b in P.inequalities:
+        beta = b - pairing(shift, a) if shift is not None else b
+        c = math.floor(beta) + 1 if strict else math.ceil(beta)
+        if c > 0:
+            out.append((a, c))
+    return tuple(out)
+
+
+# the rings of tests/test_ideals.py: orthant d = 1..4, Veronese (2,2) (3,2)
+# (2,3), the square cone, the index-5 ring and the cone (1,0),(1,2)
+TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
+    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
+    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    toric_ring([(0, 1), (5, -2)]),
+    toric_ring([(1, 0), (1, 2)]),
+]
+
+
+def _exponents(rng):
+    """Small t, t with numerator and denominator up to 10**18, and 0."""
+    yield Fraction(rng.randint(1, 12), rng.randint(1, 7))
+    yield Fraction(rng.randint(1, 10**18), rng.randint(1, 10**18))
+    yield Fraction(rng.randint(1, 10**18), rng.randint(1, 10**3))
+    yield Fraction(rng.randint(1, 10**3), rng.randint(1, 10**18))
+    yield Fraction(0)
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_lattice_inequalities_match_the_fraction_reference(ring):
+    rng = Random(7070)
+    pool = lattice_points_upto(ring, 6)[1:]
+    shifts = [None, ring.w] + [
+        tuple(Fraction(q - 1, q) * x for x in ring.w) for q in (2, 3, 16, 3**40, 2**63, 2**80)
+    ]
+    compared = 0
+    for _ in range(4):
+        P = newton_polyhedron(ring, rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+        for tP in [P] + [scale(P, t) for t in _exponents(rng)]:
+            for shift in shifts:
+                for strict in (False, True):
+                    got = lattice_inequalities(tP, shift, strict)
+                    assert got == reference_lattice_inequalities(tP, shift, strict)
+                    assert all(type(c) is int for _, c in got), got
+                    compared += len(got)
+        bad = (Fraction(1, 2),) * (ring.d + 1)
+        for f in (lattice_inequalities, reference_lattice_inequalities):
+            with pytest.raises(DimensionMismatchError):
+                f(P, bad)
+    assert compared >= 200, compared
+
+
+# -- exponents and generators are checked at the boundary ----------------------
+
+BAD_EXPONENTS = ["abc", "1/0", float("nan"), float("inf"), float("-inf"), None, -1,
+                 Fraction(-1, 3), "-2/5"]
+
+
+RING2 = orthant_ring(2)
+M2 = minimalize(RING2, [(1, 0), (0, 1)])
+EXPONENT_ENTRY_POINTS = {
+    "tau": lambda t: tau(RING2, M2, t),
+    "tau_is_unit": lambda t: tau_is_unit(RING2, M2, t),
+    "scale": lambda t: scale(newton_polyhedron(RING2, M2.gens), t),
+    "socle_piece": lambda t: socle_piece_vanishes_at_q(RING2, M2, t, (0, 0), 4),
+    "in_star_E": lambda t: in_star_E(RING2, M2, t, (0, 0), qmax=4),
+    "tau_socle_oracle": lambda t: tau_socle_oracle(RING2, M2, t, qmax=4),
+    "frobenius_root_tau_oracle": lambda t: frobenius_root_tau_oracle(RING2, M2, t, qmax=16),
+    "tight_closure_member_at_q": lambda t: tight_closure_member_at_q(
+        M2, M2, t, (0, 0), qmax=4, cbox=1
+    ),
+    "run_crosscheck": lambda t: run_crosscheck(RING2, [("m", M2)], [t], qmax=4),
+}
+
+
+@pytest.mark.parametrize("name", EXPONENT_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_bad_exponent(name):
+    call = EXPONENT_ENTRY_POINTS[name]
+    call(Fraction(1, 2))  # a good exponent goes through
+    for bad in BAD_EXPONENTS:
+        with pytest.raises(InputError):
+            exponent(bad)
+        with pytest.raises(InputError):
+            call(bad)
+
+
+def test_exponent_reads_exact_rationals():
+    assert exponent("3/2") == Fraction(3, 2) and type(exponent("3/2")) is Fraction
+    assert exponent(0.25) == Fraction(1, 4)
+    assert exponent(10**30) == 10**30
+    assert exponent(Fraction(0)) == 0
+
+
+def test_newton_polyhedron_checks_its_generators():
+    ring = orthant_ring(2)
+    with pytest.raises(DimensionMismatchError, match=re.escape("(1, 2, 3)")):
+        newton_polyhedron(ring, [(1, 0), (1, 2, 3)])
+    with pytest.raises(DimensionMismatchError, match=re.escape("(4,)")):
+        newton_polyhedron(ring, [(4,)])
+    with pytest.raises(SemigroupMembershipError, match=re.escape("(-1, 2)")):
+        newton_polyhedron(ring, [(-1, 2)])
+    # on the Veronese ring (2, 2), (1, 2) is in the semigroup but (1, 3) is not
+    ver = veronese_ring(2, 2)
+    newton_polyhedron(ver, [(1, 2)])
+    with pytest.raises(SemigroupMembershipError, match=re.escape("(1, 3)")):
+        newton_polyhedron(ver, [(1, 2), (1, 3)])
