@@ -2,7 +2,9 @@
 
 Rings and ideals are read from JSON files; rationals are serialized as
 "num/den" strings so no float ever enters or leaves.  Exit codes: 0 all
-pass, 1 counterexample, 2 inconclusive, 3 input error.
+pass, 1 counterexample, 2 inconclusive, 3 input error (any package error,
+or a usage error on the command line), 4 internal error (any other
+exception, with its traceback on stderr).  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which would read as inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -217,7 +228,7 @@ def cmd_veronese(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tauideal",
         description="Exact test ideals of monomial ideals in toric rings.",
     )
@@ -281,6 +292,11 @@ def main(argv=None) -> int:
     except TauIdealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:
+        import traceback  # only a crash needs it: its import costs start-up time
+
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

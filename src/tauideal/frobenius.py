@@ -67,9 +67,20 @@ class Verdict:
     p: int
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017); the bases up to 37 alone are fooled by
+# 318665857834031151167461 = 399165290221 * 798330580441.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the primes up to 37: exact for n < 3.18e23."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Deterministic Miller-Rabin over the primes up to 41, exact for
+    n < MILLER_RABIN_BOUND; InputError at or above it, where the answer
+    would be unproven."""
+    if n >= MILLER_RABIN_BOUND:
+        raise InputError(f"cannot prove p = {n} prime: p >= {MILLER_RABIN_BOUND}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % b == 0 for b in bases):
         return n in bases
     d, s = n - 1, 0

@@ -1,12 +1,16 @@
 """Newton polyhedra of monomial ideals.
 
 A Newton polyhedron is conv(generator exponents) + sigma_dual, stored as its
-irredundant facets: one double description of the cone over the generators
-(checked to lie in sigma_dual), homogenized in one more dimension.  Every
+irredundant facets: those of the cone over the generators (checked to lie
+in sigma_dual), homogenized in one more dimension.  ``newton_polyhedron``
+finds them from proven vertices first (the generators with lex-least
+rotated ray coordinates): one double description on those, one batched
+containment test of the other generators against its facets, and a second
+double description only when some generator cuts that cone.  Every
 membership test reads only these facets, compiled by
 ``lattice_inequalities`` into integer bounds with one lcm per call and an
 integer floor or ceiling division per facet.  The vertices come from a
-second double description, as homogeneous integer rays (``_vertex_rays``,
+double description of the facets, as homogeneous integer rays (``_vertex_rays``,
 which the degree bound reads directly); only ``NewtonPolyhedron.vertices``
 turns them into Fractions.  The recession rays are those of sigma_dual.
 Every exponent t enters through ``exponent``, which refuses anything but a
@@ -29,6 +33,7 @@ from .lattice import (
     ToricRing,
     dual_extreme_rays,
     pairing,
+    pairing_columns,
     semigroup_columns,
 )
 
@@ -142,21 +147,80 @@ def inequality_vertices(recession: Cone, ineqs) -> list[RatVec]:
     ]
 
 
+def _rotation_minima(columns) -> set[int]:
+    """The indices of the vectors whose ray coordinate columns, read from
+    column j onward cyclically in either direction, are lex-least, over
+    every j.  A unique least entry of column j decides both directions;
+    otherwise whole rotated rows are compared, and distinct vectors never
+    tie, since the rays of sigma span."""
+    out = set()
+    index = range(len(columns[0]))
+    for j, column in enumerate(columns):
+        low = min(column)
+        if column.count(low) == 1:
+            out.add(column.index(low))
+            continue
+        order = columns[j:] + columns[:j]
+        out.add(min(zip(*order, index))[-1])
+        if len(order) > 2:  # with two rays both directions are one order
+            out.add(min(zip(order[0], *order[:0:-1], index))[-1])
+    return out
+
+
 def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     """Newton polyhedron of the ideal generated by the given exponents.
 
     A generator of the wrong length raises DimensionMismatchError, one
     outside sigma_dual SemigroupMembershipError.
+
+    The facets are those of the cone C over the homogenized generators
+    (g, 1) and rays (r, 0) of sigma_dual, found from proven vertices first.
+    Let n_0..n_{k-1} be the rays of sigma and, for each j and each
+    direction s = +1 or -1, let v be the generator whose ray coordinates
+    <g, n_j>, <g, n_{j+s}>, <g, n_{j+2s}>, ... (indices mod k) are
+    lex-least.  v is a vertex of P: for small e > 0 the weight
+    u = sum_i e^i n_{j+is} lies in the interior of sigma, so u pairs
+    positively with every nonzero r in sigma_dual and the face of P
+    minimising <., u> is the hull of the generators minimising it; for e
+    small enough their order under u is the lex order of those ray
+    coordinates, and v is its unique least element (the rays of sigma span,
+    so distinct generators have distinct ray coordinates).
+
+    One double description of the cone C0 over these (v, 1) and the (r, 0)
+    gives C0's facets.  C0 is full-dimensional, since the r span the
+    hyperplane s = 0 and (v, 1) leaves it, and pointed, since it lies in
+    sigma_dual x [0, inf).  Each facet (a, c) of C0 has a in sigma, so only
+    one with c = -b < 0 can cut a (g, 1), g in sigma_dual.  One
+    ``pairing_columns`` call pairs every other generator with the a of those
+    facets, and (g, 1) lies in C0 when <g, a> >= b for each of them.  So
+    C = C0 unless some generator cuts, and then a second double description
+    on the v, the cutting generators and the rays gives C.  The result
+    rests on this containment test alone, not on the vertex argument, which
+    only makes the first cone large.
     """
     gens = sorted({tuple(g) for g in generators})
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
-    semigroup_columns(ring, gens)
+    picked = _rotation_minima(semigroup_columns(ring, gens))
     d = ring.d
-    homog = [g + (1,) for g in gens] + [r + (0,) for r in ring.sigma_dual.rays]
+    rays = [r + (0,) for r in ring.sigma_dual.rays]
+    candidates = [gens[i] + (1,) for i in sorted(picked)]
+    facets = dual_extreme_rays(candidates + rays)
+    if len(picked) < len(gens):
+        rest = [g for i, g in enumerate(gens) if i not in picked]
+        bounds = [(f[:d], -f[d]) for f in facets if f[d] < 0]
+        columns = pairing_columns(rest, [a for a, _ in bounds])
+        if any(min(col) < b for col, (_, b) in zip(columns, bounds)):
+            cutting = {
+                g for col, (_, b) in zip(columns, bounds)
+                for g, v in zip(rest, col) if v < b
+            }
+            facets = dual_extreme_rays(
+                candidates + [g + (1,) for g in sorted(cutting)] + rays
+            )
     inequalities = [
         (f[:d], Fraction(-f[d]))
-        for f in dual_extreme_rays(homog)
+        for f in facets
         if any(f[:d])  # else the homogenizing facet s >= 0, not a facet of P
     ]
     return NewtonPolyhedron(

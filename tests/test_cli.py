@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from tauideal.cli import load_ideal, load_ring, main, parse_fraction
+from tauideal import cli
+from tauideal.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
+    load_ideal,
+    load_ring,
+    main,
+    parse_fraction,
+)
 from tauideal.errors import TauIdealError
 from tauideal.lattice import orthant_ring
 
@@ -232,3 +240,33 @@ def test_check_rejects_an_empty_campaign(capsys, count):
     code, out = run(capsys, ["check", "briancon_skoda", "--count", count])
     assert code == 3
     assert out == ""
+
+
+@pytest.mark.parametrize("bad", [["--qmax", "abc"], ["--method", "bogus"], ["--t"]])
+def test_usage_errors_exit_as_input_errors(files, capsys, bad):
+    # argparse's own usage exit is 2, which means "inconclusive" here
+    _, ring, ideal = files
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "--ring", ring, "--ideal", ideal, *bad])
+    assert exc.value.code == EXIT_INPUT_ERROR == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["tau", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_a_crash_is_an_internal_error_not_a_counterexample(files, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_tau", crash)
+    _, ring, ideal = files
+    code = main(["tau", "--ring", ring, "--ideal", ideal])
+    assert code == EXIT_INTERNAL_ERROR == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err

@@ -140,6 +140,23 @@ def test_composite_characteristic_rejected():
             socle_piece_vanishes_at_q(R2, I((1, 0)), 1, (0, 0), 4, p)
 
 
+def test_primality_is_proven_or_refused():
+    # a strong pseudoprime to every prime base up to 37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    with pytest.raises(InputError, match="not prime"):
+        q_sweep(psi12, psi12)
+    # the least strong pseudoprime to the bases up to 41: past the proven range
+    psi13 = 3317044064679887385961981
+    with pytest.raises(InputError, match="cannot prove"):
+        q_sweep(psi13, psi13)
+    # a Mersenne prime above the bound is refused, not answered unproven
+    with pytest.raises(InputError, match="cannot prove"):
+        q_sweep(2**89 - 1, 2**89 - 1)
+    assert q_sweep(2**80, 2) == [2**e for e in range(1, 81)]
+    assert q_sweep(2**61 - 1, 2**61 - 1) == [2**61 - 1]
+
+
 def test_socle_piece_vanishing_detects_tau_membership():
     a = I((2, 0), (0, 3))
     want = tau(R2, a, 1)

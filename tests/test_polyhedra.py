@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from tauideal import polyhedra
 from tauideal.campaigns import run_crosscheck
 from tauideal.enumeration import inequality_batch, lattice_points_upto
 from tauideal.errors import DimensionMismatchError, InputError, SemigroupMembershipError
@@ -18,7 +19,7 @@ from tauideal.frobenius import (
     tight_closure_member_at_q,
 )
 from tauideal.ideals import minimalize, multiply, power
-from tauideal.lattice import orthant_ring, pairing, toric_ring, vec_add
+from tauideal.lattice import dual_extreme_rays, orthant_ring, pairing, toric_ring, vec_add
 from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, tau_is_unit, veronese_ring
 
@@ -266,6 +267,79 @@ def test_lattice_inequalities_match_the_fraction_reference(ring):
             with pytest.raises(DimensionMismatchError):
                 f(P, bad)
     assert compared >= 200, compared
+
+
+# -- reference: newton_polyhedron from one DD on every generator --------------
+# The version that fed every homogenized generator and ray of sigma_dual to
+# one double description, kept here only to check the vertex-first
+# construction against.
+
+def reference_newton_inequalities(ring, generators):
+    gens = sorted({tuple(g) for g in generators})
+    d = ring.d
+    homog = [g + (1,) for g in gens] + [r + (0,) for r in ring.sigma_dual.rays]
+    return tuple(sorted(
+        (f[:d], Fraction(-f[d])) for f in dual_extreme_rays(homog) if any(f[:d])
+    ))
+
+
+def _count_dd_calls(monkeypatch):
+    calls = []
+
+    def counted(halfspaces):
+        calls.append(len(halfspaces))
+        return dual_extreme_rays(halfspaces)
+
+    monkeypatch.setattr(polyhedra, "dual_extreme_rays", counted)
+    return calls
+
+
+def test_newton_polyhedron_matches_the_all_generator_reference(monkeypatch):
+    """Seeded ideals over every test ring, with non-minimal and duplicate
+    generators, one-generator ideals and entries past 2**64; both the one-DD
+    and the two-DD path are taken."""
+    calls = _count_dd_calls(monkeypatch)
+    rng = Random(4242)
+    paths = {1: 0, 2: 0}
+    for ring in TEST_RINGS:
+        pool = lattice_points_upto(ring, 7)[1:]
+        for k in range(40):
+            gens = rng.sample(pool, 1 if k % 8 == 0 else rng.randint(2, min(9, len(pool))))
+            gens += rng.sample(gens, rng.randint(0, min(2, len(gens))))  # duplicates
+            gens += [tuple(x + y for x, y in zip(gens[0], rng.choice(pool)))]  # non-minimal
+            if k % 5 == 0:
+                c = 2**64 + rng.randint(1, 99)
+                gens.append(tuple(c * x for x in rng.choice(pool)))
+            if k % 7 == 3:
+                gens = [tuple(x << 70 for x in g) for g in gens]
+            rng.shuffle(gens)
+            del calls[:]
+            P = newton_polyhedron(ring, gens)
+            assert P.inequalities == reference_newton_inequalities(ring, gens), (ring, gens)
+            paths[len(calls)] += 1
+    assert paths[1] >= 100 and paths[2] >= 10, paths
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_orthant_power_takes_one_double_description(monkeypatch, d):
+    ring = orthant_ring(d)
+    gens = [g for g in lattice_points_upto(ring, 4) if sum(g) == 4]
+    calls = _count_dd_calls(monkeypatch)
+    P = newton_polyhedron(ring, gens)
+    # the candidates are the d vertices 4*e_i, next to the d rays
+    assert calls == [2 * d]
+    assert P.inequalities == reference_newton_inequalities(ring, gens)
+
+
+def test_a_cutting_generator_forces_the_second_double_description(monkeypatch):
+    # (1, 1) is a vertex but lex-least under neither rotation of the rays
+    ring = orthant_ring(2)
+    gens = [(3, 0), (1, 1), (0, 3)]
+    calls = _count_dd_calls(monkeypatch)
+    P = newton_polyhedron(ring, gens)
+    assert calls == [4, 5]
+    assert P.inequalities == reference_newton_inequalities(ring, gens)
+    assert _facets(P) == [((0, 1), 0), ((1, 0), 0), ((1, 2), 3), ((2, 1), 3)]
 
 
 # -- exponents and generators are checked at the boundary ----------------------
