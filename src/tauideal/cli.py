@@ -2,9 +2,10 @@
 
 Rings and ideals are read from JSON files; rationals are serialized as
 "num/den" strings so no float ever enters or leaves.  Exit codes: 0 all
-pass, 1 counterexample, 2 inconclusive, 3 input error (any package error,
-or a usage error on the command line), 4 internal error (any other
-exception, with its traceback on stderr).  ``--help`` exits 0.
+pass, 1 counterexample, 2 inconclusive, 3 input error (any package error
+but ``InvariantError``, or a usage error on the command line), 4 internal
+error (a failed internal check, ``InvariantError``, or any other exception,
+with its traceback on stderr).  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import ideals as idl
 from .campaigns import CAMPAIGNS, run_campaign, run_crosscheck
-from .errors import InputError, NotStabilizedError, TauIdealError
+from .errors import InputError, InvariantError, NotStabilizedError, TauIdealError
 from .frobenius import frobenius_root_tau_oracle, tau_socle_oracle
 from .ideals import MonomialIdeal
 from .lattice import ToricRing, toric_ring
@@ -95,8 +96,6 @@ def load_ideal(path: str, ring: ToricRing) -> MonomialIdeal:
         gens = _json_vectors(data["generators"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad ideal file {path}: {exc}") from exc
-    if not gens:
-        return idl.zero_ideal(ring)
     return idl.minimalize(ring, gens)
 
 
@@ -289,10 +288,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TauIdealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except Exception:
+    except Exception as exc:
+        if isinstance(exc, TauIdealError) and not isinstance(exc, InvariantError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         import traceback  # only a crash needs it: its import costs start-up time
 
         traceback.print_exc()

@@ -10,15 +10,18 @@ once by ``lattice.semigroup_columns``, and every divisibility test here
 compares all rows at once with integer bitmasks.  Powers square by adding
 each unordered pair of generators once (``_square``), and ``powers`` yields
 a nondecreasing sequence of powers lazily, each built from the one before.
-The zero ideal has an empty generator tuple, the unit ideal the single zero
-vector.  Operations that only make sense over a polynomial (orthant) ring
-refuse other rings loudly.
+Intersections and colons are unions of up-sets in ray coordinates, found
+on every ring by one kernel (``_upset_union``).  The zero ideal has an
+empty generator tuple, the unit ideal the single zero vector.
+``frobenius_root`` and ``kill_variable`` are orthant-only and refuse other
+rings loudly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
+from operator import add, sub
 
 from .errors import (
     InputError,
@@ -27,7 +30,8 @@ from .errors import (
     SemigroupMembershipError,
     UnsupportedRingError,
 )
-from .lattice import IntVec, ToricRing, orthant_ring, semigroup_columns, vec_scale, vec_sub
+from .lattice import IntVec, ToricRing, basis_inverse, orthant_ring, pairing_columns
+from .lattice import semigroup_columns, vec_scale, vec_sub
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -168,8 +172,6 @@ def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_ring(I, J)
-    if I.is_zero() or J.is_zero():
-        return zero_ideal(I.ring)
     return minimalize(
         I.ring, {tuple(map(add, g, h)) for g in I.gens for h in J.gens}
     )
@@ -235,38 +237,61 @@ def powers(I: MonomialIdeal, exponents):
         yield prev
 
 
+def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
+    """The ideal of the x^m whose ray coordinates dominate some c in
+    ``bounds`` (integer vectors, one entry per ray of sigma).
+
+    Ray coordinates are never negative, so c may be raised to v = max(c, 0),
+    and a v above another adds nothing.  A lattice point m with ray
+    coordinates exactly v divides every member of v's up-set, so it is the
+    only generator.  The rays span, so m solves <m, n_b> = v_b on a basis
+    of them, and exists iff floor(A v_B / D) (``lattice.basis_inverse``)
+    has ray coordinates v; on a smooth cone it always does.  Any other
+    up-set is enumerated up to its proven degree bound.
+    """
+    from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
+
+    tops = minimal_vectors_orthant(tuple(max(x, 0) for x in c) for c in bounds)
+    basis, inverse, den = basis_inverse(ring.sigma.rays)
+    numerators = pairing_columns([[v[b] for b in basis] for v in tops], inverse)
+    points = [tuple(x // den for x in m) for m in zip(*numerators)]
+    point_coords = zip(*pairing_columns(points, ring.sigma.rays))
+    gens = []
+    for v, m, coords in zip(tops, points, point_coords):
+        if coords == v:
+            gens.append(m)
+        else:
+            pairs = list(zip(ring.sigma.rays, v))
+            gens += minimal_upset_generators(
+                ring, inequality_batch(pairs), degree_bound(ring, pairs)
+            )
+    return minimalize(ring, gens)
+
+
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via componentwise maxima (orthant rings only)."""
+    """x^m lies in (x^g) and in (x^h) iff its ray coordinates dominate
+    those of g and of h, so I cap J is the up-set union over the pairs
+    (g, h) of their componentwise maxima."""
     _check_same_ring(I, J)
-    _require_orthant(I.ring, "intersect")
-    if I.is_zero() or J.is_zero():
-        return zero_ideal(I.ring)
-    return minimalize(
-        I.ring,
-        {
-            tuple(max(a, b) for a, b in zip(g, h))
-            for g in I.gens
-            for h in J.gens
-        },
+    coords = _ray_coords(I.ring, I.gens + J.gens)
+    n = len(I.gens)
+    return _upset_union(
+        I.ring, {tuple(map(max, g, h)) for g in coords[:n] for h in coords[n:]}
     )
 
 
 def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """The largest K with K*J contained in I (orthant rings only)."""
+    """The largest K with K*J contained in I: the intersection over the
+    generators h of J of (I : x^h), the up-set union of the ray coordinates
+    of g - h over the generators g of I."""
     _check_same_ring(I, J)
-    _require_orthant(I.ring, "colon")
-    if J.is_zero():
-        return unit_ideal(I.ring)
-    if I.is_zero():
-        return zero_ideal(I.ring)
-    result = None
-    for g in J.gens:
-        piece = minimalize(
-            I.ring,
-            {tuple(max(h_i - g_i, 0) for h_i, g_i in zip(h, g)) for h in I.gens},
-        )
-        result = piece if result is None else intersect(result, piece)
-    return result
+    coords = _ray_coords(I.ring, I.gens + J.gens)
+    n = len(I.gens)
+    pieces = (
+        _upset_union(I.ring, [tuple(map(sub, g, h)) for g in coords[:n]])
+        for h in coords[n:]
+    )
+    return reduce(intersect, pieces, unit_ideal(I.ring))
 
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
@@ -300,13 +325,8 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
         raise InputError("cannot kill the only variable")
     if not 0 <= axis < d:
         raise InputError(f"axis {axis} out of range for rank {d}")
-    small = orthant_ring(d - 1)
-    survivors = [
-        g[:axis] + g[axis + 1:] for g in I.gens if g[axis] == 0
-    ]
-    if not survivors:
-        return zero_ideal(small)
-    return minimalize(small, survivors)
+    survivors = [g[:axis] + g[axis + 1:] for g in I.gens if g[axis] == 0]
+    return minimalize(orthant_ring(d - 1), survivors)
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:

@@ -12,7 +12,8 @@ passes: each pairing is ``sum(map(mul, ...))``, ``primitivize`` one gcd
 call that leaves a primitive vector as it is, and every new ray or
 lineality vector one fused a*u - b*v (``_combine``).  All other linear
 algebra is one fraction-free (Bareiss) elimination, ``_echelon``, behind
-``matrix_rank`` and ``solve_unit_pairings``.  The pairings of many vectors
+``matrix_rank``, ``solve_unit_pairings`` and ``basis_inverse`` (the
+inverse of a basis of given vectors).  The pairings of many vectors
 with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
 computed a coordinate column at a time; ``semigroup_columns`` pairs with
 the rays of sigma and checks every vector on the way.
@@ -134,6 +135,29 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
         prev = p
         pivots.append(col)
     return m[: len(pivots)], pivots
+
+
+@cache
+def basis_inverse(vectors: tuple[IntVec, ...]) -> tuple[IntVec, tuple[IntVec, ...], int]:
+    """For integer vectors that span: the indices of the first d linearly
+    independent ones (the pivots of ``_echelon`` on the coordinate rows),
+    and the integer rows A and the D > 0 with A = D * B^-1, B those vectors
+    as rows.  The echelon form of [B | 1] is upper triangular on its left
+    half, so back-substitution solves B x = e_c for each unit vector e_c.
+    Cached: ``ideals._upset_union`` asks for sigma's rays on every call."""
+    d = len(vectors[0])
+    basis = tuple(_echelon(list(zip(*vectors)))[1])
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rows = _echelon([vectors[b] + u for b, u in zip(basis, units)])[0]
+    columns = []
+    for c in range(d, 2 * d):
+        x = [Fraction(0)] * d
+        for i in reversed(range(d)):
+            row = rows[i]
+            x[i] = Fraction(row[c] - sum(row[j] * x[j] for j in range(i + 1, d))) / row[i]
+        columns.append(x)
+    den = lcm(*(x.denominator for column in columns for x in column))
+    return basis, tuple(tuple(int(col[i] * den) for col in columns) for i in range(d)), den
 
 
 def matrix_rank(rows) -> int:
@@ -308,20 +332,16 @@ def solve_unit_pairings(generators) -> RatVec:
     Raises NotQGorensteinError when the system is inconsistent.  Uniqueness
     holds because the generators span (full-dimensional cone).
     """
-    gens = [tuple(g) for g in generators]
+    gens = tuple(tuple(g) for g in generators)
     d = len(gens[0])
-    rows, pivots = _echelon([g + (1,) for g in gens])
+    pivots = _echelon([g + (1,) for g in gens])[1]
     if pivots[-1] == d:
         raise NotQGorensteinError("pairing system <w, n_i> = 1 is inconsistent")
     if len(pivots) < d:
         raise ConeNotFullDimensionalError("generators do not span the lattice")
-    # pivots are 0..d-1, so the rows are upper triangular: back-substitute
-    w = [Fraction(0)] * d
-    for i in reversed(range(d)):
-        row = rows[i]
-        rest = sum(row[j] * w[j] for j in range(i + 1, d))
-        w[i] = Fraction(row[d] - rest) / row[i]
-    return tuple(w)
+    # consistent and spanning: w is B^-1 (1, ..., 1) on a basis of the generators
+    _, inverse, den = basis_inverse(gens)
+    return tuple(Fraction(sum(row), den) for row in inverse)
 
 
 @dataclass(frozen=True)

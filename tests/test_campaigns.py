@@ -10,7 +10,7 @@ from tauideal.campaigns import (
     run_crosscheck,
     vertex_reduction,
 )
-from tauideal.errors import InputError
+from tauideal.errors import InputError, UnsupportedRingError
 from tauideal.ideals import colon, minimalize
 from tauideal.lattice import orthant_ring, toric_ring
 
@@ -68,6 +68,17 @@ def test_brute_force_colon_agrees_with_colon():
         a = random_monomial_ideal(rng, ring, max_exp=4)
         b = random_monomial_ideal(rng, ring, max_exp=4)
         assert brute_force_colon(a, b) == colon(a, b)
+
+
+def test_brute_force_colon_refuses_general_rings():
+    # the box [0, max g_k] misses members off the orthant: here (I : J) is
+    # ((4, -1), (5, -2)), and the box holds none of its members
+    ring = toric_ring([(1, 0), (1, 2)])
+    a = minimalize(ring, [(4, -1)])
+    b = minimalize(ring, [(0, 2), (3, -1)])
+    assert colon(a, b).gens == ((4, -1), (5, -2))
+    with pytest.raises(UnsupportedRingError):
+        brute_force_colon(a, b)
 
 
 def test_vertex_reduction_is_subideal():

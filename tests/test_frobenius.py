@@ -499,4 +499,4 @@ def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path):
     ideal = tmp_path / "ideal.json"
     ideal.write_text('{"generators": [[2, 0], [0, 3]]}')
     argv = ["tau", "--ring", str(ring), "--ideal", str(ideal), "--method", "root"]
-    assert main(argv) == 3
+    assert main(argv) == 4

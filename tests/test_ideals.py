@@ -9,6 +9,7 @@ from operator import le, mul
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tauideal.errors import (
     DimensionMismatchError,
@@ -19,12 +20,14 @@ from tauideal.errors import (
     UnsupportedRingError,
 )
 import tauideal
+from tauideal import enumeration
 from tauideal.enumeration import lattice_points_upto
 import tauideal.ideals as ideals_module
 from tauideal.ideals import (
     MonomialIdeal,
     _check_same_ring,
     _ray_coords,
+    _upset_union,
     bracket_power,
     colon,
     frobenius_root,
@@ -470,11 +473,10 @@ def test_ring_mismatch_rejected():
 def test_orthant_only_operations_refuse_general_rings():
     ring = toric_ring([(1, 0), (1, 2)])
     a = minimalize(ring, [(1, 0)])
-    for op in (intersect, colon):
-        with pytest.raises(UnsupportedRingError):
-            op(a, a)
     with pytest.raises(UnsupportedRingError):
         frobenius_root(a, 2)
+    with pytest.raises(UnsupportedRingError):
+        kill_variable(a, 0)
 
 
 def brute_colon(Ia, Ja):
@@ -503,22 +505,200 @@ def test_colon_against_brute_force():
 
 
 def test_colon_adjunction():
+    # (I : J)*J lies in I, and I in (I : J), on every test ring
     rng = Random(37)
-    for _ in range(25):
-        d = rng.choice([2, 3])
-        ring = orthant_ring(d)
-        a = minimalize(ring, [tuple(rng.randint(0, 5) for _ in range(d))
-                              for _ in range(rng.randint(1, 4))])
-        b = minimalize(ring, [tuple(rng.randint(0, 5) for _ in range(d))
-                              for _ in range(rng.randint(1, 4))])
-        q = colon(a, b)
-        assert multiply(q, b).is_subideal_of(a)
+    for ring in TEST_RINGS:
+        ideals = [zero_ideal(ring), unit_ideal(ring), *_small_ideals(ring, rng, 6)]
+        for a in ideals:
+            for b in ideals:
+                q = colon(a, b)
+                assert multiply(q, b).is_subideal_of(a), (a.gens, b.gens)
+                assert a.is_subideal_of(q), (a.gens, b.gens)
 
 
 def test_colon_degenerate_arguments():
     a = I((2, 1))
     assert colon(a, zero_ideal(R2)).is_unit()
     assert colon(zero_ideal(R2), a).is_zero()
+
+
+# -- reference: intersect and colon before the up-set kernel ----------------
+# The componentwise formulas, orthant rings only; kept here only to check the
+# kernel against them.
+
+def reference_intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    _check_same_ring(I, J)
+    if I.is_zero() or J.is_zero():
+        return zero_ideal(I.ring)
+    return minimalize(
+        I.ring,
+        {tuple(max(a, b) for a, b in zip(g, h)) for g in I.gens for h in J.gens},
+    )
+
+
+def reference_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    _check_same_ring(I, J)
+    if J.is_zero():
+        return unit_ideal(I.ring)
+    if I.is_zero():
+        return zero_ideal(I.ring)
+    result = None
+    for g in J.gens:
+        piece = minimalize(
+            I.ring,
+            {tuple(max(h_i - g_i, 0) for h_i, g_i in zip(h, g)) for h in I.gens},
+        )
+        result = piece if result is None else reference_intersect(result, piece)
+    return result
+
+
+def test_intersect_and_colon_match_the_componentwise_reference():
+    rng = Random(2727)
+    seen = Counter()
+    for d in range(1, 5):
+        ring = orthant_ring(d)
+        points = lattice_points_upto(ring, 7)
+
+        def random_ideal():
+            kind = rng.randrange(6)
+            seen[kind] += 1
+            if kind == 0:
+                return zero_ideal(ring)
+            if kind == 1:
+                return unit_ideal(ring)
+            gens = rng.sample(points, rng.randint(1, min(6, len(points))))
+            return minimalize(ring, _lift(ring, rng, gens) if kind == 2 else gens)
+
+        for _ in range(60):
+            a, b = random_ideal(), random_ideal()
+            assert intersect(a, b) == reference_intersect(a, b), (a.gens, b.gens)
+            assert colon(a, b) == reference_colon(a, b), (a.gens, b.gens)
+    assert min(seen.values()) >= 60, seen
+
+
+# the six rings of TEST_RINGS that are not orthants, and the l-degree up to
+# which the brute-force references enumerate: a truncated reference has the
+# answer's generators of degree up to it, and the answers below have none
+# above half of it
+GENERAL_RINGS = [ring for ring in TEST_RINGS if not ring.is_orthant()]
+BRUTE_DEGREE = 24
+
+
+def _brute_ideal(ring, is_member) -> MonomialIdeal:
+    """The ideal generated by the lattice points of l-degree at most
+    BRUTE_DEGREE that pass ``is_member``."""
+    points = lattice_points_upto(ring, BRUTE_DEGREE)
+    return minimalize(ring, [m for m in points if is_member(m)])
+
+
+def _small_ideals(ring, rng, count):
+    points = lattice_points_upto(ring, 4)
+    for _ in range(count):
+        yield minimalize(ring, rng.sample(points, rng.randint(1, min(3, len(points)))))
+
+
+def test_intersect_and_colon_match_brute_force_on_general_rings():
+    assert len(GENERAL_RINGS) == 6
+    rng = Random(2929)
+    for ring in GENERAL_RINGS:
+        pairs = list(zip(_small_ideals(ring, rng, 6), _small_ideals(ring, rng, 6)))
+        for a, b in pairs:
+            both = _brute_ideal(
+                ring, lambda m: a.contains_monomial(m) and b.contains_monomial(m)
+            )
+            assert intersect(a, b) == both, (a.gens, b.gens)
+            quotient = _brute_ideal(
+                ring, lambda m: all(a.contains_monomial(vec_add(m, h)) for h in b.gens)
+            )
+            assert colon(a, b) == quotient, (a.gens, b.gens)
+
+
+def _bound_vector(rng, ring):
+    """The ray coordinates of a nonzero lattice point, which the shortcut
+    finds, or k random integer entries with at least one positive."""
+    if rng.random() < 0.5:
+        return _ray_coords(ring, [rng.choice(lattice_points_upto(ring, 6)[1:])])[0]
+    c = [rng.randint(-2, 4) for _ in ring.sigma.rays]
+    c[rng.randrange(len(c))] = rng.randint(1, 4)
+    return tuple(c)
+
+
+def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
+    # with an inverse of zeros every candidate point is 0, whose ray
+    # coordinates miss every bound vector with a positive entry, so each
+    # up-set is enumerated
+    rng = Random(3333)
+    enumerated = Counter()
+    branch = ["shortcut"]
+    real_upsets = enumeration.minimal_upset_generators
+
+    def counted(*args):
+        enumerated[branch[0]] += 1
+        return real_upsets(*args)
+
+    monkeypatch.setattr(enumeration, "minimal_upset_generators", counted)
+    for ring in TEST_RINGS:
+        d = ring.d
+        zero_inverse = (list(range(d)), [(0,) * d] * d, 1)
+        points = lattice_points_upto(ring, BRUTE_DEGREE)
+        coords = _ray_coords(ring, points)
+        enumerated.clear()
+        for _ in range(8):
+            bounds = [_bound_vector(rng, ring) for _ in range(rng.randint(1, 3))]
+            branch[0] = "shortcut"
+            direct = _upset_union(ring, bounds)
+            branch[0] = "enumerated"
+            with monkeypatch.context() as m:
+                m.setattr(ideals_module, "basis_inverse", lambda rays: zero_inverse)
+                assert _upset_union(ring, bounds) == direct, bounds
+            members = [
+                m for m, rc in zip(points, coords)
+                if any(all(map(le, c, rc)) for c in bounds)
+            ]
+            brute = minimalize(ring, members)
+            assert direct == brute, bounds
+        assert enumerated["enumerated"] >= 8, ring.sigma.rays
+        if ring.is_orthant():  # a smooth cone never enumerates
+            assert enumerated["shortcut"] == 0
+        else:
+            assert enumerated["shortcut"] < enumerated["enumerated"], ring.sigma.rays
+
+
+@st.composite
+def _ring_and_two_ideals(draw):
+    """A ring of TEST_RINGS, two ideals from its lattice points, and the kind
+    of defect planted in the second one (None for a well-formed pair)."""
+    ring = draw(st.sampled_from(TEST_RINGS))
+    points = lattice_points_upto(ring, 5)
+    a = minimalize(ring, draw(st.lists(st.sampled_from(points), max_size=4)))
+    b = minimalize(ring, draw(st.lists(st.sampled_from(points), max_size=4)))
+    bad = draw(st.sampled_from((None, None, None, "outside", "too long", "other ring")))
+    if bad == "outside":
+        b = MonomialIdeal(ring=ring, gens=b.gens + (vec_neg(ring.sigma_dual.rays[0]),))
+    elif bad == "too long":
+        b = MonomialIdeal(ring=ring, gens=b.gens + ((1,) * (ring.d + 1),))
+    elif bad == "other ring":
+        b = unit_ideal(orthant_ring(ring.d + 1))
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, bad
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_ring_and_two_ideals())
+def test_intersect_and_colon_properties(case):
+    a, b, bad = case
+    if bad:  # refused with a package error, never another exception
+        for op in (intersect, colon):
+            with pytest.raises(TauIdealError):
+                op(a, b)
+        return
+    both = intersect(a, b)
+    assert both == intersect(b, a)
+    assert both.is_subideal_of(a) and both.is_subideal_of(b)
+    quotient = colon(a, b)
+    assert multiply(quotient, b).is_subideal_of(a)
+    assert a.is_subideal_of(quotient)
 
 
 def test_bracket_power_and_root_round_trip():

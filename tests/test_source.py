@@ -33,3 +33,44 @@ def test_no_numpy_imports_in_the_package():
             if any(n == "numpy" or n.startswith("numpy.") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# The functions that may branch on the orthant, as "file:function".  A new
+# orthant-versus-general fork, or the removal of one, shows up as a diff here.
+ORTHANT_FORKS = {
+    "campaigns.py:brute_force_colon",
+    "campaigns.py:run_crosscheck",
+    "cli.py:cmd_tau",
+    "cli.py:load_ring",
+    "frobenius.py:frobenius_root_tau_oracle",
+    "frobenius.py:tight_closure_member_at_q",
+    "frobenius.py:tight_integral_closure_at_q",
+    "ideals.py:_require_orthant",
+    "ideals.py:frobenius_root",
+    "ideals.py:kill_variable",
+}
+
+
+def _orthant_calls(node, owner, found):
+    """Add "owner" to found for each call of is_orthant or _require_orthant
+    under node, owner being the innermost enclosing function's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _orthant_calls(child, child.name, found)
+            continue
+        if isinstance(child, ast.Call):
+            f = child.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in ("is_orthant", "_require_orthant"):
+                found.add(owner)
+        _orthant_calls(child, owner, found)
+
+
+def test_orthant_forks_stay_in_the_allowlist():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = set()
+        _orthant_calls(tree, "<module>", owners)
+        found |= {f"{path.name}:{owner}" for owner in owners}
+    assert found == ORTHANT_FORKS
