@@ -8,7 +8,7 @@ the seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -45,14 +45,7 @@ class CampaignReport:
             self.failures.append(replay)
 
     def to_dict(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "instances": self.instances,
-            "passes": self.passes,
-            "failures": self.failures,
-            "inconclusive": self.inconclusive,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
     @property
     def ok(self) -> bool:

@@ -22,7 +22,7 @@ from .errors import InputError, InvariantError, NotStabilizedError, TauIdealErro
 from .frobenius import frobenius_root_tau_oracle, tau_socle_oracle
 from .ideals import MonomialIdeal
 from .lattice import ToricRing, toric_ring
-from .polyhedra import newton_polyhedron, scale
+from .polyhedra import exponent, newton_polyhedron, scale
 from .tau import tau, tau_veronese, veronese_maximal_ideal, veronese_ring
 
 EXIT_PASS = 0
@@ -38,13 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -123,7 +116,7 @@ def emit(payload: dict, out: str) -> None:
 def cmd_tau(args) -> int:
     ring = load_ring(args.ring)
     a = load_ideal(args.ideal, ring)
-    t = parse_fraction(args.t)
+    t = exponent(args.t)
     methods = (
         ["polyhedral", "socle", "root"] if args.method == "all" else [args.method]
     )
@@ -163,7 +156,7 @@ def cmd_tau(args) -> int:
 def cmd_newton(args) -> int:
     ring = load_ring(args.ring)
     a = load_ideal(args.ideal, ring)
-    t = parse_fraction(args.t)
+    t = exponent(args.t)
     P = scale(newton_polyhedron(ring, a.gens), t)
     payload = {
         "command": "newton",
@@ -195,7 +188,7 @@ def cmd_crosscheck(args) -> int:
         named.append((path.name, a))
     if not named:
         raise InputError(f"no ideal files (*.json) in {args.corpus}")
-    ts = [parse_fraction(s) for s in args.t.split(",")]
+    ts = [exponent(s) for s in args.t.split(",")]
     rep = run_crosscheck(ring, named, ts, qmax=args.qmax, primes=(args.prime,))
     emit(rep.to_dict(), args.out)
     if rep.failures:

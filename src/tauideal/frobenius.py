@@ -11,7 +11,10 @@ finitely many sigma_dual-maximal lattice points ("corners") of
 only the largest q of the sweep, on every ring.  The root route climbs the
 ascending chain of Frobenius roots, and it and the tight-closure searches
 take their powers over the q-sweep from one lazy ``ideals.powers`` chain.
-All arithmetic is on Python ints and Fractions.
+The searches run on every toric ring: divisibility is compared on ray
+coordinates, and the candidate multipliers are the lattice points of
+sigma_dual with every ray coordinate at most cbox.  All arithmetic is on
+Python ints and Fractions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from operator import le
 
 from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import (
-    DimensionMismatchError,
     InputError,
     InvariantError,
     NotStabilizedError,
@@ -37,13 +39,15 @@ from .ideals import (  # noqa: F401
     MonomialIdeal,
     _check_in_ring,
     _check_same_ring,
+    _ray_coords,
     frobenius_root,
     minimalize,
     power,
     powers,
     unit_ideal,
 )
-from .lattice import IntVec, ToricRing, vec_add, vec_neg, vec_scale, vec_sub
+from .lattice import IntVec, ToricRing, basis_inverse, pairing_columns
+from .lattice import vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import (
     NewtonPolyhedron,
     exponent,
@@ -297,23 +301,34 @@ def frobenius_root_tau_oracle(
     )
 
 
-def _check_length(ring: ToricRing, z) -> IntVec:
-    z = tuple(z)
-    if len(z) != ring.d:
-        raise DimensionMismatchError(f"z has length {len(z)}, ring rank {ring.d}")
-    return z
+def _multipliers(ring: ToricRing, cbox: int) -> list[tuple[IntVec, IntVec]]:
+    """The lattice points c of sigma_dual with every ray coordinate at most
+    cbox, with those coordinates, in (l, lex) order: c = A v / D
+    (``lattice.basis_inverse``) for v in [0, cbox]^d on the basis rays, when
+    integral and inside the bound on every ray.  On the orthant, [0, cbox]^d."""
+    _, inverse, den = basis_inverse(ring.sigma.rays)
+    box = list(product(range(cbox + 1), repeat=ring.d))
+    points = [
+        tuple(x // den for x in m)
+        for m in zip(*pairing_columns(box, inverse))
+        if not any(x % den for x in m)
+    ]
+    coords = zip(*pairing_columns(points, ring.sigma.rays))
+    kept = [(c, rc) for c, rc in zip(points, coords) if 0 <= min(rc) and max(rc) <= cbox]
+    return sorted(kept, key=lambda pair: (sum(pair[1]), pair[0]))
 
 
-def _multiplier_search(d: int, cbox: int, qmax: int, p: int, holds) -> Verdict:
-    """Try each multiplier c in [0, cbox]^d, by (degree, lex), at every q of
-    the sweep; ``holds(c, q)`` says whether c works at q.  The first c that
-    works at every q is the witness of holds_up_to_qmax; otherwise the
-    witness of fails_at_q lists every c with the first q at which it failed.
+def _multiplier_search(ring: ToricRing, cbox: int, qmax: int, p: int, holds) -> Verdict:
+    """Try each multiplier c of ``_multipliers`` at every q of the sweep;
+    ``holds(rc, q)``, rc the ray coordinates of c, says whether c works at
+    q.  The first c that works at every q is the witness of holds_up_to_qmax;
+    otherwise the witness of fails_at_q lists every c with the first q at
+    which it failed.
     """
     qs = q_sweep(qmax, p)
     failures = []
-    for c in sorted(product(range(cbox + 1), repeat=d), key=lambda c: (sum(c), c)):
-        failing_q = next((q for q in qs if not holds(c, q)), None)
+    for c, rc in _multipliers(ring, cbox):
+        failing_q = next((q for q in qs if not holds(rc, q)), None)
         if failing_q is None:
             return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
         failures.append((c, failing_q))
@@ -331,53 +346,60 @@ def tight_closure_member_at_q(
 ) -> Verdict:
     """Search for a multiplier c with c*z^q*a^ceil(tq) inside I^[q] for all q.
 
-    Verdict holds_up_to_qmax carries the surviving c; fails_at_q carries the
-    first failing q for every candidate.
+    cbox bounds every ray coordinate rc of the candidates c, and c works at
+    q iff each generator g of a^ceil(tq) has rc(c) + q*rc(z) + rc(g) >=
+    q*rc(h) for some generator h of I.  Verdict holds_up_to_qmax carries the
+    surviving c; fails_at_q carries the first failing q for every candidate.
     """
     ring = I.ring
     _check_same_ring(I, a)
-    if not ring.is_orthant():
-        raise UnsupportedRingError("tight closure search needs an orthant ring")
     t = exponent(t)
-    z = _check_length(ring, z)
+    rz = _ray_coords(ring, [tuple(z)])[0]
     if cbox < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
+    rh = _ray_coords(ring, I.gens)
+    brackets = {q: [vec_scale(q, h) for h in rh] for q in qs}
     apowers = {
-        q: aq.gens for q, aq in zip(qs, powers(a, [math.ceil(t * q) for q in qs]))
+        q: _ray_coords(ring, aq.gens)
+        for q, aq in zip(qs, powers(a, [math.ceil(t * q) for q in qs]))
     }
 
-    def holds(c, q):
-        qz = vec_add(c, vec_scale(q, z))
+    def holds(rc, q):
+        qz = vec_add(rc, vec_scale(q, rz))
         return all(
-            any(all(q * h_i <= v_i for h_i, v_i in zip(h, v)) for h in I.gens)
+            any(all(map(le, h, v)) for h in brackets[q])
             for v in (vec_add(qz, g) for g in apowers[q])
         )
 
-    return _multiplier_search(ring.d, cbox, qmax, p, holds)
+    return _multiplier_search(ring, cbox, qmax, p, holds)
 
 
 def tight_integral_closure_at_q(
     ideals, z, qmax: int = 128, cbox: int = 8, p: int = 2
 ) -> Verdict:
-    """Search for c with c*z^q in the sum of ordinary q-th powers of the ideals."""
+    """Search for c with c*z^q in the sum of ordinary q-th powers of the
+    ideals: cbox bounds every ray coordinate rc of the candidates c, and c
+    works at q iff rc(g) <= rc(c) + q*rc(z) for some generator g of some
+    q-th power."""
     ideals = list(ideals)
     if not ideals:
         raise InputError("empty ideal list")
     for J in ideals[1:]:
         _check_same_ring(ideals[0], J)
     ring = ideals[0].ring
-    if not ring.is_orthant():
-        raise UnsupportedRingError("tight integral closure needs an orthant ring")
-    z = _check_length(ring, z)
+    rz = _ray_coords(ring, [tuple(z)])[0]
     if cbox < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
     chains = zip(*(powers(I, qs) for I in ideals))
-    qpowers = {q: [Iq.gens for Iq in row] for q, row in zip(qs, chains)}
+    qpowers = {
+        q: _ray_coords(ring, [g for Iq in row for g in Iq.gens])
+        for q, row in zip(qs, chains)
+    }
 
-    def holds(c, q):
-        v = vec_add(c, vec_scale(q, z))
-        return any(all(map(le, g, v)) for gens in qpowers[q] for g in gens)
+    def holds(rc, q):
+        v = vec_add(rc, vec_scale(q, rz))
+        return any(all(map(le, g, v)) for g in qpowers[q])
 
-    return _multiplier_search(ring.d, cbox, qmax, p, holds)
+    return _multiplier_search(ring, cbox, qmax, p, holds)

@@ -10,9 +10,10 @@ once by ``lattice.semigroup_columns``, and every divisibility test here
 compares all rows at once with integer bitmasks.  Powers square by adding
 each unordered pair of generators once (``_square``), and ``powers`` yields
 a nondecreasing sequence of powers lazily, each built from the one before.
-Intersections and colons are unions of up-sets in ray coordinates, found
-on every ring by one kernel (``_upset_union``).  The zero ideal has an
-empty generator tuple, the unit ideal the single zero vector.
+Intersections and colons are unions of up-sets in ray coordinates, met on
+their bound vectors (up(a) cap up(b) = up(max(a, b)), ``_max_pairs``) and
+built on every ring by one kernel call (``_upset_union``).  The zero ideal
+has an empty generator tuple, the unit ideal the single zero vector.
 ``frobenius_root`` and ``kill_variable`` are orthant-only and refuse other
 rings loudly.
 """
@@ -20,7 +21,6 @@ rings loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import add, sub
 
 from .errors import (
@@ -268,6 +268,12 @@ def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     return minimalize(ring, gens)
 
 
+def _max_pairs(A, B) -> list[IntVec]:
+    """The minimal componentwise maxima max(a, b) over a in A and b in B:
+    the bounds of up(a) cap up(b) = up(max(a, b)), over every pair."""
+    return minimal_vectors_orthant(tuple(map(max, a, b)) for a in A for b in B)
+
+
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """x^m lies in (x^g) and in (x^h) iff its ray coordinates dominate
     those of g and of h, so I cap J is the up-set union over the pairs
@@ -275,23 +281,22 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_ring(I, J)
     coords = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
-    return _upset_union(
-        I.ring, {tuple(map(max, g, h)) for g in coords[:n] for h in coords[n:]}
-    )
+    return _upset_union(I.ring, _max_pairs(coords[:n], coords[n:]))
 
 
 def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """The largest K with K*J contained in I: the intersection over the
     generators h of J of (I : x^h), the up-set union of the ray coordinates
-    of g - h over the generators g of I."""
+    of g - h over the generators g of I.  The intersection is taken on the
+    bound vectors, from the zero vector (the unit ideal), one ``_max_pairs``
+    step per h, and the ideal is built once at the end."""
     _check_same_ring(I, J)
     coords = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
-    pieces = (
-        _upset_union(I.ring, [tuple(map(sub, g, h)) for g in coords[:n]])
-        for h in coords[n:]
-    )
-    return reduce(intersect, pieces, unit_ideal(I.ring))
+    bounds = [(0,) * len(I.ring.sigma.rays)]
+    for h in coords[n:]:
+        bounds = _max_pairs(bounds, [tuple(map(sub, g, h)) for g in coords[:n]])
+    return _upset_union(I.ring, bounds)
 
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:

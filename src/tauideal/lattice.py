@@ -392,10 +392,7 @@ def semigroup_columns(ring: ToricRing, vectors) -> list[list[int]]:
 def gorenstein_vector(sigma: Cone):
     """The vector w with <w, n_i> = 1 for every generator, plus its index."""
     w = solve_unit_pairings(sigma.rays)
-    index = 1
-    for x in w:
-        index = index * x.denominator // gcd(index, x.denominator)
-    return w, index
+    return w, lcm(*(x.denominator for x in w))
 
 
 def toric_ring(generators) -> ToricRing:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import InputError
@@ -53,8 +54,7 @@ def tau_veronese(d: int, r: int, l: int) -> int:
     """Closed-form exponent e with tau(m^l) = m^e in the r-th Veronese ring."""
     if d < 1 or r < 1 or l < 1:
         raise InputError("tau_veronese needs positive parameters")
-    e = math.ceil(Fraction(l) - Fraction(d - 1, r))
-    return max(e, 0)
+    return max(math.ceil(Fraction(l) - Fraction(d - 1, r)), 0)
 
 
 def veronese_ring(d: int, r: int) -> ToricRing:
@@ -74,19 +74,8 @@ def veronese_ring(d: int, r: int) -> ToricRing:
 def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:
     """The irrelevant maximal ideal of the Veronese ring in adapted coordinates.
 
-    Its generators correspond to the degree-r monomials of the polynomial ring.
+    Its generators correspond to the degree-r monomials of the polynomial
+    ring: (1, c_2, ..., c_d) for the exponents c of x_2..x_d, of sum <= r.
     """
-    gens = []
-
-    def rec(prefix, remaining, k):
-        if k == d - 1:
-            gens.append((1,) + prefix)
-            return
-        for c in range(remaining + 1):
-            rec(prefix + (c,), remaining - c, k + 1)
-
-    if d == 1:
-        gens.append((1,))
-    else:
-        rec((), r, 0)
-    return minimalize(ring, gens)
+    tails = product(range(r + 1), repeat=d - 1)
+    return minimalize(ring, [(1,) + c for c in tails if sum(c) <= r])

@@ -11,10 +11,10 @@ from tauideal.cli import (
     load_ideal,
     load_ring,
     main,
-    parse_fraction,
 )
 from tauideal.errors import TauIdealError
 from tauideal.lattice import orthant_ring
+from tauideal.polyhedra import exponent
 
 
 @pytest.fixture()
@@ -217,9 +217,9 @@ def test_input_errors_from_python_are_package_errors(tmp_path):
     # the same checks the CLI maps to exit 3 must raise TauIdealError when
     # the loaders are called as library functions
     with pytest.raises(TauIdealError):
-        parse_fraction("x/y")
+        exponent("x/y")
     with pytest.raises(TauIdealError):
-        parse_fraction("1/0")
+        exponent("1/0")
     with pytest.raises(TauIdealError):
         load_ring(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"

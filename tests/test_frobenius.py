@@ -6,6 +6,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tauideal.campaigns
 import tauideal.frobenius
@@ -17,6 +18,7 @@ from tauideal.errors import (
     InputError,
     InvariantError,
     RingMismatchError,
+    TauIdealError,
     UnsupportedRingError,
 )
 from tauideal.frobenius import (
@@ -33,9 +35,11 @@ from tauideal.frobenius import (
     tight_closure_member_at_q,
     tight_integral_closure_at_q,
 )
-from tauideal.ideals import maximal_ideal, minimalize, power
+from tauideal.ideals import (
+    MonomialIdeal, bracket_power, maximal_ideal, minimalize, multiply, power, unit_ideal,
+)
 from tauideal.lattice import (
-    ToricRing, orthant_ring, pairing, toric_ring, vec_add, vec_scale,
+    ToricRing, orthant_ring, pairing, toric_ring, vec_add, vec_neg, vec_scale,
 )
 from tauideal.polyhedra import NewtonPolyhedron, newton_polyhedron, scale
 from tauideal.tau import tau, veronese_maximal_ideal, veronese_ring
@@ -480,6 +484,127 @@ def test_multiplier_search_matches_reference_on_campaign_inputs(monkeypatch):
     assert len(calls) >= 50 and statuses == {STATUS_HOLDS, STATUS_FAILS}
     for ref, args, kwargs, verdict in calls:
         assert ref(*args, **kwargs) == verdict, (args, kwargs)
+
+
+# -- reference: both searches by brute force on every toric ring -------------
+# The candidates are every lattice point of sigma_dual with l at most k*cbox
+# (k rays), kept when each ray coordinate is at most cbox, and a candidate is
+# tested by ``contains_monomial`` on ideals built by power, multiply and
+# bracket_power; no ray coordinates of the searches are reused.
+
+SEARCH_RINGS = [
+    orthant_ring(2), orthant_ring(3), VERONESE_22, VERONESE_23, SQUARE_CONE,
+    toric_ring([(1, 0), (1, 2)]), INDEX_5,
+]
+
+
+def _reference_multiplier_search(ring, cbox, qmax, p, holds):
+    rays = ring.sigma.rays
+    candidates = sorted(
+        (c for c in lattice_points_upto(ring, len(rays) * cbox)
+         if all(pairing(c, n) <= cbox for n in rays)),
+        key=lambda c: (sum(pairing(c, n) for n in rays), c),
+    )
+    qs = q_sweep(qmax, p)
+    failures = []
+    for c in candidates:
+        failing_q = next((q for q in qs if not holds(c, q)), None)
+        if failing_q is None:
+            return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
+        failures.append((c, failing_q))
+    return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
+
+
+def general_reference_tight_closure(I, a, t, z, qmax, cbox, p=2):
+    ring = I.ring
+
+    def holds(c, q):
+        x = MonomialIdeal(ring=ring, gens=(vec_add(c, vec_scale(q, z)),))
+        bracket = bracket_power(I, q)
+        product_ = multiply(power(a, math.ceil(Fraction(t) * q)), x)
+        return all(bracket.contains_monomial(g) for g in product_.gens)
+
+    return _reference_multiplier_search(ring, cbox, qmax, p, holds)
+
+
+def general_reference_tight_integral_closure(ideals, z, qmax, cbox, p=2):
+    def holds(c, q):
+        v = vec_add(c, vec_scale(q, z))
+        return any(power(J, q).contains_monomial(v) for J in ideals)
+
+    return _reference_multiplier_search(ideals[0].ring, cbox, qmax, p, holds)
+
+
+def test_multiplier_searches_match_the_general_reference_on_every_ring():
+    rng = Random(4343)
+    statuses = []
+    for ring in SEARCH_RINGS:
+        points = lattice_points_upto(ring, 4)[1:]
+
+        def ideal():
+            return minimalize(ring, rng.sample(points, rng.randint(1, min(3, len(points)))))
+
+        for _ in range(4):
+            z = rng.choice(points)
+            t = rng.choice([0, Fraction(1, 2), 1, Fraction(3, 2)])
+            qmax, cbox = rng.choice([4, 8]), rng.choice([1, 2])
+            I_, a = ideal(), ideal()
+            got = tight_closure_member_at_q(I_, a, t, z, qmax=qmax, cbox=cbox)
+            assert got == general_reference_tight_closure(I_, a, t, z, qmax, cbox), (
+                ring.sigma.rays, I_.gens, a.gens, t, z)
+            family = [ideal() for _ in range(rng.randint(1, 3))]
+            tic = tight_integral_closure_at_q(family, z, qmax=qmax, cbox=cbox)
+            assert tic == general_reference_tight_integral_closure(family, z, qmax, cbox), (
+                ring.sigma.rays, [J.gens for J in family], z)
+            statuses += [got.status, tic.status]
+    assert set(statuses) == {STATUS_HOLDS, STATUS_FAILS}, statuses
+
+
+# -- toric rings are strongly F-regular: I* = I ------------------------------
+# With a the unit ideal and t = 0, the member search asks for c with
+# c + q*z in I^[q].  If z is in I, z = h + s for a generator h, so q*z is in
+# I^[q] and c = 0, the first candidate, works at every q.  If z is not in I,
+# then for each generator h some ray n_j has rc_j(z) <= rc_j(h) - 1, so at a
+# q > cbox every candidate c has rc_j(c + q*z) <= cbox + q*rc_j(h) - q <
+# q*rc_j(h), and no generator x^(q h) of I^[q] divides x^(c + q z).
+
+@st.composite
+def _f_regularity_case(draw):
+    """A ring, an ideal I, a point z, and the prime, cbox and qmax of a sweep
+    whose top q exceeds cbox; ``bad`` names a defect planted in z."""
+    ring = draw(st.sampled_from(SEARCH_RINGS))
+    points = low_points(ring)
+    I_ = minimalize(ring, draw(st.lists(st.sampled_from(points[1:]), max_size=3)))
+    z = draw(st.sampled_from(points))
+    bad = draw(st.sampled_from((None, None, None, "too long", "outside")))
+    if bad == "too long":
+        z += (1,)
+    elif bad == "outside":
+        z = vec_neg(draw(st.sampled_from(ring.sigma_dual.rays)))
+    p = draw(st.sampled_from((2, 3)))
+    cbox = draw(st.integers(0, 3))
+    qmax = p
+    while qmax <= cbox:
+        qmax *= p
+    return ring, I_, z, p, cbox, qmax * draw(st.sampled_from((1, p))), bad
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_f_regularity_case())
+def test_tight_closure_of_an_ideal_is_the_ideal(case):
+    ring, I_, z, p, cbox, qmax, bad = case
+    a = unit_ideal(ring)
+    if bad:  # refused with a package error, never another exception
+        with pytest.raises(TauIdealError):
+            tight_closure_member_at_q(I_, a, 0, z, qmax=qmax, cbox=cbox, p=p)
+        with pytest.raises(TauIdealError):
+            tight_integral_closure_at_q([I_], z, qmax=qmax, cbox=cbox, p=p)
+        return
+    verdict = tight_closure_member_at_q(I_, a, 0, z, qmax=qmax, cbox=cbox, p=p)
+    if I_.contains_monomial(z):
+        assert verdict.status == STATUS_HOLDS and verdict.witness == (0,) * ring.d
+    else:
+        assert verdict.status == STATUS_FAILS
 
 
 def test_verdict_carries_examined_range():

@@ -522,6 +522,21 @@ def test_colon_degenerate_arguments():
     assert colon(zero_ideal(R2), a).is_zero()
 
 
+def test_colon_builds_its_ideal_with_one_kernel_call(monkeypatch):
+    # colon intersects the up-sets on their bound vectors, so however many
+    # generators J has, the ideal is built once, zero and unit ideals included
+    rng = Random(39)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, ("_upset_union",))
+    for ring in TEST_RINGS:
+        a, b = _small_ideals(ring, rng, 2)
+        for x, y in ((a, b), (b, a), (a, zero_ideal(ring)), (a, unit_ideal(ring)),
+                     (zero_ideal(ring), b), (zero_ideal(ring), zero_ideal(ring))):
+            calls.clear()
+            colon(x, y)
+            assert calls == {"_upset_union": 1}, (ring.sigma.rays, x.gens, y.gens)
+
+
 # -- reference: intersect and colon before the up-set kernel ----------------
 # The componentwise formulas, orthant rings only; kept here only to check the
 # kernel against them.

@@ -43,8 +43,6 @@ ORTHANT_FORKS = {
     "cli.py:cmd_tau",
     "cli.py:load_ring",
     "frobenius.py:frobenius_root_tau_oracle",
-    "frobenius.py:tight_closure_member_at_q",
-    "frobenius.py:tight_integral_closure_at_q",
     "ideals.py:_require_orthant",
     "ideals.py:frobenius_root",
     "ideals.py:kill_variable",
