@@ -117,9 +117,7 @@ def cmd_tau(args) -> int:
     ring = load_ring(args.ring)
     a = load_ideal(args.ideal, ring)
     t = exponent(args.t)
-    methods = (
-        ["polyhedral", "socle", "root"] if args.method == "all" else [args.method]
-    )
+    methods = ["polyhedral", "socle", "root"] if args.method == "all" else [args.method]
     results: dict[str, MonomialIdeal] = {}
     inconclusive = []
     for method in methods:
@@ -128,8 +126,8 @@ def cmd_tau(args) -> int:
         elif method == "socle":
             results[method] = tau_socle_oracle(ring, a, t, args.qmax, args.prime).ideal
         elif method == "root":
-            if not ring.is_orthant() and args.method == "all":
-                continue  # root oracle has no general-toric mode
+            if args.method == "all" and ring.gorenstein_index % args.prime == 0:
+                continue  # no q = p^e is admissible for the root oracle
             try:
                 results[method] = frobenius_root_tau_oracle(
                     ring, a, t, args.qmax, args.prime

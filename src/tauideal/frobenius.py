@@ -4,17 +4,17 @@ Everything here works at concrete powers q = p^e of a prime p and reports
 verdicts that carry the examined range: stabilization is evidence, not
 proof, and the verdict names say so.  The socle route grades the injective
 hull by -sigma_dual and tests emptiness of an exact lattice-point
-intersection.  That intersection is nonempty iff it holds one of the
-finitely many sigma_dual-maximal lattice points ("corners") of
-(q-1)*w - sigma_dual, so each q costs one integer facet test
-(``polyhedra.lattice_inequalities``) per corner, and the socle oracle needs
-only the largest q of the sweep, on every ring.  The root route climbs the
-ascending chain of Frobenius roots, and it and the tight-closure searches
+intersection, nonempty iff it holds one of the finitely many
+sigma_dual-maximal lattice points ("corners") of (q-1)*w - sigma_dual; so
+each q costs one integer facet test (``polyhedra.lattice_inequalities``) per
+corner, and the socle oracle needs only the largest q of the sweep.  The
+root route climbs the chain of trace roots (``ideals.trace_root``) over the
+q with (q-1)*w a lattice point, and reads the rays of sigma and the powers'
+generators, never a Newton polyhedron.  It and the tight-closure searches
 take their powers over the q-sweep from one lazy ``ideals.powers`` chain.
-The searches run on every toric ring: divisibility is compared on ray
-coordinates, and the candidate multipliers are the lattice points of
-sigma_dual with every ray coordinate at most cbox.  All arithmetic is on
-Python ints and Fractions.
+The searches compare ray coordinates, and their candidate multipliers are
+the lattice points of sigma_dual with every ray coordinate at most cbox.
+Every route runs on every toric ring, on Python ints and Fractions.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .errors import (
     NotStabilizedError,
     UnsupportedRingError,
 )
-# power and minimalize are bound here only for perfbench/layers.py, which
-# wraps frobenius.power and frobenius.minimalize
+# power, minimalize and frobenius_root are bound here only for
+# perfbench/layers.py, which wraps them at this module
 from .ideals import (  # noqa: F401
     MonomialIdeal,
     _check_in_ring,
@@ -44,6 +44,7 @@ from .ideals import (  # noqa: F401
     minimalize,
     power,
     powers,
+    trace_root,
     unit_ideal,
 )
 from .lattice import IntVec, ToricRing, basis_inverse, pairing_columns
@@ -269,36 +270,36 @@ def tau_socle_oracle(
 def frobenius_root_tau_oracle(
     ring: ToricRing, a: MonomialIdeal, t, qmax: int = 128, p: int = 2
 ) -> MonomialIdeal:
-    """tau(a^t) as the stabilized value of the Frobenius-root chain.
-
-    Climbs frobenius_root(a^ceil(t*q), q) for q = p, p^2, ...; the chain must
-    ascend, and the value is accepted once two consecutive q (with the larger
-    at least 16) agree.  Raises NotStabilizedError otherwise.  The powers
-    come from one ``powers`` chain, so each is built from the one before
-    and none past the accepted q is built.
-    """
+    """tau(a^t) as the stabilized value of the chain of trace roots
+    C_q = trace_root(a^ceil(t*q), q) over the admissible q <= qmax: the
+    powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein index
+    (none when p divides it: UnsupportedRingError).  Every generator m of C_q
+    must have q*m + (q-1)*w in a^ceil(t*q) and the chain must ascend, else
+    InvariantError; the value is accepted once two consecutive q (the larger
+    at least 16) agree, else NotStabilizedError.  The powers come lazily from
+    one ``powers`` chain."""
     _check_in_ring(ring, a)
-    if not ring.is_orthant():
-        raise UnsupportedRingError("root oracle needs an orthant ring")
     if a.is_zero():
         raise InputError("root oracle needs a nonzero ideal")
     t = exponent(t)
-    qs = q_sweep(qmax, p)
-    prev = None
-    prev_q = None
+    r = ring.gorenstein_index
+    rw = tuple(int(r * x) for x in ring.w)
+    qs = [q for q in q_sweep(qmax, p) if (q - 1) % r == 0]
+    if r % p == 0:
+        raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
+    prev = prev_q = None
     for q, an in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
-        current = frobenius_root(an, q)
-        if prev is not None:
-            if not prev.is_subideal_of(current):
-                raise InvariantError(
-                    f"root chain not ascending between q={prev_q} and q={q}"
-                )
-            if current == prev and q >= 16:
-                return current
+        current = trace_root(an, q)
+        qw = vec_scale((q - 1) // r, rw)
+        lift = tuple(vec_add(vec_scale(q, m), qw) for m in current.gens)
+        if not MonomialIdeal(ring, lift).is_subideal_of(an):
+            raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
+        if prev is not None and not prev.is_subideal_of(current):
+            raise InvariantError(f"root chain shrinks from q={prev_q} to q={q}")
+        if current == prev and q >= 16:
+            return current
         prev, prev_q = current, q
-    raise NotStabilizedError(
-        f"Frobenius-root chain did not stabilize up to q = {qmax}"
-    )
+    raise NotStabilizedError(f"root chain did not stabilize over the admissible q {qs}")
 
 
 def _multipliers(ring: ToricRing, cbox: int) -> list[tuple[IntVec, IntVec]]:

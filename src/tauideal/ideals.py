@@ -10,12 +10,13 @@ once by ``lattice.semigroup_columns``, and every divisibility test here
 compares all rows at once with integer bitmasks.  Powers square by adding
 each unordered pair of generators once (``_square``), and ``powers`` yields
 a nondecreasing sequence of powers lazily, each built from the one before.
-Intersections and colons are unions of up-sets in ray coordinates, met on
-their bound vectors (up(a) cap up(b) = up(max(a, b)), ``_max_pairs``) and
-built on every ring by one kernel call (``_upset_union``).  The zero ideal
-has an empty generator tuple, the unit ideal the single zero vector.
-``frobenius_root`` and ``kill_variable`` are orthant-only and refuse other
-rings loudly.
+Intersections, colons and trace roots (``trace_root``, the x^m with
+q*m + (q-1)*w in I) are unions of up-sets in ray coordinates, met on their
+bound vectors (up(a) cap up(b) = up(max(a, b)), ``_max_pairs``) and built
+on every ring by one kernel call (``_upset_union``).  The zero ideal has an
+empty generator tuple, the unit ideal the single zero vector.
+``frobenius_root`` (the orthant's trace root, checked to cover I) and
+``kill_variable`` are orthant-only and refuse other rings loudly.
 """
 
 from __future__ import annotations
@@ -144,12 +145,10 @@ def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     componentwise minimal.  The rays span, so the coordinates determine g,
     and the zero vector's coordinates lie below every other's.
     """
-    gens = sorted({tuple(g) for g in raw_gens})
+    gens = list({tuple(g) for g in raw_gens})
     by_coords = dict(zip(_ray_coords(ring, gens), gens))
-    # minimal_vectors_orthant keeps the order of by_coords, which is sorted by g
-    return MonomialIdeal(
-        ring=ring, gens=tuple(by_coords[c] for c in minimal_vectors_orthant(by_coords))
-    )
+    minimal = sorted(by_coords[c] for c in minimal_vectors_orthant(by_coords))
+    return MonomialIdeal(ring=ring, gens=tuple(minimal))
 
 
 def unit_ideal(ring: ToricRing) -> MonomialIdeal:
@@ -254,18 +253,20 @@ def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     tops = minimal_vectors_orthant(tuple(max(x, 0) for x in c) for c in bounds)
     basis, inverse, den = basis_inverse(ring.sigma.rays)
     numerators = pairing_columns([[v[b] for b in basis] for v in tops], inverse)
-    points = [tuple(x // den for x in m) for m in zip(*numerators)]
+    points = list(zip(*([x // den for x in col] for col in numerators)))
     point_coords = zip(*pairing_columns(points, ring.sigma.rays))
-    gens = []
+    gens, enumerated = [], []
     for v, m, coords in zip(tops, points, point_coords):
         if coords == v:
             gens.append(m)
         else:
             pairs = list(zip(ring.sigma.rays, v))
-            gens += minimal_upset_generators(
+            enumerated += minimal_upset_generators(
                 ring, inequality_batch(pairs), degree_bound(ring, pairs)
             )
-    return minimalize(ring, gens)
+    if not enumerated:  # the points of distinct minimal tops divide none of each other
+        return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
+    return minimalize(ring, gens + enumerated)
 
 
 def _max_pairs(A, B) -> list[IntVec]:
@@ -308,15 +309,26 @@ def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
     )
 
 
-def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
-    """Smallest monomial J with bracket_power(J, q) containing I.
+def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
+    """The ideal C_q of the x^m with q*m + (q-1)*w in I, for q >= 1 with
+    (q-1)*w a lattice point: the image of I under the q-th trace map.
 
-    Orthant rings only: componentwise floor division of the generators.
+    x^g divides x^(q*m + (q-1)*w) iff q*<m, n_j> + q - 1 >= <g, n_j> on
+    every ray n_j of sigma, as <w, n_j> = 1; for integers that reads
+    <m, n_j> >= ceil((<g, n_j> + 1)/q) - 1 = floor(<g, n_j>/q).  So C_q is
+    one ``_upset_union`` over the floors of the generators' ray coordinates.
     """
-    _require_orthant(I.ring, "frobenius_root")
     if q < 1:
-        raise InputError(f"frobenius root needs q >= 1, got {q}")
-    root = minimalize(I.ring, {tuple(x // q for x in g) for g in I.gens})
+        raise InputError(f"a root needs q >= 1, got {q}")
+    floors = set(zip(*([x // q for x in c] for c in semigroup_columns(I.ring, I.gens))))
+    return _upset_union(I.ring, floors)
+
+
+def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
+    """Smallest monomial J with bracket_power(J, q) containing I: on the
+    orthant, the only rings it takes, w = (1, ..., 1) and J is ``trace_root``."""
+    _require_orthant(I.ring, "frobenius_root")
+    root = trace_root(I, q)
     if not I.is_subideal_of(bracket_power(root, q)):
         raise InvariantError(f"the q = {q} root of {I.gens} does not cover it")
     return root

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -32,6 +32,7 @@ from .errors import (
     ConeNotFullDimensionalError,
     ConeNotPointedError,
     DimensionMismatchError,
+    InputError,
     NotQGorensteinError,
     SemigroupMembershipError,
     ZeroVectorError,
@@ -373,9 +374,12 @@ class ToricRing:
 
 def semigroup_columns(ring: ToricRing, vectors) -> list[list[int]]:
     """``pairing_columns`` of the sequence ``vectors`` with the rays of
-    sigma, after checking the vectors: one of the wrong length raises
-    DimensionMismatchError and one outside sigma_dual
-    SemigroupMembershipError, each naming the vector."""
+    sigma, after checking the vectors: one with an entry that is not an int
+    raises InputError, one of the wrong length DimensionMismatchError and
+    one outside sigma_dual SemigroupMembershipError, each naming the vector."""
+    if not {int}.issuperset(map(type, chain.from_iterable(vectors))):
+        bad = next(v for v in vectors if not {int}.issuperset(map(type, v)))
+        raise InputError(f"generator {bad} has an entry that is not an int")
     try:
         columns = pairing_columns(vectors, ring.sigma.rays)
     except DimensionMismatchError:

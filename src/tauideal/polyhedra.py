@@ -198,13 +198,13 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     rests on this containment test alone, not on the vertex argument, which
     only makes the first cone large.
     """
-    gens = sorted({tuple(g) for g in generators})
+    gens = list({tuple(g) for g in generators})
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
     picked = _rotation_minima(semigroup_columns(ring, gens))
     d = ring.d
     rays = [r + (0,) for r in ring.sigma_dual.rays]
-    candidates = [gens[i] + (1,) for i in sorted(picked)]
+    candidates = sorted(gens[i] + (1,) for i in picked)
     facets = dual_extreme_rays(candidates + rays)
     if len(picked) < len(gens):
         rest = [g for i, g in enumerate(gens) if i not in picked]

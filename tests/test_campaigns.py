@@ -2,6 +2,7 @@
 
 import pytest
 
+from tauideal import campaigns
 from tauideal.campaigns import (
     CAMPAIGNS,
     brute_force_colon,
@@ -13,6 +14,7 @@ from tauideal.campaigns import (
 from tauideal.errors import InputError, UnsupportedRingError
 from tauideal.ideals import colon, minimalize
 from tauideal.lattice import orthant_ring, toric_ring
+from tauideal.tau import veronese_maximal_ideal, veronese_ring
 
 from random import Random
 
@@ -101,12 +103,39 @@ def test_vertex_reduction_keeps_exactly_the_vertex_generators():
     assert vertex_reduction(ring, b) == b
 
 
-def test_crosscheck_skips_root_on_general_rings():
+def _counting_root_oracle(monkeypatch):
+    """Wrap the crosscheck's root oracle; the list records each call's p."""
+    real = campaigns.frobenius_root_tau_oracle
+    primes = []
+
+    def counted(ring, a, t, qmax, p=2):
+        primes.append(p)
+        return real(ring, a, t, qmax, p)
+
+    monkeypatch.setattr(campaigns, "frobenius_root_tau_oracle", counted)
+    return primes
+
+
+def test_crosscheck_runs_root_on_general_rings(monkeypatch):
+    primes = _counting_root_oracle(monkeypatch)
     ring = toric_ring([(1, 0), (1, 2)])
     m = minimalize(ring, [(1, 0), (1, 1), (1, 2)])
     rep = run_crosscheck(ring, [("m", m)], [1], qmax=64)
     assert rep.instances == rep.passes == 1
     assert not rep.failures and not rep.inconclusive
+    assert primes == [2]
+
+
+def test_crosscheck_runs_root_at_the_first_prime_unless_it_divides_the_index(monkeypatch):
+    primes = _counting_root_oracle(monkeypatch)
+    ring = veronese_ring(3, 2)  # Gorenstein index 2
+    m = veronese_maximal_ideal(ring, 3, 2)
+    rep = run_crosscheck(ring, [("m", m)], [1], qmax=16, primes=(2,))
+    assert rep.ok and primes == []
+    rep = run_crosscheck(ring, [("m", m)], [1], qmax=27, primes=(3, 2))
+    assert rep.ok and not rep.inconclusive and primes == [3]
+    with pytest.raises(InputError):
+        run_crosscheck(ring, [("m", m)], [1], primes=())
 
 
 def test_crosscheck_orthant_agreement():

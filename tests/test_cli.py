@@ -47,6 +47,40 @@ def test_tau_all_methods_agree(files, capsys):
         assert payload["generators"][method] == [[0, 1], [1, 0]]
 
 
+def _ring_and_ideal(tmp_path, cone_generators, generators):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"cone_generators": cone_generators}))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"generators": generators}))
+    return ["--ring", str(ring), "--ideal", str(ideal)]
+
+
+def test_tau_all_methods_include_root_on_veronese(tmp_path, capsys):
+    # Veronese(2,2): Gorenstein, so every q = 2^e is admissible for the root
+    io = _ring_and_ideal(tmp_path, [[2, -1], [0, 1]], [[1, 0], [1, 1], [1, 2]])
+    code, out = run(capsys, ["tau", *io, "--t", "3/2", "--method", "all", "--out", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agreement"] is True and not payload["inconclusive"]
+    assert sorted(payload["generators"]) == ["polyhedral", "root", "socle"]
+
+
+def test_root_method_where_p_divides_the_gorenstein_index(tmp_path, capsys):
+    # Veronese(3,2) has Gorenstein index 2: no q = 2^e has (q-1)*w integral
+    io = _ring_and_ideal(
+        tmp_path, [[2, -1, -1], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [1, 0, 1]]
+    )
+    assert main(["tau", *io, "--method", "root"]) == 3
+    code, out = run(capsys, ["tau", *io, "--method", "all", "--out", "json"])
+    assert code == 0
+    assert sorted(json.loads(out)["generators"]) == ["polyhedral", "socle"]
+    code, out = run(capsys, [
+        "tau", *io, "--method", "all", "--prime", "3", "--qmax", "27", "--out", "json",
+    ])
+    assert code == 0
+    assert sorted(json.loads(out)["generators"]) == ["polyhedral", "root", "socle"]
+
+
 def test_tau_t_zero_is_unit(files, capsys):
     _, ring, ideal = files
     code, out = run(capsys, [

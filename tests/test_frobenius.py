@@ -17,6 +17,7 @@ from tauideal.errors import (
     DimensionMismatchError,
     InputError,
     InvariantError,
+    NotStabilizedError,
     RingMismatchError,
     TauIdealError,
     UnsupportedRingError,
@@ -312,11 +313,56 @@ def test_root_oracle_matches_polyhedral():
     assert unstable <= 1
 
 
-def test_root_oracle_refuses_general_rings():
-    ring = toric_ring([(1, 0), (1, 2)])
-    a = minimalize(ring, [(1, 0)])
-    with pytest.raises(UnsupportedRingError):
-        frobenius_root_tau_oracle(ring, a, 1)
+# (ring, p, qmax) off the orthant: the admissible q (powers of p that are
+# 1 mod the Gorenstein index) reach 16 and a larger q on each
+GENERAL_ROOT_CASES = [
+    (VERONESE_22, 2, 64), (VERONESE_23, 2, 64), (SQUARE_CONE, 2, 64),
+    (toric_ring([(1, 0), (1, 2)]), 2, 64), (INDEX_5, 2, 256), (VERONESE_32, 3, 243),
+]
+
+
+def test_root_oracle_agrees_with_tau_off_the_orthant_and_refuses_p_dividing_the_index():
+    rng = Random(67)
+    for ring, p, qmax in GENERAL_ROOT_CASES:
+        points = lattice_points_upto(ring, 6)[1:]
+        stable = 0
+        for _ in range(4):
+            a = minimalize(ring, rng.sample(points, rng.randint(1, 3)))
+            t = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+            try:
+                got = frobenius_root_tau_oracle(ring, a, t, qmax, p)
+            except NotStabilizedError:
+                continue
+            stable += 1
+            assert got == tau(ring, a, t), (ring.sigma.rays, a.gens, t)
+        assert stable >= 3, ring.sigma.rays
+    # no power of p is 1 mod an index that p divides
+    for ring, p in ((VERONESE_32, 2), (VERONESE_23, 3), (INDEX_5, 5)):
+        a = minimalize(ring, lattice_points_upto(ring, 12)[1:2])
+        with pytest.raises(UnsupportedRingError):
+            frobenius_root_tau_oracle(ring, a, 1, 64, p)
+
+
+def test_root_oracle_reads_no_newton_facets(monkeypatch):
+    # the root route reads ring rays and the generators of powers only: with
+    # every binding of the facet builders raising, it still runs on every ring
+    import sys
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the root oracle read a Newton polyhedron")
+
+    for name, module in list(sys.modules.items()):
+        if name == "tauideal" or name.startswith("tauideal."):
+            for attr in ("newton_polyhedron", "lattice_inequalities"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    rings = [(ring, 2) for ring in SEARCH_RINGS] + [(orthant_ring(1), 2), (VERONESE_32, 3)]
+    for ring, p in rings:
+        a = minimalize(ring, lattice_points_upto(ring, 12)[1:4])
+        try:
+            frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16 if p == 2 else 27, p)
+        except NotStabilizedError:
+            pass
 
 
 def test_xy_not_in_tight_closure_of_squares():
@@ -616,9 +662,14 @@ def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path):
     def shrinking(I, q):
         return minimalize(I.ring, [tuple(q for _ in range(I.ring.d))])
 
-    monkeypatch.setattr(tauideal.frobenius, "frobenius_root", shrinking)
-    with pytest.raises(InvariantError):
+    monkeypatch.setattr(tauideal.frobenius, "trace_root", shrinking)
+    with pytest.raises(InvariantError, match="shrinks"):
         frobenius_root_tau_oracle(R2, I((2, 0), (0, 3)), 1)
+    # a root too large for q*m + (q-1)*w to lie in a^ceil(tq) fails the per-q check
+    monkeypatch.setattr(tauideal.frobenius, "trace_root", lambda I, q: unit_ideal(I.ring))
+    with pytest.raises(InvariantError, match="outside"):
+        frobenius_root_tau_oracle(VERONESE_22, I((1, 0), ring=VERONESE_22), 1)
+    monkeypatch.setattr(tauideal.frobenius, "trace_root", shrinking)
     ring = tmp_path / "ring.json"
     ring.write_text('{"cone_generators": [[1, 0], [0, 1]]}')
     ideal = tmp_path / "ideal.json"

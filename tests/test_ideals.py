@@ -40,6 +40,7 @@ from tauideal.ideals import (
     multiply,
     power,
     powers,
+    trace_root,
     unit_ideal,
     zero_ideal,
 )
@@ -729,6 +730,44 @@ def test_bracket_power_and_root_round_trip():
         for q in (2, 4, 8):
             root = frobenius_root(b, q)
             assert b.is_subideal_of(bracket_power(root, q))
+
+
+def _admissible_qs(ring):
+    """The q in 2, 4, 8, 16, 3, 9 with (q-1)*w a lattice point."""
+    return [q for q in (2, 4, 8, 16, 3, 9) if (q - 1) % ring.gorenstein_index == 0]
+
+
+def test_trace_root_matches_brute_force_on_general_rings():
+    # C_q = {m : q*m + (q-1)*w in a^n}, from the lattice points and
+    # contains_monomial alone
+    rng = Random(3131)
+    checked = Counter()
+    for ring in GENERAL_RINGS:
+        w = ring.w
+        for a in _small_ideals(ring, rng, 3):
+            for q in _admissible_qs(ring):
+                an = power(a, rng.randint(1, 3))
+                qw = tuple(int((q - 1) * x) for x in w)
+                want = _brute_ideal(
+                    ring, lambda m: an.contains_monomial(vec_add(vec_scale(q, m), qw))
+                )
+                assert trace_root(an, q) == want, (ring.sigma.rays, an.gens, q)
+                checked[ring.gorenstein_index] += 1
+    assert sorted(checked) == [1, 2, 3, 5], checked
+
+
+def test_trace_root_is_the_frobenius_root_on_the_orthant():
+    rng = Random(3232)
+    for d in range(1, 5):
+        ring = orthant_ring(d)
+        points = lattice_points_upto(ring, 7)[1:]
+        for _ in range(15):
+            gens = rng.sample(points, rng.randint(1, min(5, len(points))))
+            a = minimalize(ring, _lift(ring, rng, gens) if rng.random() < 0.5 else gens)
+            for q in (1, 2, 3, 4, 8, 9, 2**65):
+                assert trace_root(a, q) == frobenius_root(a, q), (a.gens, q)
+    with pytest.raises(InputError):
+        trace_root(I((1, 0)), 0)
 
 
 def test_kill_variable():

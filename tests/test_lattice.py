@@ -709,3 +709,34 @@ def test_insert_matches_the_reference_at_every_step():
             steps["crossing" if len(got[0]) < len(lin) else "cut"] += 1
             lin = got[0]
     assert steps["crossing"] >= 1000 and steps["cut"] >= 1000, steps
+
+
+# each entry point that reads exponent vectors meets them in
+# lattice.semigroup_columns, which refuses any entry that is not an int; a
+# float was read as is (giving silent answers or a raw TypeError later), and a
+# str or None raised TypeError
+NON_INTS = [1.5, Fraction(2), "1", None]
+
+
+@pytest.mark.parametrize("bad", NON_INTS, ids=["float", "Fraction", "str", "None"])
+@pytest.mark.parametrize("ring", [orthant_ring(2), veronese_ring(2, 2)], ids=["orthant", "veronese"])
+def test_non_int_entries_are_input_errors_at_every_entry_point(ring, bad):
+    from tauideal.errors import InputError
+    from tauideal.frobenius import tight_closure_member_at_q, tight_integral_closure_at_q
+    from tauideal.ideals import MonomialIdeal, minimalize
+    from tauideal.tau import tau
+
+    gens = [(1, 0), (1, 2)]
+    m = minimalize(ring, gens)
+    with pytest.raises(InputError, match="not an int"):
+        lattice.semigroup_columns(ring, [(1, 1), (bad, 1)])
+    with pytest.raises(InputError, match="not an int"):
+        minimalize(ring, [(bad, 1)] + gens)
+    with pytest.raises(InputError, match="not an int"):
+        newton_polyhedron(ring, gens + [(bad, 1)])
+    with pytest.raises(InputError, match="not an int"):
+        tau(ring, MonomialIdeal(ring, ((bad, 1), (1, 2))), 1)
+    with pytest.raises(InputError, match="not an int"):
+        tight_closure_member_at_q(m, m, 1, (bad, 1), qmax=4, cbox=1)
+    with pytest.raises(InputError, match="not an int"):
+        tight_integral_closure_at_q([m], (1, bad), qmax=4, cbox=1)

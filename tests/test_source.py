@@ -39,10 +39,7 @@ def test_no_numpy_imports_in_the_package():
 # orthant-versus-general fork, or the removal of one, shows up as a diff here.
 ORTHANT_FORKS = {
     "campaigns.py:brute_force_colon",
-    "campaigns.py:run_crosscheck",
-    "cli.py:cmd_tau",
     "cli.py:load_ring",
-    "frobenius.py:frobenius_root_tau_oracle",
     "ideals.py:_require_orthant",
     "ideals.py:frobenius_root",
     "ideals.py:kill_variable",
