@@ -14,6 +14,9 @@ generators, never a Newton polyhedron.  It and the tight-closure searches
 take their powers over the q-sweep from one lazy ``ideals.powers`` chain.
 The searches compare ray coordinates, and their candidate multipliers are
 the lattice points of sigma_dual with every ray coordinate at most cbox.
+They take a batch of points z: one call builds the bracket powers, one
+chain per ideal and the candidates once for every z, and the single-point
+forms are batches of one.
 Every route runs on every toric ring, on Python ints and Fractions.
 """
 
@@ -47,7 +50,7 @@ from .ideals import (  # noqa: F401
     trace_root,
     unit_ideal,
 )
-from .lattice import IntVec, ToricRing, basis_inverse, pairing_columns
+from .lattice import IntVec, ToricRing, basis_inverse, int_vector, pairing_columns
 from .lattice import vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import (
     NewtonPolyhedron,
@@ -191,8 +194,8 @@ def _socle_witness(ring: ToricRing, tP: NewtonPolyhedron, u: IntVec, q: int):
 
 
 def _validate_socle_point(ring: ToricRing, u) -> IntVec:
-    u = tuple(u)
-    if not ring.in_semigroup(tuple(-x for x in u)):
+    u = int_vector(u)
+    if not ring.in_semigroup(vec_neg(u)):
         raise InputError(f"{u} is not in -sigma_dual cap M")
     return u
 
@@ -319,21 +322,74 @@ def _multipliers(ring: ToricRing, cbox: int) -> list[tuple[IntVec, IntVec]]:
     return sorted(kept, key=lambda pair: (sum(pair[1]), pair[0]))
 
 
-def _multiplier_search(ring: ToricRing, cbox: int, qmax: int, p: int, holds) -> Verdict:
-    """Try each multiplier c of ``_multipliers`` at every q of the sweep;
-    ``holds(rc, q)``, rc the ray coordinates of c, says whether c works at
-    q.  The first c that works at every q is the witness of holds_up_to_qmax;
-    otherwise the witness of fails_at_q lists every c with the first q at
-    which it failed.
+def _multiplier_searches(
+    ring: ToricRing, rzs, cbox: int, qmax: int, p: int, holds
+) -> list[Verdict]:
+    """One verdict per ray-coordinate vector rz of ``rzs``: try each
+    multiplier c of ``_multipliers`` at every q of the sweep, where
+    ``holds(v, q)``, v = rc(c) + q*rz with rc the ray coordinates of c, says
+    whether c works at q.  The first c that works at every q is the witness
+    of holds_up_to_qmax; otherwise the witness of fails_at_q lists every c
+    with the first q at which it failed.  The sweep and the candidates are
+    built once for all of ``rzs``.
     """
     qs = q_sweep(qmax, p)
-    failures = []
-    for c, rc in _multipliers(ring, cbox):
-        failing_q = next((q for q in qs if not holds(rc, q)), None)
-        if failing_q is None:
-            return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
-        failures.append((c, failing_q))
-    return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
+    candidates = _multipliers(ring, cbox)
+
+    def search(rz):
+        failures = []
+        for c, rc in candidates:
+            failing_q = next(
+                (q for q in qs if not holds(vec_add(rc, vec_scale(q, rz)), q)), None
+            )
+            if failing_q is None:
+                return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
+            failures.append((c, failing_q))
+        return Verdict(status=STATUS_FAILS, witness=tuple(failures), qmax=qmax, p=p)
+
+    return [search(rz) for rz in rzs]
+
+
+def tight_closure_members_at_q(
+    I: MonomialIdeal,
+    a: MonomialIdeal,
+    t,
+    zs,
+    qmax: int = 128,
+    cbox: int = 8,
+    p: int = 2,
+) -> list[Verdict]:
+    """For each z of ``zs``, in order, search for a multiplier c with
+    c*z^q*a^ceil(tq) inside I^[q] for all q.
+
+    cbox bounds every ray coordinate rc of the candidates c, and c works at
+    q iff each generator g of a^ceil(tq) has rc(c) + q*rc(z) + rc(g) >=
+    q*rc(h) for some generator h of I.  Verdict holds_up_to_qmax carries the
+    surviving c; fails_at_q carries the first failing q for every candidate.
+    Every z and cbox are checked before any power is built; the bracket
+    powers of I and the one power chain of a serve every z.
+    """
+    ring = I.ring
+    _check_same_ring(I, a)
+    t = exponent(t)
+    rzs = _ray_coords(ring, [tuple(z) for z in zs])
+    if cbox < 0:
+        raise InputError("empty candidate box")
+    qs = q_sweep(qmax, p)
+    rh = _ray_coords(ring, I.gens)
+    brackets = {q: [vec_scale(q, h) for h in rh] for q in qs}
+    apowers = {
+        q: _ray_coords(ring, aq.gens)
+        for q, aq in zip(qs, powers(a, [math.ceil(t * q) for q in qs]))
+    }
+
+    def holds(v, q):
+        return all(
+            any(all(map(le, h, u)) for h in brackets[q])
+            for u in (vec_add(v, g) for g in apowers[q])
+        )
+
+    return _multiplier_searches(ring, rzs, cbox, qmax, p, holds)
 
 
 def tight_closure_member_at_q(
@@ -345,51 +401,25 @@ def tight_closure_member_at_q(
     cbox: int = 8,
     p: int = 2,
 ) -> Verdict:
-    """Search for a multiplier c with c*z^q*a^ceil(tq) inside I^[q] for all q.
-
-    cbox bounds every ray coordinate rc of the candidates c, and c works at
-    q iff each generator g of a^ceil(tq) has rc(c) + q*rc(z) + rc(g) >=
-    q*rc(h) for some generator h of I.  Verdict holds_up_to_qmax carries the
-    surviving c; fails_at_q carries the first failing q for every candidate.
-    """
-    ring = I.ring
-    _check_same_ring(I, a)
-    t = exponent(t)
-    rz = _ray_coords(ring, [tuple(z)])[0]
-    if cbox < 0:
-        raise InputError("empty candidate box")
-    qs = q_sweep(qmax, p)
-    rh = _ray_coords(ring, I.gens)
-    brackets = {q: [vec_scale(q, h) for h in rh] for q in qs}
-    apowers = {
-        q: _ray_coords(ring, aq.gens)
-        for q, aq in zip(qs, powers(a, [math.ceil(t * q) for q in qs]))
-    }
-
-    def holds(rc, q):
-        qz = vec_add(rc, vec_scale(q, rz))
-        return all(
-            any(all(map(le, h, v)) for h in brackets[q])
-            for v in (vec_add(qz, g) for g in apowers[q])
-        )
-
-    return _multiplier_search(ring, cbox, qmax, p, holds)
+    """``tight_closure_members_at_q`` at the one point z."""
+    return tight_closure_members_at_q(I, a, t, [z], qmax, cbox, p)[0]
 
 
-def tight_integral_closure_at_q(
-    ideals, z, qmax: int = 128, cbox: int = 8, p: int = 2
-) -> Verdict:
-    """Search for c with c*z^q in the sum of ordinary q-th powers of the
-    ideals: cbox bounds every ray coordinate rc of the candidates c, and c
-    works at q iff rc(g) <= rc(c) + q*rc(z) for some generator g of some
-    q-th power."""
+def tight_integral_closure_members_at_q(
+    ideals, zs, qmax: int = 128, cbox: int = 8, p: int = 2
+) -> list[Verdict]:
+    """For each z of ``zs``, in order, search for c with c*z^q in the sum of
+    ordinary q-th powers of the ideals: cbox bounds every ray coordinate rc
+    of the candidates c, and c works at q iff rc(g) <= rc(c) + q*rc(z) for
+    some generator g of some q-th power.  Every z and cbox are checked
+    before any power is built; one power chain per ideal serves every z."""
     ideals = list(ideals)
     if not ideals:
         raise InputError("empty ideal list")
     for J in ideals[1:]:
         _check_same_ring(ideals[0], J)
     ring = ideals[0].ring
-    rz = _ray_coords(ring, [tuple(z)])[0]
+    rzs = _ray_coords(ring, [tuple(z) for z in zs])
     if cbox < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
@@ -399,8 +429,14 @@ def tight_integral_closure_at_q(
         for q, row in zip(qs, chains)
     }
 
-    def holds(rc, q):
-        v = vec_add(rc, vec_scale(q, rz))
+    def holds(v, q):
         return any(all(map(le, g, v)) for g in qpowers[q])
 
-    return _multiplier_search(ring, cbox, qmax, p, holds)
+    return _multiplier_searches(ring, rzs, cbox, qmax, p, holds)
+
+
+def tight_integral_closure_at_q(
+    ideals, z, qmax: int = 128, cbox: int = 8, p: int = 2
+) -> Verdict:
+    """``tight_integral_closure_members_at_q`` at the one point z."""
+    return tight_integral_closure_members_at_q(ideals, [z], qmax, cbox, p)[0]

@@ -90,6 +90,15 @@ def vec_neg(v):
     return tuple(-x for x in v)
 
 
+def int_vector(v) -> IntVec:
+    """v as a tuple, after checking that every entry is an int: InputError
+    otherwise (a float, a Fraction, a string, None)."""
+    v = tuple(v)
+    if not {int}.issuperset(map(type, v)):
+        raise InputError(f"{v} has an entry that is not an int")
+    return v
+
+
 def primitivize(v: IntVec) -> IntVec:
     """Divide an integer vector by the (positive) gcd of its coordinates;
     a vector that is already primitive is returned as it is."""
@@ -366,7 +375,9 @@ class ToricRing:
         return set(self.sigma.rays) == units
 
     def in_semigroup(self, m) -> bool:
-        """Membership of an integer vector in sigma_dual (the exponent cone)."""
+        """Membership of an integer vector in sigma_dual (the exponent cone);
+        InputError on an entry that is not an int."""
+        m = int_vector(m)
         if len(m) != self.d:
             raise DimensionMismatchError(f"vector length {len(m)}, ring rank {self.d}")
         return all(pairing(m, h) >= 0 for h in self.sigma_dual.halfspaces)

@@ -1,6 +1,7 @@
 """Finite-q Frobenius oracles against the polyhedral engine."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -34,7 +35,9 @@ from tauideal.frobenius import (
     socle_piece_vanishes_at_q,
     tau_socle_oracle,
     tight_closure_member_at_q,
+    tight_closure_members_at_q,
     tight_integral_closure_at_q,
+    tight_integral_closure_members_at_q,
 )
 from tauideal.ideals import (
     MonomialIdeal, bracket_power, maximal_ideal, minimalize, multiply, power, unit_ideal,
@@ -397,10 +400,22 @@ def test_negative_candidate_box_is_refused_before_any_power(monkeypatch):
     monkeypatch.setattr(tauideal.frobenius, "power", refuse)
     monkeypatch.setattr(tauideal.frobenius, "powers", refuse)
     m = maximal_ideal(R2)
+    squares = I((2, 0), (0, 2))
     with pytest.raises(InputError):
         tight_integral_closure_at_q([m], (1, 1), qmax=4, cbox=-1)
     with pytest.raises(InputError):
-        tight_closure_member_at_q(I((2, 0), (0, 2)), m, 1, (1, 1), qmax=4, cbox=-1)
+        tight_closure_member_at_q(squares, m, 1, (1, 1), qmax=4, cbox=-1)
+    with pytest.raises(InputError):
+        tight_integral_closure_members_at_q([m], [(1, 1), (0, 2)], qmax=4, cbox=-1)
+    with pytest.raises(InputError):
+        tight_closure_members_at_q(squares, m, 1, [(1, 1), (0, 2)], qmax=4, cbox=-1)
+    # a malformed z anywhere in a batch is refused before any power too
+    for bad in ((1, 1, 1), (1,), (-1, 0), (1.5, 0), (None, 0)):
+        for zs in ([bad, (1, 1)], [(1, 1), (2, 0), bad]):
+            with pytest.raises(TauIdealError):
+                tight_integral_closure_members_at_q([m], zs, qmax=4, cbox=1)
+            with pytest.raises(TauIdealError):
+                tight_closure_members_at_q(squares, m, 1, zs, qmax=4, cbox=1)
 
 
 def test_socle_and_root_entry_points_refuse_an_ideal_of_another_ring():
@@ -506,23 +521,32 @@ def reference_tight_integral_closure_at_q(ideals, z, qmax=128, cbox=8, p=2):
 
 
 def test_multiplier_search_matches_reference_on_campaign_inputs(monkeypatch):
-    # every call the tic_vs_star, bs_integral and regularity campaigns make,
-    # recorded with its verdict, then replayed through the reference
+    # every search the tic_vs_star, bs_integral and regularity campaigns make,
+    # batched or single, recorded per z with its verdict, then each z
+    # replayed through the reference
     calls = []
 
-    def recorder(fn, ref):
+    def recorder(fn, ref, z_at):
         def wrapped(*args, **kwargs):
-            verdict = fn(*args, **kwargs)
-            calls.append((ref, args, kwargs, verdict))
-            return verdict
+            verdicts = fn(*args, **kwargs)
+            if isinstance(verdicts, list):
+                zs, batch = args[z_at], verdicts
+            else:
+                zs, batch = [args[z_at]], [verdicts]
+            assert len(zs) == len(batch)
+            for z, verdict in zip(zs, batch):
+                one = args[:z_at] + (z,) + args[z_at + 1:]
+                calls.append((ref, one, kwargs, verdict))
+            return verdicts
         return wrapped
 
-    for name, ref in (
-        ("tight_closure_member_at_q", reference_tight_closure_member_at_q),
-        ("tight_integral_closure_at_q", reference_tight_integral_closure_at_q),
+    for name, ref, z_at in (
+        ("tight_closure_member_at_q", reference_tight_closure_member_at_q, 3),
+        ("tight_closure_members_at_q", reference_tight_closure_member_at_q, 3),
+        ("tight_integral_closure_members_at_q", reference_tight_integral_closure_at_q, 1),
     ):
         monkeypatch.setattr(
-            tauideal.campaigns, name, recorder(getattr(tauideal.frobenius, name), ref)
+            tauideal.campaigns, name, recorder(getattr(tauideal.frobenius, name), ref, z_at)
         )
     for campaign in ("tic_vs_star", "bs_integral", "regularity"):
         run_campaign(campaign)
@@ -530,6 +554,63 @@ def test_multiplier_search_matches_reference_on_campaign_inputs(monkeypatch):
     assert len(calls) >= 50 and statuses == {STATUS_HOLDS, STATUS_FAILS}
     for ref, args, kwargs, verdict in calls:
         assert ref(*args, **kwargs) == verdict, (args, kwargs)
+
+
+def test_batched_searches_match_the_single_searches_and_the_reference():
+    # per z, a batch gives the verdict of the one-point search and of the
+    # brute-force reference, repeats and all, in the order of zs
+    rng = Random(4545)
+    statuses = []
+    for ring in SEARCH_RINGS:
+        points = low_points(ring)
+        I_ = minimalize(ring, rng.sample(points[1:], 2))
+        a = minimalize(ring, rng.sample(points[1:], 2))
+        family = [I_, minimalize(ring, rng.sample(points[1:], 1))]
+        zs = rng.sample(points, 4)
+        zs += [zs[0], zs[2]]
+        t = rng.choice([Fraction(1, 2), 1])
+        members = tight_closure_members_at_q(I_, a, t, zs, qmax=8, cbox=2)
+        tics = tight_integral_closure_members_at_q(family, zs, qmax=8, cbox=2)
+        assert members == [tight_closure_member_at_q(I_, a, t, z, qmax=8, cbox=2) for z in zs]
+        assert members == [general_reference_tight_closure(I_, a, t, z, 8, 2) for z in zs]
+        assert tics == [tight_integral_closure_at_q(family, z, qmax=8, cbox=2) for z in zs]
+        assert tics == [general_reference_tight_integral_closure(family, z, 8, 2) for z in zs]
+        assert tight_closure_members_at_q(I_, a, t, [], qmax=8, cbox=2) == []
+        assert tight_integral_closure_members_at_q(family, [], qmax=8, cbox=2) == []
+        statuses += [v.status for v in members + tics]
+    assert set(statuses) == {STATUS_HOLDS, STATUS_FAILS}, statuses
+
+
+def _count_powers(monkeypatch, calls: Counter) -> None:
+    """Count the ``powers`` chains the searches start, in ``calls``."""
+    def counted(*args, _real=tauideal.frobenius.powers):
+        calls["powers"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(tauideal.frobenius, "powers", counted)
+
+
+def test_a_batch_builds_each_power_chain_once(monkeypatch):
+    m = maximal_ideal(R2)
+    family = [power(m, 3), I((2, 0)), I((0, 2))]
+    zs = [(x, 6 - x) for x in range(7)] + [(1, 1)]
+    calls = Counter()
+    with monkeypatch.context() as mp:
+        _count_powers(mp, calls)
+        tight_closure_members_at_q(I((2, 0), (0, 2)), m, 1, zs, qmax=32, cbox=2)
+    assert calls == {"powers": 1}
+    calls.clear()
+    with monkeypatch.context() as mp:
+        _count_powers(mp, calls)
+        tight_integral_closure_members_at_q(family, zs, qmax=32, cbox=2)
+    assert calls == {"powers": len(family)}
+    # tic_vs_star: one chain for the member search and one per ideal of its
+    # three-ideal family, where one search per z made 28 * (1 + 3)
+    calls.clear()
+    with monkeypatch.context() as mp:
+        _count_powers(mp, calls)
+        assert run_campaign("tic_vs_star").ok
+    assert calls == {"powers": 1 + 3}
 
 
 # -- reference: both searches by brute force on every toric ring -------------

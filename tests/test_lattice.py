@@ -740,3 +740,23 @@ def test_non_int_entries_are_input_errors_at_every_entry_point(ring, bad):
         tight_closure_member_at_q(m, m, 1, (bad, 1), qmax=4, cbox=1)
     with pytest.raises(InputError, match="not an int"):
         tight_integral_closure_at_q([m], (1, bad), qmax=4, cbox=1)
+
+
+@pytest.mark.parametrize("bad", NON_INTS, ids=["float", "Fraction", "str", "None"])
+@pytest.mark.parametrize("ring", [orthant_ring(2), veronese_ring(2, 2)], ids=["orthant", "veronese"])
+def test_non_int_points_are_input_errors_at_membership_and_socle_entry_points(ring, bad):
+    # contains_monomial((1.5, 0)) returned True and in_star_E at (-0.5, 0)
+    # returned stabilized; a str or None entry raised TypeError
+    from tauideal.errors import InputError
+    from tauideal.frobenius import in_star_E, socle_piece_vanishes_at_q
+    from tauideal.ideals import minimalize
+
+    a = minimalize(ring, [(1, 0)])
+    with pytest.raises(InputError, match="not an int"):
+        ring.in_semigroup((bad, 0))
+    with pytest.raises(InputError, match="not an int"):
+        a.contains_monomial((bad, 0))
+    with pytest.raises(InputError, match="not an int"):
+        in_star_E(ring, a, 1, (0, bad), qmax=4)
+    with pytest.raises(InputError, match="not an int"):
+        socle_piece_vanishes_at_q(ring, a, 1, (bad, 0), 4)
