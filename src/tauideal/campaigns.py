@@ -7,6 +7,7 @@ the seed.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -113,7 +114,7 @@ def _replay(**kw) -> dict:
     return out
 
 
-def campaign_regular_powers(seed: int = 0, count: int | None = None) -> CampaignReport:
+def campaign_regular_powers(seed: int = 0) -> CampaignReport:
     rep = CampaignReport("regular_powers")
     for d in range(1, 6):
         ring = orthant_ring(d)
@@ -125,7 +126,7 @@ def campaign_regular_powers(seed: int = 0, count: int | None = None) -> Campaign
     return rep
 
 
-def campaign_veronese(seed: int = 0, count: int | None = None) -> CampaignReport:
+def campaign_veronese(seed: int = 0) -> CampaignReport:
     rep = CampaignReport("veronese")
     for d, r in [(2, 2), (2, 3), (3, 2)]:
         ring = veronese_ring(d, r)
@@ -191,7 +192,7 @@ def campaign_restriction(seed: int = 0, count: int = 100) -> CampaignReport:
     return rep
 
 
-def campaign_colon_formula(seed: int = 0, count: int | None = None) -> CampaignReport:
+def campaign_colon_formula(seed: int = 0) -> CampaignReport:
     rep = CampaignReport("colon_formula")
     rng = Random(seed)
     cases = []
@@ -219,7 +220,7 @@ def campaign_colon_formula(seed: int = 0, count: int | None = None) -> CampaignR
     return rep
 
 
-def campaign_regularity(seed: int = 0, count: int | None = None) -> CampaignReport:
+def campaign_regularity(seed: int = 0) -> CampaignReport:
     rep = CampaignReport("regularity")
     for d in range(2, 6):
         ring = orthant_ring(d)
@@ -281,7 +282,7 @@ def campaign_tau_times_ideal(seed: int = 0, count: int = 50) -> CampaignReport:
     return rep
 
 
-def campaign_tic_vs_star(seed: int = 0, count: int | None = None) -> CampaignReport:
+def campaign_tic_vs_star(seed: int = 0) -> CampaignReport:
     """Tight integral closure vs a-tight closure on the d=2, l=2, r=1 instance."""
     rep = CampaignReport("tic_vs_star")
     ring = orthant_ring(2)
@@ -298,7 +299,7 @@ def campaign_tic_vs_star(seed: int = 0, count: int | None = None) -> CampaignRep
     return rep
 
 
-def campaign_bs_integral(seed: int = 0, count: int | None = None) -> CampaignReport:
+def campaign_bs_integral(seed: int = 0) -> CampaignReport:
     """Containment of J^[l] + closure(J^(dl-r)) in the finite-q closure (J^[l])^*J^r."""
     rep = CampaignReport("bs_integral")
     ring = orthant_ring(2)
@@ -338,14 +339,18 @@ CAMPAIGNS = {
 
 
 def run_campaign(name: str, seed: int = 0, count: int | None = None) -> CampaignReport:
+    """Run one campaign; a campaign whose function takes no count refuses one."""
     if name not in CAMPAIGNS:
         raise InputError(
             f"unknown campaign {name!r}; known: {', '.join(sorted(CAMPAIGNS))}"
         )
-    if count is not None and count < 1:
-        raise InputError(f"campaign {name!r} needs count >= 1, got {count}")
-    start = time.monotonic()
     fn = CAMPAIGNS[name]
+    if count is not None:
+        if "count" not in inspect.signature(fn).parameters:
+            raise InputError(f"campaign {name!r} takes no count")
+        if count < 1:
+            raise InputError(f"campaign {name!r} needs count >= 1, got {count}")
+    start = time.monotonic()
     rep = fn(seed=seed) if count is None else fn(seed=seed, count=count)
     rep.wall_ms = int((time.monotonic() - start) * 1000)
     return rep

@@ -5,7 +5,8 @@ Rings and ideals are read from JSON files; rationals are serialized as
 pass, 1 counterexample, 2 inconclusive, 3 input error (any package error
 but ``InvariantError``, or a usage error on the command line), 4 internal
 error (a failed internal check, ``InvariantError``, or any other exception,
-with its traceback on stderr).  ``--help`` exits 0.
+with its traceback on stderr).  ``--help`` exits 0.  ``main`` runs the
+``cmd_<subcommand>`` function it finds at call time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import ideals as idl
@@ -217,21 +219,19 @@ def cmd_veronese(args) -> int:
     return EXIT_PASS if agreement else EXIT_COUNTEREXAMPLE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of a process and shared after."""
     parser = _Parser(
         prog="tauideal",
         description="Exact test ideals of monomial ideals in toric rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True, ideal=True, t=True):
-        if ring:
-            p.add_argument("--ring", required=True, help="ring JSON file")
-        if ideal:
-            p.add_argument("--ideal", required=True, help="ideal JSON file")
-        if t:
-            p.add_argument("--t", default="1", help="rational exponent, e.g. 5/6")
-        p.add_argument("--out", choices=["text", "json"], default="text")
+    def common(p):
+        p.add_argument("--ring", required=True, help="ring JSON file")
+        p.add_argument("--ideal", required=True, help="ideal JSON file")
+        p.add_argument("--t", default="1", help="rational exponent, e.g. 5/6")
 
     p = sub.add_parser("tau", help="compute tau(a^t)")
     common(p)
@@ -242,18 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--qmax", type=int, default=128)
     p.add_argument("--prime", type=int, default=2)
-    p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("newton", help="print t*P(a)")
     common(p)
-    p.set_defaults(fn=cmd_newton)
 
     p = sub.add_parser("check", help="run a theorem test campaign")
     p.add_argument("campaign", choices=sorted(CAMPAIGNS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=None, help="instance count")
-    p.add_argument("--out", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("crosscheck", help="compare oracles over an ideal corpus")
     p.add_argument("--ring", required=True)
@@ -261,24 +257,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1", help="comma-separated rationals")
     p.add_argument("--qmax", type=int, default=128)
     p.add_argument("--prime", type=int, default=2)
-    p.add_argument("--out", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_crosscheck)
 
     p = sub.add_parser("veronese", help="closed-form vs computed Veronese tau")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--out", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_veronese)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", choices=["text", "json"], default="text")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()["cmd_" + args.command](args)
     except Exception as exc:
         if isinstance(exc, TauIdealError) and not isinstance(exc, InvariantError):
             print(f"error: {exc}", file=sys.stderr)

@@ -8,15 +8,15 @@ intersection, nonempty iff it holds one of the finitely many
 sigma_dual-maximal lattice points ("corners") of (q-1)*w - sigma_dual; so
 each q costs one integer facet test (``polyhedra.lattice_inequalities``) per
 corner, and the socle oracle needs only the largest q of the sweep.  The
-root route climbs the chain of trace roots (``ideals.trace_root``) over the
-q with (q-1)*w a lattice point, and reads the rays of sigma and the powers'
-generators, never a Newton polyhedron.  It and the tight-closure searches
-take their powers over the q-sweep from one lazy ``ideals.powers`` chain.
-The searches compare ray coordinates, and their candidate multipliers are
-the lattice points of sigma_dual with every ray coordinate at most cbox.
-They take a batch of points z: one call builds the bracket powers, one
-chain per ideal and the candidates once for every z, and the single-point
-forms are batches of one.
+root route climbs the chain of trace roots C_q (``ideals.trace_root``) over
+the q with (q-1)*w a lattice point and reads no Newton polyhedron: C_q and
+both its checks come from the ray coordinates of the powers' generators.
+It and the tight-closure searches take those over the q-sweep from one lazy
+``ideals.powers`` chain (``_power_rows``).  The searches compare ray
+coordinates; their candidate multipliers are the lattice points of
+sigma_dual with every ray coordinate at most cbox.  They take a batch of
+points z: one call builds the bracket powers, one chain per ideal and the
+candidates once for every z, and the single-point forms are batches of one.
 Every route runs on every toric ring, on Python ints and Fractions.
 """
 
@@ -40,14 +40,14 @@ from .errors import (
 # perfbench/layers.py, which wraps them at this module
 from .ideals import (  # noqa: F401
     MonomialIdeal,
-    _check_in_ring,
     _check_same_ring,
+    _covers,
     _ray_coords,
+    _trace_root_rows,
     frobenius_root,
     minimalize,
     power,
     powers,
-    trace_root,
     unit_ideal,
 )
 from .lattice import IntVec, ToricRing, basis_inverse, int_vector, pairing_columns
@@ -59,6 +59,7 @@ from .polyhedra import (
     newton_polyhedron,
     scale,
 )
+from .tau import _check_request
 
 STATUS_STABILIZED = "stabilized"
 STATUS_FAILS = "fails_at_q"
@@ -136,9 +137,8 @@ def _check_q(q: int, p: int) -> None:
 
 
 def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron:
-    """t*P(a); every socle-side entry point gets a's ring checked here."""
-    _check_in_ring(ring, a)
-    t = exponent(t)
+    """t*P(a); every socle-side entry point gets its request checked here."""
+    t = _check_request(ring, a, t)
     return scale(newton_polyhedron(ring, a.gens), t)
 
 
@@ -240,8 +240,6 @@ def tau_socle_oracle(
     x^m enters the ideal exactly when the socle piece at u = -m fails to
     vanish at some examined q.
     """
-    if a.is_zero():
-        raise InputError("socle oracle needs a nonzero ideal")
     tP = _scaled_polyhedron(ring, a, t)
     qs = q_sweep(qmax, p)
     if tP.scale == 0:
@@ -270,38 +268,42 @@ def tau_socle_oracle(
     return SocleOracleResult(MonomialIdeal(ring=ring, gens=tuple(sorted(gens))), checked)
 
 
+def _power_rows(I: MonomialIdeal, exponents):
+    """Lazily, the ray coordinates of the generators of each I**n that
+    ``powers`` yields."""
+    return (_ray_coords(I.ring, In.gens) for In in powers(I, exponents))
+
+
 def frobenius_root_tau_oracle(
     ring: ToricRing, a: MonomialIdeal, t, qmax: int = 128, p: int = 2
 ) -> MonomialIdeal:
     """tau(a^t) as the stabilized value of the chain of trace roots
     C_q = trace_root(a^ceil(t*q), q) over the admissible q <= qmax: the
     powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein index
-    (none when p divides it: UnsupportedRingError).  Every generator m of C_q
-    must have q*m + (q-1)*w in a^ceil(t*q) and the chain must ascend, else
-    InvariantError; the value is accepted once two consecutive q (the larger
-    at least 16) agree, else NotStabilizedError.  The powers come lazily from
-    one ``powers`` chain."""
-    _check_in_ring(ring, a)
-    if a.is_zero():
-        raise InputError("root oracle needs a nonzero ideal")
-    t = exponent(t)
+    (none when p divides it: UnsupportedRingError).  C_q comes from the
+    ray coordinates rc of a^ceil(t*q)'s generators g, each paired once; every
+    generator m of C_q must have q*rc(m) + q - 1 >= rc(g) for some g (q*m +
+    (q-1)*w in a^ceil(t*q), as <w, n_j> = 1) and the chain must ascend,
+    else InvariantError.  The value is accepted once two consecutive q (the
+    larger at least 16) agree, else NotStabilizedError."""
+    t = _check_request(ring, a, t)
     r = ring.gorenstein_index
-    rw = tuple(int(r * x) for x in ring.w)
     qs = [q for q in q_sweep(qmax, p) if (q - 1) % r == 0]
     if r % p == 0:
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
-    prev = prev_q = None
-    for q, an in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
-        current = trace_root(an, q)
-        qw = vec_scale((q - 1) // r, rw)
-        lift = tuple(vec_add(vec_scale(q, m), qw) for m in current.gens)
-        if not MonomialIdeal(ring, lift).is_subideal_of(an):
+    prev_rows = prev_q = None
+    for q, rows in zip(qs, _power_rows(a, [math.ceil(t * q) for q in qs])):
+        current = _trace_root_rows(ring, rows, q)
+        current_rows = _ray_coords(ring, current.gens)
+        lifts = [tuple([q * x + q - 1 for x in m]) for m in current_rows]
+        if not _covers(rows, lifts):
             raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
-        if prev is not None and not prev.is_subideal_of(current):
+        if prev_rows is not None and not _covers(current_rows, prev_rows):
             raise InvariantError(f"root chain shrinks from q={prev_q} to q={q}")
-        if current == prev and q >= 16:
+        # the rays span, so equal ray coordinates mean equal generators
+        if current_rows == prev_rows and q >= 16:
             return current
-        prev, prev_q = current, q
+        prev_rows, prev_q = current_rows, q
     raise NotStabilizedError(f"root chain did not stabilize over the admissible q {qs}")
 
 
@@ -378,10 +380,7 @@ def tight_closure_members_at_q(
     qs = q_sweep(qmax, p)
     rh = _ray_coords(ring, I.gens)
     brackets = {q: [vec_scale(q, h) for h in rh] for q in qs}
-    apowers = {
-        q: _ray_coords(ring, aq.gens)
-        for q, aq in zip(qs, powers(a, [math.ceil(t * q) for q in qs]))
-    }
+    apowers = dict(zip(qs, _power_rows(a, [math.ceil(t * q) for q in qs])))
 
     def holds(v, q):
         return all(
@@ -423,11 +422,8 @@ def tight_integral_closure_members_at_q(
     if cbox < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
-    chains = zip(*(powers(I, qs) for I in ideals))
-    qpowers = {
-        q: _ray_coords(ring, [g for Iq in row for g in Iq.gens])
-        for q, row in zip(qs, chains)
-    }
+    chains = zip(*(_power_rows(I, qs) for I in ideals))
+    qpowers = {q: [g for rows in row for g in rows] for q, row in zip(qs, chains)}
 
     def holds(v, q):
         return any(all(map(le, g, v)) for g in qpowers[q])

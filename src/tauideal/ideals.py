@@ -74,6 +74,14 @@ def _ray_coords(ring: ToricRing, gens) -> list[IntVec]:
     return list(zip(*semigroup_columns(ring, list(gens))))
 
 
+def _covers(lower, upper) -> bool:
+    """True iff every vector of ``upper`` is componentwise >= some vector
+    of ``lower``: one ``_below_masks`` call on both."""
+    n = len(lower)
+    theirs = (1 << n) - 1
+    return all(mask & theirs for mask in _below_masks(lower + upper)[n:])
+
+
 def minimal_vectors_orthant(vectors) -> list[IntVec]:
     """Componentwise-minimal subset of a collection of integer vectors, in
     order of first appearance."""
@@ -105,16 +113,14 @@ class MonomialIdeal:
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of self is divisible by one of other.
 
-        One ``_below_masks`` call on the ray coordinates of other's
-        generators followed by self's.  The generators of both ideals are
-        checked: one of the wrong length raises DimensionMismatchError, one
-        outside the semigroup SemigroupMembershipError.
+        ``_covers`` on the ray coordinates of both ideals' generators, which
+        are checked: one of the wrong length raises DimensionMismatchError,
+        one outside the semigroup SemigroupMembershipError.
         """
         _check_same_ring(self, other)
         n = len(other.gens)
-        below = _below_masks(_ray_coords(self.ring, other.gens + self.gens))
-        theirs = (1 << n) - 1
-        return all(mask & theirs for mask in below[n:])
+        coords = _ray_coords(self.ring, other.gens + self.gens)
+        return _covers(coords[:n], coords[n:])
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return multiply(self, other)
@@ -316,12 +322,17 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     x^g divides x^(q*m + (q-1)*w) iff q*<m, n_j> + q - 1 >= <g, n_j> on
     every ray n_j of sigma, as <w, n_j> = 1; for integers that reads
     <m, n_j> >= ceil((<g, n_j> + 1)/q) - 1 = floor(<g, n_j>/q).  So C_q is
-    one ``_upset_union`` over the floors of the generators' ray coordinates.
+    one ``_upset_union`` over the floors of the generators' ray coordinates
+    (``_trace_root_rows``).
     """
     if q < 1:
         raise InputError(f"a root needs q >= 1, got {q}")
-    floors = set(zip(*([x // q for x in c] for c in semigroup_columns(I.ring, I.gens))))
-    return _upset_union(I.ring, floors)
+    return _trace_root_rows(I.ring, _ray_coords(I.ring, I.gens), q)
+
+
+def _trace_root_rows(ring: ToricRing, rows, q: int) -> MonomialIdeal:
+    """``trace_root`` from the ray coordinates ``rows`` of I's generators."""
+    return _upset_union(ring, {tuple([x // q for x in row]) for row in rows})
 
 
 def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:

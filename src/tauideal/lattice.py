@@ -11,9 +11,11 @@ alone, so it needs no rank computation.  Its integer kernels are single
 passes: each pairing is ``sum(map(mul, ...))``, ``primitivize`` one gcd
 call that leaves a primitive vector as it is, and every new ray or
 lineality vector one fused a*u - b*v (``_combine``).  All other linear
-algebra is one fraction-free (Bareiss) elimination, ``_echelon``, behind
-``matrix_rank``, ``solve_unit_pairings`` and ``basis_inverse`` (the
-inverse of a basis of given vectors).  The pairings of many vectors
+algebra is one fraction-free Gauss-Jordan elimination on integers alone,
+``_echelon``, whose rows are D times the reduced echelon form: it gives
+``matrix_rank``, the Q-Gorenstein vector w (``solve_unit_pairings``) and
+``basis_inverse`` (D times the inverse of a basis of given vectors), with
+no back-substitution and no Fraction arithmetic.  The pairings of many vectors
 with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
 computed a coordinate column at a time; ``semigroup_columns`` pairs with
 the rays of sigma and checks every vector on the way.
@@ -116,19 +118,20 @@ def _combine(a, u, b, v) -> IntVec:
 
 
 def _echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of integer/rational row vectors.
+    """Fraction-free reduced row echelon form of integer/rational row vectors.
 
-    Returns the nonzero echelon rows and their pivot columns.  Each row is
-    first cleared of denominators.  Bareiss elimination ("Sylvester's
-    identity and multistep integer-preserving Gaussian elimination", Math.
-    Comp. 22, 1968): after a pivot step every entry below the pivot rows is
-    a minor of the input, so the division by the previous pivot is exact.
+    Returns the nonzero rows, D times the reduced echelon form with D the
+    last pivot, and their pivot columns.  Each row is first cleared of
+    denominators (an int's is 1).  Each pivot step clears the pivot column
+    from every other row, those above included, and divides by the previous
+    pivot; as in Bareiss elimination ("Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968) every
+    entry after a step is a minor of the input, so the division is exact.
     """
     m = []
     for r in rows:
-        r = [Fraction(x) for x in r]
         den = lcm(*(x.denominator for x in r))
-        m.append([int(x * den) for x in r])
+        m.append([x.numerator * (den // x.denominator) for x in r])
     pivots: list[int] = []
     prev = 1
     for col in range(len(m[0]) if m else 0):
@@ -139,9 +142,10 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
         m[k], m[piv] = m[piv], m[k]
         top = m[k]
         p = top[col]
-        for i in range(k + 1, len(m)):
-            f = m[i][col]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         prev = p
         pivots.append(col)
     return m[: len(pivots)], pivots
@@ -151,23 +155,19 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
 def basis_inverse(vectors: tuple[IntVec, ...]) -> tuple[IntVec, tuple[IntVec, ...], int]:
     """For integer vectors that span: the indices of the first d linearly
     independent ones (the pivots of ``_echelon`` on the coordinate rows),
-    and the integer rows A and the D > 0 with A = D * B^-1, B those vectors
-    as rows.  The echelon form of [B | 1] is upper triangular on its left
-    half, so back-substitution solves B x = e_c for each unit vector e_c.
-    Cached: ``ideals._upset_union`` asks for sigma's rays on every call."""
+    and the integer rows A and the least D > 0 with A = D * B^-1, B those
+    vectors as rows: the reduced form of [B | 1] is D' * [1 | B^-1], and
+    A, D are its right half and D' over their gcd.  Vectors that do not
+    span raise ConeNotFullDimensionalError.  Cached:
+    ``ideals._upset_union`` asks for sigma's rays on every call."""
     d = len(vectors[0])
     basis = tuple(_echelon(list(zip(*vectors)))[1])
+    if len(basis) < d:
+        raise ConeNotFullDimensionalError(f"vectors {vectors} do not span")
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     rows = _echelon([vectors[b] + u for b, u in zip(basis, units)])[0]
-    columns = []
-    for c in range(d, 2 * d):
-        x = [Fraction(0)] * d
-        for i in reversed(range(d)):
-            row = rows[i]
-            x[i] = Fraction(row[c] - sum(row[j] * x[j] for j in range(i + 1, d))) / row[i]
-        columns.append(x)
-    den = lcm(*(x.denominator for column in columns for x in column))
-    return basis, tuple(tuple(int(col[i] * den) for col in columns) for i in range(d)), den
+    g = gcd(*chain.from_iterable(rows)) * (1 if rows[0][0] > 0 else -1)
+    return basis, tuple(tuple(x // g for x in row[d:]) for row in rows), rows[0][0] // g
 
 
 def matrix_rank(rows) -> int:
@@ -287,16 +287,6 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     )
 
 
-def _dedupe(vectors):
-    seen = set()
-    out = []
-    for v in vectors:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 @dataclass(frozen=True)
 class Cone:
     """Rational polyhedral cone with both descriptions populated.
@@ -313,7 +303,7 @@ class Cone:
 
 def cone_from_rays(generators) -> Cone:
     """Build a cone from integer generators, computing its H-representation."""
-    gens = _dedupe([primitivize(tuple(g)) for g in generators])
+    gens = list(dict.fromkeys(primitivize(tuple(g)) for g in generators))
     if not gens:
         raise ConeNotFullDimensionalError("no generators")
     dim = len(gens[0])
@@ -339,19 +329,19 @@ def dual_cone(cone: Cone) -> Cone:
 def solve_unit_pairings(generators) -> RatVec:
     """Solve <w, n_i> = 1 for all generators n_i by exact elimination.
 
-    Raises NotQGorensteinError when the system is inconsistent.  Uniqueness
-    holds because the generators span (full-dimensional cone).
+    The reduced form of [G | 1], G the generators as rows, has the rows
+    D * [e_i | w_i] when the system is consistent (no pivot in the last
+    column, else NotQGorensteinError) and the generators span (d pivots,
+    else ConeNotFullDimensionalError).
     """
     gens = tuple(tuple(g) for g in generators)
     d = len(gens[0])
-    pivots = _echelon([g + (1,) for g in gens])[1]
+    rows, pivots = _echelon([g + (1,) for g in gens])
     if pivots[-1] == d:
         raise NotQGorensteinError("pairing system <w, n_i> = 1 is inconsistent")
     if len(pivots) < d:
         raise ConeNotFullDimensionalError("generators do not span the lattice")
-    # consistent and spanning: w is B^-1 (1, ..., 1) on a basis of the generators
-    _, inverse, den = basis_inverse(gens)
-    return tuple(Fraction(sum(row), den) for row in inverse)
+    return tuple(Fraction(row[d], row[i]) for i, row in enumerate(rows))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
 
 def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
+    """t as a Fraction, after checking a request to any route to tau(a^t)
+    (the socle and root oracles too): InputError for an ideal of another
+    ring, the zero ideal or an unreadable or negative t."""
     _check_in_ring(ring, a)
     if a.is_zero():
         raise InputError("tau of the zero ideal is undefined")

@@ -1,5 +1,7 @@
 """Campaign runner determinism and sanity."""
 
+import inspect
+
 import pytest
 
 from tauideal import campaigns
@@ -39,6 +41,25 @@ def test_all_campaign_names_present():
 def test_unknown_campaign_rejected():
     with pytest.raises(InputError):
         run_campaign("nonesuch")
+
+
+FIXED = ["bs_integral", "colon_formula", "regular_powers", "regularity",
+         "tic_vs_star", "veronese"]
+
+
+def test_only_the_random_campaigns_take_a_count():
+    takes_count = {
+        name for name, fn in CAMPAIGNS.items()
+        if "count" in inspect.signature(fn).parameters
+    }
+    assert takes_count == set(CAMPAIGNS) - set(FIXED)
+
+
+@pytest.mark.parametrize("name", FIXED)
+def test_a_campaign_without_a_count_refuses_one(name):
+    # each of these ran its whole fixed instance set and ignored the count
+    with pytest.raises(InputError, match="takes no count"):
+        run_campaign(name, count=1)
 
 
 def test_campaign_determinism():

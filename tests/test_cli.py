@@ -276,6 +276,22 @@ def test_check_rejects_an_empty_campaign(capsys, count):
     assert out == ""
 
 
+def test_check_refuses_a_count_for_a_fixed_campaign(capsys):
+    # veronese has 15 fixed instances: --count 1 used to run them all, exit 0
+    assert main(["check", "veronese", "--count", "1"]) == EXIT_INPUT_ERROR == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "takes no count" in captured.err
+
+
+def test_two_main_calls_build_one_parser(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, out = run(capsys, ["veronese", "--d", "2", "--r", "2", "--l", "1"])
+        assert code == 0 and "agreement: true" in out
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("bad", [["--qmax", "abc"], ["--method", "bogus"], ["--t"]])
 def test_usage_errors_exit_as_input_errors(files, capsys, bad):
     # argparse's own usage exit is 2, which means "inconclusive" here

@@ -432,6 +432,35 @@ def test_socle_and_root_entry_points_refuse_an_ideal_of_another_ring():
         socle_piece_vanishes_at_q(VERONESE_22, m2, 1, (0, 0), 4)
 
 
+def test_every_tau_route_checks_its_request_with_one_function(monkeypatch):
+    # tau, the socle route (and its point probes) and the root route refuse
+    # a zero ideal, an ideal of another ring and a bad t alike, through
+    # tau._check_request
+    m = maximal_ideal(R2)
+    routes = [
+        lambda ring, a, t: tau(ring, a, t),
+        lambda ring, a, t: tau_socle_oracle(ring, a, t, qmax=4),
+        lambda ring, a, t: frobenius_root_tau_oracle(ring, a, t),
+        lambda ring, a, t: in_star_E(ring, a, t, (0, 0), qmax=4),
+        lambda ring, a, t: socle_piece_vanishes_at_q(ring, a, t, (0, 0), 4),
+    ]
+    bad = [(R2, MonomialIdeal(R2, ()), 1), (VERONESE_22, m, 1), (R2, m, -1), (R2, m, "x")]
+    for route in routes:
+        for ring, a, t in bad:
+            with pytest.raises(InputError):
+                route(ring, a, t)
+    calls = Counter()
+
+    def counted(ring, a, t, _real=tauideal.frobenius._check_request):
+        calls["check"] += 1
+        return _real(ring, a, t)
+
+    monkeypatch.setattr(tauideal.frobenius, "_check_request", counted)
+    for route in routes[1:]:
+        route(R2, m, 1)
+    assert calls == {"check": 4}
+
+
 def test_tight_closure_searches_refuse_mixed_rings_and_wrong_z_length():
     # each of these returned holds_up_to_qmax with witness (0, 0)
     R3 = orthant_ring(3)
@@ -740,17 +769,20 @@ def test_verdict_carries_examined_range():
 
 
 def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path):
-    def shrinking(I, q):
-        return minimalize(I.ring, [tuple(q for _ in range(I.ring.d))])
+    # the oracle reads each C_q off the power's ray coordinates (the rows)
+    def shrinking(ring, rows, q):
+        return minimalize(ring, [tuple(q for _ in range(ring.d))])
 
-    monkeypatch.setattr(tauideal.frobenius, "trace_root", shrinking)
+    monkeypatch.setattr(tauideal.frobenius, "_trace_root_rows", shrinking)
     with pytest.raises(InvariantError, match="shrinks"):
         frobenius_root_tau_oracle(R2, I((2, 0), (0, 3)), 1)
     # a root too large for q*m + (q-1)*w to lie in a^ceil(tq) fails the per-q check
-    monkeypatch.setattr(tauideal.frobenius, "trace_root", lambda I, q: unit_ideal(I.ring))
+    monkeypatch.setattr(
+        tauideal.frobenius, "_trace_root_rows", lambda ring, rows, q: unit_ideal(ring)
+    )
     with pytest.raises(InvariantError, match="outside"):
         frobenius_root_tau_oracle(VERONESE_22, I((1, 0), ring=VERONESE_22), 1)
-    monkeypatch.setattr(tauideal.frobenius, "trace_root", shrinking)
+    monkeypatch.setattr(tauideal.frobenius, "_trace_root_rows", shrinking)
     ring = tmp_path / "ring.json"
     ring.write_text('{"cone_generators": [[1, 0], [0, 1]]}')
     ideal = tmp_path / "ideal.json"

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -20,7 +20,6 @@ from tauideal.errors import (
 )
 from tauideal.ideals import maximal_ideal, power
 from tauideal.lattice import (
-    _dedupe,
     cone_from_rays,
     dual_cone,
     dual_extreme_rays,
@@ -237,7 +236,7 @@ def reference_dual_extreme_rays(halfspaces):
                     new_rays.append(primitivize(proj))
             new_rays.append(primitivize(l0))
             lineality = new_lin
-            rays = _dedupe(new_rays)
+            rays = list(dict.fromkeys(new_rays))
         else:
             pos = [r for r in rays if pairing(r, h) > 0]
             neg = [r for r in rays if pairing(r, h) < 0]
@@ -255,7 +254,7 @@ def reference_dual_extreme_rays(halfspaces):
                         sh = pairing(s, h)
                         combo = vec_add(vec_scale(-sh, r), vec_scale(rh, s))
                         new_rays.append(primitivize(combo))
-                rays = _dedupe(new_rays)
+                rays = list(dict.fromkeys(new_rays))
         inserted.append(h)
 
     if lineality:
@@ -579,6 +578,114 @@ def test_bareiss_matches_the_fraction_eliminations():
         assert matrix_rank(frac) == reference_matrix_rank(frac), frac
     for key in ("solved", NotQGorensteinError, ConeNotFullDimensionalError):
         assert seen[key] >= 100, seen
+
+
+# -- reference: Fraction Gauss-Jordan and the Fraction basis inverse ---------
+
+def reference_rref(rows):
+    """Reduced row echelon form over Fraction: its nonzero rows and pivots."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [a / m[k][col] for a in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def reference_basis_inverse(vectors):
+    """The first d linearly independent vectors, chosen greedily by rank, and
+    (A, D) with D the least positive integer making A = D * B^-1 integral."""
+    d = len(vectors[0])
+    basis = []
+    for i, v in enumerate(vectors):
+        if reference_matrix_rank([vectors[b] for b in basis] + [v]) > len(basis):
+            basis.append(i)
+    if len(basis) < d:
+        raise ConeNotFullDimensionalError("vectors do not span")
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows, _ = reference_rref([list(vectors[b]) + u for b, u in zip(basis, units)])
+    inverse = [row[d:] for row in rows]
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    return tuple(basis), tuple(tuple(int(x * den) for x in row) for row in inverse), den
+
+
+def test_echelon_rows_are_the_last_pivot_times_the_reduced_form():
+    # an inexact // anywhere in the fraction-free Gauss-Jordan would show here
+    rng = Random(16016)
+    deficient = rational = 0
+    for _ in range(1500):
+        rows = _random_matrix(rng)
+        if rng.random() < 0.3:
+            rational += 1
+            rows = [tuple(Fraction(x, rng.randint(1, 4)) for x in r) for r in rows]
+        got, pivots = lattice._echelon(rows)
+        want, want_pivots = reference_rref(rows)
+        assert pivots == want_pivots, rows
+        deficient += len(pivots) < min(len(rows), len(rows[0]))
+        top = got[-1][pivots[-1]] if pivots else 1
+        assert got == [[top * x for x in row] for row in want], rows
+    assert deficient >= 100 and rational >= 100, (deficient, rational)
+
+
+def _random_vectors(rng):
+    """1..d+3 small integer vectors in dimension 1..5, spanning or not."""
+    d = rng.randint(1, 5)
+    return tuple(
+        tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(rng.randint(1, d + 3))
+    )
+
+
+def test_basis_inverse_matches_the_fraction_inverse():
+    rng = Random(16017)
+    seen = Counter()
+    for _ in range(1500):
+        vectors = _random_vectors(rng)
+        got = _outcome(lattice.basis_inverse, vectors)
+        assert got == _outcome(reference_basis_inverse, vectors), vectors
+        seen[got if isinstance(got, type) else "spans"] += 1
+        if not isinstance(got, type):
+            basis, inverse, den = got
+            # A * B = D * 1 with B the basis vectors as rows
+            B = [vectors[b] for b in basis]
+            for i, row in enumerate(inverse):
+                assert [pairing(row, col) for col in zip(*B)] == [
+                    den * (i == j) for j in range(len(B))
+                ]
+        assert _outcome(lattice.solve_unit_pairings, vectors) == _outcome(
+            reference_solve_unit_pairings, vectors
+        ), vectors
+    assert seen["spans"] >= 800 and seen[ConeNotFullDimensionalError] >= 300, seen
+
+
+def test_basis_inverse_refuses_vectors_that_do_not_span():
+    for vectors in (((1, 0), (2, 0)), ((0, 0, 1), (1, 1, 0), (2, 2, 1)), ((0,),)):
+        with pytest.raises(ConeNotFullDimensionalError):
+            lattice.basis_inverse(vectors)
+
+
+def test_unit_pairings_take_one_elimination_and_no_basis_inverse(monkeypatch):
+    calls = Counter()
+
+    def counted(rows, _real=lattice._echelon):
+        calls["echelon"] += 1
+        return _real(rows)
+
+    def refuse(vectors):
+        raise AssertionError("solve_unit_pairings called basis_inverse")
+
+    monkeypatch.setattr(lattice, "_echelon", counted)
+    monkeypatch.setattr(lattice, "basis_inverse", refuse)
+    assert lattice.solve_unit_pairings([(0, 1), (5, -2)]) == (Fraction(3, 5), 1)
+    assert calls == {"echelon": 1}
 
 
 # -- reference: the integer kernels before fused helpers ----------------------
