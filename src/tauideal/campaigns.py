@@ -134,7 +134,7 @@ def campaign_veronese(seed: int = 0) -> CampaignReport:
         for l in range(1, 6):
             e = tau_veronese(d, r, l)
             got = tau(ring, idl.power(m, l), 1)
-            want = idl.power(m, e) if e > 0 else idl.unit_ideal(ring)
+            want = idl.power(m, e)  # m**0 is the unit ideal
             rep.record(got == want, _replay(d=d, r=r, l=l, e=e, got=got, want=want))
     return rep
 

@@ -204,8 +204,7 @@ def cmd_veronese(args) -> int:
     ring = veronese_ring(d, r)
     m = veronese_maximal_ideal(ring, d, r)
     computed = tau(ring, idl.power(m, l), 1)
-    want = idl.power(m, e) if e > 0 else idl.unit_ideal(ring)
-    agreement = computed == want
+    agreement = computed == idl.power(m, e)  # m**0 is the unit ideal
     payload = {
         "command": "veronese",
         "d": d,

@@ -44,14 +44,14 @@ from .ideals import (  # noqa: F401
     _covers,
     _ray_coords,
     _trace_root_rows,
+    _upset_union,
     frobenius_root,
     minimalize,
     power,
     powers,
-    unit_ideal,
 )
 from .lattice import IntVec, ToricRing, basis_inverse, int_vector, pairing_columns
-from .lattice import vec_add, vec_neg, vec_scale, vec_sub
+from .lattice import pairing, vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import (
     NewtonPolyhedron,
     exponent,
@@ -144,13 +144,12 @@ def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron
 
 @cache
 def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
-    """The minimal generators of {y in sigma_dual cap M : <y, n_i> >= c for
-    every ray n_i of sigma}; they depend only on the ring and c, so they are
-    enumerated once per residue class of q - 1."""
-    ineqs = [(n, c) for n in ring.sigma.rays]
-    return tuple(minimal_upset_generators(
-        ring, inequality_batch(ineqs), degree_bound(ring, ineqs)
-    ))
+    """The minimal generators, in (l, lex) order, of the up-set of the ray
+    coordinates >= (c, ..., c) (``ideals._upset_union``; the origin alone at
+    c = 0), computed once per ring and residue class of q - 1."""
+    rays = ring.sigma.rays
+    gens = _upset_union(ring, [(c,) * len(rays)]).gens
+    return tuple(sorted(gens, key=lambda y: (sum(pairing(y, n) for n in rays), y)))
 
 
 def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
@@ -160,13 +159,11 @@ def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
     least multiple of r not below q-1, so top*w is a lattice point, and
     x = top*w - y lies in (q-1)*w - sigma_dual iff <y, n_i> >= c for every
     ray n_i of sigma.  Those y form an up-closed set, so the corners are
-    top*w minus its minimal generators; for c = 0 (always on Gorenstein
-    rings) the only corner is (q-1)*w itself.
+    top*w minus its minimal generators (``_corner_offsets``); for c = 0
+    (always on Gorenstein rings) that leaves (q-1)*w itself.
     """
     c = (1 - q) % ring.gorenstein_index
     topw = tuple(int((q - 1 + c) * x) for x in ring.w)
-    if c == 0:
-        return [topw]
     return [vec_sub(topw, y) for y in _corner_offsets(ring, c)]
 
 
@@ -242,9 +239,6 @@ def tau_socle_oracle(
     """
     tP = _scaled_polyhedron(ring, a, t)
     qs = q_sweep(qmax, p)
-    if tP.scale == 0:
-        return SocleOracleResult(unit_ideal(ring), 0)
-
     # Dividing the witnesses x at q by q, m is witnessed at q iff some y in
     # M/q has <y, n_i> <= (q-1)/q for every ray n_i and m + y in tP.  From q
     # to p*q the lattice M/q only grows and so does the bound (q-1)/q, so
@@ -252,7 +246,8 @@ def tau_socle_oracle(
     # There m is witnessed iff m + x/q_top lies in tP for some corner x.
     # The witnessed m form the union of one up-set per corner, and a minimal
     # generator of a union of up-sets is a minimal generator of one of them,
-    # so the largest of the corners' degree bounds bounds them all.
+    # so the largest of the corners' degree bounds bounds them all.  At t = 0
+    # tP is sigma_dual, and the corner above the origin witnesses it.
     corner_ineqs = [ineqs for _, ineqs in _corner_inequalities(ring, tP, qs[-1])]
     batches = [inequality_batch(ineqs) for ineqs in corner_ineqs]
     checked = 0

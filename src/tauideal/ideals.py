@@ -166,13 +166,11 @@ def zero_ideal(ring: ToricRing) -> MonomialIdeal:
 
 
 def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
-    """The ideal generated by the unit vectors (the irrelevant ideal of the
-    orthant; raises SemigroupMembershipError where a unit vector is not an
-    exponent of the ring)."""
-    d = ring.d
-    return minimalize(
-        ring, [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    )
+    """The irrelevant ideal, of the Hilbert basis of sigma_dual cap M (the
+    unit vectors on the orthant); irreducibles divide none of each other."""
+    from .enumeration import hilbert_basis
+
+    return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(ring))))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -364,8 +362,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
 
     if I.is_zero():
         raise InputError("integral closure of the zero ideal is undefined")
-    if I.is_unit():
-        return I
+    # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and dropped
     ineqs = lattice_inequalities(newton_polyhedron(I.ring, I.gens))
     gens = minimal_upset_generators(
         I.ring, inequality_batch(ineqs), degree_bound(I.ring, ineqs)

@@ -279,11 +279,16 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     if implicit:
         h = halfspaces[(implicit & -implicit).bit_length() - 1]
         raise ConeNotFullDimensionalError(f"halfspace {h} is an implicit equality")
-    # the rays generate the now pointed cone, so a ray is extreme iff no
-    # other ray is tight on all of its halfspaces
-    masks = list(rays.values())
+    return _extreme(list(rays), list(rays.values()))
+
+
+def _extreme(vectors, masks) -> list[IntVec]:
+    """The extreme rays, sorted, of the pointed cone generated by distinct
+    primitive ``vectors``, each with the bitmask of the halfspaces it is
+    tight on: v is extreme iff no other vector is tight on all of v's, as a
+    v in a face of dimension 2 or more shares them with that face's rays."""
     return sorted(
-        r for r, mr in rays.items() if sum(1 for m in masks if m & mr == mr) == 1
+        v for v, mv in zip(vectors, masks) if sum(1 for m in masks if m & mv == mv) == 1
     )
 
 
@@ -291,9 +296,8 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
 class Cone:
     """Rational polyhedral cone with both descriptions populated.
 
-    ``rays`` are the primitive generators as given (deduplicated); the cone is
-    guaranteed strongly convex and full-dimensional.  Each halfspace h means
-    <x,h> >= 0.
+    ``rays`` are the primitive extreme rays, sorted; the cone is guaranteed
+    strongly convex and full-dimensional.  Each halfspace h means <x,h> >= 0.
     """
 
     dim: int
@@ -302,7 +306,8 @@ class Cone:
 
 
 def cone_from_rays(generators) -> Cone:
-    """Build a cone from integer generators, computing its H-representation."""
+    """Build a cone from any integer generators, computing its H-representation
+    and keeping only the extreme rays (``_extreme`` on their tight facets)."""
     gens = list(dict.fromkeys(primitivize(tuple(g)) for g in generators))
     if not gens:
         raise ConeNotFullDimensionalError("no generators")
@@ -314,7 +319,9 @@ def cone_from_rays(generators) -> Cone:
         raise ConeNotFullDimensionalError(str(exc)) from exc
     except ConeNotFullDimensionalError as exc:
         raise ConeNotPointedError(str(exc)) from exc
-    return Cone(dim=dim, rays=tuple(sorted(gens)), halfspaces=tuple(halfspaces))
+    masks = [sum(1 << j for j, v in enumerate(row) if not v)
+             for row in zip(*pairing_columns(gens, halfspaces))]
+    return Cone(dim=dim, rays=tuple(_extreme(gens, masks)), halfspaces=tuple(halfspaces))
 
 
 def dual_cone(cone: Cone) -> Cone:
@@ -401,10 +408,10 @@ def gorenstein_vector(sigma: Cone):
 
 
 def toric_ring(generators) -> ToricRing:
-    """Construct a ToricRing from integer generators of sigma.
+    """Construct a ToricRing from any integer generators of sigma.
 
-    Checks strong convexity and full-dimensionality, computes the dual cone
-    by double description, and solves for the Q-Gorenstein vector.
+    Checks strong convexity and full-dimensionality, keeps the extreme rays,
+    computes the dual cone by double description and solves for w.
     """
     sigma = cone_from_rays(generators)
     sigma_dual = Cone(dim=sigma.dim, rays=sigma.halfspaces, halfspaces=sigma.rays)

@@ -5,7 +5,8 @@ P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  That test is
 compiled once into integer facet bounds <m, a> >= c
 (``polyhedra.lattice_inequalities``), so every point costs only Python-int
 dot products; generators are found by one graded lattice-point enumeration
-up to a proven degree bound (``enumeration.degree_bound``).
+up to a proven degree bound (``enumeration.degree_bound``).  ``tau_is_unit``
+reads the same compile.  Every t, 0 included, takes this one path.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 
 from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 from .errors import InputError
-from .ideals import MonomialIdeal, _check_in_ring, minimalize, unit_ideal
+from .ideals import MonomialIdeal, _check_in_ring, minimalize
 from .lattice import ToricRing, toric_ring
 from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
@@ -31,13 +32,17 @@ def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
     return exponent(t)
 
 
+def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
+    """The bounds (a, c), c > 0, cutting tau(a^t) out of sigma_dual cap M; none
+    at t = 0, where t*P(a) is sigma_dual and <m + w, n> > 0 as <w, n> = 1."""
+    t = _check_request(ring, a, t)
+    P = newton_polyhedron(ring, a.gens)
+    return lattice_inequalities(scale(P, t), ring.w, strict=True)
+
+
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     """The generalized test ideal tau(a^t) as a monomial ideal."""
-    t = _check_request(ring, a, t)
-    if t == 0:
-        return unit_ideal(ring)
-    P = newton_polyhedron(ring, a.gens)
-    ineqs = lattice_inequalities(scale(P, t), ring.w, strict=True)
+    ineqs = _tau_inequalities(ring, a, t)
     gens = minimal_upset_generators(
         ring, inequality_batch(ineqs), degree_bound(ring, ineqs)
     )
@@ -45,12 +50,8 @@ def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
 
 
 def tau_is_unit(ring: ToricRing, a: MonomialIdeal, t) -> bool:
-    """Fast unit test: is w itself interior to t*P(a)?"""
-    t = _check_request(ring, a, t)
-    if t == 0:
-        return True
-    tP = scale(newton_polyhedron(ring, a.gens), t)
-    return tP.contains(ring.w, strict=True)
+    """Is the origin in tau(a^t)?  It meets every dropped bound c <= 0."""
+    return not _tau_inequalities(ring, a, t)
 
 
 def tau_veronese(d: int, r: int, l: int) -> int:

@@ -196,10 +196,10 @@ def test_unparsable_ring_rank_rejected(tmp_path, rank):
 def test_non_q_gorenstein_ring_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
-        {"cone_generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2]]}
+        {"cone_generators": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 2]]}
     ))
     ideal = tmp_path / "i.json"
-    ideal.write_text(json.dumps({"generators": [[1, 0, 0]]}))
+    ideal.write_text(json.dumps({"generators": [[0, 0, 1]]}))
     assert main(["tau", "--ring", str(bad), "--ideal", str(ideal)]) == 3
 
 

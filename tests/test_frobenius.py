@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import tauideal.campaigns
 import tauideal.frobenius
-from tauideal.campaigns import run_campaign
+from tauideal.campaigns import run_campaign, run_crosscheck
 from tauideal.cli import main
-from tauideal.enumeration import lattice_points_upto
+from tauideal.enumeration import degree_bound, lattice_points_upto
 from tauideal.errors import (
     DimensionMismatchError,
     InputError,
@@ -43,10 +43,10 @@ from tauideal.ideals import (
     MonomialIdeal, bracket_power, maximal_ideal, minimalize, multiply, power, unit_ideal,
 )
 from tauideal.lattice import (
-    ToricRing, orthant_ring, pairing, toric_ring, vec_add, vec_neg, vec_scale,
+    ToricRing, orthant_ring, pairing, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
 )
 from tauideal.polyhedra import NewtonPolyhedron, newton_polyhedron, scale
-from tauideal.tau import tau, veronese_maximal_ideal, veronese_ring
+from tauideal.tau import tau, tau_is_unit, veronese_maximal_ideal, veronese_ring
 
 
 R2 = orthant_ring(2)
@@ -286,6 +286,66 @@ def test_corner_cache_changes_no_answer(ring):
     # and the cached offsets are what the uncached function returns
     for c in range(1, ring.gorenstein_index):
         assert offsets(ring, c) == offsets.__wrapped__(ring, c)
+
+
+def _brute_corner_offsets(ring, c):
+    """The points of sigma_dual with every ray coordinate >= c that lie
+    above no other such point, from a scan up to the proven degree bound,
+    in (l, lex) order."""
+    pairs = [(n, c) for n in ring.sigma.rays]
+    points = lattice_points_upto(ring, degree_bound(ring, pairs))
+    members = [y for y in points if all(pairing(y, n) >= c for n in ring.sigma.rays)]
+    return tuple(
+        y for y in members
+        if not any(z != y and ring.in_semigroup(vec_sub(y, z)) for z in members)
+    )
+
+
+@pytest.mark.parametrize(
+    "ring", [VERONESE_23, INDEX_5, VERONESE_32], ids=["veronese23", "index5", "veronese32"]
+)
+def test_corner_offsets_match_a_brute_force_scan(ring):
+    for c in range(ring.gorenstein_index):
+        assert tauideal.frobenius._corner_offsets(ring, c) == _brute_corner_offsets(ring, c)
+
+
+@pytest.mark.parametrize("ring, gens, t, u, p, qmax, witness", [
+    (INDEX_5, None, Fraction(1, 2), (-1, -2), 2, 32, (2, (0, 0))),
+    (INDEX_5, None, Fraction(1, 2), (-1, -1), 2, 32, (2, (0, 0))),
+    (INDEX_5, [(1, 0), (2, 5)], Fraction(2, 3), (-1, -2), 2, 32, (4, (1, 1))),
+    (VERONESE_23, None, Fraction(1, 2), (0, 0), 3, 27, (9, (5, 8))),
+    (VERONESE_32, None, Fraction(1, 2), (-1, 0, -1), 2, 32, (2, (1, 1, 1))),
+])
+def test_in_star_E_witnesses_are_pinned(ring, gens, t, u, p, qmax, witness):
+    # each u is witnessed by more than one corner at that q, and the witness
+    # is the first in (l, lex) order of the offsets; on the index-5 ring the
+    # lex order of the offsets would give another one
+    a = minimalize(ring, ring.sigma_dual.rays if gens is None else gens)
+    verdict = in_star_E(ring, a, t, u, qmax=qmax, p=p)
+    assert (verdict.status, verdict.witness) == (STATUS_FAILS, witness)
+
+
+# the rings of tests/test_ideals.py: orthant d = 1..4, Veronese (2,2) (3,2)
+# (2,3), the square cone, the index-5 ring and the cone (1,0),(1,2)
+TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
+    VERONESE_22, VERONESE_32, VERONESE_23, SQUARE_CONE, INDEX_5,
+    toric_ring([(1, 0), (1, 2)]),
+]
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_every_route_gives_the_unit_ideal_at_t_zero(ring):
+    unit = unit_ideal(ring)
+    for a in (minimalize(ring, ring.sigma_dual.rays), minimalize(ring, low_points(ring)[3:6])):
+        assert tau(ring, a, 0) == unit
+        assert tau_is_unit(ring, a, 0)
+        for p in (2, 3):
+            assert tau_socle_oracle(ring, a, 0, qmax=p**3, p=p).ideal == unit
+            if ring.gorenstein_index % p:
+                # two admissible q, the larger at least 16, on every ring here
+                assert frobenius_root_tau_oracle(ring, a, 0, qmax=p**8, p=p) == unit
+        report = run_crosscheck(ring, [("a", a)], [0], qmax=2**8)
+        assert (report.instances, report.passes, report.inconclusive) == (1, 1, [])
 
 
 def test_socle_oracle_veronese_model():

@@ -35,6 +35,7 @@ from tauideal.ideals import (
     integral_closure,
     intersect,
     kill_variable,
+    maximal_ideal,
     minimal_vectors_orthant,
     minimalize,
     multiply,
@@ -47,7 +48,7 @@ from tauideal.ideals import (
 from tauideal.lattice import (
     IntVec, orthant_ring, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
 )
-from tauideal.tau import veronese_ring
+from tauideal.tau import veronese_maximal_ideal, veronese_ring
 
 
 R2 = orthant_ring(2)
@@ -785,6 +786,20 @@ def test_integral_closure_examples():
     # antichain on the boundary of its own polyhedron is closed
     m = I((1, 0), (0, 1))
     assert integral_closure(m) == m
+    for ring in TEST_RINGS:
+        assert integral_closure(unit_ideal(ring)) == unit_ideal(ring)
+
+
+def test_maximal_ideal_is_the_irrelevant_ideal_on_every_ring():
+    for d in range(1, 5):
+        ring = orthant_ring(d)
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        assert maximal_ideal(ring) == minimalize(ring, units)
+    for d, r in ((2, 2), (2, 3), (3, 2), (4, 2), (2, 5), (1, 3)):
+        ring = veronese_ring(d, r)
+        assert maximal_ideal(ring) == veronese_maximal_ideal(ring, d, r)
+    # off the orthant the unit vectors miss the Hilbert basis element (2, -1)
+    assert maximal_ideal(toric_ring([(1, 0), (1, 2)])).gens == ((0, 1), (1, 0), (2, -1))
 
 
 def test_integral_closure_is_idempotent_and_expanding():

@@ -126,6 +126,22 @@ def test_zero_generator_rejected():
         cone_from_rays([(0, 0), (1, 0)])
 
 
+def test_redundant_generators_give_the_ring_of_the_extreme_rays():
+    # an inner generator, generators inside 2-faces, repeats and multiples
+    cases = [
+        ([(1, 0), (1, 1), (0, 1)], [(1, 0), (0, 1)]),
+        ([(1, 0), (1, 1), (1, 2), (2, 2)], [(1, 0), (1, 2)]),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2), (1, 1, 0), (0, 2, 2)],
+         [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1), (1, 1, 2), (0, 0, 3)],
+         [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    ]
+    for listed, extreme in cases:
+        assert toric_ring(listed) == toric_ring(extreme)
+        assert cone_from_rays(listed).rays == tuple(sorted(extreme))
+    assert toric_ring([(1, 0), (1, 1), (0, 1)]).is_orthant()
+
+
 def test_gorenstein_vector_orthant():
     cone = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     w, r = gorenstein_vector(cone)
@@ -149,8 +165,10 @@ def test_gorenstein_vector_index_three():
 
 
 def test_non_q_gorenstein_rejected():
+    # four extreme rays: the first three force w = (0, 0, 1), which pairs to 2
+    # with the last
     with pytest.raises(NotQGorensteinError):
-        toric_ring([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
+        toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 2)])
 
 
 def test_toric_ring_carries_consistent_data():

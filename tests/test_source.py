@@ -69,3 +69,66 @@ def test_orthant_forks_stay_in_the_allowlist():
         _orthant_calls(tree, "<module>", owners)
         found |= {f"{path.name}:{owner}" for owner in owners}
     assert found == ORTHANT_FORKS
+
+
+def _wrapped_at_each_module(layers: Path) -> dict[str, set[str]]:
+    """The names ``perfbench/layers.py`` wraps, by the module it wraps them
+    at: each ``tracer.wrap(owner, "name", ...)`` call, with ``owner`` a module
+    variable bound by ``map(module, (...))`` or a loop variable over a tuple
+    of them."""
+    tree = ast.parse(layers.read_text(), filename=str(layers))
+    modules = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "map"):
+            names = [n.value for n in node.value.args[1].elts]
+            modules.update(zip((t.id for t in node.targets[0].elts), names))
+    loops = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            for inner in ast.walk(node):
+                loops[id(inner)] = (node.target.id, [e.id for e in node.iter.elts])
+    wrapped: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap"):
+            owner, name = node.args[0].id, node.args[1].value
+            target, owners = loops.get(id(node), (None, []))
+            for variable in owners if owner == target else [owner]:
+                wrapped.setdefault(modules[variable], set()).add(name)
+    return wrapped
+
+
+def test_unused_imports_are_exactly_perfbench_wrap_sites():
+    # a name a module imports but never reads is there only for perfbench to
+    # wrap; any other unused import is dead, and a binding perfbench stops
+    # wrapping shows up here
+    layers = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    wrapped = _wrapped_at_each_module(layers)
+    unused, expected = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__"
+            for elt in node.value.elts
+        }
+        module = path.stem
+        unused |= {f"{module}.{name}" for name in imported - read}
+        expected |= {f"{module}.{name}" for name in imported & wrapped.get(module, set()) - read}
+    assert unused == expected
+    assert expected == {
+        "campaigns.tight_integral_closure_at_q",
+        "frobenius.frobenius_root",
+        "frobenius.minimalize",
+        "frobenius.power",
+        "ideals.toric_ring",
+    }

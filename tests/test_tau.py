@@ -6,8 +6,8 @@ from random import Random
 import pytest
 
 from tauideal.enumeration import inequality_batch
-from tauideal.errors import InputError
-from tauideal.ideals import maximal_ideal, minimalize, multiply, power, unit_ideal
+from tauideal.errors import InputError, SemigroupMembershipError
+from tauideal.ideals import MonomialIdeal, maximal_ideal, minimalize, multiply, power, unit_ideal
 from tauideal.lattice import orthant_ring, vec_add
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import (
@@ -47,6 +47,11 @@ def test_tau_cusp_jumping_thresholds():
 def test_tau_at_zero_is_unit():
     assert tau(R2, I((5, 5)), 0).is_unit()
     assert tau_is_unit(R2, I((5, 5)), 0)
+    # t = 0 reads the ideal as every other t does
+    outside = MonomialIdeal(ring=R2, gens=((-1, 0),))
+    for route in (tau, tau_is_unit):
+        with pytest.raises(SemigroupMembershipError):
+            route(R2, outside, 0)
 
 
 def test_tau_rejects_bad_input():
@@ -65,6 +70,9 @@ def test_tau_is_unit_agrees_with_tau():
                               for _ in range(rng.randint(1, 4))])
         t = Fraction(rng.randint(1, 5), rng.randint(1, 4))
         assert tau_is_unit(ring, a, t) == tau(ring, a, t).is_unit()
+        # the Fraction reference: is w interior to t*P(a)?
+        tP = scale(newton_polyhedron(ring, a.gens), t)
+        assert tau_is_unit(ring, a, t) == tP.contains(ring.w, strict=True)
 
 
 def test_regular_powers_formula():
