@@ -45,26 +45,26 @@ def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
     in the semigroup, so an irreducible m is r_i itself or has every
     lambda_i < 1.  Either way it lies in the zonotope sum_r [0, 1]*r over all
     extreme rays r, whose coordinate box [sum min(0, r_k), sum max(0, r_k)]
-    in each coordinate k is all that is scanned.  A box point m is reducible
-    iff m = h + s with h irreducible, l(h) < l(m) and s in the semigroup;
-    that h lies in the box too, so one pass in (l, lex) order finds them.
-    Computed once per ring.
+    in each coordinate k is all that is scanned.  The irreducible box points
+    are the nonzero box points of sigma_dual whose ray coordinates rc are
+    minimal among theirs (one ``ideals.minimal_vectors_orthant`` call): a
+    reducible m = h + s has an irreducible h in the box with rc(h) <= rc(m),
+    and any other such box point a splits m as a + (m - a).  Computed once
+    per ring.
     """
-    ell = ell_vector(ring)
+    from .ideals import minimal_vectors_orthant
+
     rays = ring.sigma_dual.rays
     box = [
         range(sum(min(0, r[k]) for r in rays), sum(max(0, r[k]) for r in rays) + 1)
         for k in range(ring.d)
     ]
-    points = sorted(
-        (p for p in product(*box) if any(p) and ring.in_semigroup(p)),
-        key=lambda p: (pairing(p, ell), p),
-    )
-    basis: list[IntVec] = []
-    for m in points:
-        if not any(ring.in_semigroup(vec_sub(m, h)) for h in basis):
-            basis.append(m)
-    return tuple(basis)
+    points = [p for p in product(*box) if any(p)]
+    coords = zip(*pairing_columns(points, ring.sigma.rays))
+    by_coords = {rc: p for p, rc in zip(points, coords) if min(rc) >= 0}
+    basis = [by_coords[rc] for rc in minimal_vectors_orthant(by_coords)]
+    ell = ell_vector(ring)
+    return tuple(sorted(basis, key=lambda p: (pairing(p, ell), p)))
 
 
 @cache

@@ -11,8 +11,8 @@ corner, and the socle oracle needs only the largest q of the sweep.  The
 root route climbs the chain of trace roots C_q (``ideals.trace_root``) over
 the q with (q-1)*w a lattice point and reads no Newton polyhedron: C_q and
 both its checks come from the ray coordinates of the powers' generators.
-It and the tight-closure searches take those over the q-sweep from one lazy
-``ideals.powers`` chain (``_power_rows``).  The searches compare ray
+It and the tight-closure searches read those rows over the q-sweep from
+one lazy ``ideals.powers`` chain.  The searches compare ray
 coordinates; their candidate multipliers are the lattice points of
 sigma_dual with every ray coordinate at most cbox.  They take a batch of
 points z: one call builds the bracket powers, one chain per ideal and the
@@ -263,12 +263,6 @@ def tau_socle_oracle(
     return SocleOracleResult(MonomialIdeal(ring=ring, gens=tuple(sorted(gens))), checked)
 
 
-def _power_rows(I: MonomialIdeal, exponents):
-    """Lazily, the ray coordinates of the generators of each I**n that
-    ``powers`` yields."""
-    return (_ray_coords(I.ring, In.gens) for In in powers(I, exponents))
-
-
 def frobenius_root_tau_oracle(
     ring: ToricRing, a: MonomialIdeal, t, qmax: int = 128, p: int = 2
 ) -> MonomialIdeal:
@@ -276,7 +270,7 @@ def frobenius_root_tau_oracle(
     C_q = trace_root(a^ceil(t*q), q) over the admissible q <= qmax: the
     powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein index
     (none when p divides it: UnsupportedRingError).  C_q comes from the
-    ray coordinates rc of a^ceil(t*q)'s generators g, each paired once; every
+    ray coordinates rc of a^ceil(t*q)'s generators g, the chain's rows; every
     generator m of C_q must have q*rc(m) + q - 1 >= rc(g) for some g (q*m +
     (q-1)*w in a^ceil(t*q), as <w, n_j> = 1) and the chain must ascend,
     else InvariantError.  The value is accepted once two consecutive q (the
@@ -287,7 +281,7 @@ def frobenius_root_tau_oracle(
     if r % p == 0:
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
     prev_rows = prev_q = None
-    for q, rows in zip(qs, _power_rows(a, [math.ceil(t * q) for q in qs])):
+    for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
         current = _trace_root_rows(ring, rows, q)
         current_rows = _ray_coords(ring, current.gens)
         lifts = [tuple([q * x + q - 1 for x in m]) for m in current_rows]
@@ -375,7 +369,7 @@ def tight_closure_members_at_q(
     qs = q_sweep(qmax, p)
     rh = _ray_coords(ring, I.gens)
     brackets = {q: [vec_scale(q, h) for h in rh] for q in qs}
-    apowers = dict(zip(qs, _power_rows(a, [math.ceil(t * q) for q in qs])))
+    apowers = dict(zip(qs, powers(a, [math.ceil(t * q) for q in qs])))
 
     def holds(v, q):
         return all(
@@ -417,7 +411,7 @@ def tight_integral_closure_members_at_q(
     if cbox < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
-    chains = zip(*(_power_rows(I, qs) for I in ideals))
+    chains = zip(*(powers(I, qs) for I in ideals))
     qpowers = {q: [g for rows in row for g in rows] for q, row in zip(qs, chains)}
 
     def holds(v, q):

@@ -6,13 +6,15 @@ correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
 over the rays n_j of sigma, computed and checked for all generators at
 once by ``lattice.semigroup_columns``, and every divisibility test here
 (``minimalize``, ``minimal_vectors_orthant``,
-``MonomialIdeal.is_subideal_of``) is one call of ``_below_masks``, which
-compares all rows at once with integer bitmasks.  Powers square by adding
-each unordered pair of generators once (``_square``), and ``powers`` yields
-a nondecreasing sequence of powers lazily, each built from the one before.
+``MonomialIdeal.is_subideal_of``, ``contains_monomial``) is one call of
+``_below_masks``, which compares all rows at once with integer bitmasks.
+Ray coordinates add under products: ``multiply`` keeps the minimal sums of
+pairs (``_pairs``), and ``powers`` lazily yields the rows of a sequence of
+powers, each built from the one before; ``power`` is its one value.  Rows
+become generators in one place, ``_points``.
 Intersections, colons and trace roots (``trace_root``, the x^m with
 q*m + (q-1)*w in I) are unions of up-sets in ray coordinates, met on their
-bound vectors (up(a) cap up(b) = up(max(a, b)), ``_max_pairs``) and built
+bound vectors (up(a) cap up(b) = up(max(a, b)), ``_pairs``) and built
 on every ring by one kernel call (``_upset_union``).  The zero ideal has an
 empty generator tuple, the unit ideal the single zero vector.
 ``frobenius_root`` (the orthant's trace root, checked to cover I) and
@@ -28,11 +30,10 @@ from .errors import (
     InputError,
     InvariantError,
     RingMismatchError,
-    SemigroupMembershipError,
     UnsupportedRingError,
 )
 from .lattice import IntVec, ToricRing, basis_inverse, orthant_ring, pairing_columns
-from .lattice import semigroup_columns, vec_scale, vec_sub
+from .lattice import semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -86,6 +87,8 @@ def minimal_vectors_orthant(vectors) -> list[IntVec]:
     """Componentwise-minimal subset of a collection of integer vectors, in
     order of first appearance."""
     vecs = list(dict.fromkeys(vectors))
+    if len(vecs) < 2:
+        return vecs
     below = _below_masks(vecs)
     return [v for j, v in enumerate(vecs) if below[j] == 1 << j]
 
@@ -102,13 +105,11 @@ class MonomialIdeal:
         return self.gens == (tuple(0 for _ in range(self.ring.d)),)
 
     def contains_monomial(self, m) -> bool:
-        """True iff some generator divides x^m in the semigroup sense."""
-        m = tuple(m)
-        if not self.ring.in_semigroup(m):
-            raise SemigroupMembershipError(f"{m} is outside the semigroup")
-        return any(
-            self.ring.in_semigroup(vec_sub(m, g)) for g in self.gens
-        )
+        """True iff some generator divides x^m in the semigroup sense:
+        ``_covers`` on the ray coordinates of m and the generators, all
+        checked as in ``is_subideal_of``."""
+        rows = _ray_coords(self.ring, (tuple(m),) + self.gens)
+        return _covers(rows[1:], rows[:1])
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of self is divisible by one of other.
@@ -173,22 +174,38 @@ def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(ring))))
 
 
+def _pairs(op, A, B) -> list[IntVec]:
+    """The minimal op(a, b) over every pair of a in A and b in B: with
+    op = add the ray coordinates of the products x^a * x^b, with op = max
+    the bounds of up(a) cap up(b) = up(max(a, b))."""
+    return minimal_vectors_orthant(tuple(map(op, a, b)) for a in A for b in B)
+
+
+def _square(rows) -> list[IntVec]:
+    """The minimal sums of two rows, adding each unordered pair once."""
+    return minimal_vectors_orthant(
+        tuple(map(add, a, b)) for i, a in enumerate(rows) for b in rows[i:]
+    )
+
+
+def _points(ring: ToricRing, rows) -> list[IntVec]:
+    """floor(A v_B / D) for each ray-coordinate vector v of ``rows``
+    (``lattice.basis_inverse``): the lattice point with ray coordinates v
+    whenever one exists, as the rays span."""
+    basis, inverse, den = basis_inverse(ring.sigma.rays)
+    numerators = pairing_columns([[v[b] for b in basis] for v in rows], inverse)
+    return list(zip(*([x // den for x in col] for col in numerators)))
+
+
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """Ray coordinates add, so the generators of I*J are the points
+    (``_points``) of the minimal sums of the generators' checked ray
+    coordinates (``_pairs``); those points divide none of each other."""
     _check_same_ring(I, J)
-    return minimalize(
-        I.ring, {tuple(map(add, g, h)) for g in I.gens for h in J.gens}
-    )
-
-
-def _square(I: MonomialIdeal) -> MonomialIdeal:
-    """I*I, adding each unordered pair of generators once; the square of one
-    generator g is 2*g, with nothing to minimalize."""
-    gens = I.gens
-    if len(gens) == 1:
-        return MonomialIdeal(ring=I.ring, gens=(vec_scale(2, gens[0]),))
-    return minimalize(
-        I.ring, {tuple(map(add, g, h)) for i, g in enumerate(gens) for h in gens[i:]}
-    )
+    rows = _ray_coords(I.ring, I.gens + J.gens)
+    n = len(I.gens)
+    gens = _points(I.ring, _pairs(add, rows[:n], rows[n:]))
+    return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -197,45 +214,41 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I**n by repeated squaring; the n-th power of one generator g is the
-    single generator n*g."""
-    if n < 0:
-        raise InputError(f"negative power {n}")
-    if n == 0:
-        return unit_ideal(I.ring)
-    if len(I.gens) == 1:
-        return MonomialIdeal(ring=I.ring, gens=(vec_scale(n, I.gens[0]),))
-    result = None
-    base = I
-    k = n
-    while k:
-        if k & 1:
-            result = base if result is None else multiply(result, base)
-        k >>= 1
-        if k:
-            base = _square(base)
-    return result
+    """I**n: the points of the one value of the chain ``powers(I, [n])``."""
+    gens = _points(I.ring, next(powers(I, [n])))
+    return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))
 
 
 def powers(I: MonomialIdeal, exponents):
-    """Lazily yield I**n for each n of the nondecreasing sequence
-    ``exponents``.
+    """Lazily yield the ray coordinates of the minimal generators of I**n
+    for each n of the nondecreasing sequence ``exponents`` of ints >= 0,
+    pairing I's generators with the rays once (and checking them).
 
-    Each value after the first is built from the one before: a repeat is
-    the same ideal, a doubled exponent a squaring, and any other step from
-    m to n is I**m * I**(n - m) (from m = 0, just I**n).  Nothing past the
-    last value taken is computed.
+    Each value is built from the one before (at first the unit ideal's zero
+    row): a repeat is the same rows, a doubled exponent a squaring, and any
+    other step from m to n adds (``_pairs``) the rows of I**(n - m), built
+    over the bits of n - m from the left: square, and add I's rows on a one.
+    Nothing past the last value taken is computed.
     """
-    prev_n = prev = None
+    rows = _ray_coords(I.ring, I.gens)
+    unit = [(0,) * len(I.ring.sigma.rays)]
+
+    def rows_of_power(k):  # k >= 1
+        value = rows
+        for bit in bin(k)[3:]:
+            value = _square(value)
+            if bit == "1":
+                value = _pairs(add, value, rows)
+        return value
+
+    prev_n, prev = 0, unit
     for n in exponents:
-        if prev_n is not None and n < prev_n:
-            raise InputError(f"exponents must not decrease, got {prev_n} then {n}")
-        if not prev_n:
-            prev = power(I, n)
-        elif n == 2 * prev_n:
+        if n < prev_n:
+            raise InputError(f"exponents must not decrease from 0, got {prev_n} then {n}")
+        if n == 2 * prev_n:
             prev = _square(prev)
         elif n != prev_n:
-            prev = multiply(prev, power(I, n - prev_n))
+            prev = _pairs(add, prev, rows_of_power(n - prev_n))
         prev_n = n
         yield prev
 
@@ -247,17 +260,14 @@ def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     Ray coordinates are never negative, so c may be raised to v = max(c, 0),
     and a v above another adds nothing.  A lattice point m with ray
     coordinates exactly v divides every member of v's up-set, so it is the
-    only generator.  The rays span, so m solves <m, n_b> = v_b on a basis
-    of them, and exists iff floor(A v_B / D) (``lattice.basis_inverse``)
-    has ray coordinates v; on a smooth cone it always does.  Any other
+    only generator.  It exists iff the candidate of ``_points`` has ray
+    coordinates v; on a smooth cone it always does.  Any other
     up-set is enumerated up to its proven degree bound.
     """
     from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
 
     tops = minimal_vectors_orthant(tuple(max(x, 0) for x in c) for c in bounds)
-    basis, inverse, den = basis_inverse(ring.sigma.rays)
-    numerators = pairing_columns([[v[b] for b in basis] for v in tops], inverse)
-    points = list(zip(*([x // den for x in col] for col in numerators)))
+    points = _points(ring, tops)
     point_coords = zip(*pairing_columns(points, ring.sigma.rays))
     gens, enumerated = [], []
     for v, m, coords in zip(tops, points, point_coords):
@@ -273,12 +283,6 @@ def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     return minimalize(ring, gens + enumerated)
 
 
-def _max_pairs(A, B) -> list[IntVec]:
-    """The minimal componentwise maxima max(a, b) over a in A and b in B:
-    the bounds of up(a) cap up(b) = up(max(a, b)), over every pair."""
-    return minimal_vectors_orthant(tuple(map(max, a, b)) for a in A for b in B)
-
-
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """x^m lies in (x^g) and in (x^h) iff its ray coordinates dominate
     those of g and of h, so I cap J is the up-set union over the pairs
@@ -286,21 +290,21 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_ring(I, J)
     coords = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
-    return _upset_union(I.ring, _max_pairs(coords[:n], coords[n:]))
+    return _upset_union(I.ring, _pairs(max, coords[:n], coords[n:]))
 
 
 def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """The largest K with K*J contained in I: the intersection over the
     generators h of J of (I : x^h), the up-set union of the ray coordinates
     of g - h over the generators g of I.  The intersection is taken on the
-    bound vectors, from the zero vector (the unit ideal), one ``_max_pairs``
+    bound vectors, from the zero vector (the unit ideal), one ``_pairs``
     step per h, and the ideal is built once at the end."""
     _check_same_ring(I, J)
     coords = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
     bounds = [(0,) * len(I.ring.sigma.rays)]
     for h in coords[n:]:
-        bounds = _max_pairs(bounds, [tuple(map(sub, g, h)) for g in coords[:n]])
+        bounds = _pairs(max, bounds, [tuple(map(sub, g, h)) for g in coords[:n]])
     return _upset_union(I.ring, bounds)
 
 

@@ -23,7 +23,7 @@ the rays of sigma and checks every vector on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
@@ -297,7 +297,9 @@ class Cone:
     """Rational polyhedral cone with both descriptions populated.
 
     ``rays`` are the primitive extreme rays, sorted; the cone is guaranteed
-    strongly convex and full-dimensional.  Each halfspace h means <x,h> >= 0.
+    strongly convex and full-dimensional.  Each halfspace h means <x,h> >= 0,
+    and ``halfspaces`` are the primitive extreme rays of the dual cone,
+    sorted, so ``dual_cone`` only swaps the two descriptions.
     """
 
     dim: int
@@ -325,12 +327,8 @@ def cone_from_rays(generators) -> Cone:
 
 
 def dual_cone(cone: Cone) -> Cone:
-    """The dual cone: rays become halfspaces and vice versa."""
-    return Cone(
-        dim=cone.dim,
-        rays=tuple(sorted(dual_extreme_rays(cone.rays))),
-        halfspaces=cone.rays,
-    )
+    """The dual cone: the two descriptions swap (see ``Cone``)."""
+    return Cone(dim=cone.dim, rays=cone.halfspaces, halfspaces=cone.rays)
 
 
 def solve_unit_pairings(generators) -> RatVec:
@@ -358,14 +356,15 @@ class ToricRing:
     ``sigma`` is the defining cone in the dual lattice, ``sigma_dual`` the
     cone of exponent vectors, ``w`` the rational vector pairing to 1 against
     every generator of sigma, and ``gorenstein_index`` the least r with r*w
-    integral.
+    integral.  ``toric_ring`` derives the other fields from sigma, so rings
+    compare and hash by sigma alone.
     """
 
-    d: int
+    d: int = field(compare=False)
     sigma: Cone
-    sigma_dual: Cone
-    w: RatVec
-    gorenstein_index: int
+    sigma_dual: Cone = field(compare=False)
+    w: RatVec = field(compare=False)
+    gorenstein_index: int = field(compare=False)
 
     def is_orthant(self) -> bool:
         units = {tuple(1 if i == j else 0 for j in range(self.d)) for i in range(self.d)}
@@ -411,15 +410,14 @@ def toric_ring(generators) -> ToricRing:
     """Construct a ToricRing from any integer generators of sigma.
 
     Checks strong convexity and full-dimensionality, keeps the extreme rays,
-    computes the dual cone by double description and solves for w.
+    reads the dual cone off the same double description and solves for w.
     """
     sigma = cone_from_rays(generators)
-    sigma_dual = Cone(dim=sigma.dim, rays=sigma.halfspaces, halfspaces=sigma.rays)
     w, index = gorenstein_vector(sigma)
     return ToricRing(
         d=sigma.dim,
         sigma=sigma,
-        sigma_dual=sigma_dual,
+        sigma_dual=dual_cone(sigma),
         w=w,
         gorenstein_index=index,
     )

@@ -428,6 +428,37 @@ def test_root_oracle_reads_no_newton_facets(monkeypatch):
             pass
 
 
+@st.composite
+def _root_route_case(draw):
+    """A ring off the orthant, an ideal of up to 3 points of degree <= 4, and
+    t, p and qmax for the root oracle."""
+    ring = draw(st.sampled_from((
+        VERONESE_22, VERONESE_23, VERONESE_32,
+        toric_ring([(1, 0), (1, 2)]), INDEX_5, SQUARE_CONE,
+    )))
+    points = lattice_points_upto(ring, 4)
+    a = minimalize(ring, draw(st.lists(st.sampled_from(points), min_size=1, max_size=3)))
+    t = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))))
+    return ring, a, t, draw(st.sampled_from((2, 3))), draw(st.sampled_from((16, 32)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_root_route_case())
+def test_root_route_lies_in_tau_or_says_why_not(case):
+    # every C_q lies in tau (ROADMAP item 1, "Lower"), so an accepted value
+    # does too, plateau or not; no other exception may leave the oracle
+    ring, a, t, p, qmax = case
+    if ring.gorenstein_index % p == 0:
+        with pytest.raises(UnsupportedRingError):
+            frobenius_root_tau_oracle(ring, a, t, qmax, p)
+        return
+    try:
+        got = frobenius_root_tau_oracle(ring, a, t, qmax, p)
+    except NotStabilizedError:
+        return
+    assert got.is_subideal_of(tau(ring, a, t)), (ring.sigma.rays, a.gens, t, p, qmax)
+
+
 def test_xy_not_in_tight_closure_of_squares():
     # xy is outside (x^2, y^2)^{*m}: every candidate multiplier fails at some q
     verdict = tight_closure_member_at_q(

@@ -422,17 +422,19 @@ def test_powers_match_power_on_every_step_kind():
         several = minimalize(ring, rng.sample(points, min(3, len(points))))
         for a in (zero_ideal(ring), unit_ideal(ring), minimalize(ring, points[:1]), several):
             for ns in sequences:
-                assert list(powers(a, ns)) == [power(a, n) for n in ns], (a.gens, ns)
+                got = [sorted(rows) for rows in powers(a, ns)]
+                want = [sorted(_ray_coords(ring, power(a, n).gens)) for n in ns]
+                assert got == want, (a.gens, ns)
     with pytest.raises(InputError):
         list(powers(I((1, 0)), [2, 3, 1]))
 
 
 def _products_for_first_value(monkeypatch, chain, a, exponents):
-    """The first value of chain(a, exponents) and the multiply and _square
+    """The first value of chain(a, exponents) and the _pairs and _square
     calls made while taking it."""
     calls = Counter()
     with monkeypatch.context() as m:
-        _count_calls(m, calls, ("multiply", "_square"))
+        _count_calls(m, calls, ("_pairs", "_square"))
         first = next(iter(chain(a, exponents)))
     return first, calls
 
@@ -441,15 +443,36 @@ def test_powers_builds_nothing_past_the_value_taken(monkeypatch):
     a = I((2, 0), (1, 3), (0, 5))
     ns = [3, 5, 9, 17, 33, 65, 192]
     want, by_power = _products_for_first_value(
-        monkeypatch, lambda a, ns: [power(a, ns[0])], a, ns
+        monkeypatch, lambda a, ns: [sorted(_ray_coords(R2, power(a, ns[0]).gens))], a, ns
     )
     got, by_chain = _products_for_first_value(monkeypatch, powers, a, ns)
-    assert got == want and by_chain == by_power and by_power["multiply"] == 1
+    # 3 = 0b11 from I's rows: square, add I, and add that to the unit row
+    assert sorted(got) == want and by_chain == by_power == {"_square": 1, "_pairs": 2}
     # the same count catches a chain that builds every value up front
     _, by_eager = _products_for_first_value(
         monkeypatch, lambda a, ns: list(powers(a, ns)), a, ns
     )
-    assert by_eager["multiply"] > by_power["multiply"]
+    assert by_eager["_pairs"] > by_power["_pairs"]
+
+
+def test_products_check_the_generators_they_are_given():
+    # power, multiply and contains_monomial read every generator's ray
+    # coordinates, so a hand-built ideal with one outside sigma_dual is
+    # refused, at n = 0 and for one generator too
+    for ring in (R2, veronese_ring(2, 2)):
+        outside = vec_neg(ring.sigma_dual.rays[0])
+        one = MonomialIdeal(ring=ring, gens=(outside,))
+        several = MonomialIdeal(ring=ring, gens=((0,) * ring.d, outside))
+        for bad in (one, several):
+            for n in (0, 1, 2, 5):
+                with pytest.raises(SemigroupMembershipError):
+                    power(bad, n)
+            with pytest.raises(SemigroupMembershipError):
+                multiply(bad, unit_ideal(ring))
+            with pytest.raises(SemigroupMembershipError):
+                multiply(unit_ideal(ring), bad)
+            with pytest.raises(SemigroupMembershipError):
+                bad.contains_monomial((0,) * ring.d)
 
 
 def test_sum():

@@ -138,6 +138,7 @@ def test_redundant_generators_give_the_ring_of_the_extreme_rays():
     ]
     for listed, extreme in cases:
         assert toric_ring(listed) == toric_ring(extreme)
+        assert hash(toric_ring(listed)) == hash(toric_ring(extreme))
         assert cone_from_rays(listed).rays == tuple(sorted(extreme))
     assert toric_ring([(1, 0), (1, 1), (0, 1)]).is_orthant()
 
