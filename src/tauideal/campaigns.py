@@ -16,6 +16,7 @@ from operator import add, le
 from random import Random
 
 from . import ideals as idl
+from .enumeration import sharing
 from .errors import InputError, NotStabilizedError, UnsupportedRingError
 from .frobenius import (
     STATUS_HOLDS,
@@ -360,7 +361,10 @@ def run_crosscheck(
     ring: ToricRing, named_ideals, ts, qmax: int = 128, primes=(2, 3)
 ) -> CampaignReport:
     """Polyhedral vs socle (at each of primes) vs root (at the first of
-    primes, skipped when it divides the Gorenstein index) on every (ideal, t)."""
+    primes, skipped when it divides the Gorenstein index) on every (ideal, t).
+    Each ideal's polyhedral and socle routes share P(a) and equal-pair
+    enumerations in one ``sharing`` block, whose docstring says why that is
+    sound and why it is a scope; the root route runs outside it."""
     if not primes:
         raise InputError("crosscheck needs at least one prime")
     root_p = primes[0]
@@ -369,20 +373,21 @@ def run_crosscheck(
     extra = () if root_p == 2 else (root_p,)
     rep = CampaignReport("crosscheck")
     start = time.monotonic()
+    ts = [exponent(t) for t in ts]
     for name, a in named_ideals:
-        for t in ts:
-            t = exponent(t)
-            poly = tau(ring, a, t)
-            results = {"polyhedral": poly}
-            for p in primes:
-                results[f"socle_p{p}"] = tau_socle_oracle(ring, a, t, qmax, p).ideal
+        with sharing():
+            routes = [{"polyhedral": tau(ring, a, t)} for t in ts]
+            for t, results in zip(ts, routes):
+                for p in primes:
+                    results[f"socle_p{p}"] = tau_socle_oracle(ring, a, t, qmax, p).ideal
+        for t, results in zip(ts, routes):
             if ring.gorenstein_index % root_p:
                 try:
                     results["root"] = frobenius_root_tau_oracle(ring, a, t, qmax, *extra)
                 except NotStabilizedError:
                     replay = _replay(ideal=name, t=t, oracle="root", qmax=qmax)
                     rep.inconclusive.append(replay)
-            agree = all(v == poly for v in results.values())
+            agree = all(v == results["polyhedral"] for v in results.values())
             rep.record(agree, _replay(ideal=name, t=t, **results))
     rep.wall_ms = int((time.monotonic() - start) * 1000)
     return rep

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import ideals as idl
 from .campaigns import CAMPAIGNS, run_campaign, run_crosscheck
+from .enumeration import sharing
 from .errors import InputError, InvariantError, NotStabilizedError, TauIdealError
 from .frobenius import frobenius_root_tau_oracle, tau_socle_oracle
 from .ideals import MonomialIdeal
@@ -120,22 +121,20 @@ def cmd_tau(args) -> int:
     a = load_ideal(args.ideal, ring)
     t = exponent(args.t)
     methods = ["polyhedral", "socle", "root"] if args.method == "all" else [args.method]
+    qmax, p = args.qmax, args.prime
     results: dict[str, MonomialIdeal] = {}
     inconclusive = []
-    for method in methods:
-        if method == "polyhedral":
-            results[method] = tau(ring, a, t)
-        elif method == "socle":
-            results[method] = tau_socle_oracle(ring, a, t, args.qmax, args.prime).ideal
-        elif method == "root":
-            if args.method == "all" and ring.gorenstein_index % args.prime == 0:
-                continue  # no q = p^e is admissible for the root oracle
-            try:
-                results[method] = frobenius_root_tau_oracle(
-                    ring, a, t, args.qmax, args.prime
-                )
-            except NotStabilizedError as exc:
-                inconclusive.append({"method": method, "reason": str(exc)})
+    with sharing():  # as in run_crosscheck; the root route stays outside
+        if "polyhedral" in methods:
+            results["polyhedral"] = tau(ring, a, t)
+        if "socle" in methods:
+            results["socle"] = tau_socle_oracle(ring, a, t, qmax, p).ideal
+    # with --method all, skipped where no q = p^e is admissible for it
+    if "root" in methods and (args.method == "root" or ring.gorenstein_index % p):
+        try:
+            results["root"] = frobenius_root_tau_oracle(ring, a, t, qmax, p)
+        except NotStabilizedError as exc:
+            inconclusive.append({"method": "root", "reason": str(exc)})
     values = list(results.values())
     agreement = all(v == values[0] for v in values)
     payload = {

@@ -8,25 +8,24 @@ M by integer facet pairs (a, c), <m, a> >= c, tested one pair at a time
 over a whole batch of points (``inequality_batch``, on the columns of
 ``lattice.pairing_columns``), and ``degree_bound`` proves from those pairs
 that no minimal generator has l above a bound, so the lattice points are
-enumerated once, up to it.
+enumerated once, up to it, for a union of such up-sets (``upset_union``).
 """
 
 from __future__ import annotations
 
-from functools import cache
+from contextlib import contextmanager
+from contextvars import ContextVar
+from functools import cache, reduce
 from itertools import product, repeat
-from operator import add, and_, ge, mul
+from operator import add, and_, ge, mul, or_
 
-from .lattice import IntVec, ToricRing, pairing, pairing_columns, vec_add, vec_sub
+from .lattice import IntVec, ToricRing, pairing, pairing_columns, vec_sub
 from .polyhedra import _vertex_rays
 
 
 def ell_vector(ring: ToricRing) -> IntVec:
     """The grading functional as a vector: sum of the sigma generators."""
-    total = ring.sigma.rays[0]
-    for r in ring.sigma.rays[1:]:
-        total = vec_add(total, r)
-    return total
+    return tuple(map(sum, zip(*ring.sigma.rays)))
 
 
 def _ray_degree_sum(ring: ToricRing) -> int:
@@ -185,3 +184,52 @@ def minimal_upset_generators(
         m for m in pts
         if m in members and not any(vec_sub(m, h) in members for h in basis)
     ]
+
+
+_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
+
+
+@contextmanager
+def sharing():
+    """A scope in which ``shared`` computes P(a), keyed on (ring, a.gens), and
+    each ``upset_union``, keyed on (ring, pair sets), once.  Callers still
+    compile their own pairs, and a hit is what the same pure function returns
+    on equal inputs, so routes that meet in a block compare as without it.
+    Nothing outlives a block, even one that raised.  A scope, not an
+    argument, keeps the signatures that stand-ins for ``tau`` take."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def shared(key, compute):
+    """compute(), once per key inside a ``sharing`` block, always outside."""
+    memo = _shared.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def upset_union(ring: ToricRing, ineq_sets) -> tuple[tuple[IntVec, ...], int]:
+    """(sorted minimal generators, points tested) of the union of the up-sets
+    the integer pair sets cut out.  A minimal generator of a union of up-sets
+    is one of some member up-set, so the largest degree bound bounds them."""
+    ineq_sets = tuple(map(tuple, ineq_sets))
+
+    def compute():
+        batches = [inequality_batch(ineqs) for ineqs in ineq_sets]
+        tested = []
+
+        def member_batch(points):
+            tested.append(len(points))
+            return reduce(lambda x, y: [*map(or_, x, y)], [b(points) for b in batches])
+
+        bound = max(degree_bound(ring, ineqs) for ineqs in ineq_sets)
+        gens = minimal_upset_generators(ring, member_batch, bound)
+        return tuple(sorted(gens)), sum(tested)
+
+    return shared(("upset", ring, ineq_sets), compute)

@@ -29,7 +29,9 @@ from functools import cache
 from itertools import product
 from operator import le
 
-from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
+from .enumeration import inequality_batch, shared, upset_union
+# minimal_upset_generators is bound here only for perfbench/layers.py
+from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
     InputError,
     InvariantError,
@@ -139,7 +141,8 @@ def _check_q(q: int, p: int) -> None:
 def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron:
     """t*P(a); every socle-side entry point gets its request checked here."""
     t = _check_request(ring, a, t)
-    return scale(newton_polyhedron(ring, a.gens), t)
+    P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a.gens))
+    return scale(P, t)
 
 
 @cache
@@ -225,6 +228,9 @@ def in_star_E(
 
 @dataclass(frozen=True)
 class SocleOracleResult:
+    """``points_checked``: the points tested by the enumeration the ideal
+    came from (in a ``sharing`` block, maybe an equal request's)."""
+
     ideal: MonomialIdeal
     points_checked: int
 
@@ -244,23 +250,12 @@ def tau_socle_oracle(
     # to p*q the lattice M/q only grows and so does the bound (q-1)/q, so
     # this set only grows: some q <= qmax witnesses m iff the top q does.
     # There m is witnessed iff m + x/q_top lies in tP for some corner x.
-    # The witnessed m form the union of one up-set per corner, and a minimal
-    # generator of a union of up-sets is a minimal generator of one of them,
-    # so the largest of the corners' degree bounds bounds them all.  At t = 0
-    # tP is sigma_dual, and the corner above the origin witnesses it.
+    # The witnessed m form the union of one up-set per corner
+    # (``enumeration.upset_union``).  At t = 0 tP is sigma_dual, and the
+    # corner above the origin witnesses it.
     corner_ineqs = [ineqs for _, ineqs in _corner_inequalities(ring, tP, qs[-1])]
-    batches = [inequality_batch(ineqs) for ineqs in corner_ineqs]
-    checked = 0
-
-    def member_batch(points):
-        nonlocal checked
-        checked += len(points)
-        return [any(flags) for flags in zip(*(batch(points) for batch in batches))]
-
-    gens = minimal_upset_generators(
-        ring, member_batch, max(degree_bound(ring, ineqs) for ineqs in corner_ineqs)
-    )
-    return SocleOracleResult(MonomialIdeal(ring=ring, gens=tuple(sorted(gens))), checked)
+    gens, checked = upset_union(ring, corner_ineqs)
+    return SocleOracleResult(MonomialIdeal(ring=ring, gens=gens), checked)
 
 
 def frobenius_root_tau_oracle(

@@ -264,7 +264,7 @@ def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     coordinates v; on a smooth cone it always does.  Any other
     up-set is enumerated up to its proven degree bound.
     """
-    from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
+    from .enumeration import upset_union
 
     tops = minimal_vectors_orthant(tuple(max(x, 0) for x in c) for c in bounds)
     points = _points(ring, tops)
@@ -274,10 +274,7 @@ def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
         if coords == v:
             gens.append(m)
         else:
-            pairs = list(zip(ring.sigma.rays, v))
-            enumerated += minimal_upset_generators(
-                ring, inequality_batch(pairs), degree_bound(ring, pairs)
-            )
+            enumerated += upset_union(ring, [tuple(zip(ring.sigma.rays, v))])[0]
     if not enumerated:  # the points of distinct minimal tops divide none of each other
         return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
     return minimalize(ring, gens + enumerated)
@@ -361,14 +358,11 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Monomials whose exponents lie in the Newton polyhedron of I."""
-    from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
+    from .enumeration import upset_union
     from .polyhedra import lattice_inequalities, newton_polyhedron
 
     if I.is_zero():
         raise InputError("integral closure of the zero ideal is undefined")
     # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and dropped
     ineqs = lattice_inequalities(newton_polyhedron(I.ring, I.gens))
-    gens = minimal_upset_generators(
-        I.ring, inequality_batch(ineqs), degree_bound(I.ring, ineqs)
-    )
-    return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))
+    return MonomialIdeal(ring=I.ring, gens=upset_union(I.ring, [ineqs])[0])

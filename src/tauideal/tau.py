@@ -5,7 +5,7 @@ P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  That test is
 compiled once into integer facet bounds <m, a> >= c
 (``polyhedra.lattice_inequalities``), so every point costs only Python-int
 dot products; generators are found by one graded lattice-point enumeration
-up to a proven degree bound (``enumeration.degree_bound``).  ``tau_is_unit``
+up to a proven degree bound (``enumeration.upset_union``).  ``tau_is_unit``
 reads the same compile.  Every t, 0 included, takes this one path.
 """
 
@@ -15,7 +15,9 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .enumeration import degree_bound, inequality_batch, minimal_upset_generators
+from .enumeration import shared, upset_union
+# minimal_upset_generators is bound here only for perfbench/layers.py
+from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import InputError
 from .ideals import MonomialIdeal, _check_in_ring, minimalize
 from .lattice import ToricRing, toric_ring
@@ -36,17 +38,14 @@ def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
     """The bounds (a, c), c > 0, cutting tau(a^t) out of sigma_dual cap M; none
     at t = 0, where t*P(a) is sigma_dual and <m + w, n> > 0 as <w, n> = 1."""
     t = _check_request(ring, a, t)
-    P = newton_polyhedron(ring, a.gens)
+    P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a.gens))
     return lattice_inequalities(scale(P, t), ring.w, strict=True)
 
 
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     """The generalized test ideal tau(a^t) as a monomial ideal."""
-    ineqs = _tau_inequalities(ring, a, t)
-    gens = minimal_upset_generators(
-        ring, inequality_batch(ineqs), degree_bound(ring, ineqs)
-    )
-    return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
+    gens, _ = upset_union(ring, [_tau_inequalities(ring, a, t)])
+    return MonomialIdeal(ring=ring, gens=gens)
 
 
 def tau_is_unit(ring: ToricRing, a: MonomialIdeal, t) -> bool:

@@ -1,6 +1,9 @@
 """Campaign runner determinism and sanity."""
 
 import inspect
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -165,3 +168,64 @@ def test_crosscheck_orthant_agreement():
     rep = run_crosscheck(ring, [("cusp", cusp)], ["5/6", 1], qmax=128)
     assert rep.instances == rep.passes == 2
     assert not rep.failures
+
+
+# (x^6, x^3 y^2, y^5): every route agrees at t = 1 and 3/2 with qmax 16 and
+# primes (2, 3), and the two socle oracles compile tau's pairs
+CROSS_RING = orthant_ring(2)
+CROSS_IDEAL = minimalize(CROSS_RING, [(6, 0), (3, 2), (0, 5)])
+
+
+def _cross(t):
+    return run_crosscheck(CROSS_RING, [("a", CROSS_IDEAL)], [t], qmax=16, primes=(2, 3))
+
+
+def test_crosscheck_builds_one_polyhedron_and_one_enumeration_per_ideal(monkeypatch):
+    counts = Counter()
+    sites = [(sys.modules[f"tauideal.{m}"], "newton_polyhedron") for m in ("tau", "frobenius")]
+    sites.append((sys.modules["tauideal.enumeration"], "minimal_upset_generators"))
+    for module, name in sites:
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rep = _cross(1)
+    assert rep.instances == rep.passes == 1 and not rep.inconclusive
+    # tau and the oracles at p = 2 and 3: three of each without the block
+    assert counts == {"newton_polyhedron": 1, "minimal_upset_generators": 1}
+    # nothing outlives a block, so a second call builds again
+    assert _cross(1).ok
+    assert counts == {"newton_polyhedron": 2, "minimal_upset_generators": 2}
+
+
+@pytest.mark.parametrize("fault", ["socle", "tau"])
+def test_crosscheck_catches_a_route_fault_planted_under_sharing(monkeypatch, fault):
+    # the faulty routes' answers change on this instance and the others keep
+    # theirs: each route compiles its own pairs inside the sharing block
+    t = Fraction(3, 2)
+    assert _cross(t).ok
+    sound = [list(g) for g in campaigns.tau(CROSS_RING, CROSS_IDEAL, t).gens]
+    if fault == "socle":
+        frobenius = sys.modules["tauideal.frobenius"]
+        real = frobenius._corner_inequalities
+        monkeypatch.setattr(
+            frobenius, "_corner_inequalities",
+            lambda ring, tP, q: [(x, ineqs[:-1]) for x, ineqs in real(ring, tP, q)],
+        )
+        faulty = {"socle_p2", "socle_p3"}
+    else:
+        tau_module = sys.modules["tauideal.tau"]
+        real = tau_module.lattice_inequalities
+        monkeypatch.setattr(
+            tau_module, "lattice_inequalities",
+            lambda P, shift=None, strict=False: real(P, shift),
+        )
+        faulty = {"polyhedral"}
+    rep = _cross(t)
+    assert rep.instances == 1 and rep.passes == 0 and not rep.inconclusive
+    replay = rep.failures[0]
+    changed = {r for r in ("polyhedral", "socle_p2", "socle_p3", "root") if replay[r] != sound}
+    assert changed == faulty

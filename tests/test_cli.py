@@ -47,6 +47,33 @@ def test_tau_all_methods_agree(files, capsys):
         assert payload["generators"][method] == [[0, 1], [1, 0]]
 
 
+def test_tau_all_builds_one_polyhedron_for_the_polyhedral_and_socle_routes(
+    files, capsys, monkeypatch
+):
+    import sys
+
+    _, ring, ideal = files
+    argv = ["tau", "--ring", ring, "--ideal", ideal, "--t", "5/6", "--out", "json"]
+    alone = {}
+    for method in ("polyhedral", "socle", "root"):
+        code, out = run(capsys, [*argv, "--method", method])
+        assert code == 0
+        alone.update(json.loads(out)["generators"])
+    builds = []
+    for name in ("tau", "frobenius"):
+        module = sys.modules[f"tauideal.{name}"]
+        real = module.newton_polyhedron
+        monkeypatch.setattr(
+            module, "newton_polyhedron",
+            lambda *args, real=real: builds.append(None) or real(*args),
+        )
+    code, out = run(capsys, [*argv, "--method", "all"])
+    assert code == 0 and len(builds) == 1
+    payload = json.loads(out)
+    assert payload["generators"] == alone
+    assert payload["agreement"] is True and payload["inconclusive"] == []
+
+
 def _ring_and_ideal(tmp_path, cone_generators, generators):
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps({"cone_generators": cone_generators}))

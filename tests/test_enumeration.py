@@ -22,6 +22,9 @@ from tauideal.enumeration import (
     inequality_batch,
     lattice_points_upto,
     minimal_upset_generators,
+    shared,
+    sharing,
+    upset_union,
 )
 from tauideal.errors import DimensionMismatchError
 from tauideal.frobenius import _socle_corners
@@ -35,7 +38,7 @@ from tauideal.lattice import (
     toric_ring,
 )
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
-from tauideal.tau import veronese_ring
+from tauideal.tau import tau, veronese_ring
 
 SQUARE_CONE = toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
 RINGS = {
@@ -398,3 +401,90 @@ def test_vertex_rays_give_the_vertices():
         assert sorted(polyhedra.inequality_vertices(ring.sigma_dual, ineqs)) == sorted(
             reference_inequality_vertices(ring.sigma_dual, ineqs)
         ), label
+
+
+def test_upset_union_matches_brute_force_on_pairs_of_upsets():
+    by_ring = {}
+    for label, ring, ineqs in UPSETS:
+        by_ring.setdefault(ring, []).append((label, ineqs))
+    for ring, sets in by_ring.items():
+        for (la, a), (lb, b) in zip(sets, sets[1:]):
+            bound = max(degree_bound(ring, a), degree_bound(ring, b))
+            points = brute_points(ring, bound + 2 * ray_degree_sum(ring))
+            members = {
+                m for m, fa, fb in zip(points, inequality_batch(a)(points),
+                                       inequality_batch(b)(points))
+                if fa or fb
+            }
+            gens, tested = upset_union(ring, [a, b])
+            assert gens == tuple(sorted(brute_minimal(ring, points, members))), (la, lb)
+            assert tested == len(lattice_points_upto(ring, bound)), (la, lb)
+
+
+# -- the sharing scope --------------------------------------------------------
+
+def _counter():
+    calls = []
+
+    def compute():
+        calls.append(None)
+        return len(calls)
+
+    return compute
+
+
+def test_shared_computes_once_per_key_inside_a_block_and_always_outside():
+    compute = _counter()
+    assert [shared("k", compute) for _ in range(2)] == [1, 2]
+    with sharing():
+        assert [shared("k", compute) for _ in range(2)] == [3, 3]
+        assert shared("j", compute) == 4
+        with sharing():  # an inner block starts empty and ends with itself
+            assert shared("k", compute) == 5
+        assert shared("k", compute) == 3
+    assert shared("k", compute) == 6
+
+
+def test_a_block_that_raised_leaves_nothing_behind():
+    compute = _counter()
+    with pytest.raises(RuntimeError):
+        with sharing():
+            assert shared("k", compute) == 1
+            raise RuntimeError("inside the block")
+    assert shared("k", compute) == 2
+    with sharing():
+        assert shared("k", compute) == 3
+
+
+def _count_builds(monkeypatch):
+    """Count Newton polyhedra built through tau's binding and enumerations."""
+    import sys
+
+    counts = Counter()
+    for module, name in ((sys.modules["tauideal.tau"], "newton_polyhedron"),
+                         (enumeration, "minimal_upset_generators")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_tau_shares_a_key_only_for_the_same_ideal_and_pairs(monkeypatch):
+    ring = orthant_ring(2)
+    a = minimalize(ring, [(6, 0), (3, 2), (0, 5)])
+    b = minimalize(ring, [(4, 0), (1, 2), (0, 5)])
+    requests = [(a, 1), (a, 1), (a, Fraction(1, 2)), (b, 1)]
+    outside = [tau(ring, ideal, t) for ideal, t in requests]
+    counts = _count_builds(monkeypatch)
+    assert [tau(ring, ideal, t) for ideal, t in requests] == outside
+    assert counts == {"newton_polyhedron": 4, "minimal_upset_generators": 4}
+    counts.clear()
+    with sharing():
+        assert [tau(ring, ideal, t) for ideal, t in requests] == outside
+    # P(a) holds no t, so a and b are built once each; the pairs carry t,
+    # so only the repeated (a, 1) reuses an enumeration
+    assert counts == {"newton_polyhedron": 2, "minimal_upset_generators": 3}

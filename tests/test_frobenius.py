@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tauideal.campaigns
+import tauideal.enumeration as enumeration
 import tauideal.frobenius
 from tauideal.campaigns import run_campaign, run_crosscheck
 from tauideal.cli import main
-from tauideal.enumeration import degree_bound, lattice_points_upto
+from tauideal.enumeration import degree_bound, lattice_points_upto, sharing
 from tauideal.errors import (
     DimensionMismatchError,
     InputError,
@@ -40,7 +41,8 @@ from tauideal.frobenius import (
     tight_integral_closure_members_at_q,
 )
 from tauideal.ideals import (
-    MonomialIdeal, bracket_power, maximal_ideal, minimalize, multiply, power, unit_ideal,
+    MonomialIdeal, bracket_power, integral_closure, maximal_ideal, minimalize, multiply,
+    power, unit_ideal,
 )
 from tauideal.lattice import (
     ToricRing, orthant_ring, pairing, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
@@ -346,6 +348,45 @@ def test_every_route_gives_the_unit_ideal_at_t_zero(ring):
                 assert frobenius_root_tau_oracle(ring, a, 0, qmax=p**8, p=p) == unit
         report = run_crosscheck(ring, [("a", a)], [0], qmax=2**8)
         assert (report.instances, report.passes, report.inconclusive) == (1, 1, [])
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_sharing_returns_what_each_call_computes_alone(ring, monkeypatch):
+    # one block per ideal, as in run_crosscheck, with the socle oracle first
+    # or tau first: every value equals the one computed outside any block,
+    # the socle's points_checked included (INDEX_5 has several corners)
+    enumerations = []
+    real = enumeration.minimal_upset_generators
+    monkeypatch.setattr(
+        enumeration, "minimal_upset_generators",
+        lambda *args: enumerations.append(None) or real(*args),
+    )
+    rng = Random(1919 + ring.d * len(ring.sigma.rays))
+    pool = low_points(ring)[1:]
+    requests = [(t, p) for t in (0, Fraction(1, 2), 1, Fraction(3, 2)) for p in (2, 3)]
+
+    def values(a, t, p, socle_first):
+        socle = lambda: tau_socle_oracle(ring, a, t, qmax=p**3, p=p)
+        if socle_first:
+            res = socle()
+            got = tau(ring, a, t)
+        else:
+            got = tau(ring, a, t)
+            res = socle()
+        return got, res.ideal, res.points_checked, integral_closure(a)
+
+    for _ in range(2):
+        a = minimalize(ring, rng.sample(pool, rng.randint(1, 3)))
+        enumerations.clear()
+        alone = [values(a, t, p, False) for t, p in requests]
+        built_alone = len(enumerations)
+        for socle_first in (True, False):
+            enumerations.clear()
+            with sharing():
+                shared = [values(a, t, p, socle_first) for t, p in requests]
+            assert shared == alone, (a.gens, socle_first)
+            # a block shares work: at least the closure, which holds no t
+            assert len(enumerations) < built_alone
 
 
 def test_socle_oracle_veronese_model():

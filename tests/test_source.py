@@ -128,7 +128,9 @@ def test_unused_imports_are_exactly_perfbench_wrap_sites():
     assert expected == {
         "campaigns.tight_integral_closure_at_q",
         "frobenius.frobenius_root",
+        "frobenius.minimal_upset_generators",
         "frobenius.minimalize",
         "frobenius.power",
         "ideals.toric_ring",
+        "tau.minimal_upset_generators",
     }
