@@ -30,7 +30,7 @@ from .frobenius import (
 # which wraps campaigns.tight_integral_closure_at_q
 from .frobenius import tight_integral_closure_at_q  # noqa: F401
 from .ideals import MonomialIdeal
-from .lattice import ToricRing, orthant_ring
+from .lattice import ToricRing, int_scalar, orthant_ring
 from .polyhedra import exponent, newton_polyhedron
 from .tau import tau, tau_is_unit, tau_veronese, veronese_maximal_ideal, veronese_ring
 
@@ -349,7 +349,7 @@ def run_campaign(name: str, seed: int = 0, count: int | None = None) -> Campaign
     if count is not None:
         if "count" not in inspect.signature(fn).parameters:
             raise InputError(f"campaign {name!r} takes no count")
-        if count < 1:
+        if int_scalar("count", count) < 1:
             raise InputError(f"campaign {name!r} needs count >= 1, got {count}")
     start = time.monotonic()
     rep = fn(seed=seed) if count is None else fn(seed=seed, count=count)

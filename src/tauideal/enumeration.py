@@ -7,8 +7,10 @@ levels cached per ring.  Every up-set it serves is cut out of sigma_dual cap
 M by integer facet pairs (a, c), <m, a> >= c, tested one pair at a time
 over a whole batch of points (``inequality_batch``, on the columns of
 ``lattice.pairing_columns``), and ``degree_bound`` proves from those pairs
-that no minimal generator has l above a bound, so the lattice points are
-enumerated once, up to it, for a union of such up-sets (``upset_union``).
+that no minimal generator has l above a bound.  ``upset_union`` is the
+package's one up-set kernel: a box of ray coordinates that one lattice
+point realizes has that point as its generator, and the rest of a union
+of up-sets is enumerated once, up to the largest bound.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import cache, reduce
 from itertools import product, repeat
 from operator import add, and_, ge, mul, or_
 
-from .lattice import IntVec, ToricRing, pairing, pairing_columns, vec_sub
+from .lattice import IntVec, ToricRing, _points, minimal_vectors_orthant, pairing
+from .lattice import pairing_columns, vec_sub
 from .polyhedra import _vertex_rays
 
 
@@ -46,13 +49,11 @@ def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
     extreme rays r, whose coordinate box [sum min(0, r_k), sum max(0, r_k)]
     in each coordinate k is all that is scanned.  The irreducible box points
     are the nonzero box points of sigma_dual whose ray coordinates rc are
-    minimal among theirs (one ``ideals.minimal_vectors_orthant`` call): a
+    minimal among theirs (one ``lattice.minimal_vectors_orthant`` call): a
     reducible m = h + s has an irreducible h in the box with rc(h) <= rc(m),
     and any other such box point a splits m as a + (m - a).  Computed once
     per ring.
     """
-    from .ideals import minimal_vectors_orthant
-
     rays = ring.sigma_dual.rays
     box = [
         range(sum(min(0, r[k]) for r in rays), sum(max(0, r[k]) for r in rays) + 1)
@@ -216,20 +217,46 @@ def shared(key, compute):
 
 def upset_union(ring: ToricRing, ineq_sets) -> tuple[tuple[IntVec, ...], int]:
     """(sorted minimal generators, points tested) of the union of the up-sets
-    the integer pair sets cut out.  A minimal generator of a union of up-sets
-    is one of some member up-set, so the largest degree bound bounds them."""
+    the integer pair sets cut out.
+
+    A set whose normals are all rays n_j of sigma is the box rc(m) >= v in
+    ray coordinates, v_j the largest max(c, 0) on n_j; a box above another
+    adds nothing.  A lattice point whose ray coordinates are v divides every
+    member, so it is the box's only generator; ``lattice._points`` finds it
+    where it exists (always on a smooth cone).  The other boxes and sets are
+    enumerated together up to the largest of their degree bounds, as a
+    minimal generator of a union is one of some member, and merged with the
+    realized points on ray coordinates.
+    """
     ineq_sets = tuple(map(tuple, ineq_sets))
 
     def compute():
-        batches = [inequality_batch(ineqs) for ineqs in ineq_sets]
+        rays = ring.sigma.rays
+        boxes, others = [], []
+        for ineqs in ineq_sets:
+            if all(a in rays for a, _ in ineqs):
+                boxes.append(tuple(max([0, *(c for a, c in ineqs if a == n)]) for n in rays))
+            else:
+                others.append(ineqs)
+        tops = minimal_vectors_orthant(boxes)
+        points = _points(ring, tops)
+        coords = zip(*pairing_columns(points, rays))
+        realized = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
+        others += [tuple(zip(rays, v)) for v in tops if v not in realized]
+        if not others:  # points of distinct minimal boxes divide none of each other
+            return tuple(sorted(realized.values())), 0
+        batches = [inequality_batch(ineqs) for ineqs in others]
         tested = []
 
         def member_batch(points):
             tested.append(len(points))
             return reduce(lambda x, y: [*map(or_, x, y)], [b(points) for b in batches])
 
-        bound = max(degree_bound(ring, ineqs) for ineqs in ineq_sets)
+        bound = max(degree_bound(ring, ineqs) for ineqs in others)
         gens = minimal_upset_generators(ring, member_batch, bound)
+        if realized:
+            realized.update(zip(zip(*pairing_columns(gens, rays)), gens))
+            gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]
         return tuple(sorted(gens)), sum(tested)
 
     return shared(("upset", ring, ineq_sets), compute)

@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from operator import le
 
-from .enumeration import inequality_batch, shared, upset_union
+from .enumeration import inequality_batch, lattice_points_upto, shared, upset_union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -52,8 +51,8 @@ from .ideals import (  # noqa: F401
     power,
     powers,
 )
-from .lattice import IntVec, ToricRing, basis_inverse, int_vector, pairing_columns
-from .lattice import pairing, vec_add, vec_neg, vec_scale, vec_sub
+from .lattice import IntVec, ToricRing, int_scalar, int_vector, pairing, pairing_columns
+from .lattice import vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import (
     NewtonPolyhedron,
     exponent,
@@ -116,7 +115,7 @@ def _check_prime(p: int) -> None:
 
 
 def q_sweep(qmax: int, p: int) -> list[int]:
-    if p < 2 or qmax < p:
+    if int_scalar("p", p) < 2 or int_scalar("qmax", qmax) < p:
         raise InputError(f"need qmax >= p >= 2, got qmax={qmax}, p={p}")
     _check_prime(p)
     qs = []
@@ -128,8 +127,8 @@ def q_sweep(qmax: int, p: int) -> list[int]:
 
 
 def _check_q(q: int, p: int) -> None:
-    _check_prime(p)
-    if q < 1:
+    _check_prime(int_scalar("p", p))
+    if int_scalar("q", q) < 1:
         raise InputError(f"q must be positive, got {q}")
     r = q
     while r % p == 0:
@@ -229,7 +228,8 @@ def in_star_E(
 @dataclass(frozen=True)
 class SocleOracleResult:
     """``points_checked``: the points tested by the enumeration the ideal
-    came from (in a ``sharing`` block, maybe an equal request's)."""
+    came from (in a ``sharing`` block, maybe an equal request's); 0 when a
+    lattice point realizes every corner's box (``upset_union``)."""
 
     ideal: MonomialIdeal
     points_checked: int
@@ -291,36 +291,22 @@ def frobenius_root_tau_oracle(
     raise NotStabilizedError(f"root chain did not stabilize over the admissible q {qs}")
 
 
-def _multipliers(ring: ToricRing, cbox: int) -> list[tuple[IntVec, IntVec]]:
-    """The lattice points c of sigma_dual with every ray coordinate at most
-    cbox, with those coordinates, in (l, lex) order: c = A v / D
-    (``lattice.basis_inverse``) for v in [0, cbox]^d on the basis rays, when
-    integral and inside the bound on every ray.  On the orthant, [0, cbox]^d."""
-    _, inverse, den = basis_inverse(ring.sigma.rays)
-    box = list(product(range(cbox + 1), repeat=ring.d))
-    points = [
-        tuple(x // den for x in m)
-        for m in zip(*pairing_columns(box, inverse))
-        if not any(x % den for x in m)
-    ]
-    coords = zip(*pairing_columns(points, ring.sigma.rays))
-    kept = [(c, rc) for c, rc in zip(points, coords) if 0 <= min(rc) and max(rc) <= cbox]
-    return sorted(kept, key=lambda pair: (sum(pair[1]), pair[0]))
-
-
 def _multiplier_searches(
     ring: ToricRing, rzs, cbox: int, qmax: int, p: int, holds
 ) -> list[Verdict]:
-    """One verdict per ray-coordinate vector rz of ``rzs``: try each
-    multiplier c of ``_multipliers`` at every q of the sweep, where
-    ``holds(v, q)``, v = rc(c) + q*rz with rc the ray coordinates of c, says
-    whether c works at q.  The first c that works at every q is the witness
-    of holds_up_to_qmax; otherwise the witness of fails_at_q lists every c
-    with the first q at which it failed.  The sweep and the candidates are
-    built once for all of ``rzs``.
+    """One verdict per ray-coordinate vector rz of ``rzs``: try each lattice
+    point c of sigma_dual with every ray coordinate at most cbox, in (l, lex)
+    order (l sums the ray coordinates, so ``lattice_points_upto`` up to cbox
+    * #rays holds them all), at every q of the sweep, where ``holds(v, q)``,
+    v = rc(c) + q*rz with rc the ray coordinates, says whether c works at q.
+    The first c that works at every q is the witness of holds_up_to_qmax;
+    otherwise the witness of fails_at_q lists every c with the first q at
+    which it failed.  The sweep and candidates are built once for all rzs.
     """
     qs = q_sweep(qmax, p)
-    candidates = _multipliers(ring, cbox)
+    points = lattice_points_upto(ring, cbox * len(ring.sigma.rays))
+    coords = zip(*pairing_columns(points, ring.sigma.rays))
+    candidates = [(c, rc) for c, rc in zip(points, coords) if max(rc) <= cbox]
 
     def search(rz):
         failures = []
@@ -359,7 +345,7 @@ def tight_closure_members_at_q(
     _check_same_ring(I, a)
     t = exponent(t)
     rzs = _ray_coords(ring, [tuple(z) for z in zs])
-    if cbox < 0:
+    if int_scalar("cbox", cbox) < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
     rh = _ray_coords(ring, I.gens)
@@ -403,7 +389,7 @@ def tight_integral_closure_members_at_q(
         _check_same_ring(ideals[0], J)
     ring = ideals[0].ring
     rzs = _ray_coords(ring, [tuple(z) for z in zs])
-    if cbox < 0:
+    if int_scalar("cbox", cbox) < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
     chains = zip(*(powers(I, qs) for I in ideals))

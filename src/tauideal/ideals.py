@@ -5,18 +5,17 @@ not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
 over the rays n_j of sigma, computed and checked for all generators at
 once by ``lattice.semigroup_columns``, and every divisibility test here
-(``minimalize``, ``minimal_vectors_orthant``,
-``MonomialIdeal.is_subideal_of``, ``contains_monomial``) is one call of
-``_below_masks``, which compares all rows at once with integer bitmasks.
-Ray coordinates add under products: ``multiply`` keeps the minimal sums of
+(``minimalize``, ``MonomialIdeal.is_subideal_of``, ``contains_monomial``)
+is one call of the bitmask kernel ``lattice._below_masks``.  Ray
+coordinates add under products: ``multiply`` keeps the minimal sums of
 pairs (``_pairs``), and ``powers`` lazily yields the rows of a sequence of
 powers, each built from the one before; ``power`` is its one value.  Rows
-become generators in one place, ``_points``.
-Intersections, colons and trace roots (``trace_root``, the x^m with
-q*m + (q-1)*w in I) are unions of up-sets in ray coordinates, met on their
-bound vectors (up(a) cap up(b) = up(max(a, b)), ``_pairs``) and built
-on every ring by one kernel call (``_upset_union``).  The zero ideal has an
-empty generator tuple, the unit ideal the single zero vector.
+become generators in ``lattice._points``.  Intersections, colons and trace
+roots (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of
+up-sets in ray coordinates, met on their bound vectors (up(a) cap up(b) =
+up(max(a, b)), ``_pairs``); ``_upset_union`` hands their bounds, as pairs,
+to the one up-set kernel ``enumeration.upset_union``.  The zero ideal has
+an empty generator tuple, the unit ideal the single zero vector.
 ``frobenius_root`` (the orthant's trace root, checked to cover I) and
 ``kill_variable`` are orthant-only and refuse other rings loudly.
 """
@@ -32,8 +31,10 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .lattice import IntVec, ToricRing, basis_inverse, orthant_ring, pairing_columns
-from .lattice import semigroup_columns
+from . import polyhedra
+from .enumeration import hilbert_basis, upset_union
+from .lattice import IntVec, ToricRing, _below_masks, _points, int_scalar, orthant_ring
+from .lattice import minimal_vectors_orthant, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -41,29 +42,6 @@ from .lattice import toric_ring  # noqa: F401
 def _require_orthant(ring: ToricRing, op: str) -> None:
     if not ring.is_orthant():
         raise UnsupportedRingError(f"{op} is only supported over orthant rings")
-
-
-def _below_masks(rows) -> list[int]:
-    """For each row j, the bitmask (bit k for row k) of the rows k with
-    rows[k] <= rows[j] in every coordinate; bit j is always set.
-
-    One pass per column, visiting the rows from the largest value down:
-    ``above`` holds the rows whose value is larger than the one visited, and
-    clearing those from below[j] in every column leaves the rows that lie
-    nowhere above row j (integer bitmasks as in ``lattice._insert``).
-    """
-    n = len(rows)
-    below = [(1 << n) - 1] * n
-    for column in zip(*rows):
-        above = tied = 0
-        value = None
-        for k in sorted(range(n), key=column.__getitem__, reverse=True):
-            if column[k] != value:
-                above |= tied
-                tied, value = 0, column[k]
-            tied |= 1 << k
-            below[k] &= ~above
-    return below
 
 
 def _ray_coords(ring: ToricRing, gens) -> list[IntVec]:
@@ -81,16 +59,6 @@ def _covers(lower, upper) -> bool:
     n = len(lower)
     theirs = (1 << n) - 1
     return all(mask & theirs for mask in _below_masks(lower + upper)[n:])
-
-
-def minimal_vectors_orthant(vectors) -> list[IntVec]:
-    """Componentwise-minimal subset of a collection of integer vectors, in
-    order of first appearance."""
-    vecs = list(dict.fromkeys(vectors))
-    if len(vecs) < 2:
-        return vecs
-    below = _below_masks(vecs)
-    return [v for j, v in enumerate(vecs) if below[j] == 1 << j]
 
 
 @dataclass(frozen=True)
@@ -169,8 +137,6 @@ def zero_ideal(ring: ToricRing) -> MonomialIdeal:
 def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     """The irrelevant ideal, of the Hilbert basis of sigma_dual cap M (the
     unit vectors on the orthant); irreducibles divide none of each other."""
-    from .enumeration import hilbert_basis
-
     return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(ring))))
 
 
@@ -186,15 +152,6 @@ def _square(rows) -> list[IntVec]:
     return minimal_vectors_orthant(
         tuple(map(add, a, b)) for i, a in enumerate(rows) for b in rows[i:]
     )
-
-
-def _points(ring: ToricRing, rows) -> list[IntVec]:
-    """floor(A v_B / D) for each ray-coordinate vector v of ``rows``
-    (``lattice.basis_inverse``): the lattice point with ray coordinates v
-    whenever one exists, as the rays span."""
-    basis, inverse, den = basis_inverse(ring.sigma.rays)
-    numerators = pairing_columns([[v[b] for b in basis] for v in rows], inverse)
-    return list(zip(*([x // den for x in col] for col in numerators)))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -243,7 +200,7 @@ def powers(I: MonomialIdeal, exponents):
 
     prev_n, prev = 0, unit
     for n in exponents:
-        if n < prev_n:
+        if int_scalar("exponent", n) < prev_n:
             raise InputError(f"exponents must not decrease from 0, got {prev_n} then {n}")
         if n == 2 * prev_n:
             prev = _square(prev)
@@ -255,29 +212,10 @@ def powers(I: MonomialIdeal, exponents):
 
 def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     """The ideal of the x^m whose ray coordinates dominate some c in
-    ``bounds`` (integer vectors, one entry per ray of sigma).
-
-    Ray coordinates are never negative, so c may be raised to v = max(c, 0),
-    and a v above another adds nothing.  A lattice point m with ray
-    coordinates exactly v divides every member of v's up-set, so it is the
-    only generator.  It exists iff the candidate of ``_points`` has ray
-    coordinates v; on a smooth cone it always does.  Any other
-    up-set is enumerated up to its proven degree bound.
-    """
-    from .enumeration import upset_union
-
-    tops = minimal_vectors_orthant(tuple(max(x, 0) for x in c) for c in bounds)
-    points = _points(ring, tops)
-    point_coords = zip(*pairing_columns(points, ring.sigma.rays))
-    gens, enumerated = [], []
-    for v, m, coords in zip(tops, points, point_coords):
-        if coords == v:
-            gens.append(m)
-        else:
-            enumerated += upset_union(ring, [tuple(zip(ring.sigma.rays, v))])[0]
-    if not enumerated:  # the points of distinct minimal tops divide none of each other
-        return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
-    return minimalize(ring, gens + enumerated)
+    ``bounds`` (integer vectors, one entry per ray of sigma): one
+    ``enumeration.upset_union`` call on the pairs (n_j, c_j) of each c."""
+    pairs = [tuple(zip(ring.sigma.rays, c)) for c in bounds]
+    return MonomialIdeal(ring=ring, gens=upset_union(ring, pairs)[0])
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -307,7 +245,7 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
     """Generators scaled by q (the q-th Frobenius bracket power)."""
-    if q < 1:
+    if int_scalar("q", q) < 1:
         raise InputError(f"bracket power needs q >= 1, got {q}")
     return MonomialIdeal(
         ring=I.ring, gens=tuple(sorted(tuple(q * x for x in g) for g in I.gens))
@@ -324,7 +262,7 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     one ``_upset_union`` over the floors of the generators' ray coordinates
     (``_trace_root_rows``).
     """
-    if q < 1:
+    if int_scalar("q", q) < 1:
         raise InputError(f"a root needs q >= 1, got {q}")
     return _trace_root_rows(I.ring, _ray_coords(I.ring, I.gens), q)
 
@@ -350,7 +288,7 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
     d = I.ring.d
     if d < 2:
         raise InputError("cannot kill the only variable")
-    if not 0 <= axis < d:
+    if not 0 <= int_scalar("axis", axis) < d:
         raise InputError(f"axis {axis} out of range for rank {d}")
     survivors = [g[:axis] + g[axis + 1:] for g in I.gens if g[axis] == 0]
     return minimalize(orthant_ring(d - 1), survivors)
@@ -358,11 +296,9 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Monomials whose exponents lie in the Newton polyhedron of I."""
-    from .enumeration import upset_union
-    from .polyhedra import lattice_inequalities, newton_polyhedron
-
     if I.is_zero():
         raise InputError("integral closure of the zero ideal is undefined")
-    # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and dropped
-    ineqs = lattice_inequalities(newton_polyhedron(I.ring, I.gens))
+    # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and
+    # dropped; read through the module, where perfbench/layers.py wraps it
+    ineqs = polyhedra.lattice_inequalities(polyhedra.newton_polyhedron(I.ring, I.gens))
     return MonomialIdeal(ring=I.ring, gens=upset_union(I.ring, [ineqs])[0])

@@ -18,7 +18,9 @@ algebra is one fraction-free Gauss-Jordan elimination on integers alone,
 no back-substitution and no Fraction arithmetic.  The pairings of many vectors
 with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
 computed a coordinate column at a time; ``semigroup_columns`` pairs with
-the rays of sigma and checks every vector on the way.
+the rays of sigma and checks every vector on the way.  Such rows of ray
+coordinates are compared by integer bitmasks in ``_below_masks`` (the
+minimal ones: ``minimal_vectors_orthant``) and become points in ``_points``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ def int_vector(v) -> IntVec:
     return v
 
 
+def int_scalar(name: str, x) -> int:
+    """x, after checking that it is an int (not a bool): InputError otherwise."""
+    if type(x) is not int:
+        raise InputError(f"{name} must be an int, got {x!r}")
+    return x
+
+
 def primitivize(v: IntVec) -> IntVec:
     """Divide an integer vector by the (positive) gcd of its coordinates;
     a vector that is already primitive is returned as it is."""
@@ -158,8 +167,8 @@ def basis_inverse(vectors: tuple[IntVec, ...]) -> tuple[IntVec, tuple[IntVec, ..
     and the integer rows A and the least D > 0 with A = D * B^-1, B those
     vectors as rows: the reduced form of [B | 1] is D' * [1 | B^-1], and
     A, D are its right half and D' over their gcd.  Vectors that do not
-    span raise ConeNotFullDimensionalError.  Cached:
-    ``ideals._upset_union`` asks for sigma's rays on every call."""
+    span raise ConeNotFullDimensionalError.  Cached: ``_points`` asks for
+    sigma's rays on every call."""
     d = len(vectors[0])
     basis = tuple(_echelon(list(zip(*vectors)))[1])
     if len(basis) < d:
@@ -290,6 +299,48 @@ def _extreme(vectors, masks) -> list[IntVec]:
     return sorted(
         v for v, mv in zip(vectors, masks) if sum(1 for m in masks if m & mv == mv) == 1
     )
+
+
+def _below_masks(rows) -> list[int]:
+    """For each row j, the bitmask (bit k for row k) of the rows k with
+    rows[k] <= rows[j] in every coordinate; bit j is always set.
+
+    One pass per column, visiting the rows from the largest value down:
+    ``above`` holds the rows whose value is larger than the one visited, and
+    clearing those from below[j] in every column leaves the rows that lie
+    nowhere above row j (integer bitmasks as in ``_insert``).
+    """
+    n = len(rows)
+    below = [(1 << n) - 1] * n
+    for column in zip(*rows):
+        above = tied = 0
+        value = None
+        for k in sorted(range(n), key=column.__getitem__, reverse=True):
+            if column[k] != value:
+                above |= tied
+                tied, value = 0, column[k]
+            tied |= 1 << k
+            below[k] &= ~above
+    return below
+
+
+def minimal_vectors_orthant(vectors) -> list[IntVec]:
+    """Componentwise-minimal subset of a collection of integer vectors, in
+    order of first appearance."""
+    vecs = list(dict.fromkeys(vectors))
+    if len(vecs) < 2:
+        return vecs
+    below = _below_masks(vecs)
+    return [v for j, v in enumerate(vecs) if below[j] == 1 << j]
+
+
+def _points(ring: ToricRing, rows) -> list[IntVec]:
+    """floor(A v_B / D) for each ray-coordinate vector v of ``rows``
+    (``basis_inverse`` of sigma's rays): the lattice point with ray
+    coordinates v whenever one exists, as the rays span."""
+    basis, inverse, den = basis_inverse(ring.sigma.rays)
+    numerators = pairing_columns([[v[b] for b in basis] for v in rows], inverse)
+    return list(zip(*([x // den for x in col] for col in numerators)))
 
 
 @dataclass(frozen=True)

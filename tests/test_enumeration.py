@@ -418,7 +418,10 @@ def test_upset_union_matches_brute_force_on_pairs_of_upsets():
             }
             gens, tested = upset_union(ring, [a, b])
             assert gens == tuple(sorted(brute_minimal(ring, points, members))), (la, lb)
-            assert tested == len(lattice_points_upto(ring, bound)), (la, lb)
+            # a box (every normal a ray of sigma) may be realized by one point
+            # and leave the enumeration; two other sets are enumerated together
+            if not any(all(n in ring.sigma.rays for n, _ in s) for s in (a, b)):
+                assert tested == len(lattice_points_upto(ring, bound)), (la, lb)
 
 
 # -- the sharing scope --------------------------------------------------------

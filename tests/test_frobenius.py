@@ -14,7 +14,10 @@ import tauideal.enumeration as enumeration
 import tauideal.frobenius
 from tauideal.campaigns import run_campaign, run_crosscheck
 from tauideal.cli import main
-from tauideal.enumeration import degree_bound, lattice_points_upto, sharing
+from tauideal.enumeration import (
+    degree_bound, inequality_batch, lattice_points_upto, minimal_upset_generators,
+    sharing, upset_union,
+)
 from tauideal.errors import (
     DimensionMismatchError,
     InputError,
@@ -41,13 +44,13 @@ from tauideal.frobenius import (
     tight_integral_closure_members_at_q,
 )
 from tauideal.ideals import (
-    MonomialIdeal, bracket_power, integral_closure, maximal_ideal, minimalize, multiply,
-    power, unit_ideal,
+    MonomialIdeal, bracket_power, integral_closure, kill_variable, maximal_ideal,
+    minimalize, multiply, power, trace_root, unit_ideal,
 )
 from tauideal.lattice import (
     ToricRing, orthant_ring, pairing, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
 )
-from tauideal.polyhedra import NewtonPolyhedron, newton_polyhedron, scale
+from tauideal.polyhedra import NewtonPolyhedron, lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, tau_is_unit, veronese_maximal_ideal, veronese_ring
 
 
@@ -165,6 +168,37 @@ def test_primality_is_proven_or_refused():
         q_sweep(2**89 - 1, 2**89 - 1)
     assert q_sweep(2**80, 2) == [2**e for e in range(1, 81)]
     assert q_sweep(2**61 - 1, 2**61 - 1) == [2**61 - 1]
+
+
+def test_non_int_scalars_are_input_errors_and_poison_no_cache():
+    # a float q equal to an int once keyed the corner cache as that int, so
+    # every later valid socle call in the process read float offsets
+    m = I((1, 0), (0, 1))
+    tauideal.frobenius._corner_offsets.cache_clear()
+    with pytest.raises(InputError, match="q must be an int"):
+        socle_piece_vanishes_at_q(R2, m, 1, (0, 0), 4.0)
+    assert tau_socle_oracle(R2, m, 1, qmax=16).ideal == tau(R2, m, 1)
+    bad = [
+        lambda: socle_piece_vanishes_at_q(R2, m, 1, (0, 0), 4, 2.0),
+        lambda: q_sweep(16.0, 2),
+        lambda: power(m, 2.0),
+        lambda: m ** 1.5,
+        lambda: power(m, True),
+        lambda: in_star_E(R2, m, 1, (0, 0), p=2.0),
+        lambda: in_star_E(R2, m, 1, (0, 0), qmax=Fraction(16)),
+        lambda: tau_socle_oracle(R2, m, 1, qmax=16.0),
+        lambda: frobenius_root_tau_oracle(R2, m, 1, qmax=16.5),
+        lambda: tight_closure_member_at_q(m, m, 1, (1, 1), cbox=1.5),
+        lambda: tight_integral_closure_at_q([m], (1, 1), cbox=2.0),
+        lambda: kill_variable(m, 0.0),
+        lambda: run_campaign("subadditivity", count=2.5),
+        lambda: bracket_power(m, 2.5),
+        lambda: trace_root(power(m, 3), 2.0),
+    ]
+    for call in bad:
+        with pytest.raises(InputError, match="must be an int"):
+            call()
+    assert tau_socle_oracle(R2, m, 1, qmax=16).ideal == tau(R2, m, 1)
 
 
 def test_socle_piece_vanishing_detects_tau_membership():
@@ -351,15 +385,54 @@ def test_every_route_gives_the_unit_ideal_at_t_zero(ring):
 
 
 @pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_box_pair_sets_match_their_enumeration(ring):
+    # P(a) of a principal ideal (x^g) is g + sigma_dual, whose facet normals
+    # are sigma's rays, so tau's, the socle corners' and the closure's pair
+    # sets are boxes, which upset_union realizes by one lattice point where
+    # one exists; each answer must be the enumeration every other set takes
+    rays = ring.sigma.rays
+    for g in low_points(ring)[:4]:
+        a = minimalize(ring, [g])
+        P = newton_polyhedron(ring, a.gens)
+        unions = [[lattice_inequalities(P)]]
+        for t in (0, Fraction(1, 2), 1, Fraction(3, 2)):
+            tP = scale(P, t)
+            unions.append([lattice_inequalities(tP, ring.w, strict=True)])
+            for q in (2, 3, 4, 5):
+                unions.append([lattice_inequalities(tP, [Fraction(x, q) for x in c])
+                               for c in _socle_corners(ring, q)])
+            assert tau(ring, a, t).gens == upset_union(ring, unions[-5])[0]
+            assert tau_socle_oracle(ring, a, t, qmax=4).ideal.gens == upset_union(
+                ring, unions[-2])[0]
+        # the closure's box is rc(m) >= rc(g), realized by g on every ring
+        assert integral_closure(a).gens == upset_union(ring, unions[0])[0] == (g,)
+        assert upset_union(ring, unions[0])[1] == 0
+        for sets in unions:
+            assert all(n in rays for ineqs in sets for n, _ in ineqs), sets
+            gens, tested = upset_union(ring, sets)
+            batches = [inequality_batch(ineqs) for ineqs in sets]
+            forced = minimal_upset_generators(
+                ring,
+                lambda pts: [any(flags) for flags in zip(*(b(pts) for b in batches))],
+                max(degree_bound(ring, ineqs) for ineqs in sets),
+            )
+            assert gens == tuple(sorted(forced)), (g, sets)
+            if ring.is_orthant():  # a smooth cone realizes every box
+                assert tested == 0, (g, sets)
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
 def test_sharing_returns_what_each_call_computes_alone(ring, monkeypatch):
     # one block per ideal, as in run_crosscheck, with the socle oracle first
     # or tau first: every value equals the one computed outside any block,
-    # the socle's points_checked included (INDEX_5 has several corners)
-    enumerations = []
-    real = enumeration.minimal_upset_generators
+    # the socle's points_checked included (INDEX_5 has several corners).
+    # Work is counted as up-set kernel runs: a box a lattice point realizes
+    # is never enumerated, and on orthant(1) every pair set is such a box
+    kernel_runs = []
+    real = enumeration.shared
     monkeypatch.setattr(
-        enumeration, "minimal_upset_generators",
-        lambda *args: enumerations.append(None) or real(*args),
+        enumeration, "shared",
+        lambda key, compute: real(key, lambda: kernel_runs.append(key) or compute()),
     )
     rng = Random(1919 + ring.d * len(ring.sigma.rays))
     pool = low_points(ring)[1:]
@@ -377,16 +450,16 @@ def test_sharing_returns_what_each_call_computes_alone(ring, monkeypatch):
 
     for _ in range(2):
         a = minimalize(ring, rng.sample(pool, rng.randint(1, 3)))
-        enumerations.clear()
+        kernel_runs.clear()
         alone = [values(a, t, p, False) for t, p in requests]
-        built_alone = len(enumerations)
+        built_alone = len(kernel_runs)
         for socle_first in (True, False):
-            enumerations.clear()
+            kernel_runs.clear()
             with sharing():
                 shared = [values(a, t, p, socle_first) for t, p in requests]
             assert shared == alone, (a.gens, socle_first)
             # a block shares work: at least the closure, which holds no t
-            assert len(enumerations) < built_alone
+            assert len(kernel_runs) < built_alone
 
 
 def test_socle_oracle_veronese_model():

@@ -20,7 +20,7 @@ from tauideal.errors import (
     UnsupportedRingError,
 )
 import tauideal
-from tauideal import enumeration
+from tauideal import enumeration, lattice
 from tauideal.enumeration import lattice_points_upto
 import tauideal.ideals as ideals_module
 from tauideal.ideals import (
@@ -666,17 +666,18 @@ def _bound_vector(rng, ring):
 def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
     # with an inverse of zeros every candidate point is 0, whose ray
     # coordinates miss every bound vector with a positive entry, so each
-    # up-set is enumerated
+    # up-set is enumerated; up-sets are counted by their membership batches,
+    # as one kernel call enumerates all of its up-sets together
     rng = Random(3333)
     enumerated = Counter()
     branch = ["shortcut"]
-    real_upsets = enumeration.minimal_upset_generators
+    real_batch = enumeration.inequality_batch
 
-    def counted(*args):
+    def counted(ineqs):
         enumerated[branch[0]] += 1
-        return real_upsets(*args)
+        return real_batch(ineqs)
 
-    monkeypatch.setattr(enumeration, "minimal_upset_generators", counted)
+    monkeypatch.setattr(enumeration, "inequality_batch", counted)
     for ring in TEST_RINGS:
         d = ring.d
         zero_inverse = (list(range(d)), [(0,) * d] * d, 1)
@@ -689,7 +690,7 @@ def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
             direct = _upset_union(ring, bounds)
             branch[0] = "enumerated"
             with monkeypatch.context() as m:
-                m.setattr(ideals_module, "basis_inverse", lambda rays: zero_inverse)
+                m.setattr(lattice, "basis_inverse", lambda rays: zero_inverse)
                 assert _upset_union(ring, bounds) == direct, bounds
             members = [
                 m for m, rc in zip(points, coords)

@@ -35,6 +35,20 @@ def test_no_numpy_imports_in_the_package():
     assert found == []
 
 
+def test_no_function_level_relative_imports_in_the_package():
+    # every module imports the package's modules at its top, so their order
+    # (lattice, polyhedra, enumeration, ideals, tau, frobenius, ...) is the
+    # layering, and no import cycle can hide inside a function
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert found == set()
+
+
 # The functions that may branch on the orthant, as "file:function".  A new
 # orthant-versus-general fork, or the removal of one, shows up as a diff here.
 ORTHANT_FORKS = {
