@@ -229,8 +229,8 @@ def campaign_regularity(seed: int = 0) -> CampaignReport:
         ok = tau_is_unit(ring, idl.power(m, d - 1), 1)
         rep.record(ok, _replay(d=d))
     ring = orthant_ring(2)
-    I = idl.minimalize(ring, [(2, 0), (0, 2)])
     m = idl.maximal_ideal(ring)
+    I = idl.bracket_power(m, 2)
     verdict = tight_closure_member_at_q(I, m, 1, (1, 1), qmax=128, cbox=6)
     witnessed = verdict.status != STATUS_HOLDS and all(
         q is not None for _, q in verdict.witness
@@ -288,7 +288,7 @@ def campaign_tic_vs_star(seed: int = 0) -> CampaignReport:
     rep = CampaignReport("tic_vs_star")
     ring = orthant_ring(2)
     J = idl.maximal_ideal(ring)
-    Jl = idl.minimalize(ring, [(2, 0), (0, 2)])
+    Jl = idl.bracket_power(J, 2)
     family = [idl.power(J, 3), idl.minimalize(ring, [(2, 0)]),
               idl.minimalize(ring, [(0, 2)])]
     zs = [(x, total - x) for total in range(0, 7) for x in range(total + 1)]
@@ -307,10 +307,8 @@ def campaign_bs_integral(seed: int = 0) -> CampaignReport:
     J = idl.maximal_ideal(ring)
     d = 2
     for l in (1, 2):
+        Jl = idl.bracket_power(J, l)
         for r in range(1, d * l):
-            Jl = idl.minimalize(
-                ring, [tuple(l if i == j else 0 for j in range(d)) for i in range(d)]
-            )
             lhs = idl.ideal_sum(Jl, idl.integral_closure(idl.power(J, d * l - r)))
             verdicts = tight_closure_members_at_q(
                 Jl, idl.power(J, r), 1, lhs.gens, qmax=128, cbox=6

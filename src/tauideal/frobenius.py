@@ -11,12 +11,14 @@ corner, and the socle oracle needs only the largest q of the sweep.  The
 root route climbs the chain of trace roots C_q (``ideals.trace_root``) over
 the q with (q-1)*w a lattice point and reads no Newton polyhedron: C_q and
 both its checks come from the ray coordinates of the powers' generators.
-It and the tight-closure searches read those rows over the q-sweep from
-one lazy ``ideals.powers`` chain.  The searches compare ray
-coordinates; their candidate multipliers are the lattice points of
-sigma_dual with every ray coordinate at most cbox.  They take a batch of
-points z: one call builds the bracket powers, one chain per ideal and the
-candidates once for every z, and the single-point forms are batches of one.
+Both tight-closure searches are one search (``_multiplier_searches``): c
+works at q iff c*z^q*A_q lies in B_q, on ray coordinates, with (A_q, B_q)
+= (a^ceil(tq), I^[q]) for tight closure and (the unit ideal, the q-th
+powers) for tight integral closure; the candidates c are the lattice points
+of sigma_dual with every ray coordinate at most cbox.  The root route and
+the searches read their powers over the q-sweep from one lazy
+``ideals.powers`` chain per ideal; a batch of points z shares the rows and
+candidates, and the single-point forms are batches of one.
 Every route runs on every toric ring, on Python ints and Fractions.
 """
 
@@ -292,27 +294,37 @@ def frobenius_root_tau_oracle(
 
 
 def _multiplier_searches(
-    ring: ToricRing, rzs, cbox: int, qmax: int, p: int, holds
+    ring: ToricRing, zs, cbox: int, qmax: int, p: int, rows
 ) -> list[Verdict]:
-    """One verdict per ray-coordinate vector rz of ``rzs``: try each lattice
-    point c of sigma_dual with every ray coordinate at most cbox, in (l, lex)
-    order (l sums the ray coordinates, so ``lattice_points_upto`` up to cbox
-    * #rays holds them all), at every q of the sweep, where ``holds(v, q)``,
-    v = rc(c) + q*rz with rc the ray coordinates, says whether c works at q.
-    The first c that works at every q is the witness of holds_up_to_qmax;
-    otherwise the witness of fails_at_q lists every c with the first q at
-    which it failed.  The sweep and candidates are built once for all rzs.
+    """One verdict per point z of ``zs``: is there a lattice point c of
+    sigma_dual, every ray coordinate at most cbox, with c*z^q*A_q inside B_q
+    at every q of the sweep?  ``rows(qs)`` gives the ray-coordinate rows
+    (A_q, B_q) per q; c works at q iff each row of rc(c) + q*rc(z) + A_q
+    lies above some row of B_q.  The candidates go in (l, lex) order (l sums
+    the ray coordinates, so ``lattice_points_upto`` up to cbox * #rays holds
+    them all).  The first c that works at every q is the witness of
+    holds_up_to_qmax; otherwise the witness of fails_at_q lists every c with
+    the first q at which it failed.  Every z and cbox are checked, and the
+    sweep and candidates built, before ``rows`` is called, once for all zs.
     """
+    rzs = _ray_coords(ring, [tuple(z) for z in zs])
+    if int_scalar("cbox", cbox) < 0:
+        raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
     points = lattice_points_upto(ring, cbox * len(ring.sigma.rays))
     coords = zip(*pairing_columns(points, ring.sigma.rays))
     candidates = [(c, rc) for c, rc in zip(points, coords) if max(rc) <= cbox]
+    sweep = list(zip(qs, rows(qs)))
+
+    def holds(v, A, B):
+        return all(any(all(map(le, b, u)) for b in B) for u in (vec_add(v, g) for g in A))
 
     def search(rz):
         failures = []
         for c, rc in candidates:
             failing_q = next(
-                (q for q in qs if not holds(vec_add(rc, vec_scale(q, rz)), q)), None
+                (q for q, (A, B) in sweep if not holds(vec_add(rc, vec_scale(q, rz)), A, B)),
+                None,
             )
             if failing_q is None:
                 return Verdict(status=STATUS_HOLDS, witness=c, qmax=qmax, p=p)
@@ -332,33 +344,23 @@ def tight_closure_members_at_q(
     p: int = 2,
 ) -> list[Verdict]:
     """For each z of ``zs``, in order, search for a multiplier c with
-    c*z^q*a^ceil(tq) inside I^[q] for all q.
+    c*z^q*a^ceil(tq) inside I^[q] for all q (``_multiplier_searches`` with
+    A_q the rows of a^ceil(tq) and B_q those of I^[q]).
 
-    cbox bounds every ray coordinate rc of the candidates c, and c works at
-    q iff each generator g of a^ceil(tq) has rc(c) + q*rc(z) + rc(g) >=
-    q*rc(h) for some generator h of I.  Verdict holds_up_to_qmax carries the
-    surviving c; fails_at_q carries the first failing q for every candidate.
-    Every z and cbox are checked before any power is built; the bracket
-    powers of I and the one power chain of a serve every z.
+    cbox bounds every ray coordinate of the candidates c.  Verdict
+    holds_up_to_qmax carries the surviving c; fails_at_q carries the first
+    failing q for every candidate.  The bracket powers of I and the one
+    power chain of a serve every z.
     """
-    ring = I.ring
     _check_same_ring(I, a)
     t = exponent(t)
-    rzs = _ray_coords(ring, [tuple(z) for z in zs])
-    if int_scalar("cbox", cbox) < 0:
-        raise InputError("empty candidate box")
-    qs = q_sweep(qmax, p)
-    rh = _ray_coords(ring, I.gens)
-    brackets = {q: [vec_scale(q, h) for h in rh] for q in qs}
-    apowers = dict(zip(qs, powers(a, [math.ceil(t * q) for q in qs])))
 
-    def holds(v, q):
-        return all(
-            any(all(map(le, h, u)) for h in brackets[q])
-            for u in (vec_add(v, g) for g in apowers[q])
-        )
+    def rows(qs):
+        rh = _ray_coords(I.ring, I.gens)
+        apowers = powers(a, [math.ceil(t * q) for q in qs])
+        return [(A, [vec_scale(q, h) for h in rh]) for q, A in zip(qs, apowers)]
 
-    return _multiplier_searches(ring, rzs, cbox, qmax, p, holds)
+    return _multiplier_searches(I.ring, zs, cbox, qmax, p, rows)
 
 
 def tight_closure_member_at_q(
@@ -378,27 +380,23 @@ def tight_integral_closure_members_at_q(
     ideals, zs, qmax: int = 128, cbox: int = 8, p: int = 2
 ) -> list[Verdict]:
     """For each z of ``zs``, in order, search for c with c*z^q in the sum of
-    ordinary q-th powers of the ideals: cbox bounds every ray coordinate rc
-    of the candidates c, and c works at q iff rc(g) <= rc(c) + q*rc(z) for
-    some generator g of some q-th power.  Every z and cbox are checked
-    before any power is built; one power chain per ideal serves every z."""
+    ordinary q-th powers of the ideals (``_multiplier_searches`` with A_q
+    the zero row and B_q the rows of every q-th power): cbox bounds every
+    ray coordinate of the candidates c, and one power chain per ideal
+    serves every z."""
     ideals = list(ideals)
     if not ideals:
         raise InputError("empty ideal list")
     for J in ideals[1:]:
         _check_same_ring(ideals[0], J)
     ring = ideals[0].ring
-    rzs = _ray_coords(ring, [tuple(z) for z in zs])
-    if int_scalar("cbox", cbox) < 0:
-        raise InputError("empty candidate box")
-    qs = q_sweep(qmax, p)
-    chains = zip(*(powers(I, qs) for I in ideals))
-    qpowers = {q: [g for rows in row for g in rows] for q, row in zip(qs, chains)}
+    zero = [(0,) * len(ring.sigma.rays)]
 
-    def holds(v, q):
-        return any(all(map(le, g, v)) for g in qpowers[q])
+    def rows(qs):
+        at_each_q = zip(*(powers(I, qs) for I in ideals))
+        return [(zero, [g for qth in qths for g in qth]) for qths in at_each_q]
 
-    return _multiplier_searches(ring, rzs, cbox, qmax, p, holds)
+    return _multiplier_searches(ring, zs, cbox, qmax, p, rows)
 
 
 def tight_integral_closure_at_q(

@@ -8,16 +8,17 @@ once by ``lattice.semigroup_columns``, and every divisibility test here
 (``minimalize``, ``MonomialIdeal.is_subideal_of``, ``contains_monomial``)
 is one call of the bitmask kernel ``lattice._below_masks``.  Ray
 coordinates add under products: ``multiply`` keeps the minimal sums of
-pairs (``_pairs``), and ``powers`` lazily yields the rows of a sequence of
-powers, each built from the one before; ``power`` is its one value.  Rows
-become generators in ``lattice._points``.  Intersections, colons and trace
-roots (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of
-up-sets in ray coordinates, met on their bound vectors (up(a) cap up(b) =
-up(max(a, b)), ``_pairs``); ``_upset_union`` hands their bounds, as pairs,
-to the one up-set kernel ``enumeration.upset_union``.  The zero ideal has
-an empty generator tuple, the unit ideal the single zero vector.
-``frobenius_root`` (the orthant's trace root, checked to cover I) and
-``kill_variable`` are orthant-only and refuse other rings loudly.
+pairs (``_pairs``), and ``powers`` lazily yields the rows of any sequence
+of powers by one rule, squaring I**(n/2) for an even n and adding I's rows
+to I**(n-1) for an odd one; ``power`` is its one value.  Rows become
+generators in ``lattice._points``.  Intersections, colons and trace roots
+(``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of up-sets in
+ray coordinates, met on their bound vectors (up(a) cap up(b) = up(max(a,
+b)), ``_pairs``); ``_upset_union`` hands their bounds, as pairs, to the one
+up-set kernel ``enumeration.upset_union``.  The zero ideal has an empty
+generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
+(the orthant's trace root, checked to cover I) and ``kill_variable`` are
+orthant-only and refuse other rings loudly.
 """
 
 from __future__ import annotations
@@ -178,36 +179,26 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
 
 def powers(I: MonomialIdeal, exponents):
     """Lazily yield the ray coordinates of the minimal generators of I**n
-    for each n of the nondecreasing sequence ``exponents`` of ints >= 0,
-    pairing I's generators with the rays once (and checking them).
+    for each n of ``exponents`` (ints >= 0, in any order), pairing I's
+    generators with the rays once (and checking them).
 
-    Each value is built from the one before (at first the unit ideal's zero
-    row): a repeat is the same rows, a doubled exponent a squaring, and any
-    other step from m to n adds (``_pairs``) the rows of I**(n - m), built
-    over the bits of n - m from the left: square, and add I's rows on a one.
-    Nothing past the last value taken is computed.
+    One rule builds every power from the unit ideal's zero row, I**0: an
+    even n squares I**(n/2) (``_square``), an odd n adds I's rows to
+    I**(n - 1) (``_pairs``).  Every power built is kept, so none is built
+    twice, and nothing past the last value taken is built.
     """
     rows = _ray_coords(I.ring, I.gens)
-    unit = [(0,) * len(I.ring.sigma.rays)]
-
-    def rows_of_power(k):  # k >= 1
-        value = rows
-        for bit in bin(k)[3:]:
-            value = _square(value)
-            if bit == "1":
-                value = _pairs(add, value, rows)
-        return value
-
-    prev_n, prev = 0, unit
+    built = {0: [(0,) * len(I.ring.sigma.rays)]}
     for n in exponents:
-        if int_scalar("exponent", n) < prev_n:
-            raise InputError(f"exponents must not decrease from 0, got {prev_n} then {n}")
-        if n == 2 * prev_n:
-            prev = _square(prev)
-        elif n != prev_n:
-            prev = _pairs(add, prev, rows_of_power(n - prev_n))
-        prev_n = n
-        yield prev
+        if int_scalar("exponent", n) < 0:
+            raise InputError(f"exponents must be >= 0, got {n}")
+        todo, k = [], n
+        while k not in built:
+            todo.append(k)
+            k = k - 1 if k % 2 else k // 2
+        for k in reversed(todo):
+            built[k] = _pairs(add, built[k - 1], rows) if k % 2 else _square(built[k // 2])
+        yield built[n]
 
 
 def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:

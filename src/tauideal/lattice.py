@@ -259,7 +259,9 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     rays on opposite sides of a new halfspace are adjacent iff no third ray
     is tight on every halfspace both are tight on (the combinatorial test of
     Fukuda and Prodon, 1996).  After each insertion the rays are exactly the
-    extreme rays of the current cone modulo its lineality space.
+    extreme rays of the current cone modulo its lineality space (``_insert``'s
+    invariant); once that space is gone they are the extreme rays
+    themselves, so they are returned as they are, sorted.
     """
     halfspaces = [tuple(h) for h in halfspaces]
     if not halfspaces:
@@ -288,7 +290,7 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     if implicit:
         h = halfspaces[(implicit & -implicit).bit_length() - 1]
         raise ConeNotFullDimensionalError(f"halfspace {h} is an implicit equality")
-    return _extreme(list(rays), list(rays.values()))
+    return sorted(rays)
 
 
 def _extreme(vectors, masks) -> list[IntVec]:
@@ -476,7 +478,10 @@ def toric_ring(generators) -> ToricRing:
 
 @cache
 def orthant_ring(d: int) -> ToricRing:
-    """The polynomial ring k[x_1..x_d] as a toric ring (built once per d)."""
+    """The polynomial ring k[x_1..x_d] as a toric ring (built once per d).
+
+    A float or bool d never hits an int's cache key, so the check inside
+    refuses it on every call."""
     return toric_ring(
-        [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
+        [tuple(1 if i == j else 0 for j in range(d)) for i in range(int_scalar("d", d))]
     )

@@ -20,7 +20,7 @@ from .enumeration import shared, upset_union
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import InputError
 from .ideals import MonomialIdeal, _check_in_ring, minimalize
-from .lattice import ToricRing, toric_ring
+from .lattice import ToricRing, int_scalar, toric_ring
 from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
 
@@ -55,7 +55,7 @@ def tau_is_unit(ring: ToricRing, a: MonomialIdeal, t) -> bool:
 
 def tau_veronese(d: int, r: int, l: int) -> int:
     """Closed-form exponent e with tau(m^l) = m^e in the r-th Veronese ring."""
-    if d < 1 or r < 1 or l < 1:
+    if min(int_scalar("d", d), int_scalar("r", r), int_scalar("l", l)) < 1:
         raise InputError("tau_veronese needs positive parameters")
     return max(math.ceil(Fraction(l) - Fraction(d - 1, r)), 0)
 
@@ -66,7 +66,7 @@ def veronese_ring(d: int, r: int) -> ToricRing:
     The first adapted coordinate is total degree divided by r; the others are
     the original exponents of x_2..x_d.
     """
-    if d < 1 or r < 1:
+    if min(int_scalar("d", d), int_scalar("r", r)) < 1:
         raise InputError("veronese_ring needs positive parameters")
     gens = [(r,) + tuple(-1 for _ in range(d - 1))]
     for i in range(1, d):
@@ -80,5 +80,7 @@ def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:
     Its generators correspond to the degree-r monomials of the polynomial
     ring: (1, c_2, ..., c_d) for the exponents c of x_2..x_d, of sum <= r.
     """
+    if min(int_scalar("d", d), int_scalar("r", r)) < 1:
+        raise InputError("veronese_maximal_ideal needs positive parameters")
     tails = product(range(r + 1), repeat=d - 1)
     return minimalize(ring, [(1,) + c for c in tails if sum(c) <= r])

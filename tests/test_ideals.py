@@ -425,8 +425,12 @@ def test_powers_match_power_on_every_step_kind():
                 got = [sorted(rows) for rows in powers(a, ns)]
                 want = [sorted(_ray_coords(ring, power(a, n).gens)) for n in ns]
                 assert got == want, (a.gens, ns)
+    # exponents come in any order; a negative one is refused
+    a = I((2, 0), (1, 3), (0, 5))
+    got = [sorted(rows) for rows in powers(a, [2, 3, 1])]
+    assert got == [sorted(_ray_coords(R2, power(a, n).gens)) for n in (2, 3, 1)]
     with pytest.raises(InputError):
-        list(powers(I((1, 0)), [2, 3, 1]))
+        list(powers(a, [2, -1]))
 
 
 def _products_for_first_value(monkeypatch, chain, a, exponents):
@@ -446,13 +450,30 @@ def test_powers_builds_nothing_past_the_value_taken(monkeypatch):
         monkeypatch, lambda a, ns: [sorted(_ray_coords(R2, power(a, ns[0]).gens))], a, ns
     )
     got, by_chain = _products_for_first_value(monkeypatch, powers, a, ns)
-    # 3 = 0b11 from I's rows: square, add I, and add that to the unit row
+    # I**1 adds I's rows to the unit row, I**2 squares it, I**3 adds I's rows
     assert sorted(got) == want and by_chain == by_power == {"_square": 1, "_pairs": 2}
     # the same count catches a chain that builds every value up front
     _, by_eager = _products_for_first_value(
         monkeypatch, lambda a, ns: list(powers(a, ns)), a, ns
     )
     assert by_eager["_pairs"] > by_power["_pairs"]
+
+
+def test_powers_builds_each_power_once_by_one_rule(monkeypatch):
+    a = I((2, 0), (1, 3), (0, 5))
+    calls = Counter()
+    with monkeypatch.context() as m:
+        _count_calls(m, calls, ("_pairs", "_square"))
+        got = [sorted(rows) for rows in powers(a, [3, 6, 12, 24, 6, 3])]
+    # I**1 and I**3 add I's rows, I**2, I**6, I**12 and I**24 square, and the
+    # repeated 6 and 3 are the powers already built
+    assert calls == {"_square": 4, "_pairs": 2}
+    assert got == [sorted(_ray_coords(R2, power(a, n).gens)) for n in (3, 6, 12, 24, 6, 3)]
+    calls.clear()
+    with monkeypatch.context() as m:
+        _count_calls(m, calls, ("_pairs", "_square"))
+        assert list(powers(a, [0])) == [[(0, 0)]]
+    assert not calls
 
 
 def test_products_check_the_generators_they_are_given():

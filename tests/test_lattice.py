@@ -14,6 +14,7 @@ from tauideal.errors import (
     ConeNotFullDimensionalError,
     ConeNotPointedError,
     DimensionMismatchError,
+    InputError,
     NotQGorensteinError,
     TauIdealError,
     ZeroVectorError,
@@ -206,6 +207,16 @@ def test_orthant_ring_shape():
     assert ring.gorenstein_index == 1
     assert ring.in_semigroup((0, 2, 5))
     assert not ring.in_semigroup((0, -1, 5))
+
+
+def test_orthant_ring_refuses_non_int_ranks_after_the_int_is_cached():
+    # True and 2.0 equal ints, but the cache keys them apart from 1 and 2, so
+    # the check inside the cached body sees them on every call
+    assert orthant_ring(1).d == 1 and orthant_ring(2).d == 2
+    for d in (True, 2.0, 1.0, Fraction(2)):
+        with pytest.raises(InputError, match="must be an int"):
+            orthant_ring(d)
+    assert orthant_ring(2) is orthant_ring(2)
 
 
 # -- reference: the double description before tight-set bitmasks -------------

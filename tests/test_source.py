@@ -60,29 +60,49 @@ ORTHANT_FORKS = {
 }
 
 
-def _orthant_calls(node, owner, found):
-    """Add "owner" to found for each call of is_orthant or _require_orthant
-    under node, owner being the innermost enclosing function's name."""
+def _callers(node, owner, names, found):
+    """Add "owner" to found for each call of a function in names under node,
+    owner being the innermost enclosing function's name."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _orthant_calls(child, child.name, found)
+            _callers(child, child.name, names, found)
             continue
         if isinstance(child, ast.Call):
             f = child.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in ("is_orthant", "_require_orthant"):
+            if name in names:
                 found.add(owner)
-        _orthant_calls(child, owner, found)
+        _callers(child, owner, names, found)
 
 
-def test_orthant_forks_stay_in_the_allowlist():
+def _package_callers(names) -> set[str]:
+    """"file:function" for each function of the package that calls one of names."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owners = set()
-        _orthant_calls(tree, "<module>", owners)
+        _callers(tree, "<module>", names, owners)
         found |= {f"{path.name}:{owner}" for owner in owners}
-    assert found == ORTHANT_FORKS
+    return found
+
+
+def test_orthant_forks_stay_in_the_allowlist():
+    assert _package_callers(("is_orthant", "_require_orthant")) == ORTHANT_FORKS
+
+
+# The functions that call the row-product kernels ``_square`` and ``_pairs``.
+# Every power is built in ``powers``; a second power or product builder shows
+# up as a diff here.
+PRODUCT_KERNEL_CALLERS = {
+    "ideals.py:colon",
+    "ideals.py:intersect",
+    "ideals.py:multiply",
+    "ideals.py:powers",
+}
+
+
+def test_product_kernels_have_exactly_the_pinned_callers():
+    assert _package_callers(("_square", "_pairs")) == PRODUCT_KERNEL_CALLERS
 
 
 def _wrapped_at_each_module(layers: Path) -> dict[str, set[str]]:

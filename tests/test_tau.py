@@ -143,6 +143,32 @@ def test_veronese_ring_gorenstein_index():
     assert veronese_ring(3, 2).gorenstein_index == 2
 
 
+def test_tau_veronese_refuses_non_int_parameters():
+    # a non-int l has no closed form: Fraction(1.5) would give an answer
+    for args in ((2, 2, 1.5), (2, 2.0, 3), (2.0, 2, 3), (2, 2, True), (2, 2, Fraction(3))):
+        with pytest.raises(InputError, match="must be an int"):
+            tau_veronese(*args)
+    with pytest.raises(InputError, match="positive"):
+        tau_veronese(2, 2, 0)
+
+
+def test_veronese_ring_refuses_non_int_parameters():
+    for args in ((2, 2.5), (2.0, 2), (True, 2)):
+        with pytest.raises(InputError, match="must be an int"):
+            veronese_ring(*args)
+
+
+def test_veronese_maximal_ideal_refuses_non_int_and_nonpositive_parameters():
+    ring = veronese_ring(2, 2)
+    for args in ((2, 2.0), (2.0, 2), (2, True)):
+        with pytest.raises(InputError, match="must be an int"):
+            veronese_maximal_ideal(ring, *args)
+    # d = 0 would reach itertools.product(repeat=-1), a raw ValueError
+    for args in ((0, 2), (2, 0)):
+        with pytest.raises(InputError, match="positive"):
+            veronese_maximal_ideal(ring, *args)
+
+
 def test_predicate_is_exact_beyond_int64():
     # facet values here overflow int64; an earlier numpy predicate got 15 of
     # these 64 points wrong
