@@ -230,8 +230,10 @@ def in_star_E(
 @dataclass(frozen=True)
 class SocleOracleResult:
     """``points_checked``: the points tested by the enumeration the ideal
-    came from (in a ``sharing`` block, maybe an equal request's); 0 when a
-    lattice point realizes every corner's box (``upset_union``)."""
+    came from (in a ``sharing`` block, maybe an equal request's), which are
+    only those of its degree shell, from the least proven lowest degree of
+    the corners' up-sets to the largest bound (``enumeration.degree_range``);
+    0 when a lattice point realizes every corner's box (``upset_union``)."""
 
     ideal: MonomialIdeal
     points_checked: int

@@ -20,7 +20,7 @@ from .enumeration import shared, upset_union
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import InputError
 from .ideals import MonomialIdeal, _check_in_ring, minimalize
-from .lattice import ToricRing, int_scalar, toric_ring
+from .lattice import IntVec, ToricRing, int_scalar, primitivize, toric_ring
 from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
 
@@ -68,10 +68,17 @@ def veronese_ring(d: int, r: int) -> ToricRing:
     """
     if min(int_scalar("d", d), int_scalar("r", r)) < 1:
         raise InputError("veronese_ring needs positive parameters")
+    return toric_ring(_veronese_rays(d, r))
+
+
+def _veronese_rays(d: int, r: int) -> list[IntVec]:
+    """The generators of sigma for ``veronese_ring(d, r)``: (r, -1, ..., -1)
+    and the unit vectors e_2..e_d, linearly independent, so primitivized
+    they are its extreme rays."""
     gens = [(r,) + tuple(-1 for _ in range(d - 1))]
     for i in range(1, d):
         gens.append(tuple(1 if j == i else 0 for j in range(d)))
-    return toric_ring(gens)
+    return gens
 
 
 def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:
@@ -79,8 +86,13 @@ def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:
 
     Its generators correspond to the degree-r monomials of the polynomial
     ring: (1, c_2, ..., c_d) for the exponents c of x_2..x_d, of sum <= r.
+    On any ring but ``veronese_ring(d, r)`` these points are not that ring's
+    maximal ideal, so any other ring is an InputError.  Rings are equal iff
+    their sigma's extreme rays are, so no cone is built to compare.
     """
     if min(int_scalar("d", d), int_scalar("r", r)) < 1:
         raise InputError("veronese_maximal_ideal needs positive parameters")
+    if set(ring.sigma.rays) != set(map(primitivize, _veronese_rays(d, r))):
+        raise InputError(f"the ring is not veronese_ring({d}, {r})")
     tails = product(range(r + 1), repeat=d - 1)
     return minimalize(ring, [(1,) + c for c in tails if sum(c) <= r])

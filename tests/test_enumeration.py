@@ -17,6 +17,7 @@ import tauideal.errors
 import tauideal.polyhedra as polyhedra
 from tauideal.enumeration import (
     degree_bound,
+    degree_range,
     ell_vector,
     hilbert_basis,
     inequality_batch,
@@ -24,6 +25,7 @@ from tauideal.enumeration import (
     minimal_upset_generators,
     shared,
     sharing,
+    union_flags,
     upset_union,
 )
 from tauideal.errors import DimensionMismatchError
@@ -385,6 +387,99 @@ def test_degree_bound_matches_the_fraction_reference():
     assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
 
 
+def test_no_member_lies_below_the_lowest_degree():
+    # the lower end of degree_range, on the up-sets and on the rational
+    # facets of scaled Newton polyhedra, against the per-point reference
+    rng = Random(5151)
+    cases = list(UPSETS)
+    for name, ring in TEN_RINGS.items():
+        pool = lattice_points_upto(ring, 4)[1:]
+        for _ in range(4):
+            gens = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            t = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+            cases.append((f"{name} {gens} t={t}", ring,
+                          scale(newton_polyhedron(ring, gens), t).inequalities))
+    branches, attained = Counter(), Counter()
+    for label, ring, ineqs in cases:
+        lowest, bound = degree_range(ring, ineqs)
+        assert type(lowest) is int and bound == degree_bound(ring, ineqs), label
+        branch = "slice" if slice_applies(ring, ineqs) else "caratheodory"
+        branches[branch] += 1
+        ell = ell_vector(ring)
+        points = brute_points(ring, bound)
+        members = {
+            m for m, f in zip(points, reference_inequality_batch(ineqs)(points)) if f
+        }
+        assert all(pairing(m, ell) >= lowest for m in members), label
+        truth = brute_minimal(ring, points, members)
+        least = min(pairing(g, ell) for g in truth)
+        assert least >= lowest, label
+        # the shell alone gives every generator, those of degree lowest untested
+        batch = inequality_batch(ineqs)
+        assert minimal_upset_generators(ring, batch, bound, lowest) == truth, label
+        attained[branch] += least == lowest
+    assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
+    # in each branch a member often sits right on the lowest degree, so a
+    # weaker lower end would still pass but a stronger one would not
+    assert attained["slice"] >= 20 and attained["caratheodory"] >= 20, attained
+
+
+def test_upset_union_makes_one_vertex_dd_per_caratheodory_set(monkeypatch):
+    # both ends of the degree range come from one _vertex_rays call, and the
+    # slice branch makes none; counted on single sets and on pairs of sets
+    calls = []
+    real = enumeration._vertex_rays
+    monkeypatch.setattr(
+        enumeration, "_vertex_rays", lambda *args: calls.append(args) or real(*args)
+    )
+    by_ring = {}
+    for _, ring, ineqs in UPSETS:
+        if not all(a in ring.sigma.rays for a, _ in ineqs):  # boxes may be realized
+            by_ring.setdefault(ring, []).append(ineqs)
+    caratheodory = 0
+    for ring, sets in by_ring.items():
+        for chosen in [[a] for a in sets] + [list(pair) for pair in zip(sets, sets[1:])]:
+            calls.clear()
+            upset_union(ring, chosen)
+            expected = sum(not slice_applies(ring, ineqs) for ineqs in chosen)
+            assert len(calls) == expected, chosen
+            caratheodory += expected
+    assert caratheodory >= 20, caratheodory
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
+def test_packed_fields_at_the_edge_of_their_width(width):
+    # edge is the largest |sum| a field of `width` bytes holds with its guard
+    # bit; each case puts a pairing, a threshold or a coordinate exactly at
+    # it, and one past it (which takes a wider field)
+    edge = 2 ** (8 * width - 1) - 1
+    cases = []
+    for e in (edge, edge + 1):
+        p = (e - e % 8) // 8
+        cases += [
+            ([(0,), (e,), (e // 2,)], [((1,), 0)]),  # <m, a> - c reaches +e
+            ([(0,), (e,), (e // 2,)], [((-1,), 0)]),  # ... and -e
+            ([(0,)], [((1,), e)]),  # a threshold at +e
+            ([(0,)], [((1,), -e)]),  # ... and at -e
+            ([(0,), (1,)], [((1,), 1 - e)]),  # span 1 and a threshold at 1 - e
+            ([(e,), (e - 1,)], [((1,), e)]),  # a coordinate at the top
+            ([(-e,), (1 - e,)], [((-1,), e)]),  # ... and at the bottom
+            # two coordinates, mixed signs: sum |a_i| * span + |c| = e
+            ([(0, 0), (p, 0), (0, p), (p, p)], [((3, -5), e % 8)]),
+            ([(0, 0), (p, 0), (0, p), (p, p)], [((3, -5), -(e % 8)), ((-2, 6), 0)]),
+            ([(0, 0), (p, 0), (0, p), (p, p)], [((-3, 5), -(e % 8))]),
+        ]
+    seen = Counter()
+    for points, ineqs in cases:
+        want = reference_inequality_batch(ineqs)(points)
+        assert inequality_batch(ineqs)(points) == want, (points, ineqs)
+        # in a union with a set that admits nothing and needs no wider field
+        nothing = inequality_batch([((0,) * len(points[0]), 1)])
+        assert union_flags([nothing, inequality_batch(ineqs)], points) == want
+        seen.update(want)
+    assert seen[True] >= 20 and seen[False] >= 10, seen
+
+
 def test_vertex_rays_give_the_vertices():
     # the integer pairs of the up-sets, and the rational facets of scaled
     # Newton polyhedra, where each row is cleared of c's denominator
@@ -409,7 +504,9 @@ def test_upset_union_matches_brute_force_on_pairs_of_upsets():
         by_ring.setdefault(ring, []).append((label, ineqs))
     for ring, sets in by_ring.items():
         for (la, a), (lb, b) in zip(sets, sets[1:]):
-            bound = max(degree_bound(ring, a), degree_bound(ring, b))
+            ranges = [degree_range(ring, a), degree_range(ring, b)]
+            lowest = min(low for low, _ in ranges)
+            bound = max(top for _, top in ranges)
             points = brute_points(ring, bound + 2 * ray_degree_sum(ring))
             members = {
                 m for m, fa, fb in zip(points, inequality_batch(a)(points),
@@ -421,7 +518,8 @@ def test_upset_union_matches_brute_force_on_pairs_of_upsets():
             # a box (every normal a ray of sigma) may be realized by one point
             # and leave the enumeration; two other sets are enumerated together
             if not any(all(n in ring.sigma.rays for n, _ in s) for s in (a, b)):
-                assert tested == len(lattice_points_upto(ring, bound)), (la, lb)
+                # exactly the walked points of degree lowest .. bound
+                assert tested == len(lattice_points_upto(ring, bound, lowest)), (la, lb)
 
 
 # -- the sharing scope --------------------------------------------------------

@@ -169,6 +169,20 @@ def test_veronese_maximal_ideal_refuses_non_int_and_nonpositive_parameters():
             veronese_maximal_ideal(ring, *args)
 
 
+def test_veronese_maximal_ideal_refuses_another_ring():
+    # on veronese_ring(2, 3) the d = r = 2 points (1,0),(1,1),(1,2) miss the
+    # generator (1,3) of that ring's maximal ideal
+    for ring, d, r in ((veronese_ring(2, 3), 2, 2), (veronese_ring(2, 2), 2, 3),
+                       (veronese_ring(3, 2), 2, 2), (orthant_ring(2), 2, 2)):
+        with pytest.raises(InputError, match="not veronese_ring"):
+            veronese_maximal_ideal(ring, d, r)
+    # with d = 1 every r gives k[x], whose sigma is spanned by (1,), not (r,)
+    for d, r in ((2, 2), (2, 3), (3, 2), (1, 3)):
+        ring = veronese_ring(d, r)
+        assert veronese_maximal_ideal(ring, d, r) == maximal_ideal(ring)
+    assert veronese_maximal_ideal(orthant_ring(1), 1, 3) == maximal_ideal(orthant_ring(1))
+
+
 def test_predicate_is_exact_beyond_int64():
     # facet values here overflow int64; an earlier numpy predicate got 15 of
     # these 64 points wrong
