@@ -1,9 +1,8 @@
-"""Theorem test campaigns over seeded random instance families.
+"""Theorem test campaigns and the oracle crosscheck.
 
-Every campaign mixes fixed regression instances with a seeded random family
-and reports machine-replayable failures.  Reports are deterministic given
-the seed.
-"""
+Six campaigns draw seeded random instances through one driver, ``_seeded``,
+five run fixed instances, and ``colon_formula`` mixes both.  Failure records
+replay, and reports are deterministic given the seed."""
 
 from __future__ import annotations
 
@@ -115,6 +114,71 @@ def _replay(**kw) -> dict:
     return out
 
 
+def _seeded(name: str, check, count: int, dims=(1, 2, 3)):
+    """A campaign of count seeded random instances.  Each instance draws its
+    rank d from dims, then check(rng, orthant_ring(d)) draws the rest and
+    returns (ok, fields); the record replays as seed, index, d and fields."""
+
+    def campaign(seed: int = 0, count: int = count) -> CampaignReport:
+        rep = CampaignReport(name)
+        rng = Random(seed)
+        for i in range(count):
+            d = rng.choice(dims)
+            ok, fields = check(rng, orthant_ring(d))
+            rep.record(ok, _replay(seed=seed, index=i, d=d, **fields))
+        return rep
+
+    return campaign
+
+
+def _briancon_skoda(rng: Random, ring: ToricRing):
+    a = random_monomial_ideal(rng, ring, max_gens=4, max_exp=4)
+    r = len(a.gens)
+    for n in range(0, 4):
+        rhs = idl.power(a, n)
+        if not (rhs.is_unit() or tau(ring, idl.power(a, n + r - 1), 1).is_subideal_of(rhs)):
+            return False, {"a": a, "n": n}
+    return True, {"a": a, "n": None}
+
+
+def _subadditivity(rng: Random, ring: ToricRing):
+    a = random_monomial_ideal(rng, ring, max_exp=5)
+    b = random_monomial_ideal(rng, ring, max_exp=5)
+    ok = tau(ring, a * b, 1).is_subideal_of(tau(ring, a, 1) * tau(ring, b, 1))
+    return ok, {"a": a, "b": b}
+
+
+def _restriction(rng: Random, ring: ToricRing):
+    a = random_monomial_ideal(rng, ring)
+    axis = rng.randrange(ring.d)
+    image = idl.kill_variable(a, axis)
+    rhs = idl.kill_variable(tau(ring, a, 1), axis)
+    ok = image.is_zero() or tau(image.ring, image, 1).is_subideal_of(rhs)  # tau(0) = 0
+    return ok, {"a": a, "axis": axis}
+
+
+def _reduction_invariance(rng: Random, ring: ToricRing):
+    a = random_monomial_ideal(rng, ring)
+    b = vertex_reduction(ring, a)
+    ok = all(tau(ring, b, t) == tau(ring, a, t) for t in (Fraction(1, 2), Fraction(1)))
+    return ok, {"a": a, "b": b}
+
+
+def _power_scaling(rng: Random, ring: ToricRing):
+    a = random_monomial_ideal(rng, ring, max_exp=4)
+    n = rng.randint(2, 4)
+    t = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+    ok = tau(ring, idl.power(a, n), t) == tau(ring, a, n * t)
+    return ok, {"a": a, "n": n, "t": t}
+
+
+def _tau_times_ideal(rng: Random, ring: ToricRing):
+    a = random_monomial_ideal(rng, ring, max_exp=5)
+    b = random_monomial_ideal(rng, ring, max_exp=5)
+    ok = (tau(ring, a, 1) * b).is_subideal_of(tau(ring, a * b, 1))
+    return ok, {"a": a, "b": b}
+
+
 def campaign_regular_powers(seed: int = 0) -> CampaignReport:
     rep = CampaignReport("regular_powers")
     for d in range(1, 6):
@@ -137,59 +201,6 @@ def campaign_veronese(seed: int = 0) -> CampaignReport:
             got = tau(ring, idl.power(m, l), 1)
             want = idl.power(m, e)  # m**0 is the unit ideal
             rep.record(got == want, _replay(d=d, r=r, l=l, e=e, got=got, want=want))
-    return rep
-
-
-def campaign_briancon_skoda(seed: int = 0, count: int = 100) -> CampaignReport:
-    rep = CampaignReport("briancon_skoda")
-    rng = Random(seed)
-    for i in range(count):
-        d = rng.choice([1, 2, 3])
-        ring = orthant_ring(d)
-        a = random_monomial_ideal(rng, ring, max_gens=4, max_exp=4)
-        r = len(a.gens)
-        ok = True
-        bad_n = None
-        for n in range(0, 4):
-            rhs = idl.power(a, n)
-            if rhs.is_unit():
-                continue
-            if not tau(ring, idl.power(a, n + r - 1), 1).is_subideal_of(rhs):
-                ok, bad_n = False, n
-                break
-        rep.record(ok, _replay(seed=seed, index=i, d=d, a=a, n=bad_n))
-    return rep
-
-
-def campaign_subadditivity(seed: int = 0, count: int = 100) -> CampaignReport:
-    rep = CampaignReport("subadditivity")
-    rng = Random(seed)
-    for i in range(count):
-        d = rng.choice([1, 2, 3])
-        ring = orthant_ring(d)
-        a = random_monomial_ideal(rng, ring, max_exp=5)
-        b = random_monomial_ideal(rng, ring, max_exp=5)
-        ok = tau(ring, a * b, 1).is_subideal_of(tau(ring, a, 1) * tau(ring, b, 1))
-        rep.record(ok, _replay(seed=seed, index=i, d=d, a=a, b=b))
-    return rep
-
-
-def campaign_restriction(seed: int = 0, count: int = 100) -> CampaignReport:
-    rep = CampaignReport("restriction")
-    rng = Random(seed)
-    for i in range(count):
-        d = rng.choice([2, 3])
-        ring = orthant_ring(d)
-        a = random_monomial_ideal(rng, ring)
-        axis = rng.randrange(d)
-        image = idl.kill_variable(a, axis)
-        rhs = idl.kill_variable(tau(ring, a, 1), axis)
-        if image.is_zero():
-            ok = True  # tau of the zero image is zero, contained in anything
-        else:
-            small = image.ring
-            ok = tau(small, image, 1).is_subideal_of(rhs)
-        rep.record(ok, _replay(seed=seed, index=i, d=d, a=a, axis=axis))
     return rep
 
 
@@ -239,50 +250,6 @@ def campaign_regularity(seed: int = 0) -> CampaignReport:
     return rep
 
 
-def campaign_reduction_invariance(seed: int = 0, count: int = 50) -> CampaignReport:
-    rep = CampaignReport("reduction_invariance")
-    rng = Random(seed)
-    for i in range(count):
-        d = rng.choice([1, 2, 3])
-        ring = orthant_ring(d)
-        a = random_monomial_ideal(rng, ring)
-        b = vertex_reduction(ring, a)
-        ok = True
-        for t in (Fraction(1, 2), Fraction(1)):
-            if tau(ring, b, t) != tau(ring, a, t):
-                ok = False
-                break
-        rep.record(ok, _replay(seed=seed, index=i, d=d, a=a, b=b))
-    return rep
-
-
-def campaign_power_scaling(seed: int = 0, count: int = 50) -> CampaignReport:
-    rep = CampaignReport("power_scaling")
-    rng = Random(seed)
-    for i in range(count):
-        d = rng.choice([1, 2, 3])
-        ring = orthant_ring(d)
-        a = random_monomial_ideal(rng, ring, max_exp=4)
-        n = rng.randint(2, 4)
-        t = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
-        ok = tau(ring, idl.power(a, n), t) == tau(ring, a, n * t)
-        rep.record(ok, _replay(seed=seed, index=i, d=d, a=a, n=n, t=t))
-    return rep
-
-
-def campaign_tau_times_ideal(seed: int = 0, count: int = 50) -> CampaignReport:
-    rep = CampaignReport("tau_times_ideal")
-    rng = Random(seed)
-    for i in range(count):
-        d = rng.choice([1, 2, 3])
-        ring = orthant_ring(d)
-        a = random_monomial_ideal(rng, ring, max_exp=5)
-        b = random_monomial_ideal(rng, ring, max_exp=5)
-        ok = (tau(ring, a, 1) * b).is_subideal_of(tau(ring, a * b, 1))
-        rep.record(ok, _replay(seed=seed, index=i, d=d, a=a, b=b))
-    return rep
-
-
 def campaign_tic_vs_star(seed: int = 0) -> CampaignReport:
     """Tight integral closure vs a-tight closure on the d=2, l=2, r=1 instance."""
     rep = CampaignReport("tic_vs_star")
@@ -324,14 +291,14 @@ def campaign_bs_integral(seed: int = 0) -> CampaignReport:
 CAMPAIGNS = {
     "regular_powers": campaign_regular_powers,
     "veronese": campaign_veronese,
-    "briancon_skoda": campaign_briancon_skoda,
-    "subadditivity": campaign_subadditivity,
-    "restriction": campaign_restriction,
+    "briancon_skoda": _seeded("briancon_skoda", _briancon_skoda, 100),
+    "subadditivity": _seeded("subadditivity", _subadditivity, 100),
+    "restriction": _seeded("restriction", _restriction, 100, dims=(2, 3)),
     "colon_formula": campaign_colon_formula,
     "regularity": campaign_regularity,
-    "reduction_invariance": campaign_reduction_invariance,
-    "power_scaling": campaign_power_scaling,
-    "tau_times_ideal": campaign_tau_times_ideal,
+    "reduction_invariance": _seeded("reduction_invariance", _reduction_invariance, 50),
+    "power_scaling": _seeded("power_scaling", _power_scaling, 50),
+    "tau_times_ideal": _seeded("tau_times_ideal", _tau_times_ideal, 50),
     "tic_vs_star": campaign_tic_vs_star,
     "bs_integral": campaign_bs_integral,
 }
@@ -344,6 +311,7 @@ def run_campaign(name: str, seed: int = 0, count: int | None = None) -> Campaign
             f"unknown campaign {name!r}; known: {', '.join(sorted(CAMPAIGNS))}"
         )
     fn = CAMPAIGNS[name]
+    int_scalar("seed", seed)  # Random(None) seeds from the OS; a record must replay
     if count is not None:
         if "count" not in inspect.signature(fn).parameters:
             raise InputError(f"campaign {name!r} takes no count")

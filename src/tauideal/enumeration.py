@@ -166,12 +166,6 @@ def degree_range(ring: ToricRing, ineqs) -> tuple[int, int]:
     return min(quotients), max(quotients) + _ray_degree_sum(ring) - 1
 
 
-def degree_bound(ring: ToricRing, ineqs) -> int:
-    """The upper end of ``degree_range``: a proven bound on l over the
-    minimal generators of the up-set the pairs cut out."""
-    return degree_range(ring, ineqs)[1]
-
-
 def inequality_batch(ineqs):
     """Membership batch for the lattice points m with <m, a> >= c for every
     integer pair (a, c), as built by ``polyhedra.lattice_inequalities``; a

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from operator import le
 
-from .enumeration import inequality_batch, lattice_points_upto, shared, upset_union
+from .enumeration import ell_vector, inequality_batch, lattice_points_upto, shared, upset_union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -151,9 +151,9 @@ def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
     """The minimal generators, in (l, lex) order, of the up-set of the ray
     coordinates >= (c, ..., c) (``ideals._upset_union``; the origin alone at
     c = 0), computed once per ring and residue class of q - 1."""
-    rays = ring.sigma.rays
-    gens = _upset_union(ring, [(c,) * len(rays)]).gens
-    return tuple(sorted(gens, key=lambda y: (sum(pairing(y, n) for n in rays), y)))
+    gens = _upset_union(ring, [(c,) * len(ring.sigma.rays)]).gens
+    ell = ell_vector(ring)
+    return tuple(sorted(gens, key=lambda y: (pairing(y, ell), y)))
 
 
 def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:

@@ -65,6 +65,30 @@ def test_a_campaign_without_a_count_refuses_one(name):
         run_campaign(name, count=1)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "0", True])
+@pytest.mark.parametrize("name", ["tau_times_ideal", "regular_powers"])
+def test_a_seed_that_is_not_an_int_is_refused(name, seed):
+    # Random(None) seeds from the OS and Random(1.5) hashes, so a record
+    # carrying such a seed would not replay
+    with pytest.raises(InputError, match="seed must be an int"):
+        run_campaign(name, seed=seed)
+
+
+@pytest.mark.parametrize("name", sorted(set(CAMPAIGNS) - set(FIXED)))
+def test_every_seeded_failure_record_replays(monkeypatch, name):
+    # every instance is recorded as a failure, and each record alone names
+    # the run whose last instance it is
+    record = campaigns.CampaignReport.record
+    monkeypatch.setattr(campaigns.CampaignReport, "record",
+                        lambda rep, ok, replay: record(rep, False, replay))
+    for seed in range(3):
+        failures = run_campaign(name, seed=seed, count=8).failures
+        assert len(failures) == 8
+        for f in failures:
+            assert list(f)[:3] == ["seed", "index", "d"]
+            assert run_campaign(name, seed=f["seed"], count=f["index"] + 1).failures[-1] == f
+
+
 def test_campaign_determinism():
     a = run_campaign("subadditivity", seed=5, count=10)
     b = run_campaign("subadditivity", seed=5, count=10)

@@ -15,7 +15,7 @@ import tauideal.frobenius
 from tauideal.campaigns import run_campaign, run_crosscheck
 from tauideal.cli import main
 from tauideal.enumeration import (
-    degree_bound, inequality_batch, lattice_points_upto, minimal_upset_generators,
+    degree_range, inequality_batch, lattice_points_upto, minimal_upset_generators,
     sharing, upset_union,
 )
 from tauideal.errors import (
@@ -329,7 +329,7 @@ def _brute_corner_offsets(ring, c):
     above no other such point, from a scan up to the proven degree bound,
     in (l, lex) order."""
     pairs = [(n, c) for n in ring.sigma.rays]
-    points = lattice_points_upto(ring, degree_bound(ring, pairs))
+    points = lattice_points_upto(ring, degree_range(ring, pairs)[1])
     members = [y for y in points if all(pairing(y, n) >= c for n in ring.sigma.rays)]
     return tuple(
         y for y in members
@@ -414,7 +414,7 @@ def test_box_pair_sets_match_their_enumeration(ring):
             forced = minimal_upset_generators(
                 ring,
                 lambda pts: [any(flags) for flags in zip(*(b(pts) for b in batches))],
-                max(degree_bound(ring, ineqs) for ineqs in sets),
+                max(degree_range(ring, ineqs)[1] for ineqs in sets),
             )
             assert gens == tuple(sorted(forced)), (g, sets)
             if ring.is_orthant():  # a smooth cone realizes every box

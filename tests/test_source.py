@@ -105,6 +105,19 @@ def test_product_kernels_have_exactly_the_pinned_callers():
     assert _package_callers(("_square", "_pairs")) == PRODUCT_KERNEL_CALLERS
 
 
+# The functions that seed a ``Random``.  Every random campaign draws through
+# the one driver ``campaigns._seeded``, whose closure is ``campaign``; a second
+# seeded instance loop shows up as a diff here.
+SEEDED_LOOPS = {
+    "campaigns.py:campaign",
+    "campaigns.py:campaign_colon_formula",
+}
+
+
+def test_random_is_seeded_only_by_the_pinned_loops():
+    assert _package_callers(("Random",)) == SEEDED_LOOPS
+
+
 def _wrapped_at_each_module(layers: Path) -> dict[str, set[str]]:
     """The names ``perfbench/layers.py`` wraps, by the module it wraps them
     at: each ``tracer.wrap(owner, "name", ...)`` call, with ``owner`` a module
