@@ -2,7 +2,8 @@
 
 Six campaigns draw seeded random instances through one driver, ``_seeded``,
 five run fixed instances, and ``colon_formula`` mixes both.  Failure records
-replay, and reports are deterministic given the seed."""
+replay, and reports are deterministic given the seed.  Records are JSON-ready
+as recorded: ``jsonable``, which the CLI also prints through, makes them."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .frobenius import (
 # which wraps campaigns.tight_integral_closure_at_q
 from .frobenius import tight_integral_closure_at_q  # noqa: F401
 from .ideals import MonomialIdeal
-from .lattice import ToricRing, int_scalar, orthant_ring
+from .lattice import ToricRing, int_scalar, orthant_ring, unit_vectors, vec_scale
 from .polyhedra import exponent, newton_polyhedron
 from .tau import tau, tau_is_unit, tau_veronese, veronese_maximal_ideal, veronese_ring
 
@@ -102,16 +103,22 @@ def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
     return idl.minimalize(ring, vertex_gens)
 
 
+def jsonable(obj):
+    """Recursive conversion to JSON-safe values: an ideal becomes its list of
+    generator lists, a rational its 'num/den' string ('3' when integral)."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, MonomialIdeal):
+        return [list(g) for g in obj.gens]
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(x) for x in obj]
+    return obj
+
+
 def _replay(**kw) -> dict:
-    out = {}
-    for k, v in kw.items():
-        if isinstance(v, MonomialIdeal):
-            out[k] = [list(g) for g in v.gens]
-        elif isinstance(v, Fraction):
-            out[k] = str(v)
-        else:
-            out[k] = v
-    return out
+    return jsonable(kw)
 
 
 def _seeded(name: str, check, count: int, dims=(1, 2, 3)):
@@ -216,10 +223,7 @@ def campaign_colon_formula(seed: int = 0) -> CampaignReport:
     for d, ls in cases:
         ring = orthant_ring(d)
         J = idl.maximal_ideal(ring)
-        Jl = idl.minimalize(
-            ring,
-            [tuple(ls[i] if i == j else 0 for j in range(d)) for i in range(d)],
-        )
+        Jl = idl.minimalize(ring, [vec_scale(l, e) for l, e in zip(ls, unit_vectors(d))])
         total = sum(ls)
         for r in range(1, total - d + 2):
             got = idl.colon(Jl, idl.power(J, r))
@@ -227,7 +231,7 @@ def campaign_colon_formula(seed: int = 0) -> CampaignReport:
             brute = brute_force_colon(Jl, idl.power(J, r))
             rep.record(
                 got == want == brute,
-                _replay(d=d, ls=list(ls), r=r, got=got, want=want, brute=brute),
+                _replay(d=d, ls=ls, r=r, got=got, want=want, brute=brute),
             )
     return rep
 
@@ -263,7 +267,7 @@ def campaign_tic_vs_star(seed: int = 0) -> CampaignReport:
     stars = tight_closure_members_at_q(Jl, J, 1, zs, qmax=128, cbox=6)
     for z, tic, star in zip(zs, tics, stars):
         ok = (tic.status == STATUS_HOLDS) == (star.status == STATUS_HOLDS)
-        rep.record(ok, _replay(z=list(z), tic=tic.status, star=star.status))
+        rep.record(ok, _replay(z=z, tic=tic.status, star=star.status))
     return rep
 
 
@@ -283,7 +287,7 @@ def campaign_bs_integral(seed: int = 0) -> CampaignReport:
             for z, verdict in zip(lhs.gens, verdicts):
                 rep.record(
                     verdict.status == STATUS_HOLDS,
-                    _replay(l=l, r=r, z=list(z), status=verdict.status),
+                    _replay(l=l, r=r, z=z, status=verdict.status),
                 )
     return rep
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from . import ideals as idl
-from .campaigns import CAMPAIGNS, run_campaign, run_crosscheck
+from .campaigns import CAMPAIGNS, jsonable, run_campaign, run_crosscheck
 from .enumeration import sharing
 from .errors import InputError, InvariantError, NotStabilizedError, TauIdealError
 from .frobenius import frobenius_root_tau_oracle, tau_socle_oracle
@@ -95,25 +94,19 @@ def load_ideal(path: str, ring: ToricRing) -> MonomialIdeal:
     return idl.minimalize(ring, gens)
 
 
-def jsonable(obj):
-    """Recursive conversion to JSON-safe values; rationals become 'num/den'."""
-    if isinstance(obj, Fraction):
-        return str(obj) if obj.denominator != 1 else str(obj.numerator)
-    if isinstance(obj, MonomialIdeal):
-        return [list(g) for g in obj.gens]
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    return obj
-
-
 def emit(payload: dict, out: str) -> None:
     if out == "json":
         print(json.dumps(jsonable(payload), sort_keys=True))
         return
     for key, value in payload.items():
         print(f"{key}: {json.dumps(jsonable(value), sort_keys=True)}")
+
+
+def _exit_code(failed, inconclusive) -> int:
+    """1 on a counterexample, else 2 if anything was inconclusive, else 0."""
+    if failed:
+        return EXIT_COUNTEREXAMPLE
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS
 
 
 def cmd_tau(args) -> int:
@@ -145,11 +138,7 @@ def cmd_tau(args) -> int:
         "inconclusive": inconclusive,
     }
     emit(payload, args.out)
-    if not agreement:
-        return EXIT_COUNTEREXAMPLE
-    if inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return _exit_code(not agreement, inconclusive)
 
 
 def cmd_newton(args) -> int:
@@ -190,11 +179,7 @@ def cmd_crosscheck(args) -> int:
     ts = [exponent(s) for s in args.t.split(",")]
     rep = run_crosscheck(ring, named, ts, qmax=args.qmax, primes=(args.prime,))
     emit(rep.to_dict(), args.out)
-    if rep.failures:
-        return EXIT_COUNTEREXAMPLE
-    if rep.inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return _exit_code(rep.failures, rep.inconclusive)
 
 
 def cmd_veronese(args) -> int:

@@ -68,9 +68,13 @@ def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
     points = [p for p in product(*box) if any(p)]
     coords = zip(*pairing_columns(points, ring.sigma.rays))
     by_coords = {rc: p for p, rc in zip(points, coords) if min(rc) >= 0}
-    basis = [by_coords[rc] for rc in minimal_vectors_orthant(by_coords)]
+    return tuple(by_degree(ring, [by_coords[rc] for rc in minimal_vectors_orthant(by_coords)]))
+
+
+def by_degree(ring: ToricRing, points) -> list[IntVec]:
+    """The points sorted by (l, lex), l the grading functional."""
     ell = ell_vector(ring)
-    return tuple(sorted(basis, key=lambda p: (pairing(p, ell), p)))
+    return sorted(points, key=lambda p: (pairing(p, ell), p))
 
 
 @cache

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from operator import le
 
-from .enumeration import ell_vector, inequality_batch, lattice_points_upto, shared, upset_union
+from .enumeration import by_degree, inequality_batch, lattice_points_upto, shared, upset_union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -53,7 +53,7 @@ from .ideals import (  # noqa: F401
     power,
     powers,
 )
-from .lattice import IntVec, ToricRing, int_scalar, int_vector, pairing, pairing_columns
+from .lattice import IntVec, ToricRing, int_scalar, int_vector, pairing_columns
 from .lattice import vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import (
     NewtonPolyhedron,
@@ -151,9 +151,7 @@ def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
     """The minimal generators, in (l, lex) order, of the up-set of the ray
     coordinates >= (c, ..., c) (``ideals._upset_union``; the origin alone at
     c = 0), computed once per ring and residue class of q - 1."""
-    gens = _upset_union(ring, [(c,) * len(ring.sigma.rays)]).gens
-    ell = ell_vector(ring)
-    return tuple(sorted(gens, key=lambda y: (pairing(y, ell), y)))
+    return tuple(by_degree(ring, _upset_union(ring, [(c,) * len(ring.sigma.rays)]).gens))
 
 
 def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
@@ -309,7 +307,7 @@ def _multiplier_searches(
     the first q at which it failed.  Every z and cbox are checked, and the
     sweep and candidates built, before ``rows`` is called, once for all zs.
     """
-    rzs = _ray_coords(ring, [tuple(z) for z in zs])
+    rzs = _ray_coords(ring, [int_vector(z) for z in zs])
     if int_scalar("cbox", cbox) < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)

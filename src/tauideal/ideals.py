@@ -34,8 +34,8 @@ from .errors import (
 )
 from . import polyhedra
 from .enumeration import hilbert_basis, upset_union
-from .lattice import IntVec, ToricRing, _below_masks, _points, int_scalar, orthant_ring
-from .lattice import minimal_vectors_orthant, semigroup_columns
+from .lattice import IntVec, ToricRing, _below_masks, _points, int_scalar, int_vector
+from .lattice import minimal_vectors_orthant, orthant_ring, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -77,7 +77,7 @@ class MonomialIdeal:
         """True iff some generator divides x^m in the semigroup sense:
         ``_covers`` on the ray coordinates of m and the generators, all
         checked as in ``is_subideal_of``."""
-        rows = _ray_coords(self.ring, (tuple(m),) + self.gens)
+        rows = _ray_coords(self.ring, (int_vector(m),) + self.gens)
         return _covers(rows[1:], rows[:1])
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
@@ -107,12 +107,6 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
         raise RingMismatchError("ideals live in different rings")
 
 
-def _check_in_ring(ring: ToricRing, a: MonomialIdeal) -> None:
-    """Refuse an ideal of another ring than the one an entry point was given."""
-    if a.ring != ring:
-        raise InputError("ideal does not belong to the given ring")
-
-
 def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     """Divisibility-minimal generating set; the unit ideal normalizes to {0}.
 
@@ -121,7 +115,7 @@ def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     componentwise minimal.  The rays span, so the coordinates determine g,
     and the zero vector's coordinates lie below every other's.
     """
-    gens = list({tuple(g) for g in raw_gens})
+    gens = list({int_vector(g) for g in raw_gens})
     by_coords = dict(zip(_ray_coords(ring, gens), gens))
     minimal = sorted(by_coords[c] for c in minimal_vectors_orthant(by_coords))
     return MonomialIdeal(ring=ring, gens=tuple(minimal))

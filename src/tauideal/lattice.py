@@ -95,12 +95,21 @@ def vec_neg(v):
 
 
 def int_vector(v) -> IntVec:
-    """v as a tuple, after checking that every entry is an int: InputError
-    otherwise (a float, a Fraction, a string, None)."""
-    v = tuple(v)
+    """v as a tuple, after checking that it is a sequence of ints: InputError
+    for a v that is not iterable or an entry that is not an int (a float, a
+    Fraction, a string, None)."""
+    try:
+        v = tuple(v)
+    except TypeError:
+        raise InputError(f"{v!r} is not a sequence of ints") from None
     if not {int}.issuperset(map(type, v)):
         raise InputError(f"{v} has an entry that is not an int")
     return v
+
+
+def unit_vectors(d: int) -> list[IntVec]:
+    """The unit vectors e_1 .. e_d."""
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
 
 
 def int_scalar(name: str, x) -> int:
@@ -173,8 +182,7 @@ def basis_inverse(vectors: tuple[IntVec, ...]) -> tuple[IntVec, tuple[IntVec, ..
     basis = tuple(_echelon(list(zip(*vectors)))[1])
     if len(basis) < d:
         raise ConeNotFullDimensionalError(f"vectors {vectors} do not span")
-    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    rows = _echelon([vectors[b] + u for b, u in zip(basis, units)])[0]
+    rows = _echelon([vectors[b] + u for b, u in zip(basis, unit_vectors(d))])[0]
     g = gcd(*chain.from_iterable(rows)) * (1 if rows[0][0] > 0 else -1)
     return basis, tuple(tuple(x // g for x in row[d:]) for row in rows), rows[0][0] // g
 
@@ -273,9 +281,7 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
         if not any(h):
             raise ZeroVectorError("zero halfspace normal")
 
-    lineality: list[IntVec] = [
-        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-    ]
+    lineality = unit_vectors(dim)
     rays: dict[IntVec, int] = {}
     for i, h in enumerate(halfspaces):
         lineality, rays = _insert(lineality, rays, h, 1 << i)
@@ -361,9 +367,10 @@ class Cone:
 
 
 def cone_from_rays(generators) -> Cone:
-    """Build a cone from any integer generators, computing its H-representation
-    and keeping only the extreme rays (``_extreme`` on their tight facets)."""
-    gens = list(dict.fromkeys(primitivize(tuple(g)) for g in generators))
+    """Build a cone from any integer generators (each checked by
+    ``int_vector``), computing its H-representation and keeping only the
+    extreme rays (``_extreme`` on their tight facets)."""
+    gens = list(dict.fromkeys(primitivize(int_vector(g)) for g in generators))
     if not gens:
         raise ConeNotFullDimensionalError("no generators")
     dim = len(gens[0])
@@ -420,8 +427,7 @@ class ToricRing:
     gorenstein_index: int = field(compare=False)
 
     def is_orthant(self) -> bool:
-        units = {tuple(1 if i == j else 0 for j in range(self.d)) for i in range(self.d)}
-        return set(self.sigma.rays) == units
+        return set(self.sigma.rays) == set(unit_vectors(self.d))
 
     def in_semigroup(self, m) -> bool:
         """Membership of an integer vector in sigma_dual (the exponent cone);
@@ -482,6 +488,4 @@ def orthant_ring(d: int) -> ToricRing:
 
     A float or bool d never hits an int's cache key, so the check inside
     refuses it on every call."""
-    return toric_ring(
-        [tuple(1 if i == j else 0 for j in range(d)) for i in range(int_scalar("d", d))]
-    )
+    return toric_ring(unit_vectors(int_scalar("d", d)))

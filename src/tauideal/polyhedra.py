@@ -6,8 +6,8 @@ in sigma_dual), homogenized in one more dimension.  ``newton_polyhedron``
 finds them from proven vertices first (the generators with lex-least
 rotated ray coordinates): one double description on those, one batched
 containment test of the other generators against its facets, and a second
-double description only when some generator cuts that cone.  Every
-membership test reads only these facets, compiled by
+double description, on all the generators, only when one of them cuts that
+cone.  Every membership test reads only these facets, compiled by
 ``lattice_inequalities`` into integer bounds with one lcm per call and an
 integer floor or ceiling division per facet.  The vertices come from a
 double description of the facets, as homogeneous integer rays (``_vertex_rays``,
@@ -32,6 +32,7 @@ from .lattice import (
     RatVec,
     ToricRing,
     dual_extreme_rays,
+    int_vector,
     pairing,
     pairing_columns,
     semigroup_columns,
@@ -170,8 +171,9 @@ def _rotation_minima(columns) -> set[int]:
 def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     """Newton polyhedron of the ideal generated by the given exponents.
 
-    A generator of the wrong length raises DimensionMismatchError, one
-    outside sigma_dual SemigroupMembershipError.
+    A generator that is not a sequence of ints raises InputError, one of
+    the wrong length DimensionMismatchError, one outside sigma_dual
+    SemigroupMembershipError.
 
     The facets are those of the cone C over the homogenized generators
     (g, 1) and rays (r, 0) of sigma_dual, found from proven vertices first.
@@ -192,13 +194,13 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     sigma_dual x [0, inf).  Each facet (a, c) of C0 has a in sigma, so only
     one with c = -b < 0 can cut a (g, 1), g in sigma_dual.  One
     ``pairing_columns`` call pairs every other generator with the a of those
-    facets, and (g, 1) lies in C0 when <g, a> >= b for each of them.  So
-    C = C0 unless some generator cuts, and then a second double description
-    on the v, the cutting generators and the rays gives C.  The result
-    rests on this containment test alone, not on the vertex argument, which
-    only makes the first cone large.
+    facets, and (g, 1) lies in C0 when <g, a> >= b for each of them.  If
+    none cuts, every (g, 1) lies in C0, so C, which holds C0, equals it;
+    otherwise a second double description on every (g, 1) and the rays
+    gives C by its definition.  The result rests on this containment test
+    alone, not on the vertex argument, which only makes the first cone large.
     """
-    gens = list({tuple(g) for g in generators})
+    gens = list({int_vector(g) for g in generators})
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
     picked = _rotation_minima(semigroup_columns(ring, gens))
@@ -211,13 +213,7 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
         bounds = [(f[:d], -f[d]) for f in facets if f[d] < 0]
         columns = pairing_columns(rest, [a for a, _ in bounds])
         if any(min(col) < b for col, (_, b) in zip(columns, bounds)):
-            cutting = {
-                g for col, (_, b) in zip(columns, bounds)
-                for g, v in zip(rest, col) if v < b
-            }
-            facets = dual_extreme_rays(
-                candidates + [g + (1,) for g in sorted(cutting)] + rays
-            )
+            facets = dual_extreme_rays(candidates + [g + (1,) for g in rest] + rays)
     inequalities = [
         (f[:d], Fraction(-f[d]))
         for f in facets

@@ -19,8 +19,8 @@ from .enumeration import shared, upset_union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import InputError
-from .ideals import MonomialIdeal, _check_in_ring, minimalize
-from .lattice import IntVec, ToricRing, int_scalar, primitivize, toric_ring
+from .ideals import MonomialIdeal, minimalize
+from .lattice import IntVec, ToricRing, int_scalar, primitivize, toric_ring, unit_vectors
 from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
 
@@ -28,7 +28,8 @@ def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
     """t as a Fraction, after checking a request to any route to tau(a^t)
     (the socle and root oracles too): InputError for an ideal of another
     ring, the zero ideal or an unreadable or negative t."""
-    _check_in_ring(ring, a)
+    if a.ring != ring:
+        raise InputError("ideal does not belong to the given ring")
     if a.is_zero():
         raise InputError("tau of the zero ideal is undefined")
     return exponent(t)
@@ -75,10 +76,7 @@ def _veronese_rays(d: int, r: int) -> list[IntVec]:
     """The generators of sigma for ``veronese_ring(d, r)``: (r, -1, ..., -1)
     and the unit vectors e_2..e_d, linearly independent, so primitivized
     they are its extreme rays."""
-    gens = [(r,) + tuple(-1 for _ in range(d - 1))]
-    for i in range(1, d):
-        gens.append(tuple(1 if j == i else 0 for j in range(d)))
-    return gens
+    return [(r,) + (-1,) * (d - 1), *unit_vectors(d)[1:]]
 
 
 def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:

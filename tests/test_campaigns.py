@@ -1,6 +1,7 @@
 """Campaign runner determinism and sanity."""
 
 import inspect
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ from tauideal import campaigns
 from tauideal.campaigns import (
     CAMPAIGNS,
     brute_force_colon,
+    jsonable,
     random_monomial_ideal,
     run_campaign,
     run_crosscheck,
@@ -87,6 +89,25 @@ def test_every_seeded_failure_record_replays(monkeypatch, name):
         for f in failures:
             assert list(f)[:3] == ["seed", "index", "d"]
             assert run_campaign(name, seed=f["seed"], count=f["index"] + 1).failures[-1] == f
+
+
+def test_campaign_records_are_json_ready_as_recorded(monkeypatch):
+    # every record, failed or inconclusive, is already what ``jsonable``
+    # makes of it and survives a JSON round trip unchanged
+    record = campaigns.CampaignReport.record
+    monkeypatch.setattr(campaigns.CampaignReport, "record",
+                        lambda rep, ok, replay: record(rep, False, replay))
+    reports = [run_campaign(name, count=None if name in FIXED else 8) for name in CAMPAIGNS]
+    assert all(len(rep.failures) == rep.instances > 0 for rep in reports)
+    ring = orthant_ring(2)
+    cusp = minimalize(ring, [(2, 0), (0, 3)])
+    # no admissible q reaches 16 by qmax 8, so the root route is inconclusive
+    cross = run_crosscheck(ring, [("cusp", cusp)], [Fraction(5, 6)], qmax=8, primes=(2,))
+    assert len(cross.failures) == len(cross.inconclusive) == 1
+    for rep in reports + [cross]:
+        for r in rep.failures + rep.inconclusive:
+            assert json.loads(json.dumps(r)) == r
+            assert jsonable(r) == r
 
 
 def test_campaign_determinism():

@@ -118,6 +118,45 @@ def test_random_is_seeded_only_by_the_pinned_loops():
     assert _package_callers(("Random",)) == SEEDED_LOOPS
 
 
+def _own_nodes(func):
+    """The nodes of func's body outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _compares_range_variables(func) -> bool:
+    """Does func hold an ``==`` between two of its loop variables that run
+    over a ``range(...)``, as the i == j of a hand-built unit vector?"""
+    nodes = list(_own_nodes(func))
+    ranged = {
+        loop.target.id for loop in nodes
+        if isinstance(loop, (ast.For, ast.comprehension))
+        and isinstance(loop.target, ast.Name)
+        and getattr(getattr(loop.iter, "func", None), "id", None) == "range"
+    }
+    return any(
+        isinstance(op, ast.Eq) and {getattr(x, "id", None) for x in (left, right)} <= ranged
+        for node in nodes if isinstance(node, ast.Compare)
+        for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators)
+    )
+
+
+def test_unit_vectors_are_built_in_one_place():
+    # every e_1 .. e_d comes from ``lattice.unit_vectors``; a second
+    # identity basis built by hand shows up as a diff here
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {f"{path.name}:{func.name}" for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _compares_range_variables(func)}
+    assert found == {"lattice.py:unit_vectors"}
+
+
 def _wrapped_at_each_module(layers: Path) -> dict[str, set[str]]:
     """The names ``perfbench/layers.py`` wraps, by the module it wraps them
     at: each ``tracer.wrap(owner, "name", ...)`` call, with ``owner`` a module
