@@ -302,7 +302,7 @@ _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 @contextmanager
 def sharing():
     """A scope in which ``shared`` computes P(a), keyed on (ring, a.gens), and
-    each ``upset_union``, keyed on (ring, pair sets), once.  Callers still
+    each ``upset_union``, keyed on (ring, pair sets, boxes), once.  Callers still
     compile their own pairs, and a hit is what the same pure function returns
     on equal inputs, so routes that meet in a block compare as without it.
     Nothing outlives a block, even one that raised.  A scope, not an
@@ -324,12 +324,15 @@ def shared(key, compute):
     return memo[key]
 
 
-def upset_union(ring: ToricRing, ineq_sets) -> tuple[tuple[IntVec, ...], int]:
+def upset_union(
+    ring: ToricRing, ineq_sets, boxes=()
+) -> tuple[tuple[IntVec, ...], int]:
     """(sorted minimal generators, points tested) of the union of the up-sets
-    the integer pair sets cut out.
+    the integer pair sets cut out and of the ``boxes``.
 
-    A set whose normals are all rays n_j of sigma is the box rc(m) >= v in
-    ray coordinates, v_j the largest max(c, 0) on n_j; a box above another
+    A box rc(m) >= v in ray coordinates is given by its bound vector v
+    (ints >= 0, one per ray n_j of sigma), or by a pair set whose normals
+    are all rays, v_j the largest max(c, 0) on n_j; a box above another
     adds nothing.  A lattice point whose ray coordinates are v divides every
     member, so it is the box's only generator; ``lattice._points`` finds it
     where it exists (always on a smooth cone).  The other boxes and sets are
@@ -339,18 +342,19 @@ def upset_union(ring: ToricRing, ineq_sets) -> tuple[tuple[IntVec, ...], int]:
     coordinates.  The count is of the points tested in that shell.
     """
     ineq_sets = tuple(map(tuple, ineq_sets))
+    boxes = tuple(boxes)
 
     def compute():
         rays = ring.sigma.rays
-        boxes, others = [], []
+        bounds, others = list(boxes), []
         for ineqs in ineq_sets:
             if all(a in rays for a, _ in ineqs):
-                boxes.append(tuple(max([0, *(c for a, c in ineqs if a == n)]) for n in rays))
+                bounds.append(tuple(max([0, *(c for a, c in ineqs if a == n)]) for n in rays))
             else:
                 others.append(ineqs)
         realized = {}
-        if boxes:  # most calls have none, and the candidate solve costs even so
-            tops = minimal_vectors_orthant(boxes)
+        if bounds:  # most calls have none, and the candidate solve costs even so
+            tops = minimal_vectors_orthant(bounds)
             points = _points(ring, tops)
             coords = zip(*pairing_columns(points, rays))
             realized = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
@@ -373,4 +377,4 @@ def upset_union(ring: ToricRing, ineq_sets) -> tuple[tuple[IntVec, ...], int]:
             gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]
         return tuple(sorted(gens)), sum(tested)
 
-    return shared(("upset", ring, ineq_sets), compute)
+    return shared(("upset", ring, ineq_sets, boxes), compute)

@@ -45,6 +45,7 @@ from .ideals import (  # noqa: F401
     MonomialIdeal,
     _check_same_ring,
     _covers,
+    _floors,
     _ray_coords,
     _trace_root_rows,
     _upset_union,
@@ -267,11 +268,20 @@ def frobenius_root_tau_oracle(
     C_q = trace_root(a^ceil(t*q), q) over the admissible q <= qmax: the
     powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein index
     (none when p divides it: UnsupportedRingError).  C_q comes from the
-    ray coordinates rc of a^ceil(t*q)'s generators g, the chain's rows; every
-    generator m of C_q must have q*rc(m) + q - 1 >= rc(g) for some g (q*m +
-    (q-1)*w in a^ceil(t*q), as <w, n_j> = 1) and the chain must ascend,
-    else InvariantError.  The value is accepted once two consecutive q (the
-    larger at least 16) agree, else NotStabilizedError."""
+    ray coordinates rc of a^ceil(t*q)'s generators g, the chain's rows,
+    through their floors floor(rc(g)/q) (``ideals._floors``), which are the
+    boxes of one up-set union (``_trace_root_rows``).  Every generator m of
+    C_q must have q*rc(m) + q - 1 >= rc(g) for some g (q*m + (q-1)*w in
+    a^ceil(t*q), as <w, n_j> = 1) and the chain must ascend, else
+    InvariantError.  The value is accepted once two consecutive q (the
+    larger at least 16) agree, else NotStabilizedError.
+
+    The first check is made on the floors: for integers x, y and q >= 1,
+    y <= q*x + q - 1 iff floor(y/q) <= x, since y <= q*x + q - 1 < q*(x + 1)
+    gives y/q < x + 1, and floor(y/q) <= x gives y = q*floor(y/q) + (y mod
+    q) <= q*x + q - 1.  Applied on every ray, rc(g) <= q*rc(m) + q - 1 iff
+    floor(rc(g)/q) <= rc(m), so some g lies below the lift of m iff some
+    floor lies below rc(m), and the floors are far fewer than the rows."""
     t = _check_request(ring, a, t)
     r = ring.gorenstein_index
     qs = [q for q in q_sweep(qmax, p) if (q - 1) % r == 0]
@@ -281,8 +291,7 @@ def frobenius_root_tau_oracle(
     for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
         current = _trace_root_rows(ring, rows, q)
         current_rows = _ray_coords(ring, current.gens)
-        lifts = [tuple([q * x + q - 1 for x in m]) for m in current_rows]
-        if not _covers(rows, lifts):
+        if not _covers(_floors(rows, q), current_rows):
             raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
         if prev_rows is not None and not _covers(current_rows, prev_rows):
             raise InvariantError(f"root chain shrinks from q={prev_q} to q={q}")

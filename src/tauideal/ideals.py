@@ -7,16 +7,21 @@ over the rays n_j of sigma, computed and checked for all generators at
 once by ``lattice.semigroup_columns``, and every divisibility test here
 (``minimalize``, ``MonomialIdeal.is_subideal_of``, ``contains_monomial``)
 is one call of the bitmask kernel ``lattice._below_masks``.  Ray
-coordinates add under products: ``multiply`` keeps the minimal sums of
-pairs (``_pairs``), and ``powers`` lazily yields the rows of any sequence
+coordinates add under products, and every product and square is one
+packed kernel, ``_sums``: each row is one int of fixed-width fields
+(``_field_width``, from the largest sum that can occur), a pair sum is one
+int addition, a set of ints drops repeats, and only the distinct sums are
+read back for the minimal filter.  ``multiply`` keeps the minimal sums of
+its factors' rows, and ``powers`` lazily yields the rows of any sequence
 of powers by one rule, squaring I**(n/2) for an even n and adding I's rows
 to I**(n-1) for an odd one; ``power`` is its one value.  Rows become
 generators in ``lattice._points``.  Intersections, colons and trace roots
 (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of up-sets in
-ray coordinates, met on their bound vectors (up(a) cap up(b) = up(max(a,
-b)), ``_pairs``); ``_upset_union`` hands their bounds, as pairs, to the one
-up-set kernel ``enumeration.upset_union``.  The zero ideal has an empty
-generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
+ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
+up(max(a, b)), ``_maxima``).  Their bounds, the trace root's floors
+(``_floors``) among them, go to the one up-set kernel
+``enumeration.upset_union`` as boxes, with no pair sets.  The zero ideal
+has an empty generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
 (the orthant's trace root, checked to cover I) and ``kill_variable`` are
 orthant-only and refuse other rings loudly.
 """
@@ -24,7 +29,7 @@ orthant-only and refuse other rings loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import lshift, sub
 
 from .errors import (
     InputError,
@@ -135,28 +140,64 @@ def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(ring))))
 
 
-def _pairs(op, A, B) -> list[IntVec]:
-    """The minimal op(a, b) over every pair of a in A and b in B: with
-    op = add the ray coordinates of the products x^a * x^b, with op = max
-    the bounds of up(a) cap up(b) = up(max(a, b))."""
-    return minimal_vectors_orthant(tuple(map(op, a, b)) for a in A for b in B)
+def _field_width(A, B) -> int:
+    """The bits per field of ``_sums``' packing of the rows of A and B: the
+    bit length of the largest entry a sum a + b can reach, the largest
+    entry of A plus the largest entry of B."""
+    return (max(map(max, A)) + max(map(max, B))).bit_length()
 
 
-def _square(rows) -> list[IntVec]:
-    """The minimal sums of two rows, adding each unordered pair once."""
-    return minimal_vectors_orthant(
-        tuple(map(add, a, b)) for i, a in enumerate(rows) for b in rows[i:]
-    )
+def _sums(A, B=None) -> list[IntVec]:
+    """The minimal sums a + b of rows a of A and b of B (ray coordinates,
+    all >= 0), so of the products x^a * x^b; with B None, of every
+    unordered pair of rows of A, so of the squares.
+
+    Each row is packed into one int, entry j in bits [W*j, W*(j + 1)) with
+    W = ``_field_width``: no entry of a sum reaches 2**W, so adding two
+    packed rows adds each field with no carry into the next, and the
+    packed sum is the packing of the sum.  A set of ints drops repeated
+    sums, and only the distinct ones are read back, a column at a time,
+    in ascending order.  A row u <= v componentwise, u != v, packs to a
+    smaller int, and one that packs smaller has a last entry <= v's (the
+    last field is the most significant).  So v is not minimal iff some
+    earlier row is <= v on the other coordinates: bit k < j in the
+    ``lattice._below_masks`` of those columns.  The minimal sums come in
+    ascending packed order.
+    """
+    if not A or B is not None and not B:
+        return []
+    width = _field_width(A, A if B is None else B)
+    shifts = [width * j for j in range(len(A[0]))]
+    packed = [sum(map(lshift, row, shifts)) for row in A]
+    if B is None:
+        sums = {x + y for i, x in enumerate(packed) for y in packed[i:]}
+    else:
+        others = [sum(map(lshift, row, shifts)) for row in B]
+        sums = {x + y for x in packed for y in others}
+    mask = (1 << width) - 1
+    if len(sums) < 2:  # a single sum is minimal
+        return [tuple([s >> shift & mask for shift in shifts]) for s in sums]
+    sums = sorted(sums)
+    rows = list(zip(*[[s >> shift & mask for s in sums] for shift in shifts]))
+    below = _below_masks([v[:-1] for v in rows])
+    return [v for j, v in enumerate(rows) if not below[j] & ((1 << j) - 1)]
+
+
+def _maxima(A, B) -> list[IntVec]:
+    """The minimal max(a, b) over every pair of a in A and b in B: the
+    bounds of up(a) cap up(b) = up(max(a, b)).  They stay tuples, as a
+    colon's differences may be negative before they are clamped."""
+    return minimal_vectors_orthant(tuple(map(max, a, b)) for a in A for b in B)
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Ray coordinates add, so the generators of I*J are the points
     (``_points``) of the minimal sums of the generators' checked ray
-    coordinates (``_pairs``); those points divide none of each other."""
+    coordinates (``_sums``); those points divide none of each other."""
     _check_same_ring(I, J)
     rows = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
-    gens = _points(I.ring, _pairs(add, rows[:n], rows[n:]))
+    gens = _points(I.ring, _sums(rows[:n], rows[n:]))
     return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))
 
 
@@ -177,9 +218,9 @@ def powers(I: MonomialIdeal, exponents):
     generators with the rays once (and checking them).
 
     One rule builds every power from the unit ideal's zero row, I**0: an
-    even n squares I**(n/2) (``_square``), an odd n adds I's rows to
-    I**(n - 1) (``_pairs``).  Every power built is kept, so none is built
-    twice, and nothing past the last value taken is built.
+    even n squares I**(n/2), an odd n adds I's rows to I**(n - 1), each
+    by the one packed kernel ``_sums``.  Every power built is kept, so none
+    is built twice, and nothing past the last value taken is built.
     """
     rows = _ray_coords(I.ring, I.gens)
     built = {0: [(0,) * len(I.ring.sigma.rays)]}
@@ -191,16 +232,17 @@ def powers(I: MonomialIdeal, exponents):
             todo.append(k)
             k = k - 1 if k % 2 else k // 2
         for k in reversed(todo):
-            built[k] = _pairs(add, built[k - 1], rows) if k % 2 else _square(built[k // 2])
+            built[k] = _sums(built[k - 1], rows) if k % 2 else _sums(built[k // 2])
         yield built[n]
 
 
 def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     """The ideal of the x^m whose ray coordinates dominate some c in
     ``bounds`` (integer vectors, one entry per ray of sigma): one
-    ``enumeration.upset_union`` call on the pairs (n_j, c_j) of each c."""
-    pairs = [tuple(zip(ring.sigma.rays, c)) for c in bounds]
-    return MonomialIdeal(ring=ring, gens=upset_union(ring, pairs)[0])
+    ``enumeration.upset_union`` call with the boxes max(c, 0), as rc(m) >= 0
+    on sigma_dual."""
+    boxes = [tuple([x if x > 0 else 0 for x in c]) for c in bounds]
+    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), boxes)[0])
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -210,21 +252,21 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_ring(I, J)
     coords = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
-    return _upset_union(I.ring, _pairs(max, coords[:n], coords[n:]))
+    return _upset_union(I.ring, _maxima(coords[:n], coords[n:]))
 
 
 def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """The largest K with K*J contained in I: the intersection over the
     generators h of J of (I : x^h), the up-set union of the ray coordinates
     of g - h over the generators g of I.  The intersection is taken on the
-    bound vectors, from the zero vector (the unit ideal), one ``_pairs``
+    bound vectors, from the zero vector (the unit ideal), one ``_maxima``
     step per h, and the ideal is built once at the end."""
     _check_same_ring(I, J)
     coords = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
     bounds = [(0,) * len(I.ring.sigma.rays)]
     for h in coords[n:]:
-        bounds = _pairs(max, bounds, [tuple(map(sub, g, h)) for g in coords[:n]])
+        bounds = _maxima(bounds, [tuple(map(sub, g, h)) for g in coords[:n]])
     return _upset_union(I.ring, bounds)
 
 
@@ -244,17 +286,25 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     x^g divides x^(q*m + (q-1)*w) iff q*<m, n_j> + q - 1 >= <g, n_j> on
     every ray n_j of sigma, as <w, n_j> = 1; for integers that reads
     <m, n_j> >= ceil((<g, n_j> + 1)/q) - 1 = floor(<g, n_j>/q).  So C_q is
-    one ``_upset_union`` over the floors of the generators' ray coordinates
-    (``_trace_root_rows``).
+    the union of the boxes at the floors of the generators' ray coordinates
+    (``_floors``, ``_trace_root_rows``).
     """
     if int_scalar("q", q) < 1:
         raise InputError(f"a root needs q >= 1, got {q}")
     return _trace_root_rows(I.ring, _ray_coords(I.ring, I.gens), q)
 
 
+def _floors(rows, q: int) -> list[IntVec]:
+    """The distinct floor(v/q), componentwise, over the rows v, a column
+    at a time."""
+    return [*{*zip(*[[x // q for x in column] for column in zip(*rows)])}]
+
+
 def _trace_root_rows(ring: ToricRing, rows, q: int) -> MonomialIdeal:
-    """``trace_root`` from the ray coordinates ``rows`` of I's generators."""
-    return _upset_union(ring, {tuple([x // q for x in row]) for row in rows})
+    """``trace_root`` from the ray coordinates ``rows`` of I's generators:
+    their ``_floors``, all >= 0, are the boxes of one
+    ``enumeration.upset_union`` call, which keeps the minimal ones."""
+    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), _floors(rows, q))[0])
 
 
 def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:

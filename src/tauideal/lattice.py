@@ -98,12 +98,23 @@ def int_vector(v) -> IntVec:
     """v as a tuple, after checking that it is a sequence of ints: InputError
     for a v that is not iterable or an entry that is not an int (a float, a
     Fraction, a string, None)."""
+    return _typed_vector(v, {int}, "an int")
+
+
+def rational_vector(v) -> RatVec:
+    """v as a tuple, after checking that it is a sequence of exact
+    rationals, each an int or a Fraction: InputError otherwise, as in
+    ``int_vector``."""
+    return _typed_vector(v, {int, Fraction}, "an int or a Fraction")
+
+
+def _typed_vector(v, types: set, what: str) -> tuple:
     try:
         v = tuple(v)
     except TypeError:
-        raise InputError(f"{v!r} is not a sequence of ints") from None
-    if not {int}.issuperset(map(type, v)):
-        raise InputError(f"{v} has an entry that is not an int")
+        raise InputError(f"{v!r} is not a sequence") from None
+    if not types.issuperset(map(type, v)):
+        raise InputError(f"{v} has an entry that is not {what}")
     return v
 
 
@@ -271,7 +282,7 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     invariant); once that space is gone they are the extreme rays
     themselves, so they are returned as they are, sorted.
     """
-    halfspaces = [tuple(h) for h in halfspaces]
+    halfspaces = [int_vector(h) for h in halfspaces]
     if not halfspaces:
         raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
     dim = len(halfspaces[0])

@@ -35,6 +35,7 @@ from .lattice import (
     int_vector,
     pairing,
     pairing_columns,
+    rational_vector,
     semigroup_columns,
 )
 
@@ -63,7 +64,9 @@ class NewtonPolyhedron:
         return self.recession.rays
 
     def contains(self, p, strict: bool = False) -> bool:
-        """Closed (or strict/interior) membership of a rational point."""
+        """Closed (or strict/interior) membership of a rational point, whose
+        entries are ints or Fractions (``lattice.rational_vector``)."""
+        p = rational_vector(p)
         if len(p) != self.dim:
             raise DimensionMismatchError(
                 f"point length {len(p)}, polyhedron dimension {self.dim}"
@@ -95,7 +98,8 @@ def lattice_inequalities(
     P: NewtonPolyhedron, shift=None, strict: bool = False
 ) -> tuple[tuple[IntVec, int], ...]:
     """Integer facets (a, c) cutting out the lattice points m with m + shift
-    in P (in its interior if ``strict``): each pair means <m, a> >= c.
+    in P (in its interior if ``strict``): each pair means <m, a> >= c.  The
+    shift's entries are ints or Fractions (``lattice.rational_vector``).
 
     For integer <m, a>, <m + s, a> > b iff <m, a> >= floor(b - <s, a>) + 1,
     and <m + s, a> >= b iff <m, a> >= ceil(b - <s, a>).  Every right-hand
@@ -105,7 +109,7 @@ def lattice_inequalities(
     normals lie in sigma, so every m in sigma_dual meets a bound c <= 0;
     those are left out.
     """
-    shift = (0,) * P.dim if shift is None else tuple(shift)
+    shift = (0,) * P.dim if shift is None else rational_vector(shift)
     if len(shift) != P.dim:
         raise DimensionMismatchError(f"length {len(shift)} vs {P.dim}")
     den = lcm(P.scale.denominator, *(x.denominator for x in shift))

@@ -390,6 +390,18 @@ def _count_calls(monkeypatch, calls: Counter, names) -> None:
         monkeypatch.setattr(ideals_module, name, wrapped)
 
 
+def _count_products(monkeypatch, calls: Counter) -> None:
+    """Replace the row-sum kernel ``_sums`` of tauideal.ideals by one that
+    counts its squares (one argument) and products (two) in ``calls``."""
+    real = ideals_module._sums
+
+    def wrapped(A, B=None):
+        calls["square" if B is None else "add"] += 1
+        return real(A, B)
+
+    monkeypatch.setattr(ideals_module, "_sums", wrapped)
+
+
 def test_power_of_one_generator_is_that_generator_times_n(monkeypatch):
     rng = Random(2323)
     calls = Counter()
@@ -434,11 +446,11 @@ def test_powers_match_power_on_every_step_kind():
 
 
 def _products_for_first_value(monkeypatch, chain, a, exponents):
-    """The first value of chain(a, exponents) and the _pairs and _square
-    calls made while taking it."""
+    """The first value of chain(a, exponents) and the squares and products
+    of ``_sums`` made while taking it."""
     calls = Counter()
     with monkeypatch.context() as m:
-        _count_calls(m, calls, ("_pairs", "_square"))
+        _count_products(m, calls)
         first = next(iter(chain(a, exponents)))
     return first, calls
 
@@ -451,27 +463,27 @@ def test_powers_builds_nothing_past_the_value_taken(monkeypatch):
     )
     got, by_chain = _products_for_first_value(monkeypatch, powers, a, ns)
     # I**1 adds I's rows to the unit row, I**2 squares it, I**3 adds I's rows
-    assert sorted(got) == want and by_chain == by_power == {"_square": 1, "_pairs": 2}
+    assert sorted(got) == want and by_chain == by_power == {"square": 1, "add": 2}
     # the same count catches a chain that builds every value up front
     _, by_eager = _products_for_first_value(
         monkeypatch, lambda a, ns: list(powers(a, ns)), a, ns
     )
-    assert by_eager["_pairs"] > by_power["_pairs"]
+    assert by_eager["add"] > by_power["add"]
 
 
 def test_powers_builds_each_power_once_by_one_rule(monkeypatch):
     a = I((2, 0), (1, 3), (0, 5))
     calls = Counter()
     with monkeypatch.context() as m:
-        _count_calls(m, calls, ("_pairs", "_square"))
+        _count_products(m, calls)
         got = [sorted(rows) for rows in powers(a, [3, 6, 12, 24, 6, 3])]
     # I**1 and I**3 add I's rows, I**2, I**6, I**12 and I**24 square, and the
     # repeated 6 and 3 are the powers already built
-    assert calls == {"_square": 4, "_pairs": 2}
+    assert calls == {"square": 4, "add": 2}
     assert got == [sorted(_ray_coords(R2, power(a, n).gens)) for n in (3, 6, 12, 24, 6, 3)]
     calls.clear()
     with monkeypatch.context() as m:
-        _count_calls(m, calls, ("_pairs", "_square"))
+        _count_products(m, calls)
         assert list(powers(a, [0])) == [[(0, 0)]]
     assert not calls
 

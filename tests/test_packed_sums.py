@@ -1,0 +1,227 @@
+"""The packed row-sum kernel and the floors of the root chain, each against
+the tuple code it replaced, kept here only as the reference."""
+
+import math
+from fractions import Fraction
+from operator import add
+from random import Random
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+import tauideal.frobenius as frobenius_module
+import tauideal.ideals as ideals_module
+from tauideal.enumeration import lattice_points_upto, upset_union
+from tauideal.errors import InvariantError, NotStabilizedError, UnsupportedRingError
+from tauideal.frobenius import (
+    frobenius_root_tau_oracle,
+    q_sweep,
+    tight_closure_members_at_q,
+    tight_integral_closure_members_at_q,
+)
+from tauideal.ideals import (
+    MonomialIdeal,
+    _covers,
+    _field_width,
+    _floors,
+    _ray_coords,
+    _sums,
+    colon,
+    intersect,
+    minimalize,
+    multiply,
+    power,
+    powers,
+    trace_root,
+    unit_ideal,
+    zero_ideal,
+)
+from tauideal.lattice import minimal_vectors_orthant, orthant_ring, toric_ring, vec_add, vec_scale
+from tauideal.tau import _check_request, veronese_ring
+
+TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
+    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
+    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    toric_ring([(0, 1), (5, -2)]),
+    toric_ring([(1, 0), (1, 2)]),
+]
+
+
+# -- reference: the tuple kernel and the pair-set root chain ----------------
+
+def reference_sums(A, B=None):
+    """Every pair sum built as a tuple, de-duplicated by ``dict.fromkeys``
+    inside ``minimal_vectors_orthant``."""
+    if B is None:
+        return minimal_vectors_orthant(
+            tuple(map(add, a, b)) for i, a in enumerate(A) for b in A[i:]
+        )
+    return minimal_vectors_orthant(tuple(map(add, a, b)) for a in A for b in B)
+
+
+def reference_upset_union(ring, bounds):
+    """The bounds handed to ``upset_union`` as pair sets (n_j, c_j), which it
+    parses back into boxes."""
+    pairs = [tuple(zip(ring.sigma.rays, c)) for c in bounds]
+    return MonomialIdeal(ring=ring, gens=upset_union(ring, pairs)[0])
+
+
+def reference_trace_root_rows(ring, rows, q):
+    return reference_upset_union(ring, {tuple([x // q for x in row]) for row in rows})
+
+
+def reference_root_oracle(ring, a, t, qmax, p):
+    """The root oracle with the lift check on every row of a^n."""
+    t = _check_request(ring, a, t)
+    r = ring.gorenstein_index
+    qs = [q for q in q_sweep(qmax, p) if (q - 1) % r == 0]
+    if r % p == 0:
+        raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
+    prev_rows = prev_q = None
+    for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
+        current = reference_trace_root_rows(ring, rows, q)
+        current_rows = _ray_coords(ring, current.gens)
+        lifts = [tuple([q * x + q - 1 for x in m]) for m in current_rows]
+        if not _covers(rows, lifts):
+            raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
+        if prev_rows is not None and not _covers(current_rows, prev_rows):
+            raise InvariantError(f"root chain shrinks from q={prev_q} to q={q}")
+        if current_rows == prev_rows and q >= 16:
+            return current
+        prev_rows, prev_q = current_rows, q
+    raise NotStabilizedError(f"root chain did not stabilize over the admissible q {qs}")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception is part of the answer compared
+        return type(exc), str(exc)
+
+
+def _answers(ring, a, b, zs, root):
+    """Every result that goes through the row-sum kernel, for ideals a and
+    b of ring (rows as sorted lists), and with a root oracle also every one
+    that goes through the up-set kernel's boxes."""
+    out = {
+        "power": [power(a, n) for n in range(5)],
+        "multiply": multiply(a, b),
+        "powers": [sorted(rows) for rows in powers(a, [3, 1, 4, 2, 0, 6])],
+        "tight": tight_closure_members_at_q(b, a, 1, zs, 4, 1, 2),
+        "tic": tight_integral_closure_members_at_q([a, b], zs, 4, 1, 2),
+    }
+    if root:
+        out["intersect"] = intersect(a, b)
+        out["colon"] = colon(a, b)
+        out["trace_root"] = [trace_root(a, q) for q in (1, 2, 3, 5)]
+        for p, qmax in ((2, 16), (3, 9)):
+            for t in (Fraction(1, 2), 1, Fraction(3, 2)):
+                out[f"root {p} {t}"] = _outcome(root, ring, a, t, qmax, p)
+    return out
+
+
+def test_packed_kernel_gives_the_tuple_kernels_answers(monkeypatch):
+    rng = Random(2626)
+    big = 2**64
+    compared = 0
+    for ring in TEST_RINGS:
+        points = lattice_points_upto(ring, 4)[1:]
+
+        def small():
+            return minimalize(ring, rng.sample(points, rng.randint(1, min(3, len(points)))))
+
+        cases = [(small(), small(), True) for _ in range(3)]
+        cases += [(zero_ideal(ring), small(), True), (small(), unit_ideal(ring), True)]
+        # entries of 2**64 and more: wide fields; the up-set kernel would
+        # enumerate boxes of that size off the orthant, so it is left out
+        lifted = [vec_add(g, vec_scale(big, rng.choice(ring.sigma_dual.rays)))
+                  for g in rng.sample(points, min(2, len(points)))]
+        cases.append((minimalize(ring, lifted), small(), False))
+        zs = points[:3]
+        for a, b, with_root in cases:
+            packed = _answers(ring, a, b, zs, frobenius_root_tau_oracle if with_root else None)
+            with monkeypatch.context() as m:
+                m.setattr(ideals_module, "_sums", reference_sums)
+                m.setattr(ideals_module, "_upset_union", reference_upset_union)
+                m.setattr(ideals_module, "_trace_root_rows", reference_trace_root_rows)
+                reference = _answers(ring, a, b, zs, reference_root_oracle if with_root else None)
+            assert packed == reference, (ring.sigma.rays, a.gens, b.gens)
+            compared += 1
+    assert compared == 6 * len(TEST_RINGS)
+
+
+# -- the field width ----------------------------------------------------------
+
+def _sum_mismatches(rng, trials):
+    """Pairs (A, B) of random rows, B None for a square, on which ``_sums``
+    differs from the tuple reference; the entries run up to 2**12, and each
+    largest sum sits at a power of two or one below it about as often as
+    not, where a field one bit too narrow first carries."""
+    found = []
+    for _ in range(trials):
+        d = rng.randint(1, 4)
+        top = 2 ** rng.randint(0, 12)
+        rows = [tuple(rng.randint(0, top) for _ in range(d)) for _ in range(rng.randint(1, 6))]
+        other = None if rng.random() < 0.3 else [
+            tuple(rng.randint(0, top) for _ in range(d)) for _ in range(rng.randint(1, 6))
+        ]
+        if rng.random() < 0.5:  # one pair whose sum is exactly the largest
+            j, total = rng.randrange(d), top - rng.randint(0, 1)
+            half = total // 2
+            rows = [tuple(half if i == j else 0 for i in range(d))]
+            other = [tuple(total - half if i == j else 0 for i in range(d))]
+        if sorted(_sums(rows, other)) != sorted(reference_sums(rows, other)):
+            found.append((rows, other))
+    return found
+
+
+def test_field_width_is_the_bit_length_of_the_largest_sum(monkeypatch):
+    rng = Random(2727)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        A = [tuple(rng.randint(0, 2**rng.randint(0, 70)) for _ in range(d))
+             for _ in range(rng.randint(1, 5))]
+        B = [tuple(rng.randint(0, 2**rng.randint(0, 70)) for _ in range(d))
+             for _ in range(rng.randint(1, 5))]
+        largest = max(x + y for a in A for b in B for x in a for y in b)
+        assert _field_width(A, B) == largest.bit_length()
+        assert _field_width(A, A) == max(2 * x for a in A for x in a).bit_length()
+    assert _sum_mismatches(Random(2828), 400) == []
+    # a width one bit too small carries the largest sum into the next field
+    # (or out of the last one), and the comparison above catches it
+    with monkeypatch.context() as m:
+        m.setattr(ideals_module, "_field_width", lambda A, B: max(_field_width(A, B) - 1, 0))
+        assert len(_sum_mismatches(Random(2828), 400)) > 100
+
+
+# -- the lift check on floors -------------------------------------------------
+
+ROWS = st.lists(st.tuples(*[st.integers(0, 40)] * 3), min_size=1, max_size=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(ROWS, st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=6), st.integers(1, 9))
+def test_lift_check_on_floors_is_the_lift_check_on_rows(rows, roots, q):
+    # rc(g) <= q*m + q - 1 on every ray iff floor(rc(g)/q) <= m
+    lifts = [tuple(q * x + q - 1 for x in m) for m in roots]
+    assert _covers(rows, lifts) == _covers(_floors(rows, q), roots)
+
+
+def test_a_root_generator_one_step_below_a_floor_is_outside(monkeypatch):
+    # lower one generator of each C_q by one in one coordinate: it lies below
+    # a minimal floor and above no floor, so q*m + (q-1)*w leaves a^n
+    ring = orthant_ring(3)
+    a = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
+    real = frobenius_module._trace_root_rows
+
+    def lowered(ring, rows, q):
+        gens = list(real(ring, rows, q).gens)
+        k, j = next((k, j) for k, g in enumerate(gens) for j, x in enumerate(g) if x)
+        gens[k] = tuple(x - (i == j) for i, x in enumerate(gens[k]))
+        return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
+
+    with pytest.raises(NotStabilizedError):  # and no InvariantError
+        frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16)
+    monkeypatch.setattr(frobenius_module, "_trace_root_rows", lowered)
+    with pytest.raises(InvariantError, match="outside"):
+        frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16)

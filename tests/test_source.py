@@ -90,9 +90,9 @@ def test_orthant_forks_stay_in_the_allowlist():
     assert _package_callers(("is_orthant", "_require_orthant")) == ORTHANT_FORKS
 
 
-# The functions that call the row-product kernels ``_square`` and ``_pairs``.
-# Every power is built in ``powers``; a second power or product builder shows
-# up as a diff here.
+# The functions that call the packed row-sum kernel ``_sums`` and the bound
+# kernel ``_maxima``.  Every power is built in ``powers``; a second power or
+# product builder shows up as a diff here.
 PRODUCT_KERNEL_CALLERS = {
     "ideals.py:colon",
     "ideals.py:intersect",
@@ -102,7 +102,7 @@ PRODUCT_KERNEL_CALLERS = {
 
 
 def test_product_kernels_have_exactly_the_pinned_callers():
-    assert _package_callers(("_square", "_pairs")) == PRODUCT_KERNEL_CALLERS
+    assert _package_callers(("_sums", "_maxima")) == PRODUCT_KERNEL_CALLERS
 
 
 # The functions that seed a ``Random``.  Every random campaign draws through

@@ -15,11 +15,12 @@ from tauideal.frobenius import (
     tight_integral_closure_members_at_q,
 )
 from tauideal.ideals import minimalize
-from tauideal.lattice import cone_from_rays, orthant_ring, toric_ring
-from tauideal.polyhedra import newton_polyhedron
+from tauideal.lattice import cone_from_rays, dual_extreme_rays, orthant_ring, toric_ring
+from tauideal.polyhedra import lattice_inequalities, newton_polyhedron
 
 R = orthant_ring(2)
 A = minimalize(R, [(2, 0), (0, 3)])
+P = newton_polyhedron(R, A.gens)
 
 # each of these raised a bare TypeError from tuple() or gcd()
 NOT_INT_VECTORS = {
@@ -37,6 +38,14 @@ NOT_INT_VECTORS = {
     "tight_closure_members_at_q": lambda: tight_closure_members_at_q(A, A, 1, [None]),
     "tight_closure_member_at_q": lambda: tight_closure_member_at_q(A, A, 1, 3),
     "tight_integral_closure_at_q": lambda: tight_integral_closure_at_q([A], None),
+    # these raised a bare TypeError or AttributeError from tuple(), len(),
+    # x.denominator, a pairing or gcd()
+    "lattice_inequalities int": lambda: lattice_inequalities(P, 5),
+    "lattice_inequalities None": lambda: lattice_inequalities(P, (None, 0)),
+    "contains None": lambda: P.contains(None),
+    "contains str": lambda: P.contains(("a", 0)),
+    "dual_extreme_rays None": lambda: dual_extreme_rays([None]),
+    "dual_extreme_rays float": lambda: dual_extreme_rays([(1.5, 0), (0, 1)]),
 }
 
 
@@ -82,3 +91,13 @@ def test_only_package_errors_escape_from_a_vector_argument(v):
             call(v)
         except TauIdealError:
             pass
+
+
+def test_rational_shifts_and_points_are_still_accepted():
+    # the checks refuse what is not exact, not the Fractions the socle side passes
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert lattice_inequalities(P, half) == lattice_inequalities(P, [Fraction(1, 2)] * 2)
+    assert lattice_inequalities(P, (0, 0)) == lattice_inequalities(P)
+    assert P.contains((Fraction(2), Fraction(1, 3)))
+    assert not P.contains((Fraction(1, 2), 0))
+    assert dual_extreme_rays([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
