@@ -1,34 +1,34 @@
 """Lattice-point enumeration of up-closed sets in the exponent semigroup.
 
 The enumeration is graded by the strictly positive functional l(x) = sum_i
-<x, n_i> over the cone generators.  The points of sigma_dual cap M come from
-one semigroup walk over the Hilbert basis, level by level in l, with the
-levels cached per ring.  Every up-set it serves is cut out of sigma_dual cap
-M by integer facet pairs (a, c), <m, a> >= c, and ``degree_range`` proves
-from those pairs a degree below which nothing is a member and one above
-which no minimal generator lies; only the levels between them, the degree
-shell, are walked and tested.  The test packs a whole batch of points into
-one int and decides each pair on all of them by a few whole-int
-operations (``inequality_batch``; ``union_flags`` for a union of sets).
-``upset_union`` is the package's one up-set kernel: a box of ray
-coordinates that one lattice point realizes has that point as its
-generator, and the rest of a union of up-sets is enumerated once, over
-the shell from the least lowest degree to the largest bound.
+<x, n_i> over the cone generators.  Every up-set it serves is cut out of
+sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, and
+``degree_range`` proves from those pairs a degree below which nothing is a
+member and one above which no minimal generator lies.  The up-set kernel
+``minimal_upset_generators`` scans sigma_dual cap M a line at a time along
+one extreme ray r of sigma_dual (``_Lines``): the members on a line form a
+half-line whose least point comes from one floor division per pair, and
+only that point can be a minimal generator, so the work follows the lines
+of the degree range, about B^(d-1) of them, and not its B^d points.  The
+lines' bottoms come from a semigroup walk over the Hilbert basis without
+r, cached per ring.  The walk over all points (``lattice_points_upto``)
+stays for the tight-closure candidates.  ``upset_union`` is the package's
+one up-set kernel call: a box of ray coordinates that one lattice point
+realizes has that point as its generator, and the rest of a union of
+up-sets is scanned once, up to the largest bound.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache
-from itertools import chain, product
-from operator import add, mul
+from itertools import product, repeat
+from operator import add, mul, sub
 
-from .errors import DimensionMismatchError
 from .lattice import IntVec, ToricRing, _points, minimal_vectors_orthant, pairing
-from .lattice import pairing_columns, vec_sub
+from .lattice import pairing_columns
 from .polyhedra import _vertex_rays
 
 
@@ -170,130 +170,184 @@ def degree_range(ring: ToricRing, ineqs) -> tuple[int, int]:
     return min(quotients), max(quotients) + _ray_degree_sum(ring) - 1
 
 
-def inequality_batch(ineqs):
-    """Membership batch for the lattice points m with <m, a> >= c for every
-    integer pair (a, c), as built by ``polyhedra.lattice_inequalities``; a
-    rational c, as in ``NewtonPolyhedron.inequalities``, acts as ceil(c).
+class _Lines:
+    """The lines of sigma_dual cap M along one ray, for the up-set kernel.
 
-    The batch takes a list of points and tests them all at once, on packed
-    integers (``union_flags``, which also tests several batches on one
-    packing); a point of the wrong length raises DimensionMismatchError.
+    r is the (l, lex)-least extreme ray of sigma_dual; it is primitive, so a
+    Hilbert basis element.  Every lattice point p of sigma_dual is b + k*r
+    for exactly one k >= 0 and one *bottom* b, a point of sigma_dual cap M
+    with b - r outside sigma_dual: p - j*r lies in sigma_dual iff
+    j*<r, n> <= <p, n> on every ray n of sigma, so k = min floor(<p, n>/<r, n>)
+    over the rays n in ``plus``, those with <r, n> > 0 (the floor rule).
 
-    Layout: the points, flattened in order, are the fields of one int U,
-    field k = point k // d, coordinate k % d, each W bits wide and holding
-    x - lo >= 0, lo the least coordinate of the points (a two's-complement
-    packing, XOR-flipped to offset binary, less lo in every field).  Then
-    U >> W*i holds coordinate i of point j in field j*d, so for a pair
-    (a, c) the int T = sum_i a_i (U >> W*i) + (2^(W-1) - c') * ones, with
-    c' = c - lo * sum(a) and ones the int with a 1 in every field, holds
-    2^(W-1) + <m - lo, a> - c' = 2^(W-1) + <m, a> - c in field j*d, and
-    some such sum over other fields elsewhere.
+    The bottoms are walked as ``lattice_points_upto`` walks the points, with
+    r left out of the steps and only the sums s + h that are bottoms kept
+    (some <s + h, n> < <r, n>).  That walk is complete: a decomposition of
+    a nonzero bottom b into Hilbert basis elements uses no r (else b - r
+    would lie in sigma_dual), and for any element h of it s = b - h is a
+    bottom (in sigma_dual, and if s - r were, so would be b - r = (s - r) +
+    h).  The walk index proof of ``lattice_points_upto`` carries over, as
+    the least largest index of a decomposition of b is reached from
+    s = b - h_j*, itself a bottom.  There are about B^(d-1) bottoms of
+    degree up to B, against B^d points.
 
-    Width rule: W exceeds by a guard bit the bit lengths of |x| for every
-    coordinate x (so x fits a W-bit two's complement) and of the largest
-    sum |a_i| * span + |c'|, span the largest coordinate less lo, rounded up
-    to whole bytes (to 1, 2, 4 or 8 bytes, which an array packs; above 8,
-    ``int.to_bytes`` does).  Every field of T then lies in [1, 2^W), so no
-    field carries or borrows into the next, and its top (guard) bit is set
-    iff its sum is >= 0: in field j*d, iff <m, a> >= c.  A batch's flags
-    are the AND of its pairs' T and of the guard bits, and a point's flag is
-    the top byte of its field j*d.  All of it is exact int arithmetic.
+    State, grown lazily and kept for the life of the process: ``levels``
+    (level k maps each bottom of degree k to its walk index), ``flat`` and
+    ``degrees`` (the bottoms and their degrees in level order, so those of
+    degree <= B are a prefix), ``pos`` (each bottom's place in ``flat``) and
+    ``near`` (the neighbours of the bottoms that were once a kernel's
+    candidate).
     """
-    return _Batch(ineqs)
+
+    def __init__(self, ring: ToricRing):
+        ell = ell_vector(ring)
+        self.rays = ring.sigma.rays
+        self.r = r = min(ring.sigma_dual.rays, key=lambda v: (pairing(v, ell), v))
+        self.lr = pairing(r, ell)
+        self.plus = [(i, pairing(r, n)) for i, n in enumerate(self.rays) if pairing(r, n) > 0]
+        self.zero = [i for i, n in enumerate(self.rays) if pairing(r, n) == 0]
+        basis = hilbert_basis(ring)
+        coords = zip(*pairing_columns(basis, self.rays))
+        # (walk index j, h, rc(h), l(h)) for h != r, rc the ray coordinates
+        self.steps = [
+            (j, h, rc, pairing(h, ell))
+            for j, (h, rc) in enumerate(zip(basis, coords)) if h != r
+        ]
+        origin = (0,) * ring.d
+        self.levels = [{origin: 0}]
+        self.flat = [origin]
+        self.degrees = [0]
+        self.pos = {origin: 0}
+        self.near: dict[IntVec, list] = {}
+
+    def grow(self, bound: int) -> None:
+        """Walk the bottoms up to degree ``bound``."""
+        levels, flat, pos = self.levels, self.flat, self.pos
+        tests = [(self.rays[i], rn) for i, rn in self.plus]
+        for k in range(len(levels), bound + 1):
+            level: dict[IntVec, int] = {}
+            for j, h, _, e in self.steps:
+                if e <= k:
+                    for s, i in levels[k - e].items():
+                        if i <= j:
+                            b = tuple(map(add, s, h))
+                            for n, rn in tests:
+                                if sum(map(mul, b, n)) < rn:
+                                    level.setdefault(b, j)
+                                    break
+            levels.append(level)
+            for b in level:
+                pos[b] = len(flat)
+                flat.append(b)
+            self.degrees += [k] * len(level)
+
+    def neighbours(self, b: IntVec) -> list:
+        """(b', delta, l(h)) per Hilbert basis element h != r with
+        b - h + k*r in sigma_dual for some k: then b - h + k*r is in
+        sigma_dual iff k + delta >= 0, and it is b' + (k + delta)*r with b'
+        a bottom.  With x = rc(b) - rc(h), the rays n outside ``plus`` need
+        x_n >= 0 for every k, and on the rest the floor rule gives the
+        offset k + min floor(x_n/<r, n>), so delta is that min and b' =
+        b - h - delta*r."""
+        near = self.near.get(b)
+        if near is None:
+            rc = [sum(map(mul, b, n)) for n in self.rays]
+            near = self.near[b] = []
+            for _, h, rch, e in self.steps:
+                x = [*map(sub, rc, rch)]
+                if min(x) < 0 and min([x[i] for i in self.zero], default=0) < 0:
+                    continue
+                delta = min([x[i] // rn for i, rn in self.plus])
+                step = map(add, h, map(mul, self.r, repeat(delta))) if delta else h
+                near.append((tuple(map(sub, b, step)), delta, e))
+        return near
 
 
-class _Batch:
-    """The pairs of one ``inequality_batch`` for ``union_flags``: (a, sum(a),
-    sum |a_i|, ceil(c)) per pair, and the lengths of the normals."""
-
-    def __init__(self, ineqs):
-        self.pairs = [(a, sum(a), sum(map(abs, a)), -(-c // 1)) for a, c in ineqs]
-        self.lengths = {len(a) for a, _ in ineqs}
-
-    def __call__(self, points):
-        return union_flags([self], points)
+@cache
+def _lines(ring: ToricRing) -> _Lines:
+    """The ring's ``_Lines``, shared by every kernel call on it."""
+    return _Lines(ring)
 
 
-# signed array typecodes by item size in bytes; _ROUNDED takes a field width
-# of up to 8 bytes to the least of those sizes that holds it
-_TYPECODES = {array(code).itemsize: code for code in "bhiq"}
-_ROUNDED = {k: min(w for w in _TYPECODES if w >= k) for k in range(1, max(_TYPECODES) + 1)}
+def least_offsets(ring: ToricRing, ineq_sets, bound: int):
+    """The per-line callback of ``minimal_upset_generators`` for the union
+    of the up-sets the integer pair sets cut out (a rational c acts as
+    ceil(c)): it maps a list of bottoms b to the least k >= 0 with b + k*r
+    a member, r the ray of ``_Lines``.
 
+    The normals a lie in sigma, so <r, a> >= 0.  For one set, b + k*r is a
+    member iff <b, a> + k*<r, a> >= c for every pair: for <r, a> > 0 that
+    is k >= ceil((c - <b, a>)/<r, a>), and for <r, a> = 0 it holds for no
+    k or for every k.  So the least k is the largest of those ceilings and
+    0, and a line that a pair with <r, a> = 0 fails holds no member; it
+    gets bound + 1, whose point lies above every degree the kernel reads,
+    as l(r) >= 1.  A union's least k is the least over its sets.  The
+    pairings come a pair normal at a time (``pairing_columns``), and each
+    pair is one list of floor divisions.
+    """
+    r = _lines(ring).r
+    far = bound + 1
+    sets = [[(a, -(-c // 1), pairing(r, a)) for a, c in ineqs] for ineqs in ineq_sets]
+    normals = list({a: None for ineqs in ineq_sets for a, _ in ineqs})
 
-def _pack(values: list[int], width: int) -> int:
-    """The int whose little-endian fields of ``width`` bytes hold the two's
-    complements of ``values``, lowest field first."""
-    if width in _TYPECODES:
-        data = array(_TYPECODES[width], values)
-        if sys.byteorder == "big":
-            data.byteswap()
-        return int.from_bytes(data.tobytes(), "little")
-    return int.from_bytes(
-        b"".join(x.to_bytes(width, "little", signed=True) for x in values), "little"
-    )
+    def offsets(bottoms):
+        columns = dict(zip(normals, pairing_columns(bottoms, normals)))
+        zeros = [0] * len(bottoms)
+        least = []
+        for pairs in sets:
+            lists = [
+                # ceil((c - x)/ra) = (c + ra - 1 - x) // ra, by maps of int methods
+                map(ra.__rfloordiv__, map((c + ra - 1).__sub__, columns[a])) if ra
+                else [0 if x >= c else far for x in columns[a]]
+                for a, c, ra in pairs
+            ]
+            least.append(list(map(max, zeros, *lists)) if lists else zeros)
+        return least[0] if len(least) == 1 else list(map(min, *least))
 
-
-def union_flags(batches, points) -> list[bool]:
-    """For each point, whether some batch of ``inequality_batch`` admits it:
-    the OR of the batches' flags, all on one packing of the points, whose
-    width meets the width rule for every batch's pairs (layout and rule:
-    ``inequality_batch``)."""
-    lengths = {*map(len, points)}
-    for b in batches:
-        lengths |= b.lengths
-    if len(lengths) > 1:
-        raise DimensionMismatchError(f"points and normals of lengths {sorted(lengths)}")
-    if not points:
-        return []
-    d = len(points[0])
-    flat = [*chain.from_iterable(points)]
-    lo, hi = min(flat), max(flat)
-    span = hi - lo
-    shifted = [[(a, c - lo * total, size) for a, total, size, c in b.pairs] for b in batches]
-    top = max([hi, -lo, *[size * span + abs(c) for pairs in shifted for _, c, size in pairs]])
-    width = (top.bit_length() + 8) // 8
-    width = _ROUNDED.get(width, width)
-    step = 8 * width
-    ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(flat), "little")
-    half = ones << (step - 1)
-    biased = (_pack(flat, width) ^ half) - half - lo * ones
-    columns = [biased >> (step * i) for i in range(d)]
-    found = 0
-    for pairs in shifted:
-        inside = half
-        for a, c, _ in pairs:
-            total = half - c * ones
-            for x, column in zip(a, columns):
-                if x:
-                    total += x * column
-            inside &= total
-        found |= inside
-    return [*map(bool, found.to_bytes(len(flat) * width, "little")[width - 1 :: d * width])]
+    return offsets
 
 
 def minimal_upset_generators(
-    ring: ToricRing, member_batch, degree_bound: int, lowest: int = 0
+    ring: ToricRing, line_offsets, degree_bound: int, lowest: int = 0
 ) -> list[IntVec]:
-    """Minimal generators of an up-closed subset of sigma_dual cap M, given a
-    bound on their l-degree (``degree_range`` proves one) and a degree below
-    which there are no members, in (l, lex) order.
+    """Minimal generators of an up-closed subset S of sigma_dual cap M, given
+    a bound on their l-degree (``degree_range`` proves one) and a degree
+    below which there are no members, in (l, lex) order.
 
-    ``member_batch`` maps a list of lattice points to membership booleans;
-    it is given the points of degree lowest .. degree_bound.  The set must
-    be closed under adding semigroup elements.  A member m is not minimal
-    iff m = y + s with y a member and s != 0 in the semigroup; then s = h +
-    s' for a Hilbert basis element h, and m - h = y + s' is a member of
-    lower degree, so at least ``lowest``.  So one pass over the points
-    suffices, and a member of degree ``lowest`` itself is minimal untested.
+    S is scanned a line at a time along the ray r of ``_Lines``.
+    ``line_offsets`` maps a list of bottoms b to the least k >= 0 with
+    b + k*r in S, exact wherever b + k*r has degree at most the bound (any
+    larger value otherwise; ``least_offsets`` builds it from pair sets).
+    It is given the bottoms of degree 0 .. degree_bound, as the bottom of a
+    generator lies below it.  S is closed under adding semigroup elements,
+    so the members on a line are the b + j*r with j >= k, and only the
+    least, m = b + k*r, can be minimal.  m is not minimal iff m = y + s with
+    y in S and s != 0 in the semigroup; then s = h + s' for a Hilbert basis
+    element h, and m - h = y + s' is in S, of degree at least ``lowest``.
+    h = r is ruled out by the choice of k, so m is minimal iff no m - h with
+    h != r and l(m) - l(h) >= lowest is a member.  For each such h with
+    m - h in sigma_dual, m - h = b' + j*r on the line of a bottom b' of
+    degree below l(m) (``_Lines.neighbours``), and it is a member iff the
+    least offset of b' is at most j.  A member of degree ``lowest`` is
+    minimal untested.
     """
-    pts = lattice_points_upto(ring, degree_bound, lowest)
-    members = {m for m, is_member in zip(pts, member_batch(pts)) if is_member}
-    basis = hilbert_basis(ring)
-    first = len(_levels(ring)[lowest]) if 0 <= lowest <= degree_bound else 0
-    return [m for m in pts[:first] if m in members] + [
-        m for m in pts[first:]
-        if m in members and not any(vec_sub(m, h) in members for h in basis)
-    ]
+    lines = _lines(ring)
+    lines.grow(degree_bound)
+    n = bisect_right(lines.degrees, degree_bound)
+    offsets = line_offsets(lines.flat[:n])
+    flat, degrees, pos, lr, r = lines.flat, lines.degrees, lines.pos, lines.lr, lines.r
+    found = []
+    for i in [i for i, k, e in zip(range(n), offsets, degrees) if e + k * lr <= degree_bound]:
+        k = offsets[i]
+        e = degrees[i] + k * lr
+        b = flat[i]
+        for near, delta, eh in lines.neighbours(b) if e > lowest else ():
+            if k + delta >= 0 and e - eh >= lowest and offsets[pos[near]] <= k + delta:
+                break
+        else:
+            found.append((e, tuple([x + k * y for x, y in zip(b, r)])))
+    found.sort()
+    return [m for _, m in found]
 
 
 _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
@@ -327,7 +381,7 @@ def shared(key, compute):
 def upset_union(
     ring: ToricRing, ineq_sets, boxes=()
 ) -> tuple[tuple[IntVec, ...], int]:
-    """(sorted minimal generators, points tested) of the union of the up-sets
+    """(sorted minimal generators, lines scanned) of the union of the up-sets
     the integer pair sets cut out and of the ``boxes``.
 
     A box rc(m) >= v in ray coordinates is given by its bound vector v
@@ -336,10 +390,11 @@ def upset_union(
     adds nothing.  A lattice point whose ray coordinates are v divides every
     member, so it is the box's only generator; ``lattice._points`` finds it
     where it exists (always on a smooth cone).  The other boxes and sets are
-    enumerated together over the degrees from the least of their lowest
-    degrees to the largest of their bounds, as a minimal generator of a
-    union is one of some member, and merged with the realized points on ray
-    coordinates.  The count is of the points tested in that shell.
+    scanned together by one ``minimal_upset_generators`` call, up to the
+    largest of their bounds and from the least of their lowest degrees, as
+    a minimal generator of a union is one of some member, and merged with
+    the realized points on ray coordinates.  The count is of the lines that
+    call scanned.
     """
     ineq_sets = tuple(map(tuple, ineq_sets))
     boxes = tuple(boxes)
@@ -361,17 +416,17 @@ def upset_union(
             others += [tuple(zip(rays, v)) for v in tops if v not in realized]
         if not others:  # points of distinct minimal boxes divide none of each other
             return tuple(sorted(realized.values())), 0
-        batches = [inequality_batch(ineqs) for ineqs in others]
-        tested = []
-
-        def member_batch(points):
-            tested.append(len(points))
-            return union_flags(batches, points)
-
         ranges = [degree_range(ring, ineqs) for ineqs in others]
         lowest = min(low for low, _ in ranges)
         bound = max(top for _, top in ranges)
-        gens = minimal_upset_generators(ring, member_batch, bound, lowest)
+        offsets = least_offsets(ring, others, bound)
+        tested = []
+
+        def line_offsets(bottoms):
+            tested.append(len(bottoms))
+            return offsets(bottoms)
+
+        gens = minimal_upset_generators(ring, line_offsets, bound, lowest)
         if realized:
             realized.update(zip(zip(*pairing_columns(gens, rays)), gens))
             gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from operator import le
 
-from .enumeration import by_degree, inequality_batch, lattice_points_upto, shared, upset_union
+from .enumeration import by_degree, lattice_points_upto, shared, upset_union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -54,7 +54,7 @@ from .ideals import (  # noqa: F401
     power,
     powers,
 )
-from .lattice import IntVec, ToricRing, int_scalar, int_vector, pairing_columns
+from .lattice import IntVec, ToricRing, int_scalar, int_vector, pairing, pairing_columns
 from .lattice import vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import (
     NewtonPolyhedron,
@@ -188,7 +188,7 @@ def _socle_witness(ring: ToricRing, tP: NewtonPolyhedron, u: IntVec, q: int):
     m = vec_neg(u)
     return next(
         (x for x, ineqs in _corner_inequalities(ring, tP, q)
-         if inequality_batch(ineqs)([m])[0]),
+         if all(pairing(m, a) >= c for a, c in ineqs)),
         None,
     )
 
@@ -228,11 +228,11 @@ def in_star_E(
 
 @dataclass(frozen=True)
 class SocleOracleResult:
-    """``points_checked``: the points tested by the enumeration the ideal
-    came from (in a ``sharing`` block, maybe an equal request's), which are
-    only those of its degree shell, from the least proven lowest degree of
-    the corners' up-sets to the largest bound (``enumeration.degree_range``);
-    0 when a lattice point realizes every corner's box (``upset_union``)."""
+    """``points_checked``: the lines scanned by the up-set kernel call the
+    ideal came from (in a ``sharing`` block, maybe an equal request's), one
+    per bottom of degree up to the largest proven bound of the corners'
+    up-sets (``enumeration.degree_range``, ``enumeration._Lines``); 0 when a
+    lattice point realizes every corner's box (``upset_union``)."""
 
     ideal: MonomialIdeal
     points_checked: int

@@ -3,10 +3,11 @@
 x^m lies in tau(a^t) exactly when m + w is in the interior of t*P(a), where
 P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  That test is
 compiled once into integer facet bounds <m, a> >= c
-(``polyhedra.lattice_inequalities``), so every point costs only Python-int
-dot products; generators are found by one graded lattice-point enumeration
-up to a proven degree bound (``enumeration.upset_union``).  ``tau_is_unit``
-reads the same compile.  Every t, 0 included, takes this one path.
+(``polyhedra.lattice_inequalities``); generators are found by one scan of
+the lines of sigma_dual cap M along a ray up to a proven degree bound, at
+one floor division per pair and line (``enumeration.upset_union``).
+``tau_is_unit`` reads the same compile.  Every t, 0 included, takes this
+one path.
 """
 
 from __future__ import annotations

@@ -19,12 +19,11 @@ from tauideal.enumeration import (
     degree_range,
     ell_vector,
     hilbert_basis,
-    inequality_batch,
     lattice_points_upto,
+    least_offsets,
     minimal_upset_generators,
     shared,
     sharing,
-    union_flags,
     upset_union,
 )
 from tauideal.errors import DimensionMismatchError
@@ -37,6 +36,7 @@ from tauideal.lattice import (
     orthant_ring,
     pairing,
     toric_ring,
+    vec_sub,
 )
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, veronese_ring
@@ -138,12 +138,12 @@ def test_no_minimal_generator_lies_above_the_bound():
         branches["slice" if slice_applies(ring, ineqs) else "caratheodory"] += 1
         ell = ell_vector(ring)
         points = brute_points(ring, bound + 2 * ray_degree_sum(ring))
-        batch = inequality_batch(ineqs)
-        members = {m for m, f in zip(points, batch(points)) if f}
+        members = {m for m, f in zip(points, reference_inequality_batch(ineqs)(points)) if f}
         truth = brute_minimal(ring, points, members)
         assert truth, label
         assert max(pairing(m, ell) for m in truth) <= bound, label
-        assert minimal_upset_generators(ring, batch, bound) == truth, label
+        offsets = least_offsets(ring, [ineqs], bound)
+        assert minimal_upset_generators(ring, offsets, bound) == truth, label
     # both arguments of degree_range are exercised
     assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
 
@@ -292,8 +292,8 @@ def test_enumeration_has_one_path():
     assert not hasattr(enumeration, "_graded_points")
 
 
-# -- reference: inequality_batch before pairing_columns ----------------------
-# The per-point test, kept here only to check the column-wise batch against.
+# -- reference: the per-point membership test --------------------------------
+# Kept here only to check the per-line offsets and the pair sets against.
 
 def reference_inequality_batch(ineqs):
     def batch(points):
@@ -309,10 +309,33 @@ TEN_RINGS = {
 }
 
 
+def line_of(ring, p):
+    """(b, j) with p = b + j*r on the line of its bottom b, r the kernel's
+    ray, by the floor rule: j = min floor(<p, n>/<r, n>) over the rays n of
+    sigma with <r, n> > 0."""
+    r = enumeration._lines(ring).r
+    j = min(pairing(p, n) // pairing(r, n) for n in ring.sigma.rays if pairing(r, n) > 0)
+    return tuple(x - j * y for x, y in zip(p, r)), j
+
+
+def offset_flags(ring, ineq_sets, points):
+    """Membership of each point in the union of the pair sets' up-sets, read
+    off the least offsets of its line: p = b + j*r is a member iff j is at
+    least the least offset of b."""
+    ell = ell_vector(ring)
+    bound = max((pairing(p, ell) for p in points), default=0)
+    lines = [line_of(ring, p) for p in points]
+    offsets = least_offsets(ring, ineq_sets, bound)([b for b, _ in lines])
+    return [j >= k for (_, j), k in zip(lines, offsets)]
+
+
 @pytest.mark.parametrize("ring", TEN_RINGS.values(), ids=TEN_RINGS.keys())
 def test_inequality_batch_matches_the_per_point_reference(ring):
+    # named for the packed predicate the per-line offsets replaced: the
+    # offsets must give the per-point reference's verdict on every point,
+    # also past 64 bits, where a fixed-width pairing would wrap
     rng = Random(3131)
-    big = 2**64 + 7  # past 64 bits, where a fixed-width pairing would wrap
+    big = 2**64 + 7
     points = lattice_points_upto(ring, 8)
     seen = Counter()
     for _ in range(15):
@@ -332,13 +355,13 @@ def test_inequality_batch_matches_the_per_point_reference(ring):
         ]
         for ineqs in systems:
             for pts in (sample, lifted, []):
-                got = inequality_batch(ineqs)(pts)
+                got = offset_flags(ring, [ineqs], pts)
                 assert got == reference_inequality_batch(ineqs)(pts), (ineqs, pts)
                 seen.update(got)
         # the reference's zip drops the extra entry or the missing one
         for bad in ((1,) * (ring.d + 1), (0,) * (ring.d - 1)):
             with pytest.raises(DimensionMismatchError):
-                inequality_batch(facets)(sample + [bad])
+                least_offsets(ring, [facets], 8)(sample + [bad])
     assert seen[True] >= 100 and seen[False] >= 100, seen
 
 
@@ -413,9 +436,10 @@ def test_no_member_lies_below_the_lowest_degree():
         truth = brute_minimal(ring, points, members)
         least = min(pairing(g, ell) for g in truth)
         assert least >= lowest, label
-        # the shell alone gives every generator, those of degree lowest untested
-        batch = inequality_batch(ineqs)
-        assert minimal_upset_generators(ring, batch, bound, lowest) == truth, label
+        # the lines up to the bound give every generator, those of degree
+        # lowest untested
+        offsets = least_offsets(ring, [ineqs], bound)
+        assert minimal_upset_generators(ring, offsets, bound, lowest) == truth, label
         attained[branch] += least == lowest
     assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
     # in each branch a member often sits right on the lowest degree, so a
@@ -448,33 +472,34 @@ def test_upset_union_makes_one_vertex_dd_per_caratheodory_set(monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
 def test_packed_fields_at_the_edge_of_their_width(width):
-    # edge is the largest |sum| a field of `width` bytes holds with its guard
-    # bit; each case puts a pairing, a threshold or a coordinate exactly at
-    # it, and one past it (which takes a wider field)
+    # named for the byte widths at which the packed predicate the per-line
+    # offsets replaced changed its field width: edge is the largest |sum| a
+    # field of `width` bytes held with its guard bit; each case puts a
+    # pairing, a threshold or an offset exactly at it, and one past it
     edge = 2 ** (8 * width - 1) - 1
+    line, plane = orthant_ring(1), orthant_ring(2)
     cases = []
     for e in (edge, edge + 1):
         p = (e - e % 8) // 8
         cases += [
-            ([(0,), (e,), (e // 2,)], [((1,), 0)]),  # <m, a> - c reaches +e
-            ([(0,), (e,), (e // 2,)], [((-1,), 0)]),  # ... and -e
-            ([(0,)], [((1,), e)]),  # a threshold at +e
-            ([(0,)], [((1,), -e)]),  # ... and at -e
-            ([(0,), (1,)], [((1,), 1 - e)]),  # span 1 and a threshold at 1 - e
-            ([(e,), (e - 1,)], [((1,), e)]),  # a coordinate at the top
-            ([(-e,), (1 - e,)], [((-1,), e)]),  # ... and at the bottom
-            # two coordinates, mixed signs: sum |a_i| * span + |c| = e
-            ([(0, 0), (p, 0), (0, p), (p, p)], [((3, -5), e % 8)]),
-            ([(0, 0), (p, 0), (0, p), (p, p)], [((3, -5), -(e % 8)), ((-2, 6), 0)]),
-            ([(0, 0), (p, 0), (0, p), (p, p)], [((-3, 5), -(e % 8))]),
+            (line, [(0,), (e,), (e // 2,)], [((1,), 0)]),  # a point at e
+            (line, [(0,), (e - 1,), (e,)], [((1,), e)]),  # a threshold and offset at +e
+            (line, [(0,), (1,)], [((1,), -e)]),  # ... and at -e
+            (line, [(0,), (e // 2,), (e // 2 + 1,)], [((2,), e)]),  # <r, a> = 2
+            # <r, a> = 0 on r = (0, 1): the line holds every point or none
+            (plane, [(e, 0), (e - 1, 0), (e, p), (e - 1, p)], [((1, 0), e)]),
+            # two coordinates: sum a_i * p + c = e
+            (plane, [(0, 0), (p, 0), (0, p), (p, p)], [((3, 5), e % 8)]),
+            (plane, [(0, 0), (p, 0), (0, p), (p, p)], [((3, 5), 8 * p), ((2, 6), 0)]),
+            (plane, [(0, 0), (p, 0), (0, p), (p, p)], [((5, 3), e - e % 8)]),
         ]
     seen = Counter()
-    for points, ineqs in cases:
+    for ring, points, ineqs in cases:
         want = reference_inequality_batch(ineqs)(points)
-        assert inequality_batch(ineqs)(points) == want, (points, ineqs)
-        # in a union with a set that admits nothing and needs no wider field
-        nothing = inequality_batch([((0,) * len(points[0]), 1)])
-        assert union_flags([nothing, inequality_batch(ineqs)], points) == want
+        assert offset_flags(ring, [ineqs], points) == want, (points, ineqs)
+        # in a union with a set that admits nothing
+        nothing = [((0,) * ring.d, 1)]
+        assert offset_flags(ring, [nothing, ineqs], points) == want
         seen.update(want)
     assert seen[True] >= 20 and seen[False] >= 10, seen
 
@@ -508,17 +533,21 @@ def test_upset_union_matches_brute_force_on_pairs_of_upsets():
             bound = max(top for _, top in ranges)
             points = brute_points(ring, bound + 2 * ray_degree_sum(ring))
             members = {
-                m for m, fa, fb in zip(points, inequality_batch(a)(points),
-                                       inequality_batch(b)(points))
+                m for m, fa, fb in zip(points, reference_inequality_batch(a)(points),
+                                       reference_inequality_batch(b)(points))
                 if fa or fb
             }
             gens, tested = upset_union(ring, [a, b])
             assert gens == tuple(sorted(brute_minimal(ring, points, members))), (la, lb)
             # a box (every normal a ray of sigma) may be realized by one point
-            # and leave the enumeration; two other sets are enumerated together
+            # and leave the enumeration; two other sets are scanned together
             if not any(all(n in ring.sigma.rays for n, _ in s) for s in (a, b)):
-                # exactly the walked points of degree lowest .. bound
-                assert tested == len(lattice_points_upto(ring, bound, lowest)), (la, lb)
+                # exactly the lines of the bottoms of degree <= bound: the
+                # points p with p - r outside sigma_dual
+                r, ell = enumeration._lines(ring).r, ell_vector(ring)
+                bottoms = [p for p in points if pairing(p, ell) <= bound
+                           and not ring.in_semigroup(vec_sub(p, r))]
+                assert tested == len(bottoms), (la, lb)
 
 
 # -- the sharing scope --------------------------------------------------------
@@ -588,3 +617,13 @@ def test_tau_shares_a_key_only_for_the_same_ideal_and_pairs(monkeypatch):
     # P(a) holds no t, so a and b are built once each; the pairs carry t,
     # so only the repeated (a, 1) reuses an enumeration
     assert counts == {"newton_polyhedron": 2, "minimal_upset_generators": 3}
+
+
+def test_tau_leaves_the_point_walk_alone():
+    # the lines of tau's up-set are walked as bottoms; the walk over all
+    # points stays for the tight-closure candidates alone
+    enumeration._levels.cache_clear()
+    ring = orthant_ring(3)
+    a = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
+    assert len(tau(ring, a, 16).gens) == 1328
+    assert len(enumeration._levels(ring)) == 1

@@ -15,7 +15,7 @@ import tauideal.frobenius
 from tauideal.campaigns import run_campaign, run_crosscheck
 from tauideal.cli import main
 from tauideal.enumeration import (
-    degree_range, inequality_batch, lattice_points_upto, minimal_upset_generators,
+    degree_range, lattice_points_upto, least_offsets, minimal_upset_generators,
     sharing, upset_union,
 )
 from tauideal.errors import (
@@ -410,12 +410,8 @@ def test_box_pair_sets_match_their_enumeration(ring):
         for sets in unions:
             assert all(n in rays for ineqs in sets for n, _ in ineqs), sets
             gens, tested = upset_union(ring, sets)
-            batches = [inequality_batch(ineqs) for ineqs in sets]
-            forced = minimal_upset_generators(
-                ring,
-                lambda pts: [any(flags) for flags in zip(*(b(pts) for b in batches))],
-                max(degree_range(ring, ineqs)[1] for ineqs in sets),
-            )
+            bound = max(degree_range(ring, ineqs)[1] for ineqs in sets)
+            forced = minimal_upset_generators(ring, least_offsets(ring, sets, bound), bound)
             assert gens == tuple(sorted(forced)), (g, sets)
             if ring.is_orthant():  # a smooth cone realizes every box
                 assert tested == 0, (g, sets)

@@ -699,18 +699,18 @@ def _bound_vector(rng, ring):
 def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
     # with an inverse of zeros every candidate point is 0, whose ray
     # coordinates miss every bound vector with a positive entry, so each
-    # up-set is enumerated; up-sets are counted by their membership batches,
-    # as one kernel call enumerates all of its up-sets together
+    # up-set is enumerated; up-sets are counted by the pair sets handed to
+    # the line offsets, as one kernel call scans all of its up-sets together
     rng = Random(3333)
     enumerated = Counter()
     branch = ["shortcut"]
-    real_batch = enumeration.inequality_batch
+    real_offsets = enumeration.least_offsets
 
-    def counted(ineqs):
-        enumerated[branch[0]] += 1
-        return real_batch(ineqs)
+    def counted(ring, ineq_sets, bound):
+        enumerated[branch[0]] += len(ineq_sets)
+        return real_offsets(ring, ineq_sets, bound)
 
-    monkeypatch.setattr(enumeration, "inequality_batch", counted)
+    monkeypatch.setattr(enumeration, "least_offsets", counted)
     for ring in TEST_RINGS:
         d = ring.d
         zero_inverse = (list(range(d)), [(0,) * d] * d, 1)

@@ -1,0 +1,212 @@
+"""The line scan of the up-set kernel against brute force, and every route
+through it against the walk-and-test kernel it replaced, kept here only as
+the reference."""
+
+import sys
+from fractions import Fraction
+from itertools import product
+from random import Random
+
+import pytest
+
+import tauideal.frobenius as frobenius_module
+from tauideal.enumeration import (
+    _lines,
+    degree_range,
+    ell_vector,
+    hilbert_basis,
+    lattice_points_upto,
+    upset_union,
+)
+from tauideal.errors import TauIdealError
+from tauideal.frobenius import (
+    frobenius_root_tau_oracle,
+    in_star_E,
+    tau_socle_oracle,
+)
+from tauideal.ideals import colon, integral_closure, intersect, minimalize, trace_root
+from tauideal.lattice import (
+    _points,
+    minimal_vectors_orthant,
+    orthant_ring,
+    pairing,
+    pairing_columns,
+    toric_ring,
+    vec_sub,
+)
+from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
+from tauideal.tau import tau, veronese_ring
+
+TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
+    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
+    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    toric_ring([(0, 1), (5, -2)]),
+    toric_ring([(1, 0), (1, 2)]),
+]
+
+
+def member(ineqs, m):
+    return all(pairing(m, a) >= c for a, c in ineqs)
+
+
+# -- reference: the walk-and-test kernel -------------------------------------
+
+def reference_minimal_upset_generators(ring, is_member, bound, lowest):
+    """Test every walked point of degree lowest .. bound, then keep the
+    members m with no member m - h, h in the Hilbert basis; a member of
+    degree ``lowest`` is minimal untested."""
+    ell = ell_vector(ring)
+    points = lattice_points_upto(ring, bound, lowest)
+    members = {m for m in points if is_member(m)}
+    return [
+        m for m in points
+        if m in members and (pairing(m, ell) == lowest or not any(
+            vec_sub(m, h) in members for h in hilbert_basis(ring)))
+    ]
+
+
+def reference_upset_union(ring, ineq_sets, boxes=()):
+    """``upset_union`` with the walk-and-test kernel: realized boxes as
+    there, the rest of the union tested point by point over its degree
+    shell."""
+    rays = ring.sigma.rays
+    bounds, others = list(boxes), []
+    for ineqs in map(tuple, ineq_sets):
+        if all(a in rays for a, _ in ineqs):
+            bounds.append(tuple(max([0, *(c for a, c in ineqs if a == n)]) for n in rays))
+        else:
+            others.append(ineqs)
+    realized = {}
+    if bounds:
+        tops = minimal_vectors_orthant(bounds)
+        coords = zip(*pairing_columns(_points(ring, tops), rays))
+        realized = {v: m for v, m, rc in zip(tops, _points(ring, tops), coords) if rc == v}
+        others += [tuple(zip(rays, v)) for v in tops if v not in realized]
+    if not others:
+        return tuple(sorted(realized.values())), 0
+    ranges = [degree_range(ring, ineqs) for ineqs in others]
+    lowest = min(low for low, _ in ranges)
+    bound = max(top for _, top in ranges)
+    gens = reference_minimal_upset_generators(
+        ring, lambda m: any(member(ineqs, m) for ineqs in others), bound, lowest
+    )
+    if realized:
+        realized.update(zip(zip(*pairing_columns(gens, rays)), gens))
+        gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]
+    return tuple(sorted(gens)), len(lattice_points_upto(ring, bound, lowest))
+
+
+# -- brute force --------------------------------------------------------------
+
+def brute_points(ring, top):
+    """Every lattice point of sigma_dual with l <= top, from a coordinate box
+    that holds the convex hull of 0 and the points top*r/l(r)."""
+    ell = ell_vector(ring)
+    rays = [(r, pairing(r, ell)) for r in ring.sigma_dual.rays]
+    span = [
+        range(min(0, min(top * r[k] // deg for r, deg in rays)),
+              max(0, max(-(-top * r[k] // deg) for r, deg in rays)) + 1)
+        for k in range(ring.d)
+    ]
+    return [p for p in product(*span) if pairing(p, ell) <= top and ring.in_semigroup(p)]
+
+
+def brute_minimal(ring, members):
+    """The members not of the form y + s with y another member, s in sigma_dual.
+
+    In (l, lex) order each such y lies above a minimal member of no larger
+    degree found before, so testing those alone suffices."""
+    ell = ell_vector(ring)
+    found = []
+    for m in sorted(members, key=lambda p: (pairing(p, ell), p)):
+        if not any(ring.in_semigroup(vec_sub(m, g)) for g in found):
+            found.append(m)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_bottoms_and_the_floor_rule_against_brute_force(ring):
+    lines = _lines(ring)
+    r = lines.r
+    ell = ell_vector(ring)
+    # r is the (l, lex)-least extreme ray of sigma_dual and a Hilbert basis element
+    assert r == min(ring.sigma_dual.rays, key=lambda v: (pairing(v, ell), v))
+    assert r in hilbert_basis(ring)
+    walked = lattice_points_upto(ring, 8)
+    assert sorted(walked) == sorted(brute_points(ring, 8))
+    lines.grow(8)
+    bottoms = [b for b, e in zip(lines.flat, lines.degrees) if e <= 8]
+    assert all(lines.flat[lines.pos[b]] == b for b in bottoms)
+    assert len(set(bottoms)) == len(bottoms)
+    assert set(bottoms) == {p for p in walked if not ring.in_semigroup(vec_sub(p, r))}
+    assert [pairing(b, ell) for b in bottoms] == sorted(pairing(b, ell) for b in bottoms)
+    plus = [n for n in ring.sigma.rays if pairing(r, n) > 0]
+    for p in walked:
+        j = min(pairing(p, n) // pairing(r, n) for n in plus)
+        assert tuple(x - j * y for x, y in zip(p, r)) in set(bottoms), p
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_upset_union_matches_brute_force_on_random_pair_sets(ring):
+    # facets of scaled Newton polyhedra, shifted by w or a socle-like
+    # fraction of it, and ray boxes; one to three sets per union
+    rng = Random(4242)
+    pool = lattice_points_upto(ring, 5)[1:]
+    for _ in range(6):
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.2:
+                sets.append([(n, rng.randint(0, 3)) for n in ring.sigma.rays])
+                continue
+            gens = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            t = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            tP = scale(newton_polyhedron(ring, gens), t)
+            shift = rng.choice([None, ring.w, tuple(Fraction(1, 3) * x for x in ring.w)])
+            sets.append(lattice_inequalities(tP, shift, strict=shift is ring.w))
+        bound = max(degree_range(ring, ineqs)[1] for ineqs in sets)
+        members = [p for p in brute_points(ring, bound)
+                   if any(member(ineqs, p) for ineqs in sets)]
+        assert upset_union(ring, sets)[0] == tuple(brute_minimal(ring, members)), sets
+
+
+# -- the seeded comparison ----------------------------------------------------
+
+def route_outputs(seed):
+    """Every route through the up-set kernel on seeded ideals of TEST_RINGS."""
+    rng = Random(seed)
+    out = []
+    for ring in TEST_RINGS:
+        pool = lattice_points_upto(ring, 4)[1:]
+        for _ in range(2):
+            a = minimalize(ring, rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+            b = minimalize(ring, rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+            for t in (0, Fraction(1, 2), 1, Fraction(5, 2), 4):
+                out.append(("tau", a.gens, t, tau(ring, a, t).gens))
+            for t in (Fraction(1, 2), 1):
+                for p in (2, 3):
+                    out.append(("socle", a.gens, t, p,
+                                tau_socle_oracle(ring, a, t, qmax=8, p=p).ideal.gens))
+                u = tuple(-x for x in rng.choice(pool))
+                out.append(("star", a.gens, t, u, in_star_E(ring, a, t, u, qmax=8)))
+                try:
+                    root = frobenius_root_tau_oracle(ring, a, t, qmax=32).gens
+                except TauIdealError as exc:
+                    root = type(exc).__name__
+                out.append(("root", a.gens, t, root))
+            out.append(("closure", a.gens, integral_closure(a).gens))
+            out.append(("intersect", a.gens, b.gens, intersect(a, b).gens))
+            out.append(("colon", a.gens, b.gens, colon(a, b).gens))
+            for q in (1, 2, 3, 5):
+                out.append(("trace_root", a.gens, q, trace_root(a, q).gens))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_route_matches_the_walk_and_test_kernel(seed, monkeypatch):
+    got = route_outputs(seed)
+    frobenius_module._corner_offsets.cache_clear()
+    # every module that binds the kernel call by name
+    for name in ("enumeration", "tau", "ideals", "frobenius"):
+        monkeypatch.setattr(sys.modules[f"tauideal.{name}"], "upset_union", reference_upset_union)
+    assert route_outputs(seed) == got
+    frobenius_module._corner_offsets.cache_clear()

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from tauideal.enumeration import inequality_batch
+from tauideal.enumeration import _lines, least_offsets
 from tauideal.errors import InputError, SemigroupMembershipError
 from tauideal.ideals import MonomialIdeal, maximal_ideal, minimalize, multiply, power, unit_ideal
 from tauideal.lattice import orthant_ring, vec_add
@@ -191,8 +191,11 @@ def test_predicate_is_exact_beyond_int64():
     tP = scale(newton_polyhedron(R2, a.gens), t)
     points = [(i, j) for i in range(8) for j in range(8)]
     want = [tP.contains(vec_add(m, R2.w), strict=True) for m in points]
-    got = inequality_batch(lattice_inequalities(tP, R2.w, strict=True))
-    assert got(points) == want
+    # the lines along r = (0, 1) start at the bottoms (i, 0)
+    assert _lines(R2).r == (0, 1)
+    ineqs = lattice_inequalities(tP, R2.w, strict=True)
+    offsets = least_offsets(R2, [ineqs], 8)([(i, 0) for i in range(8)])
+    assert [j >= offsets[i] for i, j in points] == want
     brute = minimalize(R2, [m for m, inside in zip(points, want) if inside])
     assert max(map(max, brute.gens)) < 7  # the box holds every generator
     assert tau(R2, a, t) == brute
