@@ -11,11 +11,11 @@ half-line whose least point comes from one floor division per pair, and
 only that point can be a minimal generator, so the work follows the lines
 of the degree range, about B^(d-1) of them, and not its B^d points.  The
 lines' bottoms come from a semigroup walk over the Hilbert basis without
-r, cached per ring.  The walk over all points (``lattice_points_upto``)
-stays for the tight-closure candidates.  ``upset_union`` is the package's
-one up-set kernel call: a box of ray coordinates that one lattice point
-realizes has that point as its generator, and the rest of a union of
-up-sets is scanned once, up to the largest bound.
+r, cached per ring, the package's one walk: ``lattice_points_upto`` reads
+every point off them as a bottom plus a multiple of r.  ``upset_union`` is
+the package's one up-set kernel call: a box of ray coordinates that one
+lattice point realizes has that point as its generator, and the rest of a
+union of up-sets is scanned once, up to the largest bound.
 """
 
 from __future__ import annotations
@@ -77,46 +77,6 @@ def by_degree(ring: ToricRing, points) -> list[IntVec]:
     return sorted(points, key=lambda p: (pairing(p, ell), p))
 
 
-@cache
-def _levels(ring: ToricRing) -> list[dict[IntVec, int]]:
-    """The degree levels of sigma_dual cap M walked so far.  Level k maps
-    each point of l-degree k, in lex order, to the least i such that the
-    point is a sum of the Hilbert basis elements h_0 .. h_i (0 for the
-    origin).  ``lattice_points_upto`` appends to the list."""
-    return [{(0,) * ring.d: 0}]
-
-
-def lattice_points_upto(ring: ToricRing, bound: int, lowest: int = 0) -> list[IntVec]:
-    """Points of sigma_dual cap M with lowest <= l-degree <= bound, sorted by
-    (l, lex).
-
-    One walk over the Hilbert basis h_0, h_1, ..., sorted by l, so every
-    l(h_j) >= 1.  Level k is made of the p + h_j with p in level
-    k - l(h_j) and j at least the index i recorded for p.  Every nonzero m
-    of degree k is a sum of basis elements; among such sums take one whose
-    largest index j* is least.  Then m - h_j* is a sum of h_0 .. h_j*, so
-    its index is at most j* and the walk makes m from it; and every p + h_j
-    the walk makes is a sum of h_0 .. h_j.  So level k is exactly the points
-    of degree k, and since j runs upwards the index recorded for m is j*
-    (induction on k).  On a free semigroup each point is made once; on
-    others the dict drops repeats.  The levels below ``lowest`` are walked
-    (the levels above build on them) but not returned.  The caller gets a
-    fresh list.
-    """
-    levels = _levels(ring)
-    ell = ell_vector(ring)
-    steps = [(j, h, pairing(h, ell)) for j, h in enumerate(hilbert_basis(ring))]
-    for k in range(len(levels), bound + 1):
-        level: dict[IntVec, int] = {}
-        for j, h, e in steps:
-            if e <= k:
-                for p, i in levels[k - e].items():
-                    if i <= j:
-                        level.setdefault(tuple(map(add, p, h)), j)
-        levels.append(dict(sorted(level.items())))
-    return [p for level in levels[max(lowest, 0) : bound + 1] for p in level]
-
-
 def degree_range(ring: ToricRing, ineqs) -> tuple[int, int]:
     """(lowest, bound): every member m of the up-set
     S = {m in sigma_dual cap M : <m, a> >= c for every pair (a, c)} has
@@ -129,14 +89,15 @@ def degree_range(ring: ToricRing, ineqs) -> tuple[int, int]:
     every pair.  The points of sigma_dual with l = 1 are the convex hull of
     the points r/l(r).  Upper end: a point y of sigma_dual with l(y) = k is
     a convex combination of the points k*r/l(r), and <k*r/l(r), a> >= c once
-    k >= c*l(r)/<r, a>.  So with k* the largest ceil(c*l(r)/<r, a>), every
-    lattice point of sigma_dual with l >= k* lies in S.  A point y with l(y)
-    >= k* + H, H the largest l in the Hilbert basis, is h + y' for some
-    Hilbert basis element h, with l(y') >= k*; so y' is in S and y is not
-    minimal.  The bound is k* + H - 1.  Lower end: for a nonzero m, m/l(m)
-    lies in that hull, so c <= <m, a> <= l(m) * max_r <r, a>/l(r), and l(m)
-    >= min_r c*l(r)/<r, a>, an integer at least the least ceil(c*l(r)/<r, a>)
-    over r.  The lowest degree is the largest of these over the pairs, and
+    k >= c*l(r)/<r, a>.  So with k* the largest of 0 and the
+    ceil(c*l(r)/<r, a>), every lattice point of sigma_dual with l >= k*
+    lies in S.  A point y with l(y) >= k* + H, H the largest l in the
+    Hilbert basis, is h + y' for some Hilbert basis element h, with
+    l(y') >= k*; so y' is in S and y is not minimal.  The bound is
+    k* + H - 1.  Lower end: for a nonzero m, m/l(m) lies in that hull, so
+    c <= <m, a> <= l(m) * max_r <r, a>/l(r), and l(m) >= min_r
+    c*l(r)/<r, a>, an integer at least the least ceil(c*l(r)/<r, a>) over
+    r.  The lowest degree is the largest of these over the pairs, and
     0 when none is positive (then the origin may be a member).
 
     Caratheodory branch, otherwise.  S is the lattice points of the
@@ -160,7 +121,7 @@ def degree_range(ring: ToricRing, ineqs) -> tuple[int, int]:
             break
         levels.append([-(-c * deg // ra) for deg, ra in slopes])
     else:
-        k_star = max(map(max, levels), default=0)
+        k_star = max([0, *map(max, levels)])
         lowest = max([0, *map(min, levels)])
         return lowest, k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
     # map stops at ell's end, so <x, l> skips the last coordinate s of (x, s)
@@ -180,16 +141,20 @@ class _Lines:
     j*<r, n> <= <p, n> on every ray n of sigma, so k = min floor(<p, n>/<r, n>)
     over the rays n in ``plus``, those with <r, n> > 0 (the floor rule).
 
-    The bottoms are walked as ``lattice_points_upto`` walks the points, with
-    r left out of the steps and only the sums s + h that are bottoms kept
-    (some <s + h, n> < <r, n>).  That walk is complete: a decomposition of
-    a nonzero bottom b into Hilbert basis elements uses no r (else b - r
-    would lie in sigma_dual), and for any element h of it s = b - h is a
-    bottom (in sigma_dual, and if s - r were, so would be b - r = (s - r) +
-    h).  The walk index proof of ``lattice_points_upto`` carries over, as
-    the least largest index of a decomposition of b is reached from
-    s = b - h_j*, itself a bottom.  There are about B^(d-1) bottoms of
-    degree up to B, against B^d points.
+    The bottoms are walked over the Hilbert basis h_0, h_1, ..., sorted by
+    l, so every l(h_j) >= 1, with r left out.  Level k is made of the
+    s + h_j with s in level k - l(h_j), j at least the index i recorded for
+    s, and s + h_j a bottom (some <s + h_j, n> < <r, n>).  A decomposition
+    of a nonzero bottom b into basis elements uses no r (else b - r would
+    lie in sigma_dual), and for any element h of it s = b - h is a bottom
+    (in sigma_dual, and if s - r were, so would be b - r = (s - r) + h).
+    Among the decompositions of b take one whose largest index j* is least.
+    Then s = b - h_j* is a bottom and a sum of h_0 .. h_j*, so its index is
+    at most j* and the walk makes b from it; and every s + h_j the walk
+    makes is a sum of h_0 .. h_j.  So level k is exactly the bottoms of
+    degree k, and since j runs upwards the index recorded for b is j*
+    (induction on k).  A dict drops repeats.  There are about B^(d-1)
+    bottoms of degree up to B, against B^d points.
 
     State, grown lazily and kept for the life of the process: ``levels``
     (level k maps each bottom of degree k to its walk index), ``flat`` and
@@ -267,6 +232,22 @@ class _Lines:
 def _lines(ring: ToricRing) -> _Lines:
     """The ring's ``_Lines``, shared by every kernel call on it."""
     return _Lines(ring)
+
+
+def lattice_points_upto(ring: ToricRing, bound: int, lowest: int = 0) -> list[IntVec]:
+    """Points of sigma_dual cap M with lowest <= l-degree <= bound, sorted by
+    (l, lex), in a fresh list: the b + k*r with k >= 0 over the bottoms b of
+    ``_Lines`` of degree at most bound, each point once."""
+    lines = _lines(ring)
+    lines.grow(bound)
+    r, lr = lines.r, lines.lr
+    found = []
+    for b, e in zip(lines.flat, lines.degrees[: bisect_right(lines.degrees, bound)]):
+        # k from ceil((lowest - e)/l(r)), at least 0, to floor((bound - e)/l(r))
+        for k in range(max(0, -((e - lowest) // lr)), (bound - e) // lr + 1):
+            found.append((e + k * lr, tuple([x + k * y for x, y in zip(b, r)])))
+    found.sort()
+    return [m for _, m in found]
 
 
 def least_offsets(ring: ToricRing, ineq_sets, bound: int):

@@ -47,7 +47,7 @@ from .ideals import (  # noqa: F401
     _covers,
     _floors,
     _ray_coords,
-    _trace_root_rows,
+    _trace_root_floors,
     _upset_union,
     frobenius_root,
     minimalize,
@@ -269,10 +269,11 @@ def frobenius_root_tau_oracle(
     powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein index
     (none when p divides it: UnsupportedRingError).  C_q comes from the
     ray coordinates rc of a^ceil(t*q)'s generators g, the chain's rows,
-    through their floors floor(rc(g)/q) (``ideals._floors``), which are the
-    boxes of one up-set union (``_trace_root_rows``).  Every generator m of
-    C_q must have q*rc(m) + q - 1 >= rc(g) for some g (q*m + (q-1)*w in
-    a^ceil(t*q), as <w, n_j> = 1) and the chain must ascend, else
+    through their floors floor(rc(g)/q) (``ideals._floors``, computed once
+    per q), which are the boxes of one up-set union
+    (``_trace_root_floors``).  Every generator m of C_q must have
+    q*rc(m) + q - 1 >= rc(g) for some g (q*m + (q-1)*w in a^ceil(t*q), as
+    <w, n_j> = 1) and the chain must ascend, else
     InvariantError.  The value is accepted once two consecutive q (the
     larger at least 16) agree, else NotStabilizedError.
 
@@ -289,9 +290,10 @@ def frobenius_root_tau_oracle(
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
     prev_rows = prev_q = None
     for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
-        current = _trace_root_rows(ring, rows, q)
+        floors = _floors(rows, q)
+        current = _trace_root_floors(ring, floors)
         current_rows = _ray_coords(ring, current.gens)
-        if not _covers(_floors(rows, q), current_rows):
+        if not _covers(floors, current_rows):
             raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
         if prev_rows is not None and not _covers(current_rows, prev_rows):
             raise InvariantError(f"root chain shrinks from q={prev_q} to q={q}")
@@ -311,10 +313,12 @@ def _multiplier_searches(
     (A_q, B_q) per q; c works at q iff each row of rc(c) + q*rc(z) + A_q
     lies above some row of B_q.  The candidates go in (l, lex) order (l sums
     the ray coordinates, so ``lattice_points_upto`` up to cbox * #rays holds
-    them all).  The first c that works at every q is the witness of
-    holds_up_to_qmax; otherwise the witness of fails_at_q lists every c with
-    the first q at which it failed.  Every z and cbox are checked, and the
-    sweep and candidates built, before ``rows`` is called, once for all zs.
+    them all; it reads them off the bottoms of the up-set kernel's lines,
+    the ring's one semigroup walk).  The first c that works at every q is
+    the witness of holds_up_to_qmax; otherwise the witness of fails_at_q
+    lists every c with the first q at which it failed.  Every z and cbox
+    are checked, and the sweep and candidates built, before ``rows`` is
+    called, once for all zs.
     """
     rzs = _ray_coords(ring, [int_vector(z) for z in zs])
     if int_scalar("cbox", cbox) < 0:

@@ -287,11 +287,11 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     every ray n_j of sigma, as <w, n_j> = 1; for integers that reads
     <m, n_j> >= ceil((<g, n_j> + 1)/q) - 1 = floor(<g, n_j>/q).  So C_q is
     the union of the boxes at the floors of the generators' ray coordinates
-    (``_floors``, ``_trace_root_rows``).
+    (``_floors``, ``_trace_root_floors``).
     """
     if int_scalar("q", q) < 1:
         raise InputError(f"a root needs q >= 1, got {q}")
-    return _trace_root_rows(I.ring, _ray_coords(I.ring, I.gens), q)
+    return _trace_root_floors(I.ring, _floors(_ray_coords(I.ring, I.gens), q))
 
 
 def _floors(rows, q: int) -> list[IntVec]:
@@ -300,11 +300,11 @@ def _floors(rows, q: int) -> list[IntVec]:
     return [*{*zip(*[[x // q for x in column] for column in zip(*rows)])}]
 
 
-def _trace_root_rows(ring: ToricRing, rows, q: int) -> MonomialIdeal:
-    """``trace_root`` from the ray coordinates ``rows`` of I's generators:
-    their ``_floors``, all >= 0, are the boxes of one
+def _trace_root_floors(ring: ToricRing, floors) -> MonomialIdeal:
+    """``trace_root`` from the ``_floors`` of I's generators' ray
+    coordinates: they are all >= 0 and are the boxes of one
     ``enumeration.upset_union`` call, which keeps the minimal ones."""
-    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), _floors(rows, q))[0])
+    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), floors)[0])
 
 
 def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:

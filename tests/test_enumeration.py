@@ -156,6 +156,17 @@ def test_slice_bound_of_tau_of_m8_in_six_variables():
     assert degree_range(ring, ineqs)[1] == 3
 
 
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+def test_slice_bound_reaches_the_origin_when_every_point_is_a_member(ring):
+    # <m, l> >= -3 holds on all of sigma_dual, so the origin is the one
+    # generator; k* below 0 once gave a negative bound and no generator
+    ineqs = [(ell_vector(ring), -3)]
+    assert slice_applies(ring, ineqs)
+    lowest, bound = degree_range(ring, ineqs)
+    assert lowest == 0 <= bound
+    assert upset_union(ring, [ineqs])[0] == ((0,) * ring.d,)
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_orthant_hilbert_basis_is_the_unit_vectors(d):
     ring = orthant_ring(d)
@@ -235,13 +246,14 @@ WALK_RINGS = {
 
 
 def clear_enumeration_caches():
-    enumeration._levels.cache_clear()
+    enumeration._lines.cache_clear()
     hilbert_basis.cache_clear()
 
 
 @pytest.mark.parametrize("ring", WALK_RINGS.values(), ids=WALK_RINGS.keys())
 def test_walk_matches_the_reference_in_any_order(ring):
     top = 2 * ray_degree_sum(ring)
+    ell = ell_vector(ring)
     reference = {b: _graded_points(ring, b) for b in range(top + 1)}
     increasing = list(range(top + 1))
     shuffled = increasing[:]
@@ -250,7 +262,10 @@ def test_walk_matches_the_reference_in_any_order(ring):
         clear_enumeration_caches()
         for warm in (False, True):
             for b in order:
-                assert lattice_points_upto(ring, b) == reference[b], (b, order, warm)
+                for low in (0, b // 2, b):
+                    want = [p for p in reference[b] if pairing(p, ell) >= low]
+                    got = lattice_points_upto(ring, b, low)
+                    assert got == want, (b, low, order, warm)
 
 
 @pytest.mark.parametrize("ring", WALK_RINGS.values(), ids=WALK_RINGS.keys())
@@ -619,11 +634,14 @@ def test_tau_shares_a_key_only_for_the_same_ideal_and_pairs(monkeypatch):
     assert counts == {"newton_polyhedron": 2, "minimal_upset_generators": 3}
 
 
-def test_tau_leaves_the_point_walk_alone():
-    # the lines of tau's up-set are walked as bottoms; the walk over all
-    # points stays for the tight-closure candidates alone
-    enumeration._levels.cache_clear()
+def test_the_line_cache_holds_bottoms_only_after_tau():
+    # the one per-ring cache is the lines' bottoms b (b - r outside
+    # sigma_dual); no expanded point of a line is kept
+    enumeration._lines.cache_clear()
     ring = orthant_ring(3)
     a = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
     assert len(tau(ring, a, 16).gens) == 1328
-    assert len(enumeration._levels(ring)) == 1
+    lines = enumeration._lines(ring)
+    assert len(lines.flat) > 1
+    for b in lines.flat:
+        assert not ring.in_semigroup(vec_sub(b, lines.r)), b

@@ -970,20 +970,24 @@ def test_verdict_carries_examined_range():
 
 
 def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path):
-    # the oracle reads each C_q off the power's ray coordinates (the rows)
-    def shrinking(ring, rows, q):
-        return minimalize(ring, [tuple(q for _ in range(ring.d))])
+    # the oracle reads each C_q off the floors of the power's ray
+    # coordinates; each call of this fake gives a smaller root
+    calls = []
 
-    monkeypatch.setattr(tauideal.frobenius, "_trace_root_rows", shrinking)
+    def shrinking(ring, floors):
+        calls.append(floors)
+        return minimalize(ring, [tuple(len(calls) for _ in range(ring.d))])
+
+    monkeypatch.setattr(tauideal.frobenius, "_trace_root_floors", shrinking)
     with pytest.raises(InvariantError, match="shrinks"):
         frobenius_root_tau_oracle(R2, I((2, 0), (0, 3)), 1)
     # a root too large for q*m + (q-1)*w to lie in a^ceil(tq) fails the per-q check
     monkeypatch.setattr(
-        tauideal.frobenius, "_trace_root_rows", lambda ring, rows, q: unit_ideal(ring)
+        tauideal.frobenius, "_trace_root_floors", lambda ring, floors: unit_ideal(ring)
     )
     with pytest.raises(InvariantError, match="outside"):
         frobenius_root_tau_oracle(VERONESE_22, I((1, 0), ring=VERONESE_22), 1)
-    monkeypatch.setattr(tauideal.frobenius, "_trace_root_rows", shrinking)
+    monkeypatch.setattr(tauideal.frobenius, "_trace_root_floors", shrinking)
     ring = tmp_path / "ring.json"
     ring.write_text('{"cone_generators": [[1, 0], [0, 1]]}')
     ideal = tmp_path / "ideal.json"

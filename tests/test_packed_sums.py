@@ -66,8 +66,8 @@ def reference_upset_union(ring, bounds):
     return MonomialIdeal(ring=ring, gens=upset_union(ring, pairs)[0])
 
 
-def reference_trace_root_rows(ring, rows, q):
-    return reference_upset_union(ring, {tuple([x // q for x in row]) for row in rows})
+def reference_floors(rows, q):
+    return {tuple([x // q for x in row]) for row in rows}
 
 
 def reference_root_oracle(ring, a, t, qmax, p):
@@ -79,7 +79,7 @@ def reference_root_oracle(ring, a, t, qmax, p):
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
     prev_rows = prev_q = None
     for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
-        current = reference_trace_root_rows(ring, rows, q)
+        current = reference_upset_union(ring, reference_floors(rows, q))
         current_rows = _ray_coords(ring, current.gens)
         lifts = [tuple([q * x + q - 1 for x in m]) for m in current_rows]
         if not _covers(rows, lifts):
@@ -143,7 +143,8 @@ def test_packed_kernel_gives_the_tuple_kernels_answers(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(ideals_module, "_sums", reference_sums)
                 m.setattr(ideals_module, "_upset_union", reference_upset_union)
-                m.setattr(ideals_module, "_trace_root_rows", reference_trace_root_rows)
+                m.setattr(ideals_module, "_floors", reference_floors)
+                m.setattr(ideals_module, "_trace_root_floors", reference_upset_union)
                 reference = _answers(ring, a, b, zs, reference_root_oracle if with_root else None)
             assert packed == reference, (ring.sigma.rays, a.gens, b.gens)
             compared += 1
@@ -212,16 +213,16 @@ def test_a_root_generator_one_step_below_a_floor_is_outside(monkeypatch):
     # a minimal floor and above no floor, so q*m + (q-1)*w leaves a^n
     ring = orthant_ring(3)
     a = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
-    real = frobenius_module._trace_root_rows
+    real = frobenius_module._trace_root_floors
 
-    def lowered(ring, rows, q):
-        gens = list(real(ring, rows, q).gens)
+    def lowered(ring, floors):
+        gens = list(real(ring, floors).gens)
         k, j = next((k, j) for k, g in enumerate(gens) for j, x in enumerate(g) if x)
         gens[k] = tuple(x - (i == j) for i, x in enumerate(gens[k]))
         return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
 
     with pytest.raises(NotStabilizedError):  # and no InvariantError
         frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16)
-    monkeypatch.setattr(frobenius_module, "_trace_root_rows", lowered)
+    monkeypatch.setattr(frobenius_module, "_trace_root_floors", lowered)
     with pytest.raises(InvariantError, match="outside"):
         frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16)

@@ -220,3 +220,18 @@ def test_unused_imports_are_exactly_perfbench_wrap_sites():
         "ideals.toric_ring",
         "tau.minimal_upset_generators",
     }
+
+
+def test_enumeration_caches_only_the_hilbert_basis_and_the_lines():
+    # one semigroup walk per ring: the lines' bottoms are the only walked
+    # cache, so a second walk over the points cannot come back unseen
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text())
+    cached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                f = d.func if isinstance(d, ast.Call) else d
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in {"cache", "lru_cache", "cached_property"}:
+                    cached.add(node.name)
+    assert cached == {"hilbert_basis", "_lines"}
