@@ -30,7 +30,7 @@ from .frobenius import (
 # which wraps campaigns.tight_integral_closure_at_q
 from .frobenius import tight_integral_closure_at_q  # noqa: F401
 from .ideals import MonomialIdeal
-from .lattice import ToricRing, int_scalar, orthant_ring, unit_vectors, vec_scale
+from .lattice import ToricRing, int_scalar, orthant_ring, sequence, unit_vectors, vec_scale
 from .polyhedra import exponent, newton_polyhedron
 from .tau import tau, tau_is_unit, tau_veronese, veronese_maximal_ideal, veronese_ring
 
@@ -335,16 +335,20 @@ def run_crosscheck(
     Each ideal's polyhedral and socle routes share P(a) and equal-pair
     enumerations in one ``sharing`` block, whose docstring says why that is
     sound and why it is a scope; the root route runs outside it."""
+    primes = sequence("primes", primes)
     if not primes:
         raise InputError("crosscheck needs at least one prime")
+    named = [sequence("a named ideal", pair) for pair in sequence("named_ideals", named_ideals)]
+    if any(len(pair) != 2 for pair in named):
+        raise InputError("each named ideal must be a (name, ideal) pair")
     root_p = primes[0]
     # the oracle gets p only off its default 2, so that a stand-in oracle
     # taking (ring, a, t, qmax), as in perfbench's gate tests, still fits
     extra = () if root_p == 2 else (root_p,)
     rep = CampaignReport("crosscheck")
     start = time.monotonic()
-    ts = [exponent(t) for t in ts]
-    for name, a in named_ideals:
+    ts = [exponent(t) for t in sequence("ts", ts)]
+    for name, a in named:
         with sharing():
             routes = [{"polyhedral": tau(ring, a, t)} for t in ts]
             for t, results in zip(ts, routes):

@@ -3,19 +3,19 @@
 The enumeration is graded by the strictly positive functional l(x) = sum_i
 <x, n_i> over the cone generators.  Every up-set it serves is cut out of
 sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, and
-``degree_range`` proves from those pairs a degree below which nothing is a
-member and one above which no minimal generator lies.  The up-set kernel
-``minimal_upset_generators`` scans sigma_dual cap M a line at a time along
-one extreme ray r of sigma_dual (``_Lines``): the members on a line form a
-half-line whose least point comes from one floor division per pair, and
-only that point can be a minimal generator, so the work follows the lines
-of the degree range, about B^(d-1) of them, and not its B^d points.  The
-lines' bottoms come from a semigroup walk over the Hilbert basis without
-r, cached per ring, the package's one walk: ``lattice_points_upto`` reads
-every point off them as a bottom plus a multiple of r.  ``upset_union`` is
-the package's one up-set kernel call: a box of ray coordinates that one
-lattice point realizes has that point as its generator, and the rest of a
-union of up-sets is scanned once, up to the largest bound.
+``degree_bound`` proves from those pairs a degree B above which no minimal
+generator lies.  The up-set kernel ``minimal_upset_generators`` scans
+sigma_dual cap M a line at a time along one extreme ray r of sigma_dual
+(``_Lines``): the members on a line form a half-line whose least point
+comes from one floor division per pair, and only that point can be a
+minimal generator, so the work follows the lines up to degree B, about
+B^(d-1) of them, and not their B^d points.  The lines' bottoms come from a
+semigroup walk over the Hilbert basis without r, cached per ring, the
+package's one walk: ``lattice_points_upto`` reads every point off them as
+a bottom plus a multiple of r.  ``upset_union`` is the package's one up-set
+kernel call: a box of ray coordinates that one lattice point realizes has
+that point as its generator, and the rest of a union of up-sets is scanned
+once, up to the largest bound.
 """
 
 from __future__ import annotations
@@ -77,58 +77,48 @@ def by_degree(ring: ToricRing, points) -> list[IntVec]:
     return sorted(points, key=lambda p: (pairing(p, ell), p))
 
 
-def degree_range(ring: ToricRing, ineqs) -> tuple[int, int]:
-    """(lowest, bound): every member m of the up-set
-    S = {m in sigma_dual cap M : <m, a> >= c for every pair (a, c)} has
-    l(m) >= lowest, and every minimal generator of S has l(m) <= bound.
+def degree_bound(ring: ToricRing, ineqs) -> int:
+    """A degree above which no minimal generator of the up-set
+    S = {m in sigma_dual cap M : <m, a> >= c for every pair (a, c)} lies.
 
     The normals a lie in sigma, so S is closed under adding semigroup
-    elements.  Two arguments, tried in this order; each proves both ends.
+    elements.  Two arguments, tried in this order.
 
     Slice branch, when <r, a> > 0 for every extreme ray r of sigma_dual and
     every pair.  The points of sigma_dual with l = 1 are the convex hull of
-    the points r/l(r).  Upper end: a point y of sigma_dual with l(y) = k is
-    a convex combination of the points k*r/l(r), and <k*r/l(r), a> >= c once
+    the points r/l(r), so a point y of sigma_dual with l(y) = k is a convex
+    combination of the points k*r/l(r), and <k*r/l(r), a> >= c once
     k >= c*l(r)/<r, a>.  So with k* the largest of 0 and the
     ceil(c*l(r)/<r, a>), every lattice point of sigma_dual with l >= k*
     lies in S.  A point y with l(y) >= k* + H, H the largest l in the
     Hilbert basis, is h + y' for some Hilbert basis element h, with
     l(y') >= k*; so y' is in S and y is not minimal.  The bound is
-    k* + H - 1.  Lower end: for a nonzero m, m/l(m) lies in that hull, so
-    c <= <m, a> <= l(m) * max_r <r, a>/l(r), and l(m) >= min_r
-    c*l(r)/<r, a>, an integer at least the least ceil(c*l(r)/<r, a>) over
-    r.  The lowest degree is the largest of these over the pairs, and
-    0 when none is positive (then the origin may be a member).
+    k* + H - 1.
 
     Caratheodory branch, otherwise.  S is the lattice points of the
     polyhedron Q = conv(V) + sigma_dual, V the vertices of
-    {x in sigma_dual : <x, a> >= c}.  Upper end: each point of Q is v + sum
+    {x in sigma_dual : <x, a> >= c}.  Each point of Q is v + sum
     lambda_i r_i with v in conv(V) and at most d extreme rays r_i.  If some
     lambda_i >= 1, m - r_i is a lattice point of Q, so m is not minimal.
     Hence a minimal m has l(m) < max l(V) + D, D the sum of the d largest
-    l(r), and l(m) <= ceil(max l(V)) + D - 1 as l(m) is an integer.  Lower
-    end: l >= 0 on sigma_dual, so l(m) >= min l(V) on Q, and l(m) >=
-    ceil(min l(V)).  The vertices are x/s for the integer rays (x, s) of the
-    homogenized region (``polyhedra._vertex_rays``, one double description
-    for both ends), so ceil(l(V)) is the integer quotient ceil(<x, l>/s).
+    l(r), and l(m) <= ceil(max l(V)) + D - 1 as l(m) is an integer.  The
+    vertices are x/s for the integer rays (x, s) of the homogenized region
+    (``polyhedra._vertex_rays``, one double description), so ceil(l(V)) is
+    the integer quotient ceil(<x, l>/s).
     """
     ell = ell_vector(ring)
     rays = [(r, pairing(r, ell)) for r in ring.sigma_dual.rays]
-    levels = []  # ceil(c*l(r)/<r, a>) per pair and ray
+    k_star = 0
     for a, c in ineqs:
         slopes = [(deg, sum(map(mul, r, a))) for r, deg in rays]
         if min(ra for _, ra in slopes) <= 0:
             break
-        levels.append([-(-c * deg // ra) for deg, ra in slopes])
+        k_star = max(k_star, *[-(-c * deg // ra) for deg, ra in slopes])
     else:
-        k_star = max([0, *map(max, levels)])
-        lowest = max([0, *map(min, levels)])
-        return lowest, k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
+        return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
     # map stops at ell's end, so <x, l> skips the last coordinate s of (x, s)
-    quotients = [
-        -(-sum(map(mul, e, ell)) // e[-1]) for e in _vertex_rays(ring.sigma_dual, ineqs)
-    ]
-    return min(quotients), max(quotients) + _ray_degree_sum(ring) - 1
+    top = max(-(-sum(map(mul, e, ell)) // e[-1]) for e in _vertex_rays(ring.sigma_dual, ineqs))
+    return top + _ray_degree_sum(ring) - 1
 
 
 class _Lines:
@@ -234,17 +224,16 @@ def _lines(ring: ToricRing) -> _Lines:
     return _Lines(ring)
 
 
-def lattice_points_upto(ring: ToricRing, bound: int, lowest: int = 0) -> list[IntVec]:
-    """Points of sigma_dual cap M with lowest <= l-degree <= bound, sorted by
-    (l, lex), in a fresh list: the b + k*r with k >= 0 over the bottoms b of
+def lattice_points_upto(ring: ToricRing, bound: int) -> list[IntVec]:
+    """Points of sigma_dual cap M with l-degree <= bound, sorted by (l, lex),
+    in a fresh list: the b + k*r with k >= 0 over the bottoms b of
     ``_Lines`` of degree at most bound, each point once."""
     lines = _lines(ring)
     lines.grow(bound)
     r, lr = lines.r, lines.lr
     found = []
     for b, e in zip(lines.flat, lines.degrees[: bisect_right(lines.degrees, bound)]):
-        # k from ceil((lowest - e)/l(r)), at least 0, to floor((bound - e)/l(r))
-        for k in range(max(0, -((e - lowest) // lr)), (bound - e) // lr + 1):
+        for k in range((bound - e) // lr + 1):
             found.append((e + k * lr, tuple([x + k * y for x, y in zip(b, r)])))
     found.sort()
     return [m for _, m in found]
@@ -288,39 +277,44 @@ def least_offsets(ring: ToricRing, ineq_sets, bound: int):
     return offsets
 
 
-def minimal_upset_generators(
-    ring: ToricRing, line_offsets, degree_bound: int, lowest: int = 0
-) -> list[IntVec]:
+def minimal_upset_generators(ring: ToricRing, line_offsets, bound: int) -> list[IntVec]:
     """Minimal generators of an up-closed subset S of sigma_dual cap M, given
-    a bound on their l-degree (``degree_range`` proves one) and a degree
-    below which there are no members, in (l, lex) order.
+    a bound on their l-degree (``degree_bound`` proves one), in (l, lex)
+    order.
 
     S is scanned a line at a time along the ray r of ``_Lines``.
     ``line_offsets`` maps a list of bottoms b to the least k >= 0 with
     b + k*r in S, exact wherever b + k*r has degree at most the bound (any
     larger value otherwise; ``least_offsets`` builds it from pair sets).
-    It is given the bottoms of degree 0 .. degree_bound, as the bottom of a
+    It is given the bottoms of degree 0 .. bound, as the bottom of a
     generator lies below it.  S is closed under adding semigroup elements,
     so the members on a line are the b + j*r with j >= k, and only the
-    least, m = b + k*r, can be minimal.  m is not minimal iff m = y + s with
-    y in S and s != 0 in the semigroup; then s = h + s' for a Hilbert basis
-    element h, and m - h = y + s' is in S, of degree at least ``lowest``.
-    h = r is ruled out by the choice of k, so m is minimal iff no m - h with
-    h != r and l(m) - l(h) >= lowest is a member.  For each such h with
-    m - h in sigma_dual, m - h = b' + j*r on the line of a bottom b' of
-    degree below l(m) (``_Lines.neighbours``), and it is a member iff the
-    least offset of b' is at most j.  A member of degree ``lowest`` is
-    minimal untested.
+    least, m = b + k*r, can be minimal.  A member of degree at most the
+    bound lies on a line whose least member has an exact offset and no
+    higher degree, so the least of those degrees, ``lowest``, is the least
+    degree of a member up to the bound.  m is not minimal iff m = y + s
+    with y in S and s != 0 in the semigroup; then s = h + s' for a Hilbert
+    basis element h, and m - h = y + s' is in S, of degree at least
+    ``lowest``.  h = r is ruled out by the choice of k, so m is minimal iff
+    no m - h with h != r and l(m) - l(h) >= lowest is a member.  For each
+    such h with m - h in sigma_dual, m - h = b' + j*r on the line of a
+    bottom b' of degree below l(m) (``_Lines.neighbours``), and it is a
+    member iff the least offset of b' is at most j.  A member of degree
+    ``lowest`` is minimal untested.
     """
     lines = _lines(ring)
-    lines.grow(degree_bound)
-    n = bisect_right(lines.degrees, degree_bound)
+    lines.grow(bound)
+    n = bisect_right(lines.degrees, bound)
     offsets = line_offsets(lines.flat[:n])
-    flat, degrees, pos, lr, r = lines.flat, lines.degrees, lines.pos, lines.lr, lines.r
+    flat, pos, lr, r = lines.flat, lines.pos, lines.lr, lines.r
+    heads = [
+        (top, i) for i, k, e in zip(range(n), offsets, lines.degrees)
+        if (top := e + k * lr) <= bound
+    ]
+    lowest = min(heads)[0] if heads else 0
     found = []
-    for i in [i for i, k, e in zip(range(n), offsets, degrees) if e + k * lr <= degree_bound]:
+    for e, i in heads:
         k = offsets[i]
-        e = degrees[i] + k * lr
         b = flat[i]
         for near, delta, eh in lines.neighbours(b) if e > lowest else ():
             if k + delta >= 0 and e - eh >= lowest and offsets[pos[near]] <= k + delta:
@@ -372,10 +366,9 @@ def upset_union(
     member, so it is the box's only generator; ``lattice._points`` finds it
     where it exists (always on a smooth cone).  The other boxes and sets are
     scanned together by one ``minimal_upset_generators`` call, up to the
-    largest of their bounds and from the least of their lowest degrees, as
-    a minimal generator of a union is one of some member, and merged with
-    the realized points on ray coordinates.  The count is of the lines that
-    call scanned.
+    largest of their bounds, as a minimal generator of a union is one of
+    some member, and merged with the realized points on ray coordinates.
+    The count is of the lines that call scanned.
     """
     ineq_sets = tuple(map(tuple, ineq_sets))
     boxes = tuple(boxes)
@@ -397,9 +390,7 @@ def upset_union(
             others += [tuple(zip(rays, v)) for v in tops if v not in realized]
         if not others:  # points of distinct minimal boxes divide none of each other
             return tuple(sorted(realized.values())), 0
-        ranges = [degree_range(ring, ineqs) for ineqs in others]
-        lowest = min(low for low, _ in ranges)
-        bound = max(top for _, top in ranges)
+        bound = max(degree_bound(ring, ineqs) for ineqs in others)
         offsets = least_offsets(ring, others, bound)
         tested = []
 
@@ -407,7 +398,7 @@ def upset_union(
             tested.append(len(bottoms))
             return offsets(bottoms)
 
-        gens = minimal_upset_generators(ring, line_offsets, bound, lowest)
+        gens = minimal_upset_generators(ring, line_offsets, bound)
         if realized:
             realized.update(zip(zip(*pairing_columns(gens, rays)), gens))
             gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]

@@ -54,8 +54,8 @@ from .ideals import (  # noqa: F401
     power,
     powers,
 )
-from .lattice import IntVec, ToricRing, int_scalar, int_vector, pairing, pairing_columns
-from .lattice import vec_add, vec_neg, vec_scale, vec_sub
+from .lattice import IntVec, ToricRing, int_scalar, int_vector, int_vectors, pairing
+from .lattice import pairing_columns, sequence, vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import (
     NewtonPolyhedron,
     exponent,
@@ -231,7 +231,7 @@ class SocleOracleResult:
     """``points_checked``: the lines scanned by the up-set kernel call the
     ideal came from (in a ``sharing`` block, maybe an equal request's), one
     per bottom of degree up to the largest proven bound of the corners'
-    up-sets (``enumeration.degree_range``, ``enumeration._Lines``); 0 when a
+    up-sets (``enumeration.degree_bound``, ``enumeration._Lines``); 0 when a
     lattice point realizes every corner's box (``upset_union``)."""
 
     ideal: MonomialIdeal
@@ -320,7 +320,7 @@ def _multiplier_searches(
     are checked, and the sweep and candidates built, before ``rows`` is
     called, once for all zs.
     """
-    rzs = _ray_coords(ring, [int_vector(z) for z in zs])
+    rzs = _ray_coords(ring, int_vectors(zs))
     if int_scalar("cbox", cbox) < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
@@ -397,10 +397,10 @@ def tight_integral_closure_members_at_q(
     the zero row and B_q the rows of every q-th power): cbox bounds every
     ray coordinate of the candidates c, and one power chain per ideal
     serves every z."""
-    ideals = list(ideals)
+    ideals = sequence("ideals", ideals)
     if not ideals:
         raise InputError("empty ideal list")
-    for J in ideals[1:]:
+    for J in ideals:
         _check_same_ring(ideals[0], J)
     ring = ideals[0].ring
     zero = [(0,) * len(ring.sigma.rays)]

@@ -40,7 +40,7 @@ from .errors import (
 from . import polyhedra
 from .enumeration import hilbert_basis, upset_union
 from .lattice import IntVec, ToricRing, _below_masks, _points, int_scalar, int_vector
-from .lattice import minimal_vectors_orthant, orthant_ring, semigroup_columns
+from .lattice import int_vectors, minimal_vectors_orthant, orthant_ring, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -108,6 +108,8 @@ class MonomialIdeal:
 
 
 def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
+    if not (isinstance(I, MonomialIdeal) and isinstance(J, MonomialIdeal)):
+        raise InputError(f"expected ideals, got a {type(I).__name__} and a {type(J).__name__}")
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
 
@@ -120,7 +122,7 @@ def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     componentwise minimal.  The rays span, so the coordinates determine g,
     and the zero vector's coordinates lie below every other's.
     """
-    gens = list({int_vector(g) for g in raw_gens})
+    gens = list(set(int_vectors(raw_gens)))
     by_coords = dict(zip(_ray_coords(ring, gens), gens))
     minimal = sorted(by_coords[c] for c in minimal_vectors_orthant(by_coords))
     return MonomialIdeal(ring=ring, gens=tuple(minimal))

@@ -101,6 +101,22 @@ def int_vector(v) -> IntVec:
     return _typed_vector(v, {int}, "an int")
 
 
+def int_vectors(vs) -> list[IntVec]:
+    """``int_vector`` of each element of the collection vs: InputError for
+    a vs that is not iterable, as for any of its elements."""
+    return [int_vector(v) for v in sequence("vectors", vs)]
+
+
+def sequence(name: str, xs) -> list:
+    """xs as a list, after checking that it is iterable: InputError
+    otherwise."""
+    try:
+        items = iter(xs)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, got {xs!r}") from None
+    return list(items)
+
+
 def rational_vector(v) -> RatVec:
     """v as a tuple, after checking that it is a sequence of exact
     rationals, each an int or a Fraction: InputError otherwise, as in
@@ -282,7 +298,7 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     invariant); once that space is gone they are the extreme rays
     themselves, so they are returned as they are, sorted.
     """
-    halfspaces = [int_vector(h) for h in halfspaces]
+    halfspaces = int_vectors(halfspaces)
     if not halfspaces:
         raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
     dim = len(halfspaces[0])
@@ -378,10 +394,10 @@ class Cone:
 
 
 def cone_from_rays(generators) -> Cone:
-    """Build a cone from any integer generators (each checked by
-    ``int_vector``), computing its H-representation and keeping only the
+    """Build a cone from any integer generators (checked by
+    ``int_vectors``), computing its H-representation and keeping only the
     extreme rays (``_extreme`` on their tight facets)."""
-    gens = list(dict.fromkeys(primitivize(int_vector(g)) for g in generators))
+    gens = list(dict.fromkeys(map(primitivize, int_vectors(generators))))
     if not gens:
         raise ConeNotFullDimensionalError("no generators")
     dim = len(gens[0])

@@ -32,7 +32,7 @@ from .lattice import (
     RatVec,
     ToricRing,
     dual_extreme_rays,
-    int_vector,
+    int_vectors,
     pairing,
     pairing_columns,
     rational_vector,
@@ -84,7 +84,9 @@ class NewtonPolyhedron:
 def exponent(t) -> Fraction:
     """The exponent t as an exact rational; InputError unless t is a
     finite rational >= 0 (an int, a Fraction, a float or a string such as
-    "3/2")."""
+    "3/2"; a bool is not read as 0 or 1)."""
+    if isinstance(t, bool):
+        raise InputError(f"the exponent must be a number, got {t!r}")
     try:
         t = Fraction(t)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -175,9 +177,9 @@ def _rotation_minima(columns) -> set[int]:
 def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     """Newton polyhedron of the ideal generated by the given exponents.
 
-    A generator that is not a sequence of ints raises InputError, one of
-    the wrong length DimensionMismatchError, one outside sigma_dual
-    SemigroupMembershipError.
+    Generators that are not a collection of sequences of ints raise
+    InputError, one of the wrong length DimensionMismatchError, one outside
+    sigma_dual SemigroupMembershipError.
 
     The facets are those of the cone C over the homogenized generators
     (g, 1) and rays (r, 0) of sigma_dual, found from proven vertices first.
@@ -204,7 +206,7 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     gives C by its definition.  The result rests on this containment test
     alone, not on the vertex argument, which only makes the first cone large.
     """
-    gens = list({int_vector(g) for g in generators})
+    gens = list(set(int_vectors(generators)))
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
     picked = _rotation_minima(semigroup_columns(ring, gens))

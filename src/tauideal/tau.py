@@ -27,8 +27,10 @@ from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
 def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
     """t as a Fraction, after checking a request to any route to tau(a^t)
-    (the socle and root oracles too): InputError for an ideal of another
-    ring, the zero ideal or an unreadable or negative t."""
+    (the socle and root oracles too): InputError for an a that is not an
+    ideal of the ring, the zero ideal or an unreadable or negative t."""
+    if not isinstance(a, MonomialIdeal):
+        raise InputError(f"a must be a MonomialIdeal, got a {type(a).__name__}")
     if a.ring != ring:
         raise InputError("ideal does not belong to the given ring")
     if a.is_zero():

@@ -16,7 +16,7 @@ import tauideal.enumeration as enumeration
 import tauideal.errors
 import tauideal.polyhedra as polyhedra
 from tauideal.enumeration import (
-    degree_range,
+    degree_bound,
     ell_vector,
     hilbert_basis,
     lattice_points_upto,
@@ -36,6 +36,8 @@ from tauideal.lattice import (
     orthant_ring,
     pairing,
     toric_ring,
+    vec_add,
+    vec_scale,
     vec_sub,
 )
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
@@ -134,7 +136,7 @@ UPSETS = seeded_upsets()
 def test_no_minimal_generator_lies_above_the_bound():
     branches = Counter()
     for label, ring, ineqs in UPSETS:
-        bound = degree_range(ring, ineqs)[1]
+        bound = degree_bound(ring, ineqs)
         branches["slice" if slice_applies(ring, ineqs) else "caratheodory"] += 1
         ell = ell_vector(ring)
         points = brute_points(ring, bound + 2 * ray_degree_sum(ring))
@@ -144,7 +146,7 @@ def test_no_minimal_generator_lies_above_the_bound():
         assert max(pairing(m, ell) for m in truth) <= bound, label
         offsets = least_offsets(ring, [ineqs], bound)
         assert minimal_upset_generators(ring, offsets, bound) == truth, label
-    # both arguments of degree_range are exercised
+    # both arguments of degree_bound are exercised
     assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
 
 
@@ -153,7 +155,7 @@ def test_slice_bound_of_tau_of_m8_in_six_variables():
     P = newton_polyhedron(ring, power(maximal_ideal(ring), 8).gens)
     ineqs = lattice_inequalities(scale(P, 1), ring.w, strict=True)
     assert slice_applies(ring, ineqs)
-    assert degree_range(ring, ineqs)[1] == 3
+    assert degree_bound(ring, ineqs) == 3
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
@@ -162,8 +164,7 @@ def test_slice_bound_reaches_the_origin_when_every_point_is_a_member(ring):
     # generator; k* below 0 once gave a negative bound and no generator
     ineqs = [(ell_vector(ring), -3)]
     assert slice_applies(ring, ineqs)
-    lowest, bound = degree_range(ring, ineqs)
-    assert lowest == 0 <= bound
+    assert degree_bound(ring, ineqs) >= 0
     assert upset_union(ring, [ineqs])[0] == ((0,) * ring.d,)
 
 
@@ -253,7 +254,6 @@ def clear_enumeration_caches():
 @pytest.mark.parametrize("ring", WALK_RINGS.values(), ids=WALK_RINGS.keys())
 def test_walk_matches_the_reference_in_any_order(ring):
     top = 2 * ray_degree_sum(ring)
-    ell = ell_vector(ring)
     reference = {b: _graded_points(ring, b) for b in range(top + 1)}
     increasing = list(range(top + 1))
     shuffled = increasing[:]
@@ -262,10 +262,7 @@ def test_walk_matches_the_reference_in_any_order(ring):
         clear_enumeration_caches()
         for warm in (False, True):
             for b in order:
-                for low in (0, b // 2, b):
-                    want = [p for p in reference[b] if pairing(p, ell) >= low]
-                    got = lattice_points_upto(ring, b, low)
-                    assert got == want, (b, low, order, warm)
+                assert lattice_points_upto(ring, b) == reference[b], (b, order, warm)
 
 
 @pytest.mark.parametrize("ring", WALK_RINGS.values(), ids=WALK_RINGS.keys())
@@ -417,16 +414,18 @@ def reference_degree_bound(ring, ineqs):
 def test_degree_bound_matches_the_fraction_reference():
     branches = Counter()
     for label, ring, ineqs in UPSETS:
-        bound = degree_range(ring, ineqs)[1]
+        bound = degree_bound(ring, ineqs)
         assert bound == reference_degree_bound(ring, ineqs), label
         assert type(bound) is int, label
         branches["slice" if slice_applies(ring, ineqs) else "caratheodory"] += 1
     assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
 
 
-def test_no_member_lies_below_the_lowest_degree():
-    # the lower end of degree_range, on the up-sets and on the rational
-    # facets of scaled Newton polyhedra, against the per-point reference
+def test_kernel_matches_brute_force_with_any_larger_offset_above_the_bound():
+    # the kernel against brute force on the up-sets and on the rational
+    # facets of scaled Newton polyhedra, given the exact offsets and given
+    # offsets raised wherever their point lies above the bound, as the
+    # callback contract allows
     rng = Random(5151)
     cases = list(UPSETS)
     for name, ring in TEN_RINGS.items():
@@ -436,10 +435,9 @@ def test_no_member_lies_below_the_lowest_degree():
             t = Fraction(rng.randint(1, 4), rng.randint(1, 2))
             cases.append((f"{name} {gens} t={t}", ring,
                           scale(newton_polyhedron(ring, gens), t).inequalities))
-    branches, attained = Counter(), Counter()
+    branches, raised, crowded = Counter(), Counter(), Counter()
     for label, ring, ineqs in cases:
-        lowest, bound = degree_range(ring, ineqs)
-        assert type(lowest) is int, label
+        bound = degree_bound(ring, ineqs)
         branch = "slice" if slice_applies(ring, ineqs) else "caratheodory"
         branches[branch] += 1
         ell = ell_vector(ring)
@@ -447,24 +445,56 @@ def test_no_member_lies_below_the_lowest_degree():
         members = {
             m for m, f in zip(points, reference_inequality_batch(ineqs)(points)) if f
         }
-        assert all(pairing(m, ell) >= lowest for m in members), label
         truth = brute_minimal(ring, points, members)
+        exact = least_offsets(ring, [ineqs], bound)
+        lines = enumeration._lines(ring)
+
+        def larger_above(bottoms):
+            offsets = exact(bottoms)
+            for i, (b, k) in enumerate(zip(bottoms, offsets)):
+                if pairing(b, ell) + k * lines.lr > bound:
+                    offsets[i] += rng.randint(1, 5)
+                    raised[branch] += 1
+            return offsets
+
+        for offsets in (exact, larger_above):
+            assert minimal_upset_generators(ring, offsets, bound) == truth, label
+        # the kernel skips the tests of candidates of the least degree; one
+        # degree higher a line's least member is often not minimal, so a
+        # skip of that degree too would keep it
         least = min(pairing(g, ell) for g in truth)
-        assert least >= lowest, label
-        # the lines up to the bound give every generator, those of degree
-        # lowest untested
-        offsets = least_offsets(ring, [ineqs], bound)
-        assert minimal_upset_generators(ring, offsets, bound, lowest) == truth, label
-        attained[branch] += least == lowest
+        bottoms = [b for b in lines.flat if pairing(b, ell) <= bound]
+        heads = {vec_add(b, vec_scale(k, lines.r)) for b, k in zip(bottoms, exact(bottoms))}
+        crowded[branch] += any(
+            pairing(m, ell) == least + 1 <= bound and m not in truth for m in heads
+        )
     assert branches["slice"] >= 20 and branches["caratheodory"] >= 20, branches
-    # in each branch a member often sits right on the lowest degree, so a
-    # weaker lower end would still pass but a stronger one would not
-    assert attained["slice"] >= 20 and attained["caratheodory"] >= 20, attained
+    # in the slice branch every point of degree k* or more is a member, and
+    # l(r) <= H, so the least member of each line lies at or below the bound
+    assert raised["slice"] == 0 and raised["caratheodory"] >= 20, raised
+    assert crowded["slice"] >= 10 and crowded["caratheodory"] >= 10, (crowded, branches)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_no_neighbour_is_computed_when_every_generator_has_the_least_degree(d, monkeypatch):
+    # tau(m^n) = m^(n - d + 1) on the orthant, and the slice bound is
+    # n - d + 1 too, so every candidate has the least degree of a member
+    # and is minimal untested
+    ring = orthant_ring(d)
+    calls = []
+    real = enumeration._Lines.neighbours
+    monkeypatch.setattr(
+        enumeration._Lines, "neighbours", lambda lines, b: calls.append(b) or real(lines, b)
+    )
+    m = maximal_ideal(ring)
+    for n in range(d, d + 3):
+        assert tau(ring, power(m, n), 1) == power(m, n - d + 1), n
+    assert calls == []
 
 
 def test_upset_union_makes_one_vertex_dd_per_caratheodory_set(monkeypatch):
-    # both ends of the degree range come from one _vertex_rays call, and the
-    # slice branch makes none; counted on single sets and on pairs of sets
+    # the degree bound comes from one _vertex_rays call, and the slice
+    # branch makes none; counted on single sets and on pairs of sets
     calls = []
     real = enumeration._vertex_rays
     monkeypatch.setattr(
@@ -543,9 +573,7 @@ def test_upset_union_matches_brute_force_on_pairs_of_upsets():
         by_ring.setdefault(ring, []).append((label, ineqs))
     for ring, sets in by_ring.items():
         for (la, a), (lb, b) in zip(sets, sets[1:]):
-            ranges = [degree_range(ring, a), degree_range(ring, b)]
-            lowest = min(low for low, _ in ranges)
-            bound = max(top for _, top in ranges)
+            bound = max(degree_bound(ring, a), degree_bound(ring, b))
             points = brute_points(ring, bound + 2 * ray_degree_sum(ring))
             members = {
                 m for m, fa, fb in zip(points, reference_inequality_batch(a)(points),

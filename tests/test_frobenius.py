@@ -15,7 +15,7 @@ import tauideal.frobenius
 from tauideal.campaigns import run_campaign, run_crosscheck
 from tauideal.cli import main
 from tauideal.enumeration import (
-    degree_range, lattice_points_upto, least_offsets, minimal_upset_generators,
+    degree_bound, lattice_points_upto, least_offsets, minimal_upset_generators,
     sharing, upset_union,
 )
 from tauideal.errors import (
@@ -329,7 +329,7 @@ def _brute_corner_offsets(ring, c):
     above no other such point, from a scan up to the proven degree bound,
     in (l, lex) order."""
     pairs = [(n, c) for n in ring.sigma.rays]
-    points = lattice_points_upto(ring, degree_range(ring, pairs)[1])
+    points = lattice_points_upto(ring, degree_bound(ring, pairs))
     members = [y for y in points if all(pairing(y, n) >= c for n in ring.sigma.rays)]
     return tuple(
         y for y in members
@@ -410,7 +410,7 @@ def test_box_pair_sets_match_their_enumeration(ring):
         for sets in unions:
             assert all(n in rays for ineqs in sets for n, _ in ineqs), sets
             gens, tested = upset_union(ring, sets)
-            bound = max(degree_range(ring, ineqs)[1] for ineqs in sets)
+            bound = max(degree_bound(ring, ineqs) for ineqs in sets)
             forced = minimal_upset_generators(ring, least_offsets(ring, sets, bound), bound)
             assert gens == tuple(sorted(forced)), (g, sets)
             if ring.is_orthant():  # a smooth cone realizes every box

@@ -12,7 +12,7 @@ import pytest
 import tauideal.frobenius as frobenius_module
 from tauideal.enumeration import (
     _lines,
-    degree_range,
+    degree_bound,
     ell_vector,
     hilbert_basis,
     lattice_points_upto,
@@ -51,17 +51,14 @@ def member(ineqs, m):
 
 # -- reference: the walk-and-test kernel -------------------------------------
 
-def reference_minimal_upset_generators(ring, is_member, bound, lowest):
-    """Test every walked point of degree lowest .. bound, then keep the
-    members m with no member m - h, h in the Hilbert basis; a member of
-    degree ``lowest`` is minimal untested."""
-    ell = ell_vector(ring)
-    points = lattice_points_upto(ring, bound, lowest)
+def reference_minimal_upset_generators(ring, is_member, bound):
+    """Test every walked point of degree up to bound, then keep the members
+    m with no member m - h, h in the Hilbert basis."""
+    points = lattice_points_upto(ring, bound)
     members = {m for m in points if is_member(m)}
     return [
         m for m in points
-        if m in members and (pairing(m, ell) == lowest or not any(
-            vec_sub(m, h) in members for h in hilbert_basis(ring)))
+        if m in members and not any(vec_sub(m, h) in members for h in hilbert_basis(ring))
     ]
 
 
@@ -84,16 +81,14 @@ def reference_upset_union(ring, ineq_sets, boxes=()):
         others += [tuple(zip(rays, v)) for v in tops if v not in realized]
     if not others:
         return tuple(sorted(realized.values())), 0
-    ranges = [degree_range(ring, ineqs) for ineqs in others]
-    lowest = min(low for low, _ in ranges)
-    bound = max(top for _, top in ranges)
+    bound = max(degree_bound(ring, ineqs) for ineqs in others)
     gens = reference_minimal_upset_generators(
-        ring, lambda m: any(member(ineqs, m) for ineqs in others), bound, lowest
+        ring, lambda m: any(member(ineqs, m) for ineqs in others), bound
     )
     if realized:
         realized.update(zip(zip(*pairing_columns(gens, rays)), gens))
         gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]
-    return tuple(sorted(gens)), len(lattice_points_upto(ring, bound, lowest))
+    return tuple(sorted(gens)), len(lattice_points_upto(ring, bound))
 
 
 # -- brute force --------------------------------------------------------------
@@ -163,7 +158,7 @@ def test_upset_union_matches_brute_force_on_random_pair_sets(ring):
             tP = scale(newton_polyhedron(ring, gens), t)
             shift = rng.choice([None, ring.w, tuple(Fraction(1, 3) * x for x in ring.w)])
             sets.append(lattice_inequalities(tP, shift, strict=shift is ring.w))
-        bound = max(degree_range(ring, ineqs)[1] for ineqs in sets)
+        bound = max(degree_bound(ring, ineqs) for ineqs in sets)
         members = [p for p in brute_points(ring, bound)
                    if any(member(ineqs, p) for ineqs in sets)]
         assert upset_union(ring, sets)[0] == tuple(brute_minimal(ring, members)), sets

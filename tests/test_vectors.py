@@ -1,10 +1,12 @@
-"""Vector arguments that are not sequences of ints raise InputError."""
+"""Vector arguments that are not sequences of ints, and collections of
+them that are not sequences, raise InputError."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tauideal.campaigns import run_crosscheck
 from tauideal.errors import InputError, TauIdealError
 from tauideal.frobenius import (
     in_star_E,
@@ -14,13 +16,15 @@ from tauideal.frobenius import (
     tight_integral_closure_at_q,
     tight_integral_closure_members_at_q,
 )
-from tauideal.ideals import minimalize
+from tauideal.ideals import minimalize, unit_ideal
 from tauideal.lattice import cone_from_rays, dual_extreme_rays, orthant_ring, toric_ring
-from tauideal.polyhedra import lattice_inequalities, newton_polyhedron
+from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron
+from tauideal.tau import tau
 
 R = orthant_ring(2)
 A = minimalize(R, [(2, 0), (0, 3)])
 P = newton_polyhedron(R, A.gens)
+NAMED = [("A", A)]
 
 # each of these raised a bare TypeError from tuple() or gcd()
 NOT_INT_VECTORS = {
@@ -46,6 +50,26 @@ NOT_INT_VECTORS = {
     "contains str": lambda: P.contains(("a", 0)),
     "dual_extreme_rays None": lambda: dual_extreme_rays([None]),
     "dual_extreme_rays float": lambda: dual_extreme_rays([(1.5, 0), (0, 1)]),
+    # collections that are not sequences raised a bare TypeError from
+    # iterating them, and a name and ideal that are not a pair a ValueError
+    "minimalize None collection": lambda: minimalize(R, None),
+    "minimalize int collection": lambda: minimalize(R, 5),
+    "newton_polyhedron None collection": lambda: newton_polyhedron(R, None),
+    "newton_polyhedron int collection": lambda: newton_polyhedron(R, 5),
+    "cone_from_rays None collection": lambda: cone_from_rays(None),
+    "toric_ring int collection": lambda: toric_ring(5),
+    "dual_extreme_rays None collection": lambda: dual_extreme_rays(None),
+    "tight_closure_members_at_q None zs": lambda: tight_closure_members_at_q(A, A, 1, None),
+    "tight_integral_closure_members_at_q None ideals":
+        lambda: tight_integral_closure_members_at_q(None, [(1, 1)]),
+    "tight_integral_closure_members_at_q int zs":
+        lambda: tight_integral_closure_members_at_q([A], 5),
+    "run_crosscheck None ideals": lambda: run_crosscheck(R, None, [1], qmax=4),
+    "run_crosscheck None ts": lambda: run_crosscheck(R, NAMED, None, qmax=4),
+    "run_crosscheck int primes": lambda: run_crosscheck(R, NAMED, [1], qmax=4, primes=2),
+    "run_crosscheck no ideal": lambda: run_crosscheck(R, [("x",)], [1], qmax=4),
+    # a bool exponent was read as t = 0 or 1
+    "tau bool exponent": lambda: tau(R, A, True),
 }
 
 
@@ -80,6 +104,20 @@ ENTRY_POINTS = [
     lambda v: socle_piece_vanishes_at_q(R, A, 1, v, 4),
     lambda v: tight_closure_members_at_q(A, A, 1, [v], qmax=4, cbox=1),
     lambda v: tight_integral_closure_members_at_q([A], [(1, 1), v], qmax=4, cbox=1),
+    # and with v in place of the whole collection
+    lambda v: minimalize(R, v),
+    lambda v: newton_polyhedron(R, v),
+    lambda v: cone_from_rays(v),
+    lambda v: toric_ring(v),
+    lambda v: dual_extreme_rays(v),
+    lambda v: tight_closure_members_at_q(A, A, 1, v, qmax=4, cbox=1),
+    lambda v: tight_integral_closure_members_at_q(v, [(1, 1)], qmax=4, cbox=1),
+    lambda v: tight_integral_closure_members_at_q([A], v, qmax=4, cbox=1),
+    lambda v: run_crosscheck(R, v, [1], qmax=4),
+    # the unit ideal's tau is the unit ideal at every t, so a float t such
+    # as 1e308 is read and checked without an enumeration up to its degree
+    lambda v: run_crosscheck(R, [("1", unit_ideal(R))], v, qmax=4),
+    lambda v: run_crosscheck(R, NAMED, [1], qmax=4, primes=v),
 ]
 
 
@@ -101,3 +139,5 @@ def test_rational_shifts_and_points_are_still_accepted():
     assert P.contains((Fraction(2), Fraction(1, 3)))
     assert not P.contains((Fraction(1, 2), 0))
     assert dual_extreme_rays([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
+    # an exponent may still be a float or a string, as exponent's docstring says
+    assert exponent(0.5) == exponent("1/2") == Fraction(1, 2)
