@@ -21,6 +21,7 @@ from .errors import InputError, NotStabilizedError, UnsupportedRingError
 from .frobenius import (
     STATUS_HOLDS,
     frobenius_root_tau_oracle,
+    q_sweep,
     tau_socle_oracle,
     tight_closure_member_at_q,
     tight_closure_members_at_q,
@@ -338,6 +339,8 @@ def run_crosscheck(
     primes = sequence("primes", primes)
     if not primes:
         raise InputError("crosscheck needs at least one prime")
+    for p in primes:  # every prime and qmax is checked before any instance runs
+        q_sweep(qmax, p)
     named = [sequence("a named ideal", pair) for pair in sequence("named_ideals", named_ideals)]
     if any(len(pair) != 2 for pair in named):
         raise InputError("each named ideal must be a (name, ideal) pair")

@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import cache
 from operator import le
 
-from .enumeration import by_degree, lattice_points_upto, shared, upset_union
+from . import enumeration
+from .enumeration import by_degree, shared, upset_union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -47,7 +48,6 @@ from .ideals import (  # noqa: F401
     _covers,
     _floors,
     _ray_coords,
-    _trace_root_floors,
     _upset_union,
     frobenius_root,
     minimalize,
@@ -270,12 +270,12 @@ def frobenius_root_tau_oracle(
     (none when p divides it: UnsupportedRingError).  C_q comes from the
     ray coordinates rc of a^ceil(t*q)'s generators g, the chain's rows,
     through their floors floor(rc(g)/q) (``ideals._floors``, computed once
-    per q), which are the boxes of one up-set union
-    (``_trace_root_floors``).  Every generator m of C_q must have
+    per q), which are the boxes of one up-set union (``ideals._upset_union``,
+    as in ``trace_root``).  Every generator m of C_q must have
     q*rc(m) + q - 1 >= rc(g) for some g (q*m + (q-1)*w in a^ceil(t*q), as
-    <w, n_j> = 1) and the chain must ascend, else
-    InvariantError.  The value is accepted once two consecutive q (the
-    larger at least 16) agree, else NotStabilizedError.
+    <w, n_j> = 1) and the chain must ascend, else InvariantError.  The value
+    is accepted once two consecutive q (the larger at least 16) agree, else
+    NotStabilizedError.
 
     The first check is made on the floors: for integers x, y and q >= 1,
     y <= q*x + q - 1 iff floor(y/q) <= x, since y <= q*x + q - 1 < q*(x + 1)
@@ -291,7 +291,7 @@ def frobenius_root_tau_oracle(
     prev_rows = prev_q = None
     for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
         floors = _floors(rows, q)
-        current = _trace_root_floors(ring, floors)
+        current = _upset_union(ring, floors)
         current_rows = _ray_coords(ring, current.gens)
         if not _covers(floors, current_rows):
             raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
@@ -324,7 +324,7 @@ def _multiplier_searches(
     if int_scalar("cbox", cbox) < 0:
         raise InputError("empty candidate box")
     qs = q_sweep(qmax, p)
-    points = lattice_points_upto(ring, cbox * len(ring.sigma.rays))
+    points = enumeration.lattice_points_upto(ring, cbox * len(ring.sigma.rays))
     coords = zip(*pairing_columns(points, ring.sigma.rays))
     candidates = [(c, rc) for c, rc in zip(points, coords) if max(rc) <= cbox]
     sweep = list(zip(qs, rows(qs)))

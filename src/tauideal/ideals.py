@@ -18,8 +18,8 @@ to I**(n-1) for an odd one; ``power`` is its one value.  Rows become
 generators in ``lattice._points``.  Intersections, colons and trace roots
 (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of up-sets in
 ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
-up(max(a, b)), ``_maxima``).  Their bounds, the trace root's floors
-(``_floors``) among them, go to the one up-set kernel
+up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, the trace root's floors
+(``_floors``) among them, go through ``_upset_union`` to the one up-set kernel
 ``enumeration.upset_union`` as boxes, with no pair sets.  The zero ideal
 has an empty generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
 (the orthant's trace root, checked to cover I) and ``kill_variable`` are
@@ -188,7 +188,7 @@ def _sums(A, B=None) -> list[IntVec]:
 def _maxima(A, B) -> list[IntVec]:
     """The minimal max(a, b) over every pair of a in A and b in B: the
     bounds of up(a) cap up(b) = up(max(a, b)).  They stay tuples, as a
-    colon's differences may be negative before they are clamped."""
+    colon's differences may be negative until ``colon`` clamps them."""
     return minimal_vectors_orthant(tuple(map(max, a, b)) for a in A for b in B)
 
 
@@ -240,11 +240,9 @@ def powers(I: MonomialIdeal, exponents):
 
 def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
     """The ideal of the x^m whose ray coordinates dominate some c in
-    ``bounds`` (integer vectors, one entry per ray of sigma): one
-    ``enumeration.upset_union`` call with the boxes max(c, 0), as rc(m) >= 0
-    on sigma_dual."""
-    boxes = [tuple([x if x > 0 else 0 for x in c]) for c in bounds]
-    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), boxes)[0])
+    ``bounds`` (integer vectors >= 0, one entry per ray of sigma): one
+    ``enumeration.upset_union`` call with the bounds as its boxes."""
+    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), bounds)[0])
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -262,7 +260,8 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     generators h of J of (I : x^h), the up-set union of the ray coordinates
     of g - h over the generators g of I.  The intersection is taken on the
     bound vectors, from the zero vector (the unit ideal), one ``_maxima``
-    step per h, and the ideal is built once at the end."""
+    step per h, and the ideal is built once at the end; the zero vector
+    clamps every negative difference at 0, as rc(m) >= 0 on sigma_dual."""
     _check_same_ring(I, J)
     coords = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
@@ -289,24 +288,19 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     every ray n_j of sigma, as <w, n_j> = 1; for integers that reads
     <m, n_j> >= ceil((<g, n_j> + 1)/q) - 1 = floor(<g, n_j>/q).  So C_q is
     the union of the boxes at the floors of the generators' ray coordinates
-    (``_floors``, ``_trace_root_floors``).
+    (``_floors``, through ``_upset_union``).  Any other q is an InputError.
     """
     if int_scalar("q", q) < 1:
         raise InputError(f"a root needs q >= 1, got {q}")
-    return _trace_root_floors(I.ring, _floors(_ray_coords(I.ring, I.gens), q))
+    if (q - 1) % I.ring.gorenstein_index:
+        raise InputError(f"(q-1)*w is not a lattice point at q = {q}")
+    return _upset_union(I.ring, _floors(_ray_coords(I.ring, I.gens), q))
 
 
 def _floors(rows, q: int) -> list[IntVec]:
     """The distinct floor(v/q), componentwise, over the rows v, a column
     at a time."""
     return [*{*zip(*[[x // q for x in column] for column in zip(*rows)])}]
-
-
-def _trace_root_floors(ring: ToricRing, floors) -> MonomialIdeal:
-    """``trace_root`` from the ``_floors`` of I's generators' ray
-    coordinates: they are all >= 0 and are the boxes of one
-    ``enumeration.upset_union`` call, which keeps the minimal ones."""
-    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), floors)[0])
 
 
 def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:

@@ -207,6 +207,20 @@ def test_crosscheck_runs_root_at_the_first_prime_unless_it_divides_the_index(mon
         run_crosscheck(ring, [("m", m)], [1], primes=())
 
 
+def test_crosscheck_checks_its_primes_and_qmax_before_any_instance():
+    # with no (ideal, t) to run, a bad prime or qmax is refused all the same
+    ring = orthant_ring(2)
+    a = minimalize(ring, [(1, 0), (0, 1)])
+    for ideals, ts, qmax, primes in (
+        ([], [1], 128, ["x", 0]),
+        ([("A", a)], [], -5, [0]),
+        ([("A", a)], [], 128, [2, 4]),
+        ([], [], 2, [2, 3]),
+    ):
+        with pytest.raises(InputError):
+            run_crosscheck(ring, ideals, ts, qmax=qmax, primes=primes)
+
+
 def test_crosscheck_orthant_agreement():
     ring = orthant_ring(2)
     cusp = minimalize(ring, [(2, 0), (0, 3)])

@@ -978,16 +978,16 @@ def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path):
         calls.append(floors)
         return minimalize(ring, [tuple(len(calls) for _ in range(ring.d))])
 
-    monkeypatch.setattr(tauideal.frobenius, "_trace_root_floors", shrinking)
+    monkeypatch.setattr(tauideal.frobenius, "_upset_union", shrinking)
     with pytest.raises(InvariantError, match="shrinks"):
         frobenius_root_tau_oracle(R2, I((2, 0), (0, 3)), 1)
     # a root too large for q*m + (q-1)*w to lie in a^ceil(tq) fails the per-q check
     monkeypatch.setattr(
-        tauideal.frobenius, "_trace_root_floors", lambda ring, floors: unit_ideal(ring)
+        tauideal.frobenius, "_upset_union", lambda ring, floors: unit_ideal(ring)
     )
     with pytest.raises(InvariantError, match="outside"):
         frobenius_root_tau_oracle(VERONESE_22, I((1, 0), ring=VERONESE_22), 1)
-    monkeypatch.setattr(tauideal.frobenius, "_trace_root_floors", shrinking)
+    monkeypatch.setattr(tauideal.frobenius, "_upset_union", shrinking)
     ring = tmp_path / "ring.json"
     ring.write_text('{"cone_generators": [[1, 0], [0, 1]]}')
     ideal = tmp_path / "ideal.json"

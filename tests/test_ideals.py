@@ -719,12 +719,15 @@ def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
         enumerated.clear()
         for _ in range(8):
             bounds = [_bound_vector(rng, ring) for _ in range(rng.randint(1, 3))]
+            # the boxes are >= 0, as colon clamps its bounds; rc(m) >= 0 on
+            # sigma_dual, so brute force below reads the raw bounds alike
+            boxes = [tuple(max(x, 0) for x in c) for c in bounds]
             branch[0] = "shortcut"
-            direct = _upset_union(ring, bounds)
+            direct = _upset_union(ring, boxes)
             branch[0] = "enumerated"
             with monkeypatch.context() as m:
                 m.setattr(lattice, "basis_inverse", lambda rays: zero_inverse)
-                assert _upset_union(ring, bounds) == direct, bounds
+                assert _upset_union(ring, boxes) == direct, bounds
             members = [
                 m for m, rc in zip(points, coords)
                 if any(all(map(le, c, rc)) for c in bounds)
@@ -826,6 +829,22 @@ def test_trace_root_is_the_frobenius_root_on_the_orthant():
                 assert trace_root(a, q) == frobenius_root(a, q), (a.gens, q)
     with pytest.raises(InputError):
         trace_root(I((1, 0)), 0)
+
+
+def test_trace_root_refuses_a_q_with_w_off_the_lattice():
+    # x^(q*m + (q-1)*w) is a monomial only when (q-1)*w is a lattice point,
+    # q = 1 mod the Gorenstein index; every q >= 1 passes on the orthant
+    for ring, index, bad, good in (
+        (veronese_ring(2, 3), 3, (2, 3, 5, 6), (1, 4, 7)),
+        (toric_ring([(0, 1), (5, -2)]), 5, (2, 3, 4, 5, 7), (1, 6, 11)),
+    ):
+        assert ring.gorenstein_index == index
+        m = maximal_ideal(ring)
+        for q in bad:
+            with pytest.raises(InputError, match="lattice point"):
+                trace_root(m, q)
+        for q in good:
+            assert trace_root(m, q).gens
 
 
 def test_kill_variable():

@@ -191,8 +191,10 @@ def route_outputs(seed):
             out.append(("closure", a.gens, integral_closure(a).gens))
             out.append(("intersect", a.gens, b.gens, intersect(a, b).gens))
             out.append(("colon", a.gens, b.gens, colon(a, b).gens))
-            for q in (1, 2, 3, 5):
-                out.append(("trace_root", a.gens, q, trace_root(a, q).gens))
+            # the q <= 6 with (q-1)*w a lattice point, at least one q > 1 on each ring
+            for q in range(1, 7):
+                if (q - 1) % ring.gorenstein_index == 0:
+                    out.append(("trace_root", a.gens, q, trace_root(a, q).gens))
     return out
 
 

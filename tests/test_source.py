@@ -235,3 +235,56 @@ def test_enumeration_caches_only_the_hilbert_basis_and_the_lines():
                 if name in {"cache", "lru_cache", "cached_property"}:
                     cached.add(node.name)
     assert cached == {"hilbert_basis", "_lines"}
+
+
+def test_every_call_of_a_wrapped_function_goes_through_a_wrapped_binding():
+    # perfbench/layers.py wraps a function at the modules it names, so a call
+    # through any other binding (a bare name in, or an attribute of, a module
+    # where it is not wrapped) runs outside its span and the traced counts
+    # miss it
+    layers = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    wrapped = _wrapped_at_each_module(layers)
+    names = set().union(*wrapped.values())
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {
+            alias.asname or alias.name: alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for alias in node.names
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in _own_nodes(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name) and f.id in names:
+                    via, name = path.stem, f.id
+                elif (isinstance(f, ast.Attribute) and f.attr in names
+                        and getattr(f.value, "id", None) in modules):
+                    via, name = modules[f.value.id], f.attr
+                else:
+                    continue
+                if name not in wrapped.get(via, set()):
+                    found.add(f"{path.name}:{func.name}")
+    assert found == set()
+
+
+def test_ideals_upset_union_is_the_one_adapter_from_boxes():
+    # bound vectors become an ideal in one place; a second adapter that hands
+    # ``upset_union`` its boxes shows up as a diff here
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{func.name}" for node in _own_nodes(func)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "upset_union"
+                    and (len(node.args) > 2 or any(k.arg == "boxes" for k in node.keywords))
+                }
+    assert found == {"ideals.py:_upset_union"}
