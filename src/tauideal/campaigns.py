@@ -97,11 +97,7 @@ def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
     """Subideal generated by the vertex generators; same Newton polyhedron."""
-    P = newton_polyhedron(ring, a.gens)
-    # integer tuples hash and compare equal to their Fraction vertices
-    vertices = set(P.vertices)
-    vertex_gens = [g for g in a.gens if g in vertices]
-    return idl.minimalize(ring, vertex_gens)
+    return idl.minimalize(ring, newton_polyhedron(ring, a.gens).points)
 
 
 def jsonable(obj):

@@ -69,8 +69,18 @@ def _covers(lower, upper) -> bool:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
+    """An ideal of ``ring`` given by its generators' exponents.  The fields
+    must be a ToricRing and a tuple of tuples (InputError otherwise); their
+    entries are checked as ints where they are read."""
+
     ring: ToricRing
     gens: tuple[IntVec, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.ring, ToricRing):
+            raise InputError(f"an ideal's ring must be a ToricRing, got {self.ring!r}")
+        if type(self.gens) is not tuple or not {tuple}.issuperset(map(type, self.gens)):
+            raise InputError(f"an ideal's generators must be tuples in a tuple, got {self.gens!r}")
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -107,9 +117,14 @@ class MonomialIdeal:
         return power(self, n)
 
 
+def _check_ideal(I: MonomialIdeal) -> None:
+    if not isinstance(I, MonomialIdeal):
+        raise InputError(f"expected an ideal, got a {type(I).__name__}")
+
+
 def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
-    if not (isinstance(I, MonomialIdeal) and isinstance(J, MonomialIdeal)):
-        raise InputError(f"expected ideals, got a {type(I).__name__} and a {type(J).__name__}")
+    _check_ideal(I)
+    _check_ideal(J)
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
 
@@ -210,8 +225,8 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """I**n: the points of the one value of the chain ``powers(I, [n])``."""
-    gens = _points(I.ring, next(powers(I, [n])))
-    return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))
+    rows = next(powers(I, [n]))
+    return MonomialIdeal(ring=I.ring, gens=tuple(sorted(_points(I.ring, rows))))
 
 
 def powers(I: MonomialIdeal, exponents):
@@ -224,6 +239,7 @@ def powers(I: MonomialIdeal, exponents):
     by the one packed kernel ``_sums``.  Every power built is kept, so none
     is built twice, and nothing past the last value taken is built.
     """
+    _check_ideal(I)
     rows = _ray_coords(I.ring, I.gens)
     built = {0: [(0,) * len(I.ring.sigma.rays)]}
     for n in exponents:
@@ -273,6 +289,7 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
     """Generators scaled by q (the q-th Frobenius bracket power)."""
+    _check_ideal(I)
     if int_scalar("q", q) < 1:
         raise InputError(f"bracket power needs q >= 1, got {q}")
     return MonomialIdeal(
@@ -290,6 +307,7 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     the union of the boxes at the floors of the generators' ray coordinates
     (``_floors``, through ``_upset_union``).  Any other q is an InputError.
     """
+    _check_ideal(I)
     if int_scalar("q", q) < 1:
         raise InputError(f"a root needs q >= 1, got {q}")
     if (q - 1) % I.ring.gorenstein_index:
@@ -306,6 +324,7 @@ def _floors(rows, q: int) -> list[IntVec]:
 def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     """Smallest monomial J with bracket_power(J, q) containing I: on the
     orthant, the only rings it takes, w = (1, ..., 1) and J is ``trace_root``."""
+    _check_ideal(I)
     _require_orthant(I.ring, "frobenius_root")
     root = trace_root(I, q)
     if not I.is_subideal_of(bracket_power(root, q)):
@@ -315,6 +334,7 @@ def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
 
 def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
     """Image of I in the orthant ring with variable ``axis`` (0-based) killed."""
+    _check_ideal(I)
     _require_orthant(I.ring, "kill_variable")
     d = I.ring.d
     if d < 2:
@@ -327,6 +347,7 @@ def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Monomials whose exponents lie in the Newton polyhedron of I."""
+    _check_ideal(I)
     if I.is_zero():
         raise InputError("integral closure of the zero ideal is undefined")
     # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and

@@ -509,10 +509,13 @@ def toric_ring(generators) -> ToricRing:
     )
 
 
-@cache
 def orthant_ring(d: int) -> ToricRing:
-    """The polynomial ring k[x_1..x_d] as a toric ring (built once per d).
+    """The polynomial ring k[x_1..x_d] as a toric ring (built once per d);
+    d is checked before the cache reads it, so InputError for any d that is
+    not an int, hashable or not."""
+    return _orthant_ring(int_scalar("d", d))
 
-    A float or bool d never hits an int's cache key, so the check inside
-    refuses it on every call."""
-    return toric_ring(unit_vectors(int_scalar("d", d)))
+
+@cache
+def _orthant_ring(d: int) -> ToricRing:
+    return toric_ring(unit_vectors(d))

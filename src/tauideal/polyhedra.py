@@ -9,17 +9,17 @@ containment test of the other generators against its facets, and a second
 double description, on all the generators, only when one of them cuts that
 cone.  Every membership test reads only these facets, compiled by
 ``lattice_inequalities`` into integer bounds with one lcm per call and an
-integer floor or ceiling division per facet.  The vertices come from a
-double description of the facets, as homogeneous integer rays (``_vertex_rays``,
-which the degree bound reads directly); only ``NewtonPolyhedron.vertices``
-turns them into Fractions.  The recession rays are those of sigma_dual.
+integer floor or ceiling division per facet.  The vertices are the
+generators that span extreme rays of that cone, kept as integer points;
+only ``NewtonPolyhedron.vertices`` scales them into Fractions.  The
+recession rays are those of sigma_dual.
 Every exponent t enters through ``exponent``, which refuses anything but a
 finite rational t >= 0 with InputError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -31,6 +31,7 @@ from .lattice import (
     IntVec,
     RatVec,
     ToricRing,
+    cone_from_rays,
     dual_extreme_rays,
     int_vectors,
     pairing,
@@ -46,17 +47,19 @@ class NewtonPolyhedron:
 
     Each inequality (a, b) means <x, a> >= b.  At scale 1 all right-hand
     sides are integers; scaled polyhedra carry exact rational ones.
+    ``points`` are the vertices at scale 1, sorted integer generators.
     """
 
     dim: int
     recession: Cone
     inequalities: tuple[tuple[IntVec, Fraction], ...]
     scale: Fraction
+    points: tuple[IntVec, ...]
 
     @cached_property
     def vertices(self) -> tuple[RatVec, ...]:
-        """The vertices, sorted, computed from the facets on first read."""
-        return tuple(sorted(inequality_vertices(self.recession, self.inequalities)))
+        """The vertices: the points times the scale, sorted (t = 0: the origin)."""
+        return tuple(sorted({tuple(self.scale * x for x in p) for p in self.points}))
 
     @property
     def rays(self) -> tuple[IntVec, ...]:
@@ -126,8 +129,17 @@ def lattice_inequalities(
 
 
 def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:
-    """The extreme rays (x, s) with s > 0 of the homogenized region of
-    ``inequality_vertices``: its vertices are the points x/s."""
+    """The extreme rays (x, s) with s > 0 of the homogenized region
+    {x in recession : <x, a> >= c for every pair (a, c)}, whose vertices
+    are the points x/s: the degree bound's double description.
+
+    The normals a lie in the dual of the recession cone and the c are
+    rational and >= 0, as in ``lattice_inequalities``.  Homogenized as
+    <x, a> - c*s >= 0 (each row cleared of c's denominator), <x, n> >= 0 for
+    the facet normals n of the recession cone and s >= 0, the region is a
+    pointed full-dimensional cone, and one double description gives its
+    extreme rays.
+    """
     d = recession.dim
     halfspaces = [
         tuple(c.denominator * x for x in a) + (-c.numerator,) for a, c in ineqs
@@ -135,23 +147,6 @@ def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:
     halfspaces += [n + (0,) for n in recession.halfspaces]
     halfspaces.append((0,) * d + (1,))
     return [e for e in dual_extreme_rays(halfspaces) if e[d] > 0]
-
-
-def inequality_vertices(recession: Cone, ineqs) -> list[RatVec]:
-    """Vertices of {x in recession : <x, a> >= c for every pair (a, c)}.
-
-    The normals a lie in the dual of the recession cone and the c are
-    rational and >= 0, as in ``lattice_inequalities`` and in the facets of a
-    (scaled) Newton polyhedron.  Homogenized as <x, a> - c*s >= 0 (each row
-    cleared of c's denominator), <x, n> >= 0 for the facet normals n of the
-    recession cone and s >= 0, the region is a pointed full-dimensional
-    cone; its extreme rays (x, s) with s > 0 (``_vertex_rays``) give the
-    vertices x/s.
-    """
-    d = recession.dim
-    return [
-        tuple(Fraction(x, e[d]) for x in e[:d]) for e in _vertex_rays(recession, ineqs)
-    ]
 
 
 def _rotation_minima(columns) -> set[int]:
@@ -203,8 +198,10 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     facets, and (g, 1) lies in C0 when <g, a> >= b for each of them.  If
     none cuts, every (g, 1) lies in C0, so C, which holds C0, equals it;
     otherwise a second double description on every (g, 1) and the rays
-    gives C by its definition.  The result rests on this containment test
-    alone, not on the vertex argument, which only makes the first cone large.
+    gives C by its definition (``cone_from_rays``).  The facets rest on this
+    containment test alone.  The vertices of P, the extreme rays of C with
+    s = 1, are C0's (v, 1), proven vertices above, when none cuts, and
+    otherwise those ``cone_from_rays`` reads off the generators' tight facets.
     """
     gens = list(set(int_vectors(generators)))
     if not gens:
@@ -219,7 +216,8 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
         bounds = [(f[:d], -f[d]) for f in facets if f[d] < 0]
         columns = pairing_columns(rest, [a for a, _ in bounds])
         if any(min(col) < b for col, (_, b) in zip(columns, bounds)):
-            facets = dual_extreme_rays(candidates + [g + (1,) for g in rest] + rays)
+            C = cone_from_rays(candidates + [g + (1,) for g in rest] + rays)
+            facets, candidates = C.halfspaces, [e for e in C.rays if e[d]]
     inequalities = [
         (f[:d], Fraction(-f[d]))
         for f in facets
@@ -230,6 +228,7 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
         recession=ring.sigma_dual,
         inequalities=tuple(sorted(inequalities)),
         scale=Fraction(1),
+        points=tuple(e[:d] for e in candidates),
     )
 
 
@@ -246,6 +245,4 @@ def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
         ineqs = tuple(sorted((h, Fraction(0)) for h in P.recession.halfspaces))
     else:
         ineqs = tuple((a, t * b) for a, b in P.inequalities)
-    return NewtonPolyhedron(
-        dim=P.dim, recession=P.recession, inequalities=ineqs, scale=t
-    )
+    return replace(P, inequalities=ineqs, scale=t)

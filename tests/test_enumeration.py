@@ -378,9 +378,10 @@ def test_inequality_batch_matches_the_per_point_reference(ring):
 
 
 # -- reference: degree_bound on Fraction vertices --------------------------------
-# degree_bound and inequality_vertices as they were before the Caratheodory
-# branch read the homogeneous integer rays of its vertex DD, kept here only to
-# check the integer version against.
+# degree_bound as it was before the Caratheodory branch read the homogeneous
+# integer rays of its vertex DD, and the vertices of a region of inequalities
+# as Fractions from one DD of its own, kept here only to check the integer
+# version and ``NewtonPolyhedron.vertices`` against.
 
 def reference_inequality_vertices(recession, ineqs):
     d = recession.dim
@@ -562,7 +563,7 @@ def test_vertex_rays_give_the_vertices():
     for label, ring, ineqs in cases:
         rays = polyhedra._vertex_rays(ring.sigma_dual, ineqs)
         assert all(type(x) is int and e[-1] > 0 for e in rays for x in e), label
-        assert sorted(polyhedra.inequality_vertices(ring.sigma_dual, ineqs)) == sorted(
+        assert sorted(tuple(Fraction(x, e[-1]) for x in e[:-1]) for e in rays) == sorted(
             reference_inequality_vertices(ring.sigma_dual, ineqs)
         ), label
 

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from tauideal import polyhedra
+from tauideal import lattice, polyhedra
 from tauideal.campaigns import run_crosscheck
 from tauideal.enumeration import lattice_points_upto
 from tauideal.errors import DimensionMismatchError, InputError, SemigroupMembershipError
@@ -22,7 +22,7 @@ from tauideal.ideals import minimalize, multiply, power
 from tauideal.lattice import dual_extreme_rays, orthant_ring, pairing, toric_ring, vec_add
 from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, tau_is_unit, veronese_ring
-from test_enumeration import reference_inequality_batch
+from test_enumeration import reference_inequality_batch, reference_inequality_vertices
 
 
 def _facets(P):
@@ -285,13 +285,15 @@ def reference_newton_inequalities(ring, generators):
 
 
 def _count_dd_calls(monkeypatch):
+    # the second double description runs inside ``lattice.cone_from_rays``
     calls = []
 
     def counted(halfspaces):
         calls.append(len(halfspaces))
         return dual_extreme_rays(halfspaces)
 
-    monkeypatch.setattr(polyhedra, "dual_extreme_rays", counted)
+    for owner in (lattice, polyhedra):
+        monkeypatch.setattr(owner, "dual_extreme_rays", counted)
     return calls
 
 
@@ -319,6 +321,28 @@ def test_newton_polyhedron_matches_the_all_generator_reference(monkeypatch):
             assert P.inequalities == reference_newton_inequalities(ring, gens), (ring, gens)
             paths[len(calls)] += 1
     assert paths[1] >= 100 and paths[2] >= 10, paths
+
+
+def test_vertices_match_the_vertex_dd_reference(monkeypatch):
+    """The vertices kept from the facets' double description, scaled, are
+    those one more double description finds from the facets, over seeded
+    ideals of every test ring, on both paths of ``newton_polyhedron``."""
+    calls = _count_dd_calls(monkeypatch)
+    rng = Random(3131)
+    paths = {1: 0, 2: 0}
+    for ring in TEST_RINGS:
+        pool = lattice_points_upto(ring, 6)[1:]
+        for k in range(110):
+            gens = rng.sample(pool, 1 if k % 10 == 0 else rng.randint(2, min(7, len(pool))))
+            gens.append(tuple(x + y for x, y in zip(gens[-1], rng.choice(pool))))
+            del calls[:]
+            P = newton_polyhedron(ring, gens)
+            paths[len(calls)] += 1
+            for t in (Fraction(0), Fraction(2, 3), Fraction(1), Fraction(7, 2)):
+                tP = scale(P, t)
+                want = reference_inequality_vertices(ring.sigma_dual, tP.inequalities)
+                assert tP.vertices == tuple(sorted(want)), (ring, gens, t)
+    assert paths[1] >= 100 and paths[2] >= 100, paths
 
 
 @pytest.mark.parametrize("d", range(1, 7))

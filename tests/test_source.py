@@ -105,6 +105,22 @@ def test_product_kernels_have_exactly_the_pinned_callers():
     assert _package_callers(("_sums", "_maxima")) == PRODUCT_KERNEL_CALLERS
 
 
+# The functions that run a double description, directly or through the
+# degree bound's ``_vertex_rays``: sigma's facets, a Newton polyhedron's
+# facets and vertices, and the degree bound's vertices.  A second double
+# description for one fact shows up as a diff here.
+DD_CALLERS = {
+    "enumeration.py:degree_bound",
+    "lattice.py:cone_from_rays",
+    "polyhedra.py:_vertex_rays",
+    "polyhedra.py:newton_polyhedron",
+}
+
+
+def test_double_descriptions_have_exactly_the_pinned_callers():
+    assert _package_callers(("dual_extreme_rays", "_vertex_rays")) == DD_CALLERS
+
+
 # The functions that seed a ``Random``.  Every random campaign draws through
 # the one driver ``campaigns._seeded``, whose closure is ``campaign``; a second
 # seeded instance loop shows up as a diff here.

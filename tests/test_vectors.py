@@ -16,7 +16,19 @@ from tauideal.frobenius import (
     tight_integral_closure_at_q,
     tight_integral_closure_members_at_q,
 )
-from tauideal.ideals import minimalize, unit_ideal
+from tauideal.ideals import (
+    MonomialIdeal,
+    bracket_power,
+    colon,
+    frobenius_root,
+    integral_closure,
+    kill_variable,
+    minimalize,
+    multiply,
+    power,
+    trace_root,
+    unit_ideal,
+)
 from tauideal.lattice import cone_from_rays, dual_extreme_rays, orthant_ring, toric_ring
 from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron
 from tauideal.tau import tau
@@ -70,6 +82,23 @@ NOT_INT_VECTORS = {
     "run_crosscheck no ideal": lambda: run_crosscheck(R, [("x",)], [1], qmax=4),
     # a bool exponent was read as t = 0 or 1
     "tau bool exponent": lambda: tau(R, A, True),
+    # these raised an AttributeError from reading a None ideal's fields
+    "integral_closure None": lambda: integral_closure(None),
+    "power None": lambda: power(None, 2),
+    "trace_root None": lambda: trace_root(None, 2),
+    "bracket_power None": lambda: bracket_power(None, 2),
+    "kill_variable None": lambda: kill_variable(None, 0),
+    "frobenius_root None": lambda: frobenius_root(None, 2),
+    # a list raised a TypeError from the ring cache's hash
+    "orthant_ring list": lambda: orthant_ring([1]),
+    # ideals built directly with fields of the wrong type raised a TypeError
+    # or an AttributeError in the calls that read them, and a list generator
+    # an unhashable-type TypeError in run_crosscheck's sharing key
+    "MonomialIdeal None gens": lambda: MonomialIdeal(R, None).is_subideal_of(A),
+    "MonomialIdeal None ring": lambda: multiply(MonomialIdeal(None, A.gens), A),
+    "MonomialIdeal list gens": lambda: colon(A, MonomialIdeal(R, [(1, 0)])),
+    "MonomialIdeal list generator":
+        lambda: run_crosscheck(R, [("x", MonomialIdeal(R, ([1, 0],)))], [1], qmax=4),
 }
 
 
@@ -118,6 +147,15 @@ ENTRY_POINTS = [
     # as 1e308 is read and checked without an enumeration up to its degree
     lambda v: run_crosscheck(R, [("1", unit_ideal(R))], v, qmax=4),
     lambda v: run_crosscheck(R, NAMED, [1], qmax=4, primes=v),
+    # with v in place of an ideal, of its ring or of its generators
+    lambda v: power(v, 2),
+    lambda v: integral_closure(v),
+    lambda v: trace_root(v, 3),
+    lambda v: MonomialIdeal(v, A.gens).is_unit(),
+    lambda v: MonomialIdeal(R, v).is_subideal_of(A),
+    lambda v: colon(A, MonomialIdeal(R, v)),
+    lambda v: power(MonomialIdeal(R, v), 2),
+    lambda v: run_crosscheck(R, [("v", MonomialIdeal(R, v))], [1], qmax=4),
 ]
 
 
