@@ -31,7 +31,8 @@ from .frobenius import (
 # which wraps campaigns.tight_integral_closure_at_q
 from .frobenius import tight_integral_closure_at_q  # noqa: F401
 from .ideals import MonomialIdeal
-from .lattice import ToricRing, int_scalar, orthant_ring, sequence, unit_vectors, vec_scale
+from .lattice import ToricRing, check_ring, int_scalar, orthant_ring, sequence, unit_vectors
+from .lattice import vec_scale
 from .polyhedra import exponent, newton_polyhedron
 from .tau import tau, tau_is_unit, tau_veronese, veronese_maximal_ideal, veronese_ring
 
@@ -67,10 +68,9 @@ def random_monomial_ideal(
 
     Degenerate draws (the unit ideal) are kept, not resampled.
     """
+    d = check_ring(ring).d
     k = rng.randint(1, max_gens)
-    gens = [
-        tuple(rng.randint(0, max_exp) for _ in range(ring.d)) for _ in range(k)
-    ]
+    gens = [tuple(rng.randint(0, max_exp) for _ in range(d)) for _ in range(k)]
     return idl.minimalize(ring, gens)
 
 
@@ -96,8 +96,9 @@ def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
-    """Subideal generated by the vertex generators; same Newton polyhedron."""
-    return idl.minimalize(ring, newton_polyhedron(ring, a.gens).points)
+    """Subideal generated by the vertex generators; same Newton polyhedron.
+    P's points are sorted, and no vertex is a multiple of another point."""
+    return MonomialIdeal(ring=ring, gens=newton_polyhedron(ring, a.gens).points)
 
 
 def jsonable(obj):
@@ -223,9 +224,10 @@ def campaign_colon_formula(seed: int = 0) -> CampaignReport:
         Jl = idl.minimalize(ring, [vec_scale(l, e) for l, e in zip(ls, unit_vectors(d))])
         total = sum(ls)
         for r in range(1, total - d + 2):
-            got = idl.colon(Jl, idl.power(J, r))
+            Jr = idl.power(J, r)
+            got = idl.colon(Jl, Jr)
             want = idl.ideal_sum(idl.power(J, max(total - r - d + 1, 0)), Jl)
-            brute = brute_force_colon(Jl, idl.power(J, r))
+            brute = brute_force_colon(Jl, Jr)
             rep.record(
                 got == want == brute,
                 _replay(d=d, ls=ls, r=r, got=got, want=want, brute=brute),

@@ -60,14 +60,12 @@ def _json_int(x) -> int:
     return x
 
 
-def _json_vectors(rows) -> list[tuple[int, ...]]:
-    return [tuple(_json_int(x) for x in g) for g in rows]
-
-
 def load_ring(path: str) -> ToricRing:
+    """The ring of a JSON file; its generators are checked by ``toric_ring``
+    as any caller's are (``lattice.int_vectors``), and only "d" here."""
     data = _load_json(path)
     try:
-        gens = _json_vectors(data["cone_generators"])
+        gens = data["cone_generators"]
         declared = _json_int(data["d"]) if "d" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad ring file {path}: {exc}") from exc
@@ -88,8 +86,8 @@ def load_ring(path: str) -> ToricRing:
 def load_ideal(path: str, ring: ToricRing) -> MonomialIdeal:
     data = _load_json(path)
     try:
-        gens = _json_vectors(data["generators"])
-    except (KeyError, TypeError, ValueError) as exc:
+        gens = data["generators"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad ideal file {path}: {exc}") from exc
     return idl.minimalize(ring, gens)
 

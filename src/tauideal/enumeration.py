@@ -175,8 +175,8 @@ class _Lines:
         self.pos = {origin: 0}
         self.near: dict[IntVec, list] = {}
 
-    def grow(self, bound: int) -> None:
-        """Walk the bottoms up to degree ``bound``."""
+    def grow(self, bound: int) -> int:
+        """Walk the bottoms up to degree ``bound``; return how many have degree <= bound."""
         levels, flat, pos = self.levels, self.flat, self.pos
         tests = [(self.rays[i], rn) for i, rn in self.plus]
         for k in range(len(levels), bound + 1):
@@ -195,6 +195,7 @@ class _Lines:
                 pos[b] = len(flat)
                 flat.append(b)
             self.degrees += [k] * len(level)
+        return bisect_right(self.degrees, bound)
 
     def neighbours(self, b: IntVec) -> list:
         """(b', delta, l(h)) per Hilbert basis element h != r with
@@ -229,10 +230,10 @@ def lattice_points_upto(ring: ToricRing, bound: int) -> list[IntVec]:
     in a fresh list: the b + k*r with k >= 0 over the bottoms b of
     ``_Lines`` of degree at most bound, each point once."""
     lines = _lines(ring)
-    lines.grow(bound)
+    n = lines.grow(bound)
     r, lr = lines.r, lines.lr
     found = []
-    for b, e in zip(lines.flat, lines.degrees[: bisect_right(lines.degrees, bound)]):
+    for b, e in zip(lines.flat[:n], lines.degrees):
         for k in range((bound - e) // lr + 1):
             found.append((e + k * lr, tuple([x + k * y for x, y in zip(b, r)])))
     found.sort()
@@ -303,8 +304,7 @@ def minimal_upset_generators(ring: ToricRing, line_offsets, bound: int) -> list[
     ``lowest`` is minimal untested.
     """
     lines = _lines(ring)
-    lines.grow(bound)
-    n = bisect_right(lines.degrees, bound)
+    n = lines.grow(bound)
     offsets = line_offsets(lines.flat[:n])
     flat, pos, lr, r = lines.flat, lines.pos, lines.lr, lines.r
     heads = [
@@ -368,7 +368,8 @@ def upset_union(
     scanned together by one ``minimal_upset_generators`` call, up to the
     largest of their bounds, as a minimal generator of a union is one of
     some member, and merged with the realized points on ray coordinates.
-    The count is of the lines that call scanned.
+    The count is of the lines that call scanned, the prefix of bottoms that
+    ``_Lines.grow`` of that bound gives the kernel.
     """
     ineq_sets = tuple(map(tuple, ineq_sets))
     boxes = tuple(boxes)
@@ -391,17 +392,10 @@ def upset_union(
         if not others:  # points of distinct minimal boxes divide none of each other
             return tuple(sorted(realized.values())), 0
         bound = max(degree_bound(ring, ineqs) for ineqs in others)
-        offsets = least_offsets(ring, others, bound)
-        tested = []
-
-        def line_offsets(bottoms):
-            tested.append(len(bottoms))
-            return offsets(bottoms)
-
-        gens = minimal_upset_generators(ring, line_offsets, bound)
+        gens = minimal_upset_generators(ring, least_offsets(ring, others, bound), bound)
         if realized:
             realized.update(zip(zip(*pairing_columns(gens, rays)), gens))
             gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]
-        return tuple(sorted(gens)), sum(tested)
+        return tuple(sorted(gens)), _lines(ring).grow(bound)
 
     return shared(("upset", ring, ineq_sets, boxes), compute)

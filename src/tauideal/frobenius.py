@@ -7,10 +7,12 @@ hull by -sigma_dual and tests emptiness of an exact lattice-point
 intersection, nonempty iff it holds one of the finitely many
 sigma_dual-maximal lattice points ("corners") of (q-1)*w - sigma_dual; so
 each q costs one integer facet test (``polyhedra.lattice_inequalities``) per
-corner, and the socle oracle needs only the largest q of the sweep.  The
-root route climbs the chain of trace roots C_q (``ideals.trace_root``) over
-the q with (q-1)*w a lattice point and reads no Newton polyhedron: C_q and
-both its checks come from the ray coordinates of the powers' generators.
+corner, and the socle oracle needs only the largest q of the sweep.  Its
+t*P(a) comes, with the request checked, from ``tau._scaled_polyhedron``,
+the one builder that tau uses too.  The root route climbs the chain of
+trace roots C_q (``ideals.trace_root``) over the q with (q-1)*w a lattice
+point and reads no Newton polyhedron: C_q and both its checks come from the
+ray coordinates of the powers' generators.
 Both tight-closure searches are one search (``_multiplier_searches``): c
 works at q iff c*z^q*A_q lies in B_q, on ray coordinates, with (A_q, B_q)
 = (a^ceil(tq), I^[q]) for tight closure and (the unit ideal, the q-th
@@ -31,7 +33,7 @@ from functools import cache
 from operator import le
 
 from . import enumeration
-from .enumeration import by_degree, shared, upset_union
+from .enumeration import by_degree, upset_union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -54,16 +56,13 @@ from .ideals import (  # noqa: F401
     power,
     powers,
 )
-from .lattice import IntVec, ToricRing, int_scalar, int_vector, int_vectors, pairing
+from .lattice import IntVec, ToricRing, check_ring, int_scalar, int_vector, int_vectors, pairing
 from .lattice import pairing_columns, sequence, vec_add, vec_neg, vec_scale, vec_sub
-from .polyhedra import (
-    NewtonPolyhedron,
-    exponent,
-    lattice_inequalities,
-    newton_polyhedron,
-    scale,
-)
-from .tau import _check_request
+from .polyhedra import NewtonPolyhedron, exponent, lattice_inequalities
+# newton_polyhedron is bound here only for perfbench/layers.py, which wraps
+# it at this module; the socle route builds t*P(a) in tau._scaled_polyhedron
+from .polyhedra import newton_polyhedron  # noqa: F401
+from .tau import _check_request, _scaled_polyhedron
 
 STATUS_STABILIZED = "stabilized"
 STATUS_FAILS = "fails_at_q"
@@ -140,13 +139,6 @@ def _check_q(q: int, p: int) -> None:
         raise InputError(f"q = {q} is not a power of p = {p}")
 
 
-def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t) -> NewtonPolyhedron:
-    """t*P(a); every socle-side entry point gets its request checked here."""
-    t = _check_request(ring, a, t)
-    P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a.gens))
-    return scale(P, t)
-
-
 @cache
 def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
     """The minimal generators, in (l, lex) order, of the up-set of the ray
@@ -195,7 +187,7 @@ def _socle_witness(ring: ToricRing, tP: NewtonPolyhedron, u: IntVec, q: int):
 
 def _validate_socle_point(ring: ToricRing, u) -> IntVec:
     u = int_vector(u)
-    if not ring.in_semigroup(vec_neg(u)):
+    if not check_ring(ring).in_semigroup(vec_neg(u)):
         raise InputError(f"{u} is not in -sigma_dual cap M")
     return u
 

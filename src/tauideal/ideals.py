@@ -39,7 +39,7 @@ from .errors import (
 )
 from . import polyhedra
 from .enumeration import hilbert_basis, upset_union
-from .lattice import IntVec, ToricRing, _below_masks, _points, int_scalar, int_vector
+from .lattice import IntVec, ToricRing, _below_masks, _points, check_ring, int_scalar, int_vector
 from .lattice import int_vectors, minimal_vectors_orthant, orthant_ring, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
@@ -77,8 +77,7 @@ class MonomialIdeal:
     gens: tuple[IntVec, ...]
 
     def __post_init__(self):
-        if not isinstance(self.ring, ToricRing):
-            raise InputError(f"an ideal's ring must be a ToricRing, got {self.ring!r}")
+        check_ring(self.ring)
         if type(self.gens) is not tuple or not {tuple}.issuperset(map(type, self.gens)):
             raise InputError(f"an ideal's generators must be tuples in a tuple, got {self.gens!r}")
 
@@ -102,10 +101,7 @@ class MonomialIdeal:
         are checked: one of the wrong length raises DimensionMismatchError,
         one outside the semigroup SemigroupMembershipError.
         """
-        _check_same_ring(self, other)
-        n = len(other.gens)
-        coords = _ray_coords(self.ring, other.gens + self.gens)
-        return _covers(coords[:n], coords[n:])
+        return _covers(*_paired_rows(other, self))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return multiply(self, other)
@@ -129,6 +125,15 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
         raise RingMismatchError("ideals live in different rings")
 
 
+def _paired_rows(I: MonomialIdeal, J: MonomialIdeal) -> tuple[list[IntVec], list[IntVec]]:
+    """The checked ray coordinates of I's generators and of J's, two ideals
+    of one ring (RingMismatchError otherwise), from one ``_ray_coords`` call."""
+    _check_same_ring(I, J)
+    rows = _ray_coords(I.ring, I.gens + J.gens)
+    n = len(I.gens)
+    return rows[:n], rows[n:]
+
+
 def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     """Divisibility-minimal generating set; the unit ideal normalizes to {0}.
 
@@ -144,7 +149,7 @@ def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
 
 
 def unit_ideal(ring: ToricRing) -> MonomialIdeal:
-    return MonomialIdeal(ring=ring, gens=(tuple(0 for _ in range(ring.d)),))
+    return MonomialIdeal(ring=ring, gens=(tuple(0 for _ in range(check_ring(ring).d)),))
 
 
 def zero_ideal(ring: ToricRing) -> MonomialIdeal:
@@ -153,8 +158,9 @@ def zero_ideal(ring: ToricRing) -> MonomialIdeal:
 
 def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     """The irrelevant ideal, of the Hilbert basis of sigma_dual cap M (the
-    unit vectors on the orthant); irreducibles divide none of each other."""
-    return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(ring))))
+    unit vectors on the orthant); irreducibles divide none of each other.
+    The ring is checked before the basis cache hashes it."""
+    return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(check_ring(ring)))))
 
 
 def _field_width(A, B) -> int:
@@ -211,10 +217,7 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Ray coordinates add, so the generators of I*J are the points
     (``_points``) of the minimal sums of the generators' checked ray
     coordinates (``_sums``); those points divide none of each other."""
-    _check_same_ring(I, J)
-    rows = _ray_coords(I.ring, I.gens + J.gens)
-    n = len(I.gens)
-    gens = _points(I.ring, _sums(rows[:n], rows[n:]))
+    gens = _points(I.ring, _sums(*_paired_rows(I, J)))
     return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))
 
 
@@ -265,10 +268,7 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """x^m lies in (x^g) and in (x^h) iff its ray coordinates dominate
     those of g and of h, so I cap J is the up-set union over the pairs
     (g, h) of their componentwise maxima."""
-    _check_same_ring(I, J)
-    coords = _ray_coords(I.ring, I.gens + J.gens)
-    n = len(I.gens)
-    return _upset_union(I.ring, _maxima(coords[:n], coords[n:]))
+    return _upset_union(I.ring, _maxima(*_paired_rows(I, J)))
 
 
 def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -278,12 +278,10 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     bound vectors, from the zero vector (the unit ideal), one ``_maxima``
     step per h, and the ideal is built once at the end; the zero vector
     clamps every negative difference at 0, as rc(m) >= 0 on sigma_dual."""
-    _check_same_ring(I, J)
-    coords = _ray_coords(I.ring, I.gens + J.gens)
-    n = len(I.gens)
+    rows_I, rows_J = _paired_rows(I, J)
     bounds = [(0,) * len(I.ring.sigma.rays)]
-    for h in coords[n:]:
-        bounds = _maxima(bounds, [tuple(map(sub, g, h)) for g in coords[:n]])
+    for h in rows_J:
+        bounds = _maxima(bounds, [tuple(map(sub, g, h)) for g in rows_I])
     return _upset_union(I.ring, bounds)
 
 

@@ -465,11 +465,19 @@ class ToricRing:
         return all(pairing(m, h) >= 0 for h in self.sigma_dual.halfspaces)
 
 
+def check_ring(ring) -> ToricRing:
+    """ring, after checking that it is a ToricRing: InputError otherwise."""
+    if not isinstance(ring, ToricRing):
+        raise InputError(f"the ring must be a ToricRing, got {ring!r}")
+    return ring
+
+
 def semigroup_columns(ring: ToricRing, vectors) -> list[list[int]]:
-    """``pairing_columns`` of the sequence ``vectors`` with the rays of
-    sigma, after checking the vectors: one with an entry that is not an int
-    raises InputError, one of the wrong length DimensionMismatchError and
-    one outside sigma_dual SemigroupMembershipError, each naming the vector."""
+    """``pairing_columns`` of ``vectors`` with the rays of sigma, after
+    ``check_ring`` and a check of each vector: an entry that is not an int
+    raises InputError, a wrong length DimensionMismatchError and a vector
+    outside sigma_dual SemigroupMembershipError, each naming the vector."""
+    check_ring(ring)
     if not {int}.issuperset(map(type, chain.from_iterable(vectors))):
         bad = next(v for v in vectors if not {int}.issuperset(map(type, v)))
         raise InputError(f"generator {bad} has an entry that is not an int")

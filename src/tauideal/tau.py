@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 
 from .enumeration import shared, upset_union
-# minimal_upset_generators is bound here only for perfbench/layers.py
-from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import InputError
-from .ideals import MonomialIdeal, minimalize
-from .lattice import IntVec, ToricRing, int_scalar, primitivize, toric_ring, unit_vectors
+from .ideals import MonomialIdeal, maximal_ideal
+# minimal_upset_generators and minimalize are bound here only for perfbench/layers.py
+from .enumeration import minimal_upset_generators  # noqa: F401
+from .ideals import minimalize  # noqa: F401
+from .lattice import IntVec, ToricRing, check_ring, int_scalar, primitivize, toric_ring
+from .lattice import unit_vectors
 from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 
 
@@ -38,12 +39,19 @@ def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
     return exponent(t)
 
 
+def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t):
+    """t*P(a), after ``_check_request``: the one builder of a route's
+    polyhedron (tau's, and the socle route's in ``frobenius``), with P(a)
+    shared on (ring, a.gens) inside a ``sharing`` block."""
+    t = _check_request(ring, a, t)
+    P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a.gens))
+    return scale(P, t)
+
+
 def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
     """The bounds (a, c), c > 0, cutting tau(a^t) out of sigma_dual cap M; none
     at t = 0, where t*P(a) is sigma_dual and <m + w, n> > 0 as <w, n> = 1."""
-    t = _check_request(ring, a, t)
-    P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a.gens))
-    return lattice_inequalities(scale(P, t), ring.w, strict=True)
+    return lattice_inequalities(_scaled_polyhedron(ring, a, t), ring.w, strict=True)
 
 
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
@@ -83,17 +91,15 @@ def _veronese_rays(d: int, r: int) -> list[IntVec]:
 
 
 def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:
-    """The irrelevant maximal ideal of the Veronese ring in adapted coordinates.
-
-    Its generators correspond to the degree-r monomials of the polynomial
-    ring: (1, c_2, ..., c_d) for the exponents c of x_2..x_d, of sum <= r.
-    On any ring but ``veronese_ring(d, r)`` these points are not that ring's
-    maximal ideal, so any other ring is an InputError.  Rings are equal iff
+    """The irrelevant maximal ideal of ``veronese_ring(d, r)``: its
+    ``maximal_ideal``, whose Hilbert basis generators are the degree-r
+    monomials of the polynomial ring, (1, c_2, ..., c_d) in adapted
+    coordinates for the exponents c of x_2..x_d of sum <= r.  Any other
+    ring is an InputError, as (d, r) name the ring.  Rings are equal iff
     their sigma's extreme rays are, so no cone is built to compare.
     """
     if min(int_scalar("d", d), int_scalar("r", r)) < 1:
         raise InputError("veronese_maximal_ideal needs positive parameters")
-    if set(ring.sigma.rays) != set(map(primitivize, _veronese_rays(d, r))):
+    if set(check_ring(ring).sigma.rays) != set(map(primitivize, _veronese_rays(d, r))):
         raise InputError(f"the ring is not veronese_ring({d}, {r})")
-    tails = product(range(r + 1), repeat=d - 1)
-    return minimalize(ring, [(1,) + c for c in tails if sum(c) <= r])
+    return maximal_ideal(ring)

@@ -261,10 +261,21 @@ def test_bad_shape_hint_rejected(tmp_path, generators, hint):
     ({"d": "2", "cone_generators": [[1, 0], [0, 1]]}, [[1, 0]]),
     ({"cone_generators": [["1", "0"], [0, 1]]}, [[1, 0]]),
     ({"cone_generators": [[1, 0], [0, 1]]}, [["1", "0"]]),
+    # rows that are not sequences of numbers
+    ({"cone_generators": [[1, 0], 5]}, [[1, 0]]),
+    ({"cone_generators": [[1, 0], [0, 1]]}, [5]),
+    ({"cone_generators": [[1, 0], "12"]}, [[1, 0]]),
+    ({"cone_generators": [[1, 0], [0, 1]]}, ["12"]),
+    ({"cone_generators": [[1, 0], None]}, [[1, 0]]),
+    ({"cone_generators": [[1, 0], [0, 1]]}, [None]),
+    ({"cone_generators": [[1, 0], {"x": 0, "y": 1}]}, [[1, 0]]),
+    ({"cone_generators": [[1, 0], [0, 1]]}, [{"x": 1, "y": 0}]),
 ], ids=[
     "float-rank", "float-ideal", "float-cone",
     "bool-rank", "bool-cone", "bool-ideal",
     "string-rank", "string-cone", "string-ideal",
+    "int-row-cone", "int-row-ideal", "string-row-cone", "string-row-ideal",
+    "null-row-cone", "null-row-ideal", "dict-row-cone", "dict-row-ideal",
 ])
 def test_non_integer_json_numbers_rejected(tmp_path, ring_data, ideal_gens):
     ring = tmp_path / "ring.json"

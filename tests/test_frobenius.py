@@ -1,6 +1,7 @@
 """Finite-q Frobenius oracles against the polyhedral engine."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -656,6 +657,9 @@ def test_every_tau_route_checks_its_request_with_one_function(monkeypatch):
         calls["check"] += 1
         return _real(ring, a, t)
 
+    # the socle routes check through tau._scaled_polyhedron, the root route
+    # directly: both bindings count, and each route checks once
+    monkeypatch.setattr(sys.modules["tauideal.tau"], "_check_request", counted)
     monkeypatch.setattr(tauideal.frobenius, "_check_request", counted)
     for route in routes[1:]:
         route(R2, m, 1)

@@ -48,7 +48,7 @@ from tauideal.ideals import (
 from tauideal.lattice import (
     IntVec, orthant_ring, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
 )
-from tauideal.tau import veronese_maximal_ideal, veronese_ring
+from tauideal.tau import veronese_ring
 
 
 R2 = orthant_ring(2)
@@ -871,9 +871,12 @@ def test_maximal_ideal_is_the_irrelevant_ideal_on_every_ring():
         ring = orthant_ring(d)
         units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
         assert maximal_ideal(ring) == minimalize(ring, units)
+    # on veronese_ring(d, r) it is made of the degree-r monomials (1, c),
+    # c the exponents of x_2..x_d of sum <= r
     for d, r in ((2, 2), (2, 3), (3, 2), (4, 2), (2, 5), (1, 3)):
         ring = veronese_ring(d, r)
-        assert maximal_ideal(ring) == veronese_maximal_ideal(ring, d, r)
+        tails = product(range(r + 1), repeat=d - 1)
+        assert maximal_ideal(ring) == minimalize(ring, [(1,) + c for c in tails if sum(c) <= r])
     # off the orthant the unit vectors miss the Hilbert basis element (2, -1)
     assert maximal_ideal(toric_ring([(1, 0), (1, 2)])).gens == ((0, 1), (1, 0), (2, -1))
 

@@ -232,9 +232,11 @@ def test_unused_imports_are_exactly_perfbench_wrap_sites():
         "frobenius.frobenius_root",
         "frobenius.minimal_upset_generators",
         "frobenius.minimalize",
+        "frobenius.newton_polyhedron",
         "frobenius.power",
         "ideals.toric_ring",
         "tau.minimal_upset_generators",
+        "tau.minimalize",
     }
 
 
@@ -304,3 +306,20 @@ def test_ideals_upset_union_is_the_one_adapter_from_boxes():
                     and (len(node.args) > 2 or any(k.arg == "boxes" for k in node.keywords))
                 }
     assert found == {"ideals.py:_upset_union"}
+
+
+def test_the_newton_sharing_key_is_built_in_one_place():
+    # every route that reads t*P(a) gets it from ``tau._scaled_polyhedron``,
+    # so P(a) is shared under one key; a second builder of the key
+    # ("newton", ring, a.gens) shows up as a diff here
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{func.name}" for node in _own_nodes(func)
+                    if isinstance(node, ast.Tuple) and node.elts
+                    and getattr(node.elts[0], "value", None) == "newton"
+                }
+    assert found == {"tau.py:_scaled_polyhedron"}

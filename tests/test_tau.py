@@ -1,6 +1,7 @@
 """The polyhedral test-ideal engine."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -177,10 +178,14 @@ def test_veronese_maximal_ideal_refuses_another_ring():
         with pytest.raises(InputError, match="not veronese_ring"):
             veronese_maximal_ideal(ring, d, r)
     # with d = 1 every r gives k[x], whose sigma is spanned by (1,), not (r,)
+    # on its own ring it is the degree-r monomials (1, c), c the exponents
+    # of x_2..x_d of sum <= r
     for d, r in ((2, 2), (2, 3), (3, 2), (1, 3)):
         ring = veronese_ring(d, r)
-        assert veronese_maximal_ideal(ring, d, r) == maximal_ideal(ring)
-    assert veronese_maximal_ideal(orthant_ring(1), 1, 3) == maximal_ideal(orthant_ring(1))
+        tails = product(range(r + 1), repeat=d - 1)
+        want = minimalize(ring, [(1,) + c for c in tails if sum(c) <= r])
+        assert veronese_maximal_ideal(ring, d, r) == want
+    assert veronese_maximal_ideal(orthant_ring(1), 1, 3) == minimalize(orthant_ring(1), [(1,)])
 
 
 def test_predicate_is_exact_beyond_int64():

@@ -2,11 +2,12 @@
 them that are not sequences, raise InputError."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tauideal.campaigns import run_crosscheck
+from tauideal.campaigns import random_monomial_ideal, run_crosscheck
 from tauideal.errors import InputError, TauIdealError
 from tauideal.frobenius import (
     in_star_E,
@@ -23,6 +24,7 @@ from tauideal.ideals import (
     frobenius_root,
     integral_closure,
     kill_variable,
+    maximal_ideal,
     minimalize,
     multiply,
     power,
@@ -31,7 +33,7 @@ from tauideal.ideals import (
 )
 from tauideal.lattice import cone_from_rays, dual_extreme_rays, orthant_ring, toric_ring
 from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron
-from tauideal.tau import tau
+from tauideal.tau import tau, veronese_maximal_ideal
 
 R = orthant_ring(2)
 A = minimalize(R, [(2, 0), (0, 3)])
@@ -179,3 +181,26 @@ def test_rational_shifts_and_points_are_still_accepted():
     assert dual_extreme_rays([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
     # an exponent may still be a float or a string, as exponent's docstring says
     assert exponent(0.5) == exponent("1/2") == Fraction(1, 2)
+
+
+# each of these but MonomialIdeal raised an AttributeError from reading the
+# ring's fields, and maximal_ideal of a list a TypeError from the Hilbert
+# basis cache's hash
+NOT_RINGS = {
+    "minimalize": lambda ring: minimalize(ring, [(1, 0)]),
+    "newton_polyhedron": lambda ring: newton_polyhedron(ring, [(1, 0)]),
+    "unit_ideal": lambda ring: unit_ideal(ring),
+    "maximal_ideal": lambda ring: maximal_ideal(ring),
+    "veronese_maximal_ideal": lambda ring: veronese_maximal_ideal(ring, 2, 2),
+    "random_monomial_ideal": lambda ring: random_monomial_ideal(Random(0), ring),
+    "MonomialIdeal": lambda ring: MonomialIdeal(ring, ((1, 0),)),
+    "in_star_E": lambda ring: in_star_E(ring, A, 1, (0, 0), qmax=4),
+    "socle_piece_vanishes_at_q": lambda ring: socle_piece_vanishes_at_q(ring, A, 1, (0, 0), 4),
+}
+
+
+@pytest.mark.parametrize("ring", [None, [1], R.sigma], ids=["None", "list", "cone"])
+@pytest.mark.parametrize("name", sorted(NOT_RINGS))
+def test_a_ring_that_is_not_a_toric_ring_is_an_input_error(name, ring):
+    with pytest.raises(InputError):
+        NOT_RINGS[name](ring)
