@@ -4,12 +4,14 @@ The enumeration is graded by the strictly positive functional l(x) = sum_i
 <x, n_i> over the cone generators.  Every up-set it serves is cut out of
 sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, and
 ``degree_bound`` proves from those pairs a degree B above which no minimal
-generator lies.  The up-set kernel ``minimal_upset_generators`` scans
-sigma_dual cap M a line at a time along one extreme ray r of sigma_dual
-(``_Lines``): the members on a line form a half-line whose least point
-comes from one floor division per pair, and only that point can be a
-minimal generator, so the work follows the lines up to degree B, about
-B^(d-1) of them, and not their B^d points.  The lines' bottoms come from a
+generator lies; a caller that proved a bound from its own data (the socle
+oracle) hands it to ``upset_union`` in place of the double description.
+The up-set kernel ``minimal_upset_generators`` scans sigma_dual cap M a
+line at a time along one extreme ray r of sigma_dual (``_Lines``): the
+members on a line form a half-line whose least point comes from one floor
+division per pair, and only that point can be a minimal generator, so the
+work follows the lines up to degree B, about B^(d-1) of them, and not
+their B^d points.  The lines' bottoms come from a
 semigroup walk over the Hilbert basis without r, cached per ring, the
 package's one walk: ``lattice_points_upto`` reads every point off them as
 a bottom plus a multiple of r.  ``upset_union`` is the package's one up-set
@@ -106,19 +108,27 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     (``polyhedra._vertex_rays``, one double description), so ceil(l(V)) is
     the integer quotient ceil(<x, l>/s).
     """
+    bound = _slice_bound(ring, ineqs)
+    if bound is not None:
+        return bound
+    ell = ell_vector(ring)
+    # map stops at ell's end, so <x, l> skips the last coordinate s of (x, s)
+    top = max(-(-sum(map(mul, e, ell)) // e[-1]) for e in _vertex_rays(ring.sigma_dual, ineqs))
+    return top + _ray_degree_sum(ring) - 1
+
+
+def _slice_bound(ring: ToricRing, ineqs) -> int | None:
+    """The slice branch's bound k* + H - 1 of ``degree_bound``, or None
+    where some pair has <r, a> <= 0 for an extreme ray r of sigma_dual."""
     ell = ell_vector(ring)
     rays = [(r, pairing(r, ell)) for r in ring.sigma_dual.rays]
     k_star = 0
     for a, c in ineqs:
         slopes = [(deg, sum(map(mul, r, a))) for r, deg in rays]
         if min(ra for _, ra in slopes) <= 0:
-            break
+            return None
         k_star = max(k_star, *[-(-c * deg // ra) for deg, ra in slopes])
-    else:
-        return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
-    # map stops at ell's end, so <x, l> skips the last coordinate s of (x, s)
-    top = max(-(-sum(map(mul, e, ell)) // e[-1]) for e in _vertex_rays(ring.sigma_dual, ineqs))
-    return top + _ray_degree_sum(ring) - 1
+    return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
 
 
 class _Lines:
@@ -331,9 +341,10 @@ _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 @contextmanager
 def sharing():
     """A scope in which ``shared`` computes P(a), keyed on (ring, a.gens), and
-    each ``upset_union``, keyed on (ring, pair sets, boxes), once.  Callers still
-    compile their own pairs, and a hit is what the same pure function returns
-    on equal inputs, so routes that meet in a block compare as without it.
+    each ``upset_union``'s scan, keyed on (ring, pair sets, boxes), once.
+    Callers still compile their own pairs and prove their own bounds, and a
+    hit is what the same pure function returns on equal inputs, so routes
+    that meet in a block compare as without it.
     Nothing outlives a block, even one that raised.  A scope, not an
     argument, keeps the signatures that stand-ins for ``tau`` take."""
     token = _shared.set({})
@@ -353,8 +364,47 @@ def shared(key, compute):
     return memo[key]
 
 
+class _Union:
+    """A union's split into the boxes one lattice point realizes and the
+    sets left to scan, with the generators once scanned (``upset_union``)."""
+
+    def __init__(self, ring: ToricRing, ineq_sets, boxes):
+        rays = ring.sigma.rays
+        bounds, others = list(boxes), []
+        for ineqs in ineq_sets:
+            if all(a in rays for a, _ in ineqs):
+                bounds.append(tuple(max([0, *(c for a, c in ineqs if a == n)]) for n in rays))
+            else:
+                others.append(ineqs)
+        self.realized = {}
+        if bounds:  # most calls have none, and the candidate solve costs even so
+            tops = minimal_vectors_orthant(bounds)
+            points = _points(ring, tops)
+            coords = zip(*pairing_columns(points, rays))
+            self.realized = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
+            others += [tuple(zip(rays, v)) for v in tops if v not in self.realized]
+        self.ring, self.others = ring, others
+        # points of distinct minimal boxes divide none of each other
+        self.gens = None if others else tuple(sorted(self.realized.values()))
+        self.proven = self.slices = None
+
+    def top(self, bound: int | None) -> int:
+        """The degree the scan runs to for a caller's ``bound``: with none,
+        the largest ``degree_bound`` over the sets to scan; else the largest
+        over them of the slice bound (``_slice_bound``) or, where the slice
+        argument does not cover a set, ``bound``.  The sets' bounds are
+        worked out once per union."""
+        if bound is None:
+            if self.proven is None:
+                self.proven = max(degree_bound(self.ring, ineqs) for ineqs in self.others)
+            return self.proven
+        if self.slices is None:
+            self.slices = [_slice_bound(self.ring, ineqs) for ineqs in self.others]
+        return max(bound if b is None else b for b in self.slices)
+
+
 def upset_union(
-    ring: ToricRing, ineq_sets, boxes=()
+    ring: ToricRing, ineq_sets, boxes=(), bound: int | None = None
 ) -> tuple[tuple[IntVec, ...], int]:
     """(sorted minimal generators, lines scanned) of the union of the up-sets
     the integer pair sets cut out and of the ``boxes``.
@@ -366,36 +416,32 @@ def upset_union(
     member, so it is the box's only generator; ``lattice._points`` finds it
     where it exists (always on a smooth cone).  The other boxes and sets are
     scanned together by one ``minimal_upset_generators`` call, up to the
-    largest of their bounds, as a minimal generator of a union is one of
-    some member, and merged with the realized points on ray coordinates.
-    The count is of the lines that call scanned, the prefix of bottoms that
-    ``_Lines.grow`` of that bound gives the kernel.
+    largest of their degree bounds, as a minimal generator of a union is
+    one of some member, and merged with the realized points on ray
+    coordinates.  A set's bound is its slice bound where the slice argument
+    of ``degree_bound`` covers it; else ``bound``, a degree bound the caller
+    proved for every member of the union, which stands in for the vertex
+    double description; else ``degree_bound``'s.  The count is of the lines
+    up to the largest of those bounds, the prefix of bottoms that
+    ``_Lines.grow`` of it gives the kernel; 0 when the realized points are
+    the whole answer.
+
+    Inside a ``sharing`` block the split and the scan are made once per
+    (ring, pair sets, boxes), and each call takes its own bound, so the
+    count a call returns depends only on that call: it is of the lines up
+    to its own bound, whether the scan ran for it or for an equal request.
     """
     ineq_sets = tuple(map(tuple, ineq_sets))
     boxes = tuple(boxes)
-
-    def compute():
-        rays = ring.sigma.rays
-        bounds, others = list(boxes), []
-        for ineqs in ineq_sets:
-            if all(a in rays for a, _ in ineqs):
-                bounds.append(tuple(max([0, *(c for a, c in ineqs if a == n)]) for n in rays))
-            else:
-                others.append(ineqs)
-        realized = {}
-        if bounds:  # most calls have none, and the candidate solve costs even so
-            tops = minimal_vectors_orthant(bounds)
-            points = _points(ring, tops)
-            coords = zip(*pairing_columns(points, rays))
-            realized = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
-            others += [tuple(zip(rays, v)) for v in tops if v not in realized]
-        if not others:  # points of distinct minimal boxes divide none of each other
-            return tuple(sorted(realized.values())), 0
-        bound = max(degree_bound(ring, ineqs) for ineqs in others)
-        gens = minimal_upset_generators(ring, least_offsets(ring, others, bound), bound)
+    union = shared(("upset", ring, ineq_sets, boxes), lambda: _Union(ring, ineq_sets, boxes))
+    if not union.others:
+        return union.gens, 0
+    top = union.top(bound)
+    if union.gens is None:
+        gens = minimal_upset_generators(ring, least_offsets(ring, union.others, top), top)
+        realized = union.realized
         if realized:
-            realized.update(zip(zip(*pairing_columns(gens, rays)), gens))
+            realized.update(zip(zip(*pairing_columns(gens, ring.sigma.rays)), gens))
             gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]
-        return tuple(sorted(gens)), _lines(ring).grow(bound)
-
-    return shared(("upset", ring, ineq_sets, boxes), compute)
+        union.gens = tuple(sorted(gens))
+    return union.gens, _lines(ring).grow(top)

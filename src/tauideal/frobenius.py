@@ -220,11 +220,13 @@ def in_star_E(
 
 @dataclass(frozen=True)
 class SocleOracleResult:
-    """``points_checked``: the lines scanned by the up-set kernel call the
-    ideal came from (in a ``sharing`` block, maybe an equal request's), one
-    per bottom of degree up to the largest proven bound of the corners'
-    up-sets (``enumeration.degree_bound``, ``enumeration._Lines``); 0 when a
-    lattice point realizes every corner's box (``upset_union``)."""
+    """``points_checked``: the lines of the up-set kernel up to the degree
+    bound ``tau_socle_oracle`` proves for its corners' up-sets (the slice
+    bound instead for a corner the slice argument of
+    ``enumeration.degree_bound`` covers), one per bottom of degree up to it
+    (``enumeration._Lines``), whether the scan ran for this call or, in a
+    ``sharing`` block, for an equal request; 0 when a lattice point
+    realizes every corner's box (``upset_union``)."""
 
     ideal: MonomialIdeal
     points_checked: int
@@ -237,9 +239,29 @@ def tau_socle_oracle(
 
     x^m enters the ideal exactly when the socle piece at u = -m fails to
     vanish at some examined q.
+
+    The witnessed m are the union over the corners x of the up-sets
+    S_x = {m in sigma_dual cap M : m + x/q in tP}, q the top q, and every
+    minimal generator m of S_x has l(m) < t*L + D - l(x)/q, with L the
+    largest l over the points G of P (``NewtonPolyhedron.points``) and D
+    the sum of the d largest l(r) over the extreme rays r of sigma_dual.
+    Proof: tP = t*conv(G) + sigma_dual (sigma_dual at t = 0), so
+    m + x/q - t*h lies in sigma_dual for some h in conv(G).  By
+    Caratheodory it is sum lambda_i r_i over at most d extreme rays r_i.
+    If some lambda_i >= 1, m - r_i meets the same condition with the same
+    h, and on every ray n of sigma <m - r_i, n> >= t*<h, n> - <x, n>/q
+    > -1, as h is in sigma_dual and <x, n> <= (q-1)*<w, n> = q - 1 for a
+    corner x of (q-1)*w - sigma_dual.  So the integer point m - r_i lies in
+    sigma_dual and in S_x, and m is not minimal.  Hence every lambda_i < 1,
+    so l(sum lambda_i r_i) < D (also for an empty sum, as D > 0), and
+    l(m) < D - l(x)/q + t*l(h) <= t*L + D - l(x)/q.  One bound covers
+    every corner: with t = u/v and l(m) an integer, l(m) <= B =
+    ceil((u*L*q + (D*q - min_x l(x))*v)/(v*q)) - 1.  The kernel takes B in
+    place of the vertex double description of ``enumeration.degree_bound``
+    for each corner's pairs.
     """
     tP = _scaled_polyhedron(ring, a, t)
-    qs = q_sweep(qmax, p)
+    q = q_sweep(qmax, p)[-1]
     # Dividing the witnesses x at q by q, m is witnessed at q iff some y in
     # M/q has <y, n_i> <= (q-1)/q for every ray n_i and m + y in tP.  From q
     # to p*q the lattice M/q only grows and so does the bound (q-1)/q, so
@@ -248,8 +270,14 @@ def tau_socle_oracle(
     # The witnessed m form the union of one up-set per corner
     # (``enumeration.upset_union``).  At t = 0 tP is sigma_dual, and the
     # corner above the origin witnesses it.
-    corner_ineqs = [ineqs for _, ineqs in _corner_inequalities(ring, tP, qs[-1])]
-    gens, checked = upset_union(ring, corner_ineqs)
+    corners = _corner_inequalities(ring, tP, q)
+    ell = enumeration.ell_vector(ring)
+    u, v = tP.scale.numerator, tP.scale.denominator
+    top = max(pairing(g, ell) for g in tP.points)
+    low = min(pairing(x, ell) for x, _ in corners)
+    num = u * top * q + (enumeration._ray_degree_sum(ring) * q - low) * v
+    bound = -(-num // (v * q)) - 1
+    gens, checked = upset_union(ring, [ineqs for _, ineqs in corners], bound=bound)
     return SocleOracleResult(MonomialIdeal(ring=ring, gens=gens), checked)
 
 

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import tauideal.enumeration as enumeration_module
 import tauideal.frobenius as frobenius_module
 from tauideal.enumeration import (
     _lines,
@@ -62,10 +63,11 @@ def reference_minimal_upset_generators(ring, is_member, bound):
     ]
 
 
-def reference_upset_union(ring, ineq_sets, boxes=()):
+def reference_upset_union(ring, ineq_sets, boxes=(), bound=None):
     """``upset_union`` with the walk-and-test kernel: realized boxes as
     there, the rest of the union tested point by point over its degree
-    shell."""
+    shell.  A caller's bound is taken and not used: the shell is bounded by
+    ``degree_bound`` with its double description."""
     rays = ring.sigma.rays
     bounds, others = list(boxes), []
     for ineqs in map(tuple, ineq_sets):
@@ -162,6 +164,59 @@ def test_upset_union_matches_brute_force_on_random_pair_sets(ring):
         members = [p for p in brute_points(ring, bound)
                    if any(member(ineqs, p) for ineqs in sets)]
         assert upset_union(ring, sets)[0] == tuple(brute_minimal(ring, members)), sets
+
+
+# -- the socle oracle's own degree bound --------------------------------------
+
+def socle_kernel_calls(ring, seed, monkeypatch):
+    """(pair sets, bound) of the kernel call of each tau_socle_oracle call
+    on seeded ideals of the ring at t = 0, 7/3 and a t of denominator
+    1000003, at p = 2 and 3 with qmax = p**2."""
+    calls = []
+    real = frobenius_module.upset_union
+    monkeypatch.setattr(
+        frobenius_module, "upset_union",
+        lambda ring, sets, bound=None: calls.append((sets, bound)) or real(ring, sets, bound=bound),
+    )
+    rng = Random(seed)
+    pool = lattice_points_upto(ring, 4)[1:]
+    for _ in range(2):
+        a = minimalize(ring, rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        for t in (0, Fraction(7, 3), Fraction(rng.randint(10**6 + 4, 2 * 10**6 + 5), 10**6 + 3)):
+            for p in (2, 3):
+                tau_socle_oracle(ring, a, t, qmax=p**2, p=p)
+    return calls
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_socle_bound_holds_on_every_corner_upset(ring, monkeypatch):
+    # every minimal generator of every corner's up-set, found by brute force
+    # up to the double description's bound as well, has degree <= the bound
+    ell = ell_vector(ring)
+    calls = socle_kernel_calls(ring, 6060 + len(ring.sigma.rays) * ring.d, monkeypatch)
+    assert len(calls) == 12
+    for sets, bound in calls:
+        for ineqs in sets:
+            top = max(bound, degree_bound(ring, ineqs))
+            members = [m for m in brute_points(ring, top) if member(ineqs, m)]
+            degrees = [pairing(m, ell) for m in brute_minimal(ring, members)]
+            assert max(degrees) <= bound, (ineqs, bound, degrees)
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_socle_oracle_runs_no_vertex_double_description(ring, monkeypatch):
+    # the corners' pair sets are bounded by the oracle's own bound or the
+    # slice argument; the ring's corners, a box union cached per residue of
+    # q - 1 that keeps the box's double description, are computed first
+    for q in (4, 9):
+        frobenius_module._socle_corners(ring, q)
+    vertex_dds = []
+    real = enumeration_module._vertex_rays
+    monkeypatch.setattr(
+        enumeration_module, "_vertex_rays", lambda *args: vertex_dds.append(args) or real(*args)
+    )
+    assert socle_kernel_calls(ring, 7070, monkeypatch)
+    assert vertex_dds == []
 
 
 # -- the seeded comparison ----------------------------------------------------
