@@ -334,6 +334,7 @@ def run_crosscheck(
     Each ideal's polyhedral and socle routes share P(a) and equal-pair
     enumerations in one ``sharing`` block, whose docstring says why that is
     sound and why it is a scope; the root route runs outside it."""
+    check_ring(ring)
     primes = sequence("primes", primes)
     if not primes:
         raise InputError("crosscheck needs at least one prime")

@@ -1,7 +1,9 @@
 """Lattice-point enumeration of up-closed sets in the exponent semigroup.
 
 The enumeration is graded by the strictly positive functional l(x) = sum_i
-<x, n_i> over the cone generators.  Every up-set it serves is cut out of
+<x, n_i> over the cone generators, derived once per ring with what every
+bound reads (the Hilbert basis, sigma_dual's ray degrees) in its record
+``_Lines``, the module's one cache.  Every up-set it serves is cut out of
 sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, and
 ``degree_bound`` proves from those pairs a degree B above which no minimal
 generator lies; a caller that proved a bound from its own data (the socle
@@ -11,11 +13,11 @@ line at a time along one extreme ray r of sigma_dual (``_Lines``): the
 members on a line form a half-line whose least point comes from one floor
 division per pair, and only that point can be a minimal generator, so the
 work follows the lines up to degree B, about B^(d-1) of them, and not
-their B^d points.  The lines' bottoms come from a
-semigroup walk over the Hilbert basis without r, cached per ring, the
-package's one walk: ``lattice_points_upto`` reads every point off them as
-a bottom plus a multiple of r.  ``upset_union`` is the package's one up-set
-kernel call: a box of ray coordinates that one lattice point realizes has
+their B^d points.  The lines' bottoms come from a semigroup walk over
+the Hilbert basis without r, kept in the record, the package's one walk:
+``lattice_points_upto`` reads every point off them as a bottom plus a
+multiple of r.  ``upset_union`` is the package's one up-set kernel call:
+a box of ray coordinates that one lattice point realizes has
 that point as its generator, and the rest of a union of up-sets is scanned
 once, up to the largest bound.
 """
@@ -39,43 +41,15 @@ def ell_vector(ring: ToricRing) -> IntVec:
     return tuple(map(sum, zip(*ring.sigma.rays)))
 
 
-def _ray_degree_sum(ring: ToricRing) -> int:
-    """D: the sum of the d largest l-degrees over the extreme rays of sigma_dual."""
-    ell = ell_vector(ring)
-    degrees = sorted((pairing(r, ell) for r in ring.sigma_dual.rays), reverse=True)
-    return sum(degrees[: ring.d])
-
-
-@cache
 def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
-    """The irreducible elements of sigma_dual cap M, sorted by (l, lex).
-
-    By Caratheodory each element m lies in the cone of d linearly independent
-    extreme rays r_i, as sum lambda_i r_i.  If some lambda_i >= 1, m - r_i is
-    in the semigroup, so an irreducible m is r_i itself or has every
-    lambda_i < 1.  Either way it lies in the zonotope sum_r [0, 1]*r over all
-    extreme rays r, whose coordinate box [sum min(0, r_k), sum max(0, r_k)]
-    in each coordinate k is all that is scanned.  The irreducible box points
-    are the nonzero box points of sigma_dual whose ray coordinates rc are
-    minimal among theirs (one ``lattice.minimal_vectors_orthant`` call): a
-    reducible m = h + s has an irreducible h in the box with rc(h) <= rc(m),
-    and any other such box point a splits m as a + (m - a).  Computed once
-    per ring.
-    """
-    rays = ring.sigma_dual.rays
-    box = [
-        range(sum(min(0, r[k]) for r in rays), sum(max(0, r[k]) for r in rays) + 1)
-        for k in range(ring.d)
-    ]
-    points = [p for p in product(*box) if any(p)]
-    coords = zip(*pairing_columns(points, ring.sigma.rays))
-    by_coords = {rc: p for p, rc in zip(points, coords) if min(rc) >= 0}
-    return tuple(by_degree(ring, [by_coords[rc] for rc in minimal_vectors_orthant(by_coords)]))
+    """The irreducible elements of sigma_dual cap M, sorted by (l, lex):
+    the ring's ``_Lines`` record, which derives them once per ring."""
+    return _lines(ring).basis
 
 
 def by_degree(ring: ToricRing, points) -> list[IntVec]:
     """The points sorted by (l, lex), l the grading functional."""
-    ell = ell_vector(ring)
+    ell = _lines(ring).ell
     return sorted(points, key=lambda p: (pairing(p, ell), p))
 
 
@@ -106,33 +80,45 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     l(r), and l(m) <= ceil(max l(V)) + D - 1 as l(m) is an integer.  The
     vertices are x/s for the integer rays (x, s) of the homogenized region
     (``polyhedra._vertex_rays``, one double description), so ceil(l(V)) is
-    the integer quotient ceil(<x, l>/s).
+    the integer quotient ceil(<x, l>/s).  l, H and D come from ``_Lines``.
     """
     bound = _slice_bound(ring, ineqs)
     if bound is not None:
         return bound
-    ell = ell_vector(ring)
-    # map stops at ell's end, so <x, l> skips the last coordinate s of (x, s)
-    top = max(-(-sum(map(mul, e, ell)) // e[-1]) for e in _vertex_rays(ring.sigma_dual, ineqs))
-    return top + _ray_degree_sum(ring) - 1
+    vertices, lines = _vertex_rays(ring.sigma_dual, ineqs), _lines(ring)
+    # map stops at l's end, so <x, l> skips the last coordinate s of (x, s)
+    top = max(-(-sum(map(mul, e, lines.ell)) // e[-1]) for e in vertices)
+    return top + lines.D - 1
 
 
 def _slice_bound(ring: ToricRing, ineqs) -> int | None:
     """The slice branch's bound k* + H - 1 of ``degree_bound``, or None
     where some pair has <r, a> <= 0 for an extreme ray r of sigma_dual."""
-    ell = ell_vector(ring)
-    rays = [(r, pairing(r, ell)) for r in ring.sigma_dual.rays]
+    lines = _lines(ring)
     k_star = 0
     for a, c in ineqs:
-        slopes = [(deg, sum(map(mul, r, a))) for r, deg in rays]
+        slopes = [(deg, sum(map(mul, r, a))) for deg, r in lines.ray_degrees]
         if min(ra for _, ra in slopes) <= 0:
             return None
         k_star = max(k_star, *[-(-c * deg // ra) for deg, ra in slopes])
-    return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
+    return k_star + lines.H - 1
 
 
 class _Lines:
-    """The lines of sigma_dual cap M along one ray, for the up-set kernel.
+    """The ring's grading and the lines of sigma_dual cap M along one ray,
+    derived once per ring for the degree bounds and the up-set kernel.
+
+    The Hilbert basis, the irreducible elements of sigma_dual cap M: by
+    Caratheodory each element m lies in the cone of d linearly independent
+    extreme rays r_i, as sum lambda_i r_i.  If some lambda_i >= 1, m - r_i is
+    in the semigroup, so an irreducible m is r_i itself or has every
+    lambda_i < 1.  Either way it lies in the zonotope sum_r [0, 1]*r over all
+    extreme rays r, whose coordinate box [sum min(0, r_k), sum max(0, r_k)]
+    in each coordinate k is all that is scanned.  The irreducible box points
+    are the nonzero box points of sigma_dual whose ray coordinates rc are
+    minimal among theirs (one ``lattice.minimal_vectors_orthant`` call): a
+    reducible m = h + s has an irreducible h in the box with rc(h) <= rc(m),
+    and any other such box point a splits m as a + (m - a).
 
     r is the (l, lex)-least extreme ray of sigma_dual; it is primitive, so a
     Hilbert basis element.  Every lattice point p of sigma_dual is b + k*r
@@ -156,28 +142,39 @@ class _Lines:
     (induction on k).  A dict drops repeats.  There are about B^(d-1)
     bottoms of degree up to B, against B^d points.
 
-    State, grown lazily and kept for the life of the process: ``levels``
-    (level k maps each bottom of degree k to its walk index), ``flat`` and
-    ``degrees`` (the bottoms and their degrees in level order, so those of
-    degree <= B are a prefix), ``pos`` (each bottom's place in ``flat``) and
-    ``near`` (the neighbours of the bottoms that were once a kernel's
-    candidate).
+    Fixed state: ``ell`` (l, by ``ell_vector``), ``ray_degrees`` (the
+    (l(v), v) over the extreme rays v of sigma_dual, sorted: (``lr``, ``r``)
+    is the first, ``D`` the sum of the last d l(v)), ``basis`` (the Hilbert
+    basis by (l, lex)), ``H`` (its largest l), ``plus``, ``zero`` and
+    ``steps``.  Grown lazily and kept for the life of
+    the process: ``levels`` (level k maps each bottom of degree k to its
+    walk index), ``flat`` and ``degrees`` (the bottoms and their degrees in
+    level order, so those of degree <= B are a prefix), ``pos`` (each
+    bottom's place in ``flat``) and ``near`` (the neighbours of the bottoms
+    that were once a kernel's candidate).
     """
 
     def __init__(self, ring: ToricRing):
-        ell = ell_vector(ring)
+        self.ell = ell = ell_vector(ring)
         self.rays = ring.sigma.rays
-        self.r = r = min(ring.sigma_dual.rays, key=lambda v: (pairing(v, ell), v))
-        self.lr = pairing(r, ell)
-        self.plus = [(i, pairing(r, n)) for i, n in enumerate(self.rays) if pairing(r, n) > 0]
-        self.zero = [i for i, n in enumerate(self.rays) if pairing(r, n) == 0]
-        basis = hilbert_basis(ring)
-        coords = zip(*pairing_columns(basis, self.rays))
-        # (walk index j, h, rc(h), l(h)) for h != r, rc the ray coordinates
-        self.steps = [
-            (j, h, rc, pairing(h, ell))
-            for j, (h, rc) in enumerate(zip(basis, coords)) if h != r
-        ]
+        self.ray_degrees = sorted((pairing(v, ell), v) for v in ring.sigma_dual.rays)
+        self.lr, self.r = self.ray_degrees[0]
+        self.D = sum(deg for deg, _ in self.ray_degrees[-ring.d:])
+        rn = [pairing(self.r, n) for n in self.rays]
+        self.plus = [(i, x) for i, x in enumerate(rn) if x > 0]
+        self.zero = [i for i, x in enumerate(rn) if x == 0]
+        box = [range(sum(x for x in c if x < 0), sum(x for x in c if x > 0) + 1)
+               for c in zip(*ring.sigma_dual.rays)]
+        points = [p for p in product(*box) if any(p)]
+        coords = zip(*pairing_columns(points, self.rays))
+        by_coords = {rc: p for p, rc in zip(points, coords) if min(rc) >= 0}
+        minimal = {by_coords[rc]: rc for rc in minimal_vectors_orthant(by_coords)}
+        # (l(h), h, rc(h)) over the Hilbert basis, rc the ray coordinates
+        basis = sorted((pairing(h, ell), h, rc) for h, rc in minimal.items())
+        self.basis = tuple(h for _, h, _ in basis)
+        self.H = basis[-1][0]
+        # (walk index j, h, rc(h), l(h)) for h != r
+        self.steps = [(j, h, rc, e) for j, (e, h, rc) in enumerate(basis) if h != self.r]
         origin = (0,) * ring.d
         self.levels = [{origin: 0}]
         self.flat = [origin]
@@ -231,7 +228,7 @@ class _Lines:
 
 @cache
 def _lines(ring: ToricRing) -> _Lines:
-    """The ring's ``_Lines``, shared by every kernel call on it."""
+    """The ring's ``_Lines``, shared by every bound and kernel call on it."""
     return _Lines(ring)
 
 

@@ -244,7 +244,7 @@ def tau_socle_oracle(
     S_x = {m in sigma_dual cap M : m + x/q in tP}, q the top q, and every
     minimal generator m of S_x has l(m) < t*L + D - l(x)/q, with L the
     largest l over the points G of P (``NewtonPolyhedron.points``) and D
-    the sum of the d largest l(r) over the extreme rays r of sigma_dual.
+    the sum of the d largest l(r) over the rays r of sigma_dual (``_Lines``).
     Proof: tP = t*conv(G) + sigma_dual (sigma_dual at t = 0), so
     m + x/q - t*h lies in sigma_dual for some h in conv(G).  By
     Caratheodory it is sum lambda_i r_i over at most d extreme rays r_i.
@@ -271,11 +271,11 @@ def tau_socle_oracle(
     # (``enumeration.upset_union``).  At t = 0 tP is sigma_dual, and the
     # corner above the origin witnesses it.
     corners = _corner_inequalities(ring, tP, q)
-    ell = enumeration.ell_vector(ring)
+    lines = enumeration._lines(ring)
     u, v = tP.scale.numerator, tP.scale.denominator
-    top = max(pairing(g, ell) for g in tP.points)
-    low = min(pairing(x, ell) for x, _ in corners)
-    num = u * top * q + (enumeration._ray_degree_sum(ring) * q - low) * v
+    top = max(pairing(g, lines.ell) for g in tP.points)
+    low = min(pairing(x, lines.ell) for x, _ in corners)
+    num = u * top * q + (lines.D * q - low) * v
     bound = -(-num // (v * q)) - 1
     gens, checked = upset_union(ring, [ineqs for _, ineqs in corners], bound=bound)
     return SocleOracleResult(MonomialIdeal(ring=ring, gens=gens), checked)

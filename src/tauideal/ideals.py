@@ -159,7 +159,7 @@ def zero_ideal(ring: ToricRing) -> MonomialIdeal:
 def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     """The irrelevant ideal, of the Hilbert basis of sigma_dual cap M (the
     unit vectors on the orthant); irreducibles divide none of each other.
-    The ring is checked before the basis cache hashes it."""
+    The ring is checked before ``enumeration._lines`` hashes it."""
     return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(check_ring(ring)))))
 
 
@@ -286,8 +286,9 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
-    """Generators scaled by q (the q-th Frobenius bracket power)."""
+    """Generators, checked (``_ray_coords``), scaled by q: the q-th bracket power."""
     _check_ideal(I)
+    _ray_coords(I.ring, I.gens)
     if int_scalar("q", q) < 1:
         raise InputError(f"bracket power needs q >= 1, got {q}")
     return MonomialIdeal(
@@ -331,8 +332,9 @@ def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
 
 
 def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
-    """Image of I in the orthant ring with variable ``axis`` (0-based) killed."""
+    """Image of I, checked, in the orthant ring with variable ``axis`` (0-based) killed."""
     _check_ideal(I)
+    _ray_coords(I.ring, I.gens)
     _require_orthant(I.ring, "kill_variable")
     d = I.ring.d
     if d < 2:

@@ -415,6 +415,7 @@ def cone_from_rays(generators) -> Cone:
 
 def dual_cone(cone: Cone) -> Cone:
     """The dual cone: the two descriptions swap (see ``Cone``)."""
+    check_cone(cone)
     return Cone(dim=cone.dim, rays=cone.halfspaces, halfspaces=cone.rays)
 
 
@@ -465,6 +466,13 @@ class ToricRing:
         return all(pairing(m, h) >= 0 for h in self.sigma_dual.halfspaces)
 
 
+def check_cone(cone) -> Cone:
+    """cone, after checking that it is a Cone: InputError otherwise."""
+    if not isinstance(cone, Cone):
+        raise InputError(f"expected a Cone, got {cone!r}")
+    return cone
+
+
 def check_ring(ring) -> ToricRing:
     """ring, after checking that it is a ToricRing: InputError otherwise."""
     if not isinstance(ring, ToricRing):
@@ -496,7 +504,7 @@ def semigroup_columns(ring: ToricRing, vectors) -> list[list[int]]:
 
 def gorenstein_vector(sigma: Cone):
     """The vector w with <w, n_i> = 1 for every generator, plus its index."""
-    w = solve_unit_pairings(sigma.rays)
+    w = solve_unit_pairings(check_cone(sigma).rays)
     return w, lcm(*(x.denominator for x in w))
 
 

@@ -233,11 +233,13 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
 
 
 def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
-    """The polyhedron t*P: right-hand sides scaled by t >= 0 (read by
-    ``exponent``).
+    """The polyhedron t*P, P a NewtonPolyhedron (InputError otherwise):
+    right-hand sides scaled by t >= 0 (read by ``exponent``).
 
     t = 0 degenerates to the recession cone itself.
     """
+    if not isinstance(P, NewtonPolyhedron):
+        raise InputError(f"expected a NewtonPolyhedron, got {P!r}")
     t = exponent(t)
     if P.scale != 1:
         raise InputError("only scale-1 polyhedra can be rescaled")

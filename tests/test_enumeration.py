@@ -192,6 +192,40 @@ def test_hilbert_basis_against_brute_force_irreducibility(ring):
         pairing(h, ell) for h in hilbert_basis(ring))
 
 
+# orthant d = 1..4, Veronese (2,2) (3,2) (2,3), the square cone, the index-5
+# ring and the cone (1,0),(1,2), as in tests/test_ideals.py
+TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
+    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3), SQUARE_CONE,
+    RINGS["index5"], toric_ring([(1, 0), (1, 2)]),
+]
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_the_lines_record_holds_the_grading_by_its_definitions(ring):
+    # l(x) = sum <x, n> over the rays n of sigma, on seeded points; r the
+    # (l, lex)-least extreme ray of sigma_dual; D the sum of the d largest
+    # l(v) over those rays; H the largest l over the irreducible nonzero
+    # points, all of degree at most D
+    enumeration._lines.cache_clear()
+    lines = enumeration._lines(ring)
+
+    def l(x):
+        return sum(pairing(x, n) for n in ring.sigma.rays)
+
+    rng = Random(ring.d)
+    for _ in range(20):
+        x = tuple(rng.randint(-9, 9) for _ in range(ring.d))
+        assert pairing(x, lines.ell) == l(x)
+    degrees = sorted(l(v) for v in ring.sigma_dual.rays)
+    assert (lines.lr, lines.r) == min((l(v), v) for v in ring.sigma_dual.rays)
+    D = sum(degrees[-ring.d:])
+    assert lines.D == D
+    points = brute_points(ring, D)[1:]
+    sums = {tuple(x + y for x, y in zip(u, v)) for u in points for v in points}
+    assert lines.H == max(l(p) for p in points if p not in sums)
+    assert hilbert_basis(ring) is lines.basis
+
+
 def test_doubling_loop_and_its_error_are_gone():
     for name in ("MAX_DOUBLINGS", "upper_degree_seed", "ray_degree_gap",
                  "EnumerationBoundError"):
@@ -246,11 +280,6 @@ WALK_RINGS = {
 }
 
 
-def clear_enumeration_caches():
-    enumeration._lines.cache_clear()
-    hilbert_basis.cache_clear()
-
-
 @pytest.mark.parametrize("ring", WALK_RINGS.values(), ids=WALK_RINGS.keys())
 def test_walk_matches_the_reference_in_any_order(ring):
     top = 2 * ray_degree_sum(ring)
@@ -259,7 +288,7 @@ def test_walk_matches_the_reference_in_any_order(ring):
     shuffled = increasing[:]
     Random(top).shuffle(shuffled)
     for order in (increasing, increasing[::-1], shuffled):
-        clear_enumeration_caches()
+        enumeration._lines.cache_clear()
         for warm in (False, True):
             for b in order:
                 assert lattice_points_upto(ring, b) == reference[b], (b, order, warm)
@@ -273,7 +302,7 @@ def test_hilbert_basis_matches_the_reference_irreducibles(ring):
     for m in _graded_points(ring, ray_degree_sum(ring))[1:]:
         if not any(ring.in_semigroup(tuple(x - y for x, y in zip(m, h))) for h in irreducible):
             irreducible.append(m)
-    clear_enumeration_caches()
+    enumeration._lines.cache_clear()
     assert hilbert_basis(ring) == tuple(irreducible)
 
 
@@ -409,7 +438,7 @@ def reference_degree_bound(ring, ineqs):
         k_star = max((-(-c * deg // ra) for c, deg, ra in slopes), default=0)
         return k_star + pairing(hilbert_basis(ring)[-1], ell) - 1
     top = max(pairing(v, ell) for v in reference_inequality_vertices(ring.sigma_dual, ineqs))
-    return math.ceil(top) + enumeration._ray_degree_sum(ring) - 1
+    return math.ceil(top) + ray_degree_sum(ring) - 1
 
 
 def test_degree_bound_matches_the_fraction_reference():

@@ -240,9 +240,10 @@ def test_unused_imports_are_exactly_perfbench_wrap_sites():
     }
 
 
-def test_enumeration_caches_only_the_hilbert_basis_and_the_lines():
-    # one semigroup walk per ring: the lines' bottoms are the only walked
-    # cache, so a second walk over the points cannot come back unseen
+def test_enumeration_caches_only_the_lines():
+    # one record per ring: its grading, Hilbert basis and walked bottoms are
+    # the only cache, so a second walk or a second per-ring cache cannot
+    # come back unseen
     tree = ast.parse((PACKAGE / "enumeration.py").read_text())
     cached = set()
     for node in ast.walk(tree):
@@ -252,7 +253,20 @@ def test_enumeration_caches_only_the_hilbert_basis_and_the_lines():
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                 if name in {"cache", "lru_cache", "cached_property"}:
                     cached.add(node.name)
-    assert cached == {"hilbert_basis", "_lines"}
+    assert cached == {"_lines"}
+
+
+def test_the_grading_is_derived_only_by_the_lines_record():
+    # l is computed once per ring, in ``_Lines.__init__``; a per-call l
+    # anywhere else shows up as a diff here
+    assert _package_callers(("ell_vector",)) == {"enumeration.py:__init__"}
+    found = set()
+    for cls in ast.parse((PACKAGE / "enumeration.py").read_text()).body:
+        if isinstance(cls, ast.ClassDef):
+            owners = set()
+            _callers(cls, cls.name, ("ell_vector",), owners)
+            found |= {f"{cls.name}.{owner}" for owner in owners}
+    assert found == {"_Lines.__init__"}
 
 
 def test_every_call_of_a_wrapped_function_goes_through_a_wrapped_binding():

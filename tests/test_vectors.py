@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tauideal.campaigns import random_monomial_ideal, run_crosscheck
-from tauideal.errors import InputError, TauIdealError
+from tauideal.errors import (
+    DimensionMismatchError,
+    InputError,
+    SemigroupMembershipError,
+    TauIdealError,
+)
 from tauideal.frobenius import (
     in_star_E,
     socle_piece_vanishes_at_q,
@@ -31,8 +36,9 @@ from tauideal.ideals import (
     trace_root,
     unit_ideal,
 )
-from tauideal.lattice import cone_from_rays, dual_extreme_rays, orthant_ring, toric_ring
-from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron
+from tauideal.lattice import cone_from_rays, dual_cone, dual_extreme_rays, gorenstein_vector
+from tauideal.lattice import orthant_ring, toric_ring
+from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, veronese_maximal_ideal
 
 R = orthant_ring(2)
@@ -184,9 +190,11 @@ def test_rational_shifts_and_points_are_still_accepted():
 
 
 # each of these but MonomialIdeal raised an AttributeError from reading the
-# ring's fields, and maximal_ideal of a list a TypeError from the Hilbert
-# basis cache's hash
+# ring's fields, maximal_ideal of a list a TypeError from the Hilbert
+# basis cache's hash, and run_crosscheck with no ideals returned an empty
+# report
 NOT_RINGS = {
+    "run_crosscheck": lambda ring: run_crosscheck(ring, [], [1], qmax=4),
     "minimalize": lambda ring: minimalize(ring, [(1, 0)]),
     "newton_polyhedron": lambda ring: newton_polyhedron(ring, [(1, 0)]),
     "unit_ideal": lambda ring: unit_ideal(ring),
@@ -204,3 +212,38 @@ NOT_RINGS = {
 def test_a_ring_that_is_not_a_toric_ring_is_an_input_error(name, ring):
     with pytest.raises(InputError):
         NOT_RINGS[name](ring)
+
+
+# each of these raised an AttributeError from reading its argument's fields
+NOT_CONES_OR_POLYHEDRA = {
+    "dual_cone": dual_cone,
+    "gorenstein_vector": gorenstein_vector,
+    "scale": lambda P: scale(P, 1),
+}
+
+
+@pytest.mark.parametrize("value", [None, "x", R], ids=["None", "str", "ring"])
+@pytest.mark.parametrize("name", sorted(NOT_CONES_OR_POLYHEDRA))
+def test_a_cone_or_polyhedron_of_the_wrong_type_is_an_input_error(name, value):
+    with pytest.raises(InputError):
+        NOT_CONES_OR_POLYHEDRA[name](value)
+
+
+# bracket_power scaled each of these generators unread, and kill_variable
+# dropped them unread
+BAD_GENERATORS = {
+    "str entry": ((("a", 0),), InputError),
+    "short": (((1,),), DimensionMismatchError),
+    "outside": (((-1, 0),), SemigroupMembershipError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+@pytest.mark.parametrize(
+    "op", [lambda I: bracket_power(I, 2), lambda I: kill_variable(I, 0)],
+    ids=["bracket_power", "kill_variable"],
+)
+def test_bracket_power_and_kill_variable_check_their_generators(op, case):
+    gens, error = BAD_GENERATORS[case]
+    with pytest.raises(error):
+        op(MonomialIdeal(R, gens))
