@@ -18,8 +18,10 @@ the Hilbert basis without r, kept in the record, the package's one walk:
 ``lattice_points_upto`` reads every point off them as a bottom plus a
 multiple of r.  ``upset_union`` is the package's one up-set kernel call:
 a box of ray coordinates that one lattice point realizes has
-that point as its generator, and the rest of a union of up-sets is scanned
-once, up to the largest bound.
+that point as its generator (on a smooth sigma every box, with no solve),
+and the rest of a union of up-sets is scanned once, up to the largest
+bound; it hands back the generators or, for ``ideals._upset_union``, their
+ray coordinates.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from functools import cache
 from itertools import product, repeat
 from operator import add, mul, sub
 
-from .lattice import IntVec, ToricRing, _points, minimal_vectors_orthant, pairing
-from .lattice import pairing_columns
+from .lattice import IntVec, ToricRing, _points, check_ring, int_scalar, minimal_vectors_orthant
+from .lattice import pairing, pairing_columns, rational_vector
 from .polyhedra import _vertex_rays
 
 
@@ -43,13 +45,15 @@ def ell_vector(ring: ToricRing) -> IntVec:
 
 def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
     """The irreducible elements of sigma_dual cap M, sorted by (l, lex):
-    the ring's ``_Lines`` record, which derives them once per ring."""
-    return _lines(ring).basis
+    the ring's ``_Lines`` record, which derives them once per ring.  The
+    ring is checked (``lattice.check_ring``) before the record hashes it."""
+    return _lines(check_ring(ring)).basis
 
 
 def by_degree(ring: ToricRing, points) -> list[IntVec]:
-    """The points sorted by (l, lex), l the grading functional."""
-    ell = _lines(ring).ell
+    """The points sorted by (l, lex), l the grading functional, of a
+    checked ring."""
+    ell = _lines(check_ring(ring)).ell
     return sorted(points, key=lambda p: (pairing(p, ell), p))
 
 
@@ -81,7 +85,10 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     vertices are x/s for the integer rays (x, s) of the homogenized region
     (``polyhedra._vertex_rays``, one double description), so ceil(l(V)) is
     the integer quotient ceil(<x, l>/s).  l, H and D come from ``_Lines``.
+    The ring and the pairs are checked as in ``upset_union``.
     """
+    check_ring(ring)
+    (ineqs,) = _pair_sets([ineqs])
     bound = _slice_bound(ring, ineqs)
     if bound is not None:
         return bound
@@ -89,6 +96,15 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     # map stops at l's end, so <x, l> skips the last coordinate s of (x, s)
     top = max(-(-sum(map(mul, e, lines.ell)) // e[-1]) for e in vertices)
     return top + lines.D - 1
+
+
+def _pair_sets(ineq_sets) -> tuple[tuple, ...]:
+    """The pair sets as tuples, after checking that every right-hand side is
+    an int or a Fraction: InputError otherwise (a float or a string would
+    reach the floor divisions and the double description as it is)."""
+    sets = tuple(map(tuple, ineq_sets))
+    rational_vector([c for ineqs in sets for _, c in ineqs])
+    return sets
 
 
 def _slice_bound(ring: ToricRing, ineqs) -> int | None:
@@ -235,8 +251,10 @@ def _lines(ring: ToricRing) -> _Lines:
 def lattice_points_upto(ring: ToricRing, bound: int) -> list[IntVec]:
     """Points of sigma_dual cap M with l-degree <= bound, sorted by (l, lex),
     in a fresh list: the b + k*r with k >= 0 over the bottoms b of
-    ``_Lines`` of degree at most bound, each point once."""
-    lines = _lines(ring)
+    ``_Lines`` of degree at most bound, each point once.  InputError for a
+    ring that is not a ToricRing or a bound that is not an int."""
+    int_scalar("bound", bound)
+    lines = _lines(check_ring(ring))
     n = lines.grow(bound)
     r, lr = lines.r, lines.lr
     found = []
@@ -363,7 +381,13 @@ def shared(key, compute):
 
 class _Union:
     """A union's split into the boxes one lattice point realizes and the
-    sets left to scan, with the generators once scanned (``upset_union``)."""
+    sets left to scan, with its generators once scanned (``upset_union``).
+
+    ``found`` maps the ray coordinates of each realized box and, once
+    scanned, of each generator of the union to that generator, or to None
+    where none is made yet: on a smooth sigma (``ToricRing.is_smooth``)
+    every box is realized, and its point is made only when a caller asks
+    for generators, not for rows."""
 
     def __init__(self, ring: ToricRing, ineq_sets, boxes):
         rays = ring.sigma.rays
@@ -373,16 +397,20 @@ class _Union:
                 bounds.append(tuple(max([0, *(c for a, c in ineqs if a == n)]) for n in rays))
             else:
                 others.append(ineqs)
-        self.realized = {}
-        if bounds:  # most calls have none, and the candidate solve costs even so
+        self.found = {}
+        if bounds:
             tops = minimal_vectors_orthant(bounds)
-            points = _points(ring, tops)
-            coords = zip(*pairing_columns(points, rays))
-            self.realized = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
-            others += [tuple(zip(rays, v)) for v in tops if v not in self.realized]
+            if ring.is_smooth():
+                self.found = dict.fromkeys(tops)
+            else:  # most calls have no boxes, and the candidate solve costs even so
+                points = _points(ring, tops)
+                coords = zip(*pairing_columns(points, rays))
+                self.found = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
+                others += [tuple(zip(rays, v)) for v in tops if v not in self.found]
         self.ring, self.others = ring, others
         # points of distinct minimal boxes divide none of each other
-        self.gens = None if others else tuple(sorted(self.realized.values()))
+        self.scanned = not others
+        self.gens = self.rows = None
         self.proven = self.slices = None
 
     def top(self, bound: int | None) -> int:
@@ -399,19 +427,55 @@ class _Union:
             self.slices = [_slice_bound(self.ring, ineqs) for ineqs in self.others]
         return max(bound if b is None else b for b in self.slices)
 
+    def scan(self, top: int) -> None:
+        """Scan the sets up to degree ``top``, once, and merge their
+        generators, paired once, with the realized boxes on ray coordinates."""
+        if self.scanned:
+            return
+        ring, found = self.ring, self.found
+        gens = minimal_upset_generators(ring, least_offsets(ring, self.others, top), top)
+        scanned = zip(zip(*pairing_columns(gens, ring.sigma.rays)), gens)
+        if found:
+            found.update(scanned)
+            self.found = {rc: found[rc] for rc in minimal_vectors_orthant(found)}
+        else:
+            self.found = dict(scanned)
+        self.scanned = True
+
+    def generators(self) -> tuple[IntVec, ...]:
+        """The union's minimal generators, sorted; the points of the realized
+        boxes not made yet come from one ``_points`` call."""
+        if self.gens is None:
+            missing = [v for v, m in self.found.items() if m is None]
+            if missing:
+                self.found.update(zip(missing, _points(self.ring, missing)))
+            self.gens = tuple(sorted(self.found.values()))
+        return self.gens
+
+    def ray_rows(self) -> list[IntVec]:
+        """The ray coordinates of the union's minimal generators, sorted."""
+        if self.rows is None:
+            self.rows = sorted(self.found)
+        return self.rows
+
 
 def upset_union(
-    ring: ToricRing, ineq_sets, boxes=(), bound: int | None = None
-) -> tuple[tuple[IntVec, ...], int]:
+    ring: ToricRing, ineq_sets, boxes=(), bound: int | None = None, rows: bool = False
+) -> tuple[tuple[IntVec, ...] | list[IntVec], int]:
     """(sorted minimal generators, lines scanned) of the union of the up-sets
-    the integer pair sets cut out and of the ``boxes``.
+    the integer pair sets cut out and of the ``boxes``; with ``rows``, the
+    sorted ray coordinates of those generators in their place.  InputError
+    for a ring that is not a ToricRing or a pair whose right-hand side is
+    not an int or a Fraction.
 
     A box rc(m) >= v in ray coordinates is given by its bound vector v
     (ints >= 0, one per ray n_j of sigma), or by a pair set whose normals
     are all rays, v_j the largest max(c, 0) on n_j; a box above another
     adds nothing.  A lattice point whose ray coordinates are v divides every
     member, so it is the box's only generator; ``lattice._points`` finds it
-    where it exists (always on a smooth cone).  The other boxes and sets are
+    where it exists, and on a smooth sigma it always exists, so there v
+    itself is the box's row, and its point is made only for generators.
+    The other boxes and sets are
     scanned together by one ``minimal_upset_generators`` call, up to the
     largest of their degree bounds, as a minimal generator of a union is
     one of some member, and merged with the realized points on ray
@@ -428,17 +492,13 @@ def upset_union(
     count a call returns depends only on that call: it is of the lines up
     to its own bound, whether the scan ran for it or for an equal request.
     """
-    ineq_sets = tuple(map(tuple, ineq_sets))
+    check_ring(ring)
+    ineq_sets = _pair_sets(ineq_sets)
     boxes = tuple(boxes)
     union = shared(("upset", ring, ineq_sets, boxes), lambda: _Union(ring, ineq_sets, boxes))
-    if not union.others:
-        return union.gens, 0
-    top = union.top(bound)
-    if union.gens is None:
-        gens = minimal_upset_generators(ring, least_offsets(ring, union.others, top), top)
-        realized = union.realized
-        if realized:
-            realized.update(zip(zip(*pairing_columns(gens, ring.sigma.rays)), gens))
-            gens = [realized[rc] for rc in minimal_vectors_orthant(realized)]
-        union.gens = tuple(sorted(gens))
-    return union.gens, _lines(ring).grow(top)
+    count = 0
+    if union.others:
+        top = union.top(bound)
+        union.scan(top)
+        count = _lines(ring).grow(top)
+    return union.ray_rows() if rows else union.generators(), count

@@ -11,8 +11,9 @@ corner, and the socle oracle needs only the largest q of the sweep.  Its
 t*P(a) comes, with the request checked, from ``tau._scaled_polyhedron``,
 the one builder that tau uses too.  The root route climbs the chain of
 trace roots C_q (``ideals.trace_root``) over the q with (q-1)*w a lattice
-point and reads no Newton polyhedron: C_q and both its checks come from the
-ray coordinates of the powers' generators.
+point and reads no Newton polyhedron: C_q and both its checks stay on the
+ray coordinates of the powers' generators, and only the returned value
+becomes points.
 Both tight-closure searches are one search (``_multiplier_searches``): c
 works at q iff c*z^q*A_q lies in B_q, on ray coordinates, with (A_q, B_q)
 = (a^ceil(tq), I^[q]) for tight closure and (the unit ideal, the q-th
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from operator import le
 
@@ -49,6 +49,7 @@ from .ideals import (  # noqa: F401
     _check_same_ring,
     _covers,
     _floors,
+    _from_rows,
     _ray_coords,
     _upset_union,
     frobenius_root,
@@ -144,7 +145,8 @@ def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
     """The minimal generators, in (l, lex) order, of the up-set of the ray
     coordinates >= (c, ..., c) (``ideals._upset_union``; the origin alone at
     c = 0), computed once per ring and residue class of q - 1."""
-    return tuple(by_degree(ring, _upset_union(ring, [(c,) * len(ring.sigma.rays)]).gens))
+    rows = _upset_union(ring, [(c,) * len(ring.sigma.rays)])
+    return tuple(by_degree(ring, _from_rows(ring, rows).gens))
 
 
 def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
@@ -163,11 +165,9 @@ def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
 
 
 def _corner_inequalities(ring: ToricRing, tP: NewtonPolyhedron, q: int):
-    """(corner x, integer facet pairs of the m with m + x/q in tP) per corner."""
-    return [
-        (x, lattice_inequalities(tP, [Fraction(xi, q) for xi in x]))
-        for x in _socle_corners(ring, q)
-    ]
+    """(corner x, integer facet pairs of the m with m + x/q in tP) per
+    corner, the shift given as the integer x and the one denominator q."""
+    return [(x, lattice_inequalities(tP, x, den=q)) for x in _socle_corners(ring, q)]
 
 
 def _socle_witness(ring: ToricRing, tP: NewtonPolyhedron, u: IntVec, q: int):
@@ -288,14 +288,19 @@ def frobenius_root_tau_oracle(
     C_q = trace_root(a^ceil(t*q), q) over the admissible q <= qmax: the
     powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein index
     (none when p divides it: UnsupportedRingError).  C_q comes from the
-    ray coordinates rc of a^ceil(t*q)'s generators g, the chain's rows,
+    ray coordinates rc of a^ceil(t*q)'s generators g, the power's rows,
     through their floors floor(rc(g)/q) (``ideals._floors``, computed once
     per q), which are the boxes of one up-set union (``ideals._upset_union``,
-    as in ``trace_root``).  Every generator m of C_q must have
+    as in ``trace_root``).  The chain works on rows: the union hands back
+    the ray coordinates of C_q's generators, and the only points made are
+    the returned value's (``ideals._from_rows``).  On a smooth sigma
+    (``ToricRing.is_smooth``) no point is made before that: every floor is
+    the ray coordinates of one lattice point, so every box is realized, and
+    the rows are the minimal floors.  Every generator m of C_q must have
     q*rc(m) + q - 1 >= rc(g) for some g (q*m + (q-1)*w in a^ceil(t*q), as
-    <w, n_j> = 1) and the chain must ascend, else InvariantError.  The value
-    is accepted once two consecutive q (the larger at least 16) agree, else
-    NotStabilizedError.
+    <w, n_j> = 1) and the chain must ascend, else InvariantError; both are
+    checked on the rows.  The value is accepted once two consecutive q (the
+    larger at least 16) agree, else NotStabilizedError.
 
     The first check is made on the floors: for integers x, y and q >= 1,
     y <= q*x + q - 1 iff floor(y/q) <= x, since y <= q*x + q - 1 < q*(x + 1)
@@ -308,19 +313,18 @@ def frobenius_root_tau_oracle(
     qs = [q for q in q_sweep(qmax, p) if (q - 1) % r == 0]
     if r % p == 0:
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
-    prev_rows = prev_q = None
+    prev = prev_q = None
     for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
         floors = _floors(rows, q)
         current = _upset_union(ring, floors)
-        current_rows = _ray_coords(ring, current.gens)
-        if not _covers(floors, current_rows):
+        if not _covers(floors, current):
             raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
-        if prev_rows is not None and not _covers(current_rows, prev_rows):
+        if prev is not None and not _covers(current, prev):
             raise InvariantError(f"root chain shrinks from q={prev_q} to q={q}")
         # the rays span, so equal ray coordinates mean equal generators
-        if current_rows == prev_rows and q >= 16:
-            return current
-        prev_rows, prev_q = current_rows, q
+        if current == prev and q >= 16:
+            return _from_rows(ring, current)
+        prev, prev_q = current, q
     raise NotStabilizedError(f"root chain did not stabilize over the admissible q {qs}")
 
 

@@ -15,12 +15,13 @@ read back for the minimal filter.  ``multiply`` keeps the minimal sums of
 its factors' rows, and ``powers`` lazily yields the rows of any sequence
 of powers by one rule, squaring I**(n/2) for an even n and adding I's rows
 to I**(n-1) for an odd one; ``power`` is its one value.  Rows become
-generators in ``lattice._points``.  Intersections, colons and trace roots
+generators in ``_from_rows``, one ``lattice._points`` call.  Intersections, colons and trace roots
 (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of up-sets in
 ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
 up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, the trace root's floors
 (``_floors``) among them, go through ``_upset_union`` to the one up-set kernel
-``enumeration.upset_union`` as boxes, with no pair sets.  The zero ideal
+``enumeration.upset_union`` as boxes, with no pair sets, and come back as
+the rows of the union's generators.  The zero ideal
 has an empty generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
 (the orthant's trace root, checked to cover I) and ``kill_variable`` are
 orthant-only and refuse other rings loudly.
@@ -213,12 +214,17 @@ def _maxima(A, B) -> list[IntVec]:
     return minimal_vectors_orthant(tuple(map(max, a, b)) for a in A for b in B)
 
 
+def _from_rows(ring: ToricRing, rows) -> MonomialIdeal:
+    """The ideal whose generators have the ray coordinates ``rows``, each
+    the ray coordinates of a lattice point and none above another: their
+    points, from one ``_points`` call, which divide none of each other."""
+    return MonomialIdeal(ring=ring, gens=tuple(sorted(_points(ring, rows))))
+
+
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Ray coordinates add, so the generators of I*J are the points
-    (``_points``) of the minimal sums of the generators' checked ray
-    coordinates (``_sums``); those points divide none of each other."""
-    gens = _points(I.ring, _sums(*_paired_rows(I, J)))
-    return MonomialIdeal(ring=I.ring, gens=tuple(sorted(gens)))
+    """Ray coordinates add, so the generators of I*J are the points of the
+    minimal sums of the generators' checked ray coordinates (``_sums``)."""
+    return _from_rows(I.ring, _sums(*_paired_rows(I, J)))
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -228,8 +234,8 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """I**n: the points of the one value of the chain ``powers(I, [n])``."""
-    rows = next(powers(I, [n]))
-    return MonomialIdeal(ring=I.ring, gens=tuple(sorted(_points(I.ring, rows))))
+    rows = next(powers(I, [n]))  # checks I before its ring is read
+    return _from_rows(I.ring, rows)
 
 
 def powers(I: MonomialIdeal, exponents):
@@ -257,18 +263,21 @@ def powers(I: MonomialIdeal, exponents):
         yield built[n]
 
 
-def _upset_union(ring: ToricRing, bounds) -> MonomialIdeal:
-    """The ideal of the x^m whose ray coordinates dominate some c in
-    ``bounds`` (integer vectors >= 0, one entry per ray of sigma): one
-    ``enumeration.upset_union`` call with the bounds as its boxes."""
-    return MonomialIdeal(ring=ring, gens=upset_union(ring, (), bounds)[0])
+def _upset_union(ring: ToricRing, bounds) -> list[IntVec]:
+    """The sorted ray coordinates of the minimal generators of the ideal of
+    the x^m whose ray coordinates dominate some c in ``bounds`` (integer
+    vectors >= 0, one entry per ray of sigma): one
+    ``enumeration.upset_union`` call with the bounds as its boxes, which
+    hands back rows, so on a smooth sigma no point is made
+    (``_from_rows`` makes them)."""
+    return upset_union(ring, (), bounds, rows=True)[0]
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """x^m lies in (x^g) and in (x^h) iff its ray coordinates dominate
     those of g and of h, so I cap J is the up-set union over the pairs
     (g, h) of their componentwise maxima."""
-    return _upset_union(I.ring, _maxima(*_paired_rows(I, J)))
+    return _from_rows(I.ring, _upset_union(I.ring, _maxima(*_paired_rows(I, J))))
 
 
 def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -282,7 +291,7 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     bounds = [(0,) * len(I.ring.sigma.rays)]
     for h in rows_J:
         bounds = _maxima(bounds, [tuple(map(sub, g, h)) for g in rows_I])
-    return _upset_union(I.ring, bounds)
+    return _from_rows(I.ring, _upset_union(I.ring, bounds))
 
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
@@ -311,7 +320,7 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
         raise InputError(f"a root needs q >= 1, got {q}")
     if (q - 1) % I.ring.gorenstein_index:
         raise InputError(f"(q-1)*w is not a lattice point at q = {q}")
-    return _upset_union(I.ring, _floors(_ray_coords(I.ring, I.gens), q))
+    return _from_rows(I.ring, _upset_union(I.ring, _floors(_ray_coords(I.ring, I.gens), q)))
 
 
 def _floors(rows, q: int) -> list[IntVec]:

@@ -7,7 +7,9 @@ method with exact integer arithmetic; a toric ring costs one double
 description, since the facets of sigma are the rays of sigma_dual.  The
 double description tracks each ray's tight set as an integer bitmask over
 the inserted halfspaces and tests adjacency and extremality on those masks
-alone, so it needs no rank computation.  Its integer kernels are single
+alone, so it needs no rank computation; a caller whose halfspaces begin with
+a known cone's facets lifted by one coordinate starts it from that cone's
+state (``_prism``) and inserts only its own.  Its integer kernels are single
 passes: each pairing is ``sum(map(mul, ...))``, ``primitivize`` one gcd
 call that leaves a primitive vector as it is, and every new ray or
 lineality vector one fused a*u - b*v (``_combine``).  All other linear
@@ -20,7 +22,8 @@ with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
 computed a coordinate column at a time; ``semigroup_columns`` pairs with
 the rays of sigma and checks every vector on the way.  Such rows of ray
 coordinates are compared by integer bitmasks in ``_below_masks`` (the
-minimal ones: ``minimal_vectors_orthant``) and become points in ``_points``.
+minimal ones: ``minimal_vectors_orthant``) and become points in ``_points``;
+on a smooth sigma (``ToricRing.is_smooth``) every row >= 0 is one point's.
 """
 
 from __future__ import annotations
@@ -281,7 +284,7 @@ def _insert(lineality, rays, h, bit):
     return lineality, new_rays
 
 
-def dual_extreme_rays(halfspaces) -> list[IntVec]:
+def dual_extreme_rays(halfspaces, base: Cone | None = None, half: bool = False) -> list[IntVec]:
     """Extreme rays of the cone {x : <x,h> >= 0 for all h}.
 
     The cone must be pointed and full-dimensional; otherwise
@@ -297,20 +300,38 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     extreme rays of the current cone modulo its lineality space (``_insert``'s
     invariant); once that space is gone they are the extreme rays
     themselves, so they are returned as they are, sorted.
+
+    With a ``base`` cone K the halfspaces live in one more dimension, and the
+    double description starts from the state it reaches after inserting
+    (h, 0) for every facet normal h of K, then (0, ..., 0, 1) if ``half``
+    (``_prism``); the result, and any error, is that of the cold run on
+    those halfspaces followed by the given ones, with the bits in that
+    order.  That state meets the invariant.  K's facet normals are the
+    extreme rays of its dual, so the (h, 0) cut out (K dual)-dual x R, which
+    is K x R as K is closed and convex; K is pointed, so modulo the line
+    R*(0, ..., 0, 1) the extreme rays of K x R are the (n, 0) over the
+    extreme rays n of K, primitive as n is, and the line pairs to zero with
+    every (h, 0).  With (0, ..., 0, 1) inserted the cone is K x [0, inf):
+    pointed, with the extreme rays (n, 0) and (0, ..., 0, 1).  Each mask is
+    read off the pairings, so it is the ray's tight set.
     """
     halfspaces = int_vectors(halfspaces)
-    if not halfspaces:
-        raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
-    dim = len(halfspaces[0])
+    if base is None:
+        if not halfspaces:
+            raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
+        dim = len(halfspaces[0])
+        inserted, lineality, rays = (), unit_vectors(dim), {}
+    else:
+        dim = check_cone(base).dim + 1
+        inserted, lineality, start = _prism(base, half)
+        lineality, rays = list(lineality), dict(start)
     for h in halfspaces:
         if len(h) != dim:
             raise DimensionMismatchError("halfspaces of mixed lengths")
         if not any(h):
             raise ZeroVectorError("zero halfspace normal")
 
-    lineality = unit_vectors(dim)
-    rays: dict[IntVec, int] = {}
-    for i, h in enumerate(halfspaces):
+    for i, h in enumerate(halfspaces, len(inserted)):
         lineality, rays = _insert(lineality, rays, h, 1 << i)
 
     if lineality:
@@ -321,9 +342,25 @@ def dual_extreme_rays(halfspaces) -> list[IntVec]:
     for mask in rays.values():
         implicit &= mask
     if implicit:
-        h = halfspaces[(implicit & -implicit).bit_length() - 1]
+        h = [*inserted, *halfspaces][(implicit & -implicit).bit_length() - 1]
         raise ConeNotFullDimensionalError(f"halfspace {h} is an implicit equality")
     return sorted(rays)
+
+
+@cache
+def _prism(cone: Cone, half: bool):
+    """The double description state of ``dual_extreme_rays`` on a base cone
+    K: the inserted halfspaces (h, 0) over K's facet normals h, then
+    (0, ..., 0, 1) if ``half``; the lineality space, spanned by
+    (0, ..., 0, 1) unless ``half``; and each ray, (n, 0) over K's extreme
+    rays n and (0, ..., 0, 1) if ``half``, with the bitmask of the inserted
+    halfspaces it is tight on.  Built once per cone."""
+    apex = (0,) * cone.dim + (1,)
+    inserted = [h + (0,) for h in cone.halfspaces] + [apex] * half
+    rays = [n + (0,) for n in cone.rays] + [apex] * half
+    masks = [sum(1 << i for i, v in enumerate(row) if not v)
+             for row in zip(*pairing_columns(rays, inserted))]
+    return tuple(inserted), () if half else (apex,), tuple(zip(rays, masks))
 
 
 def _extreme(vectors, masks) -> list[IntVec]:
@@ -456,6 +493,15 @@ class ToricRing:
 
     def is_orthant(self) -> bool:
         return set(self.sigma.rays) == set(unit_vectors(self.d))
+
+    def is_smooth(self) -> bool:
+        """Does sigma have d rays with D = 1 in their ``basis_inverse``?  Then
+        B, the rays as rows, has the integer inverse A, so m -> B*m maps the
+        lattice onto Z^d and every v >= 0 is the ray coordinates B*m of
+        exactly one lattice point m = A*v, which lies in sigma_dual as
+        <m, n_j> = v_j >= 0 on every ray n_j."""
+        rays = self.sigma.rays
+        return len(rays) == self.d and basis_inverse(rays)[2] == 1
 
     def in_semigroup(self, m) -> bool:
         """Membership of an integer vector in sigma_dual (the exponent cone);

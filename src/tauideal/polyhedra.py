@@ -7,12 +7,17 @@ finds them from proven vertices first (the generators with lex-least
 rotated ray coordinates): one double description on those, one batched
 containment test of the other generators against its facets, and a second
 double description, on all the generators, only when one of them cuts that
-cone.  Every membership test reads only these facets, compiled by
-``lattice_inequalities`` into integer bounds with one lcm per call and an
-integer floor or ceiling division per facet.  The vertices are the
-generators that span extreme rays of that cone, kept as integer points;
-only ``NewtonPolyhedron.vertices`` scales them into Fractions.  The
-recession rays are those of sigma_dual.
+cone.  Both start from sigma x R, the cone the rays of sigma_dual cut
+(``lattice.dual_extreme_rays`` on the base sigma), so each inserts only
+generators.  A polyhedron keeps its scale-1 facets as integer pairs (a, b),
+and t*P keeps the same pairs with t: every membership test reads only these
+facets, compiled by ``lattice_inequalities`` into integer bounds from t's
+numerator and denominator, with one lcm per call and an integer floor or
+ceiling division per facet.  The vertices are the generators that span
+extreme rays of that cone, kept as integer points.  The Fractions of
+``NewtonPolyhedron.inequalities`` (the right-hand sides t*b) and
+``NewtonPolyhedron.vertices`` are made only when read.  The recession rays
+are those of sigma_dual.
 Every exponent t enters through ``exponent``, which refuses anything but a
 finite rational t >= 0 with InputError.
 """
@@ -31,8 +36,9 @@ from .lattice import (
     IntVec,
     RatVec,
     ToricRing,
-    cone_from_rays,
+    _extreme,
     dual_extreme_rays,
+    int_scalar,
     int_vectors,
     pairing,
     pairing_columns,
@@ -45,16 +51,23 @@ from .lattice import (
 class NewtonPolyhedron:
     """Exact polyhedron t * (conv(generators) + recession cone).
 
-    Each inequality (a, b) means <x, a> >= b.  At scale 1 all right-hand
-    sides are integers; scaled polyhedra carry exact rational ones.
-    ``points`` are the vertices at scale 1, sorted integer generators.
+    ``bounds`` are integer pairs (a, b) with t*P the points x with
+    <x, a> >= t*b for each: P's facets, or at t = 0 the recession cone's
+    facet normals with b = 0.  ``points`` are the vertices at scale 1,
+    sorted integer generators.
     """
 
     dim: int
     recession: Cone
-    inequalities: tuple[tuple[IntVec, Fraction], ...]
+    bounds: tuple[tuple[IntVec, int], ...]
     scale: Fraction
     points: tuple[IntVec, ...]
+
+    @cached_property
+    def inequalities(self) -> tuple[tuple[IntVec, Fraction], ...]:
+        """The pairs (a, t*b) of ``bounds``, each meaning <x, a> >= t*b:
+        integers at scale 1, exact rationals once scaled."""
+        return tuple((a, self.scale * b) for a, b in self.bounds)
 
     @cached_property
     def vertices(self) -> tuple[RatVec, ...]:
@@ -100,29 +113,39 @@ def exponent(t) -> Fraction:
 
 
 def lattice_inequalities(
-    P: NewtonPolyhedron, shift=None, strict: bool = False
+    P: NewtonPolyhedron, shift=None, strict: bool = False, den: int = 1
 ) -> tuple[tuple[IntVec, int], ...]:
-    """Integer facets (a, c) cutting out the lattice points m with m + shift
-    in P (in its interior if ``strict``): each pair means <m, a> >= c.  The
-    shift's entries are ints or Fractions (``lattice.rational_vector``).
+    """Integer facets (a, c) cutting out the lattice points m with
+    m + shift/den in P (in its interior if ``strict``): each pair means
+    <m, a> >= c.  P must be a NewtonPolyhedron, the shift's entries ints or
+    Fractions (``lattice.rational_vector``) and den an int >= 1 (InputError
+    otherwise).
 
-    For integer <m, a>, <m + s, a> > b iff <m, a> >= floor(b - <s, a>) + 1,
-    and <m + s, a> >= b iff <m, a> >= ceil(b - <s, a>).  Every right-hand
-    side b is an integer times P's scale, so with L the lcm of the scale's
-    and the shift's denominators, L*b and L*s are integer, and c is the
-    floor or ceiling of the integer quotient (L*b - <L*s, a>) / L.  Facet
-    normals lie in sigma, so every m in sigma_dual meets a bound c <= 0;
-    those are left out.
+    For integer <m, a>, <m + s, a> > t*b iff <m, a> >= floor(t*b - <s, a>)
+    + 1, and <m + s, a> >= t*b iff <m, a> >= ceil(t*b - <s, a>).  With
+    t = u/v and L the lcm of v and the denominators of s (one lcm call),
+    L*t*b = (u*(L/v))*b and L*s are integer, so c is the floor or ceiling of
+    the integer quotient ((u*(L/v))*b - <L*s, a>) / L, for P's integer
+    pairs (a, b) of ``NewtonPolyhedron.bounds``.  Facet normals lie in
+    sigma, so every m in sigma_dual meets a bound c <= 0; those are left
+    out.
     """
+    if not isinstance(P, NewtonPolyhedron):
+        raise InputError(f"expected a NewtonPolyhedron, got {P!r}")
     shift = (0,) * P.dim if shift is None else rational_vector(shift)
     if len(shift) != P.dim:
         raise DimensionMismatchError(f"length {len(shift)} vs {P.dim}")
-    den = lcm(P.scale.denominator, *(x.denominator for x in shift))
-    lifted = [x.numerator * (den // x.denominator) for x in shift]
+    if int_scalar("den", den) < 1:
+        raise InputError(f"the shift's denominator must be positive, got {den}")
+    u, v = P.scale.numerator, P.scale.denominator
+    dens = [den * x.denominator for x in shift]
+    L = lcm(v, *dens)
+    lifted = [x.numerator * (L // e) for x, e in zip(shift, dens)]
+    lu = u * (L // v)
     out = []
-    for a, b in P.inequalities:
-        num = b.numerator * (den // b.denominator) - sum(map(mul, lifted, a))
-        c = num // den + 1 if strict else -(-num // den)
+    for a, b in P.bounds:
+        num = lu * b - sum(map(mul, lifted, a))
+        c = num // L + 1 if strict else -(-num // L)
         if c > 0:
             out.append((a, c))
     return tuple(out)
@@ -138,15 +161,15 @@ def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:
     <x, a> - c*s >= 0 (each row cleared of c's denominator), <x, n> >= 0 for
     the facet normals n of the recession cone and s >= 0, the region is a
     pointed full-dimensional cone, and one double description gives its
-    extreme rays.
+    extreme rays.  The last two kinds cut recession x [0, inf), so it starts
+    from that cone (``lattice.dual_extreme_rays`` with ``half``) and inserts
+    only the pairs.
     """
     d = recession.dim
     halfspaces = [
         tuple(c.denominator * x for x in a) + (-c.numerator,) for a, c in ineqs
     ]
-    halfspaces += [n + (0,) for n in recession.halfspaces]
-    halfspaces.append((0,) * d + (1,))
-    return [e for e in dual_extreme_rays(halfspaces) if e[d] > 0]
+    return [e for e in dual_extreme_rays(halfspaces, recession, half=True) if e[d] > 0]
 
 
 def _rotation_minima(columns) -> set[int]:
@@ -198,45 +221,49 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     facets, and (g, 1) lies in C0 when <g, a> >= b for each of them.  If
     none cuts, every (g, 1) lies in C0, so C, which holds C0, equals it;
     otherwise a second double description on every (g, 1) and the rays
-    gives C by its definition (``cone_from_rays``).  The facets rest on this
-    containment test alone.  The vertices of P, the extreme rays of C with
-    s = 1, are C0's (v, 1), proven vertices above, when none cuts, and
-    otherwise those ``cone_from_rays`` reads off the generators' tight facets.
+    gives C by its definition.  The facets rest on this containment test
+    alone.  Both double descriptions start from sigma x R, the cone the
+    (r, 0) cut (``lattice.dual_extreme_rays`` on the base sigma), and insert
+    only the (g, 1).  The vertices of P, the extreme rays of C with s = 1,
+    are C0's (v, 1), proven vertices above, when none cuts, and otherwise
+    the (g, 1) that no other (g', 1) is tight with on all of its facets
+    (``lattice._extreme``): the least face of C holding a (g, 1) that is
+    not extreme has dimension 2 or more and an extreme ray off s = 0,
+    which is another (g', 1) tight on all of those facets.
     """
     gens = list(set(int_vectors(generators)))
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
     picked = _rotation_minima(semigroup_columns(ring, gens))
     d = ring.d
-    rays = [r + (0,) for r in ring.sigma_dual.rays]
     candidates = sorted(gens[i] + (1,) for i in picked)
-    facets = dual_extreme_rays(candidates + rays)
+    facets = dual_extreme_rays(candidates, ring.sigma)
     if len(picked) < len(gens):
         rest = [g for i, g in enumerate(gens) if i not in picked]
         bounds = [(f[:d], -f[d]) for f in facets if f[d] < 0]
         columns = pairing_columns(rest, [a for a, _ in bounds])
         if any(min(col) < b for col, (_, b) in zip(columns, bounds)):
-            C = cone_from_rays(candidates + [g + (1,) for g in rest] + rays)
-            facets, candidates = C.halfspaces, [e for e in C.rays if e[d]]
-    inequalities = [
-        (f[:d], Fraction(-f[d]))
-        for f in facets
-        if any(f[:d])  # else the homogenizing facet s >= 0, not a facet of P
-    ]
+            homog = candidates + [g + (1,) for g in rest]
+            facets = dual_extreme_rays(homog, ring.sigma)
+            masks = [sum(1 << j for j, x in enumerate(row) if not x)
+                     for row in zip(*pairing_columns(homog, facets))]
+            candidates = _extreme(homog, masks)
     return NewtonPolyhedron(
         dim=d,
         recession=ring.sigma_dual,
-        inequalities=tuple(sorted(inequalities)),
+        # (0, ..., 0, 1), the homogenizing facet s >= 0, is not a facet of P
+        bounds=tuple(sorted((f[:d], -f[d]) for f in facets if any(f[:d]))),
         scale=Fraction(1),
         points=tuple(e[:d] for e in candidates),
     )
 
 
 def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
-    """The polyhedron t*P, P a NewtonPolyhedron (InputError otherwise):
-    right-hand sides scaled by t >= 0 (read by ``exponent``).
+    """The polyhedron t*P, P a NewtonPolyhedron (InputError otherwise), for
+    t >= 0 (read by ``exponent``): P's integer bounds with scale t.
 
-    t = 0 degenerates to the recession cone itself.
+    t = 0 degenerates to the recession cone itself, cut out by its facet
+    normals with b = 0.
     """
     if not isinstance(P, NewtonPolyhedron):
         raise InputError(f"expected a NewtonPolyhedron, got {P!r}")
@@ -244,7 +271,5 @@ def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
     if P.scale != 1:
         raise InputError("only scale-1 polyhedra can be rescaled")
     if t == 0:
-        ineqs = tuple(sorted((h, Fraction(0)) for h in P.recession.halfspaces))
-    else:
-        ineqs = tuple((a, t * b) for a, b in P.inequalities)
-    return replace(P, inequalities=ineqs, scale=t)
+        return replace(P, bounds=tuple(sorted((h, 0) for h in P.recession.halfspaces)), scale=t)
+    return replace(P, scale=t)

@@ -1,5 +1,6 @@
 """Finite-q Frobenius oracles against the polyhedral engine."""
 
+import json
 import math
 import sys
 from collections import Counter
@@ -45,7 +46,7 @@ from tauideal.frobenius import (
     tight_integral_closure_members_at_q,
 )
 from tauideal.ideals import (
-    MonomialIdeal, bracket_power, integral_closure, kill_variable, maximal_ideal,
+    MonomialIdeal, _ray_coords, bracket_power, integral_closure, kill_variable, maximal_ideal,
     minimalize, multiply, power, trace_root, unit_ideal,
 )
 from tauideal.lattice import (
@@ -973,28 +974,30 @@ def test_verdict_carries_examined_range():
     assert v.qmax == 64 and v.p == 3
 
 
-def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path):
-    # the oracle reads each C_q off the floors of the power's ray
-    # coordinates; each call of this fake gives a smaller root
+@pytest.mark.parametrize("ring", [R2, VERONESE_22], ids=["smooth", "veronese"])
+def test_shrinking_root_chain_is_a_typed_error(monkeypatch, tmp_path, ring):
+    # the oracle reads the rows of each C_q off the floors of the power's
+    # ray coordinates; each call of this fake gives the rows of a smaller root
     calls = []
 
     def shrinking(ring, floors):
         calls.append(floors)
-        return minimalize(ring, [tuple(len(calls) for _ in range(ring.d))])
+        return _ray_coords(ring, minimalize(ring, [tuple(len(calls) for _ in range(ring.d))]).gens)
 
     monkeypatch.setattr(tauideal.frobenius, "_upset_union", shrinking)
     with pytest.raises(InvariantError, match="shrinks"):
-        frobenius_root_tau_oracle(R2, I((2, 0), (0, 3)), 1)
+        frobenius_root_tau_oracle(ring, I((2, 1), (1, 2), ring=ring), 1)
     # a root too large for q*m + (q-1)*w to lie in a^ceil(tq) fails the per-q check
     monkeypatch.setattr(
-        tauideal.frobenius, "_upset_union", lambda ring, floors: unit_ideal(ring)
+        tauideal.frobenius, "_upset_union",
+        lambda ring, floors: _ray_coords(ring, unit_ideal(ring).gens),
     )
     with pytest.raises(InvariantError, match="outside"):
-        frobenius_root_tau_oracle(VERONESE_22, I((1, 0), ring=VERONESE_22), 1)
+        frobenius_root_tau_oracle(ring, I((1, 0), ring=ring), 1)
     monkeypatch.setattr(tauideal.frobenius, "_upset_union", shrinking)
-    ring = tmp_path / "ring.json"
-    ring.write_text('{"cone_generators": [[1, 0], [0, 1]]}')
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"cone_generators": [list(n) for n in ring.sigma.rays]}))
     ideal = tmp_path / "ideal.json"
-    ideal.write_text('{"generators": [[2, 0], [0, 3]]}')
-    argv = ["tau", "--ring", str(ring), "--ideal", str(ideal), "--method", "root"]
+    ideal.write_text('{"generators": [[2, 1], [1, 2]]}')
+    argv = ["tau", "--ring", str(path), "--ideal", str(ideal), "--method", "root"]
     assert main(argv) == 4

@@ -26,6 +26,7 @@ import tauideal.ideals as ideals_module
 from tauideal.ideals import (
     MonomialIdeal,
     _check_same_ring,
+    _from_rows,
     _ray_coords,
     _upset_union,
     bracket_power,
@@ -697,10 +698,11 @@ def _bound_vector(rng, ring):
 
 
 def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
-    # with an inverse of zeros every candidate point is 0, whose ray
-    # coordinates miss every bound vector with a positive entry, so each
-    # up-set is enumerated; up-sets are counted by the pair sets handed to
-    # the line offsets, as one kernel call scans all of its up-sets together
+    # with an inverse of zeros, and the cone taken as not smooth, every
+    # candidate point is 0, whose ray coordinates miss every bound vector
+    # with a positive entry, so each up-set is enumerated; up-sets are
+    # counted by the pair sets handed to the line offsets, as one kernel
+    # call scans all of its up-sets together
     rng = Random(3333)
     enumerated = Counter()
     branch = ["shortcut"]
@@ -727,15 +729,17 @@ def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
             branch[0] = "enumerated"
             with monkeypatch.context() as m:
                 m.setattr(lattice, "basis_inverse", lambda rays: zero_inverse)
+                m.setattr(lattice.ToricRing, "is_smooth", lambda ring: False)
                 assert _upset_union(ring, boxes) == direct, bounds
             members = [
                 m for m, rc in zip(points, coords)
                 if any(all(map(le, c, rc)) for c in bounds)
             ]
             brute = minimalize(ring, members)
-            assert direct == brute, bounds
+            assert direct == sorted(_ray_coords(ring, brute.gens)), bounds
+            assert _from_rows(ring, direct) == brute, bounds
         assert enumerated["enumerated"] >= 8, ring.sigma.rays
-        if ring.is_orthant():  # a smooth cone never enumerates
+        if ring.is_smooth():  # a smooth cone never enumerates
             assert enumerated["shortcut"] == 0
         else:
             assert enumerated["shortcut"] < enumerated["enumerated"], ring.sigma.rays

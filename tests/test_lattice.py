@@ -228,8 +228,17 @@ def _tight_at(inserted, r):
     return [h for h in inserted if pairing(r, h) == 0]
 
 
-def reference_dual_extreme_rays(halfspaces):
-    halfspaces = [tuple(h) for h in halfspaces]
+def dd_prefix(base, half=False):
+    """The halfspaces a double description started on ``base`` has inserted
+    before the caller's: (h, 0) over the facet normals h of base, then
+    (0, ..., 0, 1) if ``half``."""
+    if base is None:
+        return []
+    return [h + (0,) for h in base.halfspaces] + [(0,) * base.dim + (1,)] * half
+
+
+def reference_dual_extreme_rays(halfspaces, base=None, half=False):
+    halfspaces = dd_prefix(base, half) + [tuple(h) for h in halfspaces]
     if not halfspaces:
         raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
     dim = len(halfspaces[0])
@@ -491,15 +500,85 @@ def test_double_dual_returns_the_extreme_generators(case):
         assert matrix_rank(tight) == d - 1
 
 
+@st.composite
+def _pointed_cone(draw):
+    """A pointed full-dimensional cone: simplicial (d independent integer
+    rays, d = 2..4) or, from ``_cone_with_known_rays``, with up to d + 3
+    extreme rays (d = 3..5)."""
+    if draw(st.booleans()):
+        return cone_from_rays(draw(_cone_with_known_rays())[0])
+    d = draw(st.integers(2, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d, max_size=d))
+    assume(matrix_rank(rays) == d)
+    return cone_from_rays(rays)
+
+
+def _message(dd, halfspaces, *start):
+    """The rays, or the error's type and message."""
+    try:
+        return dd(halfspaces, *start)
+    except TauIdealError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_pointed_cone(), st.booleans(), st.data())
+def test_a_dd_started_from_a_cone_is_the_cold_dd(base, half, data):
+    # the double description started from base x R, or base x [0, inf),
+    # equals the cold one on the base's halfspaces followed by the same
+    # ones: the rays, and each error with its message (an implicit equality
+    # names the same halfspace, as the bits come in the same order); each
+    # normal is random or, like a Newton generator's (g, -b), a sum g of the
+    # base's facet normals with any last entry, which often leaves a pointed cone
+    normal = st.tuples(*[st.integers(-3, 3)] * (base.dim + 1)) | st.builds(
+        lambda hs, b: tuple(map(sum, zip(*hs))) + (b,),
+        st.lists(st.sampled_from(base.halfspaces), min_size=1, max_size=3),
+        st.integers(-3, 3),
+    )
+    halfspaces = data.draw(st.lists(normal, max_size=6))
+    if halfspaces and data.draw(st.booleans()):  # an implicit equality
+        halfspaces.append(vec_neg(data.draw(st.sampled_from(halfspaces))))
+    got = _message(dual_extreme_rays, halfspaces, base, half)
+    assert got == _message(dual_extreme_rays, dd_prefix(base, half) + halfspaces)
+
+
+SQUARE_BASE = cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+SIMPLICIAL_BASE = cone_from_rays([(0, 1), (5, -2)])
+
+
+@pytest.mark.parametrize("base", [SQUARE_BASE, SIMPLICIAL_BASE], ids=["square", "simplicial"])
+@pytest.mark.parametrize("half, halfspaces, error", [
+    (False, [], ConeNotPointedError),  # base x R keeps its line
+    (True, [], None),  # base x [0, inf) is pointed: its rays come back
+    (False, ["up"], None),  # s >= 0 is the half shape
+    (True, ["down"], ConeNotFullDimensionalError),  # s >= 0 and s <= 0: s = 0 is implicit
+    (False, ["ray", "up", "down"], ConeNotFullDimensionalError),  # likewise, after a cut
+])
+def test_a_started_dd_keeps_the_cold_errors(base, half, halfspaces, error):
+    d = base.dim
+    named = {
+        "up": (0,) * d + (1,),
+        "down": (0,) * d + (-1,),
+        "ray": base.halfspaces[0] + (1,),
+    }
+    halfspaces = [named[h] for h in halfspaces]
+    got = _message(dual_extreme_rays, halfspaces, base, half)
+    assert got == _message(dual_extreme_rays, dd_prefix(base, half) + halfspaces)
+    if error is None:  # base x [0, inf)
+        assert got == sorted([r + (0,) for r in base.rays] + [(0,) * d + (1,)])
+    else:
+        assert got[0] is error, got
+
+
 def test_one_dd_per_fact(monkeypatch):
     # a Newton polyhedron is one DD (its facets and vertices, here with no
     # cut, and so its scaled copies too), and a toric ring one DD (sigma's
     # facets are the rays of sigma_dual)
     calls = []
 
-    def counted(halfspaces):
+    def counted(halfspaces, base=None, half=False):
         calls.append(1)
-        return dual_extreme_rays(halfspaces)
+        return dual_extreme_rays(halfspaces, base, half)
 
     monkeypatch.setattr(lattice, "dual_extreme_rays", counted)
     monkeypatch.setattr(polyhedra, "dual_extreme_rays", counted)

@@ -63,11 +63,19 @@ def reference_minimal_upset_generators(ring, is_member, bound):
     ]
 
 
-def reference_upset_union(ring, ineq_sets, boxes=(), bound=None):
+def reference_upset_union(ring, ineq_sets, boxes=(), bound=None, rows=False):
     """``upset_union`` with the walk-and-test kernel: realized boxes as
     there, the rest of the union tested point by point over its degree
     shell.  A caller's bound is taken and not used: the shell is bounded by
-    ``degree_bound`` with its double description."""
+    ``degree_bound`` with its double description.  With ``rows`` the
+    generators' sorted ray coordinates stand in their place."""
+    gens, count = _reference_upset_union(ring, ineq_sets, boxes)
+    if rows:
+        return sorted(zip(*pairing_columns(gens, ring.sigma.rays))), count
+    return gens, count
+
+
+def _reference_upset_union(ring, ineq_sets, boxes):
     rays = ring.sigma.rays
     bounds, others = list(boxes), []
     for ineqs in map(tuple, ineq_sets):

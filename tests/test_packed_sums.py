@@ -9,6 +9,7 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import tauideal.enumeration as enumeration_module
 import tauideal.frobenius as frobenius_module
 import tauideal.ideals as ideals_module
 from tauideal.enumeration import lattice_points_upto, upset_union
@@ -37,7 +38,7 @@ from tauideal.ideals import (
     zero_ideal,
 )
 from tauideal.lattice import minimal_vectors_orthant, orthant_ring, toric_ring, vec_add, vec_scale
-from tauideal.tau import _check_request, veronese_ring
+from tauideal.tau import _check_request, tau, veronese_ring
 
 TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
     veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
@@ -59,11 +60,16 @@ def reference_sums(A, B=None):
     return minimal_vectors_orthant(tuple(map(add, a, b)) for a in A for b in B)
 
 
-def reference_upset_union(ring, bounds):
+def reference_upset_ideal(ring, bounds):
     """The bounds handed to ``upset_union`` as pair sets (n_j, c_j), which it
     parses back into boxes."""
     pairs = [tuple(zip(ring.sigma.rays, c)) for c in bounds]
     return MonomialIdeal(ring=ring, gens=upset_union(ring, pairs)[0])
+
+
+def reference_upset_union(ring, bounds):
+    """The sorted ray coordinates of ``reference_upset_ideal``'s generators."""
+    return sorted(_ray_coords(ring, reference_upset_ideal(ring, bounds).gens))
 
 
 def reference_floors(rows, q):
@@ -79,7 +85,7 @@ def reference_root_oracle(ring, a, t, qmax, p):
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
     prev_rows = prev_q = None
     for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
-        current = reference_upset_union(ring, reference_floors(rows, q))
+        current = reference_upset_ideal(ring, reference_floors(rows, q))
         current_rows = _ray_coords(ring, current.gens)
         lifts = [tuple([q * x + q - 1 for x in m]) for m in current_rows]
         if not _covers(rows, lifts):
@@ -210,21 +216,56 @@ def test_lift_check_on_floors_is_the_lift_check_on_rows(rows, roots, q):
     assert _covers(rows, lifts) == _covers(_floors(rows, q), roots)
 
 
-def test_a_root_generator_one_step_below_a_floor_is_outside(monkeypatch):
-    # lower one generator of each C_q by one in one coordinate: it lies below
-    # a minimal floor and above no floor, so q*m + (q-1)*w leaves a^n
-    ring = orthant_ring(3)
-    a = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
+@pytest.mark.parametrize("ring, gens", [
+    (orthant_ring(3), [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)]),
+    (veronese_ring(2, 2), [(2, 1), (1, 2), (3, 6)]),
+], ids=["smooth", "veronese"])
+def test_a_root_generator_one_step_below_a_floor_is_outside(monkeypatch, ring, gens):
+    # lower one row of each C_q by one in one coordinate: it lies below a
+    # minimal floor and above no floor, so q*m + (q-1)*w leaves a^n
+    a = minimalize(ring, gens)
     real = frobenius_module._upset_union
 
     def lowered(ring, floors):
-        gens = list(real(ring, floors).gens)
-        k, j = next((k, j) for k, g in enumerate(gens) for j, x in enumerate(g) if x)
-        gens[k] = tuple(x - (i == j) for i, x in enumerate(gens[k]))
-        return MonomialIdeal(ring=ring, gens=tuple(sorted(gens)))
+        rows = list(real(ring, floors))
+        k, j = next((k, j) for k, g in enumerate(rows) for j, x in enumerate(g) if x)
+        rows[k] = tuple(x - (i == j) for i, x in enumerate(rows[k]))
+        return sorted(rows)
 
-    with pytest.raises(NotStabilizedError):  # and no InvariantError
-        frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16)
+    if ring.is_smooth():
+        with pytest.raises(NotStabilizedError):  # and no InvariantError
+            frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16)
+    else:  # the chain stabilizes at tau, with no InvariantError
+        assert frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16) == tau(ring, a, Fraction(3, 2))
     monkeypatch.setattr(frobenius_module, "_upset_union", lowered)
     with pytest.raises(InvariantError, match="outside"):
         frobenius_root_tau_oracle(ring, a, Fraction(3, 2), 16)
+
+
+def test_a_root_value_makes_its_points_once(monkeypatch):
+    # on a smooth cone the chain stays on rows: the power's generators are
+    # paired once, no C_q's generators are paired, and the only points made
+    # are the returned value's, by one _points call (none when it raises)
+    ring = orthant_ring(3)
+    a = minimalize(ring, [(2, 0, 1), (0, 3, 0), (1, 1, 2)])
+    b = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
+    want = tau(ring, a, 1)
+    paired, points = [], []
+    for module in (ideals_module, frobenius_module):
+        real_coords = module._ray_coords
+        monkeypatch.setattr(
+            module, "_ray_coords",
+            lambda ring, gens, real=real_coords: paired.append(tuple(gens)) or real(ring, gens),
+        )
+    for module in (ideals_module, enumeration_module):
+        real_points = module._points
+        monkeypatch.setattr(
+            module, "_points",
+            lambda ring, rows, real=real_points: points.append(len(rows)) or real(ring, rows),
+        )
+    assert frobenius_root_tau_oracle(ring, a, 1, 16) == want
+    assert paired == [a.gens] and len(points) == 1
+    del paired[:], points[:]
+    with pytest.raises(NotStabilizedError):
+        frobenius_root_tau_oracle(ring, b, Fraction(3, 2), 16)
+    assert paired == [b.gens] and points == []

@@ -1,17 +1,21 @@
 """Newton polyhedra: construction, scaling, membership."""
 
+import json
 import math
 import re
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 from tauideal import lattice, polyhedra
 from tauideal.campaigns import run_crosscheck
+from tauideal.cli import emit, main
 from tauideal.enumeration import lattice_points_upto
 from tauideal.errors import DimensionMismatchError, InputError, SemigroupMembershipError
 from tauideal.frobenius import (
+    _socle_corners,
     frobenius_root_tau_oracle,
     in_star_E,
     socle_piece_vanishes_at_q,
@@ -23,6 +27,7 @@ from tauideal.lattice import dual_extreme_rays, orthant_ring, pairing, toric_rin
 from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, tau_is_unit, veronese_ring
 from test_enumeration import reference_inequality_batch, reference_inequality_vertices
+from test_lattice import dd_prefix
 
 
 def _facets(P):
@@ -270,6 +275,76 @@ def test_lattice_inequalities_match_the_fraction_reference(ring):
     assert compared >= 200, compared
 
 
+# -- reference: t*P with one Fraction per facet -------------------------------
+# scale as it was before t*P kept P's integer bounds, on the facets of the
+# all-generator reference, kept here only to check the integer bounds against.
+
+def reference_scaled_inequalities(ring, generators, t):
+    if t == 0:
+        return tuple(sorted((h, Fraction(0)) for h in ring.sigma_dual.halfspaces))
+    return tuple((a, t * b) for a, b in reference_newton_inequalities(ring, generators))
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_integer_bounds_match_the_fraction_scale(ring):
+    # t*P's inequalities, and the lattice bounds of m + w and of the socle's
+    # m + x/q over the corners x, as the Fraction code gave them
+    rng = Random(3535)
+    pool = lattice_points_upto(ring, 6)[1:]
+    compared = 0
+    for _ in range(4):
+        gens = rng.sample(pool, rng.randint(1, min(5, len(pool))))
+        P = newton_polyhedron(ring, gens)
+        for t in (Fraction(0), Fraction(1), Fraction(5, 6), Fraction(7, 2), Fraction(1, 1000003)):
+            tP = scale(P, t)
+            want = reference_scaled_inequalities(ring, gens, t)
+            assert tP.inequalities == want
+            assert {type(b) for _, b in tP.inequalities} == {Fraction}
+            ref = SimpleNamespace(inequalities=want)
+            for shift in (None, ring.w):
+                for strict in (False, True):
+                    got = lattice_inequalities(tP, shift, strict)
+                    assert got == reference_lattice_inequalities(ref, shift, strict)
+            for q in (2, 4, 8, 3, 9, 27):
+                for x in _socle_corners(ring, q):
+                    shift = tuple(Fraction(xi, q) for xi in x)
+                    got = lattice_inequalities(tP, x, den=q)
+                    assert got == reference_lattice_inequalities(ref, shift)
+                    assert got == lattice_inequalities(tP, shift)
+                    compared += 1
+    assert compared >= 120, compared
+
+
+def test_newton_json_is_the_fraction_reference_byte_for_byte(tmp_path, capsys):
+    # ``tauideal newton --out json`` prints t*P as the Fraction code did: its
+    # inequalities from the reference scale, its vertices from a DD of their
+    # own, on seeded ideals of every test ring and on one cut by a generator
+    # (the second double description's path)
+    rng = Random(3636)
+    cases = [(orthant_ring(2), [(3, 0), (1, 1), (0, 3)])]
+    for ring in TEST_RINGS:
+        pool = lattice_points_upto(ring, 5)[1:]
+        cases += [(ring, rng.sample(pool, rng.randint(1, min(6, len(pool))))) for _ in range(2)]
+    ring_file, ideal_file = tmp_path / "ring.json", tmp_path / "ideal.json"
+    for ring, gens in cases:
+        ring_file.write_text(json.dumps({"cone_generators": [list(n) for n in ring.sigma.rays]}))
+        ideal_file.write_text(json.dumps({"generators": [list(g) for g in gens]}))
+        for t in ("0", "1", "5/6", "7/2"):
+            argv = ["newton", "--ring", str(ring_file), "--ideal", str(ideal_file),
+                    "--t", t, "--out", "json"]
+            assert main(argv) == 0
+            got = capsys.readouterr().out
+            ineqs = reference_scaled_inequalities(ring, gens, Fraction(t))
+            emit({
+                "command": "newton",
+                "t": Fraction(t),
+                "vertices": sorted(map(list, reference_inequality_vertices(ring.sigma_dual, ineqs))),
+                "rays": [list(r) for r in ring.sigma_dual.rays],
+                "inequalities": [[list(a), b] for a, b in ineqs],
+            }, "json")
+            assert got == capsys.readouterr().out, (ring.sigma.rays, gens, t)
+
+
 # -- reference: newton_polyhedron from one DD on every generator --------------
 # The version that fed every homogenized generator and ray of sigma_dual to
 # one double description, kept here only to check the vertex-first
@@ -288,9 +363,9 @@ def _count_dd_calls(monkeypatch):
     # the second double description runs inside ``lattice.cone_from_rays``
     calls = []
 
-    def counted(halfspaces):
-        calls.append(len(halfspaces))
-        return dual_extreme_rays(halfspaces)
+    def counted(halfspaces, base=None, half=False):
+        calls.append(len(dd_prefix(base, half)) + len(halfspaces))
+        return dual_extreme_rays(halfspaces, base, half)
 
     for owner in (lattice, polyhedra):
         monkeypatch.setattr(owner, "dual_extreme_rays", counted)
@@ -354,6 +429,38 @@ def test_orthant_power_takes_one_double_description(monkeypatch, d):
     # the candidates are the d vertices 4*e_i, next to the d rays
     assert calls == [2 * d]
     assert P.inequalities == reference_newton_inequalities(ring, gens)
+
+
+def _insert_steps(monkeypatch):
+    steps = []
+    real = lattice._insert
+
+    def counted(lineality, rays, h, bit):
+        steps.append(h)
+        return real(lineality, rays, h, bit)
+
+    monkeypatch.setattr(lattice, "_insert", counted)
+    return steps
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_a_principal_ideal_takes_one_insert_step(monkeypatch, ring):
+    # the double description starts from sigma x R, so only (g, 1) is inserted
+    g = lattice_points_upto(ring, 3)[-1]
+    steps = _insert_steps(monkeypatch)
+    P = newton_polyhedron(ring, [g])
+    assert steps == [g + (1,)]
+    assert P.inequalities == reference_newton_inequalities(ring, [g])
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_an_orthant_power_takes_d_insert_steps(monkeypatch, d):
+    # m^4 on orthant(d): the d candidates 4*e_i and nothing else
+    ring = orthant_ring(d)
+    gens = [g for g in lattice_points_upto(ring, 4) if sum(g) == 4]
+    steps = _insert_steps(monkeypatch)
+    newton_polyhedron(ring, gens)
+    assert len(steps) == d
 
 
 def test_a_cutting_generator_forces_the_second_double_description(monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tauideal.campaigns import random_monomial_ideal, run_crosscheck
+from tauideal.enumeration import by_degree, degree_bound, hilbert_basis, lattice_points_upto
+from tauideal.enumeration import upset_union
 from tauideal.errors import (
     DimensionMismatchError,
     InputError,
@@ -107,6 +109,22 @@ NOT_INT_VECTORS = {
     "MonomialIdeal list gens": lambda: colon(A, MonomialIdeal(R, [(1, 0)])),
     "MonomialIdeal list generator":
         lambda: run_crosscheck(R, [("x", MonomialIdeal(R, ([1, 0],)))], [1], qmax=4),
+    # the enumeration read a None ring's fields (AttributeError), a float or
+    # str bound in range() (TypeError), and a pair's right-hand side in a
+    # box (AttributeError), a floor division or the double description
+    "lattice_points_upto None ring": lambda: lattice_points_upto(None, 3),
+    "lattice_points_upto float bound": lambda: lattice_points_upto(R, 2.5),
+    "lattice_points_upto str bound": lambda: lattice_points_upto(R, "3"),
+    "hilbert_basis None": lambda: hilbert_basis(None),
+    "by_degree None": lambda: by_degree(None, [(1, 0)]),
+    "upset_union None": lambda: upset_union(None, []),
+    "upset_union float box pair": lambda: upset_union(R, [[((1, 0), 1.5)]]),
+    "upset_union float pair": lambda: upset_union(R, [[((1, 1), 1.5)]]),
+    "degree_bound str pair": lambda: degree_bound(R, [((1, 0), "x")]),
+    # a polyhedron that is not one raised an AttributeError from its fields
+    "lattice_inequalities None": lambda: lattice_inequalities(None),
+    "lattice_inequalities zero den": lambda: lattice_inequalities(P, (1, 0), den=0),
+    "lattice_inequalities float den": lambda: lattice_inequalities(P, (1, 0), den=2.0),
 }
 
 
@@ -155,6 +173,15 @@ ENTRY_POINTS = [
     # as 1e308 is read and checked without an enumeration up to its degree
     lambda v: run_crosscheck(R, [("1", unit_ideal(R))], v, qmax=4),
     lambda v: run_crosscheck(R, NAMED, [1], qmax=4, primes=v),
+    # with v in place of an enumeration's ring, bound or right-hand side
+    lambda v: lattice_points_upto(v, 2),
+    lambda v: lattice_points_upto(R, v),
+    lambda v: by_degree(v, [(1, 0)]),
+    lambda v: upset_union(v, []),
+    # a box, as a scan would run up to the degree of a huge Fraction v
+    lambda v: upset_union(R, [[((1, 0), v)]]),
+    lambda v: degree_bound(R, [((1, 1), v)]),
+    lambda v: lattice_inequalities(v),
     # with v in place of an ideal, of its ring or of its generators
     lambda v: power(v, 2),
     lambda v: integral_closure(v),
@@ -185,6 +212,10 @@ def test_rational_shifts_and_points_are_still_accepted():
     assert P.contains((Fraction(2), Fraction(1, 3)))
     assert not P.contains((Fraction(1, 2), 0))
     assert dual_extreme_rays([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
+    # a pair's right-hand side may be an int or a Fraction, read as its ceiling
+    assert upset_union(R, [[((1, 1), Fraction(3, 2))]]) == upset_union(R, [[((1, 1), 2)]])
+    assert degree_bound(R, [((1, 1), Fraction(3, 2))]) == degree_bound(R, [((1, 1), 2)])
+    assert lattice_inequalities(P, (1, 0), den=2) == lattice_inequalities(P, (Fraction(1, 2), 0))
     # an exponent may still be a float or a string, as exponent's docstring says
     assert exponent(0.5) == exponent("1/2") == Fraction(1, 2)
 
