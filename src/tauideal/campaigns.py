@@ -98,7 +98,7 @@ def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
     """Subideal generated by the vertex generators; same Newton polyhedron.
     P's points are sorted, and no vertex is a multiple of another point."""
-    return MonomialIdeal(ring=ring, gens=newton_polyhedron(ring, a.gens).points)
+    return idl._derived(ring, newton_polyhedron(ring, a.gens).points)
 
 
 def jsonable(obj):

@@ -23,7 +23,7 @@ from .enumeration import sharing
 from .errors import InputError, InvariantError, NotStabilizedError, TauIdealError
 from .frobenius import frobenius_root_tau_oracle, tau_socle_oracle
 from .ideals import MonomialIdeal
-from .lattice import ToricRing, toric_ring
+from .lattice import ToricRing, int_scalar, toric_ring
 from .polyhedra import exponent, newton_polyhedron, scale
 from .tau import tau, tau_veronese, veronese_maximal_ideal, veronese_ring
 
@@ -52,22 +52,15 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _json_int(x) -> int:
-    """A JSON integer as is: floats, bools and strings are rejected, since
-    int() would truncate or reinterpret them."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{x!r} is not an integer")
-    return x
-
-
 def load_ring(path: str) -> ToricRing:
     """The ring of a JSON file; its generators are checked by ``toric_ring``
-    as any caller's are (``lattice.int_vectors``), and only "d" here."""
+    as any caller's are (``lattice.int_vectors``), and "d" by
+    ``lattice.int_scalar``, which refuses a float, a bool or a string."""
     data = _load_json(path)
     try:
         gens = data["cone_generators"]
-        declared = _json_int(data["d"]) if "d" in data else None
-    except (KeyError, TypeError, ValueError) as exc:
+        declared = int_scalar("d", data["d"]) if "d" in data else None
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad ring file {path}: {exc}") from exc
     ring = toric_ring(gens)
     if declared is not None and declared != ring.d:
@@ -142,11 +135,10 @@ def cmd_tau(args) -> int:
 def cmd_newton(args) -> int:
     ring = load_ring(args.ring)
     a = load_ideal(args.ideal, ring)
-    t = exponent(args.t)
-    P = scale(newton_polyhedron(ring, a.gens), t)
+    P = scale(newton_polyhedron(ring, a.gens), args.t)
     payload = {
         "command": "newton",
-        "t": t,
+        "t": P.scale,
         "vertices": [list(v) for v in P.vertices],
         "rays": [list(r) for r in P.rays],
         "inequalities": [[list(av), b] for av, b in P.inequalities],

@@ -21,7 +21,9 @@ a box of ray coordinates that one lattice point realizes has
 that point as its generator (on a smooth sigma every box, with no solve),
 and the rest of a union of up-sets is scanned once, up to the largest
 bound; it hands back the generators or, for ``ideals._upset_union``, their
-ray coordinates.
+ray coordinates.  It checks its ring, pairs and boxes at its entry
+(``_check_union``), except those the library derived for the ring, which
+come ``lattice.Checked``.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import add, mul, sub
 
-from .lattice import IntVec, ToricRing, _points, check_ring, int_scalar, minimal_vectors_orthant
-from .lattice import pairing, pairing_columns, rational_vector
+from .errors import DimensionMismatchError, InputError
+from .lattice import Checked, IntVec, ToricRing, _points, check_ring, checked_for, int_scalar
+from .lattice import int_vectors, minimal_vectors_orthant, pairing, pairing_columns
+from .lattice import rational_vector, sequence
 from .polyhedra import _vertex_rays
 
 
@@ -87,8 +91,7 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     the integer quotient ceil(<x, l>/s).  l, H and D come from ``_Lines``.
     The ring and the pairs are checked as in ``upset_union``.
     """
-    check_ring(ring)
-    (ineqs,) = _pair_sets([ineqs])
+    (ineqs,), _ = _check_union(ring, [ineqs])
     bound = _slice_bound(ring, ineqs)
     if bound is not None:
         return bound
@@ -98,13 +101,35 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     return top + lines.D - 1
 
 
-def _pair_sets(ineq_sets) -> tuple[tuple, ...]:
-    """The pair sets as tuples, after checking that every right-hand side is
-    an int or a Fraction: InputError otherwise (a float or a string would
-    reach the floor divisions and the double description as it is)."""
-    sets = tuple(map(tuple, ineq_sets))
-    rational_vector([c for ineqs in sets for _, c in ineqs])
-    return sets
+def _check_union(ring: ToricRing, ineq_sets, boxes=()) -> tuple[tuple, tuple]:
+    """The pair sets as tuples of pairs (a, c) and the boxes as tuples, after
+    ``check_ring`` and a check of those not ``lattice.Checked`` for the
+    ring: InputError for a pair that is not a pair, a normal a that is not
+    an int sequence or lies outside sigma (<r, a> < 0 for a ray r of
+    sigma_dual, so not up-closed), a c not an int or a Fraction, or a box
+    entry not an int >= 0; DimensionMismatchError for a normal not of
+    length d or a box not of one entry per ray of sigma."""
+    check_ring(ring)
+    if not (checked_for(boxes, ring) or type(boxes) is tuple and not boxes):
+        boxes, k = tuple(int_vectors(boxes)), len(ring.sigma.rays)
+        if not {k}.issuperset(map(len, boxes)):
+            raise DimensionMismatchError(f"a box needs one entry per ray of sigma, {k}")
+        if boxes and min(chain.from_iterable(boxes)) < 0:
+            raise InputError("a box's entries must be >= 0")
+    sets = []
+    for ineqs in sequence("the pair sets", ineq_sets):
+        if not checked_for(ineqs, ring):
+            pairs = [sequence("a pair", pair) for pair in sequence("a pair set", ineqs)]
+            if any(len(pair) != 2 for pair in pairs):
+                raise InputError("each pair must be a normal and a right-hand side")
+            normals = int_vectors(a for a, _ in pairs)
+            columns = pairing_columns(normals, ring.sigma_dual.rays)
+            if pairs and min(map(min, columns)) < 0:
+                bad = next(a for a, *ra in zip(normals, *columns) if min(ra) < 0)
+                raise InputError(f"the pair normal {bad} lies outside sigma")
+            ineqs = tuple(zip(normals, rational_vector(c for _, c in pairs)))
+        sets.append(ineqs)
+    return tuple(sets), boxes
 
 
 def _slice_bound(ring: ToricRing, ineqs) -> int | None:
@@ -406,7 +431,8 @@ class _Union:
                 points = _points(ring, tops)
                 coords = zip(*pairing_columns(points, rays))
                 self.found = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
-                others += [tuple(zip(rays, v)) for v in tops if v not in self.found]
+                others += [Checked(zip(rays, v), ring.sigma_dual)
+                           for v in tops if v not in self.found]
         self.ring, self.others = ring, others
         # points of distinct minimal boxes divide none of each other
         self.scanned = not others
@@ -464,9 +490,9 @@ def upset_union(
 ) -> tuple[tuple[IntVec, ...] | list[IntVec], int]:
     """(sorted minimal generators, lines scanned) of the union of the up-sets
     the integer pair sets cut out and of the ``boxes``; with ``rows``, the
-    sorted ray coordinates of those generators in their place.  InputError
-    for a ring that is not a ToricRing or a pair whose right-hand side is
-    not an int or a Fraction.
+    sorted ray coordinates of those generators in their place.  The ring,
+    the pairs and the boxes are checked (``_check_union``), and a bound
+    must be an int.
 
     A box rc(m) >= v in ray coordinates is given by its bound vector v
     (ints >= 0, one per ray n_j of sigma), or by a pair set whose normals
@@ -492,9 +518,9 @@ def upset_union(
     count a call returns depends only on that call: it is of the lines up
     to its own bound, whether the scan ran for it or for an equal request.
     """
-    check_ring(ring)
-    ineq_sets = _pair_sets(ineq_sets)
-    boxes = tuple(boxes)
+    ineq_sets, boxes = _check_union(ring, ineq_sets, boxes)
+    if bound is not None:
+        int_scalar("bound", bound)
     union = shared(("upset", ring, ineq_sets, boxes), lambda: _Union(ring, ineq_sets, boxes))
     count = 0
     if union.others:

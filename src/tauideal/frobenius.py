@@ -48,6 +48,7 @@ from .ideals import (  # noqa: F401
     MonomialIdeal,
     _check_same_ring,
     _covers,
+    _derived,
     _floors,
     _from_rows,
     _ray_coords,
@@ -278,7 +279,7 @@ def tau_socle_oracle(
     num = u * top * q + (lines.D * q - low) * v
     bound = -(-num // (v * q)) - 1
     gens, checked = upset_union(ring, [ineqs for _, ineqs in corners], bound=bound)
-    return SocleOracleResult(MonomialIdeal(ring=ring, gens=gens), checked)
+    return SocleOracleResult(_derived(ring, gens), checked)
 
 
 def frobenius_root_tau_oracle(

@@ -4,7 +4,7 @@ Divisibility is semigroup membership of the difference of exponent vectors,
 not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
 over the rays n_j of sigma, computed and checked for all generators at
-once by ``lattice.semigroup_columns``, and every divisibility test here
+once by ``lattice.member_columns``, and every divisibility test here
 (``minimalize``, ``MonomialIdeal.is_subideal_of``, ``contains_monomial``)
 is one call of the bitmask kernel ``lattice._below_masks``.  Ray
 coordinates add under products, and every product and square is one
@@ -21,7 +21,9 @@ ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
 up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, the trace root's floors
 (``_floors``) among them, go through ``_upset_union`` to the one up-set kernel
 ``enumeration.upset_union`` as boxes, with no pair sets, and come back as
-the rows of the union's generators.  The zero ideal
+the rows of the union's generators.  An ideal is checked once, when it is
+made (``MonomialIdeal``), and the ideals derived here from checked ones
+are made without that check (``_derived``).  The zero ideal
 has an empty generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
 (the orthant's trace root, checked to cover I) and ``kill_variable`` are
 orthant-only and refuse other rings loudly.
@@ -40,8 +42,9 @@ from .errors import (
 )
 from . import polyhedra
 from .enumeration import hilbert_basis, upset_union
-from .lattice import IntVec, ToricRing, _below_masks, _points, check_ring, int_scalar, int_vector
-from .lattice import int_vectors, minimal_vectors_orthant, orthant_ring, semigroup_columns
+from .lattice import Checked, IntVec, ToricRing, _below_masks, _points, check_ring, int_scalar
+from .lattice import int_vector, int_vectors, member_columns, minimal_vectors_orthant
+from .lattice import orthant_ring, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -52,12 +55,13 @@ def _require_orthant(ring: ToricRing, op: str) -> None:
 
 
 def _ray_coords(ring: ToricRing, gens) -> list[IntVec]:
-    """The ray coordinates (<g, n_j> over the rays n_j of sigma) of each g.
+    """The ray coordinates (<g, n_j> over the rays n_j of sigma) of each int
+    vector g, a checked ring's (``lattice.member_columns``).
 
     Raises DimensionMismatchError on a vector of the wrong length and
     SemigroupMembershipError on one outside sigma_dual.
     """
-    return list(zip(*semigroup_columns(ring, list(gens))))
+    return list(zip(*member_columns(ring, list(gens))))
 
 
 def _covers(lower, upper) -> bool:
@@ -70,9 +74,12 @@ def _covers(lower, upper) -> bool:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """An ideal of ``ring`` given by its generators' exponents.  The fields
-    must be a ToricRing and a tuple of tuples (InputError otherwise); their
-    entries are checked as ints where they are read."""
+    """An ideal of ``ring`` given by its generators' exponents, checked when
+    it is made: the fields must be a ToricRing and a tuple of tuples of ints
+    (InputError otherwise), each generator of length d
+    (DimensionMismatchError) and in sigma_dual (SemigroupMembershipError).
+    Minimality is not checked.  The ideals the package derives from checked
+    ones are made without it (``_derived``)."""
 
     ring: ToricRing
     gens: tuple[IntVec, ...]
@@ -81,6 +88,7 @@ class MonomialIdeal:
         check_ring(self.ring)
         if type(self.gens) is not tuple or not {tuple}.issuperset(map(type, self.gens)):
             raise InputError(f"an ideal's generators must be tuples in a tuple, got {self.gens!r}")
+        semigroup_columns(self.ring, self.gens)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -90,18 +98,14 @@ class MonomialIdeal:
 
     def contains_monomial(self, m) -> bool:
         """True iff some generator divides x^m in the semigroup sense:
-        ``_covers`` on the ray coordinates of m and the generators, all
-        checked as in ``is_subideal_of``."""
+        ``_covers`` on the ray coordinates of the generators and of m, which
+        is checked (``_ray_coords``)."""
         rows = _ray_coords(self.ring, (int_vector(m),) + self.gens)
         return _covers(rows[1:], rows[:1])
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
-        """True iff every generator of self is divisible by one of other.
-
-        ``_covers`` on the ray coordinates of both ideals' generators, which
-        are checked: one of the wrong length raises DimensionMismatchError,
-        one outside the semigroup SemigroupMembershipError.
-        """
+        """True iff every generator of self is divisible by one of other:
+        ``_covers`` on the ray coordinates of both ideals' generators."""
         return _covers(*_paired_rows(other, self))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -127,8 +131,8 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
 
 
 def _paired_rows(I: MonomialIdeal, J: MonomialIdeal) -> tuple[list[IntVec], list[IntVec]]:
-    """The checked ray coordinates of I's generators and of J's, two ideals
-    of one ring (RingMismatchError otherwise), from one ``_ray_coords`` call."""
+    """The ray coordinates of I's generators and of J's, two ideals of one
+    ring (RingMismatchError otherwise), from one ``_ray_coords`` call."""
     _check_same_ring(I, J)
     rows = _ray_coords(I.ring, I.gens + J.gens)
     n = len(I.gens)
@@ -144,24 +148,33 @@ def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     and the zero vector's coordinates lie below every other's.
     """
     gens = list(set(int_vectors(raw_gens)))
-    by_coords = dict(zip(_ray_coords(ring, gens), gens))
+    by_coords = dict(zip(_ray_coords(check_ring(ring), gens), gens))
     minimal = sorted(by_coords[c] for c in minimal_vectors_orthant(by_coords))
-    return MonomialIdeal(ring=ring, gens=tuple(minimal))
+    return _derived(ring, tuple(minimal))
+
+
+def _derived(ring: ToricRing, gens: tuple[IntVec, ...]) -> MonomialIdeal:
+    """The ideal of generators derived here from checked values, int tuples
+    of length d in sigma_dual by construction: no ``MonomialIdeal`` check."""
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ring", ring)
+    object.__setattr__(ideal, "gens", gens)
+    return ideal
 
 
 def unit_ideal(ring: ToricRing) -> MonomialIdeal:
-    return MonomialIdeal(ring=ring, gens=(tuple(0 for _ in range(check_ring(ring).d)),))
+    return _derived(ring, ((0,) * check_ring(ring).d,))
 
 
 def zero_ideal(ring: ToricRing) -> MonomialIdeal:
-    return MonomialIdeal(ring=ring, gens=())
+    return _derived(check_ring(ring), ())
 
 
 def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     """The irrelevant ideal, of the Hilbert basis of sigma_dual cap M (the
-    unit vectors on the orthant); irreducibles divide none of each other.
-    The ring is checked before ``enumeration._lines`` hashes it."""
-    return MonomialIdeal(ring=ring, gens=tuple(sorted(hilbert_basis(check_ring(ring)))))
+    unit vectors on the orthant, and ``hilbert_basis`` checks the ring);
+    irreducibles divide none of each other."""
+    return _derived(ring, tuple(sorted(hilbert_basis(ring))))
 
 
 def _field_width(A, B) -> int:
@@ -218,7 +231,7 @@ def _from_rows(ring: ToricRing, rows) -> MonomialIdeal:
     """The ideal whose generators have the ray coordinates ``rows``, each
     the ray coordinates of a lattice point and none above another: their
     points, from one ``_points`` call, which divide none of each other."""
-    return MonomialIdeal(ring=ring, gens=tuple(sorted(_points(ring, rows))))
+    return _derived(ring, tuple(sorted(_points(ring, rows))))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -241,7 +254,7 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
 def powers(I: MonomialIdeal, exponents):
     """Lazily yield the ray coordinates of the minimal generators of I**n
     for each n of ``exponents`` (ints >= 0, in any order), pairing I's
-    generators with the rays once (and checking them).
+    generators with the rays once.
 
     One rule builds every power from the unit ideal's zero row, I**0: an
     even n squares I**(n/2), an odd n adds I's rows to I**(n - 1), each
@@ -266,11 +279,12 @@ def powers(I: MonomialIdeal, exponents):
 def _upset_union(ring: ToricRing, bounds) -> list[IntVec]:
     """The sorted ray coordinates of the minimal generators of the ideal of
     the x^m whose ray coordinates dominate some c in ``bounds`` (integer
-    vectors >= 0, one entry per ray of sigma): one
+    vectors >= 0, one entry per ray of sigma, derived here from checked
+    ideals, so handed over ``lattice.Checked``): one
     ``enumeration.upset_union`` call with the bounds as its boxes, which
     hands back rows, so on a smooth sigma no point is made
     (``_from_rows`` makes them)."""
-    return upset_union(ring, (), bounds, rows=True)[0]
+    return upset_union(ring, (), Checked(bounds, ring.sigma_dual), rows=True)[0]
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -295,14 +309,11 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
-    """Generators, checked (``_ray_coords``), scaled by q: the q-th bracket power."""
+    """Generators scaled by q: the q-th bracket power."""
     _check_ideal(I)
-    _ray_coords(I.ring, I.gens)
     if int_scalar("q", q) < 1:
         raise InputError(f"bracket power needs q >= 1, got {q}")
-    return MonomialIdeal(
-        ring=I.ring, gens=tuple(sorted(tuple(q * x for x in g) for g in I.gens))
-    )
+    return _derived(I.ring, tuple(sorted(tuple(q * x for x in g) for g in I.gens)))
 
 
 def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
@@ -341,9 +352,8 @@ def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
 
 
 def kill_variable(I: MonomialIdeal, axis: int) -> MonomialIdeal:
-    """Image of I, checked, in the orthant ring with variable ``axis`` (0-based) killed."""
+    """Image of I in the orthant ring with variable ``axis`` (0-based) killed."""
     _check_ideal(I)
-    _ray_coords(I.ring, I.gens)
     _require_orthant(I.ring, "kill_variable")
     d = I.ring.d
     if d < 2:
@@ -362,4 +372,4 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and
     # dropped; read through the module, where perfbench/layers.py wraps it
     ineqs = polyhedra.lattice_inequalities(polyhedra.newton_polyhedron(I.ring, I.gens))
-    return MonomialIdeal(ring=I.ring, gens=upset_union(I.ring, [ineqs])[0])
+    return _derived(I.ring, upset_union(I.ring, [ineqs])[0])

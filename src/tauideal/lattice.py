@@ -19,15 +19,17 @@ algebra is one fraction-free Gauss-Jordan elimination on integers alone,
 ``basis_inverse`` (D times the inverse of a basis of given vectors), with
 no back-substitution and no Fraction arithmetic.  The pairings of many vectors
 with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
-computed a coordinate column at a time; ``semigroup_columns`` pairs with
-the rays of sigma and checks every vector on the way.  Such rows of ray
-coordinates are compared by integer bitmasks in ``_below_masks`` (the
+computed a coordinate column at a time; ``member_columns`` pairs int
+vectors with the rays of sigma and checks each on the way (raw ones after
+``int_vectors``: ``semigroup_columns``).  Such rows of ray coordinates
+are compared by integer bitmasks in ``_below_masks`` (the
 minimal ones: ``minimal_vectors_orthant``) and become points in ``_points``;
 on a smooth sigma (``ToricRing.is_smooth``) every row >= 0 is one point's.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -105,9 +107,13 @@ def int_vector(v) -> IntVec:
 
 
 def int_vectors(vs) -> list[IntVec]:
-    """``int_vector`` of each element of the collection vs: InputError for
-    a vs that is not iterable, as for any of its elements."""
-    return [int_vector(v) for v in sequence("vectors", vs)]
+    """``int_vector`` of each element of the collection vs, in one scan of
+    the entries when they are tuples: InputError for a vs that is not
+    iterable, as for any of its elements."""
+    vs = sequence("vectors", vs)
+    if {tuple}.issuperset(map(type, vs)) and {int}.issuperset(map(type, chain.from_iterable(vs))):
+        return vs
+    return [int_vector(v) for v in vs]
 
 
 def sequence(name: str, xs) -> list:
@@ -526,15 +532,35 @@ def check_ring(ring) -> ToricRing:
     return ring
 
 
+class Checked(tuple):
+    """Boxes (ints >= 0, one per ray of sigma) or pairs (a, c) (int normals
+    in sigma, int c) derived from checked values for the ring whose
+    sigma_dual is ``cone``.  They carry their check, as an ideal does: the
+    entry checks of ``enumeration.upset_union`` and ``degree_bound`` take
+    them as they are on that ring (``checked_for``)."""
+
+    def __new__(cls, items, cone=None):
+        self = super().__new__(cls, items)
+        self.cone = cone
+        return self
+
+
+def checked_for(items, ring: ToricRing) -> bool:
+    """Are ``items`` a ``Checked`` tuple made for ``ring``?"""
+    return type(items) is Checked and items.cone == ring.sigma_dual
+
+
 def semigroup_columns(ring: ToricRing, vectors) -> list[list[int]]:
-    """``pairing_columns`` of ``vectors`` with the rays of sigma, after
-    ``check_ring`` and a check of each vector: an entry that is not an int
-    raises InputError, a wrong length DimensionMismatchError and a vector
-    outside sigma_dual SemigroupMembershipError, each naming the vector."""
-    check_ring(ring)
-    if not {int}.issuperset(map(type, chain.from_iterable(vectors))):
-        bad = next(v for v in vectors if not {int}.issuperset(map(type, v)))
-        raise InputError(f"generator {bad} has an entry that is not an int")
+    """``member_columns`` of raw vectors, after ``int_vectors``: InputError
+    for an entry that is not an int."""
+    return member_columns(ring, int_vectors(vectors))
+
+
+def member_columns(ring: ToricRing, vectors) -> list[list[int]]:
+    """``pairing_columns`` of a list of int vectors with the rays of sigma, a
+    checked ring's, after checking each: a wrong length raises
+    DimensionMismatchError and a vector outside sigma_dual
+    SemigroupMembershipError, each naming the vector."""
     try:
         columns = pairing_columns(vectors, ring.sigma.rays)
     except DimensionMismatchError:
@@ -571,11 +597,19 @@ def toric_ring(generators) -> ToricRing:
     )
 
 
+def rank(d) -> int:
+    """d, after checking that it is an int no larger than ``sys.maxsize``,
+    the longest a tuple can be: InputError otherwise."""
+    if int_scalar("d", d) > sys.maxsize:
+        raise InputError(f"rank d = {d} exceeds the longest tuple, {sys.maxsize}")
+    return d
+
+
 def orthant_ring(d: int) -> ToricRing:
     """The polynomial ring k[x_1..x_d] as a toric ring (built once per d);
-    d is checked before the cache reads it, so InputError for any d that is
-    not an int, hashable or not."""
-    return _orthant_ring(int_scalar("d", d))
+    d is checked (``rank``) before the cache reads it, so InputError for any
+    d that is not an int, hashable or not."""
+    return _orthant_ring(rank(d))
 
 
 @cache

@@ -19,7 +19,8 @@ extreme rays of that cone, kept as integer points.  The Fractions of
 ``NewtonPolyhedron.vertices`` are made only when read.  The recession rays
 are those of sigma_dual.
 Every exponent t enters through ``exponent``, which refuses anything but a
-finite rational t >= 0 with InputError.
+finite rational t >= 0 with InputError; ``scale`` reads it, and the routes,
+whose t is checked already, call ``_scaled`` below that check.
 """
 
 from __future__ import annotations
@@ -32,18 +33,20 @@ from operator import mul
 
 from .errors import DimensionMismatchError, InputError
 from .lattice import (
+    Checked,
     Cone,
     IntVec,
     RatVec,
     ToricRing,
     _extreme,
+    check_ring,
     dual_extreme_rays,
     int_scalar,
     int_vectors,
+    member_columns,
     pairing,
     pairing_columns,
     rational_vector,
-    semigroup_columns,
 )
 
 
@@ -114,12 +117,13 @@ def exponent(t) -> Fraction:
 
 def lattice_inequalities(
     P: NewtonPolyhedron, shift=None, strict: bool = False, den: int = 1
-) -> tuple[tuple[IntVec, int], ...]:
+) -> Checked:
     """Integer facets (a, c) cutting out the lattice points m with
     m + shift/den in P (in its interior if ``strict``): each pair means
     <m, a> >= c.  P must be a NewtonPolyhedron, the shift's entries ints or
     Fractions (``lattice.rational_vector``) and den an int >= 1 (InputError
-    otherwise).
+    otherwise).  The pairs come as a ``lattice.Checked`` tuple made for P's
+    recession cone: P's normals lie in sigma and every c is an int.
 
     For integer <m, a>, <m + s, a> > t*b iff <m, a> >= floor(t*b - <s, a>)
     + 1, and <m + s, a> >= t*b iff <m, a> >= ceil(t*b - <s, a>).  With
@@ -148,7 +152,7 @@ def lattice_inequalities(
         c = num // L + 1 if strict else -(-num // L)
         if c > 0:
             out.append((a, c))
-    return tuple(out)
+    return Checked(out, P.recession)
 
 
 def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:
@@ -234,7 +238,7 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     gens = list(set(int_vectors(generators)))
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
-    picked = _rotation_minima(semigroup_columns(ring, gens))
+    picked = _rotation_minima(member_columns(check_ring(ring), gens))
     d = ring.d
     candidates = sorted(gens[i] + (1,) for i in picked)
     facets = dual_extreme_rays(candidates, ring.sigma)
@@ -270,6 +274,11 @@ def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
     t = exponent(t)
     if P.scale != 1:
         raise InputError("only scale-1 polyhedra can be rescaled")
+    return _scaled(P, t)
+
+
+def _scaled(P: NewtonPolyhedron, t: Fraction) -> NewtonPolyhedron:
+    """``scale`` with no check, for a scale-1 P and a checked t."""
     if t == 0:
         return replace(P, bounds=tuple(sorted((h, 0) for h in P.recession.halfspaces)), scale=t)
     return replace(P, scale=t)

@@ -7,7 +7,8 @@ compiled once into integer facet bounds <m, a> >= c
 the lines of sigma_dual cap M along a ray up to a proven degree bound, at
 one floor division per pair and line (``enumeration.upset_union``).
 ``tau_is_unit`` reads the same compile.  Every t, 0 included, takes this
-one path.
+one path.  A request (ring, a, t) is checked once, by ``_check_request``:
+t is read only there, and a carries its own check.
 """
 
 from __future__ import annotations
@@ -17,21 +18,21 @@ from fractions import Fraction
 
 from .enumeration import shared, upset_union
 from .errors import InputError
-from .ideals import MonomialIdeal, maximal_ideal
+from .ideals import MonomialIdeal, _check_ideal, _derived, maximal_ideal
 # minimal_upset_generators and minimalize are bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .ideals import minimalize  # noqa: F401
-from .lattice import IntVec, ToricRing, check_ring, int_scalar, primitivize, toric_ring
+from .lattice import IntVec, ToricRing, check_ring, int_scalar, primitivize, rank, toric_ring
 from .lattice import unit_vectors
-from .polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
+from .polyhedra import _scaled, exponent, lattice_inequalities, newton_polyhedron
 
 
 def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
     """t as a Fraction, after checking a request to any route to tau(a^t)
     (the socle and root oracles too): InputError for an a that is not an
-    ideal of the ring, the zero ideal or an unreadable or negative t."""
-    if not isinstance(a, MonomialIdeal):
-        raise InputError(f"a must be a MonomialIdeal, got a {type(a).__name__}")
+    ideal of the ring, the zero ideal or an unreadable or negative t.  a
+    carries its own check (``MonomialIdeal``), and t is read only here."""
+    _check_ideal(a)
     if a.ring != ring:
         raise InputError("ideal does not belong to the given ring")
     if a.is_zero():
@@ -45,7 +46,7 @@ def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t):
     shared on (ring, a.gens) inside a ``sharing`` block."""
     t = _check_request(ring, a, t)
     P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a.gens))
-    return scale(P, t)
+    return _scaled(P, t)
 
 
 def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
@@ -57,7 +58,7 @@ def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     """The generalized test ideal tau(a^t) as a monomial ideal."""
     gens, _ = upset_union(ring, [_tau_inequalities(ring, a, t)])
-    return MonomialIdeal(ring=ring, gens=gens)
+    return _derived(ring, gens)
 
 
 def tau_is_unit(ring: ToricRing, a: MonomialIdeal, t) -> bool:
@@ -78,7 +79,7 @@ def veronese_ring(d: int, r: int) -> ToricRing:
     The first adapted coordinate is total degree divided by r; the others are
     the original exponents of x_2..x_d.
     """
-    if min(int_scalar("d", d), int_scalar("r", r)) < 1:
+    if min(rank(d), int_scalar("r", r)) < 1:
         raise InputError("veronese_ring needs positive parameters")
     return toric_ring(_veronese_rays(d, r))
 
@@ -98,7 +99,7 @@ def veronese_maximal_ideal(ring: ToricRing, d: int, r: int) -> MonomialIdeal:
     ring is an InputError, as (d, r) name the ring.  Rings are equal iff
     their sigma's extreme rays are, so no cone is built to compare.
     """
-    if min(int_scalar("d", d), int_scalar("r", r)) < 1:
+    if min(rank(d), int_scalar("r", r)) < 1:
         raise InputError("veronese_maximal_ideal needs positive parameters")
     if set(check_ring(ring).sigma.rays) != set(map(primitivize, _veronese_rays(d, r))):
         raise InputError(f"the ring is not veronese_ring({d}, {r})")

@@ -26,7 +26,7 @@ from tauideal.enumeration import (
     sharing,
     upset_union,
 )
-from tauideal.errors import DimensionMismatchError
+from tauideal.errors import DimensionMismatchError, InputError
 from tauideal.frobenius import _socle_corners
 from tauideal.ideals import maximal_ideal, minimalize, power
 from tauideal.lattice import (
@@ -703,3 +703,47 @@ def test_the_line_cache_holds_bottoms_only_after_tau():
     assert len(lines.flat) > 1
     for b in lines.flat:
         assert not ring.in_semigroup(vec_sub(b, lines.r)), b
+
+
+# upset_union and degree_bound check everything they read, at their entry:
+# each of these gave a silent answer (the first four), a bare TypeError (the
+# float normal) or a bare ValueError (the pair of three)
+BAD_KERNEL_INPUTS = {
+    "box of the wrong length": (
+        lambda R: upset_union(R, [], [(1, 0, 0)]), DimensionMismatchError),
+    "box with a float entry": (lambda R: upset_union(R, [], [(1.5, 0)]), InputError),
+    "union normal outside sigma": (lambda R: upset_union(R, [[((-1, 1), 1)]]), InputError),
+    "bound normal outside sigma": (lambda R: degree_bound(R, [((-1, 1), 1)]), InputError),
+    "float normal": (lambda R: upset_union(R, [[((1.5, 1), 1)]]), InputError),
+    "pair of three": (lambda R: upset_union(R, [[((1, 0), 1, 2)]]), InputError),
+    # and the rest of each kind
+    "box with a negative entry": (lambda R: upset_union(R, [], [(-1, 0)]), InputError),
+    "box that is not a sequence": (lambda R: upset_union(R, [], [None]), InputError),
+    "normal of the wrong length": (
+        lambda R: degree_bound(R, [((1, 0, 0), 1)]), DimensionMismatchError),
+    "pair that is not a sequence": (lambda R: degree_bound(R, [5]), InputError),
+    "float bound": (lambda R: upset_union(R, [[((1, 1), 2)]], bound=2.5), InputError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KERNEL_INPUTS))
+def test_the_kernel_entry_checks_its_boxes_and_pairs(case):
+    call, error = BAD_KERNEL_INPUTS[case]
+    with pytest.raises(error):
+        call(orthant_ring(2))
+
+
+def test_compiled_pairs_pass_the_entry_check_only_on_their_own_ring():
+    # lattice_inequalities hands over its pairs Checked for P's ring: there
+    # they skip the entry check and give what the same pairs give checked
+    ring = orthant_ring(2)
+    ineqs = lattice_inequalities(newton_polyhedron(ring, [(0, 1)]))
+    assert ineqs == (((0, 1), 1),) and type(ineqs) is not tuple
+    assert upset_union(ring, [ineqs]) == upset_union(ring, [tuple(ineqs)])
+    assert degree_bound(ring, ineqs) == degree_bound(ring, tuple(ineqs))
+    # on another ring they are checked: (0, 1) lies outside this sigma
+    other = toric_ring([(1, 0), (1, 2)])
+    with pytest.raises(InputError):
+        upset_union(other, [ineqs])
+    with pytest.raises(InputError):
+        degree_bound(other, ineqs)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from operator import le, mul
 from random import Random
@@ -49,7 +50,8 @@ from tauideal.ideals import (
 from tauideal.lattice import (
     IntVec, orthant_ring, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
 )
-from tauideal.tau import veronese_ring
+from tauideal.frobenius import tau_socle_oracle
+from tauideal.tau import tau, veronese_ring
 
 
 R2 = orthant_ring(2)
@@ -137,6 +139,45 @@ TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
 ]
 
 
+# each kind of bad generator, refused when the ideal is made
+BAD_GENERATORS = {
+    "str entry": ((("a", 0),), InputError),
+    "float entry": (((1.5, 0),), InputError),
+    "short": (((1,),), DimensionMismatchError),
+    "long": (((1, 0, 0),), DimensionMismatchError),
+    "outside": (((-1, 0),), SemigroupMembershipError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+@pytest.mark.parametrize("ring", [R2, veronese_ring(2, 2)], ids=["orthant", "veronese"])
+def test_an_ideal_is_checked_when_it_is_made(ring, case):
+    gens, error = BAD_GENERATORS[case]
+    with pytest.raises(error):
+        MonomialIdeal(ring=ring, gens=((0, 1),) + gens)
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_the_ideals_the_library_derives_pass_the_check_they_skip(ring):
+    # results are made from checked ideals without the constructor's check;
+    # made again through it, each is accepted and equal
+    rng = Random(2026 + ring.d * len(ring.sigma.rays))
+    pool = lattice_points_upto(ring, 4)[1:]
+    q = ring.gorenstein_index + 1  # (q - 1)*w is a lattice point
+    for _ in range(3):
+        a, b = (minimalize(ring, rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+                for _ in range(2))
+        t = Fraction(rng.randint(0, 6), 4)
+        derived = [
+            a, tau(ring, a, t), power(a, 3), colon(a, b), trace_root(a, q),
+            integral_closure(a), tau_socle_oracle(ring, a, t, qmax=8).ideal,
+            bracket_power(a, 2), unit_ideal(ring), zero_ideal(ring), maximal_ideal(ring),
+        ]
+        for I in derived:
+            assert I == MonomialIdeal(ring, I.gens), I.gens
+            assert type(I.gens) is tuple
+
+
 def test_minimalize_matches_pairwise_reference():
     rng = Random(808)
     seen = Counter()
@@ -222,14 +263,14 @@ def test_is_subideal_of_matches_pairwise_reference():
 @pytest.mark.parametrize("ring", [R2, veronese_ring(2, 2)], ids=["orthant", "veronese"])
 def test_is_subideal_of_checks_the_generators_of_both_ideals(ring):
     good = minimalize(ring, [(1, 0), (1, 1)])
-    outside = MonomialIdeal(ring=ring, gens=((-1, 0),))
-    too_long = MonomialIdeal(ring=ring, gens=((1, 0, 0),))
+    outside = ((-1, 0),)
+    too_long = ((1, 0, 0),)
     for bad, error in ((outside, SemigroupMembershipError),
                        (too_long, DimensionMismatchError)):
         with pytest.raises(error):
-            bad.is_subideal_of(good)
+            MonomialIdeal(ring=ring, gens=bad).is_subideal_of(good)
         with pytest.raises(error):
-            good.is_subideal_of(bad)
+            good.is_subideal_of(MonomialIdeal(ring=ring, gens=bad))
 
 
 def test_minimalize_veronese_semigroup_divisibility():
@@ -495,18 +536,18 @@ def test_products_check_the_generators_they_are_given():
     # refused, at n = 0 and for one generator too
     for ring in (R2, veronese_ring(2, 2)):
         outside = vec_neg(ring.sigma_dual.rays[0])
-        one = MonomialIdeal(ring=ring, gens=(outside,))
-        several = MonomialIdeal(ring=ring, gens=((0,) * ring.d, outside))
+        one = (outside,)
+        several = ((0,) * ring.d, outside)
         for bad in (one, several):
             for n in (0, 1, 2, 5):
                 with pytest.raises(SemigroupMembershipError):
-                    power(bad, n)
+                    power(MonomialIdeal(ring=ring, gens=bad), n)
             with pytest.raises(SemigroupMembershipError):
-                multiply(bad, unit_ideal(ring))
+                multiply(MonomialIdeal(ring=ring, gens=bad), unit_ideal(ring))
             with pytest.raises(SemigroupMembershipError):
-                multiply(unit_ideal(ring), bad)
+                multiply(unit_ideal(ring), MonomialIdeal(ring=ring, gens=bad))
             with pytest.raises(SemigroupMembershipError):
-                bad.contains_monomial((0,) * ring.d)
+                MonomialIdeal(ring=ring, gens=bad).contains_monomial((0,) * ring.d)
 
 
 def test_sum():
@@ -747,33 +788,39 @@ def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
 
 @st.composite
 def _ring_and_two_ideals(draw):
-    """A ring of TEST_RINGS, two ideals from its lattice points, and the kind
-    of defect planted in the second one (None for a well-formed pair)."""
+    """A ring of TEST_RINGS, two ideals from its lattice points, the kind of
+    defect to plant in the second one (None for a well-formed pair), and
+    whether the two swap places."""
     ring = draw(st.sampled_from(TEST_RINGS))
     points = lattice_points_upto(ring, 5)
     a = minimalize(ring, draw(st.lists(st.sampled_from(points), max_size=4)))
     b = minimalize(ring, draw(st.lists(st.sampled_from(points), max_size=4)))
     bad = draw(st.sampled_from((None, None, None, "outside", "too long", "other ring")))
+    return a, b, bad, draw(st.booleans())
+
+
+def _planted(a, b, bad, swap):
+    """a and b with the defect planted in b, swapped if asked."""
+    ring = b.ring
     if bad == "outside":
         b = MonomialIdeal(ring=ring, gens=b.gens + (vec_neg(ring.sigma_dual.rays[0]),))
     elif bad == "too long":
         b = MonomialIdeal(ring=ring, gens=b.gens + ((1,) * (ring.d + 1),))
     elif bad == "other ring":
         b = unit_ideal(orthant_ring(ring.d + 1))
-    if draw(st.booleans()):
-        a, b = b, a
-    return a, b, bad
+    return (b, a) if swap else (a, b)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_ring_and_two_ideals())
 def test_intersect_and_colon_properties(case):
-    a, b, bad = case
+    a, b, bad, swap = case
     if bad:  # refused with a package error, never another exception
         for op in (intersect, colon):
             with pytest.raises(TauIdealError):
-                op(a, b)
+                op(*_planted(a, b, bad, swap))
         return
+    a, b = _planted(a, b, bad, swap)
     both = intersect(a, b)
     assert both == intersect(b, a)
     assert both.is_subideal_of(a) and both.is_subideal_of(b)

@@ -1,5 +1,6 @@
 """Cones, dual cones, and Gorenstein vectors."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -974,3 +975,20 @@ def test_non_int_points_are_input_errors_at_membership_and_socle_entry_points(ri
         in_star_E(ring, a, 1, (0, bad), qmax=4)
     with pytest.raises(InputError, match="not an int"):
         socle_piece_vanishes_at_q(ring, a, 1, (bad, 0), 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: orthant_ring(d),
+    lambda d: veronese_ring(d, 2),
+    lambda d: veronese_maximal_ideal(orthant_ring(2), d, 2),
+], ids=["orthant_ring", "veronese_ring", "veronese_maximal_ideal"])
+def test_a_rank_no_tuple_can_hold_is_an_input_error(build):
+    # veronese_ring(10**30, 2) raised OverflowError from (-1,) * (d - 1), and
+    # orthant_ring(10**30) began a 10**30 x 10**30 identity; both are refused
+    # before anything is built
+    from tauideal.errors import InputError
+
+    with pytest.raises(InputError, match="rank"):
+        build(10**30)
+    with pytest.raises(InputError, match="rank"):
+        build(sys.maxsize + 1)

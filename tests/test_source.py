@@ -337,3 +337,100 @@ def test_the_newton_sharing_key_is_built_in_one_place():
                     and getattr(node.elts[0], "value", None) == "newton"
                 }
     assert found == {"tau.py:_scaled_polyhedron"}
+
+
+# The functions that check a raw value (the vector, ring and exponent checks
+# of ``lattice`` and ``polyhedra``), or that make a checked value from values
+# already checked without checking it again (``ideals._derived`` for ideals,
+# ``lattice.Checked`` for the up-set kernel's boxes and pairs).  Every
+# caller of a check is an entry point or an entry check; a check that moves
+# into a core, or a new way round one, shows up as a diff here.
+CHECK_CALLERS = {
+    "int_vectors": {
+        "enumeration.py:_check_union",
+        "frobenius.py:_multiplier_searches",
+        "ideals.py:minimalize",
+        "lattice.py:cone_from_rays",
+        "lattice.py:dual_extreme_rays",
+        "lattice.py:semigroup_columns",
+        "polyhedra.py:newton_polyhedron",
+    },
+    "check_ring": {
+        "campaigns.py:random_monomial_ideal",
+        "campaigns.py:run_crosscheck",
+        "enumeration.py:_check_union",
+        "enumeration.py:by_degree",
+        "enumeration.py:hilbert_basis",
+        "enumeration.py:lattice_points_upto",
+        "frobenius.py:_validate_socle_point",
+        "ideals.py:__post_init__",
+        "ideals.py:minimalize",
+        "ideals.py:unit_ideal",
+        "ideals.py:zero_ideal",
+        "polyhedra.py:newton_polyhedron",
+        "tau.py:veronese_maximal_ideal",
+    },
+    "exponent": {
+        "campaigns.py:run_crosscheck",
+        "cli.py:cmd_crosscheck",
+        "cli.py:cmd_tau",
+        "frobenius.py:tight_closure_members_at_q",
+        "polyhedra.py:scale",
+        "tau.py:_check_request",
+    },
+    "semigroup_columns": {"ideals.py:__post_init__"},
+    "_derived": {
+        "campaigns.py:vertex_reduction",
+        "frobenius.py:tau_socle_oracle",
+        "ideals.py:_from_rows",
+        "ideals.py:bracket_power",
+        "ideals.py:integral_closure",
+        "ideals.py:maximal_ideal",
+        "ideals.py:minimalize",
+        "ideals.py:unit_ideal",
+        "ideals.py:zero_ideal",
+        "tau.py:tau",
+    },
+    "Checked": {
+        "enumeration.py:__init__",
+        "ideals.py:_upset_union",
+        "polyhedra.py:lattice_inequalities",
+    },
+    # no ideal the package makes goes through the constructor's check again
+    "MonomialIdeal": set(),
+}
+
+
+def test_checks_have_exactly_the_pinned_callers():
+    assert {name: _package_callers((name,)) for name in CHECK_CALLERS} == CHECK_CALLERS
+
+
+def test_a_tau_call_reads_its_exponent_and_generators_once(monkeypatch):
+    # tau checks t once (``tau._check_request``; ``scale`` read it again),
+    # newton_polyhedron scans the generators' entry types once
+    # (``int_vectors``; ``semigroup_columns`` scanned them again), and the
+    # result is made without the constructor's check
+    import sys
+    from collections import Counter
+    from fractions import Fraction
+
+    from tauideal.ideals import MonomialIdeal, minimalize
+    from tauideal.lattice import orthant_ring
+    from tauideal.tau import tau
+
+    ring = orthant_ring(3)
+    a = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
+    tau_module, polyhedra = sys.modules["tauideal.tau"], sys.modules["tauideal.polyhedra"]
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or real(*args))
+
+    count(tau_module, "exponent")
+    for name in ("exponent", "int_vectors", "semigroup_columns"):
+        if hasattr(polyhedra, name):  # where t*P(a) reads them
+            count(polyhedra, name)
+    count(MonomialIdeal, "__post_init__")
+    tau(ring, a, Fraction(3, 2))
+    assert calls == {"exponent": 1, "int_vectors": 1}

@@ -49,10 +49,10 @@ def test_tau_at_zero_is_unit():
     assert tau(R2, I((5, 5)), 0).is_unit()
     assert tau_is_unit(R2, I((5, 5)), 0)
     # t = 0 reads the ideal as every other t does
-    outside = MonomialIdeal(ring=R2, gens=((-1, 0),))
+    outside = ((-1, 0),)
     for route in (tau, tau_is_unit):
         with pytest.raises(SemigroupMembershipError):
-            route(R2, outside, 0)
+            route(R2, MonomialIdeal(ring=R2, gens=outside), 0)
 
 
 def test_tau_rejects_bad_input():
