@@ -7,7 +7,7 @@ bound reads (the Hilbert basis, sigma_dual's ray degrees) in its record
 sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, and
 ``degree_bound`` proves from those pairs a degree B above which no minimal
 generator lies; a caller that proved a bound from its own data (the socle
-oracle) hands it to ``upset_union`` in place of the double description.
+oracle) hands it to the union in place of the double description.
 The up-set kernel ``minimal_upset_generators`` scans sigma_dual cap M a
 line at a time along one extreme ray r of sigma_dual (``_Lines``): the
 members on a line form a half-line whose least point comes from one floor
@@ -16,14 +16,15 @@ work follows the lines up to degree B, about B^(d-1) of them, and not
 their B^d points.  The lines' bottoms come from a semigroup walk over
 the Hilbert basis without r, kept in the record, the package's one walk:
 ``lattice_points_upto`` reads every point off them as a bottom plus a
-multiple of r.  ``upset_union`` is the package's one up-set kernel call:
+multiple of r.  ``_union`` is the package's one up-set kernel call:
 a box of ray coordinates that one lattice point realizes has
 that point as its generator (on a smooth sigma every box, with no solve),
 and the rest of a union of up-sets is scanned once, up to the largest
 bound; it hands back the generators or, for ``ideals._upset_union``, their
-ray coordinates.  It checks its ring, pairs and boxes at its entry
-(``_check_union``), except those the library derived for the ring, which
-come ``lattice.Checked``.
+ray coordinates.  The entries ``upset_union`` and ``degree_bound`` check
+their ring, pairs and boxes (``_check_union``) and call the cores
+``_union`` and ``_degree_bound``, which trust theirs: the package calls the
+cores with the pairs and boxes it derived from checked values.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import chain, product, repeat
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, InputError
-from .lattice import Checked, IntVec, ToricRing, _points, check_ring, checked_for, int_scalar
+from .lattice import IntVec, ToricRing, _points, check_ring, int_scalar
 from .lattice import int_vectors, minimal_vectors_orthant, pairing, pairing_columns
 from .lattice import rational_vector, sequence
 from .polyhedra import _vertex_rays
@@ -55,10 +56,11 @@ def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
 
 
 def by_degree(ring: ToricRing, points) -> list[IntVec]:
-    """The points sorted by (l, lex), l the grading functional, of a
-    checked ring."""
+    """The points sorted by (l, lex), l the grading functional, after
+    ``check_ring`` and ``lattice.int_vectors``: InputError for a point that
+    is not a sequence of ints."""
     ell = _lines(check_ring(ring)).ell
-    return sorted(points, key=lambda p: (pairing(p, ell), p))
+    return sorted(int_vectors(points), key=lambda p: (pairing(p, ell), p))
 
 
 def degree_bound(ring: ToricRing, ineqs) -> int:
@@ -92,6 +94,11 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     The ring and the pairs are checked as in ``upset_union``.
     """
     (ineqs,), _ = _check_union(ring, [ineqs])
+    return _degree_bound(ring, ineqs)
+
+
+def _degree_bound(ring: ToricRing, ineqs) -> int:
+    """``degree_bound`` of pairs the package derived for the ring."""
     bound = _slice_bound(ring, ineqs)
     if bound is not None:
         return bound
@@ -103,32 +110,28 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
 
 def _check_union(ring: ToricRing, ineq_sets, boxes=()) -> tuple[tuple, tuple]:
     """The pair sets as tuples of pairs (a, c) and the boxes as tuples, after
-    ``check_ring`` and a check of those not ``lattice.Checked`` for the
-    ring: InputError for a pair that is not a pair, a normal a that is not
-    an int sequence or lies outside sigma (<r, a> < 0 for a ray r of
-    sigma_dual, so not up-closed), a c not an int or a Fraction, or a box
-    entry not an int >= 0; DimensionMismatchError for a normal not of
+    ``check_ring``: InputError for a pair that is not a pair, a normal a
+    that is not an int sequence or lies outside sigma (<r, a> < 0 for a ray
+    r of sigma_dual, so not up-closed), a c not an int or a Fraction, or a
+    box entry not an int >= 0; DimensionMismatchError for a normal not of
     length d or a box not of one entry per ray of sigma."""
     check_ring(ring)
-    if not (checked_for(boxes, ring) or type(boxes) is tuple and not boxes):
-        boxes, k = tuple(int_vectors(boxes)), len(ring.sigma.rays)
-        if not {k}.issuperset(map(len, boxes)):
-            raise DimensionMismatchError(f"a box needs one entry per ray of sigma, {k}")
-        if boxes and min(chain.from_iterable(boxes)) < 0:
-            raise InputError("a box's entries must be >= 0")
+    boxes, k = tuple(int_vectors(boxes)), len(ring.sigma.rays)
+    if not {k}.issuperset(map(len, boxes)):
+        raise DimensionMismatchError(f"a box needs one entry per ray of sigma, {k}")
+    if boxes and min(chain.from_iterable(boxes)) < 0:
+        raise InputError("a box's entries must be >= 0")
     sets = []
     for ineqs in sequence("the pair sets", ineq_sets):
-        if not checked_for(ineqs, ring):
-            pairs = [sequence("a pair", pair) for pair in sequence("a pair set", ineqs)]
-            if any(len(pair) != 2 for pair in pairs):
-                raise InputError("each pair must be a normal and a right-hand side")
-            normals = int_vectors(a for a, _ in pairs)
-            columns = pairing_columns(normals, ring.sigma_dual.rays)
-            if pairs and min(map(min, columns)) < 0:
-                bad = next(a for a, *ra in zip(normals, *columns) if min(ra) < 0)
-                raise InputError(f"the pair normal {bad} lies outside sigma")
-            ineqs = tuple(zip(normals, rational_vector(c for _, c in pairs)))
-        sets.append(ineqs)
+        pairs = [sequence("a pair", pair) for pair in sequence("a pair set", ineqs)]
+        if any(len(pair) != 2 for pair in pairs):
+            raise InputError("each pair must be a normal and a right-hand side")
+        normals = int_vectors(a for a, _ in pairs)
+        columns = pairing_columns(normals, ring.sigma_dual.rays)
+        if pairs and min(map(min, columns)) < 0:
+            bad = next(a for a, *ra in zip(normals, *columns) if min(ra) < 0)
+            raise InputError(f"the pair normal {bad} lies outside sigma")
+        sets.append(tuple(zip(normals, rational_vector(c for _, c in pairs))))
     return tuple(sets), boxes
 
 
@@ -381,7 +384,7 @@ _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 @contextmanager
 def sharing():
     """A scope in which ``shared`` computes P(a), keyed on (ring, a.gens), and
-    each ``upset_union``'s scan, keyed on (ring, pair sets, boxes), once.
+    each ``_union``'s scan, keyed on (ring, pair sets, boxes), once.
     Callers still compile their own pairs and prove their own bounds, and a
     hit is what the same pure function returns on equal inputs, so routes
     that meet in a block compare as without it.
@@ -406,7 +409,7 @@ def shared(key, compute):
 
 class _Union:
     """A union's split into the boxes one lattice point realizes and the
-    sets left to scan, with its generators once scanned (``upset_union``).
+    sets left to scan, with its generators once scanned (``_union``).
 
     ``found`` maps the ray coordinates of each realized box and, once
     scanned, of each generator of the union to that generator, or to None
@@ -431,8 +434,7 @@ class _Union:
                 points = _points(ring, tops)
                 coords = zip(*pairing_columns(points, rays))
                 self.found = {v: m for v, m, rc in zip(tops, points, coords) if rc == v}
-                others += [Checked(zip(rays, v), ring.sigma_dual)
-                           for v in tops if v not in self.found]
+                others += [tuple(zip(rays, v)) for v in tops if v not in self.found]
         self.ring, self.others = ring, others
         # points of distinct minimal boxes divide none of each other
         self.scanned = not others
@@ -447,7 +449,7 @@ class _Union:
         worked out once per union."""
         if bound is None:
             if self.proven is None:
-                self.proven = max(degree_bound(self.ring, ineqs) for ineqs in self.others)
+                self.proven = max(_degree_bound(self.ring, ineqs) for ineqs in self.others)
             return self.proven
         if self.slices is None:
             self.slices = [_slice_bound(self.ring, ineqs) for ineqs in self.others]
@@ -486,13 +488,24 @@ class _Union:
 
 
 def upset_union(
+    ring: ToricRing, ineq_sets, boxes=(), bound: int | None = None
+) -> tuple[tuple[IntVec, ...], int]:
+    """(sorted minimal generators, lines scanned) of the union of the up-sets
+    the integer pair sets cut out and of the ``boxes``: ``_union`` after
+    the ring, the pairs and the boxes are checked (``_check_union``) and a
+    bound is checked to be an int."""
+    ineq_sets, boxes = _check_union(ring, ineq_sets, boxes)
+    if bound is not None:
+        int_scalar("bound", bound)
+    return _union(ring, ineq_sets, boxes, bound)
+
+
+def _union(
     ring: ToricRing, ineq_sets, boxes=(), bound: int | None = None, rows: bool = False
 ) -> tuple[tuple[IntVec, ...] | list[IntVec], int]:
-    """(sorted minimal generators, lines scanned) of the union of the up-sets
-    the integer pair sets cut out and of the ``boxes``; with ``rows``, the
-    sorted ray coordinates of those generators in their place.  The ring,
-    the pairs and the boxes are checked (``_check_union``), and a bound
-    must be an int.
+    """``upset_union`` of pairs and boxes the package derived for the ring;
+    with ``rows``, the sorted ray coordinates of the generators in their
+    place.
 
     A box rc(m) >= v in ray coordinates is given by its bound vector v
     (ints >= 0, one per ray n_j of sigma), or by a pair set whose normals
@@ -518,9 +531,7 @@ def upset_union(
     count a call returns depends only on that call: it is of the lines up
     to its own bound, whether the scan ran for it or for an equal request.
     """
-    ineq_sets, boxes = _check_union(ring, ineq_sets, boxes)
-    if bound is not None:
-        int_scalar("bound", bound)
+    ineq_sets, boxes = tuple(ineq_sets), tuple(boxes)
     union = shared(("upset", ring, ineq_sets, boxes), lambda: _Union(ring, ineq_sets, boxes))
     count = 0
     if union.others:

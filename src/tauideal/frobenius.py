@@ -33,7 +33,7 @@ from functools import cache
 from operator import le
 
 from . import enumeration
-from .enumeration import by_degree, upset_union
+from .enumeration import _union, by_degree
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -227,7 +227,7 @@ class SocleOracleResult:
     ``enumeration.degree_bound`` covers), one per bottom of degree up to it
     (``enumeration._Lines``), whether the scan ran for this call or, in a
     ``sharing`` block, for an equal request; 0 when a lattice point
-    realizes every corner's box (``upset_union``)."""
+    realizes every corner's box (``enumeration._union``)."""
 
     ideal: MonomialIdeal
     points_checked: int
@@ -269,7 +269,7 @@ def tau_socle_oracle(
     # this set only grows: some q <= qmax witnesses m iff the top q does.
     # There m is witnessed iff m + x/q_top lies in tP for some corner x.
     # The witnessed m form the union of one up-set per corner
-    # (``enumeration.upset_union``).  At t = 0 tP is sigma_dual, and the
+    # (``enumeration._union``).  At t = 0 tP is sigma_dual, and the
     # corner above the origin witnesses it.
     corners = _corner_inequalities(ring, tP, q)
     lines = enumeration._lines(ring)
@@ -278,7 +278,7 @@ def tau_socle_oracle(
     low = min(pairing(x, lines.ell) for x, _ in corners)
     num = u * top * q + (lines.D * q - low) * v
     bound = -(-num // (v * q)) - 1
-    gens, checked = upset_union(ring, [ineqs for _, ineqs in corners], bound=bound)
+    gens, checked = _union(ring, [ineqs for _, ineqs in corners], bound=bound)
     return SocleOracleResult(_derived(ring, gens), checked)
 
 

@@ -20,7 +20,7 @@ generators in ``_from_rows``, one ``lattice._points`` call.  Intersections, colo
 ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
 up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, the trace root's floors
 (``_floors``) among them, go through ``_upset_union`` to the one up-set kernel
-``enumeration.upset_union`` as boxes, with no pair sets, and come back as
+``enumeration._union`` as boxes, with no pair sets, and come back as
 the rows of the union's generators.  An ideal is checked once, when it is
 made (``MonomialIdeal``), and the ideals derived here from checked ones
 are made without that check (``_derived``).  The zero ideal
@@ -41,8 +41,8 @@ from .errors import (
     UnsupportedRingError,
 )
 from . import polyhedra
-from .enumeration import hilbert_basis, upset_union
-from .lattice import Checked, IntVec, ToricRing, _below_masks, _points, check_ring, int_scalar
+from .enumeration import _union, hilbert_basis
+from .lattice import IntVec, ToricRing, _below_masks, _points, check_ring, int_scalar
 from .lattice import int_vector, int_vectors, member_columns, minimal_vectors_orthant
 from .lattice import orthant_ring, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
@@ -280,11 +280,10 @@ def _upset_union(ring: ToricRing, bounds) -> list[IntVec]:
     """The sorted ray coordinates of the minimal generators of the ideal of
     the x^m whose ray coordinates dominate some c in ``bounds`` (integer
     vectors >= 0, one entry per ray of sigma, derived here from checked
-    ideals, so handed over ``lattice.Checked``): one
-    ``enumeration.upset_union`` call with the bounds as its boxes, which
-    hands back rows, so on a smooth sigma no point is made
-    (``_from_rows`` makes them)."""
-    return upset_union(ring, (), Checked(bounds, ring.sigma_dual), rows=True)[0]
+    ideals, so trusted by the core): one ``enumeration._union`` call with
+    the bounds as its boxes, which hands back rows, so on a smooth sigma no
+    point is made (``_from_rows`` makes them)."""
+    return _union(ring, (), bounds, rows=True)[0]
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -372,4 +371,4 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and
     # dropped; read through the module, where perfbench/layers.py wraps it
     ineqs = polyhedra.lattice_inequalities(polyhedra.newton_polyhedron(I.ring, I.gens))
-    return _derived(I.ring, upset_union(I.ring, [ineqs])[0])
+    return _derived(I.ring, _union(I.ring, [ineqs])[0])

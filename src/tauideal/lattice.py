@@ -117,8 +117,10 @@ def int_vectors(vs) -> list[IntVec]:
 
 
 def sequence(name: str, xs) -> list:
-    """xs as a list, after checking that it is iterable: InputError
-    otherwise."""
+    """xs as a list, after checking that it is iterable and not a str,
+    whose characters would pass as its items: InputError otherwise."""
+    if isinstance(xs, str):
+        raise InputError(f"{name} must be a sequence, got the string {xs!r}")
     try:
         items = iter(xs)
     except TypeError:
@@ -530,24 +532,6 @@ def check_ring(ring) -> ToricRing:
     if not isinstance(ring, ToricRing):
         raise InputError(f"the ring must be a ToricRing, got {ring!r}")
     return ring
-
-
-class Checked(tuple):
-    """Boxes (ints >= 0, one per ray of sigma) or pairs (a, c) (int normals
-    in sigma, int c) derived from checked values for the ring whose
-    sigma_dual is ``cone``.  They carry their check, as an ideal does: the
-    entry checks of ``enumeration.upset_union`` and ``degree_bound`` take
-    them as they are on that ring (``checked_for``)."""
-
-    def __new__(cls, items, cone=None):
-        self = super().__new__(cls, items)
-        self.cone = cone
-        return self
-
-
-def checked_for(items, ring: ToricRing) -> bool:
-    """Are ``items`` a ``Checked`` tuple made for ``ring``?"""
-    return type(items) is Checked and items.cone == ring.sigma_dual
 
 
 def semigroup_columns(ring: ToricRing, vectors) -> list[list[int]]:

@@ -33,7 +33,6 @@ from operator import mul
 
 from .errors import DimensionMismatchError, InputError
 from .lattice import (
-    Checked,
     Cone,
     IntVec,
     RatVec,
@@ -117,13 +116,14 @@ def exponent(t) -> Fraction:
 
 def lattice_inequalities(
     P: NewtonPolyhedron, shift=None, strict: bool = False, den: int = 1
-) -> Checked:
+) -> tuple[tuple[IntVec, int], ...]:
     """Integer facets (a, c) cutting out the lattice points m with
     m + shift/den in P (in its interior if ``strict``): each pair means
     <m, a> >= c.  P must be a NewtonPolyhedron, the shift's entries ints or
     Fractions (``lattice.rational_vector``) and den an int >= 1 (InputError
-    otherwise).  The pairs come as a ``lattice.Checked`` tuple made for P's
-    recession cone: P's normals lie in sigma and every c is an int.
+    otherwise).  P's normals lie in sigma and every c is an int, so the
+    pairs go to the up-set kernel's cores (``enumeration._union``) as they
+    are.
 
     For integer <m, a>, <m + s, a> > t*b iff <m, a> >= floor(t*b - <s, a>)
     + 1, and <m + s, a> >= t*b iff <m, a> >= ceil(t*b - <s, a>).  With
@@ -152,7 +152,7 @@ def lattice_inequalities(
         c = num // L + 1 if strict else -(-num // L)
         if c > 0:
             out.append((a, c))
-    return Checked(out, P.recession)
+    return tuple(out)
 
 
 def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:

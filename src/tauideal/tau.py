@@ -5,7 +5,7 @@ P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  That test is
 compiled once into integer facet bounds <m, a> >= c
 (``polyhedra.lattice_inequalities``); generators are found by one scan of
 the lines of sigma_dual cap M along a ray up to a proven degree bound, at
-one floor division per pair and line (``enumeration.upset_union``).
+one floor division per pair and line (``enumeration._union``).
 ``tau_is_unit`` reads the same compile.  Every t, 0 included, takes this
 one path.  A request (ring, a, t) is checked once, by ``_check_request``:
 t is read only there, and a carries its own check.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .enumeration import shared, upset_union
+from .enumeration import _union, shared
 from .errors import InputError
 from .ideals import MonomialIdeal, _check_ideal, _derived, maximal_ideal
 # minimal_upset_generators and minimalize are bound here only for perfbench/layers.py
@@ -57,7 +57,7 @@ def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
 
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     """The generalized test ideal tau(a^t) as a monomial ideal."""
-    gens, _ = upset_union(ring, [_tau_inequalities(ring, a, t)])
+    gens, _ = _union(ring, [_tau_inequalities(ring, a, t)])
     return _derived(ring, gens)
 
 

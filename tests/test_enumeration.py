@@ -2,6 +2,7 @@
 enumerator, against references and brute force."""
 
 import ast
+import dataclasses
 import inspect
 import math
 from collections import Counter
@@ -733,12 +734,12 @@ def test_the_kernel_entry_checks_its_boxes_and_pairs(case):
         call(orthant_ring(2))
 
 
-def test_compiled_pairs_pass_the_entry_check_only_on_their_own_ring():
-    # lattice_inequalities hands over its pairs Checked for P's ring: there
-    # they skip the entry check and give what the same pairs give checked
+def test_compiled_pairs_are_checked_at_the_entry_like_any_pairs():
+    # lattice_inequalities hands over plain pairs: on P's ring they give
+    # what the same pairs give as a tuple
     ring = orthant_ring(2)
     ineqs = lattice_inequalities(newton_polyhedron(ring, [(0, 1)]))
-    assert ineqs == (((0, 1), 1),) and type(ineqs) is not tuple
+    assert ineqs == (((0, 1), 1),)
     assert upset_union(ring, [ineqs]) == upset_union(ring, [tuple(ineqs)])
     assert degree_bound(ring, ineqs) == degree_bound(ring, tuple(ineqs))
     # on another ring they are checked: (0, 1) lies outside this sigma
@@ -747,3 +748,13 @@ def test_compiled_pairs_pass_the_entry_check_only_on_their_own_ring():
         upset_union(other, [ineqs])
     with pytest.raises(InputError):
         degree_bound(other, ineqs)
+    # a hand-built polyhedron with a facet normal outside sigma compiles to
+    # pairs the entries refuse on P's own ring too (the union was once the
+    # silent (((0, 1),), 3))
+    P = newton_polyhedron(ring, [(0, 1)])
+    bad = lattice_inequalities(dataclasses.replace(P, bounds=(((-1, 1), 1),)))
+    assert bad == (((-1, 1), 1),)
+    with pytest.raises(InputError):
+        upset_union(ring, [bad])
+    with pytest.raises(InputError):
+        degree_bound(ring, bad)

@@ -3,6 +3,7 @@ through it against the walk-and-test kernel it replaced, kept here only as
 the reference."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -63,19 +64,19 @@ def reference_minimal_upset_generators(ring, is_member, bound):
     ]
 
 
-def reference_upset_union(ring, ineq_sets, boxes=(), bound=None, rows=False):
-    """``upset_union`` with the walk-and-test kernel: realized boxes as
+def reference_union(ring, ineq_sets, boxes=(), bound=None, rows=False):
+    """The kernel's core ``_union`` with the walk-and-test kernel: realized boxes as
     there, the rest of the union tested point by point over its degree
     shell.  A caller's bound is taken and not used: the shell is bounded by
     ``degree_bound`` with its double description.  With ``rows`` the
     generators' sorted ray coordinates stand in their place."""
-    gens, count = _reference_upset_union(ring, ineq_sets, boxes)
+    gens, count = _reference_union(ring, ineq_sets, boxes)
     if rows:
         return sorted(zip(*pairing_columns(gens, ring.sigma.rays))), count
     return gens, count
 
 
-def _reference_upset_union(ring, ineq_sets, boxes):
+def _reference_union(ring, ineq_sets, boxes):
     rays = ring.sigma.rays
     bounds, others = list(boxes), []
     for ineqs in map(tuple, ineq_sets):
@@ -181,11 +182,13 @@ def socle_kernel_calls(ring, seed, monkeypatch):
     on seeded ideals of the ring at t = 0, 7/3 and a t of denominator
     1000003, at p = 2 and 3 with qmax = p**2."""
     calls = []
-    real = frobenius_module.upset_union
-    monkeypatch.setattr(
-        frobenius_module, "upset_union",
-        lambda ring, sets, bound=None: calls.append((sets, bound)) or real(ring, sets, bound=bound),
-    )
+    real = frobenius_module._union
+
+    def recorded(ring, sets, boxes=(), bound=None, rows=False):
+        calls.append((sets, bound))
+        return real(ring, sets, boxes, bound, rows)
+
+    monkeypatch.setattr(frobenius_module, "_union", recorded)
     rng = Random(seed)
     pool = lattice_points_upto(ring, 4)[1:]
     for _ in range(2):
@@ -229,44 +232,71 @@ def test_socle_oracle_runs_no_vertex_double_description(ring, monkeypatch):
 
 # -- the seeded comparison ----------------------------------------------------
 
-def route_outputs(seed):
-    """Every route through the up-set kernel on seeded ideals of TEST_RINGS."""
+ROUTE_KINDS = {"tau", "socle", "star", "root", "closure", "intersect", "colon", "trace_root"}
+
+
+def route_outputs(seed, enter=lambda kind: None):
+    """Every route through the up-set kernel on seeded ideals of TEST_RINGS;
+    ``enter`` is called with each route's kind before the route runs."""
     rng = Random(seed)
     out = []
+
+    def run(kind, *key_and_call):
+        *key, call = key_and_call
+        enter(kind)
+        out.append((kind, *key, call()))
+
     for ring in TEST_RINGS:
         pool = lattice_points_upto(ring, 4)[1:]
         for _ in range(2):
             a = minimalize(ring, rng.sample(pool, rng.randint(1, min(3, len(pool)))))
             b = minimalize(ring, rng.sample(pool, rng.randint(1, min(3, len(pool)))))
             for t in (0, Fraction(1, 2), 1, Fraction(5, 2), 4):
-                out.append(("tau", a.gens, t, tau(ring, a, t).gens))
+                run("tau", a.gens, t, lambda: tau(ring, a, t).gens)
             for t in (Fraction(1, 2), 1):
                 for p in (2, 3):
-                    out.append(("socle", a.gens, t, p,
-                                tau_socle_oracle(ring, a, t, qmax=8, p=p).ideal.gens))
+                    run("socle", a.gens, t, p,
+                        lambda: tau_socle_oracle(ring, a, t, qmax=8, p=p).ideal.gens)
                 u = tuple(-x for x in rng.choice(pool))
-                out.append(("star", a.gens, t, u, in_star_E(ring, a, t, u, qmax=8)))
-                try:
-                    root = frobenius_root_tau_oracle(ring, a, t, qmax=32).gens
-                except TauIdealError as exc:
-                    root = type(exc).__name__
-                out.append(("root", a.gens, t, root))
-            out.append(("closure", a.gens, integral_closure(a).gens))
-            out.append(("intersect", a.gens, b.gens, intersect(a, b).gens))
-            out.append(("colon", a.gens, b.gens, colon(a, b).gens))
+                run("star", a.gens, t, u, lambda: in_star_E(ring, a, t, u, qmax=8))
+
+                def root():
+                    try:
+                        return frobenius_root_tau_oracle(ring, a, t, qmax=32).gens
+                    except TauIdealError as exc:
+                        return type(exc).__name__
+
+                run("root", a.gens, t, root)
+            run("closure", a.gens, lambda: integral_closure(a).gens)
+            run("intersect", a.gens, b.gens, lambda: intersect(a, b).gens)
+            run("colon", a.gens, b.gens, lambda: colon(a, b).gens)
             # the q <= 6 with (q-1)*w a lattice point, at least one q > 1 on each ring
             for q in range(1, 7):
                 if (q - 1) % ring.gorenstein_index == 0:
-                    out.append(("trace_root", a.gens, q, trace_root(a, q).gens))
+                    run("trace_root", a.gens, q, lambda: trace_root(a, q).gens)
     return out
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_every_route_matches_the_walk_and_test_kernel(seed, monkeypatch):
     got = route_outputs(seed)
-    frobenius_module._corner_offsets.cache_clear()
-    # every module that binds the kernel call by name
+    calls = Counter()
+    kind = [None]
+
+    def counted(*args, **kwargs):
+        calls[kind[0]] += 1
+        return reference_union(*args, **kwargs)
+
+    def enter(route):
+        # the socle corners are cached per ring; each route makes its own
+        kind[0] = route
+        frobenius_module._corner_offsets.cache_clear()
+
+    # every module that binds the kernel's core by name
     for name in ("enumeration", "tau", "ideals", "frobenius"):
-        monkeypatch.setattr(sys.modules[f"tauideal.{name}"], "upset_union", reference_upset_union)
-    assert route_outputs(seed) == got
+        monkeypatch.setattr(sys.modules[f"tauideal.{name}"], "_union", counted)
+    assert route_outputs(seed, enter) == got
     frobenius_module._corner_offsets.cache_clear()
+    # each kind of route ran through the stand-in, so the comparison is
+    # not of the kernel against itself
+    assert set(calls) == ROUTE_KINDS, calls

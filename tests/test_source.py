@@ -110,7 +110,7 @@ def test_product_kernels_have_exactly_the_pinned_callers():
 # facets and vertices, and the degree bound's vertices.  A second double
 # description for one fact shows up as a diff here.
 DD_CALLERS = {
-    "enumeration.py:degree_bound",
+    "enumeration.py:_degree_bound",
     "lattice.py:cone_from_rays",
     "polyhedra.py:_vertex_rays",
     "polyhedra.py:newton_polyhedron",
@@ -306,8 +306,10 @@ def test_every_call_of_a_wrapped_function_goes_through_a_wrapped_binding():
 
 
 def test_ideals_upset_union_is_the_one_adapter_from_boxes():
-    # bound vectors become an ideal in one place; a second adapter that hands
-    # ``upset_union`` its boxes shows up as a diff here
+    # bound vectors become an ideal in one place; besides the entry
+    # ``upset_union``, which passes its caller's checked boxes on, a second
+    # adapter that hands the kernel's core ``_union`` its boxes shows up as
+    # a diff here
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -316,10 +318,18 @@ def test_ideals_upset_union_is_the_one_adapter_from_boxes():
                 found |= {
                     f"{path.name}:{func.name}" for node in _own_nodes(func)
                     if isinstance(node, ast.Call)
-                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "upset_union"
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_union"
                     and (len(node.args) > 2 or any(k.arg == "boxes" for k in node.keywords))
                 }
-    assert found == {"ideals.py:_upset_union"}
+    assert found == {"enumeration.py:upset_union", "ideals.py:_upset_union"}
+
+
+def test_no_package_function_calls_the_kernel_entries():
+    # ``upset_union`` and ``degree_bound`` check what they are given and
+    # are for callers outside the package; the package hands the values it
+    # derived to their cores ``_union`` and ``_degree_bound``, so a route
+    # that pays the entry checks again shows up as a diff here
+    assert _package_callers(("upset_union", "degree_bound")) == set()
 
 
 def test_the_newton_sharing_key_is_built_in_one_place():
@@ -341,13 +351,13 @@ def test_the_newton_sharing_key_is_built_in_one_place():
 
 # The functions that check a raw value (the vector, ring and exponent checks
 # of ``lattice`` and ``polyhedra``), or that make a checked value from values
-# already checked without checking it again (``ideals._derived`` for ideals,
-# ``lattice.Checked`` for the up-set kernel's boxes and pairs).  Every
+# already checked without checking it again (``ideals._derived``).  Every
 # caller of a check is an entry point or an entry check; a check that moves
 # into a core, or a new way round one, shows up as a diff here.
 CHECK_CALLERS = {
     "int_vectors": {
         "enumeration.py:_check_union",
+        "enumeration.py:by_degree",
         "frobenius.py:_multiplier_searches",
         "ideals.py:minimalize",
         "lattice.py:cone_from_rays",
@@ -390,11 +400,6 @@ CHECK_CALLERS = {
         "ideals.py:unit_ideal",
         "ideals.py:zero_ideal",
         "tau.py:tau",
-    },
-    "Checked": {
-        "enumeration.py:__init__",
-        "ideals.py:_upset_union",
-        "polyhedra.py:lattice_inequalities",
     },
     # no ideal the package makes goes through the constructor's check again
     "MonomialIdeal": set(),

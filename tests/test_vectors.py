@@ -90,6 +90,8 @@ NOT_INT_VECTORS = {
     "run_crosscheck None ts": lambda: run_crosscheck(R, NAMED, None, qmax=4),
     "run_crosscheck int primes": lambda: run_crosscheck(R, NAMED, [1], qmax=4, primes=2),
     "run_crosscheck no ideal": lambda: run_crosscheck(R, [("x",)], [1], qmax=4),
+    # a str of exponents was split into its characters and ran t = 1 and 2
+    "run_crosscheck str ts": lambda: run_crosscheck(R, NAMED, "12", qmax=4),
     # a bool exponent was read as t = 0 or 1
     "tau bool exponent": lambda: tau(R, A, True),
     # these raised an AttributeError from reading a None ideal's fields
@@ -117,6 +119,7 @@ NOT_INT_VECTORS = {
     "lattice_points_upto str bound": lambda: lattice_points_upto(R, "3"),
     "hilbert_basis None": lambda: hilbert_basis(None),
     "by_degree None": lambda: by_degree(None, [(1, 0)]),
+    "by_degree str point": lambda: by_degree(R, ["ab"]),
     "upset_union None": lambda: upset_union(None, []),
     "upset_union float box pair": lambda: upset_union(R, [[((1, 0), 1.5)]]),
     "upset_union float pair": lambda: upset_union(R, [[((1, 1), 1.5)]]),
@@ -177,6 +180,7 @@ ENTRY_POINTS = [
     lambda v: lattice_points_upto(v, 2),
     lambda v: lattice_points_upto(R, v),
     lambda v: by_degree(v, [(1, 0)]),
+    lambda v: by_degree(R, [v, (1, 0)]),
     lambda v: upset_union(v, []),
     # a box, as a scan would run up to the degree of a huge Fraction v
     lambda v: upset_union(R, [[((1, 0), v)]]),
