@@ -394,9 +394,8 @@ def tight_closure_members_at_q(
     t = exponent(t)
 
     def rows(qs):
-        rh = _ray_coords(I.ring, I.gens)
         apowers = powers(a, [math.ceil(t * q) for q in qs])
-        return [(A, [vec_scale(q, h) for h in rh]) for q, A in zip(qs, apowers)]
+        return [(A, [vec_scale(q, h) for h in I.rows]) for q, A in zip(qs, apowers)]
 
     return _multiplier_searches(I.ring, zs, cbox, qmax, p, rows)
 

@@ -3,8 +3,10 @@
 Divisibility is semigroup membership of the difference of exponent vectors,
 not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
-over the rays n_j of sigma, computed and checked for all generators at
-once by ``lattice.member_columns``, and every divisibility test here
+over the rays n_j of sigma.  An ideal carries its generators' ray
+coordinates, ``MonomialIdeal.rows``, paired on first read with no check;
+raw vectors are paired and checked by ``_ray_coords``
+(``lattice.member_columns``).  Every divisibility test here
 (``minimalize``, ``MonomialIdeal.is_subideal_of``, ``contains_monomial``)
 is one call of the bitmask kernel ``lattice._below_masks``.  Ray
 coordinates add under products, and every product and square is one
@@ -32,6 +34,7 @@ orthant-only and refuse other rings loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import lshift, sub
 
 from .errors import (
@@ -44,7 +47,7 @@ from . import polyhedra
 from .enumeration import _union, hilbert_basis
 from .lattice import IntVec, ToricRing, _below_masks, _points, check_ring, int_scalar
 from .lattice import int_vector, int_vectors, member_columns, minimal_vectors_orthant
-from .lattice import orthant_ring, semigroup_columns
+from .lattice import orthant_ring, pairing_columns, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -55,8 +58,9 @@ def _require_orthant(ring: ToricRing, op: str) -> None:
 
 
 def _ray_coords(ring: ToricRing, gens) -> list[IntVec]:
-    """The ray coordinates (<g, n_j> over the rays n_j of sigma) of each int
-    vector g, a checked ring's (``lattice.member_columns``).
+    """The ray coordinates (<g, n_j> over the rays n_j of sigma) of each raw
+    int vector g, a checked ring's (``lattice.member_columns``); a checked
+    ideal's are its ``rows``.
 
     Raises DimensionMismatchError on a vector of the wrong length and
     SemigroupMembershipError on one outside sigma_dual.
@@ -69,7 +73,7 @@ def _covers(lower, upper) -> bool:
     of ``lower``: one ``_below_masks`` call on both."""
     n = len(lower)
     theirs = (1 << n) - 1
-    return all(mask & theirs for mask in _below_masks(lower + upper)[n:])
+    return all(mask & theirs for mask in _below_masks([*lower, *upper])[n:])
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,12 @@ class MonomialIdeal:
     ring: ToricRing
     gens: tuple[IntVec, ...]
 
+    @cached_property
+    def rows(self) -> tuple[IntVec, ...]:
+        """The ray coordinates of ``gens``, in order, paired on first read with
+        no check: the ideal was checked when made or derived from checked ones."""
+        return tuple(zip(*pairing_columns(self.gens, self.ring.sigma.rays)))
+
     def __post_init__(self):
         check_ring(self.ring)
         if type(self.gens) is not tuple or not {tuple}.issuperset(map(type, self.gens)):
@@ -94,19 +104,20 @@ class MonomialIdeal:
         return not self.gens
 
     def is_unit(self) -> bool:
-        return self.gens == (tuple(0 for _ in range(self.ring.d)),)
+        """1 lies in the ideal iff a generator is 0, as the rays span."""
+        return (0,) * self.ring.d in self.gens
 
     def contains_monomial(self, m) -> bool:
         """True iff some generator divides x^m in the semigroup sense:
-        ``_covers`` on the ray coordinates of the generators and of m, which
-        is checked (``_ray_coords``)."""
-        rows = _ray_coords(self.ring, (int_vector(m),) + self.gens)
-        return _covers(rows[1:], rows[:1])
+        ``_covers`` on the generators' ``rows`` and the ray coordinates of
+        m, which is checked (``_ray_coords``)."""
+        return _covers(self.rows, _ray_coords(self.ring, [int_vector(m)]))
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of self is divisible by one of other:
-        ``_covers`` on the ray coordinates of both ideals' generators."""
-        return _covers(*_paired_rows(other, self))
+        ``_covers`` on both ideals' ``rows``."""
+        _check_same_ring(other, self)
+        return _covers(other.rows, self.rows)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return multiply(self, other)
@@ -128,15 +139,6 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
     _check_ideal(J)
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-
-
-def _paired_rows(I: MonomialIdeal, J: MonomialIdeal) -> tuple[list[IntVec], list[IntVec]]:
-    """The ray coordinates of I's generators and of J's, two ideals of one
-    ring (RingMismatchError otherwise), from one ``_ray_coords`` call."""
-    _check_same_ring(I, J)
-    rows = _ray_coords(I.ring, I.gens + J.gens)
-    n = len(I.gens)
-    return rows[:n], rows[n:]
 
 
 def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
@@ -236,13 +238,15 @@ def _from_rows(ring: ToricRing, rows) -> MonomialIdeal:
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Ray coordinates add, so the generators of I*J are the points of the
-    minimal sums of the generators' checked ray coordinates (``_sums``)."""
-    return _from_rows(I.ring, _sums(*_paired_rows(I, J)))
+    minimal sums of the factors' ``rows`` (``_sums``)."""
+    _check_same_ring(I, J)
+    return _from_rows(I.ring, _sums(I.rows, J.rows))
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I + J: the points of the minimal rows of I and of J."""
     _check_same_ring(I, J)
-    return minimalize(I.ring, I.gens + J.gens)
+    return _from_rows(I.ring, minimal_vectors_orthant(I.rows + J.rows))
 
 
 def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -253,8 +257,7 @@ def power(I: MonomialIdeal, n: int) -> MonomialIdeal:
 
 def powers(I: MonomialIdeal, exponents):
     """Lazily yield the ray coordinates of the minimal generators of I**n
-    for each n of ``exponents`` (ints >= 0, in any order), pairing I's
-    generators with the rays once.
+    for each n of ``exponents`` (ints >= 0, in any order), from ``I.rows``.
 
     One rule builds every power from the unit ideal's zero row, I**0: an
     even n squares I**(n/2), an odd n adds I's rows to I**(n - 1), each
@@ -262,7 +265,6 @@ def powers(I: MonomialIdeal, exponents):
     is built twice, and nothing past the last value taken is built.
     """
     _check_ideal(I)
-    rows = _ray_coords(I.ring, I.gens)
     built = {0: [(0,) * len(I.ring.sigma.rays)]}
     for n in exponents:
         if int_scalar("exponent", n) < 0:
@@ -272,7 +274,7 @@ def powers(I: MonomialIdeal, exponents):
             todo.append(k)
             k = k - 1 if k % 2 else k // 2
         for k in reversed(todo):
-            built[k] = _sums(built[k - 1], rows) if k % 2 else _sums(built[k // 2])
+            built[k] = _sums(built[k - 1], I.rows) if k % 2 else _sums(built[k // 2])
         yield built[n]
 
 
@@ -290,7 +292,8 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """x^m lies in (x^g) and in (x^h) iff its ray coordinates dominate
     those of g and of h, so I cap J is the up-set union over the pairs
     (g, h) of their componentwise maxima."""
-    return _from_rows(I.ring, _upset_union(I.ring, _maxima(*_paired_rows(I, J))))
+    _check_same_ring(I, J)
+    return _from_rows(I.ring, _upset_union(I.ring, _maxima(I.rows, J.rows)))
 
 
 def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -300,10 +303,10 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     bound vectors, from the zero vector (the unit ideal), one ``_maxima``
     step per h, and the ideal is built once at the end; the zero vector
     clamps every negative difference at 0, as rc(m) >= 0 on sigma_dual."""
-    rows_I, rows_J = _paired_rows(I, J)
+    _check_same_ring(I, J)
     bounds = [(0,) * len(I.ring.sigma.rays)]
-    for h in rows_J:
-        bounds = _maxima(bounds, [tuple(map(sub, g, h)) for g in rows_I])
+    for h in J.rows:
+        bounds = _maxima(bounds, [tuple(map(sub, g, h)) for g in I.rows])
     return _from_rows(I.ring, _upset_union(I.ring, bounds))
 
 
@@ -330,7 +333,7 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
         raise InputError(f"a root needs q >= 1, got {q}")
     if (q - 1) % I.ring.gorenstein_index:
         raise InputError(f"(q-1)*w is not a lattice point at q = {q}")
-    return _from_rows(I.ring, _upset_union(I.ring, _floors(_ray_coords(I.ring, I.gens), q)))
+    return _from_rows(I.ring, _upset_union(I.ring, _floors(I.rows, q)))
 
 
 def _floors(rows, q: int) -> list[IntVec]:

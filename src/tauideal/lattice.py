@@ -292,7 +292,7 @@ def _insert(lineality, rays, h, bit):
     return lineality, new_rays
 
 
-def dual_extreme_rays(halfspaces, base: Cone | None = None, half: bool = False) -> list[IntVec]:
+def dual_extreme_rays(halfspaces, base: Cone | None = None) -> list[IntVec]:
     """Extreme rays of the cone {x : <x,h> >= 0 for all h}.
 
     The cone must be pointed and full-dimensional; otherwise
@@ -311,17 +311,15 @@ def dual_extreme_rays(halfspaces, base: Cone | None = None, half: bool = False) 
 
     With a ``base`` cone K the halfspaces live in one more dimension, and the
     double description starts from the state it reaches after inserting
-    (h, 0) for every facet normal h of K, then (0, ..., 0, 1) if ``half``
-    (``_prism``); the result, and any error, is that of the cold run on
-    those halfspaces followed by the given ones, with the bits in that
-    order.  That state meets the invariant.  K's facet normals are the
-    extreme rays of its dual, so the (h, 0) cut out (K dual)-dual x R, which
-    is K x R as K is closed and convex; K is pointed, so modulo the line
-    R*(0, ..., 0, 1) the extreme rays of K x R are the (n, 0) over the
-    extreme rays n of K, primitive as n is, and the line pairs to zero with
-    every (h, 0).  With (0, ..., 0, 1) inserted the cone is K x [0, inf):
-    pointed, with the extreme rays (n, 0) and (0, ..., 0, 1).  Each mask is
-    read off the pairings, so it is the ray's tight set.
+    (h, 0) for every facet normal h of K (``_prism``); the result, and any
+    error, is that of the cold run on those halfspaces followed by the
+    given ones, with the bits in that order.  That state meets the
+    invariant.  K's facet normals are the extreme rays of its dual, so the
+    (h, 0) cut out (K dual)-dual x R, which is K x R as K is closed and
+    convex; K is pointed, so modulo the line R*(0, ..., 0, 1) the extreme
+    rays of K x R are the (n, 0) over the extreme rays n of K, primitive as
+    n is, and the line pairs to zero with every (h, 0).  Each mask is read
+    off the pairings, so it is the ray's tight set.
     """
     halfspaces = int_vectors(halfspaces)
     if base is None:
@@ -331,7 +329,7 @@ def dual_extreme_rays(halfspaces, base: Cone | None = None, half: bool = False) 
         inserted, lineality, rays = (), unit_vectors(dim), {}
     else:
         dim = check_cone(base).dim + 1
-        inserted, lineality, start = _prism(base, half)
+        inserted, lineality, start = _prism(base)
         lineality, rays = list(lineality), dict(start)
     for h in halfspaces:
         if len(h) != dim:
@@ -356,19 +354,17 @@ def dual_extreme_rays(halfspaces, base: Cone | None = None, half: bool = False) 
 
 
 @cache
-def _prism(cone: Cone, half: bool):
+def _prism(cone: Cone):
     """The double description state of ``dual_extreme_rays`` on a base cone
-    K: the inserted halfspaces (h, 0) over K's facet normals h, then
-    (0, ..., 0, 1) if ``half``; the lineality space, spanned by
-    (0, ..., 0, 1) unless ``half``; and each ray, (n, 0) over K's extreme
-    rays n and (0, ..., 0, 1) if ``half``, with the bitmask of the inserted
-    halfspaces it is tight on.  Built once per cone."""
-    apex = (0,) * cone.dim + (1,)
-    inserted = [h + (0,) for h in cone.halfspaces] + [apex] * half
-    rays = [n + (0,) for n in cone.rays] + [apex] * half
+    K: the inserted halfspaces (h, 0) over K's facet normals h; the
+    lineality space, spanned by (0, ..., 0, 1); and each ray, (n, 0) over
+    K's extreme rays n, with the bitmask of the inserted halfspaces it is
+    tight on.  Built once per cone."""
+    inserted = [h + (0,) for h in cone.halfspaces]
+    rays = [n + (0,) for n in cone.rays]
     masks = [sum(1 << i for i, v in enumerate(row) if not v)
              for row in zip(*pairing_columns(rays, inserted))]
-    return tuple(inserted), () if half else (apex,), tuple(zip(rays, masks))
+    return tuple(inserted), ((0,) * cone.dim + (1,),), tuple(zip(rays, masks))
 
 
 def _extreme(vectors, masks) -> list[IntVec]:

@@ -165,15 +165,15 @@ def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:
     <x, a> - c*s >= 0 (each row cleared of c's denominator), <x, n> >= 0 for
     the facet normals n of the recession cone and s >= 0, the region is a
     pointed full-dimensional cone, and one double description gives its
-    extreme rays.  The last two kinds cut recession x [0, inf), so it starts
-    from that cone (``lattice.dual_extreme_rays`` with ``half``) and inserts
-    only the pairs.
+    extreme rays.  The facet normals cut recession x R, so it starts from
+    that cone (``lattice.dual_extreme_rays`` on ``recession``) and inserts
+    s >= 0 first, which turns the line into the ray (0, ..., 0, 1).
     """
     d = recession.dim
-    halfspaces = [
+    halfspaces = [(0,) * d + (1,)] + [
         tuple(c.denominator * x for x in a) + (-c.numerator,) for a, c in ineqs
     ]
-    return [e for e in dual_extreme_rays(halfspaces, recession, half=True) if e[d] > 0]
+    return [e for e in dual_extreme_rays(halfspaces, recession) if e[d] > 0]
 
 
 def _rotation_minima(columns) -> set[int]:

@@ -50,8 +50,8 @@ from tauideal.ideals import (
 from tauideal.lattice import (
     IntVec, orthant_ring, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
 )
-from tauideal.frobenius import tau_socle_oracle
-from tauideal.tau import tau, veronese_ring
+from tauideal.frobenius import tau_socle_oracle, tight_closure_members_at_q
+from tauideal.tau import tau, tau_is_unit, veronese_ring
 
 
 R2 = orthant_ring(2)
@@ -290,6 +290,18 @@ def test_unit_normalizes_to_zero_vector():
     assert I((0, 0)).is_unit()
 
 
+def test_an_ideal_with_the_zero_generator_is_the_unit_ideal_unminimalized():
+    # the constructor does not minimalize, so 1 may come with other
+    # generators; it is the unit ideal all the same
+    for ring in TEST_RINGS:
+        g = ring.sigma_dual.rays[0]
+        a = MonomialIdeal(ring, ((0,) * ring.d, g))
+        assert a.is_unit() and a.contains_monomial((0,) * ring.d), ring
+        assert tau_is_unit(ring, a, 1)
+        assert not MonomialIdeal(ring, (g, vec_scale(2, g))).is_unit()
+    assert not zero_ideal(R2).is_unit()
+
+
 def test_contains_monomial():
     a = I((2, 0), (0, 3))
     assert a.contains_monomial((2, 5))
@@ -395,6 +407,47 @@ def test_ray_coords_match_the_per_point_reference():
             seen[got if isinstance(got, type) else kind] += 1
     assert seen[SemigroupMembershipError] == seen[0] == seen[4] == 100, seen
     assert seen[DimensionMismatchError] == 200, seen
+
+
+def count_pairings(monkeypatch):
+    """The generator lists that ``ideals`` pairs with the rays of sigma, as
+    tuples, one per pairing: an ideal's ``rows`` (``pairing_columns``) and
+    the checked ``_ray_coords`` of raw vectors (``member_columns``)."""
+    paired = []
+    monkeypatch.setattr(
+        ideals_module, "pairing_columns",
+        lambda vectors, normals: paired.append(tuple(vectors))
+        or lattice.pairing_columns(vectors, normals),
+    )
+    monkeypatch.setattr(
+        ideals_module, "member_columns",
+        lambda ring, vectors: paired.append(tuple(vectors)) or lattice.member_columns(ring, vectors),
+    )
+    return paired
+
+
+def test_a_checked_ideal_is_paired_once(monkeypatch):
+    # every operation reads I's rows, which pair I's generators with the
+    # rays on the first read only; J's generators and the points z are
+    # drawn apart from I's, so no other pairing holds all of I's
+    rng = Random(3838)
+    paired = count_pairings(monkeypatch)
+    for ring in TEST_RINGS:
+        points = lattice_points_upto(ring, 6)[1:]
+        rng.shuffle(points)
+        k = max(1, len(points) // 3)
+        a = minimalize(ring, points[:rng.randint(1, min(4, k))])
+        b = minimalize(ring, points[k:k + rng.randint(1, 4)])
+        zs = points[-2:]
+        q = 1 + ring.gorenstein_index
+        del paired[:]
+        for J, K in ((a, b), (b, a)):
+            multiply(J, K), intersect(J, K), colon(J, K), ideal_sum(J, K)
+            J.is_subideal_of(K)
+        power(a, 3), trace_root(a, q)
+        tight_closure_members_at_q(a, b, 1, zs, qmax=4, cbox=1)
+        assert sum(set(a.gens) <= set(v) for v in paired) == 1, ring
+        assert paired[0] == a.gens, ring
 
 
 def test_multiply_and_power_match_the_reference():

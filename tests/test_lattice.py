@@ -229,17 +229,16 @@ def _tight_at(inserted, r):
     return [h for h in inserted if pairing(r, h) == 0]
 
 
-def dd_prefix(base, half=False):
+def dd_prefix(base):
     """The halfspaces a double description started on ``base`` has inserted
-    before the caller's: (h, 0) over the facet normals h of base, then
-    (0, ..., 0, 1) if ``half``."""
+    before the caller's: (h, 0) over the facet normals h of base."""
     if base is None:
         return []
-    return [h + (0,) for h in base.halfspaces] + [(0,) * base.dim + (1,)] * half
+    return [h + (0,) for h in base.halfspaces]
 
 
-def reference_dual_extreme_rays(halfspaces, base=None, half=False):
-    halfspaces = dd_prefix(base, half) + [tuple(h) for h in halfspaces]
+def reference_dual_extreme_rays(halfspaces, base=None):
+    halfspaces = dd_prefix(base) + [tuple(h) for h in halfspaces]
     if not halfspaces:
         raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
     dim = len(halfspaces[0])
@@ -525,12 +524,13 @@ def _message(dd, halfspaces, *start):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_pointed_cone(), st.booleans(), st.data())
 def test_a_dd_started_from_a_cone_is_the_cold_dd(base, half, data):
-    # the double description started from base x R, or base x [0, inf),
-    # equals the cold one on the base's halfspaces followed by the same
-    # ones: the rays, and each error with its message (an implicit equality
-    # names the same halfspace, as the bits come in the same order); each
-    # normal is random or, like a Newton generator's (g, -b), a sum g of the
-    # base's facet normals with any last entry, which often leaves a pointed cone
+    # the double description started from base x R, with s >= 0 inserted
+    # first if ``half`` (as the degree bound's does), equals the cold one on
+    # the base's halfspaces followed by the same ones: the rays, and each
+    # error with its message (an implicit equality names the same halfspace,
+    # as the bits come in the same order); each normal is random or, like a
+    # Newton generator's (g, -b), a sum g of the base's facet normals with
+    # any last entry, which often leaves a pointed cone
     normal = st.tuples(*[st.integers(-3, 3)] * (base.dim + 1)) | st.builds(
         lambda hs, b: tuple(map(sum, zip(*hs))) + (b,),
         st.lists(st.sampled_from(base.halfspaces), min_size=1, max_size=3),
@@ -539,8 +539,9 @@ def test_a_dd_started_from_a_cone_is_the_cold_dd(base, half, data):
     halfspaces = data.draw(st.lists(normal, max_size=6))
     if halfspaces and data.draw(st.booleans()):  # an implicit equality
         halfspaces.append(vec_neg(data.draw(st.sampled_from(halfspaces))))
-    got = _message(dual_extreme_rays, halfspaces, base, half)
-    assert got == _message(dual_extreme_rays, dd_prefix(base, half) + halfspaces)
+    halfspaces = [(0,) * base.dim + (1,)] * half + halfspaces
+    got = _message(dual_extreme_rays, halfspaces, base)
+    assert got == _message(dual_extreme_rays, dd_prefix(base) + halfspaces)
 
 
 SQUARE_BASE = cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
@@ -562,9 +563,10 @@ def test_a_started_dd_keeps_the_cold_errors(base, half, halfspaces, error):
         "down": (0,) * d + (-1,),
         "ray": base.halfspaces[0] + (1,),
     }
-    halfspaces = [named[h] for h in halfspaces]
-    got = _message(dual_extreme_rays, halfspaces, base, half)
-    assert got == _message(dual_extreme_rays, dd_prefix(base, half) + halfspaces)
+    # with ``half``, s >= 0 goes in first, as in the degree bound's DD
+    halfspaces = [named["up"]] * half + [named[h] for h in halfspaces]
+    got = _message(dual_extreme_rays, halfspaces, base)
+    assert got == _message(dual_extreme_rays, dd_prefix(base) + halfspaces)
     if error is None:  # base x [0, inf)
         assert got == sorted([r + (0,) for r in base.rays] + [(0,) * d + (1,)])
     else:
@@ -577,9 +579,9 @@ def test_one_dd_per_fact(monkeypatch):
     # facets are the rays of sigma_dual)
     calls = []
 
-    def counted(halfspaces, base=None, half=False):
+    def counted(halfspaces, base=None):
         calls.append(1)
-        return dual_extreme_rays(halfspaces, base, half)
+        return dual_extreme_rays(halfspaces, base)
 
     monkeypatch.setattr(lattice, "dual_extreme_rays", counted)
     monkeypatch.setattr(polyhedra, "dual_extreme_rays", counted)

@@ -40,6 +40,8 @@ from tauideal.ideals import (
 from tauideal.lattice import minimal_vectors_orthant, orthant_ring, toric_ring, vec_add, vec_scale
 from tauideal.tau import _check_request, tau, veronese_ring
 
+from test_ideals import count_pairings
+
 TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
     veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
     toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
@@ -243,20 +245,14 @@ def test_a_root_generator_one_step_below_a_floor_is_outside(monkeypatch, ring, g
 
 
 def test_a_root_value_makes_its_points_once(monkeypatch):
-    # on a smooth cone the chain stays on rows: the power's generators are
-    # paired once, no C_q's generators are paired, and the only points made
-    # are the returned value's, by one _points call (none when it raises)
+    # on a smooth cone the chain stays on rows: a's generators are paired
+    # once, no C_q's generators are paired, and the only points made are the
+    # returned value's, by one _points call (none when it raises)
     ring = orthant_ring(3)
     a = minimalize(ring, [(2, 0, 1), (0, 3, 0), (1, 1, 2)])
     b = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
     want = tau(ring, a, 1)
-    paired, points = [], []
-    for module in (ideals_module, frobenius_module):
-        real_coords = module._ray_coords
-        monkeypatch.setattr(
-            module, "_ray_coords",
-            lambda ring, gens, real=real_coords: paired.append(tuple(gens)) or real(ring, gens),
-        )
+    paired, points = count_pairings(monkeypatch), []
     for module in (ideals_module, enumeration_module):
         real_points = module._points
         monkeypatch.setattr(

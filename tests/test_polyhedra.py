@@ -363,9 +363,9 @@ def _count_dd_calls(monkeypatch):
     # the second double description runs inside ``lattice.cone_from_rays``
     calls = []
 
-    def counted(halfspaces, base=None, half=False):
-        calls.append(len(dd_prefix(base, half)) + len(halfspaces))
-        return dual_extreme_rays(halfspaces, base, half)
+    def counted(halfspaces, base=None):
+        calls.append(len(dd_prefix(base)) + len(halfspaces))
+        return dual_extreme_rays(halfspaces, base)
 
     for owner in (lattice, polyhedra):
         monkeypatch.setattr(owner, "dual_extreme_rays", counted)

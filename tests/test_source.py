@@ -389,6 +389,12 @@ CHECK_CALLERS = {
         "tau.py:_check_request",
     },
     "semigroup_columns": {"ideals.py:__post_init__"},
+    # the checked pairing of raw vectors; a checked ideal's are its ``rows``
+    "_ray_coords": {
+        "frobenius.py:_multiplier_searches",
+        "ideals.py:contains_monomial",
+        "ideals.py:minimalize",
+    },
     "_derived": {
         "campaigns.py:vertex_reduction",
         "frobenius.py:tau_socle_oracle",
