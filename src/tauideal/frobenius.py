@@ -11,17 +11,19 @@ corner, and the socle oracle needs only the largest q of the sweep.  Its
 t*P(a) comes, with the request checked, from ``tau._scaled_polyhedron``,
 the one builder that tau uses too.  The root route climbs the chain of
 trace roots C_q (``ideals.trace_root``) over the q with (q-1)*w a lattice
-point and reads no Newton polyhedron: C_q and both its checks stay on the
-ray coordinates of the powers' generators, and only the returned value
-becomes points.
+point and reads no Newton polyhedron: it reads each power a^n only through
+the floors of its ray coordinates (``ideals._floors``), taken from the sums
+of the multisets of n of a's rows or, where those outnumber a square's pairs,
+from the rows of one lazy ``ideals.powers`` chain; C_q and both its checks
+stay on ray coordinates, and only the returned value becomes points.
 Both tight-closure searches are one search (``_multiplier_searches``): c
 works at q iff c*z^q*A_q lies in B_q, on ray coordinates, with (A_q, B_q)
 = (a^ceil(tq), I^[q]) for tight closure and (the unit ideal, the q-th
 powers) for tight integral closure; the candidates c are the lattice points
-of sigma_dual with every ray coordinate at most cbox.  The root route and
-the searches read their powers over the q-sweep from one lazy
-``ideals.powers`` chain per ideal; a batch of points z shares the rows and
-candidates, and the single-point forms are batches of one.
+of sigma_dual with every ray coordinate at most cbox.  The searches read
+their powers over the q-sweep from one lazy ``ideals.powers`` chain per
+ideal; a batch of points z shares the rows and candidates, and the
+single-point forms are batches of one.
 Every route runs on every toric ring, on Python ints and Fractions.
 """
 
@@ -58,8 +60,8 @@ from .ideals import (  # noqa: F401
     power,
     powers,
 )
-from .lattice import IntVec, ToricRing, check_ring, int_scalar, int_vector, int_vectors, pairing
-from .lattice import pairing_columns, sequence, vec_add, vec_neg, vec_scale, vec_sub
+from .lattice import IntVec, ToricRing, _echelon, check_ring, int_scalar, int_vector, int_vectors
+from .lattice import pairing, pairing_columns, sequence, vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import NewtonPolyhedron, exponent, lattice_inequalities
 # newton_polyhedron is bound here only for perfbench/layers.py, which wraps
 # it at this module; the socle route builds t*P(a) in tau._scaled_polyhedron
@@ -286,39 +288,62 @@ def frobenius_root_tau_oracle(
     ring: ToricRing, a: MonomialIdeal, t, qmax: int = 128, p: int = 2
 ) -> MonomialIdeal:
     """tau(a^t) as the stabilized value of the chain of trace roots
-    C_q = trace_root(a^ceil(t*q), q) over the admissible q <= qmax: the
-    powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein index
-    (none when p divides it: UnsupportedRingError).  C_q comes from the
-    ray coordinates rc of a^ceil(t*q)'s generators g, the power's rows,
-    through their floors floor(rc(g)/q) (``ideals._floors``, computed once
-    per q), which are the boxes of one up-set union (``ideals._upset_union``,
-    as in ``trace_root``).  The chain works on rows: the union hands back
-    the ray coordinates of C_q's generators, and the only points made are
-    the returned value's (``ideals._from_rows``).  On a smooth sigma
+    C_q = trace_root(a^n, q), n = ceil(t*q), over the admissible q <= qmax:
+    the powers of p with (q-1)*w a lattice point, q = 1 mod the Gorenstein
+    index (none when p divides it: UnsupportedRingError).  C_q is the
+    up-set union (``ideals._upset_union``, as in ``trace_root``) of the
+    boxes at the floors floor(rc(g)/q) of the ray coordinates rc of the
+    g in a^n.  The chain works on rows: the union hands back the ray
+    coordinates of C_q's generators, and the only points made are the
+    returned value's (``ideals._from_rows``).  On a smooth sigma
     (``ToricRing.is_smooth``) no point is made before that: every floor is
     the ray coordinates of one lattice point, so every box is realized, and
     the rows are the minimal floors.  Every generator m of C_q must have
-    q*rc(m) + q - 1 >= rc(g) for some g (q*m + (q-1)*w in a^ceil(t*q), as
+    q*rc(m) + q - 1 >= rc(g) for some g in a^n (q*m + (q-1)*w in a^n, as
     <w, n_j> = 1) and the chain must ascend, else InvariantError; both are
     checked on the rows.  The value is accepted once two consecutive q (the
     larger at least 16) agree, else NotStabilizedError.
+
+    The boxes are read off a^n in one of two ways, both ``ideals._floors``
+    at q.  With mu generators of a and r the rank of its rows (that of its
+    generators, one ``lattice._echelon`` call, as the rays span), the
+    floors of the sums of the multisets of n of a's rows are taken when
+    mu = 1 or mu - 1 < 2*(r - 1), and otherwise the floors of the rows of
+    a^n from the ideal's one lazy ``ideals.powers`` chain.  Both give the
+    same C_q: every multiset sum is rc(g) for a product g of n generators,
+    so g in a^n, and every minimal generator of a^n is such a product.
+    floor(./q) is monotone, so each floor of the one set lies above a floor
+    of the other, and the two box sets span one up-set.  Each floor still
+    comes from some g in a^n, so the per-q check below means the same on
+    both.  The rule follows the work: there are C(n + mu - 1, mu - 1)
+    multisets, O(n^(mu-1)), while squaring a power pairs its rows, and a
+    power's minimal rows are an antichain in a rank-r span, O(n^(r-1)) of
+    them, so O(n^(2(r-1))) pairs.  The rule reads r, not d: generators in a
+    coordinate plane make few rows, and on a tie squaring is kept.
 
     The first check is made on the floors: for integers x, y and q >= 1,
     y <= q*x + q - 1 iff floor(y/q) <= x, since y <= q*x + q - 1 < q*(x + 1)
     gives y/q < x + 1, and floor(y/q) <= x gives y = q*floor(y/q) + (y mod
     q) <= q*x + q - 1.  Applied on every ray, rc(g) <= q*rc(m) + q - 1 iff
     floor(rc(g)/q) <= rc(m), so some g lies below the lift of m iff some
-    floor lies below rc(m), and the floors are far fewer than the rows."""
+    floor lies below rc(m), and the floors are far fewer than the rows.  A
+    row of C_q that is itself a floor, as every row is on a smooth sigma,
+    passes with no comparison."""
     t = _check_request(ring, a, t)
     r = ring.gorenstein_index
     qs = [q for q in q_sweep(qmax, p) if (q - 1) % r == 0]
     if r % p == 0:
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
+    exponents = [math.ceil(t * q) for q in qs]
+    mu = len(a.gens)
+    if mu == 1 or mu - 1 < 2 * (len(_echelon(a.gens)[1]) - 1):
+        boxes = (_floors(a.rows, q, n) for q, n in zip(qs, exponents))
+    else:
+        boxes = (_floors(rows, q) for q, rows in zip(qs, powers(a, exponents)))
     prev = prev_q = None
-    for q, rows in zip(qs, powers(a, [math.ceil(t * q) for q in qs])):
-        floors = _floors(rows, q)
+    for q, floors in zip(qs, boxes):
         current = _upset_union(ring, floors)
-        if not _covers(floors, current):
+        if not set(current) <= set(floors) and not _covers(floors, current):
             raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")
         if prev is not None and not _covers(current, prev):
             raise InvariantError(f"root chain shrinks from q={prev_q} to q={q}")

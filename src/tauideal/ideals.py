@@ -20,12 +20,14 @@ to I**(n-1) for an odd one; ``power`` is its one value.  Rows become
 generators in ``_from_rows``, one ``lattice._points`` call.  Intersections, colons and trace roots
 (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of up-sets in
 ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
-up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, the trace root's floors
-(``_floors``) among them, go through ``_upset_union`` to the one up-set kernel
-``enumeration._union`` as boxes, with no pair sets, and come back as
-the rows of the union's generators.  An ideal is checked once, when it is
-made (``MonomialIdeal``), and the ideals derived here from checked ones
-are made without that check (``_derived``).  The zero ideal
+up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, go through
+``_upset_union`` to the one up-set kernel ``enumeration._union`` as boxes,
+with no pair sets, and come back as the rows of the union's generators.
+The trace root's bounds are floors from the one floors kernel
+``_floors``: the distinct floors of the sums of the multisets of n rows,
+packed as in ``_sums`` and not minimal-filtered.  An ideal is checked
+once, when it is made (``MonomialIdeal``), and the ideals derived here
+from checked ones are made without that check (``_derived``).  The zero ideal
 has an empty generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
 (the orthant's trace root, checked to cover I) and ``kill_variable`` are
 orthant-only and refuse other rings loudly.
@@ -336,10 +338,36 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     return _from_rows(I.ring, _upset_union(I.ring, _floors(I.rows, q)))
 
 
-def _floors(rows, q: int) -> list[IntVec]:
-    """The distinct floor(v/q), componentwise, over the rows v, a column
-    at a time."""
-    return [*{*zip(*[[x // q for x in column] for column in zip(*rows)])}]
+def _floors(rows, q: int, n: int = 1) -> list[IntVec]:
+    """The distinct floor((v_1 + ... + v_n)/q), componentwise, over the
+    multisets {v_1, ..., v_n} of n of the rows (ray coordinates, all >= 0):
+    at n = 1 the floors of the rows, at n = 0 the zero row; no rows give
+    no floors.  The sums are not minimal-filtered: the up-set kernel drops
+    the boxes above others.
+
+    The rows are packed as in ``_sums``, each field wide enough for n times
+    the largest entry, so packed sums add with no carry.  The sums of k of
+    the rows taken so far, k = 0..n, are kept as sets of ints, which drop
+    repeats; taking the next row p, the sums of k rows gain p plus each
+    sum of k - 1 rows, those that already hold p included, in ascending k.
+    The last row p only completes the sums of n rows, as (n - k)*p plus
+    each sum of k of the others, so one row alone is one product, at any n.
+    The floors are read back a column at a time.
+    """
+    if n == 1:
+        return [*{*zip(*[[x // q for x in column] for column in zip(*rows)])}]
+    if not rows:
+        return []
+    width = (n * max(map(max, rows))).bit_length()
+    shifts = [width * j for j in range(len(rows[0]))]
+    *first, last = [sum(map(lshift, row, shifts)) for row in rows]
+    sums = [{0}] + [set() for _ in range(n if first else 0)]
+    for p in first:
+        for k in range(1, n + 1):
+            sums[k] |= {s + p for s in sums[k - 1]}
+    top = {s + (n - k) * last for k, layer in enumerate(sums) for s in layer}
+    mask = (1 << width) - 1
+    return [*{*zip(*[[(s >> shift & mask) // q for s in top] for shift in shifts])}]
 
 
 def frobenius_root(I: MonomialIdeal, q: int) -> MonomialIdeal:

@@ -2,7 +2,9 @@
 the tuple code it replaced, kept here only as the reference."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from operator import add
 from random import Random
 
@@ -27,6 +29,7 @@ from tauideal.ideals import (
     _floors,
     _ray_coords,
     _sums,
+    _upset_union,
     colon,
     intersect,
     minimalize,
@@ -37,7 +40,9 @@ from tauideal.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from tauideal.lattice import minimal_vectors_orthant, orthant_ring, toric_ring, vec_add, vec_scale
+from tauideal.lattice import (
+    matrix_rank, minimal_vectors_orthant, orthant_ring, toric_ring, vec_add, vec_scale,
+)
 from tauideal.tau import _check_request, tau, veronese_ring
 
 from test_ideals import count_pairings
@@ -216,6 +221,49 @@ def test_lift_check_on_floors_is_the_lift_check_on_rows(rows, roots, q):
     # rc(g) <= q*m + q - 1 on every ray iff floor(rc(g)/q) <= m
     lifts = [tuple(q * x + q - 1 for x in m) for m in roots]
     assert _covers(rows, lifts) == _covers(_floors(rows, q), roots)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ROWS, st.integers(1, 9), st.integers(0, 5))
+def test_floors_of_multiset_sums_match_their_definition(rows, q, n):
+    want = {tuple(sum(column) // q for column in zip(*chosen)) if n else (0, 0, 0)
+            for chosen in combinations_with_replacement(rows, n)}
+    got = _floors(rows, q, n)
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+def _reads_multisets(a):
+    """The root oracle's rule: multiset floors for mu = 1 or mu - 1 < 2*(r - 1)."""
+    mu = len(a.gens)
+    return mu == 1 or mu - 1 < 2 * (matrix_rank(a.gens) - 1)
+
+
+def test_multiset_floors_give_the_root_of_the_power_floors():
+    # C_q from the floors of the sums of n of a's rows is C_q from the
+    # floors of a^n's rows, n = ceil(t*q), on every admissible q <= 32 for
+    # p = 2 and 3, for ideals on both sides of the oracle's rule
+    rng = Random(3939)
+    sides = Counter()
+    for ring in TEST_RINGS:
+        points = lattice_points_upto(ring, 8)[1:13]  # the 12 lowest but the origin
+        u, v = rng.sample(points[:ring.d + 1], 2)
+        ideals = [minimalize(ring, [g]) for g in rng.sample(points, 2)]
+        sizes = (2, 3, 3 if ring.d > 3 else 4)
+        ideals += [minimalize(ring, rng.sample(points, min(k, len(points)))) for k in sizes]
+        # generators in the plane of u and v: r <= 2, so squared for mu >= 3
+        ideals.append(minimalize(ring, [vec_add(vec_scale(i, u), vec_scale(3 - i, v))
+                                        for i in range(4)]))
+        qs = {q for p in (2, 3) for q in q_sweep(32, p) if (q - 1) % ring.gorenstein_index == 0}
+        steps = sorted({(q, math.ceil(t * q)) for q in qs
+                        for t in (0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2))})
+        for a in ideals:
+            sides["principal" if len(a.gens) == 1 else _reads_multisets(a)] += 1
+            for (q, n), rows in zip(steps, powers(a, [n for _, n in steps])):
+                multisets, squared = _floors(a.rows, q, n), _floors(rows, q)
+                assert sorted(minimal_vectors_orthant(multisets)) == sorted(
+                    minimal_vectors_orthant(squared)), (ring.sigma.rays, a.gens, q, n)
+                assert _upset_union(ring, multisets) == _upset_union(ring, squared)
+    assert min(sides[True], sides[False], sides["principal"]) >= 10, sides
 
 
 @pytest.mark.parametrize("ring, gens", [

@@ -105,6 +105,19 @@ def test_product_kernels_have_exactly_the_pinned_callers():
     assert _package_callers(("_sums", "_maxima")) == PRODUCT_KERNEL_CALLERS
 
 
+# The functions that call the floors kernel ``_floors``: the trace root and
+# the root chain read a power only through its floors; a second floors
+# routine shows up as a diff here.
+FLOOR_KERNEL_CALLERS = {
+    "frobenius.py:frobenius_root_tau_oracle",
+    "ideals.py:trace_root",
+}
+
+
+def test_the_floors_kernel_has_exactly_the_pinned_callers():
+    assert _package_callers(("_floors",)) == FLOOR_KERNEL_CALLERS
+
+
 # The functions that run a double description, directly or through the
 # degree bound's ``_vertex_rays``: sigma's facets, a Newton polyhedron's
 # facets and vertices, and the degree bound's vertices.  A second double
