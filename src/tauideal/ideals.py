@@ -4,16 +4,16 @@ Divisibility is semigroup membership of the difference of exponent vectors,
 not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
 over the rays n_j of sigma.  An ideal carries its generators' ray
-coordinates, ``MonomialIdeal.rows``, paired on first read with no check;
-raw vectors are paired and checked by ``_ray_coords``
-(``lattice.member_columns``).  Every divisibility test here
-(``minimalize``, ``MonomialIdeal.is_subideal_of``, ``contains_monomial``)
-is one call of the bitmask kernel ``lattice._below_masks``.  Ray
-coordinates add under products, and every product and square is one
-packed kernel, ``_sums``: each row is one int of fixed-width fields
-(``_field_width``, from the largest sum that can occur), a pair sum is one
-int addition, a set of ints drops repeats, and only the distinct sums are
-read back for the minimal filter.  ``multiply`` keeps the minimal sums of
+coordinates, ``MonomialIdeal.rows``, paired by its check (a derived
+ideal's on first read, with no check); raw vectors are paired and checked
+by ``_ray_coords`` (``lattice.member_columns``).  Every divisibility test
+here (``MonomialIdeal``, ``is_subideal_of``, ``contains_monomial``) is one
+call of the bitmask kernel ``lattice._below_masks``.  Ray coordinates add
+under products, and every product and square is one packed kernel,
+``_sums``: each row is one int of fixed-width fields (``_field_width``,
+from the largest sum that can occur), a pair sum is one int addition, a
+set of ints drops repeats, and only the distinct sums are read back for
+the minimal filter.  ``multiply`` keeps the minimal sums of
 its factors' rows, and ``powers`` lazily yields the rows of any sequence
 of powers by one rule, squaring I**(n/2) for an even n and adding I's rows
 to I**(n-1) for an odd one; ``power`` is its one value.  Rows become
@@ -25,12 +25,14 @@ up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, go through
 with no pair sets, and come back as the rows of the union's generators.
 The trace root's bounds are floors from the one floors kernel
 ``_floors``: the distinct floors of the sums of the multisets of n rows,
-packed as in ``_sums`` and not minimal-filtered.  An ideal is checked
-once, when it is made (``MonomialIdeal``), and the ideals derived here
-from checked ones are made without that check (``_derived``).  The zero ideal
-has an empty generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
-(the orthant's trace root, checked to cover I) and ``kill_variable`` are
-orthant-only and refuse other rings loudly.
+packed as in ``_sums`` and not minimal-filtered.  An ideal is checked and
+made canonical (minimal generators, once each, sorted: ``==`` is ideal
+equality) once, when it is made (``MonomialIdeal``), and the canonical
+ideals derived here from checked ones are made without that check
+(``_derived``).  The zero ideal has an empty generator tuple, the unit
+ideal the single zero vector.  ``frobenius_root`` (the orthant's trace
+root, checked to cover I) and ``kill_variable`` are orthant-only and
+refuse other rings loudly.
 """
 
 from __future__ import annotations
@@ -84,30 +86,36 @@ class MonomialIdeal:
     it is made: the fields must be a ToricRing and a tuple of tuples of ints
     (InputError otherwise), each generator of length d
     (DimensionMismatchError) and in sigma_dual (SemigroupMembershipError).
-    Minimality is not checked.  The ideals the package derives from checked
-    ones are made without it (``_derived``)."""
+    It keeps the minimal generators, once each and sorted, so ``==`` and
+    ``hash`` are ideal equality; ``_derived`` makes canonical ones unchecked."""
 
     ring: ToricRing
     gens: tuple[IntVec, ...]
 
     @cached_property
     def rows(self) -> tuple[IntVec, ...]:
-        """The ray coordinates of ``gens``, in order, paired on first read with
-        no check: the ideal was checked when made or derived from checked ones."""
+        """The ray coordinates of ``gens``, in order: those the check paired,
+        or for a derived ideal paired on first read with no check."""
         return tuple(zip(*pairing_columns(self.gens, self.ring.sigma.rays)))
 
     def __post_init__(self):
+        # x^h divides x^g iff rows(h) <= rows(g), and the rays span, so the
+        # rows determine g and the zero vector's lie below every other's
         check_ring(self.ring)
         if type(self.gens) is not tuple or not {tuple}.issuperset(map(type, self.gens)):
             raise InputError(f"an ideal's generators must be tuples in a tuple, got {self.gens!r}")
-        semigroup_columns(self.ring, self.gens)
+        by_rows = dict(zip(zip(*semigroup_columns(self.ring, self.gens)), self.gens))
+        pairs = sorted((by_rows[v], v) for v in minimal_vectors_orthant(by_rows))
+        object.__setattr__(self, "gens", tuple(g for g, _ in pairs))
+        object.__setattr__(self, "rows", tuple(v for _, v in pairs))
 
     def is_zero(self) -> bool:
         return not self.gens
 
     def is_unit(self) -> bool:
-        """1 lies in the ideal iff a generator is 0, as the rays span."""
-        return (0,) * self.ring.d in self.gens
+        """1 lies in the ideal iff 0 is a generator, as the rays span, and
+        then the only minimal one."""
+        return self.gens == ((0,) * self.ring.d,)
 
     def contains_monomial(self, m) -> bool:
         """True iff some generator divides x^m in the semigroup sense:
@@ -144,22 +152,15 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal) -> None:
 
 
 def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
-    """Divisibility-minimal generating set; the unit ideal normalizes to {0}.
-
-    x^h divides x^g iff <h, n_j> <= <g, n_j> for every ray n_j of sigma, so
-    the minimal generators are those whose ray coordinates are
-    componentwise minimal.  The rays span, so the coordinates determine g,
-    and the zero vector's coordinates lie below every other's.
-    """
-    gens = list(set(int_vectors(raw_gens)))
-    by_coords = dict(zip(_ray_coords(check_ring(ring), gens), gens))
-    minimal = sorted(by_coords[c] for c in minimal_vectors_orthant(by_coords))
-    return _derived(ring, tuple(minimal))
+    """The ideal (``MonomialIdeal``) of an iterable of raw int vectors
+    (``int_vectors``); the unit ideal normalizes to {0}."""
+    return MonomialIdeal(ring, tuple(int_vectors(raw_gens)))
 
 
 def _derived(ring: ToricRing, gens: tuple[IntVec, ...]) -> MonomialIdeal:
-    """The ideal of generators derived here from checked values, int tuples
-    of length d in sigma_dual by construction: no ``MonomialIdeal`` check."""
+    """The ideal of generators derived here from checked values, canonical by
+    construction (int tuples of length d in sigma_dual, minimal, sorted):
+    no ``MonomialIdeal`` check."""
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "ring", ring)
     object.__setattr__(ideal, "gens", gens)
@@ -313,11 +314,12 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
-    """Generators scaled by q: the q-th bracket power."""
+    """Generators scaled by q >= 1, which keeps their order and minimality:
+    the q-th bracket power."""
     _check_ideal(I)
     if int_scalar("q", q) < 1:
         raise InputError(f"bracket power needs q >= 1, got {q}")
-    return _derived(I.ring, tuple(sorted(tuple(q * x for x in g) for g in I.gens)))
+    return _derived(I.ring, tuple(tuple(q * x for x in g) for g in I.gens))
 
 
 def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:

@@ -402,9 +402,10 @@ def _below_masks(rows) -> list[int]:
 
 def minimal_vectors_orthant(vectors) -> list[IntVec]:
     """Componentwise-minimal subset of a collection of integer vectors, in
-    order of first appearance."""
+    order of first appearance.  u <= v with u != v forces sum(u) < sum(v),
+    so distinct vectors of one coordinate sum are all minimal."""
     vecs = list(dict.fromkeys(vectors))
-    if len(vecs) < 2:
+    if len({*map(sum, vecs)}) < 2:
         return vecs
     below = _below_masks(vecs)
     return [v for j, v in enumerate(vecs) if below[j] == 1 << j]

@@ -44,6 +44,8 @@ from tauideal.lattice import (
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, veronese_ring
 
+from rings import TEST_RINGS
+
 SQUARE_CONE = toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
 RINGS = {
     "orthant1": orthant_ring(1),
@@ -191,14 +193,6 @@ def test_hilbert_basis_against_brute_force_irreducibility(ring):
     assert list(hilbert_basis(ring)) == irreducible
     assert max(pairing(h, ell) for h in irreducible) == max(
         pairing(h, ell) for h in hilbert_basis(ring))
-
-
-# orthant d = 1..4, Veronese (2,2) (3,2) (2,3), the square cone, the index-5
-# ring and the cone (1,0),(1,2), as in tests/test_ideals.py
-TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
-    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3), SQUARE_CONE,
-    RINGS["index5"], toric_ring([(1, 0), (1, 2)]),
-]
 
 
 @pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))

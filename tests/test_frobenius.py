@@ -55,6 +55,8 @@ from tauideal.lattice import (
 from tauideal.polyhedra import NewtonPolyhedron, lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, tau_is_unit, veronese_maximal_ideal, veronese_ring
 
+from rings import TEST_RINGS
+
 
 R2 = orthant_ring(2)
 
@@ -361,14 +363,6 @@ def test_in_star_E_witnesses_are_pinned(ring, gens, t, u, p, qmax, witness):
     a = minimalize(ring, ring.sigma_dual.rays if gens is None else gens)
     verdict = in_star_E(ring, a, t, u, qmax=qmax, p=p)
     assert (verdict.status, verdict.witness) == (STATUS_FAILS, witness)
-
-
-# the rings of tests/test_ideals.py: orthant d = 1..4, Veronese (2,2) (3,2)
-# (2,3), the square cone, the index-5 ring and the cone (1,0),(1,2)
-TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
-    VERONESE_22, VERONESE_32, VERONESE_23, SQUARE_CONE, INDEX_5,
-    toric_ring([(1, 0), (1, 2)]),
-]
 
 
 @pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import le, mul
+from operator import le, mul, sub
 from random import Random
 
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tauideal.errors import (
     DimensionMismatchError,
     InputError,
+    NotStabilizedError,
     TauIdealError,
     RingMismatchError,
     SemigroupMembershipError,
@@ -50,8 +51,13 @@ from tauideal.ideals import (
 from tauideal.lattice import (
     IntVec, orthant_ring, toric_ring, vec_add, vec_neg, vec_scale, vec_sub,
 )
-from tauideal.frobenius import tau_socle_oracle, tight_closure_members_at_q
+from tauideal.campaigns import vertex_reduction
+from tauideal.frobenius import (
+    frobenius_root_tau_oracle, tau_socle_oracle, tight_closure_members_at_q,
+)
 from tauideal.tau import tau, tau_is_unit, veronese_ring
+
+from rings import TEST_RINGS
 
 
 R2 = orthant_ring(2)
@@ -81,6 +87,38 @@ def reference_minimal_vectors(vectors) -> list[IntVec]:
         if not any(all(map(le, k, v)) for k in kept_list):
             kept_list.append(v)
     return kept_list
+
+
+def brute_force_minimal(vectors) -> list[IntVec]:
+    """The vectors no other lies below, once each, in order of first appearance."""
+    return [v for v in dict.fromkeys(vectors)
+            if not any(u != v and all(map(le, u, v)) for u in vectors)]
+
+
+def test_minimal_vectors_of_one_coordinate_sum_are_kept_at_once(monkeypatch):
+    # distinct vectors of one coordinate sum divide none of each other, so
+    # they come back, first appearances in order, with no comparison made
+    rng = Random(5353)
+    compared = []
+    real = lattice._below_masks
+    monkeypatch.setattr(lattice, "_below_masks", lambda rows: compared.append(rows) or real(rows))
+    cases = [[], [(3, 1, 4)], [(2, 0)] * 3, [(0, 0, 0), (0, 0, 0)]]
+    for _ in range(40):
+        d, total = rng.randint(1, 4), rng.randint(0, 6)
+        antichain = []
+        for _ in range(6):  # the gaps between d - 1 cuts of [0, total]
+            cuts = sorted(rng.randint(0, total) for _ in range(d - 1))
+            antichain.append(tuple(map(sub, [*cuts, total], [0, *cuts])))
+        cases.append(antichain + rng.choices(antichain, k=3))
+    for vecs in cases:
+        assert minimal_vectors_orthant(vecs) == brute_force_minimal(vecs) == list(dict.fromkeys(vecs))
+        assert minimal_vectors_orthant(iter(vecs)) == brute_force_minimal(vecs)
+    assert compared == []
+    # one vector of another sum makes the kernel compare
+    for vecs in cases[4:]:
+        mixed = vecs + [tuple(x + 1 for x in vecs[0])]
+        assert minimal_vectors_orthant(mixed) == brute_force_minimal(mixed)
+    assert compared
 
 
 def test_minimal_vectors_large_sets_match_pairwise_definition():
@@ -129,16 +167,6 @@ def _minimalize_outcome(fn, ring, gens):
         return type(exc)
 
 
-# orthant d = 1..4, Veronese (2,2) (3,2) (2,3), the square cone, the index-5
-# ring and the cone (1,0),(1,2)
-TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
-    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
-    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
-    toric_ring([(0, 1), (5, -2)]),
-    toric_ring([(1, 0), (1, 2)]),
-]
-
-
 # each kind of bad generator, refused when the ideal is made
 BAD_GENERATORS = {
     "str entry": ((("a", 0),), InputError),
@@ -160,22 +188,62 @@ def test_an_ideal_is_checked_when_it_is_made(ring, case):
 @pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
 def test_the_ideals_the_library_derives_pass_the_check_they_skip(ring):
     # results are made from checked ideals without the constructor's check;
-    # made again through it, each is accepted and equal
+    # made again through it, each keeps its generators, so every ideal the
+    # package returns is canonical (minimal, once each, sorted), and the rows
+    # a derived ideal pairs on first read are the ones the check pairs
     rng = Random(2026 + ring.d * len(ring.sigma.rays))
     pool = lattice_points_upto(ring, 4)[1:]
     q = ring.gorenstein_index + 1  # (q - 1)*w is a lattice point
+    p, qmax = (3, 3**5) if ring.gorenstein_index % 2 == 0 else (2, 2**8)
+    roots = 0
     for _ in range(3):
         a, b = (minimalize(ring, rng.sample(pool, rng.randint(1, min(3, len(pool)))))
                 for _ in range(2))
         t = Fraction(rng.randint(0, 6), 4)
         derived = [
-            a, tau(ring, a, t), power(a, 3), colon(a, b), trace_root(a, q),
-            integral_closure(a), tau_socle_oracle(ring, a, t, qmax=8).ideal,
-            bracket_power(a, 2), unit_ideal(ring), zero_ideal(ring), maximal_ideal(ring),
+            a, multiply(a, b), ideal_sum(a, b), intersect(a, b), colon(a, b),
+            power(a, 3), bracket_power(a, 2), trace_root(a, q), integral_closure(a),
+            unit_ideal(ring), zero_ideal(ring), maximal_ideal(ring), tau(ring, a, t),
+            tau_socle_oracle(ring, a, t, qmax=8).ideal, vertex_reduction(ring, a),
         ]
+        if ring.is_orthant():
+            derived.append(frobenius_root(a, 2))
+            if ring.d > 1:
+                derived.append(kill_variable(a, rng.randrange(ring.d)))
+        try:
+            derived.append(frobenius_root_tau_oracle(ring, a, t, qmax=qmax, p=p))
+            roots += 1
+        except NotStabilizedError:
+            pass
         for I in derived:
-            assert I == MonomialIdeal(ring, I.gens), I.gens
+            made = MonomialIdeal(I.ring, I.gens)
+            assert I.gens == made.gens and I.rows == made.rows, I.gens
             assert type(I.gens) is tuple
+    assert roots, ring
+
+
+def test_an_ideal_equals_another_iff_they_are_the_same_ideal():
+    # a redundant generator or one listed twice is dropped when the ideal
+    # is made, so == is ideal equality, and bracket powers keep it
+    assert MonomialIdeal(R2, ((0, 0), (1, 0))) == unit_ideal(R2)
+    assert MonomialIdeal(R2, ((0, 0), (1, 0))).is_unit()
+    assert bracket_power(MonomialIdeal(R2, ((1, 0), (2, 0))), 2).gens == ((2, 0),)
+    assert MonomialIdeal(R2, ((1, 0),)) != MonomialIdeal(R2, ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("ring", [R2, veronese_ring(2, 2)], ids=["orthant", "veronese"])
+def test_permuted_or_repeated_generators_give_one_ideal(ring):
+    rng = Random(4141 + len(ring.sigma.rays))
+    pool = lattice_points_upto(ring, 6)[1:]
+    for _ in range(30):
+        gens = rng.sample(pool, rng.randint(1, 5))
+        I = MonomialIdeal(ring, tuple(gens))
+        shuffled = gens + rng.choices(gens, k=rng.randint(1, 3))
+        rng.shuffle(shuffled)
+        J = MonomialIdeal(ring, tuple(shuffled))
+        assert I == J and hash(I) == hash(J), gens
+        assert I == minimalize(ring, shuffled) == ideal_sum(I, J)
+        assert len({I, J, minimalize(ring, gens)}) == 1
 
 
 def test_minimalize_matches_pairwise_reference():
@@ -411,9 +479,15 @@ def test_ray_coords_match_the_per_point_reference():
 
 def count_pairings(monkeypatch):
     """The generator lists that ``ideals`` pairs with the rays of sigma, as
-    tuples, one per pairing: an ideal's ``rows`` (``pairing_columns``) and
-    the checked ``_ray_coords`` of raw vectors (``member_columns``)."""
+    tuples, one per pairing: the check of a made ideal
+    (``semigroup_columns``), a derived ideal's ``rows`` (``pairing_columns``)
+    and the checked ``_ray_coords`` of raw vectors (``member_columns``)."""
     paired = []
+    monkeypatch.setattr(
+        ideals_module, "semigroup_columns",
+        lambda ring, vectors: paired.append(tuple(vectors))
+        or lattice.semigroup_columns(ring, vectors),
+    )
     monkeypatch.setattr(
         ideals_module, "pairing_columns",
         lambda vectors, normals: paired.append(tuple(vectors))
@@ -427,27 +501,29 @@ def count_pairings(monkeypatch):
 
 
 def test_a_checked_ideal_is_paired_once(monkeypatch):
-    # every operation reads I's rows, which pair I's generators with the
-    # rays on the first read only; J's generators and the points z are
-    # drawn apart from I's, so no other pairing holds all of I's
+    # the check that makes a pairs its raw generators with the rays and
+    # keeps their ray coordinates as a's rows, which every operation reads;
+    # b's generators and the points z are drawn apart from a's, so no other
+    # pairing holds all of a's
     rng = Random(3838)
     paired = count_pairings(monkeypatch)
     for ring in TEST_RINGS:
         points = lattice_points_upto(ring, 6)[1:]
         rng.shuffle(points)
         k = max(1, len(points) // 3)
-        a = minimalize(ring, points[:rng.randint(1, min(4, k))])
+        raw = points[:rng.randint(1, min(4, k))]
+        del paired[:]
+        a = minimalize(ring, raw)
         b = minimalize(ring, points[k:k + rng.randint(1, 4)])
         zs = points[-2:]
         q = 1 + ring.gorenstein_index
-        del paired[:]
         for J, K in ((a, b), (b, a)):
             multiply(J, K), intersect(J, K), colon(J, K), ideal_sum(J, K)
             J.is_subideal_of(K)
         power(a, 3), trace_root(a, q)
         tight_closure_members_at_q(a, b, 1, zs, qmax=4, cbox=1)
         assert sum(set(a.gens) <= set(v) for v in paired) == 1, ring
-        assert paired[0] == a.gens, ring
+        assert paired[0] == tuple(raw), ring
 
 
 def test_multiply_and_power_match_the_reference():

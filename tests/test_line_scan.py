@@ -30,21 +30,14 @@ from tauideal.ideals import colon, integral_closure, intersect, minimalize, trac
 from tauideal.lattice import (
     _points,
     minimal_vectors_orthant,
-    orthant_ring,
     pairing,
     pairing_columns,
-    toric_ring,
     vec_sub,
 )
 from tauideal.polyhedra import lattice_inequalities, newton_polyhedron, scale
-from tauideal.tau import tau, veronese_ring
+from tauideal.tau import tau
 
-TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
-    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
-    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
-    toric_ring([(0, 1), (5, -2)]),
-    toric_ring([(1, 0), (1, 2)]),
-]
+from rings import TEST_RINGS
 
 
 def member(ineqs, m):

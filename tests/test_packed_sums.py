@@ -41,18 +41,12 @@ from tauideal.ideals import (
     zero_ideal,
 )
 from tauideal.lattice import (
-    matrix_rank, minimal_vectors_orthant, orthant_ring, toric_ring, vec_add, vec_scale,
+    matrix_rank, minimal_vectors_orthant, orthant_ring, vec_add, vec_scale,
 )
 from tauideal.tau import _check_request, tau, veronese_ring
 
+from rings import TEST_RINGS
 from test_ideals import count_pairings
-
-TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
-    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
-    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
-    toric_ring([(0, 1), (5, -2)]),
-    toric_ring([(1, 0), (1, 2)]),
-]
 
 
 # -- reference: the tuple kernel and the pair-set root chain ----------------
@@ -293,14 +287,17 @@ def test_a_root_generator_one_step_below_a_floor_is_outside(monkeypatch, ring, g
 
 
 def test_a_root_value_makes_its_points_once(monkeypatch):
-    # on a smooth cone the chain stays on rows: a's generators are paired
-    # once, no C_q's generators are paired, and the only points made are the
-    # returned value's, by one _points call (none when it raises)
+    # on a smooth cone the chain stays on rows: a's generators were paired
+    # when a was made and are not paired again, no C_q's generators are
+    # paired, and the only points made are the returned value's, by one
+    # _points call (none when it raises)
     ring = orthant_ring(3)
-    a = minimalize(ring, [(2, 0, 1), (0, 3, 0), (1, 1, 2)])
-    b = minimalize(ring, [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)])
-    want = tau(ring, a, 1)
     paired, points = count_pairings(monkeypatch), []
+    raw_a, raw_b = [(2, 0, 1), (0, 3, 0), (1, 1, 2)], [(4, 1, 0), (0, 3, 2), (1, 0, 5), (2, 2, 2)]
+    a, b = minimalize(ring, raw_a), minimalize(ring, raw_b)
+    assert paired == [tuple(raw_a), tuple(raw_b)]
+    want = tau(ring, a, 1)
+    del paired[:]
     for module in (ideals_module, enumeration_module):
         real_points = module._points
         monkeypatch.setattr(
@@ -308,8 +305,8 @@ def test_a_root_value_makes_its_points_once(monkeypatch):
             lambda ring, rows, real=real_points: points.append(len(rows)) or real(ring, rows),
         )
     assert frobenius_root_tau_oracle(ring, a, 1, 16) == want
-    assert paired == [a.gens] and len(points) == 1
-    del paired[:], points[:]
+    assert paired == [] and len(points) == 1
+    del points[:]
     with pytest.raises(NotStabilizedError):
         frobenius_root_tau_oracle(ring, b, Fraction(3, 2), 16)
-    assert paired == [b.gens] and points == []
+    assert paired == [] and points == []

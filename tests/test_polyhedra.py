@@ -26,6 +26,7 @@ from tauideal.ideals import minimalize, multiply, power
 from tauideal.lattice import dual_extreme_rays, orthant_ring, pairing, toric_ring, vec_add
 from tauideal.polyhedra import exponent, lattice_inequalities, newton_polyhedron, scale
 from tauideal.tau import tau, tau_is_unit, veronese_ring
+from rings import TEST_RINGS
 from test_enumeration import reference_inequality_batch, reference_inequality_vertices
 from test_lattice import dd_prefix
 
@@ -230,16 +231,6 @@ def reference_lattice_inequalities(P, shift=None, strict=False):
         if c > 0:
             out.append((a, c))
     return tuple(out)
-
-
-# the rings of tests/test_ideals.py: orthant d = 1..4, Veronese (2,2) (3,2)
-# (2,3), the square cone, the index-5 ring and the cone (1,0),(1,2)
-TEST_RINGS = [orthant_ring(d) for d in range(1, 5)] + [
-    veronese_ring(2, 2), veronese_ring(3, 2), veronese_ring(2, 3),
-    toric_ring([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
-    toric_ring([(0, 1), (5, -2)]),
-    toric_ring([(1, 0), (1, 2)]),
-]
 
 
 def _exponents(rng):

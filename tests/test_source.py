@@ -387,7 +387,6 @@ CHECK_CALLERS = {
         "enumeration.py:lattice_points_upto",
         "frobenius.py:_validate_socle_point",
         "ideals.py:__post_init__",
-        "ideals.py:minimalize",
         "ideals.py:unit_ideal",
         "ideals.py:zero_ideal",
         "polyhedra.py:newton_polyhedron",
@@ -406,7 +405,6 @@ CHECK_CALLERS = {
     "_ray_coords": {
         "frobenius.py:_multiplier_searches",
         "ideals.py:contains_monomial",
-        "ideals.py:minimalize",
     },
     "_derived": {
         "campaigns.py:vertex_reduction",
@@ -415,13 +413,13 @@ CHECK_CALLERS = {
         "ideals.py:bracket_power",
         "ideals.py:integral_closure",
         "ideals.py:maximal_ideal",
-        "ideals.py:minimalize",
         "ideals.py:unit_ideal",
         "ideals.py:zero_ideal",
         "tau.py:tau",
     },
-    # no ideal the package makes goes through the constructor's check again
-    "MonomialIdeal": set(),
+    # raw vectors become an ideal in one place; no ideal the package derives
+    # goes through the constructor's check again
+    "MonomialIdeal": {"ideals.py:minimalize"},
 }
 
 
