@@ -96,9 +96,10 @@ def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
-    """Subideal generated by the vertex generators; same Newton polyhedron.
-    P's points are sorted, and no vertex is a multiple of another point."""
-    return idl._derived(ring, newton_polyhedron(ring, a.gens).points)
+    """Subideal generated by the vertex generators, with a's rows for them;
+    same Newton polyhedron.  No vertex is a multiple of another point."""
+    points = newton_polyhedron(ring, a.gens).points
+    return idl._derived(ring, points, map(dict(zip(a.gens, a.rows)).__getitem__, points))
 
 
 def jsonable(obj):
@@ -309,7 +310,7 @@ CAMPAIGNS = {
 
 def run_campaign(name: str, seed: int = 0, count: int | None = None) -> CampaignReport:
     """Run one campaign; a campaign whose function takes no count refuses one."""
-    if name not in CAMPAIGNS:
+    if not isinstance(name, str) or name not in CAMPAIGNS:
         raise InputError(
             f"unknown campaign {name!r}; known: {', '.join(sorted(CAMPAIGNS))}"
         )

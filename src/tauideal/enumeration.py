@@ -20,8 +20,8 @@ multiple of r.  ``_union`` is the package's one up-set kernel call:
 a box of ray coordinates that one lattice point realizes has
 that point as its generator (on a smooth sigma every box, with no solve),
 and the rest of a union of up-sets is scanned once, up to the largest
-bound; it hands back the generators or, for ``ideals._upset_union``, their
-ray coordinates.  The entries ``upset_union`` and ``degree_bound`` check
+bound; it hands back the generators with their ray coordinates, or these
+alone.  The entries ``upset_union`` and ``degree_bound`` check
 their ring, pairs and boxes (``_check_union``) and call the cores
 ``_union`` and ``_degree_bound``, which trust theirs: the package calls the
 cores with the pairs and boxes it derived from checked values.
@@ -415,7 +415,7 @@ class _Union:
     scanned, of each generator of the union to that generator, or to None
     where none is made yet: on a smooth sigma (``ToricRing.is_smooth``)
     every box is realized, and its point is made only when a caller asks
-    for generators, not for rows."""
+    for generators, not for rows; ``output`` keeps what ``generators`` returns."""
 
     def __init__(self, ring: ToricRing, ineq_sets, boxes):
         rays = ring.sigma.rays
@@ -438,7 +438,7 @@ class _Union:
         self.ring, self.others = ring, others
         # points of distinct minimal boxes divide none of each other
         self.scanned = not others
-        self.gens = self.rows = None
+        self.output = None
         self.proven = self.slices = None
 
     def top(self, bound: int | None) -> int:
@@ -470,21 +470,15 @@ class _Union:
             self.found = dict(scanned)
         self.scanned = True
 
-    def generators(self) -> tuple[IntVec, ...]:
-        """The union's minimal generators, sorted; the points of the realized
-        boxes not made yet come from one ``_points`` call."""
-        if self.gens is None:
+    def generators(self) -> tuple[list[IntVec], list[IntVec]]:
+        """The union's minimal generators and their ray coordinates, aligned;
+        the points of realized boxes not made yet come from one ``_points`` call."""
+        if self.output is None:
             missing = [v for v, m in self.found.items() if m is None]
             if missing:
                 self.found.update(zip(missing, _points(self.ring, missing)))
-            self.gens = tuple(sorted(self.found.values()))
-        return self.gens
-
-    def ray_rows(self) -> list[IntVec]:
-        """The ray coordinates of the union's minimal generators, sorted."""
-        if self.rows is None:
-            self.rows = sorted(self.found)
-        return self.rows
+            self.output = list(self.found.values()), list(self.found)
+        return self.output
 
 
 def upset_union(
@@ -497,15 +491,16 @@ def upset_union(
     ineq_sets, boxes = _check_union(ring, ineq_sets, boxes)
     if bound is not None:
         int_scalar("bound", bound)
-    return _union(ring, ineq_sets, boxes, bound)
+    (gens, _), count = _union(ring, ineq_sets, boxes, bound)
+    return tuple(sorted(gens)), count
 
 
 def _union(
     ring: ToricRing, ineq_sets, boxes=(), bound: int | None = None, rows: bool = False
-) -> tuple[tuple[IntVec, ...] | list[IntVec], int]:
-    """``upset_union`` of pairs and boxes the package derived for the ring;
-    with ``rows``, the sorted ray coordinates of the generators in their
-    place.
+) -> tuple[tuple[list[IntVec], list[IntVec]] | list[IntVec], int]:
+    """``upset_union`` of pairs and boxes the package derived for the ring,
+    with the generators' ray coordinates aligned in no set order
+    (``_Union.generators``); with ``rows``, the sorted ray coordinates alone.
 
     A box rc(m) >= v in ray coordinates is given by its bound vector v
     (ints >= 0, one per ray n_j of sigma), or by a pair set whose normals
@@ -538,4 +533,4 @@ def _union(
         top = union.top(bound)
         union.scan(top)
         count = _lines(ring).grow(top)
-    return union.ray_rows() if rows else union.generators(), count
+    return sorted(union.found) if rows else union.generators(), count

@@ -280,8 +280,8 @@ def tau_socle_oracle(
     low = min(pairing(x, lines.ell) for x, _ in corners)
     num = u * top * q + (lines.D * q - low) * v
     bound = -(-num // (v * q)) - 1
-    gens, checked = _union(ring, [ineqs for _, ineqs in corners], bound=bound)
-    return SocleOracleResult(_derived(ring, gens), checked)
+    (gens, rows), checked = _union(ring, [ineqs for _, ineqs in corners], bound=bound)
+    return SocleOracleResult(_derived(ring, gens, rows), checked)
 
 
 def frobenius_root_tau_oracle(

@@ -4,8 +4,8 @@ Divisibility is semigroup membership of the difference of exponent vectors,
 not componentwise comparison of exponents; that keeps Veronese-type rings
 correct.  It is componentwise comparison of the "ray coordinates" <g, n_j>
 over the rays n_j of sigma.  An ideal carries its generators' ray
-coordinates, ``MonomialIdeal.rows``, paired by its check (a derived
-ideal's on first read, with no check); raw vectors are paired and checked
+coordinates, ``MonomialIdeal.rows``, from when it is made (paired by its
+check, or handed over); raw vectors are paired and checked
 by ``_ray_coords`` (``lattice.member_columns``).  Every divisibility test
 here (``MonomialIdeal``, ``is_subideal_of``, ``contains_monomial``) is one
 call of the bitmask kernel ``lattice._below_masks``.  Ray coordinates add
@@ -29,16 +29,15 @@ packed as in ``_sums`` and not minimal-filtered.  An ideal is checked and
 made canonical (minimal generators, once each, sorted: ``==`` is ideal
 equality) once, when it is made (``MonomialIdeal``), and the canonical
 ideals derived here from checked ones are made without that check
-(``_derived``).  The zero ideal has an empty generator tuple, the unit
-ideal the single zero vector.  ``frobenius_root`` (the orthant's trace
-root, checked to cover I) and ``kill_variable`` are orthant-only and
-refuse other rings loudly.
+(``_derived``); ``_ordered`` sorts both.  The zero ideal has an empty
+generator tuple, the unit ideal the single zero vector.  ``frobenius_root``
+(the orthant's trace root, checked to cover I) and ``kill_variable`` are
+orthant-only and refuse other rings loudly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import lshift, sub
 
 from .errors import (
@@ -87,16 +86,12 @@ class MonomialIdeal:
     (InputError otherwise), each generator of length d
     (DimensionMismatchError) and in sigma_dual (SemigroupMembershipError).
     It keeps the minimal generators, once each and sorted, so ``==`` and
-    ``hash`` are ideal equality; ``_derived`` makes canonical ones unchecked."""
+    ``hash`` are ideal equality, and their ``rows``, paired by the check;
+    ``_derived`` makes canonical ones unchecked."""
 
     ring: ToricRing
     gens: tuple[IntVec, ...]
-
-    @cached_property
-    def rows(self) -> tuple[IntVec, ...]:
-        """The ray coordinates of ``gens``, in order: those the check paired,
-        or for a derived ideal paired on first read with no check."""
-        return tuple(zip(*pairing_columns(self.gens, self.ring.sigma.rays)))
+    rows: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # x^h divides x^g iff rows(h) <= rows(g), and the rays span, so the
@@ -105,9 +100,8 @@ class MonomialIdeal:
         if type(self.gens) is not tuple or not {tuple}.issuperset(map(type, self.gens)):
             raise InputError(f"an ideal's generators must be tuples in a tuple, got {self.gens!r}")
         by_rows = dict(zip(zip(*semigroup_columns(self.ring, self.gens)), self.gens))
-        pairs = sorted((by_rows[v], v) for v in minimal_vectors_orthant(by_rows))
-        object.__setattr__(self, "gens", tuple(g for g, _ in pairs))
-        object.__setattr__(self, "rows", tuple(v for _, v in pairs))
+        rows = minimal_vectors_orthant(by_rows)
+        _ordered(self, [by_rows[v] for v in rows], rows)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -157,29 +151,38 @@ def minimalize(ring: ToricRing, raw_gens) -> MonomialIdeal:
     return MonomialIdeal(ring, tuple(int_vectors(raw_gens)))
 
 
-def _derived(ring: ToricRing, gens: tuple[IntVec, ...]) -> MonomialIdeal:
-    """The ideal of generators derived here from checked values, canonical by
-    construction (int tuples of length d in sigma_dual, minimal, sorted):
-    no ``MonomialIdeal`` check."""
-    ideal = object.__new__(MonomialIdeal)
-    object.__setattr__(ideal, "ring", ring)
+def _ordered(ideal: MonomialIdeal, gens, rows) -> MonomialIdeal:
+    """ideal with ``gens`` and their ``rows``, aligned, as its generators and
+    rows, sorted by generator: the one place either field is set."""
+    gens, rows = tuple(zip(*sorted(zip(gens, rows)))) or ((), ())
     object.__setattr__(ideal, "gens", gens)
+    object.__setattr__(ideal, "rows", rows)
     return ideal
 
 
+def _derived(ring: ToricRing, gens, rows) -> MonomialIdeal:
+    """The ideal of generators derived here from checked values, canonical by
+    construction (int tuples of length d in sigma_dual, minimal, once each),
+    with their rows, in any order: no ``MonomialIdeal`` check."""
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ring", ring)
+    return _ordered(ideal, gens, rows)
+
+
 def unit_ideal(ring: ToricRing) -> MonomialIdeal:
-    return _derived(ring, ((0,) * check_ring(ring).d,))
+    return _derived(ring, [(0,) * check_ring(ring).d], [(0,) * len(ring.sigma.rays)])
 
 
 def zero_ideal(ring: ToricRing) -> MonomialIdeal:
-    return _derived(check_ring(ring), ())
+    return _derived(check_ring(ring), (), ())
 
 
 def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     """The irrelevant ideal, of the Hilbert basis of sigma_dual cap M (the
-    unit vectors on the orthant, and ``hilbert_basis`` checks the ring);
-    irreducibles divide none of each other."""
-    return _derived(ring, tuple(sorted(hilbert_basis(ring))))
+    unit vectors on the orthant, and ``hilbert_basis`` checks the ring),
+    paired once: irreducibles divide none of each other."""
+    basis = hilbert_basis(ring)
+    return _derived(ring, basis, zip(*pairing_columns(basis, ring.sigma.rays)))
 
 
 def _field_width(A, B) -> int:
@@ -235,8 +238,8 @@ def _maxima(A, B) -> list[IntVec]:
 def _from_rows(ring: ToricRing, rows) -> MonomialIdeal:
     """The ideal whose generators have the ray coordinates ``rows``, each
     the ray coordinates of a lattice point and none above another: their
-    points, from one ``_points`` call, which divide none of each other."""
-    return _derived(ring, tuple(sorted(_points(ring, rows))))
+    points, from one ``_points`` call, with ``rows`` as its rows."""
+    return _derived(ring, _points(ring, rows), rows)
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -314,12 +317,13 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def bracket_power(I: MonomialIdeal, q: int) -> MonomialIdeal:
-    """Generators scaled by q >= 1, which keeps their order and minimality:
+    """Generators and rows scaled by q >= 1, which keeps their minimality:
     the q-th bracket power."""
     _check_ideal(I)
     if int_scalar("q", q) < 1:
         raise InputError(f"bracket power needs q >= 1, got {q}")
-    return _derived(I.ring, tuple(tuple(q * x for x in g) for g in I.gens))
+    gens, rows = ([tuple([q * x for x in v]) for v in vs] for vs in (I.gens, I.rows))
+    return _derived(I.ring, gens, rows)
 
 
 def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
@@ -404,4 +408,4 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and
     # dropped; read through the module, where perfbench/layers.py wraps it
     ineqs = polyhedra.lattice_inequalities(polyhedra.newton_polyhedron(I.ring, I.gens))
-    return _derived(I.ring, _union(I.ring, [ineqs])[0])
+    return _derived(I.ring, *_union(I.ring, [ineqs])[0])

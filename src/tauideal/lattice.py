@@ -30,6 +30,7 @@ on a smooth sigma (``ToricRing.is_smooth``) every row >= 0 is one point's.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -101,7 +102,8 @@ def vec_neg(v):
 
 def int_vector(v) -> IntVec:
     """v as a tuple, after checking that it is a sequence of ints: InputError
-    for a v that is not iterable or an entry that is not an int (a float, a
+    for a v that is not iterable, a mapping or a set (read by its keys, or
+    in no fixed order), or an entry that is not an int (a float, a
     Fraction, a string, None)."""
     return _typed_vector(v, {int}, "an int")
 
@@ -136,6 +138,10 @@ def rational_vector(v) -> RatVec:
 
 
 def _typed_vector(v, types: set, what: str) -> tuple:
+    # a mapping would be read by its keys, a set in an arbitrary order; a
+    # tuple, as every route's vectors are, skips the abstract-class checks
+    if type(v) is not tuple and isinstance(v, (Mapping, Set)):
+        raise InputError(f"{v!r} is not a sequence: a mapping or a set has no entry order")
     try:
         v = tuple(v)
     except TypeError:

@@ -57,8 +57,7 @@ def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
 
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:
     """The generalized test ideal tau(a^t) as a monomial ideal."""
-    gens, _ = _union(ring, [_tau_inequalities(ring, a, t)])
-    return _derived(ring, gens)
+    return _derived(ring, *_union(ring, [_tau_inequalities(ring, a, t)])[0])
 
 
 def tau_is_unit(ring: ToricRing, a: MonomialIdeal, t) -> bool:

@@ -43,9 +43,12 @@ def test_all_campaign_names_present():
     ]
 
 
-def test_unknown_campaign_rejected():
+@pytest.mark.parametrize("name", ["nonesuch", ["veronese"], {"veronese": 1}],
+                         ids=["str", "list", "dict"])
+def test_unknown_campaign_rejected(name):
+    # an unhashable name raised a bare TypeError from the table lookup
     with pytest.raises(InputError):
-        run_campaign("nonesuch")
+        run_campaign(name)
 
 
 FIXED = ["bs_integral", "colon_formula", "regular_powers", "regularity",

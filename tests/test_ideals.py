@@ -189,8 +189,8 @@ def test_an_ideal_is_checked_when_it_is_made(ring, case):
 def test_the_ideals_the_library_derives_pass_the_check_they_skip(ring):
     # results are made from checked ideals without the constructor's check;
     # made again through it, each keeps its generators, so every ideal the
-    # package returns is canonical (minimal, once each, sorted), and the rows
-    # a derived ideal pairs on first read are the ones the check pairs
+    # package returns is canonical (minimal, once each, sorted), and each
+    # holds from when it was made the rows the check pairs, aligned
     rng = Random(2026 + ring.d * len(ring.sigma.rays))
     pool = lattice_points_upto(ring, 4)[1:]
     q = ring.gorenstein_index + 1  # (q - 1)*w is a lattice point
@@ -215,6 +215,8 @@ def test_the_ideals_the_library_derives_pass_the_check_they_skip(ring):
             roots += 1
         except NotStabilizedError:
             pass
+        # before anything reads them: none is paired on a later read
+        assert all("rows" in vars(I) for I in derived), [I.gens for I in derived]
         for I in derived:
             made = MonomialIdeal(I.ring, I.gens)
             assert I.gens == made.gens and I.rows == made.rows, I.gens
@@ -480,8 +482,9 @@ def test_ray_coords_match_the_per_point_reference():
 def count_pairings(monkeypatch):
     """The generator lists that ``ideals`` pairs with the rays of sigma, as
     tuples, one per pairing: the check of a made ideal
-    (``semigroup_columns``), a derived ideal's ``rows`` (``pairing_columns``)
-    and the checked ``_ray_coords`` of raw vectors (``member_columns``)."""
+    (``semigroup_columns``), the Hilbert basis of ``maximal_ideal``
+    (``pairing_columns``) and the checked ``_ray_coords`` of raw vectors
+    (``member_columns``)."""
     paired = []
     monkeypatch.setattr(
         ideals_module, "semigroup_columns",

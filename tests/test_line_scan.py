@@ -61,12 +61,14 @@ def reference_union(ring, ineq_sets, boxes=(), bound=None, rows=False):
     """The kernel's core ``_union`` with the walk-and-test kernel: realized boxes as
     there, the rest of the union tested point by point over its degree
     shell.  A caller's bound is taken and not used: the shell is bounded by
-    ``degree_bound`` with its double description.  With ``rows`` the
-    generators' sorted ray coordinates stand in their place."""
+    ``degree_bound`` with its double description.  The answer is the
+    generators and their ray coordinates, aligned; with ``rows`` the
+    generators' sorted ray coordinates alone."""
     gens, count = _reference_union(ring, ineq_sets, boxes)
+    coords = list(zip(*pairing_columns(gens, ring.sigma.rays)))
     if rows:
-        return sorted(zip(*pairing_columns(gens, ring.sigma.rays))), count
-    return gens, count
+        return sorted(coords), count
+    return (gens, coords), count
 
 
 def _reference_union(ring, ineq_sets, boxes):

@@ -269,6 +269,30 @@ def test_enumeration_caches_only_the_lines():
     assert cached == {"_lines"}
 
 
+def test_an_ideal_is_made_with_its_rows():
+    # an ideal's rows are set when it is made, so ideals.py names no lazy
+    # attribute, and one helper sets (and so orders) every ideal's gens and
+    # rows: a lazy pairing or a second place that orders an ideal comes back
+    # as a diff here
+    tree = ast.parse((PACKAGE / "ideals.py").read_text())
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+    }
+    assert names.isdisjoint({"cache", "lru_cache", "cached_property"})
+    setters = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                setters |= {
+                    f"{path.name}:{func.name}" for node in _own_nodes(func)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__" and len(node.args) > 1
+                    and getattr(node.args[1], "value", None) in {"gens", "rows"}
+                }
+    assert setters == {"ideals.py:_ordered"}
+
+
 def test_the_grading_is_derived_only_by_the_lines_record():
     # l is computed once per ring, in ``_Lines.__init__``; a per-call l
     # anywhere else shows up as a diff here

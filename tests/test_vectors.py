@@ -128,6 +128,16 @@ NOT_INT_VECTORS = {
     "lattice_inequalities None": lambda: lattice_inequalities(None),
     "lattice_inequalities zero den": lambda: lattice_inequalities(P, (1, 0), den=0),
     "lattice_inequalities float den": lambda: lattice_inequalities(P, (1, 0), den=2.0),
+    # a dict was read by its keys and a set in its iteration order, so
+    # {0: 5, 1: 0} became (0, 1) and {7, 3} became (3, 7)
+    "minimalize dict": lambda: minimalize(R, [{0: 5, 1: 0}]),
+    "minimalize set": lambda: minimalize(R, [{7, 3}]),
+    "minimalize frozenset": lambda: minimalize(R, [frozenset({7, 3})]),
+    "contains_monomial dict": lambda: A.contains_monomial({0: 5, 1: 0}),
+    "contains_monomial set": lambda: A.contains_monomial({7, 3}),
+    "newton_polyhedron dict": lambda: newton_polyhedron(R, [{0: 1, 1: 1}]),
+    "contains set": lambda: P.contains({1, 2}),
+    "lattice_inequalities dict": lambda: lattice_inequalities(P, {0: 1, 1: 0}),
 }
 
 
