@@ -189,7 +189,8 @@ class _Lines:
     Fixed state: ``ell`` (l, by ``ell_vector``), ``ray_degrees`` (the
     (l(v), v) over the extreme rays v of sigma_dual, sorted: (``lr``, ``r``)
     is the first, ``D`` the sum of the last d l(v)), ``basis`` (the Hilbert
-    basis by (l, lex)), ``H`` (its largest l), ``plus``, ``zero`` and
+    basis by (l, lex)), ``H`` (its largest l), ``basis_rows`` (the basis'
+    ray coordinates, aligned), ``plus``, ``zero`` and
     ``steps``.  Grown lazily and kept for the life of
     the process: ``levels`` (level k maps each bottom of degree k to its
     walk index), ``flat`` and ``degrees`` (the bottoms and their degrees in
@@ -216,6 +217,7 @@ class _Lines:
         # (l(h), h, rc(h)) over the Hilbert basis, rc the ray coordinates
         basis = sorted((pairing(h, ell), h, rc) for h, rc in minimal.items())
         self.basis = tuple(h for _, h, _ in basis)
+        self.basis_rows = tuple(rc for _, _, rc in basis)
         self.H = basis[-1][0]
         # (walk index j, h, rc(h), l(h)) for h != r
         self.steps = [(j, h, rc, e) for j, (e, h, rc) in enumerate(basis) if h != self.r]

@@ -9,23 +9,25 @@ check, or handed over); raw vectors are paired and checked
 by ``_ray_coords`` (``lattice.member_columns``).  Every divisibility test
 here (``MonomialIdeal``, ``is_subideal_of``, ``contains_monomial``) is one
 call of the bitmask kernel ``lattice._below_masks``.  Ray coordinates add
-under products, and every product and square is one packed kernel,
-``_sums``: each row is one int of fixed-width fields (``_field_width``,
-from the largest sum that can occur), a pair sum is one int addition, a
-set of ints drops repeats, and only the distinct sums are read back for
-the minimal filter.  ``multiply`` keeps the minimal sums of
-its factors' rows, and ``powers`` lazily yields the rows of any sequence
-of powers by one rule, squaring I**(n/2) for an even n and adding I's rows
-to I**(n-1) for an odd one; ``power`` is its one value.  Rows become
+under products, and two packed kernels make every sum of rows: each row is
+one int of fixed-width fields, wide enough for the largest sum that can
+occur, a sum is one int addition, a set of ints drops repeats, and only
+the distinct sums are read back.  ``_sums`` adds the rows of one set to
+those of another; ``_floors`` sums the multisets of n rows of one set and
+floors them by q.  Every minimal filter here is
+``lattice.minimal_vectors_orthant``.  ``multiply`` keeps the minimal sums
+of its factors' rows, and ``powers`` lazily yields the rows of any
+sequence of powers by one rule, squaring I**(n/2) (its pair multisets,
+``_floors`` at n = 2 and q = 1) for an even n and adding I's rows to
+I**(n-1) for an odd one; ``power`` is its one value.  Rows become
 generators in ``_from_rows``, one ``lattice._points`` call.  Intersections, colons and trace roots
 (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of up-sets in
 ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
 up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, go through
 ``_upset_union`` to the one up-set kernel ``enumeration._union`` as boxes,
 with no pair sets, and come back as the rows of the union's generators.
-The trace root's bounds are floors from the one floors kernel
-``_floors``: the distinct floors of the sums of the multisets of n rows,
-packed as in ``_sums`` and not minimal-filtered.  An ideal is checked and
+The trace root's bounds are the floors of its generators' rows
+(``_floors`` at n = 1), not minimal-filtered.  An ideal is checked and
 made canonical (minimal generators, once each, sorted: ``==`` is ideal
 equality) once, when it is made (``MonomialIdeal``), and the canonical
 ideals derived here from checked ones are made without that check
@@ -47,10 +49,10 @@ from .errors import (
     UnsupportedRingError,
 )
 from . import polyhedra
-from .enumeration import _union, hilbert_basis
+from .enumeration import _lines, _union
 from .lattice import IntVec, ToricRing, _below_masks, _points, check_ring, int_scalar
 from .lattice import int_vector, int_vectors, member_columns, minimal_vectors_orthant
-from .lattice import orthant_ring, pairing_columns, semigroup_columns
+from .lattice import orthant_ring, semigroup_columns
 # toric_ring is bound here only for perfbench/layers.py, which wraps ideals.toric_ring
 from .lattice import toric_ring  # noqa: F401
 
@@ -179,10 +181,11 @@ def zero_ideal(ring: ToricRing) -> MonomialIdeal:
 
 def maximal_ideal(ring: ToricRing) -> MonomialIdeal:
     """The irrelevant ideal, of the Hilbert basis of sigma_dual cap M (the
-    unit vectors on the orthant, and ``hilbert_basis`` checks the ring),
-    paired once: irreducibles divide none of each other."""
-    basis = hilbert_basis(ring)
-    return _derived(ring, basis, zip(*pairing_columns(basis, ring.sigma.rays)))
+    unit vectors on the orthant) and its ray coordinates, both from the
+    checked ring's ``enumeration._Lines``: irreducibles divide none of
+    each other."""
+    lines = _lines(check_ring(ring))
+    return _derived(ring, lines.basis, lines.basis_rows)
 
 
 def _field_width(A, B) -> int:
@@ -192,40 +195,26 @@ def _field_width(A, B) -> int:
     return (max(map(max, A)) + max(map(max, B))).bit_length()
 
 
-def _sums(A, B=None) -> list[IntVec]:
+def _sums(A, B) -> list[IntVec]:
     """The minimal sums a + b of rows a of A and b of B (ray coordinates,
-    all >= 0), so of the products x^a * x^b; with B None, of every
-    unordered pair of rows of A, so of the squares.
+    all >= 0), so of the products x^a * x^b.
 
     Each row is packed into one int, entry j in bits [W*j, W*(j + 1)) with
     W = ``_field_width``: no entry of a sum reaches 2**W, so adding two
     packed rows adds each field with no carry into the next, and the
     packed sum is the packing of the sum.  A set of ints drops repeated
     sums, and only the distinct ones are read back, a column at a time,
-    in ascending order.  A row u <= v componentwise, u != v, packs to a
-    smaller int, and one that packs smaller has a last entry <= v's (the
-    last field is the most significant).  So v is not minimal iff some
-    earlier row is <= v on the other coordinates: bit k < j in the
-    ``lattice._below_masks`` of those columns.  The minimal sums come in
-    ascending packed order.
+    for ``lattice.minimal_vectors_orthant``.
     """
-    if not A or B is not None and not B:
+    if not A or not B:
         return []
-    width = _field_width(A, A if B is None else B)
+    width = _field_width(A, B)
     shifts = [width * j for j in range(len(A[0]))]
     packed = [sum(map(lshift, row, shifts)) for row in A]
-    if B is None:
-        sums = {x + y for i, x in enumerate(packed) for y in packed[i:]}
-    else:
-        others = [sum(map(lshift, row, shifts)) for row in B]
-        sums = {x + y for x in packed for y in others}
+    others = [sum(map(lshift, row, shifts)) for row in B]
+    sums = {x + y for x in packed for y in others}
     mask = (1 << width) - 1
-    if len(sums) < 2:  # a single sum is minimal
-        return [tuple([s >> shift & mask for shift in shifts]) for s in sums]
-    sums = sorted(sums)
-    rows = list(zip(*[[s >> shift & mask for s in sums] for shift in shifts]))
-    below = _below_masks([v[:-1] for v in rows])
-    return [v for j, v in enumerate(rows) if not below[j] & ((1 << j) - 1)]
+    return minimal_vectors_orthant(zip(*[[s >> shift & mask for s in sums] for shift in shifts]))
 
 
 def _maxima(A, B) -> list[IntVec]:
@@ -266,9 +255,10 @@ def powers(I: MonomialIdeal, exponents):
     for each n of ``exponents`` (ints >= 0, in any order), from ``I.rows``.
 
     One rule builds every power from the unit ideal's zero row, I**0: an
-    even n squares I**(n/2), an odd n adds I's rows to I**(n - 1), each
-    by the one packed kernel ``_sums``.  Every power built is kept, so none
-    is built twice, and nothing past the last value taken is built.
+    even n squares I**(n/2), the minimal sums of the multisets of two of
+    its rows (``_floors`` at q = 1), and an odd n adds I's rows to
+    I**(n - 1) (``_sums``).  Every power built is kept, so none is built
+    twice, and nothing past the last value taken is built.
     """
     _check_ideal(I)
     built = {0: [(0,) * len(I.ring.sigma.rays)]}
@@ -280,7 +270,10 @@ def powers(I: MonomialIdeal, exponents):
             todo.append(k)
             k = k - 1 if k % 2 else k // 2
         for k in reversed(todo):
-            built[k] = _sums(built[k - 1], I.rows) if k % 2 else _sums(built[k // 2])
+            if k % 2:
+                built[k] = _sums(built[k - 1], I.rows)
+            else:
+                built[k] = minimal_vectors_orthant(_floors(built[k // 2], 1, 2))
         yield built[n]
 
 
@@ -349,7 +342,7 @@ def _floors(rows, q: int, n: int = 1) -> list[IntVec]:
     multisets {v_1, ..., v_n} of n of the rows (ray coordinates, all >= 0):
     at n = 1 the floors of the rows, at n = 0 the zero row; no rows give
     no floors.  The sums are not minimal-filtered: the up-set kernel drops
-    the boxes above others.
+    the boxes above others, and ``powers`` filters its squares.
 
     The rows are packed as in ``_sums``, each field wide enough for n times
     the largest entry, so packed sums add with no carry.  The sums of k of
@@ -360,8 +353,6 @@ def _floors(rows, q: int, n: int = 1) -> list[IntVec]:
     each sum of k of the others, so one row alone is one product, at any n.
     The floors are read back a column at a time.
     """
-    if n == 1:
-        return [*{*zip(*[[x // q for x in column] for column in zip(*rows)])}]
     if not rows:
         return []
     width = (n * max(map(max, rows))).bit_length()

@@ -373,11 +373,13 @@ def _prism(cone: Cone):
     return tuple(inserted), ((0,) * cone.dim + (1,),), tuple(zip(rays, masks))
 
 
-def _extreme(vectors, masks) -> list[IntVec]:
+def _extreme(vectors, halfspaces) -> list[IntVec]:
     """The extreme rays, sorted, of the pointed cone generated by distinct
-    primitive ``vectors``, each with the bitmask of the halfspaces it is
-    tight on: v is extreme iff no other vector is tight on all of v's, as a
-    v in a face of dimension 2 or more shares them with that face's rays."""
+    primitive ``vectors`` with facet normals ``halfspaces``: v is extreme
+    iff no other vector is tight on all of v's facets (one bitmask each), as
+    a v in a face of dimension 2 or more shares them with that face's rays."""
+    masks = [sum(1 << j for j, x in enumerate(row) if not x)
+             for row in zip(*pairing_columns(vectors, halfspaces))]
     return sorted(
         v for v, mv in zip(vectors, masks) if sum(1 for m in masks if m & mv == mv) == 1
     )
@@ -456,9 +458,7 @@ def cone_from_rays(generators) -> Cone:
         raise ConeNotFullDimensionalError(str(exc)) from exc
     except ConeNotFullDimensionalError as exc:
         raise ConeNotPointedError(str(exc)) from exc
-    masks = [sum(1 << j for j, v in enumerate(row) if not v)
-             for row in zip(*pairing_columns(gens, halfspaces))]
-    return Cone(dim=dim, rays=tuple(_extreme(gens, masks)), halfspaces=tuple(halfspaces))
+    return Cone(dim=dim, rays=tuple(_extreme(gens, halfspaces)), halfspaces=tuple(halfspaces))
 
 
 def dual_cone(cone: Cone) -> Cone:

@@ -249,9 +249,7 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
         if any(min(col) < b for col, (_, b) in zip(columns, bounds)):
             homog = candidates + [g + (1,) for g in rest]
             facets = dual_extreme_rays(homog, ring.sigma)
-            masks = [sum(1 << j for j, x in enumerate(row) if not x)
-                     for row in zip(*pairing_columns(homog, facets))]
-            candidates = _extreme(homog, masks)
+            candidates = _extreme(homog, facets)
     return NewtonPolyhedron(
         dim=d,
         recession=ring.sigma_dual,

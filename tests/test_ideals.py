@@ -482,19 +482,13 @@ def test_ray_coords_match_the_per_point_reference():
 def count_pairings(monkeypatch):
     """The generator lists that ``ideals`` pairs with the rays of sigma, as
     tuples, one per pairing: the check of a made ideal
-    (``semigroup_columns``), the Hilbert basis of ``maximal_ideal``
-    (``pairing_columns``) and the checked ``_ray_coords`` of raw vectors
+    (``semigroup_columns``) and the checked ``_ray_coords`` of raw vectors
     (``member_columns``)."""
     paired = []
     monkeypatch.setattr(
         ideals_module, "semigroup_columns",
         lambda ring, vectors: paired.append(tuple(vectors))
         or lattice.semigroup_columns(ring, vectors),
-    )
-    monkeypatch.setattr(
-        ideals_module, "pairing_columns",
-        lambda vectors, normals: paired.append(tuple(vectors))
-        or lattice.pairing_columns(vectors, normals),
     )
     monkeypatch.setattr(
         ideals_module, "member_columns",
@@ -527,6 +521,18 @@ def test_a_checked_ideal_is_paired_once(monkeypatch):
         tight_closure_members_at_q(a, b, 1, zs, qmax=4, cbox=1)
         assert sum(set(a.gens) <= set(v) for v in paired) == 1, ring
         assert paired[0] == tuple(raw), ring
+        # the Hilbert basis comes with its ray coordinates from the ring's
+        # lines record, so the maximal ideal pairs nothing, through no
+        # module's binding of the pairing kernel
+        del paired[:]
+        real = lattice.pairing_columns
+        with monkeypatch.context() as m:
+            for module in [v for k, v in sys.modules.items() if k.startswith("tauideal.")]:
+                if hasattr(module, "pairing_columns"):
+                    m.setattr(module, "pairing_columns", lambda vectors, normals: paired.append(
+                        tuple(vectors)) or real(vectors, normals))
+            maximal_ideal(ring)
+        assert paired == [], ring
 
 
 def test_multiply_and_power_match_the_reference():
@@ -565,15 +571,22 @@ def _count_calls(monkeypatch, calls: Counter, names) -> None:
 
 
 def _count_products(monkeypatch, calls: Counter) -> None:
-    """Replace the row-sum kernel ``_sums`` of tauideal.ideals by one that
-    counts its squares (one argument) and products (two) in ``calls``."""
-    real = ideals_module._sums
+    """Replace the row kernels of tauideal.ideals by ones that count in
+    ``calls`` the products of ``_sums`` ("add") and the squares, the pair
+    multisets of ``_floors(rows, 1, 2)`` ("square"); any other floors call
+    counts as "floors"."""
+    real_sums, real_floors = ideals_module._sums, ideals_module._floors
 
-    def wrapped(A, B=None):
-        calls["square" if B is None else "add"] += 1
-        return real(A, B)
+    def sums(A, B):
+        calls["add"] += 1
+        return real_sums(A, B)
 
-    monkeypatch.setattr(ideals_module, "_sums", wrapped)
+    def floors(rows, q, n=1):
+        calls["square" if (q, n) == (1, 2) else "floors"] += 1
+        return real_floors(rows, q, n)
+
+    monkeypatch.setattr(ideals_module, "_sums", sums)
+    monkeypatch.setattr(ideals_module, "_floors", floors)
 
 
 def test_power_of_one_generator_is_that_generator_times_n(monkeypatch):
@@ -621,7 +634,7 @@ def test_powers_match_power_on_every_step_kind():
 
 def _products_for_first_value(monkeypatch, chain, a, exponents):
     """The first value of chain(a, exponents) and the squares and products
-    of ``_sums`` made while taking it."""
+    (``_count_products``) made while taking it."""
     calls = Counter()
     with monkeypatch.context() as m:
         _count_products(m, calls)

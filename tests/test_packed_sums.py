@@ -73,8 +73,14 @@ def reference_upset_union(ring, bounds):
     return sorted(_ray_coords(ring, reference_upset_ideal(ring, bounds).gens))
 
 
-def reference_floors(rows, q):
-    return {tuple([x // q for x in row]) for row in rows}
+def reference_floors(rows, q, n=1):
+    """The floors of the sums of the multisets of n rows, each sum built as
+    a tuple (the zero row at n = 0); no rows give no floors."""
+    if not rows:
+        return set()
+    zero = (0,) * len(rows[0])
+    return {tuple([sum(column) // q for column in zip(zero, *chosen)])
+            for chosen in combinations_with_replacement(rows, n)}
 
 
 def reference_root_oracle(ring, a, t, qmax, p):
@@ -163,10 +169,12 @@ def test_packed_kernel_gives_the_tuple_kernels_answers(monkeypatch):
 # -- the field width ----------------------------------------------------------
 
 def _sum_mismatches(rng, trials):
-    """Pairs (A, B) of random rows, B None for a square, on which ``_sums``
-    differs from the tuple reference; the entries run up to 2**12, and each
-    largest sum sits at a power of two or one below it about as often as
-    not, where a field one bit too narrow first carries."""
+    """Pairs (A, B) of random rows, B None for a square, on which ``_sums``,
+    or for a square the square step of ``powers`` (the minimal
+    ``_floors(A, 1, 2)``), differs from the tuple reference; the entries
+    run up to 2**12, and each largest sum sits at a power of two or one
+    below it about as often as not, where a field one bit too narrow first
+    carries."""
     found = []
     for _ in range(trials):
         d = rng.randint(1, 4)
@@ -180,7 +188,11 @@ def _sum_mismatches(rng, trials):
             half = total // 2
             rows = [tuple(half if i == j else 0 for i in range(d))]
             other = [tuple(total - half if i == j else 0 for i in range(d))]
-        if sorted(_sums(rows, other)) != sorted(reference_sums(rows, other)):
+        if other is None:
+            got = minimal_vectors_orthant(_floors(rows, 1, 2))
+        else:
+            got = _sums(rows, other)
+        if sorted(got) != sorted(reference_sums(rows, other)):
             found.append((rows, other))
     return found
 

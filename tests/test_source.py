@@ -106,16 +106,28 @@ def test_product_kernels_have_exactly_the_pinned_callers():
 
 
 # The functions that call the floors kernel ``_floors``: the trace root and
-# the root chain read a power only through its floors; a second floors
-# routine shows up as a diff here.
+# the root chain read a power only through its floors, and ``powers``
+# squares through the pair multisets, ``_floors(rows, 1, 2)``; a second
+# floors routine shows up as a diff here.
 FLOOR_KERNEL_CALLERS = {
     "frobenius.py:frobenius_root_tau_oracle",
+    "ideals.py:powers",
     "ideals.py:trace_root",
 }
 
 
 def test_the_floors_kernel_has_exactly_the_pinned_callers():
     assert _package_callers(("_floors",)) == FLOOR_KERNEL_CALLERS
+
+
+def test_every_minimal_filter_is_the_one_orthant_filter():
+    # the bitmask kernel is read by the divisibility test ``_covers`` and
+    # by ``minimal_vectors_orthant``, through which every minimal filter
+    # goes; a private minimal filter shows up as a diff here
+    assert _package_callers(("_below_masks",)) == {
+        "ideals.py:_covers",
+        "lattice.py:minimal_vectors_orthant",
+    }
 
 
 # The functions that run a double description, directly or through the
@@ -411,6 +423,7 @@ CHECK_CALLERS = {
         "enumeration.py:lattice_points_upto",
         "frobenius.py:_validate_socle_point",
         "ideals.py:__post_init__",
+        "ideals.py:maximal_ideal",
         "ideals.py:unit_ideal",
         "ideals.py:zero_ideal",
         "polyhedra.py:newton_polyhedron",
