@@ -13,9 +13,8 @@ the one builder that tau uses too.  The root route climbs the chain of
 trace roots C_q (``ideals.trace_root``) over the q with (q-1)*w a lattice
 point and reads no Newton polyhedron: it reads each power a^n only through
 the floors of its ray coordinates (``ideals._floors``), taken from the sums
-of the multisets of n of a's rows or, where those outnumber a square's pairs,
-from the rows of one lazy ``ideals.powers`` chain; C_q and both its checks
-stay on ray coordinates, and only the returned value becomes points.
+of the multisets of n of a's rows; C_q and both its checks stay on ray
+coordinates, and only the returned value becomes points.
 Both tight-closure searches are one search (``_multiplier_searches``): c
 works at q iff c*z^q*A_q lies in B_q, on ray coordinates, with (A_q, B_q)
 = (a^ceil(tq), I^[q]) for tight closure and (the unit ideal, the q-th
@@ -60,7 +59,7 @@ from .ideals import (  # noqa: F401
     power,
     powers,
 )
-from .lattice import IntVec, ToricRing, _echelon, check_ring, int_scalar, int_vector, int_vectors
+from .lattice import IntVec, ToricRing, check_ring, int_scalar, int_vector, int_vectors
 from .lattice import pairing, pairing_columns, sequence, vec_add, vec_neg, vec_scale, vec_sub
 from .polyhedra import NewtonPolyhedron, exponent, lattice_inequalities
 # newton_polyhedron is bound here only for perfbench/layers.py, which wraps
@@ -304,22 +303,13 @@ def frobenius_root_tau_oracle(
     checked on the rows.  The value is accepted once two consecutive q (the
     larger at least 16) agree, else NotStabilizedError.
 
-    The boxes are read off a^n in one of two ways, both ``ideals._floors``
-    at q.  With mu generators of a and r the rank of its rows (that of its
-    generators, one ``lattice._echelon`` call, as the rays span), the
-    floors of the sums of the multisets of n of a's rows are taken when
-    mu = 1 or mu - 1 < 2*(r - 1), and otherwise the floors of the rows of
-    a^n from the ideal's one lazy ``ideals.powers`` chain.  Both give the
-    same C_q: every multiset sum is rc(g) for a product g of n generators,
-    so g in a^n, and every minimal generator of a^n is such a product.
-    floor(./q) is monotone, so each floor of the one set lies above a floor
-    of the other, and the two box sets span one up-set.  Each floor still
-    comes from some g in a^n, so the per-q check below means the same on
-    both.  The rule follows the work: there are C(n + mu - 1, mu - 1)
-    multisets, O(n^(mu-1)), while squaring a power pairs its rows, and a
-    power's minimal rows are an antichain in a rank-r span, O(n^(r-1)) of
-    them, so O(n^(2(r-1))) pairs.  The rule reads r, not d: generators in a
-    coordinate plane make few rows, and on a tie squaring is kept.
+    The boxes are the floors at q of the sums of the multisets of n of a's
+    rows (``ideals._floors(a.rows, q, n)``), and they give the C_q of a^n's
+    own floors: every multiset sum is rc(g) for a product g of n
+    generators, so g in a^n, and every minimal generator of a^n is such a
+    product.  floor(./q) is monotone, so each floor of the one set lies
+    above a floor of the other, and the two box sets span one up-set.  Each
+    floor comes from some g in a^n, so the per-q check below reads a^n.
 
     The first check is made on the floors: for integers x, y and q >= 1,
     y <= q*x + q - 1 iff floor(y/q) <= x, since y <= q*x + q - 1 < q*(x + 1)
@@ -334,14 +324,9 @@ def frobenius_root_tau_oracle(
     qs = [q for q in q_sweep(qmax, p) if (q - 1) % r == 0]
     if r % p == 0:
         raise UnsupportedRingError(f"p = {p} divides the Gorenstein index {r}")
-    exponents = [math.ceil(t * q) for q in qs]
-    mu = len(a.gens)
-    if mu == 1 or mu - 1 < 2 * (len(_echelon(a.gens)[1]) - 1):
-        boxes = (_floors(a.rows, q, n) for q, n in zip(qs, exponents))
-    else:
-        boxes = (_floors(rows, q) for q, rows in zip(qs, powers(a, exponents)))
     prev = prev_q = None
-    for q, floors in zip(qs, boxes):
+    for q in qs:
+        floors = _floors(a.rows, q, math.ceil(t * q))
         current = _upset_union(ring, floors)
         if not set(current) <= set(floors) and not _covers(floors, current):
             raise InvariantError(f"a generator m of C_{q} has q*m + (q-1)*w outside a^n")

@@ -334,10 +334,10 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
         raise InputError(f"a root needs q >= 1, got {q}")
     if (q - 1) % I.ring.gorenstein_index:
         raise InputError(f"(q-1)*w is not a lattice point at q = {q}")
-    return _from_rows(I.ring, _upset_union(I.ring, _floors(I.rows, q)))
+    return _from_rows(I.ring, _upset_union(I.ring, _floors(I.rows, q, 1)))
 
 
-def _floors(rows, q: int, n: int = 1) -> list[IntVec]:
+def _floors(rows, q: int, n: int) -> list[IntVec]:
     """The distinct floor((v_1 + ... + v_n)/q), componentwise, over the
     multisets {v_1, ..., v_n} of n of the rows (ray coordinates, all >= 0):
     at n = 1 the floors of the rows, at n = 0 the zero row; no rows give

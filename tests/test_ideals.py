@@ -581,7 +581,7 @@ def _count_products(monkeypatch, calls: Counter) -> None:
         calls["add"] += 1
         return real_sums(A, B)
 
-    def floors(rows, q, n=1):
+    def floors(rows, q, n):
         calls["square" if (q, n) == (1, 2) else "floors"] += 1
         return real_floors(rows, q, n)
 

@@ -226,7 +226,7 @@ ROWS = st.lists(st.tuples(*[st.integers(0, 40)] * 3), min_size=1, max_size=8)
 def test_lift_check_on_floors_is_the_lift_check_on_rows(rows, roots, q):
     # rc(g) <= q*m + q - 1 on every ray iff floor(rc(g)/q) <= m
     lifts = [tuple(q * x + q - 1 for x in m) for m in roots]
-    assert _covers(rows, lifts) == _covers(_floors(rows, q), roots)
+    assert _covers(rows, lifts) == _covers(_floors(rows, q, 1), roots)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -238,16 +238,17 @@ def test_floors_of_multiset_sums_match_their_definition(rows, q, n):
     assert len(got) == len(set(got)) and set(got) == want
 
 
-def _reads_multisets(a):
-    """The root oracle's rule: multiset floors for mu = 1 or mu - 1 < 2*(r - 1)."""
-    mu = len(a.gens)
-    return mu == 1 or mu - 1 < 2 * (matrix_rank(a.gens) - 1)
+def _few_for_rank(a):
+    """A split of the input family: True when a's mu generators are few for
+    their rank r, mu - 1 < 2*(r - 1), False when many share a low-rank span."""
+    return len(a.gens) - 1 < 2 * (matrix_rank(a.gens) - 1)
 
 
 def test_multiset_floors_give_the_root_of_the_power_floors():
     # C_q from the floors of the sums of n of a's rows is C_q from the
     # floors of a^n's rows, n = ceil(t*q), on every admissible q <= 32 for
-    # p = 2 and 3, for ideals on both sides of the oracle's rule
+    # p = 2 and 3, for principal ideals and for ideals with few and with many
+    # generators for their rank
     rng = Random(3939)
     sides = Counter()
     for ring in TEST_RINGS:
@@ -256,16 +257,16 @@ def test_multiset_floors_give_the_root_of_the_power_floors():
         ideals = [minimalize(ring, [g]) for g in rng.sample(points, 2)]
         sizes = (2, 3, 3 if ring.d > 3 else 4)
         ideals += [minimalize(ring, rng.sample(points, min(k, len(points)))) for k in sizes]
-        # generators in the plane of u and v: r <= 2, so squared for mu >= 3
+        # generators in the plane of u and v: r <= 2, so many for their rank
         ideals.append(minimalize(ring, [vec_add(vec_scale(i, u), vec_scale(3 - i, v))
                                         for i in range(4)]))
         qs = {q for p in (2, 3) for q in q_sweep(32, p) if (q - 1) % ring.gorenstein_index == 0}
         steps = sorted({(q, math.ceil(t * q)) for q in qs
                         for t in (0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2))})
         for a in ideals:
-            sides["principal" if len(a.gens) == 1 else _reads_multisets(a)] += 1
+            sides["principal" if len(a.gens) == 1 else _few_for_rank(a)] += 1
             for (q, n), rows in zip(steps, powers(a, [n for _, n in steps])):
-                multisets, squared = _floors(a.rows, q, n), _floors(rows, q)
+                multisets, squared = _floors(a.rows, q, n), _floors(rows, q, 1)
                 assert sorted(minimal_vectors_orthant(multisets)) == sorted(
                     minimal_vectors_orthant(squared)), (ring.sigma.rays, a.gens, q, n)
                 assert _upset_union(ring, multisets) == _upset_union(ring, squared)

@@ -120,6 +120,17 @@ def test_the_floors_kernel_has_exactly_the_pinned_callers():
     assert _package_callers(("_floors",)) == FLOOR_KERNEL_CALLERS
 
 
+# The functions that start a lazy ``powers`` chain: ``power``, its one value,
+# and the tight-closure searches' ``rows``.  The root chain reads every power
+# through its multiset floors, so a power chain started there, or a second
+# route to a power, shows up as a diff here.
+POWER_CHAIN_CALLERS = {"ideals.py:power", "frobenius.py:rows"}
+
+
+def test_power_chains_have_exactly_the_pinned_callers():
+    assert _package_callers(("powers",)) == POWER_CHAIN_CALLERS
+
+
 def test_every_minimal_filter_is_the_one_orthant_filter():
     # the bitmask kernel is read by the divisibility test ``_covers`` and
     # by ``minimal_vectors_orthant``, through which every minimal filter
