@@ -1,9 +1,12 @@
 """Theorem test campaigns and the oracle crosscheck.
 
-Six campaigns draw seeded random instances through one driver, ``_seeded``,
-five run fixed instances, and ``colon_formula`` mixes both.  Failure records
-replay, and reports are deterministic given the seed.  Records are JSON-ready
-as recorded: ``jsonable``, which the CLI also prints through, makes them."""
+Every campaign is a generator of (ok, fields) pairs, one per instance:
+six draw seeded random instances through ``_seeded``, five run fixed
+instances, and ``colon_formula`` mixes both.  One loop, ``run_campaign``,
+makes the report, named by the campaign's ``CAMPAIGNS`` key, and records
+every pair; only a failed instance's fields become a replay record, made
+JSON-ready by ``jsonable``, which the CLI also prints through.  Reports are
+deterministic given the seed."""
 
 from __future__ import annotations
 
@@ -46,12 +49,15 @@ class CampaignReport:
     inconclusive: list = field(default_factory=list)
     wall_ms: int = 0
 
-    def record(self, ok: bool, replay: dict) -> None:
+    def record(self, ok: bool, fields: dict) -> None:
+        """Count one instance; a failed one's fields, made JSON-ready by
+        ``jsonable``, are its replay record in ``failures``, and a passing
+        one's are dropped unconverted."""
         self.instances += 1
         if ok:
             self.passes += 1
         else:
-            self.failures.append(replay)
+            self.failures.append(jsonable(fields))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,23 +122,18 @@ def jsonable(obj):
     return obj
 
 
-def _replay(**kw) -> dict:
-    return jsonable(kw)
-
-
-def _seeded(name: str, check, count: int, dims=(1, 2, 3)):
+def _seeded(check, count: int, dims=(1, 2, 3)):
     """A campaign of count seeded random instances.  Each instance draws its
     rank d from dims, then check(rng, orthant_ring(d)) draws the rest and
-    returns (ok, fields); the record replays as seed, index, d and fields."""
+    returns (ok, fields); the instance yields ok with seed, index, d and
+    fields, which replay it."""
 
-    def campaign(seed: int = 0, count: int = count) -> CampaignReport:
-        rep = CampaignReport(name)
+    def campaign(seed: int = 0, count: int = count):
         rng = Random(seed)
         for i in range(count):
             d = rng.choice(dims)
             ok, fields = check(rng, orthant_ring(d))
-            rep.record(ok, _replay(seed=seed, index=i, d=d, **fields))
-        return rep
+            yield ok, {"seed": seed, "index": i, "d": d, **fields}
 
     return campaign
 
@@ -185,20 +186,17 @@ def _tau_times_ideal(rng: Random, ring: ToricRing):
     return ok, {"a": a, "b": b}
 
 
-def campaign_regular_powers(seed: int = 0) -> CampaignReport:
-    rep = CampaignReport("regular_powers")
+def campaign_regular_powers(seed: int = 0):
     for d in range(1, 6):
         ring = orthant_ring(d)
         m = idl.maximal_ideal(ring)
         for n in range(1, 9):
             got = tau(ring, idl.power(m, n), 1)
             want = idl.power(m, max(n - d + 1, 0))
-            rep.record(got == want, _replay(d=d, n=n, got=got, want=want))
-    return rep
+            yield got == want, {"d": d, "n": n, "got": got, "want": want}
 
 
-def campaign_veronese(seed: int = 0) -> CampaignReport:
-    rep = CampaignReport("veronese")
+def campaign_veronese(seed: int = 0):
     for d, r in [(2, 2), (2, 3), (3, 2)]:
         ring = veronese_ring(d, r)
         m = veronese_maximal_ideal(ring, d, r)
@@ -206,12 +204,10 @@ def campaign_veronese(seed: int = 0) -> CampaignReport:
             e = tau_veronese(d, r, l)
             got = tau(ring, idl.power(m, l), 1)
             want = idl.power(m, e)  # m**0 is the unit ideal
-            rep.record(got == want, _replay(d=d, r=r, l=l, e=e, got=got, want=want))
-    return rep
+            yield got == want, {"d": d, "r": r, "l": l, "e": e, "got": got, "want": want}
 
 
-def campaign_colon_formula(seed: int = 0) -> CampaignReport:
-    rep = CampaignReport("colon_formula")
+def campaign_colon_formula(seed: int = 0):
     rng = Random(seed)
     cases = []
     for d in (2, 3):
@@ -229,20 +225,16 @@ def campaign_colon_formula(seed: int = 0) -> CampaignReport:
             got = idl.colon(Jl, Jr)
             want = idl.ideal_sum(idl.power(J, max(total - r - d + 1, 0)), Jl)
             brute = brute_force_colon(Jl, Jr)
-            rep.record(
-                got == want == brute,
-                _replay(d=d, ls=ls, r=r, got=got, want=want, brute=brute),
-            )
-    return rep
+            yield got == want == brute, {
+                "d": d, "ls": ls, "r": r, "got": got, "want": want, "brute": brute,
+            }
 
 
-def campaign_regularity(seed: int = 0) -> CampaignReport:
-    rep = CampaignReport("regularity")
+def campaign_regularity(seed: int = 0):
     for d in range(2, 6):
         ring = orthant_ring(d)
         m = idl.maximal_ideal(ring)
-        ok = tau_is_unit(ring, idl.power(m, d - 1), 1)
-        rep.record(ok, _replay(d=d))
+        yield tau_is_unit(ring, idl.power(m, d - 1), 1), {"d": d}
     ring = orthant_ring(2)
     m = idl.maximal_ideal(ring)
     I = idl.bracket_power(m, 2)
@@ -250,13 +242,11 @@ def campaign_regularity(seed: int = 0) -> CampaignReport:
     witnessed = verdict.status != STATUS_HOLDS and all(
         q is not None for _, q in verdict.witness
     )
-    rep.record(witnessed, _replay(test="xy_not_in_x2y2_star_m", status=verdict.status))
-    return rep
+    yield witnessed, {"test": "xy_not_in_x2y2_star_m", "status": verdict.status}
 
 
-def campaign_tic_vs_star(seed: int = 0) -> CampaignReport:
+def campaign_tic_vs_star(seed: int = 0):
     """Tight integral closure vs a-tight closure on the d=2, l=2, r=1 instance."""
-    rep = CampaignReport("tic_vs_star")
     ring = orthant_ring(2)
     J = idl.maximal_ideal(ring)
     Jl = idl.bracket_power(J, 2)
@@ -267,13 +257,11 @@ def campaign_tic_vs_star(seed: int = 0) -> CampaignReport:
     stars = tight_closure_members_at_q(Jl, J, 1, zs, qmax=128, cbox=6)
     for z, tic, star in zip(zs, tics, stars):
         ok = (tic.status == STATUS_HOLDS) == (star.status == STATUS_HOLDS)
-        rep.record(ok, _replay(z=z, tic=tic.status, star=star.status))
-    return rep
+        yield ok, {"z": z, "tic": tic.status, "star": star.status}
 
 
-def campaign_bs_integral(seed: int = 0) -> CampaignReport:
+def campaign_bs_integral(seed: int = 0):
     """Containment of J^[l] + closure(J^(dl-r)) in the finite-q closure (J^[l])^*J^r."""
-    rep = CampaignReport("bs_integral")
     ring = orthant_ring(2)
     J = idl.maximal_ideal(ring)
     d = 2
@@ -285,31 +273,30 @@ def campaign_bs_integral(seed: int = 0) -> CampaignReport:
                 Jl, idl.power(J, r), 1, lhs.gens, qmax=128, cbox=6
             )
             for z, verdict in zip(lhs.gens, verdicts):
-                rep.record(
-                    verdict.status == STATUS_HOLDS,
-                    _replay(l=l, r=r, z=z, status=verdict.status),
-                )
-    return rep
+                yield verdict.status == STATUS_HOLDS, {"l": l, "r": r, "z": z,
+                                                       "status": verdict.status}
 
 
 CAMPAIGNS = {
     "regular_powers": campaign_regular_powers,
     "veronese": campaign_veronese,
-    "briancon_skoda": _seeded("briancon_skoda", _briancon_skoda, 100),
-    "subadditivity": _seeded("subadditivity", _subadditivity, 100),
-    "restriction": _seeded("restriction", _restriction, 100, dims=(2, 3)),
+    "briancon_skoda": _seeded(_briancon_skoda, 100),
+    "subadditivity": _seeded(_subadditivity, 100),
+    "restriction": _seeded(_restriction, 100, dims=(2, 3)),
     "colon_formula": campaign_colon_formula,
     "regularity": campaign_regularity,
-    "reduction_invariance": _seeded("reduction_invariance", _reduction_invariance, 50),
-    "power_scaling": _seeded("power_scaling", _power_scaling, 50),
-    "tau_times_ideal": _seeded("tau_times_ideal", _tau_times_ideal, 50),
+    "reduction_invariance": _seeded(_reduction_invariance, 50),
+    "power_scaling": _seeded(_power_scaling, 50),
+    "tau_times_ideal": _seeded(_tau_times_ideal, 50),
     "tic_vs_star": campaign_tic_vs_star,
     "bs_integral": campaign_bs_integral,
 }
 
 
 def run_campaign(name: str, seed: int = 0, count: int | None = None) -> CampaignReport:
-    """Run one campaign; a campaign whose function takes no count refuses one."""
+    """Run one campaign into its report, named ``name``, recording each
+    (ok, fields) pair it yields; a campaign whose function takes no count
+    refuses one."""
     if not isinstance(name, str) or name not in CAMPAIGNS:
         raise InputError(
             f"unknown campaign {name!r}; known: {', '.join(sorted(CAMPAIGNS))}"
@@ -321,8 +308,10 @@ def run_campaign(name: str, seed: int = 0, count: int | None = None) -> Campaign
             raise InputError(f"campaign {name!r} takes no count")
         if int_scalar("count", count) < 1:
             raise InputError(f"campaign {name!r} needs count >= 1, got {count}")
+    rep = CampaignReport(name)
     start = time.monotonic()
-    rep = fn(seed=seed) if count is None else fn(seed=seed, count=count)
+    for ok, fields in fn(seed=seed) if count is None else fn(seed=seed, count=count):
+        rep.record(ok, fields)
     rep.wall_ms = int((time.monotonic() - start) * 1000)
     return rep
 
@@ -362,9 +351,10 @@ def run_crosscheck(
                 try:
                     results["root"] = frobenius_root_tau_oracle(ring, a, t, qmax, *extra)
                 except NotStabilizedError:
-                    replay = _replay(ideal=name, t=t, oracle="root", qmax=qmax)
-                    rep.inconclusive.append(replay)
+                    rep.inconclusive.append(
+                        jsonable({"ideal": name, "t": t, "oracle": "root", "qmax": qmax})
+                    )
             agree = all(v == results["polyhedral"] for v in results.values())
-            rep.record(agree, _replay(ideal=name, t=t, **results))
+            rep.record(agree, {"ideal": name, "t": t, **results})
     rep.wall_ms = int((time.monotonic() - start) * 1000)
     return rep

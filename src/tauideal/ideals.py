@@ -13,21 +13,21 @@ under products, and two packed kernels make every sum of rows: each row is
 one int of fixed-width fields, wide enough for the largest sum that can
 occur, a sum is one int addition, a set of ints drops repeats, and only
 the distinct sums are read back.  ``_sums`` adds the rows of one set to
-those of another; ``_floors`` sums the multisets of n rows of one set and
-floors them by q.  Every minimal filter here is
+those of another; ``_floors``, the root oracle's, sums the multisets of n
+rows of one set and floors them by q.  Every minimal filter here is
 ``lattice.minimal_vectors_orthant``.  ``multiply`` keeps the minimal sums
 of its factors' rows, and ``powers`` lazily yields the rows of any
-sequence of powers by one rule, squaring I**(n/2) (its pair multisets,
-``_floors`` at n = 2 and q = 1) for an even n and adding I's rows to
-I**(n-1) for an odd one; ``power`` is its one value.  Rows become
-generators in ``_from_rows``, one ``lattice._points`` call.  Intersections, colons and trace roots
+sequence of powers by one rule, squaring I**(n/2) (``_sums`` of its rows
+with themselves) for an even n and adding I's rows to I**(n-1) for an odd
+one; ``power`` is its one value.  Rows become generators in
+``_from_rows``, one ``lattice._points`` call.  Intersections, colons and trace roots
 (``trace_root``, the x^m with q*m + (q-1)*w in I) are unions of up-sets in
 ray coordinates, met on their bound vectors as tuples (up(a) cap up(b) =
 up(max(a, b)), ``_maxima``).  Their bounds, all >= 0, go through
 ``_upset_union`` to the one up-set kernel ``enumeration._union`` as boxes,
 with no pair sets, and come back as the rows of the union's generators.
-The trace root's bounds are the floors of its generators' rows
-(``_floors`` at n = 1), not minimal-filtered.  An ideal is checked and
+The trace root's bounds are the floors of its generators' rows, not
+minimal-filtered.  An ideal is checked and
 made canonical (minimal generators, once each, sorted: ``==`` is ideal
 equality) once, when it is made (``MonomialIdeal``), and the canonical
 ideals derived here from checked ones are made without that check
@@ -255,8 +255,8 @@ def powers(I: MonomialIdeal, exponents):
     for each n of ``exponents`` (ints >= 0, in any order), from ``I.rows``.
 
     One rule builds every power from the unit ideal's zero row, I**0: an
-    even n squares I**(n/2), the minimal sums of the multisets of two of
-    its rows (``_floors`` at q = 1), and an odd n adds I's rows to
+    even n squares I**(n/2), the minimal sums of two of its rows
+    (``_sums`` of its rows with themselves), and an odd n adds I's rows to
     I**(n - 1) (``_sums``).  Every power built is kept, so none is built
     twice, and nothing past the last value taken is built.
     """
@@ -273,7 +273,7 @@ def powers(I: MonomialIdeal, exponents):
             if k % 2:
                 built[k] = _sums(built[k - 1], I.rows)
             else:
-                built[k] = minimal_vectors_orthant(_floors(built[k // 2], 1, 2))
+                built[k] = _sums(built[k // 2], built[k // 2])
         yield built[n]
 
 
@@ -327,14 +327,15 @@ def trace_root(I: MonomialIdeal, q: int) -> MonomialIdeal:
     every ray n_j of sigma, as <w, n_j> = 1; for integers that reads
     <m, n_j> >= ceil((<g, n_j> + 1)/q) - 1 = floor(<g, n_j>/q).  So C_q is
     the union of the boxes at the floors of the generators' ray coordinates
-    (``_floors``, through ``_upset_union``).  Any other q is an InputError.
+    (through ``_upset_union``).  Any other q is an InputError.
     """
     _check_ideal(I)
     if int_scalar("q", q) < 1:
         raise InputError(f"a root needs q >= 1, got {q}")
     if (q - 1) % I.ring.gorenstein_index:
         raise InputError(f"(q-1)*w is not a lattice point at q = {q}")
-    return _from_rows(I.ring, _upset_union(I.ring, _floors(I.rows, q, 1)))
+    floors = [tuple([x // q for x in row]) for row in I.rows]
+    return _from_rows(I.ring, _upset_union(I.ring, floors))
 
 
 def _floors(rows, q: int, n: int) -> list[IntVec]:
@@ -342,7 +343,7 @@ def _floors(rows, q: int, n: int) -> list[IntVec]:
     multisets {v_1, ..., v_n} of n of the rows (ray coordinates, all >= 0):
     at n = 1 the floors of the rows, at n = 0 the zero row; no rows give
     no floors.  The sums are not minimal-filtered: the up-set kernel drops
-    the boxes above others, and ``powers`` filters its squares.
+    the boxes above others.
 
     The rows are packed as in ``_sums``, each field wide enough for n times
     the largest entry, so packed sums add with no carry.  The sums of k of

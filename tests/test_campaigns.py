@@ -113,6 +113,35 @@ def test_campaign_records_are_json_ready_as_recorded(monkeypatch):
             assert jsonable(r) == r
 
 
+def test_only_a_failure_or_an_inconclusive_record_is_made_json_ready(monkeypatch):
+    # a passing instance's fields are dropped as they are, so ``jsonable``
+    # runs once (counting its outermost calls) per failure or inconclusive
+    # record, and a round with no failure runs it not at all
+    real, depth, calls = campaigns.jsonable, [0], [0]
+
+    def counted(obj):
+        calls[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return real(obj)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(campaigns, "jsonable", counted)
+    reports = [run_campaign(name, count=None if name in FIXED else 3) for name in CAMPAIGNS]
+    assert all(rep.ok for rep in reports) and sum(rep.instances for rep in reports) > 100
+    assert calls[0] == 0
+    # both instances pass, and the root route is inconclusive on both
+    ring = orthant_ring(2)
+    cusp = minimalize(ring, [(2, 0), (0, 3)])
+    cross = run_crosscheck(ring, [("cusp", cusp)], [Fraction(5, 6), 1], qmax=8, primes=(2,))
+    assert cross.passes == 2 and len(cross.inconclusive) == calls[0] == 2
+    record = campaigns.CampaignReport.record
+    monkeypatch.setattr(campaigns.CampaignReport, "record",
+                        lambda rep, ok, fields: record(rep, False, fields))
+    assert len(run_campaign("tau_times_ideal", count=3).failures) == calls[0] - 2 == 3
+
+
 def test_campaign_determinism():
     a = run_campaign("subadditivity", seed=5, count=10)
     b = run_campaign("subadditivity", seed=5, count=10)

@@ -571,22 +571,16 @@ def _count_calls(monkeypatch, calls: Counter, names) -> None:
 
 
 def _count_products(monkeypatch, calls: Counter) -> None:
-    """Replace the row kernels of tauideal.ideals by ones that count in
-    ``calls`` the products of ``_sums`` ("add") and the squares, the pair
-    multisets of ``_floors(rows, 1, 2)`` ("square"); any other floors call
-    counts as "floors"."""
-    real_sums, real_floors = ideals_module._sums, ideals_module._floors
+    """Replace the row kernel of tauideal.ideals by one that counts in
+    ``calls`` the squares, ``_sums(A, A)`` of one row set with itself
+    ("square"), and the other products of ``_sums`` ("add")."""
+    real_sums = ideals_module._sums
 
     def sums(A, B):
-        calls["add"] += 1
+        calls["square" if A is B else "add"] += 1
         return real_sums(A, B)
 
-    def floors(rows, q, n):
-        calls["square" if (q, n) == (1, 2) else "floors"] += 1
-        return real_floors(rows, q, n)
-
     monkeypatch.setattr(ideals_module, "_sums", sums)
-    monkeypatch.setattr(ideals_module, "_floors", floors)
 
 
 def test_power_of_one_generator_is_that_generator_times_n(monkeypatch):

@@ -159,7 +159,6 @@ def test_packed_kernel_gives_the_tuple_kernels_answers(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(ideals_module, "_sums", reference_sums)
                 m.setattr(ideals_module, "_upset_union", reference_upset_union)
-                m.setattr(ideals_module, "_floors", reference_floors)
                 reference = _answers(ring, a, b, zs, reference_root_oracle if with_root else None)
             assert packed == reference, (ring.sigma.rays, a.gens, b.gens)
             compared += 1
@@ -170,9 +169,8 @@ def test_packed_kernel_gives_the_tuple_kernels_answers(monkeypatch):
 
 def _sum_mismatches(rng, trials):
     """Pairs (A, B) of random rows, B None for a square, on which ``_sums``,
-    or for a square the square step of ``powers`` (the minimal
-    ``_floors(A, 1, 2)``), differs from the tuple reference; the entries
-    run up to 2**12, and each largest sum sits at a power of two or one
+    or for a square the square step of ``powers`` (``_sums(A, A)``),
+    differs from the tuple reference; the entries run up to 2**12, and each largest sum sits at a power of two or one
     below it about as often as not, where a field one bit too narrow first
     carries."""
     found = []
@@ -188,10 +186,7 @@ def _sum_mismatches(rng, trials):
             half = total // 2
             rows = [tuple(half if i == j else 0 for i in range(d))]
             other = [tuple(total - half if i == j else 0 for i in range(d))]
-        if other is None:
-            got = minimal_vectors_orthant(_floors(rows, 1, 2))
-        else:
-            got = _sums(rows, other)
+        got = _sums(rows, rows if other is None else other)
         if sorted(got) != sorted(reference_sums(rows, other)):
             found.append((rows, other))
     return found

@@ -105,15 +105,12 @@ def test_product_kernels_have_exactly_the_pinned_callers():
     assert _package_callers(("_sums", "_maxima")) == PRODUCT_KERNEL_CALLERS
 
 
-# The functions that call the floors kernel ``_floors``: the trace root and
-# the root chain read a power only through its floors, and ``powers``
-# squares through the pair multisets, ``_floors(rows, 1, 2)``; a second
-# floors routine shows up as a diff here.
-FLOOR_KERNEL_CALLERS = {
-    "frobenius.py:frobenius_root_tau_oracle",
-    "ideals.py:powers",
-    "ideals.py:trace_root",
-}
+# The functions that call the floors kernel ``_floors``: the root chain
+# reads a power only through its multiset floors, while ``powers`` squares
+# with the product kernel and ``trace_root`` floors its rows in place, so
+# the kernel can change for the root chain alone; a second caller shows up
+# as a diff here.
+FLOOR_KERNEL_CALLERS = {"frobenius.py:frobenius_root_tau_oracle"}
 
 
 def test_the_floors_kernel_has_exactly_the_pinned_callers():
@@ -158,8 +155,8 @@ def test_double_descriptions_have_exactly_the_pinned_callers():
 
 
 # The functions that seed a ``Random``.  Every random campaign draws through
-# the one driver ``campaigns._seeded``, whose closure is ``campaign``; a second
-# seeded instance loop shows up as a diff here.
+# ``campaigns._seeded``, whose closure is ``campaign``; a second seeded
+# instance loop shows up as a diff here.
 SEEDED_LOOPS = {
     "campaigns.py:campaign",
     "campaigns.py:campaign_colon_formula",
@@ -168,6 +165,16 @@ SEEDED_LOOPS = {
 
 def test_random_is_seeded_only_by_the_pinned_loops():
     assert _package_callers(("Random",)) == SEEDED_LOOPS
+
+
+def test_reports_are_made_only_by_the_two_runners():
+    # a campaign yields (ok, fields) pairs and ``run_campaign`` records them
+    # into the one report it makes; a campaign that makes its own report,
+    # and so names itself a second time, shows up as a diff here
+    assert _package_callers(("CampaignReport",)) == {
+        "campaigns.py:run_campaign",
+        "campaigns.py:run_crosscheck",
+    }
 
 
 def _own_nodes(func):
