@@ -43,12 +43,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value of a file: InputError if it cannot be opened, or is
+    not JSON text (ValueError covers bad JSON, bytes that are not UTF-8 and
+    an int longer than Python reads; RecursionError, nesting too deep)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

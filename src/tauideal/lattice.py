@@ -15,9 +15,11 @@ call that leaves a primitive vector as it is, and every new ray or
 lineality vector one fused a*u - b*v (``_combine``).  All other linear
 algebra is one fraction-free Gauss-Jordan elimination on integers alone,
 ``_echelon``, whose rows are D times the reduced echelon form: it gives
-``matrix_rank``, the Q-Gorenstein vector w (``solve_unit_pairings``) and
-``basis_inverse`` (D times the inverse of a basis of given vectors), with
-no back-substitution and no Fraction arithmetic.  The pairings of many vectors
+``matrix_rank`` and, once per ring, ``left_inverse`` of sigma's rays
+(integer rows A and D > 0 with A*V = D*1, V the rays as rows), from which
+``gorenstein_vector`` reads w, ``ToricRing.is_smooth`` reads D and
+``_points`` turns ray coordinates into lattice points, with no
+back-substitution and no Fraction arithmetic.  The pairings of many vectors
 with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
 computed a coordinate column at a time; ``member_columns`` pairs int
 vectors with the rays of sigma and checks each on the way (raw ones after
@@ -214,21 +216,21 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
 
 
 @cache
-def basis_inverse(vectors: tuple[IntVec, ...]) -> tuple[IntVec, tuple[IntVec, ...], int]:
-    """For integer vectors that span: the indices of the first d linearly
-    independent ones (the pivots of ``_echelon`` on the coordinate rows),
-    and the integer rows A and the least D > 0 with A = D * B^-1, B those
-    vectors as rows: the reduced form of [B | 1] is D' * [1 | B^-1], and
-    A, D are its right half and D' over their gcd.  Vectors that do not
-    span raise ConeNotFullDimensionalError.  Cached: ``_points`` asks for
-    sigma's rays on every call."""
+def left_inverse(vectors: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...], int]:
+    """For k integer vectors that span, V those vectors as rows: the d
+    integer rows A and the least D > 0 with A*V = D*1.  The reduced form of
+    [V | 1] has the rows D' * [e_i | a_i] for i < d, with a_i*V = D' * e_i
+    as row operations keep [V | 1] = [X*V | X]; A, D are the a_i and D'
+    over their gcd.  No basis is picked, and on d vectors A = D * V^-1.
+    Vectors that do not span raise ConeNotFullDimensionalError.  Cached:
+    each ring's rays are eliminated once, for w, smoothness and points."""
     d = len(vectors[0])
-    basis = tuple(_echelon(list(zip(*vectors)))[1])
-    if len(basis) < d:
+    rows, pivots = _echelon([v + u for v, u in zip(vectors, unit_vectors(len(vectors)))])
+    if pivots[:d] != list(range(d)):
         raise ConeNotFullDimensionalError(f"vectors {vectors} do not span")
-    rows = _echelon([vectors[b] + u for b, u in zip(basis, unit_vectors(d))])[0]
-    g = gcd(*chain.from_iterable(rows)) * (1 if rows[0][0] > 0 else -1)
-    return basis, tuple(tuple(x // g for x in row[d:]) for row in rows), rows[0][0] // g
+    den = rows[0][0]
+    g = gcd(den, *chain.from_iterable(row[d:] for row in rows[:d])) * (1 if den > 0 else -1)
+    return tuple(tuple(x // g for x in row[d:]) for row in rows[:d]), den // g
 
 
 def matrix_rank(rows) -> int:
@@ -420,12 +422,11 @@ def minimal_vectors_orthant(vectors) -> list[IntVec]:
 
 
 def _points(ring: ToricRing, rows) -> list[IntVec]:
-    """floor(A v_B / D) for each ray-coordinate vector v of ``rows``
-    (``basis_inverse`` of sigma's rays): the lattice point with ray
-    coordinates v whenever one exists, as the rays span."""
-    basis, inverse, den = basis_inverse(ring.sigma.rays)
-    numerators = pairing_columns([[v[b] for b in basis] for v in rows], inverse)
-    return list(zip(*([x // den for x in col] for col in numerators)))
+    """floor(A v / D) for each ray-coordinate vector v of ``rows``
+    (``left_inverse`` of sigma's rays): the lattice point m with ray
+    coordinates v whenever one exists, as then A v = A V m = D m."""
+    inverse, den = left_inverse(ring.sigma.rays)
+    return list(zip(*([x // den for x in col] for col in pairing_columns(rows, inverse))))
 
 
 @dataclass(frozen=True)
@@ -467,24 +468,6 @@ def dual_cone(cone: Cone) -> Cone:
     return Cone(dim=cone.dim, rays=cone.halfspaces, halfspaces=cone.rays)
 
 
-def solve_unit_pairings(generators) -> RatVec:
-    """Solve <w, n_i> = 1 for all generators n_i by exact elimination.
-
-    The reduced form of [G | 1], G the generators as rows, has the rows
-    D * [e_i | w_i] when the system is consistent (no pivot in the last
-    column, else NotQGorensteinError) and the generators span (d pivots,
-    else ConeNotFullDimensionalError).
-    """
-    gens = tuple(tuple(g) for g in generators)
-    d = len(gens[0])
-    rows, pivots = _echelon([g + (1,) for g in gens])
-    if pivots[-1] == d:
-        raise NotQGorensteinError("pairing system <w, n_i> = 1 is inconsistent")
-    if len(pivots) < d:
-        raise ConeNotFullDimensionalError("generators do not span the lattice")
-    return tuple(Fraction(row[d], row[i]) for i, row in enumerate(rows))
-
-
 @dataclass(frozen=True)
 class ToricRing:
     """Ambient data of a Q-Gorenstein toric ring.
@@ -506,13 +489,13 @@ class ToricRing:
         return set(self.sigma.rays) == set(unit_vectors(self.d))
 
     def is_smooth(self) -> bool:
-        """Does sigma have d rays with D = 1 in their ``basis_inverse``?  Then
+        """Does sigma have d rays with D = 1 in their ``left_inverse``?  Then
         B, the rays as rows, has the integer inverse A, so m -> B*m maps the
         lattice onto Z^d and every v >= 0 is the ray coordinates B*m of
         exactly one lattice point m = A*v, which lies in sigma_dual as
         <m, n_j> = v_j >= 0 on every ray n_j."""
         rays = self.sigma.rays
-        return len(rays) == self.d and basis_inverse(rays)[2] == 1
+        return len(rays) == self.d and left_inverse(rays)[1] == 1
 
     def in_semigroup(self, m) -> bool:
         """Membership of an integer vector in sigma_dual (the exponent cone);
@@ -562,8 +545,16 @@ def member_columns(ring: ToricRing, vectors) -> list[list[int]]:
 
 
 def gorenstein_vector(sigma: Cone):
-    """The vector w with <w, n_i> = 1 for every generator, plus its index."""
-    w = solve_unit_pairings(check_cone(sigma).rays)
+    """The vector w with <w, n_i> = 1 for every ray n_i, plus its index.
+    With A, D the ``left_inverse`` of the rays V, V*w = 1 forces
+    D*w = A*V*w = A*1, so w is A's row sums over D; NotQGorensteinError
+    unless every ray pairs to 1 with it."""
+    rays = check_cone(sigma).rays
+    inverse, den = left_inverse(rays)
+    sums = [sum(row) for row in inverse]
+    if any(pairing(n, sums) != den for n in rays):
+        raise NotQGorensteinError("pairing system <w, n_i> = 1 is inconsistent")
+    w = tuple(Fraction(x, den) for x in sums)
     return w, lcm(*(x.denominator for x in w))
 
 

@@ -102,9 +102,12 @@ class NewtonPolyhedron:
 def exponent(t) -> Fraction:
     """The exponent t as an exact rational; InputError unless t is a
     finite rational >= 0 (an int, a Fraction, a float or a string such as
-    "3/2"; a bool is not read as 0 or 1)."""
+    "3/2" or "1.5"; a bool is not read as 0 or 1, nor a string in exponent
+    notation, as "1e999999999" would build a billion-digit int)."""
     if isinstance(t, bool):
         raise InputError(f"the exponent must be a number, got {t!r}")
+    if isinstance(t, str) and "e" in t.lower():
+        raise InputError(f"the exponent {t!r} is in exponent notation; write num/den")
     try:
         t = Fraction(t)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

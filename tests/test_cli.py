@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tauideal import cli
 from tauideal.cli import (
@@ -13,7 +14,8 @@ from tauideal.cli import (
     main,
 )
 from tauideal.errors import TauIdealError
-from tauideal.lattice import orthant_ring
+from tauideal.ideals import MonomialIdeal
+from tauideal.lattice import ToricRing, orthant_ring
 from tauideal.polyhedra import exponent
 
 
@@ -285,6 +287,12 @@ def test_non_integer_json_numbers_rejected(tmp_path, ring_data, ideal_gens):
     assert main(["tau", "--ring", str(ring), "--ideal", str(ideal)]) == 3
 
 
+def test_an_exponent_in_exponent_notation_is_an_input_error(files, capsys):
+    _, ring, ideal = files
+    # read as a Fraction, this would build 10**999999999 first
+    assert main(["tau", "--ring", ring, "--ideal", ideal, "--t", "1e999999999"]) == 3
+
+
 def test_input_errors_from_python_are_package_errors(tmp_path):
     # the same checks the CLI maps to exit 3 must raise TauIdealError when
     # the loaders are called as library functions
@@ -304,6 +312,48 @@ def test_input_errors_from_python_are_package_errors(tmp_path):
     bad.write_text(json.dumps({"generators": [[1.5, 0]]}))
     with pytest.raises(TauIdealError):
         load_ideal(str(bad), orthant_ring(2))
+
+
+@pytest.mark.parametrize("text", [
+    b'{"cone_generators": [[1, 0], [0, 1]]}\xff',  # not UTF-8
+    b'{"cone_generators": [[1' + b"0" * 5000 + b', 0], [0, 1]]}',  # over 4,300 digits
+    b"[" * 100_000,  # nested deeper than the decoder recurses
+], ids=["not-utf8", "long-int", "deep"])
+def test_an_unreadable_ring_or_ideal_file_is_an_input_error(files, text):
+    _, ring, ideal = files
+    bad = files[0] / "bad.json"
+    bad.write_bytes(text)
+    assert main(["tau", "--ring", str(bad), "--ideal", ideal]) == EXIT_INPUT_ERROR
+    assert main(["tau", "--ring", ring, "--ideal", str(bad)]) == EXIT_INPUT_ERROR
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["d", "cone_generators", "generators", "shape_hint"])
+        | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_small_rows = st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3), max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(
+    st.binary(max_size=64),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({"cone_generators": _small_rows, "generators": _small_rows})
+    .map(lambda v: json.dumps(v).encode()),
+))
+def test_any_file_gives_a_ring_an_ideal_or_a_package_error(tmp_path, text):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(text)
+    for load, kind in ((load_ring, ToricRing),
+                       (lambda p: load_ideal(p, orthant_ring(2)), MonomialIdeal)):
+        try:
+            assert isinstance(load(str(path)), kind)
+        except TauIdealError:
+            pass
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -895,7 +895,7 @@ def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
     monkeypatch.setattr(enumeration, "least_offsets", counted)
     for ring in TEST_RINGS:
         d = ring.d
-        zero_inverse = (list(range(d)), [(0,) * d] * d, 1)
+        zero_inverse = ([(0,) * len(ring.sigma.rays)] * d, 1)
         points = lattice_points_upto(ring, BRUTE_DEGREE)
         coords = _ray_coords(ring, points)
         enumerated.clear()
@@ -908,7 +908,7 @@ def test_upset_kernel_shortcut_and_enumeration_agree(monkeypatch):
             direct = _upset_union(ring, boxes)
             branch[0] = "enumerated"
             with monkeypatch.context() as m:
-                m.setattr(lattice, "basis_inverse", lambda rays: zero_inverse)
+                m.setattr(lattice, "left_inverse", lambda rays: zero_inverse)
                 m.setattr(lattice.ToricRing, "is_smooth", lambda ring: False)
                 assert _upset_union(ring, boxes) == direct, bounds
             members = [

@@ -31,6 +31,7 @@ from tauideal.lattice import (
     pairing,
     primitivize,
     toric_ring,
+    unit_vectors,
     vec_add,
     vec_neg,
     vec_scale,
@@ -673,14 +674,25 @@ def _random_matrix(rng):
     return rows
 
 
+def _unit_pairings(rows):
+    """``gorenstein_vector``'s w, with the rows as a Cone's rays."""
+    cone = lattice.Cone(dim=len(rows[0]), rays=tuple(rows), halfspaces=())
+    return gorenstein_vector(cone)[0]
+
+
 def test_bareiss_matches_the_fraction_eliminations():
     rng = Random(7007)
     seen = Counter()
     for _ in range(2400):
         rows = _random_matrix(rng)
         assert matrix_rank(rows) == reference_matrix_rank(rows), rows
-        got = _outcome(lattice.solve_unit_pairings, rows)
-        assert got == _outcome(reference_solve_unit_pairings, rows), rows
+        got = _outcome(_unit_pairings, rows)
+        if reference_matrix_rank(rows) == len(rows[0]):
+            assert got == _outcome(reference_solve_unit_pairings, rows), rows
+        else:
+            # the reference reports some of these as inconsistent first; no
+            # cone of ``cone_from_rays`` has such rays, as its rays span
+            assert got is ConeNotFullDimensionalError, rows
         seen[got if isinstance(got, type) else "solved"] += 1
         # rational rows: the rank is that of the rows cleared of denominators
         den = rng.randint(1, 4)
@@ -754,48 +766,56 @@ def _random_vectors(rng):
     )
 
 
-def test_basis_inverse_matches_the_fraction_inverse():
+def test_left_inverse_matches_the_fraction_inverse():
     rng = Random(16017)
     seen = Counter()
     for _ in range(1500):
         vectors = _random_vectors(rng)
-        got = _outcome(lattice.basis_inverse, vectors)
-        assert got == _outcome(reference_basis_inverse, vectors), vectors
+        got = _outcome(lattice.left_inverse, vectors)
+        want = _outcome(reference_basis_inverse, vectors)
         seen[got if isinstance(got, type) else "spans"] += 1
-        if not isinstance(got, type):
-            basis, inverse, den = got
-            # A * B = D * 1 with B the basis vectors as rows
-            B = [vectors[b] for b in basis]
-            for i, row in enumerate(inverse):
-                assert [pairing(row, col) for col in zip(*B)] == [
-                    den * (i == j) for j in range(len(B))
-                ]
-        assert _outcome(lattice.solve_unit_pairings, vectors) == _outcome(
-            reference_solve_unit_pairings, vectors
-        ), vectors
+        if isinstance(want, type):
+            assert got is want, vectors
+            continue
+        inverse, den = got
+        # A * V = D * 1 over all k vectors, with D > 0 and gcd(D, A) = 1
+        d = len(vectors[0])
+        assert [[pairing(row, col) for col in zip(*vectors)] for row in inverse] == [
+            [den * (i == j) for j in range(d)] for i in range(d)
+        ], vectors
+        assert den > 0 and gcd(den, *(x for row in inverse for x in row)) == 1, vectors
+        if len(vectors) == d:
+            seen["square"] += 1
+            assert (inverse, den) == want[1:], vectors
     assert seen["spans"] >= 800 and seen[ConeNotFullDimensionalError] >= 300, seen
+    assert seen["square"] >= 100, seen
 
 
-def test_basis_inverse_refuses_vectors_that_do_not_span():
+def test_left_inverse_refuses_vectors_that_do_not_span():
     for vectors in (((1, 0), (2, 0)), ((0, 0, 1), (1, 1, 0), (2, 2, 1)), ((0,),)):
         with pytest.raises(ConeNotFullDimensionalError):
-            lattice.basis_inverse(vectors)
+            lattice.left_inverse(vectors)
 
 
-def test_unit_pairings_take_one_elimination_and_no_basis_inverse(monkeypatch):
+def test_a_ring_takes_one_elimination(monkeypatch):
+    # w, smoothness and the points all read one cached left inverse
     calls = Counter()
 
     def counted(rows, _real=lattice._echelon):
         calls["echelon"] += 1
         return _real(rows)
 
-    def refuse(vectors):
-        raise AssertionError("solve_unit_pairings called basis_inverse")
-
     monkeypatch.setattr(lattice, "_echelon", counted)
-    monkeypatch.setattr(lattice, "basis_inverse", refuse)
-    assert lattice.solve_unit_pairings([(0, 1), (5, -2)]) == (Fraction(3, 5), 1)
-    assert calls == {"echelon": 1}
+    for gens in ([(0, 1), (5, -2)], [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+                 unit_vectors(3)):
+        lattice.left_inverse.cache_clear()
+        calls.clear()
+        ring = toric_ring(gens)
+        ring.is_smooth()
+        points = list(ring.sigma_dual.rays)
+        rows = [[pairing(m, n) for n in ring.sigma.rays] for m in points]
+        assert lattice._points(ring, rows) == points
+        assert calls == {"echelon": 1}, gens
 
 
 # -- reference: the integer kernels before fused helpers ----------------------

@@ -504,6 +504,13 @@ def test_exponent_reads_exact_rationals():
     assert exponent(0.25) == Fraction(1, 4)
     assert exponent(10**30) == 10**30
     assert exponent(Fraction(0)) == 0
+    assert exponent("1.5") == Fraction(3, 2) and exponent(1e3) == 1000
+
+
+@pytest.mark.parametrize("t", ["2e0", "1E3", "1e999999999", "1.5e-2", "1/2e1"])
+def test_exponent_refuses_exponent_notation(t):
+    with pytest.raises(InputError, match="exponent notation"):
+        exponent(t)
 
 
 def test_newton_polyhedron_checks_its_generators():

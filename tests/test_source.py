@@ -117,6 +117,17 @@ def test_the_floors_kernel_has_exactly_the_pinned_callers():
     assert _package_callers(("_floors",)) == FLOOR_KERNEL_CALLERS
 
 
+# The functions that call the exact elimination ``_echelon``: the rank, and
+# the one cached left inverse of sigma's rays, from which w, smoothness and
+# the points are read; a second elimination of a ring's rays shows up as a
+# diff here.
+ELIMINATION_CALLERS = {"lattice.py:left_inverse", "lattice.py:matrix_rank"}
+
+
+def test_the_elimination_has_exactly_the_pinned_callers():
+    assert _package_callers(("_echelon",)) == ELIMINATION_CALLERS
+
+
 # The functions that start a lazy ``powers`` chain: ``power``, its one value,
 # and the tight-closure searches' ``rows``.  The root chain reads every power
 # through its multiset floors, so a power chain started there, or a second
