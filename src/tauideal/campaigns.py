@@ -6,7 +6,10 @@ instances, and ``colon_formula`` mixes both.  One loop, ``run_campaign``,
 makes the report, named by the campaign's ``CAMPAIGNS`` key, and records
 every pair; only a failed instance's fields become a replay record, made
 JSON-ready by ``jsonable``, which the CLI also prints through.  Reports are
-deterministic given the seed."""
+deterministic given the seed.  ``colon_formula`` checks each colon three
+ways: ``ideals.colon``, the closed formula, and ``brute_force_colon``, a
+box enumeration from the definition that reads I from one bit table and
+shares no code with ``ideals.colon``."""
 
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import add, le
+from math import prod
+from operator import mul
 from random import Random
 
 from . import ideals as idl
@@ -81,29 +85,55 @@ def random_monomial_ideal(
 
 
 def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Independent colon: box enumeration of monomials m with m*J inside I.
+    """Independent colon: box enumeration of the monomials m with m*J
+    inside I, over the box [0, hi], hi the componentwise maximum of I's
+    generators; it shares no code with ``ideals.colon``.
 
     Orthant rings only: elsewhere the members need not lie in the box.  On
     the orthant x^h divides x^v iff h <= v componentwise, so m is a member
-    iff every m + g, g a generator of J, is above some generator of I."""
+    iff every m + g, g a generator of J, is above some generator h of I.
+    Every h is <= hi, so h <= m + g iff h <= m + min(g, hi), a point of the
+    table box [0, 2*hi].  The members of I in the table box are the bits of
+    one int, point v at bit sum(v_k * s_k) with the mixed-radix strides s
+    of the sizes n_k = 2*hi_k + 1: the up-boxes of the h, ORed together.
+    An up-box is built one coordinate at a time: after k coordinates its
+    bits lie below s_k, so multiplying by the repunit with a bit at each
+    t * s_k, h_k <= t < n_k, copies them to each offset with no carry.
+    Shifted down by the bit of a c = min(g, hi), the table has m's bit set
+    iff m + c is in I, as m + c <= 2*hi stays in the table box; m is a
+    member iff its bit is set in the AND of the table shifted by every
+    distinct c.  The table has prod(2*hi_k + 1) bits, fewer than 2**d times
+    the box, whatever J is.
+    """
+    idl._check_same_ring(I, J)
     ring = I.ring
     if not ring.is_orthant():
         raise UnsupportedRingError("brute_force_colon needs an orthant ring")
-    hi = [max((g[k] for g in I.gens), default=0) for k in range(ring.d)]
-    members = [
-        m
-        for m in product(*(range(h + 1) for h in hi))
-        if all(
-            any(all(map(le, h, map(add, m, g))) for h in I.gens)
-            for g in J.gens
-        )
-    ]
+    hi = [max((h[k] for h in I.gens), default=0) for k in range(ring.d)]
+    sizes = [2 * x + 1 for x in hi]
+    strides = [prod(sizes[:k]) for k in range(ring.d)]
+    table = 0
+    for h in I.gens:
+        up = 1
+        for x, stride, n in zip(h, strides, sizes):
+            up *= ((1 << (n - x) * stride) - 1) // ((1 << stride) - 1) << x * stride
+        table |= up
+    bits = -1  # every bit: m*J lies in I for the zero ideal J
+    for c in {tuple(map(min, g, hi)) for g in J.gens}:
+        bits &= table >> sum(map(mul, c, strides))
+    box = product(*(range(x + 1) for x in hi))
+    members = [m for m in box if bits >> sum(map(mul, m, strides)) & 1]
     return idl.minimalize(ring, members)
 
 
 def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
     """Subideal generated by the vertex generators, with a's rows for them;
-    same Newton polyhedron.  No vertex is a multiple of another point."""
+    same Newton polyhedron.  No vertex is a multiple of another point.  a
+    must be an ideal of ``ring`` (InputError otherwise), as its rows are
+    its generators' ray coordinates in its own ring."""
+    idl._check_ideal(a)
+    if a.ring != ring:
+        raise InputError("vertex_reduction needs an ideal of the ring it is given")
     points = newton_polyhedron(ring, a.gens).points
     return idl._derived(ring, points, map(dict(zip(a.gens, a.rows)).__getitem__, points))
 

@@ -300,12 +300,25 @@ def colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     generators h of J of (I : x^h), the up-set union of the ray coordinates
     of g - h over the generators g of I.  The intersection is taken on the
     bound vectors, from the zero vector (the unit ideal), one ``_maxima``
-    step per h, and the ideal is built once at the end; the zero vector
-    clamps every negative difference at 0, as rc(m) >= 0 on sigma_dual."""
+    step per row c of J's clamped minimal rows, and the ideal is built once
+    at the end; the zero vector clamps every negative difference at 0, as
+    rc(m) >= 0 on sigma_dual.
+
+    J's rows are read only through their minimal clamps min(rc(h), top),
+    top the componentwise maximum of I's rows.  Clamping is exact: every
+    row rc(g) of I is <= top, so in each entry rc(g) - rc(h) < 0 and
+    rc(g) - top <= 0 where rc(h) > top, and max(rc(g) - rc(h), 0) =
+    max(rc(g) - min(rc(h), top), 0); (I : x^h) depends on h only through
+    its clamp c.  Only the minimal clamps matter: c <= c' lowers every
+    bound rc(g) - c' below rc(g) - c, so the up-set union for c lies in
+    the one for c', and the intersection over all clamps is the one over
+    the minimal clamps.
+    """
     _check_same_ring(I, J)
     bounds = [(0,) * len(I.ring.sigma.rays)]
-    for h in J.rows:
-        bounds = _maxima(bounds, [tuple(map(sub, g, h)) for g in I.rows])
+    top = tuple(map(max, zip(*I.rows, bounds[0])))  # the zero row stands in for no rows
+    for c in minimal_vectors_orthant(tuple(map(min, h, top)) for h in J.rows):
+        bounds = _maxima(bounds, [tuple(map(sub, g, c)) for g in I.rows])
     return _from_rows(I.ring, _upset_union(I.ring, bounds))
 
 

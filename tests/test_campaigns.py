@@ -5,6 +5,8 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from operator import add, le
 
 import pytest
 
@@ -18,8 +20,8 @@ from tauideal.campaigns import (
     run_crosscheck,
     vertex_reduction,
 )
-from tauideal.errors import InputError, UnsupportedRingError
-from tauideal.ideals import colon, minimalize
+from tauideal.errors import InputError, RingMismatchError, UnsupportedRingError
+from tauideal.ideals import MonomialIdeal, colon, minimalize, unit_ideal, zero_ideal
 from tauideal.lattice import orthant_ring, toric_ring
 from tauideal.tau import veronese_maximal_ideal, veronese_ring
 
@@ -182,6 +184,106 @@ def test_brute_force_colon_refuses_general_rings():
     assert colon(a, b).gens == ((4, -1), (5, -2))
     with pytest.raises(UnsupportedRingError):
         brute_force_colon(a, b)
+
+
+# -- reference: the box enumeration before the bit table ---------------------
+# Kept here only to check ``brute_force_colon`` against it.
+
+def reference_brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """Independent colon: box enumeration of monomials m with m*J inside I.
+
+    Orthant rings only: elsewhere the members need not lie in the box.  On
+    the orthant x^h divides x^v iff h <= v componentwise, so m is a member
+    iff every m + g, g a generator of J, is above some generator of I."""
+    ring = I.ring
+    if not ring.is_orthant():
+        raise UnsupportedRingError("brute_force_colon needs an orthant ring")
+    hi = [max((g[k] for g in I.gens), default=0) for k in range(ring.d)]
+    members = [
+        m
+        for m in product(*(range(h + 1) for h in hi))
+        if all(
+            any(all(map(le, h, map(add, m, g))) for h in I.gens)
+            for g in J.gens
+        )
+    ]
+    return minimalize(ring, members)
+
+
+# the largest exponent of I's generators in each rank, which sizes the box
+# the reference enumerates
+BOX_EXPONENT = {1: 9, 2: 6, 3: 4, 4: 3}
+HUGE = 10**9
+
+
+def _orthant_ideal(rng, ring, top, kinds: Counter, huge=False):
+    """The zero or the unit ideal, each one time in eight, or up to 4
+    generators with exponents <= top, on half of the other draws, when
+    ``huge``, with some exponents as large as HUGE."""
+    kind = rng.choice(["zero", "unit", *["gens", "huge" if huge else "gens"] * 3])
+    kinds[kind] += 1
+    if kind == "zero":
+        return zero_ideal(ring)
+    if kind == "unit":
+        return unit_ideal(ring)
+    high = HUGE if kind == "huge" else top
+    return minimalize(ring, [
+        tuple(rng.randint(0, high if rng.random() < 0.3 else top) for _ in range(ring.d))
+        for _ in range(rng.randint(1, 4))
+    ])
+
+
+def test_brute_force_colon_matches_the_reference_and_colon_on_orthant_pairs():
+    rng = Random(4949)
+    seen = {"I": Counter(), "J": Counter(), "answer": Counter()}
+    for i in range(2000):
+        ring = orthant_ring(i % 4 + 1)
+        top = BOX_EXPONENT[ring.d]
+        a = _orthant_ideal(rng, ring, top, seen["I"])
+        b = _orthant_ideal(rng, ring, top // 2 + 1, seen["J"], huge=True)
+        got = brute_force_colon(a, b)
+        assert got == reference_brute_force_colon(a, b), (a.gens, b.gens)
+        assert got == colon(a, b), (a.gens, b.gens)
+        seen["answer"][got.is_zero() or got.is_unit() or got == a] += 1
+    assert min(seen["I"].values()) >= 200 and len(seen["I"]) == 3, seen
+    assert min(seen["J"].values()) >= 200 and len(seen["J"]) == 4, seen
+    assert seen["answer"][False] >= 500, seen
+
+
+def test_brute_force_colon_refuses_ideals_of_two_rings():
+    # unchecked, ``map`` cuts the longer generators to the shorter rank and
+    # answers ((0, 1), (1, 0)) for the first pair; ``colon`` refuses both
+    a = minimalize(orthant_ring(2), [(1, 0), (0, 1)])
+    b = minimalize(orthant_ring(3), [(1, 0, 0)])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(RingMismatchError):
+            colon(x, y)
+        with pytest.raises(RingMismatchError):
+            brute_force_colon(x, y)
+
+
+@pytest.mark.parametrize("bad", [None, 3, ((1, 0),)], ids=["None", "int", "tuple"])
+def test_brute_force_colon_refuses_what_is_not_an_ideal(bad):
+    # only package errors leave the library; unchecked, a non-ideal raises
+    # AttributeError
+    a = minimalize(orthant_ring(2), [(1, 0), (0, 1)])
+    for x, y in ((a, bad), (bad, a)):
+        with pytest.raises(InputError):
+            brute_force_colon(x, y)
+
+
+def test_vertex_reduction_refuses_an_ideal_of_another_ring():
+    # the ideal's rows are its generators' ray coordinates in k[x, y],
+    # (3, 1) and (1, 3); in the ring of cone((1, 0), (1, 2)) those
+    # generators have (1, 7) and (3, 5), so a reduction carrying the old
+    # rows into it is a corrupted ideal there
+    ring = toric_ring([(1, 0), (1, 2)])
+    a = minimalize(orthant_ring(2), [(3, 1), (1, 3), (2, 2)])
+    with pytest.raises(InputError):
+        vertex_reduction(ring, a)
+    with pytest.raises(InputError):
+        vertex_reduction(ring, a.gens)
+    assert vertex_reduction(a.ring, a).gens == ((1, 3), (3, 1))
 
 
 def test_vertex_reduction_is_subideal():

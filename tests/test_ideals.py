@@ -776,6 +776,75 @@ def test_colon_builds_its_ideal_with_one_kernel_call(monkeypatch):
             assert calls == {"_upset_union": 1}, (ring.sigma.rays, x.gens, y.gens)
 
 
+def test_colon_steps_only_through_the_minimal_clamped_rows(monkeypatch):
+    # top = (4, 4, 4), and every generator of m^10 has an entry >= 4, so
+    # its 66 rows clamp to the three minimal (4, 0, 0), (0, 4, 0), (0, 0, 4)
+    a = minimalize(R3, [(4, 0, 0), (0, 4, 0), (0, 0, 4)])
+    b = power(maximal_ideal(R3), 10)
+    assert len(b.rows) == 66
+    calls = Counter()
+    _count_calls(monkeypatch, calls, ("_maxima",))
+    got = colon(a, b)
+    assert calls == {"_maxima": 3}
+    calls.clear()
+    assert got == reference_colon_by_every_row(a, b)
+    assert calls == {"_maxima": 66}
+
+
+# -- reference: colon stepping through every row of J ------------------------
+# Kept here only to check ``colon``'s clamped rows against it.
+
+def reference_colon_by_every_row(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """The largest K with K*J contained in I: the intersection over the
+    generators h of J of (I : x^h), the up-set union of the ray coordinates
+    of g - h over the generators g of I.  The intersection is taken on the
+    bound vectors, from the zero vector (the unit ideal), one ``_maxima``
+    step per h, and the ideal is built once at the end; the zero vector
+    clamps every negative difference at 0, as rc(m) >= 0 on sigma_dual."""
+    _check_same_ring(I, J)
+    bounds = [(0,) * len(I.ring.sigma.rays)]
+    for h in J.rows:
+        bounds = ideals_module._maxima(bounds, [tuple(map(sub, g, h)) for g in I.rows])
+    return _from_rows(I.ring, _upset_union(I.ring, bounds))
+
+
+HUGE = 10**9
+
+
+def _ring_ideal(rng, ring, points, kinds: Counter, huge=False):
+    """The zero or the unit ideal, each one time in eight, or up to 4
+    generators among ``points``, on half of the other draws, when
+    ``huge``, each plus up to HUGE times a generator of sigma_dual."""
+    kind = rng.choice(["zero", "unit", *["gens", "huge" if huge else "gens"] * 3])
+    kinds[kind] += 1
+    if kind == "zero":
+        return zero_ideal(ring)
+    if kind == "unit":
+        return unit_ideal(ring)
+    gens = rng.sample(points, rng.randint(1, min(4, len(points))))
+    if kind == "huge":
+        rays = ring.sigma_dual.rays
+        gens = [vec_add(g, vec_scale(rng.randint(1, HUGE), rng.choice(rays))) for g in gens]
+    return minimalize(ring, gens)
+
+
+def test_colon_matches_the_every_row_reference_on_every_test_ring():
+    rng = Random(5151)
+    seen = {"I": Counter(), "J": Counter(), "answer": Counter()}
+    for ring in TEST_RINGS:
+        # no zero point: the unit ideal is drawn as its own kind
+        high, low = (lattice_points_upto(ring, n)[1:] for n in (8, 4))
+        for _ in range(150):
+            a = _ring_ideal(rng, ring, high, seen["I"])
+            b = _ring_ideal(rng, ring, low, seen["J"], huge=True)
+            got = colon(a, b)
+            assert got == reference_colon_by_every_row(a, b), (ring, a.gens, b.gens)
+            seen["answer"][got.is_zero() or got.is_unit() or got == a] += 1
+    assert min(seen["I"].values()) >= 150 and len(seen["I"]) == 3, seen
+    assert min(seen["J"].values()) >= 150 and len(seen["J"]) == 4, seen
+    assert seen["answer"][False] >= 400, seen
+
+
 # -- reference: intersect and colon before the up-set kernel ----------------
 # The componentwise formulas, orthant rings only; kept here only to check the
 # kernel against them.
