@@ -17,7 +17,6 @@ import inspect
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import prod
 from operator import mul
 from random import Random
@@ -104,6 +103,15 @@ def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     member iff its bit is set in the AND of the table shifted by every
     distinct c.  The table has prod(2*hi_k + 1) bits, fewer than 2**d times
     the box, whatever J is.
+
+    The box [0, hi] is one such product, of the repunits with a bit at each
+    t * s_k, 0 <= t <= hi_k, and ANDed with it the shifted tables leave
+    the members.  They form an up-set of the box, so a member m is minimal
+    iff no m - e_k is a member: iff its bit is clear in members << s_k for
+    each k with hi_k > 0 (m_k + 1 <= hi_k + 1 < 2*hi_k + 1 keeps m + e_k in
+    its own coordinate range; with hi_k = 0 no member has m_k > 0).  Only
+    the minimal members, read off their bit positions, go to
+    ``minimalize``.
     """
     idl._check_same_ring(I, J)
     ring = I.ring
@@ -118,12 +126,21 @@ def brute_force_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         for x, stride, n in zip(h, strides, sizes):
             up *= ((1 << (n - x) * stride) - 1) // ((1 << stride) - 1) << x * stride
         table |= up
-    bits = -1  # every bit: m*J lies in I for the zero ideal J
-    for c in {tuple(map(min, g, hi)) for g in J.gens}:
-        bits &= table >> sum(map(mul, c, strides))
-    box = product(*(range(x + 1) for x in hi))
-    members = [m for m in box if bits >> sum(map(mul, m, strides)) & 1]
-    return idl.minimalize(ring, members)
+    members = 1
+    for x, stride in zip(hi, strides):
+        members *= ((1 << (x + 1) * stride) - 1) // ((1 << stride) - 1)
+    for c in {tuple(map(min, g, hi)) for g in J.gens}:  # none: m*0 lies in I
+        members &= table >> sum(map(mul, c, strides))
+    minimal = members
+    for x, stride in zip(hi, strides):
+        if x:
+            minimal &= ~(members << stride)
+    gens = []
+    while minimal:
+        pos = (minimal & -minimal).bit_length() - 1
+        gens.append(tuple(pos // stride % n for stride, n in zip(strides, sizes)))
+        minimal &= minimal - 1
+    return idl.minimalize(ring, gens)
 
 
 def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
@@ -134,7 +151,7 @@ def vertex_reduction(ring: ToricRing, a: MonomialIdeal) -> MonomialIdeal:
     idl._check_ideal(a)
     if a.ring != ring:
         raise InputError("vertex_reduction needs an ideal of the ring it is given")
-    points = newton_polyhedron(ring, a.gens).points
+    points = newton_polyhedron(ring, a).points
     return idl._derived(ring, points, map(dict(zip(a.gens, a.rows)).__getitem__, points))
 
 

@@ -138,7 +138,7 @@ def cmd_tau(args) -> int:
 def cmd_newton(args) -> int:
     ring = load_ring(args.ring)
     a = load_ideal(args.ideal, ring)
-    P = scale(newton_polyhedron(ring, a.gens), args.t)
+    P = scale(newton_polyhedron(ring, a), args.t)
     payload = {
         "command": "newton",
         "t": P.scale,

@@ -5,16 +5,19 @@ verdicts that carry the examined range: stabilization is evidence, not
 proof, and the verdict names say so.  The socle route grades the injective
 hull by -sigma_dual and tests emptiness of an exact lattice-point
 intersection, nonempty iff it holds one of the finitely many
-sigma_dual-maximal lattice points ("corners") of (q-1)*w - sigma_dual; so
-each q costs one integer facet test (``polyhedra.lattice_inequalities``) per
-corner, and the socle oracle needs only the largest q of the sweep.  Its
-t*P(a) comes, with the request checked, from ``tau._scaled_polyhedron``,
-the one builder that tau uses too.  The root route climbs the chain of
-trace roots C_q (``ideals.trace_root``) over the q with (q-1)*w a lattice
-point and reads no Newton polyhedron: it reads each power a^n only through
-the floors of its ray coordinates (``ideals._floors``), taken from the sums
-of the multisets of n of a's rows; C_q and both its checks stay on ray
-coordinates, and only the returned value becomes points.
+sigma_dual-maximal lattice points ("corners") of (q-1)*w - sigma_dual.  The
+corners are made once per ring and q, on ints (``_socle_corners``), and
+each q costs one integer facet test per corner, compiled from the integer
+corner over q by the core ``polyhedra._compile`` with no check; the socle
+oracle needs only the largest q of the sweep.  Its t*P(a) comes, with the
+request checked, from ``tau._scaled_polyhedron``, the one builder that tau
+uses too, which hands ``polyhedra.newton_polyhedron`` the ideal itself.
+The root route climbs the chain of trace roots C_q (``ideals.trace_root``)
+over the q with (q-1)*w a lattice point and reads no Newton polyhedron: it
+reads each power a^n only through the floors of its ray coordinates
+(``ideals._floors``), taken from the sums of the multisets of n of a's
+rows; C_q and both its checks stay on ray coordinates, and only the
+returned value becomes points.
 Both tight-closure searches are one search (``_multiplier_searches``): c
 works at q iff c*z^q*A_q lies in B_q, on ray coordinates, with (A_q, B_q)
 = (a^ceil(tq), I^[q]) for tight closure and (the unit ideal, the q-th
@@ -61,7 +64,7 @@ from .ideals import (  # noqa: F401
 )
 from .lattice import IntVec, ToricRing, check_ring, int_scalar, int_vector, int_vectors
 from .lattice import pairing, pairing_columns, sequence, vec_add, vec_neg, vec_scale, vec_sub
-from .polyhedra import NewtonPolyhedron, exponent, lattice_inequalities
+from .polyhedra import NewtonPolyhedron, _compile, exponent
 # newton_polyhedron is bound here only for perfbench/layers.py, which wraps
 # it at this module; the socle route builds t*P(a) in tau._scaled_polyhedron
 from .polyhedra import newton_polyhedron  # noqa: F401
@@ -142,34 +145,38 @@ def _check_q(q: int, p: int) -> None:
         raise InputError(f"q = {q} is not a power of p = {p}")
 
 
-@cache
 def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
     """The minimal generators, in (l, lex) order, of the up-set of the ray
     coordinates >= (c, ..., c) (``ideals._upset_union``; the origin alone at
-    c = 0), computed once per ring and residue class of q - 1."""
+    c = 0)."""
     rows = _upset_union(ring, [(c,) * len(ring.sigma.rays)])
     return tuple(by_degree(ring, _from_rows(ring, rows).gens))
 
 
-def _socle_corners(ring: ToricRing, q: int) -> list[IntVec]:
-    """The sigma_dual-maximal lattice points of (q-1)*w - sigma_dual.
+@cache
+def _socle_corners(ring: ToricRing, q: int) -> tuple[IntVec, ...]:
+    """The sigma_dual-maximal lattice points of (q-1)*w - sigma_dual, made
+    once per ring and q, on ints alone.
 
     With r the Gorenstein index and c = -(q-1) mod r, top = q-1+c is the
-    least multiple of r not below q-1, so top*w is a lattice point, and
-    x = top*w - y lies in (q-1)*w - sigma_dual iff <y, n_i> >= c for every
-    ray n_i of sigma.  Those y form an up-closed set, so the corners are
-    top*w minus its minimal generators (``_corner_offsets``); for c = 0
-    (always on Gorenstein rings) that leaves (q-1)*w itself.
+    least multiple of r not below q-1, so top*w = (top/r)*(r*w) is a
+    lattice point (``ToricRing.index_w``), and x = top*w - y lies in
+    (q-1)*w - sigma_dual iff <y, n_i> >= c for every ray n_i of sigma.
+    Those y form an up-closed set, so the corners are top*w minus its
+    minimal generators (``_corner_offsets``); for c = 0 (always on
+    Gorenstein rings) that leaves (q-1)*w itself.
     """
-    c = (1 - q) % ring.gorenstein_index
-    topw = tuple(int((q - 1 + c) * x) for x in ring.w)
-    return [vec_sub(topw, y) for y in _corner_offsets(ring, c)]
+    r = ring.gorenstein_index
+    c = (1 - q) % r
+    topw = vec_scale((q - 1 + c) // r, ring.index_w())
+    return tuple(vec_sub(topw, y) for y in _corner_offsets(ring, c))
 
 
 def _corner_inequalities(ring: ToricRing, tP: NewtonPolyhedron, q: int):
     """(corner x, integer facet pairs of the m with m + x/q in tP) per
-    corner, the shift given as the integer x and the one denominator q."""
-    return [(x, lattice_inequalities(tP, x, den=q)) for x in _socle_corners(ring, q)]
+    corner: the compile core ``polyhedra._compile`` of the integer corner
+    x over the one denominator q, both checked already."""
+    return [(x, _compile(tP, x, q, strict=False)) for x in _socle_corners(ring, q)]
 
 
 def _socle_witness(ring: ToricRing, tP: NewtonPolyhedron, u: IntVec, q: int):

@@ -82,7 +82,7 @@ def _covers(lower, upper) -> bool:
 
 
 @dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(polyhedra.CanonicalGenerators):
     """An ideal of ``ring`` given by its generators' exponents, checked when
     it is made: the fields must be a ToricRing and a tuple of tuples of ints
     (InputError otherwise), each generator of length d
@@ -412,5 +412,5 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
         raise InputError("integral closure of the zero ideal is undefined")
     # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and
     # dropped; read through the module, where perfbench/layers.py wraps it
-    ineqs = polyhedra.lattice_inequalities(polyhedra.newton_polyhedron(I.ring, I.gens))
+    ineqs = polyhedra.lattice_inequalities(polyhedra.newton_polyhedron(I.ring, I))
     return _derived(I.ring, *_union(I.ring, [ineqs])[0])

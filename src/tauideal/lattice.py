@@ -9,7 +9,8 @@ double description tracks each ray's tight set as an integer bitmask over
 the inserted halfspaces and tests adjacency and extremality on those masks
 alone, so it needs no rank computation; a caller whose halfspaces begin with
 a known cone's facets lifted by one coordinate starts it from that cone's
-state (``_prism``) and inserts only its own.  Its integer kernels are single
+state (``_prism``) and inserts only its own, a first (v, 1) in closed form
+(``_lifted``).  Its integer kernels are single
 passes: each pairing is ``sum(map(mul, ...))``, ``primitivize`` one gcd
 call that leaves a primitive vector as it is, and every new ray or
 lineality vector one fused a*u - b*v (``_combine``).  All other linear
@@ -327,7 +328,9 @@ def dual_extreme_rays(halfspaces, base: Cone | None = None) -> list[IntVec]:
     convex; K is pointed, so modulo the line R*(0, ..., 0, 1) the extreme
     rays of K x R are the (n, 0) over the extreme rays n of K, primitive as
     n is, and the line pairs to zero with every (h, 0).  Each mask is read
-    off the pairings, so it is the ray's tight set.
+    off the pairings, so it is the ray's tight set.  A first given
+    halfspace (v, 1), as every Newton polyhedron's and the degree bound's
+    is, is inserted in closed form (``_lifted``).
     """
     halfspaces = int_vectors(halfspaces)
     if base is None:
@@ -345,6 +348,9 @@ def dual_extreme_rays(halfspaces, base: Cone | None = None) -> list[IntVec]:
         if not any(h):
             raise ZeroVectorError("zero halfspace normal")
 
+    if base is not None and halfspaces and halfspaces[0][-1] == 1:
+        lineality, rays = _lifted(start, halfspaces[0], 1 << len(inserted))
+        inserted, halfspaces = (*inserted, halfspaces[0]), halfspaces[1:]
     for i, h in enumerate(halfspaces, len(inserted)):
         lineality, rays = _insert(lineality, rays, h, 1 << i)
 
@@ -373,6 +379,26 @@ def _prism(cone: Cone):
     masks = [sum(1 << i for i, v in enumerate(row) if not v)
              for row in zip(*pairing_columns(rays, inserted))]
     return tuple(inserted), ((0,) * cone.dim + (1,),), tuple(zip(rays, masks))
+
+
+def _lifted(start, h, bit):
+    """The state ``_insert`` reaches from a ``_prism`` state whose rays and
+    masks are ``start`` on inserting h = (v, 1) with mask bit ``bit``: no
+    lineality, each ray (n, 0) as (n, -<n, v>) with its mask | bit, and
+    the ray (0, ..., 0, 1) with mask bit - 1.
+
+    Proof: the prism's lineality space is spanned by l0 = (0, ..., 0, 1)
+    alone, and <l0, h> = 1, so ``_insert`` takes its projection branch
+    with d0 = 1 and keeps no lineality vector.  It maps each ray
+    r = (n, 0) to 1*r - <r, h>*l0 = (n, -<n, v>), tight on r's halfspaces,
+    as l0 pairs to zero with each of them, and on h.  Its first entries
+    are n's, whose gcd is 1, so it is primitive and ``primitivize`` keeps
+    it; distinct n give distinct rays, so no ``setdefault`` meets one
+    twice.  Last, l0 becomes a ray tight on every halfspace before h."""
+    v = h[:-1]
+    rays = {n[:-1] + (-sum(map(mul, n, v)),): mask | bit for n, mask in start}
+    rays[(0,) * len(v) + (1,)] = bit - 1
+    return [], rays
 
 
 def _extreme(vectors, halfspaces) -> list[IntVec]:
@@ -487,6 +513,12 @@ class ToricRing:
 
     def is_orthant(self) -> bool:
         return set(self.sigma.rays) == set(unit_vectors(self.d))
+
+    def index_w(self) -> IntVec:
+        """r*w, r the Gorenstein index: the least multiple of w that is a
+        lattice point, as ints."""
+        r = self.gorenstein_index
+        return tuple([x.numerator * (r // x.denominator) for x in self.w])
 
     def is_smooth(self) -> bool:
         """Does sigma have d rays with D = 1 in their ``left_inverse``?  Then

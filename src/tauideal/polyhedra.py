@@ -1,31 +1,40 @@
 """Newton polyhedra of monomial ideals.
 
 A Newton polyhedron is conv(generator exponents) + sigma_dual, stored as its
-irredundant facets: those of the cone over the generators (checked to lie
-in sigma_dual), homogenized in one more dimension.  ``newton_polyhedron``
-finds them from proven vertices first (the generators with lex-least
-rotated ray coordinates): one double description on those, one batched
-containment test of the other generators against its facets, and a second
-double description, on all the generators, only when one of them cuts that
-cone.  Both start from sigma x R, the cone the rays of sigma_dual cut
-(``lattice.dual_extreme_rays`` on the base sigma), so each inserts only
-generators.  A polyhedron keeps its scale-1 facets as integer pairs (a, b),
-and t*P keeps the same pairs with t: every membership test reads only these
-facets, compiled by ``lattice_inequalities`` into integer bounds from t's
-numerator and denominator, with one lcm per call and an integer floor or
-ceiling division per facet.  The vertices are the generators that span
-extreme rays of that cone, kept as integer points.  The Fractions of
+irredundant facets: those of the cone over the generators (in sigma_dual),
+homogenized in one more dimension.  ``newton_polyhedron`` is the one
+builder.  It reads a canonical ideal (``CanonicalGenerators``, which
+``ideals.MonomialIdeal`` is) as it is: its minimal generators and the
+columns of its rows; raw exponents are checked, deduplicated and paired
+with the rays of sigma first, and both go on to one body.  It finds the
+facets from proven vertices first (the generators with lex-least rotated
+ray coordinates, ``_rotation_minima``): one double description on those,
+one batched containment test of the other generators against its facets,
+and a second double description, on all the generators, only when one of
+them cuts that cone.  Both start from sigma x R, the cone the rays of
+sigma_dual cut (``lattice.dual_extreme_rays`` on the base sigma), and
+insert only generators, the first in closed form.  A polyhedron keeps its
+scale-1 facets as integer pairs (a, b), and t*P keeps the same pairs with
+t: every membership test reads only these facets, compiled into integer
+bounds from t's numerator and denominator, with one lcm per call and an
+integer floor or ceiling division per facet.  ``lattice_inequalities``
+checks a polyhedron and a rational shift and compiles them with the core
+``_compile``, which the routes call once each with the integer shifts they
+hold: tau with r*w over the Gorenstein index r, the socle oracle with each
+integer corner over q.  The vertices are the generators that span extreme
+rays of that cone, kept as integer points.  The Fractions of
 ``NewtonPolyhedron.inequalities`` (the right-hand sides t*b) and
 ``NewtonPolyhedron.vertices`` are made only when read.  The recession rays
 are those of sigma_dual.
 Every exponent t enters through ``exponent``, which refuses anything but a
-finite rational t >= 0 with InputError; ``scale`` reads it, and the routes,
-whose t is checked already, call ``_scaled`` below that check.
+finite rational t >= 0 with InputError and returns a Fraction >= 0 as it
+is; ``scale`` reads it, and the routes, whose t is checked already, call
+``_scaled`` below that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -103,7 +112,10 @@ def exponent(t) -> Fraction:
     """The exponent t as an exact rational; InputError unless t is a
     finite rational >= 0 (an int, a Fraction, a float or a string such as
     "3/2" or "1.5"; a bool is not read as 0 or 1, nor a string in exponent
-    notation, as "1e999999999" would build a billion-digit int)."""
+    notation, as "1e999999999" would build a billion-digit int).  A
+    Fraction >= 0 is returned as it is."""
+    if type(t) is Fraction and t >= 0:
+        return t
     if isinstance(t, bool):
         raise InputError(f"the exponent must be a number, got {t!r}")
     if isinstance(t, str) and "e" in t.lower():
@@ -124,19 +136,9 @@ def lattice_inequalities(
     m + shift/den in P (in its interior if ``strict``): each pair means
     <m, a> >= c.  P must be a NewtonPolyhedron, the shift's entries ints or
     Fractions (``lattice.rational_vector``) and den an int >= 1 (InputError
-    otherwise).  P's normals lie in sigma and every c is an int, so the
-    pairs go to the up-set kernel's cores (``enumeration._union``) as they
-    are.
-
-    For integer <m, a>, <m + s, a> > t*b iff <m, a> >= floor(t*b - <s, a>)
-    + 1, and <m + s, a> >= t*b iff <m, a> >= ceil(t*b - <s, a>).  With
-    t = u/v and L the lcm of v and the denominators of s (one lcm call),
-    L*t*b = (u*(L/v))*b and L*s are integer, so c is the floor or ceiling of
-    the integer quotient ((u*(L/v))*b - <L*s, a>) / L, for P's integer
-    pairs (a, b) of ``NewtonPolyhedron.bounds``.  Facet normals lie in
-    sigma, so every m in sigma_dual meets a bound c <= 0; those are left
-    out.
-    """
+    otherwise).  The shift is brought to integers over one denominator
+    (one lcm call) and compiled by ``_compile``, the core that the routes
+    call with values they hold already."""
     if not isinstance(P, NewtonPolyhedron):
         raise InputError(f"expected a NewtonPolyhedron, got {P!r}")
     shift = (0,) * P.dim if shift is None else rational_vector(shift)
@@ -144,14 +146,34 @@ def lattice_inequalities(
         raise DimensionMismatchError(f"length {len(shift)} vs {P.dim}")
     if int_scalar("den", den) < 1:
         raise InputError(f"the shift's denominator must be positive, got {den}")
+    e = lcm(*(x.denominator for x in shift))
+    return _compile(P, [x.numerator * (e // x.denominator) for x in shift], den * e, strict)
+
+
+def _compile(
+    P: NewtonPolyhedron, shift, den: int, strict: bool
+) -> tuple[tuple[IntVec, int], ...]:
+    """``lattice_inequalities`` with no check, for a shift of ints of length
+    P.dim over the int den >= 1: tau's (the ring's r*w over its Gorenstein
+    index r) and the socle corners' (an integer corner over q).  P's
+    normals lie in sigma and every c is an int, so the pairs go to the
+    up-set kernel's cores (``enumeration._union``) as they are.
+
+    For integer <m, a> and s = shift/den, <m + s, a> > t*b iff <m, a> >=
+    floor(t*b - <s, a>) + 1, and <m + s, a> >= t*b iff <m, a> >=
+    ceil(t*b - <s, a>).  With t = u/v and L the lcm of v and den,
+    L*t*b = (u*(L/v))*b and L*s = (L/den)*shift are integer, so c is the
+    floor or ceiling of the integer quotient
+    ((u*(L/v))*b - (L/den)*<shift, a>) / L, for P's integer pairs (a, b)
+    of ``NewtonPolyhedron.bounds``.  Facet normals lie in sigma, so every
+    m in sigma_dual meets a bound c <= 0; those are left out.
+    """
     u, v = P.scale.numerator, P.scale.denominator
-    dens = [den * x.denominator for x in shift]
-    L = lcm(v, *dens)
-    lifted = [x.numerator * (L // e) for x, e in zip(shift, dens)]
-    lu = u * (L // v)
+    L = lcm(v, den)
+    lu, ls = u * (L // v), L // den
     out = []
     for a, b in P.bounds:
-        num = lu * b - sum(map(mul, lifted, a))
+        num = lu * b - ls * sum(map(mul, shift, a))
         c = num // L + 1 if strict else -(-num // L)
         if c > 0:
             out.append((a, c))
@@ -183,28 +205,52 @@ def _rotation_minima(columns) -> set[int]:
     """The indices of the vectors whose ray coordinate columns, read from
     column j onward cyclically in either direction, are lex-least, over
     every j.  A unique least entry of column j decides both directions;
-    otherwise whole rotated rows are compared, and distinct vectors never
-    tie, since the rays of sigma span."""
+    otherwise the vectors holding it, found once for both directions, are
+    narrowed to the least entries of the next column in each direction
+    until one is left, and distinct vectors never tie on every column,
+    since the rays of sigma span."""
     out = set()
-    index = range(len(columns[0]))
+    k = len(columns)
     for j, column in enumerate(columns):
         low = min(column)
         if column.count(low) == 1:
             out.add(column.index(low))
             continue
-        order = columns[j:] + columns[:j]
-        out.add(min(zip(*order, index))[-1])
-        if len(order) > 2:  # with two rays both directions are one order
-            out.add(min(zip(order[0], *order[:0:-1], index))[-1])
+        ties = [i for i, x in enumerate(column) if x == low]
+        # with two rays both directions are one order
+        for step in (1, -1) if k > 2 else (1,):
+            left, at = ties, j
+            while len(left) > 1:
+                at = (at + step) % k
+                col = columns[at]
+                least = min(col[i] for i in left)
+                left = [i for i in left if col[i] == least]
+            out.add(left[0])
     return out
 
 
-def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
-    """Newton polyhedron of the ideal generated by the given exponents.
+class CanonicalGenerators:
+    """A ring's canonical generators: ``ring``, ``gens`` (the minimal
+    generators, once each, in sigma_dual) and ``rows`` (their ray
+    coordinates, aligned), checked when made.  ``ideals.MonomialIdeal`` is
+    the one subclass; ``newton_polyhedron`` reads its fields as they are."""
 
-    Generators that are not a collection of sequences of ints raise
-    InputError, one of the wrong length DimensionMismatchError, one outside
-    sigma_dual SemigroupMembershipError.
+    __slots__ = ()
+
+
+def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
+    """Newton polyhedron of an ideal of the ring: of a
+    ``CanonicalGenerators`` (a ``MonomialIdeal``), or of the ideal
+    generated by raw exponents.
+
+    An ideal is read as it is: its minimal generators and the columns of
+    its rows, and P of the minimal generators is P of all of them, as the
+    others lie in the minimal ones plus sigma_dual.  One of another ring
+    raises InputError.  Raw generators that are not a collection of
+    sequences of ints raise InputError, one of the wrong length
+    DimensionMismatchError, one outside sigma_dual SemigroupMembershipError;
+    they are deduplicated and paired with the rays of sigma by that check.
+    No generators raise InputError.  Both feed the one body below.
 
     The facets are those of the cone C over the homogenized generators
     (g, 1) and rays (r, 0) of sigma_dual, found from proven vertices first.
@@ -238,10 +284,16 @@ def newton_polyhedron(ring: ToricRing, generators) -> NewtonPolyhedron:
     not extreme has dimension 2 or more and an extreme ray off s = 0,
     which is another (g', 1) tight on all of those facets.
     """
-    gens = list(set(int_vectors(generators)))
+    if isinstance(generators, CanonicalGenerators):
+        if generators.ring != ring:
+            raise InputError("the ideal does not belong to the given ring")
+        gens, columns = generators.gens, list(zip(*generators.rows))
+    else:
+        gens = list(set(int_vectors(generators)))
+        columns = member_columns(check_ring(ring), gens)
     if not gens:
         raise InputError("Newton polyhedron of the zero ideal is undefined")
-    picked = _rotation_minima(member_columns(check_ring(ring), gens))
+    picked = _rotation_minima(columns)
     d = ring.d
     candidates = sorted(gens[i] + (1,) for i in picked)
     facets = dual_extreme_rays(candidates, ring.sigma)
@@ -280,6 +332,5 @@ def scale(P: NewtonPolyhedron, t) -> NewtonPolyhedron:
 
 def _scaled(P: NewtonPolyhedron, t: Fraction) -> NewtonPolyhedron:
     """``scale`` with no check, for a scale-1 P and a checked t."""
-    if t == 0:
-        return replace(P, bounds=tuple(sorted((h, 0) for h in P.recession.halfspaces)), scale=t)
-    return replace(P, scale=t)
+    bounds = tuple(sorted((h, 0) for h in P.recession.halfspaces)) if t == 0 else P.bounds
+    return NewtonPolyhedron(P.dim, P.recession, bounds, t, P.points)

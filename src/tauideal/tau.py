@@ -1,9 +1,11 @@
 """Generalized test ideals of monomial ideals via the interior criterion.
 
 x^m lies in tau(a^t) exactly when m + w is in the interior of t*P(a), where
-P(a) is the Newton polyhedron and w the Q-Gorenstein vector.  That test is
-compiled once into integer facet bounds <m, a> >= c
-(``polyhedra.lattice_inequalities``); generators are found by one scan of
+P(a) is the Newton polyhedron, built from the canonical ideal a itself
+(``polyhedra.newton_polyhedron``), and w the Q-Gorenstein vector.  That
+test is compiled once into integer facet bounds <m, a> >= c by the core
+``polyhedra._compile``, from the ring's own r*w over its Gorenstein index
+r; generators are found by one scan of
 the lines of sigma_dual cap M along a ray up to a proven degree bound, at
 one floor division per pair and line (``enumeration._union``).
 ``tau_is_unit`` reads the same compile.  Every t, 0 included, takes this
@@ -24,7 +26,7 @@ from .enumeration import minimal_upset_generators  # noqa: F401
 from .ideals import minimalize  # noqa: F401
 from .lattice import IntVec, ToricRing, check_ring, int_scalar, primitivize, rank, toric_ring
 from .lattice import unit_vectors
-from .polyhedra import _scaled, exponent, lattice_inequalities, newton_polyhedron
+from .polyhedra import _compile, _scaled, exponent, newton_polyhedron
 
 
 def _check_request(ring: ToricRing, a: MonomialIdeal, t) -> Fraction:
@@ -45,14 +47,17 @@ def _scaled_polyhedron(ring: ToricRing, a: MonomialIdeal, t):
     polyhedron (tau's, and the socle route's in ``frobenius``), with P(a)
     shared on (ring, a.gens) inside a ``sharing`` block."""
     t = _check_request(ring, a, t)
-    P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a.gens))
+    P = shared(("newton", ring, a.gens), lambda: newton_polyhedron(ring, a))
     return _scaled(P, t)
 
 
 def _tau_inequalities(ring: ToricRing, a: MonomialIdeal, t):
     """The bounds (a, c), c > 0, cutting tau(a^t) out of sigma_dual cap M; none
-    at t = 0, where t*P(a) is sigma_dual and <m + w, n> > 0 as <w, n> = 1."""
-    return lattice_inequalities(_scaled_polyhedron(ring, a, t), ring.w, strict=True)
+    at t = 0, where t*P(a) is sigma_dual and <m + w, n> > 0 as <w, n> = 1.
+    The shift w is the ring's own, r*w over r (``ToricRing.index_w``), so
+    the compile core ``polyhedra._compile`` reads it with no check."""
+    tP = _scaled_polyhedron(ring, a, t)
+    return _compile(tP, ring.index_w(), ring.gorenstein_index, strict=True)
 
 
 def tau(ring: ToricRing, a: MonomialIdeal, t) -> MonomialIdeal:

@@ -250,6 +250,27 @@ def test_brute_force_colon_matches_the_reference_and_colon_on_orthant_pairs():
     assert seen["answer"][False] >= 500, seen
 
 
+def test_brute_force_colon_hands_minimalize_only_the_minimal_members(monkeypatch):
+    # the members form an up-set of the box, and only its minimal points,
+    # read off the bit table, go to ``minimalize``: each is a generator
+    handed = []
+    real = campaigns.idl.minimalize
+    monkeypatch.setattr(campaigns.idl, "minimalize",
+                        lambda ring, raw: handed.append(sorted(raw)) or real(ring, raw))
+    rng = Random(5050)
+    kinds = Counter()
+    for i in range(400):
+        ring = orthant_ring(i % 4 + 1)
+        top = BOX_EXPONENT[ring.d]
+        a = _orthant_ideal(rng, ring, top, kinds)
+        b = _orthant_ideal(rng, ring, top // 2 + 1, kinds, huge=True)
+        del handed[:]
+        got = brute_force_colon(a, b)
+        assert handed == [list(got.gens)], (a.gens, b.gens)
+        assert got == reference_brute_force_colon(a, b), (a.gens, b.gens)
+    assert kinds["gens"] >= 200, kinds
+
+
 def test_brute_force_colon_refuses_ideals_of_two_rings():
     # unchecked, ``map`` cuts the longer generators to the shorter rank and
     # answers ((0, 1), (1, 0)) for the first pair; ``colon`` refuses both
@@ -411,10 +432,10 @@ def test_crosscheck_catches_a_route_fault_planted_under_sharing(monkeypatch, fau
         faulty = {"socle_p2", "socle_p3"}
     else:
         tau_module = sys.modules["tauideal.tau"]
-        real = tau_module.lattice_inequalities
+        real = tau_module._compile
         monkeypatch.setattr(
-            tau_module, "lattice_inequalities",
-            lambda P, shift=None, strict=False: real(P, shift),
+            tau_module, "_compile",
+            lambda P, shift, den, strict: real(P, shift, den, False),
         )
         faulty = {"polyhedral"}
     rep = _cross(t)

@@ -39,6 +39,7 @@ from tauideal.lattice import (
 )
 from tauideal.polyhedra import newton_polyhedron
 from tauideal.tau import veronese_maximal_ideal, veronese_ring
+from rings import TEST_RINGS
 
 
 def brute_dual_rays(rays, d, box=6):
@@ -946,6 +947,27 @@ def test_insert_matches_the_reference_at_every_step():
             steps["crossing" if len(got[0]) < len(lin) else "cut"] += 1
             lin = got[0]
     assert steps["crossing"] >= 1000 and steps["cut"] >= 1000, steps
+
+
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_the_closed_form_first_insert_is_the_insert_step(ring):
+    # on sigma x R and sigma_dual x R, the two bases a double description
+    # starts from, ``_lifted`` reaches the state ``_insert`` reaches on
+    # (v, 1): the same lineality, rays, masks and ray order, for seeded v
+    # (the zero vector, small entries of either sign and entries past 2**64)
+    rng = Random(8181 + len(ring.sigma.rays))
+    for cone in (ring.sigma, ring.sigma_dual):
+        inserted, lineality, start = lattice._prism(cone)
+        bit = 1 << len(inserted)
+        vs = [(0,) * cone.dim]
+        vs += [tuple(rng.randint(-9, 9) for _ in range(cone.dim)) for _ in range(30)]
+        vs += [tuple(rng.randint(-2**70, 2**70) for _ in range(cone.dim)) for _ in range(5)]
+        for v in vs:
+            h = v + (1,)
+            want = lattice._insert(list(lineality), dict(start), h, bit)
+            got = lattice._lifted(start, h, bit)
+            assert got[0] == want[0] == [], (cone, v)
+            assert list(got[1].items()) == list(want[1].items()), (cone, v)
 
 
 # each entry point that reads exponent vectors meets them in

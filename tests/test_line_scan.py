@@ -212,8 +212,8 @@ def test_socle_bound_holds_on_every_corner_upset(ring, monkeypatch):
 @pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
 def test_socle_oracle_runs_no_vertex_double_description(ring, monkeypatch):
     # the corners' pair sets are bounded by the oracle's own bound or the
-    # slice argument; the ring's corners, a box union cached per residue of
-    # q - 1 that keeps the box's double description, are computed first
+    # slice argument; the ring's corners, a box union cached per ring and q
+    # that keeps the box's double description, are computed first
     for q in (4, 9):
         frobenius_module._socle_corners(ring, q)
     vertex_dds = []
@@ -283,15 +283,15 @@ def test_every_route_matches_the_walk_and_test_kernel(seed, monkeypatch):
         return reference_union(*args, **kwargs)
 
     def enter(route):
-        # the socle corners are cached per ring; each route makes its own
+        # the socle corners are cached per ring and q; each route makes its own
         kind[0] = route
-        frobenius_module._corner_offsets.cache_clear()
+        frobenius_module._socle_corners.cache_clear()
 
     # every module that binds the kernel's core by name
     for name in ("enumeration", "tau", "ideals", "frobenius"):
         monkeypatch.setattr(sys.modules[f"tauideal.{name}"], "_union", counted)
     assert route_outputs(seed, enter) == got
-    frobenius_module._corner_offsets.cache_clear()
+    frobenius_module._socle_corners.cache_clear()
     # each kind of route ran through the stand-in, so the comparison is
     # not of the kernel against itself
     assert set(calls) == ROUTE_KINDS, calls

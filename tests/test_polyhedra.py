@@ -389,6 +389,36 @@ def test_newton_polyhedron_matches_the_all_generator_reference(monkeypatch):
     assert paths[1] >= 100 and paths[2] >= 10, paths
 
 
+@pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
+def test_a_canonical_ideal_gives_the_all_generator_reference(ring):
+    """P of the ideal itself, read from its minimal generators and rows,
+    has the facets of one DD on every raw generator (duplicated,
+    non-minimal and shuffled), the vertices one more DD finds from them,
+    and equals P of the raw generators."""
+    rng = Random(5151 + 7 * len(ring.sigma.rays) + ring.d)
+    pool = lattice_points_upto(ring, 6)[1:]
+    for k in range(30):
+        gens = rng.sample(pool, 1 if k % 6 == 0 else rng.randint(2, min(8, len(pool))))
+        gens += rng.sample(gens, rng.randint(0, min(2, len(gens))))  # duplicates
+        gens += [vec_add(g, rng.choice(pool)) for g in rng.sample(gens, min(2, len(gens)))]
+        rng.shuffle(gens)
+        a = minimalize(ring, gens)
+        P = newton_polyhedron(ring, a)
+        assert P.inequalities == reference_newton_inequalities(ring, gens), (ring, gens)
+        want = reference_inequality_vertices(ring.sigma_dual, P.inequalities)
+        assert P.vertices == tuple(sorted(want)), (ring, gens)
+        assert P == newton_polyhedron(ring, gens), (ring, gens)
+
+
+def test_newton_polyhedron_refuses_an_ideal_of_another_ring_and_the_zero_ideal():
+    ring = orthant_ring(2)
+    a = minimalize(ring, [(1, 0), (0, 2)])
+    with pytest.raises(InputError, match="does not belong"):
+        newton_polyhedron(veronese_ring(2, 2), a)
+    with pytest.raises(InputError, match="zero ideal"):
+        newton_polyhedron(ring, minimalize(ring, []))
+
+
 def test_vertices_match_the_vertex_dd_reference(monkeypatch):
     """The vertices kept from the facets' double description, scaled, are
     those one more double description finds from the facets, over seeded
@@ -435,23 +465,25 @@ def _insert_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
-def test_a_principal_ideal_takes_one_insert_step(monkeypatch, ring):
-    # the double description starts from sigma x R, so only (g, 1) is inserted
+def test_a_principal_ideal_takes_no_insert_step(monkeypatch, ring):
+    # the double description starts from sigma x R, and its one halfspace
+    # (g, 1) is inserted in closed form (``lattice._lifted``)
     g = lattice_points_upto(ring, 3)[-1]
     steps = _insert_steps(monkeypatch)
     P = newton_polyhedron(ring, [g])
-    assert steps == [g + (1,)]
+    assert steps == []
     assert P.inequalities == reference_newton_inequalities(ring, [g])
 
 
 @pytest.mark.parametrize("d", range(1, 6))
-def test_an_orthant_power_takes_d_insert_steps(monkeypatch, d):
-    # m^4 on orthant(d): the d candidates 4*e_i and nothing else
+def test_an_orthant_power_takes_d_minus_one_insert_steps(monkeypatch, d):
+    # m^4 on orthant(d): the d candidates 4*e_i and nothing else, the
+    # first in closed form
     ring = orthant_ring(d)
     gens = [g for g in lattice_points_upto(ring, 4) if sum(g) == 4]
     steps = _insert_steps(monkeypatch)
     newton_polyhedron(ring, gens)
-    assert len(steps) == d
+    assert len(steps) == d - 1
 
 
 def test_a_cutting_generator_forces_the_second_double_description(monkeypatch):
@@ -497,6 +529,15 @@ def test_every_entry_point_refuses_a_bad_exponent(name):
             exponent(bad)
         with pytest.raises(InputError):
             call(bad)
+
+
+def test_exponent_returns_a_fraction_as_it_is_and_still_refuses_the_rest():
+    t = Fraction(7, 3)
+    assert exponent(t) is t
+    assert exponent(Fraction(0)) == 0
+    for bad in (True, False, Fraction(-1, 2), Fraction(-3), "1e3", "2E-1"):
+        with pytest.raises(InputError):
+            exponent(bad)
 
 
 def test_exponent_reads_exact_rationals():

@@ -174,6 +174,57 @@ SEEDED_LOOPS = {
 }
 
 
+# The callers of the compile core ``polyhedra._compile``, which trusts its
+# polyhedron, integer shift and denominator: the checked entry
+# ``lattice_inequalities`` and the two routes that hold those values
+# already (tau's r*w over r, the socle corners over q).  A route that
+# compiles through the entry again, or a new caller of the core, shows up
+# as a diff here.
+COMPILE_CORE_CALLERS = {
+    "frobenius.py:_corner_inequalities",
+    "polyhedra.py:lattice_inequalities",
+    "tau.py:_tau_inequalities",
+}
+
+
+def test_the_compile_core_has_exactly_the_pinned_callers():
+    assert _package_callers(("_compile",)) == COMPILE_CORE_CALLERS
+
+
+def test_newton_polyhedron_is_the_one_newton_builder():
+    # a NewtonPolyhedron is made only by ``newton_polyhedron``, the one
+    # place that picks vertex candidates, and rescaled by ``_scaled``; the
+    # closed-form first insert runs only inside the double description;
+    # every package caller hands ``newton_polyhedron`` the ideal itself,
+    # not its generators.  A second builder, or a caller that sends a
+    # checked ideal's generators through the raw check, shows up as a
+    # diff here
+    assert _package_callers(("NewtonPolyhedron",)) == {
+        "polyhedra.py:_scaled",
+        "polyhedra.py:newton_polyhedron",
+    }
+    assert _package_callers(("_rotation_minima",)) == {"polyhedra.py:newton_polyhedron"}
+    assert _package_callers(("_lifted",)) == {"lattice.py:dual_extreme_rays"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    (f"{path.name}:{func.name}", ast.unparse(node.args[1]))
+                    for node in _own_nodes(func)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "newton_polyhedron"
+                }
+    assert found == {
+        ("campaigns.py:vertex_reduction", "a"),
+        ("cli.py:cmd_newton", "a"),
+        ("ideals.py:integral_closure", "I"),
+        ("tau.py:_scaled_polyhedron", "a"),
+    }
+
+
 def test_random_is_seeded_only_by_the_pinned_loops():
     assert _package_callers(("Random",)) == SEEDED_LOOPS
 
@@ -495,9 +546,10 @@ def test_checks_have_exactly_the_pinned_callers():
 
 def test_a_tau_call_reads_its_exponent_and_generators_once(monkeypatch):
     # tau checks t once (``tau._check_request``; ``scale`` read it again),
-    # newton_polyhedron scans the generators' entry types once
-    # (``int_vectors``; ``semigroup_columns`` scanned them again), and the
-    # result is made without the constructor's check
+    # newton_polyhedron reads the ideal's generators and rows as they are,
+    # with no scan of their entry types (``int_vectors`` scanned them once,
+    # and ``semigroup_columns`` once more before that), and the result is
+    # made without the constructor's check
     import sys
     from collections import Counter
     from fractions import Fraction
@@ -521,4 +573,4 @@ def test_a_tau_call_reads_its_exponent_and_generators_once(monkeypatch):
             count(polyhedra, name)
     count(MonomialIdeal, "__post_init__")
     tau(ring, a, Fraction(3, 2))
-    assert calls == {"exponent": 1, "int_vectors": 1}
+    assert calls == {"exponent": 1}
