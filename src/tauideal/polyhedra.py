@@ -52,7 +52,6 @@ from .lattice import (
     int_scalar,
     int_vectors,
     member_columns,
-    pairing,
     pairing_columns,
     rational_vector,
 )
@@ -92,18 +91,21 @@ class NewtonPolyhedron:
 
     def contains(self, p, strict: bool = False) -> bool:
         """Closed (or strict/interior) membership of a rational point, whose
-        entries are ints or Fractions (``lattice.rational_vector``)."""
+        entries are ints or Fractions (``lattice.rational_vector``).  The
+        point is brought once over one denominator e, as x/e, and with
+        t = u/v, <x/e, a> >= t*b iff v*<x, a> >= u*e*b: one integer
+        comparison per pair (a, b) of ``bounds``, with no Fraction."""
         p = rational_vector(p)
         if len(p) != self.dim:
             raise DimensionMismatchError(
                 f"point length {len(p)}, polyhedron dimension {self.dim}"
             )
-        for a, b in self.inequalities:
-            v = pairing(p, a)
-            if strict:
-                if v <= b:
-                    return False
-            elif v < b:
+        e = lcm(*(x.denominator for x in p))
+        x = [y.numerator * (e // y.denominator) for y in p]
+        v, ue = self.scale.denominator, self.scale.numerator * e
+        for a, b in self.bounds:
+            lhs, rhs = v * sum(map(mul, x, a)), ue * b
+            if lhs < rhs or strict and lhs == rhs:
                 return False
         return True
 
