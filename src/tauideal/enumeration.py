@@ -4,10 +4,12 @@ The enumeration is graded by the strictly positive functional l(x) = sum_i
 <x, n_i> over the cone generators, derived once per ring with what every
 bound reads (the Hilbert basis, sigma_dual's ray degrees) in its record
 ``_Lines``, the module's one cache.  Every up-set it serves is cut out of
-sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, and
-``degree_bound`` proves from those pairs a degree B above which no minimal
-generator lies; a caller that proved a bound from its own data (the socle
-oracle) hands it to the union in place of the double description.
+sigma_dual cap M by integer facet pairs (a, c), <m, a> >= c, all made by
+one core, ``polyhedra._compile``, and ``degree_bound`` proves from those
+pairs a degree B above which no minimal generator lies.  Its core
+``_degree_bound`` is the one rule for which bound applies: the slice bound
+where it covers the pairs, else a bound the caller proved from its own
+data (the socle oracle), else the vertex double description's.
 The up-set kernel ``minimal_upset_generators`` scans sigma_dual cap M a
 line at a time along one extreme ray r of sigma_dual (``_Lines``): the
 members on a line form a half-line whose least point comes from one floor
@@ -16,15 +18,15 @@ work follows the lines up to degree B, about B^(d-1) of them, and not
 their B^d points.  The lines' bottoms come from a semigroup walk over
 the Hilbert basis without r, kept in the record, the package's one walk:
 ``lattice_points_upto`` reads every point off them as a bottom plus a
-multiple of r.  ``_union`` is the package's one up-set kernel call:
-a box of ray coordinates that one lattice point realizes has
-that point as its generator (on a smooth sigma every box, with no solve),
-and the rest of a union of up-sets is scanned once, up to the largest
-bound; it hands back the generators with their ray coordinates, or these
-alone.  The entries ``upset_union`` and ``degree_bound`` check
-their ring, pairs and boxes (``_check_union``) and call the cores
-``_union`` and ``_degree_bound``, which trust theirs: the package calls the
-cores with the pairs and boxes it derived from checked values.
+multiple of r.  ``_union`` is the package's one up-set kernel call: a box
+of ray coordinates that one lattice point realizes has that point as its
+generator (on a smooth sigma every box, with no solve), and the rest of a
+union of up-sets is scanned once, up to the largest bound; it hands back
+the generators with their ray coordinates, or these alone.  The entries
+``upset_union`` and ``degree_bound`` check their ring, integer pairs and
+boxes (``_check_union``) and call the cores ``_union`` and
+``_degree_bound``, which trust theirs: the package calls the cores with
+the pairs and boxes it derived from checked values.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from itertools import chain, product, repeat
 from operator import add, mul, sub
 
 from .errors import DimensionMismatchError, InputError
-from .lattice import IntVec, ToricRing, _points, check_ring, int_scalar
-from .lattice import int_vectors, minimal_vectors_orthant, pairing, pairing_columns
-from .lattice import rational_vector, sequence
+from .lattice import IntVec, ToricRing, _points, check_ring, int_scalar, int_vector
+from .lattice import int_vectors, minimal_vectors_orthant, pairing, pairing_columns, sequence
 from .polyhedra import _vertex_rays
 
 
@@ -97,9 +98,13 @@ def degree_bound(ring: ToricRing, ineqs) -> int:
     return _degree_bound(ring, ineqs)
 
 
-def _degree_bound(ring: ToricRing, ineqs) -> int:
-    """``degree_bound`` of pairs the package derived for the ring."""
-    bound = _slice_bound(ring, ineqs)
+def _degree_bound(ring: ToricRing, ineqs, bound: int | None = None) -> int:
+    """``degree_bound`` of pairs the package derived for the ring: the
+    slice bound where it covers the pairs, else ``bound``, one the caller
+    proved for the up-set, else the Caratheodory bound."""
+    sliced = _slice_bound(ring, ineqs)
+    if sliced is not None:
+        return sliced
     if bound is not None:
         return bound
     vertices, lines = _vertex_rays(ring.sigma_dual, ineqs), _lines(ring)
@@ -112,9 +117,10 @@ def _check_union(ring: ToricRing, ineq_sets, boxes=()) -> tuple[tuple, tuple]:
     """The pair sets as tuples of pairs (a, c) and the boxes as tuples, after
     ``check_ring``: InputError for a pair that is not a pair, a normal a
     that is not an int sequence or lies outside sigma (<r, a> < 0 for a ray
-    r of sigma_dual, so not up-closed), a c not an int or a Fraction, or a
-    box entry not an int >= 0; DimensionMismatchError for a normal not of
-    length d or a box not of one entry per ray of sigma."""
+    r of sigma_dual, so not up-closed), a c that is not an int (the
+    package's one producer of pairs, ``polyhedra._compile``, makes ints),
+    or a box entry not an int >= 0; DimensionMismatchError for a normal not
+    of length d or a box not of one entry per ray of sigma."""
     check_ring(ring)
     boxes, k = tuple(int_vectors(boxes)), len(ring.sigma.rays)
     if not {k}.issuperset(map(len, boxes)):
@@ -131,7 +137,7 @@ def _check_union(ring: ToricRing, ineq_sets, boxes=()) -> tuple[tuple, tuple]:
         if pairs and min(map(min, columns)) < 0:
             bad = next(a for a, *ra in zip(normals, *columns) if min(ra) < 0)
             raise InputError(f"the pair normal {bad} lies outside sigma")
-        sets.append(tuple(zip(normals, rational_vector(c for _, c in pairs))))
+        sets.append(tuple(zip(normals, int_vector(c for _, c in pairs))))
     return tuple(sets), boxes
 
 
@@ -297,9 +303,9 @@ def lattice_points_upto(ring: ToricRing, bound: int) -> list[IntVec]:
 
 def least_offsets(ring: ToricRing, ineq_sets, bound: int):
     """The per-line callback of ``minimal_upset_generators`` for the union
-    of the up-sets the integer pair sets cut out (a rational c acts as
-    ceil(c)): it maps a list of bottoms b to the least k >= 0 with b + k*r
-    a member, r the ray of ``_Lines``.
+    of the up-sets the integer pair sets cut out: it maps a list of
+    bottoms b to the least k >= 0 with b + k*r a member, r the ray of
+    ``_Lines``.
 
     The normals a lie in sigma, so <r, a> >= 0.  For one set, b + k*r is a
     member iff <b, a> + k*<r, a> >= c for every pair: for <r, a> > 0 that
@@ -313,7 +319,7 @@ def least_offsets(ring: ToricRing, ineq_sets, bound: int):
     """
     r = _lines(ring).r
     far = bound + 1
-    sets = [[(a, -(-c // 1), pairing(r, a)) for a, c in ineqs] for ineqs in ineq_sets]
+    sets = [[(a, c, pairing(r, a)) for a, c in ineqs] for ineqs in ineq_sets]
     normals = list({a: None for ineqs in ineq_sets for a, _ in ineqs})
 
     def offsets(bottoms):
@@ -441,21 +447,15 @@ class _Union:
         # points of distinct minimal boxes divide none of each other
         self.scanned = not others
         self.output = None
-        self.proven = self.slices = None
+        self.tops: dict[int | None, int] = {}
 
     def top(self, bound: int | None) -> int:
-        """The degree the scan runs to for a caller's ``bound``: with none,
-        the largest ``degree_bound`` over the sets to scan; else the largest
-        over them of the slice bound (``_slice_bound``) or, where the slice
-        argument does not cover a set, ``bound``.  The sets' bounds are
-        worked out once per union."""
-        if bound is None:
-            if self.proven is None:
-                self.proven = max(_degree_bound(self.ring, ineqs) for ineqs in self.others)
-            return self.proven
-        if self.slices is None:
-            self.slices = [_slice_bound(self.ring, ineqs) for ineqs in self.others]
-        return max(bound if b is None else b for b in self.slices)
+        """The degree the scan runs to for a caller's ``bound``: the
+        largest ``_degree_bound`` over the sets to scan, worked out once per
+        union and bound."""
+        if bound not in self.tops:
+            self.tops[bound] = max(_degree_bound(self.ring, ineqs, bound) for ineqs in self.others)
+        return self.tops[bound]
 
     def scan(self, top: int) -> None:
         """Scan the sets up to degree ``top``, once, and merge their
@@ -511,17 +511,14 @@ def _union(
     member, so it is the box's only generator; ``lattice._points`` finds it
     where it exists, and on a smooth sigma it always exists, so there v
     itself is the box's row, and its point is made only for generators.
-    The other boxes and sets are
-    scanned together by one ``minimal_upset_generators`` call, up to the
-    largest of their degree bounds, as a minimal generator of a union is
-    one of some member, and merged with the realized points on ray
-    coordinates.  A set's bound is its slice bound where the slice argument
-    of ``degree_bound`` covers it; else ``bound``, a degree bound the caller
-    proved for every member of the union, which stands in for the vertex
-    double description; else ``degree_bound``'s.  The count is of the lines
-    up to the largest of those bounds, the prefix of bottoms that
-    ``_Lines.grow`` of it gives the kernel; 0 when the realized points are
-    the whole answer.
+    The other boxes and sets are scanned together by one
+    ``minimal_upset_generators`` call, up to the largest of their degree
+    bounds, as a minimal generator of a union is one of some member, and
+    merged with the realized points on ray coordinates.  A set's bound is
+    its ``_degree_bound`` with ``bound``, a degree bound the caller proved
+    for every member of the union.  The count is of the lines up to the
+    largest of those bounds, the prefix of bottoms that ``_Lines.grow`` of
+    it gives the kernel; 0 when the realized points are the whole answer.
 
     Inside a ``sharing`` block the split and the scan are made once per
     (ring, pair sets, boxes), and each call takes its own bound, so the

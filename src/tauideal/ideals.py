@@ -412,5 +412,6 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
         raise InputError("integral closure of the zero ideal is undefined")
     # the unit ideal's polyhedron is sigma_dual, whose bounds are all 0 and
     # dropped; read through the module, where perfbench/layers.py wraps it
-    ineqs = polyhedra.lattice_inequalities(polyhedra.newton_polyhedron(I.ring, I))
+    P = polyhedra.newton_polyhedron(I.ring, I)
+    ineqs = polyhedra._compile(P, (0,) * P.dim, 1, strict=False)
     return _derived(I.ring, *_union(I.ring, [ineqs])[0])

@@ -15,17 +15,17 @@ them cuts that cone.  Both start from sigma x R, the cone the rays of
 sigma_dual cut (``lattice.dual_extreme_rays`` on the base sigma), and
 insert only generators, the first in closed form.  A polyhedron keeps its
 scale-1 facets as integer pairs (a, b), and t*P keeps the same pairs with
-t: every membership test reads only these facets, compiled into integer
-bounds from t's numerator and denominator, with one lcm per call and an
-integer floor or ceiling division per facet.  ``lattice_inequalities``
-checks a polyhedron and a rational shift and compiles them with the core
-``_compile``, which the routes call once each with the integer shifts they
-hold: tau with r*w over the Gorenstein index r, the socle oracle with each
-integer corner over q.  The vertices are the generators that span extreme
-rays of that cone, kept as integer points.  The Fractions of
-``NewtonPolyhedron.inequalities`` (the right-hand sides t*b) and
-``NewtonPolyhedron.vertices`` are made only when read.  The recession rays
-are those of sigma_dual.
+t: every membership test reads only these facets, on integers.
+``_compile``, the one producer of the integer pairs the up-set kernel
+reads, compiles them for m + shift in tP with one lcm per call and an
+integer division per facet; each route calls it with the integer shift
+it holds (tau r*w over the Gorenstein index r, the socle oracle each
+corner over q, the integral closure the origin), and
+``lattice_inequalities`` is its checked entry, for a rational shift.
+The vertices are the generators that span extreme rays of that cone, kept
+as integer points.  The Fractions of ``NewtonPolyhedron.inequalities``
+(the right-hand sides t*b) and ``NewtonPolyhedron.vertices`` are made only
+when read.  The recession rays are those of sigma_dual.
 Every exponent t enters through ``exponent``, which refuses anything but a
 finite rational t >= 0 with InputError and returns a Fraction >= 0 as it
 is; ``scale`` reads it, and the routes, whose t is checked already, call
@@ -49,7 +49,6 @@ from .lattice import (
     _extreme,
     check_ring,
     dual_extreme_rays,
-    int_scalar,
     int_vectors,
     member_columns,
     pairing_columns,
@@ -91,10 +90,9 @@ class NewtonPolyhedron:
 
     def contains(self, p, strict: bool = False) -> bool:
         """Closed (or strict/interior) membership of a rational point, whose
-        entries are ints or Fractions (``lattice.rational_vector``).  The
-        point is brought once over one denominator e, as x/e, and with
-        t = u/v, <x/e, a> >= t*b iff v*<x, a> >= u*e*b: one integer
-        comparison per pair (a, b) of ``bounds``, with no Fraction."""
+        entries are ints or Fractions (``lattice.rational_vector``): with
+        the point x/e over one denominator and t = u/v, <x/e, a> >= t*b iff
+        v*<x, a> >= u*e*b, one integer comparison per pair of ``bounds``."""
         p = rational_vector(p)
         if len(p) != self.dim:
             raise DimensionMismatchError(
@@ -132,24 +130,22 @@ def exponent(t) -> Fraction:
 
 
 def lattice_inequalities(
-    P: NewtonPolyhedron, shift=None, strict: bool = False, den: int = 1
+    P: NewtonPolyhedron, shift=None, strict: bool = False
 ) -> tuple[tuple[IntVec, int], ...]:
     """Integer facets (a, c) cutting out the lattice points m with
-    m + shift/den in P (in its interior if ``strict``): each pair means
-    <m, a> >= c.  P must be a NewtonPolyhedron, the shift's entries ints or
-    Fractions (``lattice.rational_vector``) and den an int >= 1 (InputError
-    otherwise).  The shift is brought to integers over one denominator
-    (one lcm call) and compiled by ``_compile``, the core that the routes
-    call with values they hold already."""
+    m + shift in P (in its interior if ``strict``): each pair means
+    <m, a> >= c.  P must be a NewtonPolyhedron and the shift's entries
+    ints or Fractions (``lattice.rational_vector``), InputError otherwise.
+    The shift is brought to integers over one denominator (one lcm call)
+    and compiled by ``_compile``, the core that the package calls with
+    values it holds already."""
     if not isinstance(P, NewtonPolyhedron):
         raise InputError(f"expected a NewtonPolyhedron, got {P!r}")
     shift = (0,) * P.dim if shift is None else rational_vector(shift)
     if len(shift) != P.dim:
         raise DimensionMismatchError(f"length {len(shift)} vs {P.dim}")
-    if int_scalar("den", den) < 1:
-        raise InputError(f"the shift's denominator must be positive, got {den}")
     e = lcm(*(x.denominator for x in shift))
-    return _compile(P, [x.numerator * (e // x.denominator) for x in shift], den * e, strict)
+    return _compile(P, [x.numerator * (e // x.denominator) for x in shift], e, strict)
 
 
 def _compile(
@@ -157,9 +153,11 @@ def _compile(
 ) -> tuple[tuple[IntVec, int], ...]:
     """``lattice_inequalities`` with no check, for a shift of ints of length
     P.dim over the int den >= 1: tau's (the ring's r*w over its Gorenstein
-    index r) and the socle corners' (an integer corner over q).  P's
-    normals lie in sigma and every c is an int, so the pairs go to the
-    up-set kernel's cores (``enumeration._union``) as they are.
+    index r), the socle corners' (an integer corner over q) and the
+    integral closure's (the origin over 1).  It is the package's one
+    producer of pairs: P's normals lie in sigma and every c is an int, so
+    the pairs go to the up-set kernel's cores (``enumeration._union``) as
+    they are.
 
     For integer <m, a> and s = shift/den, <m + s, a> > t*b iff <m, a> >=
     floor(t*b - <s, a>) + 1, and <m + s, a> >= t*b iff <m, a> >=
@@ -187,19 +185,17 @@ def _vertex_rays(recession: Cone, ineqs) -> list[IntVec]:
     {x in recession : <x, a> >= c for every pair (a, c)}, whose vertices
     are the points x/s: the degree bound's double description.
 
-    The normals a lie in the dual of the recession cone and the c are
-    rational and >= 0, as in ``lattice_inequalities``.  Homogenized as
-    <x, a> - c*s >= 0 (each row cleared of c's denominator), <x, n> >= 0 for
-    the facet normals n of the recession cone and s >= 0, the region is a
-    pointed full-dimensional cone, and one double description gives its
-    extreme rays.  The facet normals cut recession x R, so it starts from
-    that cone (``lattice.dual_extreme_rays`` on ``recession``) and inserts
-    s >= 0 first, which turns the line into the ray (0, ..., 0, 1).
+    The normals a are int tuples in the dual of the recession cone and the
+    c are ints, as ``_compile`` makes them.  Homogenized as
+    <x, a> - c*s >= 0, <x, n> >= 0 for the facet normals n of the
+    recession cone and s >= 0, the region is a pointed full-dimensional
+    cone, and one double description gives its extreme rays.  The facet
+    normals cut recession x R, so it starts from that cone
+    (``lattice.dual_extreme_rays`` on ``recession``) and inserts s >= 0
+    first, which turns the line into the ray (0, ..., 0, 1).
     """
     d = recession.dim
-    halfspaces = [(0,) * d + (1,)] + [
-        tuple(c.denominator * x for x in a) + (-c.numerator,) for a, c in ineqs
-    ]
+    halfspaces = [(0,) * d + (1,)] + [a + (-c,) for a, c in ineqs]
     return [e for e in dual_extreme_rays(halfspaces, recession) if e[d] > 0]
 
 

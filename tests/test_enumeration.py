@@ -447,10 +447,11 @@ def test_degree_bound_matches_the_fraction_reference():
 
 
 def test_kernel_matches_brute_force_with_any_larger_offset_above_the_bound():
-    # the kernel against brute force on the up-sets and on the rational
-    # facets of scaled Newton polyhedra, given the exact offsets and given
-    # offsets raised wherever their point lies above the bound, as the
-    # callback contract allows
+    # the kernel against brute force on the up-sets and on the integer
+    # pairs of scaled Newton polyhedra (``lattice_inequalities``, which cut
+    # out the same lattice points as their facets), given the exact offsets
+    # and given offsets raised wherever their point lies above the bound,
+    # as the callback contract allows
     rng = Random(5151)
     cases = list(UPSETS)
     for name, ring in TEN_RINGS.items():
@@ -459,7 +460,7 @@ def test_kernel_matches_brute_force_with_any_larger_offset_above_the_bound():
             gens = rng.sample(pool, rng.randint(1, min(3, len(pool))))
             t = Fraction(rng.randint(1, 4), rng.randint(1, 2))
             cases.append((f"{name} {gens} t={t}", ring,
-                          scale(newton_polyhedron(ring, gens), t).inequalities))
+                          lattice_inequalities(scale(newton_polyhedron(ring, gens), t))))
     branches, raised, crowded = Counter(), Counter(), Counter()
     for label, ring, ineqs in cases:
         bound = degree_bound(ring, ineqs)
@@ -575,15 +576,15 @@ def test_packed_fields_at_the_edge_of_their_width(width):
 
 
 def test_vertex_rays_give_the_vertices():
-    # the integer pairs of the up-sets, and the rational facets of scaled
-    # Newton polyhedra, where each row is cleared of c's denominator
+    # the integer pairs of the up-sets, and those of scaled Newton
+    # polyhedra with large and small t (``lattice_inequalities``)
     rng = Random(2727)
     cases = [(label, ring, ineqs) for label, ring, ineqs in UPSETS]
     for name, ring in RINGS.items():
         pool = lattice_points_upto(ring, 6)[1:]
         for t in (Fraction(5, 3), Fraction(10**18 + 1, 7), Fraction(1, 10**18)):
             P = scale(newton_polyhedron(ring, rng.sample(pool, min(3, len(pool)))), t)
-            cases.append((f"{name} t={t}", ring, P.inequalities))
+            cases.append((f"{name} t={t}", ring, lattice_inequalities(P)))
     for label, ring, ineqs in cases:
         rays = polyhedra._vertex_rays(ring.sigma_dual, ineqs)
         assert all(type(x) is int and e[-1] > 0 for e in rays for x in e), label

@@ -15,7 +15,7 @@ from tauideal.cli import emit, main
 from tauideal.enumeration import lattice_points_upto
 from tauideal.errors import DimensionMismatchError, InputError, SemigroupMembershipError
 from tauideal.frobenius import (
-    _socle_corners,
+    _corner_inequalities,
     frobenius_root_tau_oracle,
     in_star_E,
     socle_piece_vanishes_at_q,
@@ -296,10 +296,11 @@ def test_integer_bounds_match_the_fraction_scale(ring):
                 for strict in (False, True):
                     got = lattice_inequalities(tP, shift, strict)
                     assert got == reference_lattice_inequalities(ref, shift, strict)
+            # the socle route compiles each integer corner x over q; the
+            # entry is given the rational shift x/q
             for q in (2, 4, 8, 3, 9, 27):
-                for x in _socle_corners(ring, q):
+                for x, got in _corner_inequalities(ring, tP, q):
                     shift = tuple(Fraction(xi, q) for xi in x)
-                    got = lattice_inequalities(tP, x, den=q)
                     assert got == reference_lattice_inequalities(ref, shift)
                     assert got == lattice_inequalities(tP, shift)
                     compared += 1

@@ -176,12 +176,13 @@ SEEDED_LOOPS = {
 
 # The callers of the compile core ``polyhedra._compile``, which trusts its
 # polyhedron, integer shift and denominator: the checked entry
-# ``lattice_inequalities`` and the two routes that hold those values
-# already (tau's r*w over r, the socle corners over q).  A route that
-# compiles through the entry again, or a new caller of the core, shows up
-# as a diff here.
+# ``lattice_inequalities`` and the three routes that hold those values
+# already (tau's r*w over r, the socle corners over q, the integral
+# closure's origin over 1).  A route that compiles through the entry
+# again, or a new caller of the core, shows up as a diff here.
 COMPILE_CORE_CALLERS = {
     "frobenius.py:_corner_inequalities",
+    "ideals.py:integral_closure",
     "polyhedra.py:lattice_inequalities",
     "tau.py:_tau_inequalities",
 }
@@ -454,11 +455,19 @@ def test_ideals_upset_union_is_the_one_adapter_from_boxes():
 
 
 def test_no_package_function_calls_the_kernel_entries():
-    # ``upset_union`` and ``degree_bound`` check what they are given and
-    # are for callers outside the package; the package hands the values it
-    # derived to their cores ``_union`` and ``_degree_bound``, so a route
-    # that pays the entry checks again shows up as a diff here
-    assert _package_callers(("upset_union", "degree_bound")) == set()
+    # ``upset_union``, ``degree_bound`` and ``lattice_inequalities`` check
+    # what they are given and are for callers outside the package; the
+    # package hands the values it derived to their cores ``_union``,
+    # ``_degree_bound`` and ``polyhedra._compile``, so a route that pays
+    # the entry checks again shows up as a diff here
+    assert _package_callers(("upset_union", "degree_bound", "lattice_inequalities")) == set()
+
+
+def test_the_slice_bound_is_read_through_the_one_degree_bound_rule():
+    # ``_degree_bound`` is the one place that picks the slice bound, a
+    # caller's proven bound or the vertex double description; a second
+    # place that reads the slice bound first shows up as a diff here
+    assert _package_callers(("_slice_bound",)) == {"enumeration.py:_degree_bound"}
 
 
 def test_the_newton_sharing_key_is_built_in_one_place():
@@ -518,6 +527,11 @@ CHECK_CALLERS = {
         "tau.py:_check_request",
     },
     "semigroup_columns": {"ideals.py:__post_init__"},
+    # a shift and a point are rational by nature; every pair is integer
+    "rational_vector": {
+        "polyhedra.py:contains",
+        "polyhedra.py:lattice_inequalities",
+    },
     # the checked pairing of raw vectors; a checked ideal's are its ``rows``
     "_ray_coords": {
         "frobenius.py:_multiplier_searches",
