@@ -49,21 +49,6 @@ def ell_vector(ring: ToricRing) -> IntVec:
     return tuple(map(sum, zip(*ring.sigma.rays)))
 
 
-def hilbert_basis(ring: ToricRing) -> tuple[IntVec, ...]:
-    """The irreducible elements of sigma_dual cap M, sorted by (l, lex):
-    the ring's ``_Lines`` record, which derives them once per ring.  The
-    ring is checked (``lattice.check_ring``) before the record hashes it."""
-    return _lines(check_ring(ring)).basis
-
-
-def by_degree(ring: ToricRing, points) -> list[IntVec]:
-    """The points sorted by (l, lex), l the grading functional, after
-    ``check_ring`` and ``lattice.int_vectors``: InputError for a point that
-    is not a sequence of ints."""
-    ell = _lines(check_ring(ring)).ell
-    return sorted(int_vectors(points), key=lambda p: (pairing(p, ell), p))
-
-
 def degree_bound(ring: ToricRing, ineqs) -> int:
     """A degree above which no minimal generator of the up-set
     S = {m in sigma_dual cap M : <m, a> >= c for every pair (a, c)} lies.

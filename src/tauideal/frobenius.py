@@ -37,7 +37,7 @@ from functools import cache
 from operator import le
 
 from . import enumeration
-from .enumeration import _union, by_degree
+from .enumeration import _union
 # minimal_upset_generators is bound here only for perfbench/layers.py
 from .enumeration import minimal_upset_generators  # noqa: F401
 from .errors import (
@@ -146,11 +146,12 @@ def _check_q(q: int, p: int) -> None:
 
 
 def _corner_offsets(ring: ToricRing, c: int) -> tuple[IntVec, ...]:
-    """The minimal generators, in (l, lex) order, of the up-set of the ray
-    coordinates >= (c, ..., c) (``ideals._upset_union``; the origin alone at
-    c = 0)."""
+    """The minimal generators, in (l, lex) order with l the ring record's
+    grading (``enumeration._lines``), of the up-set of the ray coordinates
+    >= (c, ..., c) (``ideals._upset_union``; the origin alone at c = 0)."""
     rows = _upset_union(ring, [(c,) * len(ring.sigma.rays)])
-    return tuple(by_degree(ring, _from_rows(ring, rows).gens))
+    ell = enumeration._lines(ring).ell
+    return tuple(sorted(_from_rows(ring, rows).gens, key=lambda p: (pairing(p, ell), p)))
 
 
 @cache

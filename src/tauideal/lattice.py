@@ -5,21 +5,20 @@ rational points are tuples of ``fractions.Fraction``.  Cones are stored with
 both a ray and a halfspace description, converted by the double description
 method with exact integer arithmetic; a toric ring costs one double
 description, since the facets of sigma are the rays of sigma_dual.  The
-double description tracks each ray's tight set as an integer bitmask over
-the inserted halfspaces and tests adjacency and extremality on those masks
-alone, so it needs no rank computation; a caller whose halfspaces begin with
-a known cone's facets lifted by one coordinate starts it from that cone's
-state (``_prism``) and inserts only its own, a first (v, 1) in closed form
-(``_lifted``).  Its integer kernels are single
-passes: each pairing is ``sum(map(mul, ...))``, ``primitivize`` one gcd
-call that leaves a primitive vector as it is, and every new ray or
-lineality vector one fused a*u - b*v (``_combine``).  All other linear
-algebra is one fraction-free Gauss-Jordan elimination on integers alone,
-``_echelon``, whose rows are D times the reduced echelon form: it gives
-``matrix_rank`` and, once per ring, ``left_inverse`` of sigma's rays
-(integer rows A and D > 0 with A*V = D*1, V the rays as rows), from which
-``gorenstein_vector`` reads w, ``ToricRing.is_smooth`` reads D and
-``_points`` turns ray coordinates into lattice points, with no
+double description starts from a pointed cone, cold from the simplicial
+cone of a basis of its halfspaces (``_simplicial``), or from a known cone's
+facets lifted by one coordinate (``_prism``) and a (v, 1) in closed form
+(``_lifted``); it tracks each ray's tight set as an integer bitmask and
+tests adjacency on those masks alone, so it needs no rank computation.  Its
+integer kernels are single passes: each pairing is ``sum(map(mul, ...))``,
+``primitivize`` one gcd call that leaves a primitive vector as it is, and
+every new ray one fused a*u - b*v (``_combine``).  All other linear algebra is one fraction-free
+Gauss-Jordan elimination on integers alone, ``_echelon``, whose rows are D
+times the reduced echelon form: it gives ``matrix_rank`` and, once per
+ring, ``left_inverse`` of sigma's rays (integer rows A and D > 0 with
+A*V = D*1, V the rays as rows), from which the double description reads
+its start, ``gorenstein_vector`` reads w, ``ToricRing.is_smooth`` reads D
+and ``_points`` turns ray coordinates into lattice points, with no
 back-substitution and no Fraction arithmetic.  The pairings of many vectors
 with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
 computed a coordinate column at a time; ``member_columns`` pairs int
@@ -239,40 +238,14 @@ def matrix_rank(rows) -> int:
     return len(_echelon(rows)[1])
 
 
-def _insert(lineality, rays, h, bit):
-    """One double description step: cut the cone lineality + cone(rays) by
-    <x, h> >= 0, where ``bit`` is the mask bit of h.
+def _insert(rays, h, bit):
+    """One double description step: cut the pointed cone spanned by the
+    keys of ``rays`` by <x, h> >= 0, where ``bit`` is the mask bit of h.
 
     ``rays`` maps each ray to the bitmask of the inserted halfspaces it is
     tight on.  Invariant, before and after the step: the keys of ``rays`` are
-    exactly the extreme rays of the cone modulo its lineality space (spanned
-    by ``lineality``), one primitive representative each, and every
-    lineality vector pairs to zero with every inserted halfspace, so a ray's
-    tight set does not depend on the representative.
+    exactly the extreme rays of the cone, one primitive representative each.
     """
-    lin_vals = [sum(map(mul, l, h)) for l in lineality]
-    k = next((j for j, v in enumerate(lin_vals) if v != 0), None)
-    if k is not None:
-        # h crosses the lineality space: shrink it to h's hyperplane and
-        # project each ray there along l0, which keeps the ray's tight set
-        # (l0 pairs to zero with it) and adds h; l0 itself becomes a ray
-        # tight on everything inserted before h
-        l0, d0 = lineality[k], lin_vals[k]
-        if d0 < 0:
-            l0, d0 = vec_neg(l0), -d0
-        new_lin = [
-            primitivize(_combine(d0, l, v, l0))
-            for j, (l, v) in enumerate(zip(lineality, lin_vals))
-            if j != k
-        ]
-        new_rays: dict[IntVec, int] = {}
-        for r, mask in rays.items():
-            proj = _combine(d0, r, sum(map(mul, r, h)), l0)
-            if any(proj):
-                new_rays.setdefault(primitivize(proj), mask | bit)
-        new_rays.setdefault(primitivize(l0), bit - 1)
-        return new_lin, new_rays
-
     pos, neg = [], []
     new_rays = {}
     for r, mask in rays.items():
@@ -288,7 +261,7 @@ def _insert(lineality, rays, h, bit):
     # to a negative ray; the smallest face holding r and s is cut out by the
     # halfspaces tight on both, and its extreme rays are the rays tight on
     # all of them, so r and s span an edge iff no third ray is
-    target = len(h) - len(lineality) - 2
+    target = len(h) - 2
     masks = list(rays.values())
     for r, mr, rh in pos:
         for s, ms, sh in neg:
@@ -298,7 +271,7 @@ def _insert(lineality, rays, h, bit):
             if sum(1 for m in masks if m & common == common) > 2:
                 continue
             new_rays.setdefault(primitivize(_combine(rh, s, sh, r)), common | bit)
-    return lineality, new_rays
+    return new_rays
 
 
 def dual_extreme_rays(halfspaces, base: Cone | None = None) -> list[IntVec]:
@@ -309,96 +282,118 @@ def dual_extreme_rays(halfspaces, base: Cone | None = None) -> list[IntVec]:
     primitive integer vectors, sorted lexicographically.
 
     Double description, one halfspace at a time (``_insert``), starting from
-    the whole space.  Each ray carries the bitmask of the inserted halfspaces
-    it is tight on (bit i for the i-th), updated as halfspaces arrive; two
-    rays on opposite sides of a new halfspace are adjacent iff no third ray
-    is tight on every halfspace both are tight on (the combinatorial test of
+    the simplicial cone of a basis of the halfspaces (``_simplicial``; if
+    they do not span, the cone holds a line).  Each ray carries the bitmask
+    of the inserted halfspaces it is tight on (bit i for the i-th); two rays
+    on opposite sides of a new halfspace are adjacent iff no third ray is
+    tight on every halfspace both are tight on (the combinatorial test of
     Fukuda and Prodon, 1996).  After each insertion the rays are exactly the
-    extreme rays of the current cone modulo its lineality space (``_insert``'s
-    invariant); once that space is gone they are the extreme rays
-    themselves, so they are returned as they are, sorted.
+    extreme rays of the current cone (``_insert``'s invariant), so they are
+    returned as they are, sorted.  A ConeNotFullDimensionalError names in
+    ``halfspace`` the first halfspace tight on the whole cone.
 
-    With a ``base`` cone K the halfspaces live in one more dimension, and the
-    double description starts from the state it reaches after inserting
-    (h, 0) for every facet normal h of K (``_prism``); the result, and any
-    error, is that of the cold run on those halfspaces followed by the
-    given ones, with the bits in that order.  That state meets the
-    invariant.  K's facet normals are the extreme rays of its dual, so the
-    (h, 0) cut out (K dual)-dual x R, which is K x R as K is closed and
-    convex; K is pointed, so modulo the line R*(0, ..., 0, 1) the extreme
-    rays of K x R are the (n, 0) over the extreme rays n of K, primitive as
-    n is, and the line pairs to zero with every (h, 0).  Each mask is read
-    off the pairings, so it is the ray's tight set.  A first given
-    halfspace (v, 1), as every Newton polyhedron's and the degree bound's
-    is, is inserted in closed form (``_lifted``).
+    With a ``base`` cone K the halfspaces live in one more dimension, and
+    the result, and any error, is that of the cold run on (h, 0) for every
+    facet normal h of K (``_prism``) followed by the given halfspaces, with
+    the bits in that order.  A first given (v, 1), as every Newton
+    polyhedron's and the degree bound's is, cuts K x R to a pointed cone
+    known in closed form (``_lifted``), and the run starts there.
     """
     halfspaces = int_vectors(halfspaces)
     if base is None:
         if not halfspaces:
             raise ConeNotPointedError("no halfspaces: the whole space is not pointed")
         dim = len(halfspaces[0])
-        inserted, lineality, rays = (), unit_vectors(dim), {}
     else:
         dim = check_cone(base).dim + 1
-        inserted, lineality, start = _prism(base)
-        lineality, rays = list(lineality), dict(start)
     for h in halfspaces:
         if len(h) != dim:
             raise DimensionMismatchError("halfspaces of mixed lengths")
         if not any(h):
             raise ZeroVectorError("zero halfspace normal")
 
-    if base is not None and halfspaces and halfspaces[0][-1] == 1:
-        lineality, rays = _lifted(start, halfspaces[0], 1 << len(inserted))
-        inserted, halfspaces = (*inserted, halfspaces[0]), halfspaces[1:]
-    for i, h in enumerate(halfspaces, len(inserted)):
-        lineality, rays = _insert(lineality, rays, h, 1 << i)
+    rays = None
+    if base is not None:
+        inserted, start = _prism(base)
+        if halfspaces and halfspaces[0][-1] == 1:
+            bit = 1 << len(inserted)
+            rays, done = _lifted(start, halfspaces[0], bit), 2 * bit - 1
+        halfspaces = [*inserted, *halfspaces]
+    if rays is None:
+        rays, done = _simplicial(halfspaces)
+    # done: the mask of the halfspaces the start is cut out by
+    for i, h in enumerate(halfspaces):
+        if not done >> i & 1:
+            rays = _insert(rays, h, 1 << i)
 
-    if lineality:
-        raise ConeNotPointedError("halfspaces admit a line")
-    if not rays:
-        raise ConeNotFullDimensionalError("cone is the origin only")
     implicit = -1
     for mask in rays.values():
         implicit &= mask
     if implicit:
-        h = [*inserted, *halfspaces][(implicit & -implicit).bit_length() - 1]
-        raise ConeNotFullDimensionalError(f"halfspace {h} is an implicit equality")
+        # the first halfspace tight on the whole cone, every one on {0}
+        h = halfspaces[(implicit & -implicit).bit_length() - 1]
+        error = ConeNotFullDimensionalError(
+            f"halfspace {h} is an implicit equality" if rays else "cone is the origin only"
+        )
+        error.halfspace = h
+        raise error
     return sorted(rays)
+
+
+def _simplicial(halfspaces):
+    """The start of a cold double description: the rays, with their masks,
+    of the simplicial cone cut out by a basis B of the halfspaces, and the
+    mask of B; ConeNotPointedError if the halfspaces do not span.
+
+    B and the rays are read off the halfspaces' ``left_inverse`` A, D, V
+    the k halfspaces as rows.  [V | 1] has rank k, so past V's d columns
+    its reduced echelon form has k - d pivots in the columns of 1 of k - d
+    halfspaces, and A, the first d rows there, is zero in those columns.
+    So A*V = D*1 reads A_B*V_B = D*1 on the other d halfspaces, a basis B,
+    and A's block A_B = D*V_B^-1 has no zero column.  Column j of it pairs
+    to D with the j-th halfspace of B and to 0 with the others, so, made
+    primitive, it is the ray tight on all of B but the j-th."""
+    try:
+        inverse, _ = left_inverse(tuple(halfspaces))
+    except ConeNotFullDimensionalError:
+        raise ConeNotPointedError("halfspaces admit a line") from None
+    columns = [(j, col) for j, col in enumerate(zip(*inverse)) if any(col)]
+    basis = sum(1 << j for j, _ in columns)
+    return {primitivize(col): basis & ~(1 << j) for j, col in columns}, basis
 
 
 @cache
 def _prism(cone: Cone):
-    """The double description state of ``dual_extreme_rays`` on a base cone
-    K: the inserted halfspaces (h, 0) over K's facet normals h; the
-    lineality space, spanned by (0, ..., 0, 1); and each ray, (n, 0) over
-    K's extreme rays n, with the bitmask of the inserted halfspaces it is
-    tight on.  Built once per cone."""
+    """For a base cone K of ``dual_extreme_rays``: the halfspaces (h, 0)
+    over K's facet normals h, and each (n, 0) over K's extreme rays n with
+    the bitmask of those halfspaces it is tight on.  They cut out K x R,
+    which holds a line; ``_lifted`` cuts it.  Built once per cone."""
     inserted = [h + (0,) for h in cone.halfspaces]
     rays = [n + (0,) for n in cone.rays]
     masks = [sum(1 << i for i, v in enumerate(row) if not v)
              for row in zip(*pairing_columns(rays, inserted))]
-    return tuple(inserted), ((0,) * cone.dim + (1,),), tuple(zip(rays, masks))
+    return tuple(inserted), tuple(zip(rays, masks))
 
 
 def _lifted(start, h, bit):
-    """The state ``_insert`` reaches from a ``_prism`` state whose rays and
-    masks are ``start`` on inserting h = (v, 1) with mask bit ``bit``: no
-    lineality, each ray (n, 0) as (n, -<n, v>) with its mask | bit, and
-    the ray (0, ..., 0, 1) with mask bit - 1.
+    """The double description state of K x R cut by h = (v, 1), with mask
+    bit ``bit``, where ``start`` holds K's rays (n, 0) and masks as
+    ``_prism`` makes them: each (n, 0) becomes (n, -<n, v>) with its mask
+    | bit, and (0, ..., 0, 1) joins with mask bit - 1.
 
-    Proof: the prism's lineality space is spanned by l0 = (0, ..., 0, 1)
-    alone, and <l0, h> = 1, so ``_insert`` takes its projection branch
-    with d0 = 1 and keeps no lineality vector.  It maps each ray
-    r = (n, 0) to 1*r - <r, h>*l0 = (n, -<n, v>), tight on r's halfspaces,
-    as l0 pairs to zero with each of them, and on h.  Its first entries
-    are n's, whose gcd is 1, so it is primitive and ``primitivize`` keeps
-    it; distinct n give distinct rays, so no ``setdefault`` meets one
-    twice.  Last, l0 becomes a ray tight on every halfspace before h."""
+    Proof: the cut cone is C = {(x, s) : x in K, s + <x, v> >= 0}, and
+    (x, s) -> (x, s + <x, v>) maps it linearly and bijectively onto
+    K x [0, inf), which is pointed as K is, with the extreme rays (n, 0)
+    and (0, ..., 0, 1).  So C is pointed, and its extreme rays are their
+    preimages (n, -<n, v>) and (0, ..., 0, 1).  (n, -<n, v>) pairs with
+    (g, 0) as n does with g and to zero with h; (0, ..., 0, 1) pairs to
+    zero with each (g, 0) and to 1 with h.  So the masks are the tight
+    sets.  The first entries of (n, -<n, v>) are n's, whose gcd is 1, so
+    it is primitive; distinct n give distinct rays."""
     v = h[:-1]
     rays = {n[:-1] + (-sum(map(mul, n, v)),): mask | bit for n, mask in start}
     rays[(0,) * len(v) + (1,)] = bit - 1
-    return [], rays
+    return rays
 
 
 def _extreme(vectors, halfspaces) -> list[IntVec]:
@@ -473,19 +468,26 @@ class Cone:
 def cone_from_rays(generators) -> Cone:
     """Build a cone from any integer generators (checked by
     ``int_vectors``), computing its H-representation and keeping only the
-    extreme rays (``_extreme`` on their tight facets)."""
-    gens = list(dict.fromkeys(map(primitivize, int_vectors(generators))))
+    extreme rays (``_extreme`` on their tight facets).  They reach the
+    double description primitive and sorted, so when all are extreme its
+    ``left_inverse`` is the ring's one.  Generators that do not span raise
+    ConeNotFullDimensionalError; a cone that holds a line raises
+    ConeNotPointedError naming a generator tight on all of the dual cone,
+    whose negative lies in the cone, the dual of the dual."""
+    gens = sorted(set(map(primitivize, int_vectors(generators))))
     if not gens:
         raise ConeNotFullDimensionalError("no generators")
-    dim = len(gens[0])
     try:
         halfspaces = dual_extreme_rays(gens)
     except ConeNotPointedError as exc:
         # the dual contains a line exactly when the generators do not span
-        raise ConeNotFullDimensionalError(str(exc)) from exc
+        raise ConeNotFullDimensionalError(f"the generators {gens} do not span") from exc
     except ConeNotFullDimensionalError as exc:
-        raise ConeNotPointedError(str(exc)) from exc
-    return Cone(dim=dim, rays=tuple(_extreme(gens, halfspaces)), halfspaces=tuple(halfspaces))
+        raise ConeNotPointedError(
+            f"the generators' cone contains the line through {exc.halfspace}"
+        ) from exc
+    rays = tuple(_extreme(gens, halfspaces))
+    return Cone(dim=len(gens[0]), rays=rays, halfspaces=tuple(halfspaces))
 
 
 def dual_cone(cone: Cone) -> Cone:

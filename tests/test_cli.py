@@ -232,6 +232,19 @@ def test_non_q_gorenstein_ring_rejected(tmp_path):
     assert main(["tau", "--ring", str(bad), "--ideal", str(ideal)]) == 3
 
 
+@pytest.mark.parametrize("generators, message", [
+    ([[1, 0], [2, 0]], "error: the generators [(1, 0)] do not span"),
+    ([[1, 0], [-1, 0], [0, 1]], "error: the generators' cone contains the line through (-1, 0)"),
+])
+def test_a_degenerate_cone_is_an_input_error(tmp_path, capsys, generators, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"cone_generators": generators}))
+    ideal = tmp_path / "i.json"
+    ideal.write_text(json.dumps({"generators": [[1, 0]]}))
+    assert main(["tau", "--ring", str(bad), "--ideal", str(ideal)]) == 3
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_ring_json_round_trip(files):
     _, ring_path, _ = files
     data = json.loads(open(ring_path).read())

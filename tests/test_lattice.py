@@ -125,6 +125,21 @@ def test_not_full_dimensional_cone_rejected():
         cone_from_rays([(1, 0), (2, 0)])
 
 
+def test_cone_errors_describe_the_generators():
+    # the messages speak of the generators, not of the dual double
+    # description's halfspaces; the line is named by a generator g whose
+    # negative lies in the cone
+    with pytest.raises(ConeNotFullDimensionalError, match=r"generators \[\(1, 0\)\] do not span"):
+        toric_ring([(1, 0), (2, 0)])
+    with pytest.raises(ConeNotPointedError, match=r"contains the line through \(-1, 0\)"):
+        toric_ring([(1, 0), (-1, 0), (0, 1)])
+    # on the whole plane every generator's negative lies in the cone
+    with pytest.raises(ConeNotPointedError, match=r"contains the line through \(-1, 0\)"):
+        cone_from_rays([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    with pytest.raises(ConeNotPointedError, match=r"contains the line through \(0, -1, 1\)"):
+        cone_from_rays([(1, 0, 0), (0, 1, -1), (0, -2, 2), (0, 0, 1)])
+
+
 def test_zero_generator_rejected():
     with pytest.raises(ZeroVectorError):
         cone_from_rays([(0, 0), (1, 0)])
@@ -361,32 +376,44 @@ def test_dd_matches_rank_reference_on_random_halfspaces():
         assert seen[key] >= 100, seen
 
 
+def _simplicial_start(hs):
+    """``lattice._simplicial`` of hs, or None for halfspaces that do not
+    span, which have no pointed start; the order in which the rest of hs
+    are inserted after it is the order of the bits of its complement."""
+    try:
+        return lattice._simplicial(hs)
+    except ConeNotPointedError:
+        return None
+
+
 def test_dd_step_keeps_exactly_the_extreme_rays():
-    # the invariant of lattice._insert, checked after every insertion: each
-    # ray lies in the cone, its mask is its tight set, and it is extreme
-    # modulo the lineality space (tight set of rank n - 1, where n is the
-    # dimension left after dividing out the lineality space); distinct
-    # extreme rays have distinct tight sets
+    # the invariant of lattice._insert, checked on the simplicial start and
+    # after every insertion: each ray lies in the cone, its mask is its
+    # tight set, and it is extreme (tight set of rank d - 1); distinct
+    # extreme rays have distinct tight sets.  The start is cut out by d of
+    # the halfspaces and has d rays
     rng = Random(4005)
     checked = 0
     while checked < 600:
         hs = _random_halfspaces(rng)
-        if not all(any(h) for h in hs):
+        if not all(any(h) for h in hs) or (start := _simplicial_start(hs)) is None:
             continue
+        rays, done = start
         dim = len(hs[0])
-        lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        rays = {}
-        for i, h in enumerate(hs):
-            lin, rays = lattice._insert(lin, rays, h, 1 << i)
-            inserted = hs[: i + 1]
-            assert all(pairing(l, g) == 0 for l in lin for g in inserted)
-            n = dim - len(lin)
+        assert done.bit_count() == len(rays) == dim, hs
+        order = [i for i in range(len(hs)) if not done >> i & 1]
+        for step in range(len(order) + 1):
+            if step:
+                i = order[step - 1]
+                rays = lattice._insert(rays, hs[i], 1 << i)
+                done |= 1 << i
+            inserted = [(j, g) for j, g in enumerate(hs) if done >> j & 1]
             for r, mask in rays.items():
-                vals = [pairing(r, g) for g in inserted]
-                assert min(vals) >= 0
-                assert mask == sum(1 << j for j, v in enumerate(vals) if v == 0)
-                tight = [g for g, v in zip(inserted, vals) if v == 0]
-                assert matrix_rank(tight) == n - 1, (hs, i, r)
+                vals = [(j, pairing(r, g)) for j, g in inserted]
+                assert min(v for _, v in vals) >= 0
+                assert mask == sum(1 << j for j, v in vals if v == 0)
+                tight = [g for j, g in inserted if mask >> j & 1]
+                assert matrix_rank(tight) == dim - 1, (hs, step, r)
             assert len(set(rays.values())) == len(rays)
         checked += 1
 
@@ -928,46 +955,49 @@ def _scaled_halfspaces(rng):
 
 
 def test_insert_matches_the_reference_at_every_step():
-    # the lineality list and the ray dict, masks and order included, agree
-    # after every insertion of a sequence
+    # the ray dict, masks and order included, agrees with the reference
+    # step, which keeps no lineality vector, after every insertion of a
+    # sequence from the simplicial start
     rng = Random(5252)
     steps = Counter()
     for _ in range(1500):
         hs = _scaled_halfspaces(rng)
-        if not hs:
+        if not hs or (start := _simplicial_start(hs)) is None:
             continue
-        dim = len(hs[0])
-        lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        got, want = (lin, {}), (lin, {})
+        got, done = start
+        want = dict(got)
         for i, h in enumerate(hs):
-            got = lattice._insert(*got, h, 1 << i)
-            want = reference_insert(*want, h, 1 << i)
-            assert got[0] == want[0], (hs, i)
-            assert list(got[1].items()) == list(want[1].items()), (hs, i)
-            steps["crossing" if len(got[0]) < len(lin) else "cut"] += 1
-            lin = got[0]
-    assert steps["crossing"] >= 1000 and steps["cut"] >= 1000, steps
+            if done >> i & 1:
+                continue
+            steps["cut" if any(pairing(r, h) < 0 for r in got) else "kept"] += 1
+            got = lattice._insert(got, h, 1 << i)
+            lineality, want = reference_insert([], want, h, 1 << i)
+            assert lineality == [], (hs, i)
+            assert list(got.items()) == list(want.items()), (hs, i)
+    assert steps["cut"] >= 1000 and steps["kept"] >= 1000, steps
 
 
 @pytest.mark.parametrize("ring", TEST_RINGS, ids=range(len(TEST_RINGS)))
 def test_the_closed_form_first_insert_is_the_insert_step(ring):
     # on sigma x R and sigma_dual x R, the two bases a double description
-    # starts from, ``_lifted`` reaches the state ``_insert`` reaches on
-    # (v, 1): the same lineality, rays, masks and ray order, for seeded v
-    # (the zero vector, small entries of either sign and entries past 2**64)
+    # starts from, ``_lifted`` reaches the state the reference step reaches
+    # on (v, 1) from the prism's rays and its line (0, ..., 0, 1): no
+    # lineality, and the same rays, masks and ray order, for seeded v (the
+    # zero vector, small entries of either sign and entries past 2**64)
     rng = Random(8181 + len(ring.sigma.rays))
     for cone in (ring.sigma, ring.sigma_dual):
-        inserted, lineality, start = lattice._prism(cone)
+        inserted, start = lattice._prism(cone)
+        line = (0,) * cone.dim + (1,)
         bit = 1 << len(inserted)
         vs = [(0,) * cone.dim]
         vs += [tuple(rng.randint(-9, 9) for _ in range(cone.dim)) for _ in range(30)]
         vs += [tuple(rng.randint(-2**70, 2**70) for _ in range(cone.dim)) for _ in range(5)]
         for v in vs:
             h = v + (1,)
-            want = lattice._insert(list(lineality), dict(start), h, bit)
+            lineality, want = reference_insert([line], dict(start), h, bit)
             got = lattice._lifted(start, h, bit)
-            assert got[0] == want[0] == [], (cone, v)
-            assert list(got[1].items()) == list(want[1].items()), (cone, v)
+            assert lineality == [], (cone, v)
+            assert list(got.items()) == list(want.items()), (cone, v)
 
 
 # each entry point that reads exponent vectors meets them in

@@ -16,7 +16,6 @@ from tauideal.enumeration import (
     _lines,
     degree_bound,
     ell_vector,
-    hilbert_basis,
     lattice_points_upto,
     upset_union,
 )
@@ -53,7 +52,7 @@ def reference_minimal_upset_generators(ring, is_member, bound):
     members = {m for m in points if is_member(m)}
     return [
         m for m in points
-        if m in members and not any(vec_sub(m, h) in members for h in hilbert_basis(ring))
+        if m in members and not any(vec_sub(m, h) in members for h in _lines(ring).basis)
     ]
 
 
@@ -132,7 +131,7 @@ def test_bottoms_and_the_floor_rule_against_brute_force(ring):
     ell = ell_vector(ring)
     # r is the (l, lex)-least extreme ray of sigma_dual and a Hilbert basis element
     assert r == min(ring.sigma_dual.rays, key=lambda v: (pairing(v, ell), v))
-    assert r in hilbert_basis(ring)
+    assert r in _lines(ring).basis
     walked = lattice_points_upto(ring, 8)
     assert sorted(walked) == sorted(brute_points(ring, 8))
     lines.grow(8)

@@ -457,9 +457,9 @@ def _insert_steps(monkeypatch):
     steps = []
     real = lattice._insert
 
-    def counted(lineality, rays, h, bit):
+    def counted(rays, h, bit):
         steps.append(h)
-        return real(lineality, rays, h, bit)
+        return real(rays, h, bit)
 
     monkeypatch.setattr(lattice, "_insert", counted)
     return steps

@@ -495,7 +495,6 @@ def test_the_newton_sharing_key_is_built_in_one_place():
 CHECK_CALLERS = {
     "int_vectors": {
         "enumeration.py:_check_union",
-        "enumeration.py:by_degree",
         "frobenius.py:_multiplier_searches",
         "ideals.py:minimalize",
         "lattice.py:cone_from_rays",
@@ -507,8 +506,6 @@ CHECK_CALLERS = {
         "campaigns.py:random_monomial_ideal",
         "campaigns.py:run_crosscheck",
         "enumeration.py:_check_union",
-        "enumeration.py:by_degree",
-        "enumeration.py:hilbert_basis",
         "enumeration.py:lattice_points_upto",
         "frobenius.py:_validate_socle_point",
         "ideals.py:__post_init__",

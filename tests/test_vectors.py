@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tauideal.campaigns import random_monomial_ideal, run_crosscheck
-from tauideal.enumeration import by_degree, degree_bound, hilbert_basis, lattice_points_upto
-from tauideal.enumeration import upset_union
+from tauideal.enumeration import degree_bound, lattice_points_upto, upset_union
 from tauideal.errors import (
     DimensionMismatchError,
     InputError,
@@ -117,9 +116,6 @@ NOT_INT_VECTORS = {
     "lattice_points_upto None ring": lambda: lattice_points_upto(None, 3),
     "lattice_points_upto float bound": lambda: lattice_points_upto(R, 2.5),
     "lattice_points_upto str bound": lambda: lattice_points_upto(R, "3"),
-    "hilbert_basis None": lambda: hilbert_basis(None),
-    "by_degree None": lambda: by_degree(None, [(1, 0)]),
-    "by_degree str point": lambda: by_degree(R, ["ab"]),
     "upset_union None": lambda: upset_union(None, []),
     "upset_union float box pair": lambda: upset_union(R, [[((1, 0), 1.5)]]),
     "upset_union float pair": lambda: upset_union(R, [[((1, 1), 1.5)]]),
@@ -187,8 +183,6 @@ ENTRY_POINTS = [
     # with v in place of an enumeration's ring, bound or right-hand side
     lambda v: lattice_points_upto(v, 2),
     lambda v: lattice_points_upto(R, v),
-    lambda v: by_degree(v, [(1, 0)]),
-    lambda v: by_degree(R, [v, (1, 0)]),
     lambda v: upset_union(v, []),
     # a box, as a scan would run up to the degree of a huge Fraction v
     lambda v: upset_union(R, [[((1, 0), v)]]),
