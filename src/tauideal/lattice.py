@@ -12,21 +12,22 @@ facets lifted by one coordinate (``_prism``) and a (v, 1) in closed form
 tests adjacency on those masks alone, so it needs no rank computation.  Its
 integer kernels are single passes: each pairing is ``sum(map(mul, ...))``,
 ``primitivize`` one gcd call that leaves a primitive vector as it is, and
-every new ray one fused a*u - b*v (``_combine``).  All other linear algebra is one fraction-free
-Gauss-Jordan elimination on integers alone, ``_echelon``, whose rows are D
-times the reduced echelon form: it gives ``matrix_rank`` and, once per
-ring, ``left_inverse`` of sigma's rays (integer rows A and D > 0 with
-A*V = D*1, V the rays as rows), from which the double description reads
-its start, ``gorenstein_vector`` reads w, ``ToricRing.is_smooth`` reads D
-and ``_points`` turns ray coordinates into lattice points, with no
-back-substitution and no Fraction arithmetic.  The pairings of many vectors
-with a few normals (ray coordinates, facet tests) are ``pairing_columns``,
-computed a coordinate column at a time; ``member_columns`` pairs int
-vectors with the rays of sigma and checks each on the way (raw ones after
-``int_vectors``: ``semigroup_columns``).  Such rows of ray coordinates
-are compared by integer bitmasks in ``_below_masks`` (the
-minimal ones: ``minimal_vectors_orthant``) and become points in ``_points``;
-on a smooth sigma (``ToricRing.is_smooth``) every row >= 0 is one point's.
+every new ray one fused a*u - b*v (``_combine``).  All other linear
+algebra is one fraction-free Gauss-Jordan elimination on integers alone,
+``_echelon``, whose rows are D times the reduced echelon form: it gives
+``matrix_rank`` and, once per ring, ``left_inverse`` of sigma's rays
+(integer rows A and D > 0 with A*V = D*1, V the rays as rows), from which
+the double description reads its start, ``gorenstein_vector`` reads w,
+``ToricRing.is_smooth`` reads D and ``_points`` turns ray coordinates into
+lattice points, with no back-substitution and no Fraction arithmetic.  The
+pairings of many vectors with a few normals (ray coordinates, facet tests)
+are ``pairing_columns``, computed a coordinate column at a time;
+``member_columns`` pairs int vectors with the rays of sigma and checks each
+on the way (raw ones after ``int_vectors``: ``semigroup_columns``).  Such
+rows of ray coordinates are compared by integer bitmasks in
+``_below_masks`` (the minimal ones: ``minimal_vectors_orthant``) and become
+points in ``_points``; on a smooth sigma (``ToricRing.is_smooth``) every
+row >= 0 is one point's.
 """
 
 from __future__ import annotations
@@ -477,6 +478,7 @@ def cone_from_rays(generators) -> Cone:
     gens = sorted(set(map(primitivize, int_vectors(generators))))
     if not gens:
         raise ConeNotFullDimensionalError("no generators")
+    dim = len(gens[0])
     try:
         halfspaces = dual_extreme_rays(gens)
     except ConeNotPointedError as exc:
@@ -486,8 +488,7 @@ def cone_from_rays(generators) -> Cone:
         raise ConeNotPointedError(
             f"the generators' cone contains the line through {exc.halfspace}"
         ) from exc
-    rays = tuple(_extreme(gens, halfspaces))
-    return Cone(dim=len(gens[0]), rays=rays, halfspaces=tuple(halfspaces))
+    return Cone(dim=dim, rays=tuple(_extreme(gens, halfspaces)), halfspaces=tuple(halfspaces))
 
 
 def dual_cone(cone: Cone) -> Cone:

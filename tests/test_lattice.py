@@ -378,8 +378,7 @@ def test_dd_matches_rank_reference_on_random_halfspaces():
 
 def _simplicial_start(hs):
     """``lattice._simplicial`` of hs, or None for halfspaces that do not
-    span, which have no pointed start; the order in which the rest of hs
-    are inserted after it is the order of the bits of its complement."""
+    span, which have no pointed start."""
     try:
         return lattice._simplicial(hs)
     except ConeNotPointedError:
